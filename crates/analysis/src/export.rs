@@ -1090,9 +1090,8 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
     Ok(ts)
 }
 
-/// An engine self-profile as an object: the aggregate event-core counters,
-/// the per-event-kind breakdown, the per-worker wall-clock profiles
-/// (parallel runs only) and the hub replay time.
+/// An engine self-profile as an object: the aggregate event-core counters
+/// and the per-event-kind breakdown.
 #[must_use]
 pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
     let mut engine = JsonValue::object();
@@ -1116,23 +1115,9 @@ pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
             o
         })
         .collect();
-    let workers = p
-        .workers
-        .iter()
-        .map(|w| {
-            let mut o = JsonValue::object();
-            o.push("worker", JsonValue::UInt(u64::from(w.worker)))
-                .push("epochs", JsonValue::UInt(w.epochs))
-                .push("barrier_wait_ns", JsonValue::UInt(w.barrier_wait_ns))
-                .push("cross_wires", JsonValue::UInt(w.cross_wires));
-            o
-        })
-        .collect();
     let mut o = JsonValue::object();
     o.push("engine", engine)
-        .push("events", JsonValue::Array(events))
-        .push("workers", JsonValue::Array(workers))
-        .push("hub_replay_ns", JsonValue::UInt(p.hub_replay_ns));
+        .push("events", JsonValue::Array(events));
     o
 }
 
@@ -1577,6 +1562,36 @@ mod tests {
         let err = JsonValue::parse("{\"a\": \x01}").unwrap_err();
         assert!(err.offset > 0);
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn profile_json_carries_engine_counters_and_event_kinds_only() {
+        let report = ProfileReport {
+            engine: apc_trace::EngineProfile {
+                scheduled: 9,
+                dispatched: 7,
+                cancelled: 2,
+                level0_batches: 5,
+                batched_events: 6,
+                max_batch: 3,
+                overflow_hits: 1,
+            },
+            events: vec![apc_trace::EventKindCount {
+                kind: "Arrival",
+                scheduled: 4,
+                dispatched: 4,
+                cancelled: 0,
+            }],
+        };
+        assert_eq!(
+            profile_report_json(&report).to_compact_string(),
+            concat!(
+                r#"{"engine":{"scheduled":9,"dispatched":7,"cancelled":2,"#,
+                r#""level0_batches":5,"batched_events":6,"max_batch":3,"#,
+                r#""overflow_hits":1},"#,
+                r#""events":[{"kind":"Arrival","scheduled":4,"dispatched":4,"cancelled":0}]}"#,
+            )
+        );
     }
 
     #[test]

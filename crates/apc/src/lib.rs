@@ -6,7 +6,7 @@
 //!
 //! * [`sim`] — discrete-event engine, distributions, statistics;
 //! * [`soc`] — the Skylake-SP class SoC structural model;
-//! * [`power`] — calibrated power model, energy accounting, RAPL facade;
+//! * [`power`] — calibrated power model and energy accounting;
 //! * [`pmu`] — baseline power management (idle governor, GPMU, PC6);
 //! * [`core`] — the APC architecture (APMU, PC1A, IOSM, CLMR, latency /
 //!   power / area models);

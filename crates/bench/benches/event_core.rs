@@ -21,10 +21,9 @@
 //!   the crate's deterministic xoshiro streams, so both queues see the
 //!   identical operation sequence.
 //! * `cluster_scale` — wall-clock per 20 ms of simulated time for 1/4/8/16
-//!   server nodes in one event loop (the tier-1 `cluster_scale` bench
-//!   configuration, plus the 16-node point), with the dispatched-event
-//!   count from [`ClusterResult::events_dispatched`] turned into an
-//!   end-to-end events/second figure.
+//!   server nodes in one event loop (JSQ, 20k req/s per node), with the
+//!   dispatched-event count from [`ClusterResult::events_dispatched`]
+//!   turned into an end-to-end events/second figure.
 //!
 //! Wall-clock numbers take the minimum over several repeats: the minimum is
 //! the least noise-contaminated estimate on a shared container.
@@ -40,10 +39,9 @@ use apc_sim::engine::{EventQueue, HeapEventQueue};
 use apc_sim::{SimDuration, SimRng, SimTime};
 use apc_workloads::spec::WorkloadSpec;
 
-/// Simulated window per cluster iteration (matches the `cluster_scale`
-/// bench).
+/// Simulated window per cluster iteration.
 const WINDOW: SimDuration = SimDuration::from_millis(20);
-/// Offered load per cluster node (matches the `cluster_scale` bench).
+/// Offered load per cluster node.
 const RATE_PER_NODE: f64 = 20_000.0;
 
 /// One micro-benchmark measurement: `ops` queue operations in `secs`.

@@ -18,7 +18,7 @@
 //!   bytes each holds at the end. The sample stream is the lognormal-ish
 //!   mixture the simulator produces; both recorders see identical values.
 //! * `cluster_record_path` — wall-clock per 20 ms of simulated time for an
-//!   8-node cluster (the tier-1 `cluster_scale` configuration): every
+//!   8-node cluster (`event_core`'s `cluster_scale` configuration): every
 //!   completed request crosses the latency recorder, so a regression in
 //!   the sketch's record path shows up directly in this row.
 //!
@@ -36,9 +36,9 @@ use apc_sim::{SimDuration, SimRng};
 use apc_telemetry::sketch::QuantileSketch;
 use apc_workloads::spec::WorkloadSpec;
 
-/// Simulated window per cluster iteration (matches `cluster_scale`).
+/// Simulated window per cluster iteration (matches `event_core`).
 const WINDOW: SimDuration = SimDuration::from_millis(20);
-/// Offered load per cluster node (matches `cluster_scale`).
+/// Offered load per cluster node (matches `event_core`).
 const RATE_PER_NODE: f64 = 20_000.0;
 const CLUSTER_NODES: usize = 8;
 

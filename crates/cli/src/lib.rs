@@ -20,7 +20,7 @@
 //! cluster spec or named cluster scenario) and `validate` (parse a JSON
 //! export with the bundled parser).
 //!
-//! All execution goes through the `apc-server` parallel pools, so results
+//! All execution goes through the `apc-server` worker pool, so results
 //! are bit-identical whatever `--parallelism` says, and the JSON/CSV
 //! exporters are deterministic — identical seeds yield byte-identical
 //! output files.
@@ -113,10 +113,11 @@ options:
                             (cluster and chain scenarios)
   --duration-ms <n>         override the simulated duration
   --seed <n>                override the root seed
-  --parallelism <n>         pin the worker count (default: host cores; wins
-                            over a spec's `parallelism` key). A single
-                            cluster/chain run with a nonzero-latency
-                            [network] partitions across the workers";
+  --parallelism <n>         worker threads across independent runs (fleet
+                            servers, sweep points, repeats); default: host
+                            cores; wins over a spec's `parallelism` key.
+                            Each run is single-threaded and the output is
+                            identical whatever the count";
 
 /// Runs the CLI on `args` (the program name already stripped), returning
 /// the text to print on stdout.

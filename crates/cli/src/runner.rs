@@ -1,11 +1,12 @@
 //! Materialises parsed specs into fleet/cluster runs and formats results.
 //!
-//! Every execution path routes through the existing parallel pools:
+//! Every execution path routes through the `apc-server` worker pool:
 //! single, fleet and sweep specs become one [`Fleet`] (one member per
-//! run/grid-point), cluster specs become one [`ClusterFleet`] (one member
-//! per repeat). The pools guarantee member-order, bit-identical results
-//! regardless of worker count, which is what makes `--format json|csv`
-//! output byte-identical between sequential and parallel execution.
+//! run/grid-point), cluster and chain specs one [`ClusterFleet`] /
+//! [`ChainFleet`] (one member per repeat). The pool guarantees member-order,
+//! bit-identical results regardless of worker count, which is what makes
+//! `--format json|csv` output byte-identical between sequential and
+//! parallel execution.
 
 use apc_analysis::export::{
     chain_result_json, chain_results_csv, cluster_result_json, cluster_results_csv,
@@ -244,11 +245,10 @@ pub fn sweep_grid(spec: &ExperimentSpec) -> Option<Vec<(String, FleetMember)>> {
 }
 
 /// Materialises a parsed spec into an [`ExecutionPlan`]; `parallelism`
-/// pins the worker pool (`None` falls back to the spec's own
-/// `parallelism` knob, then the host). Single cluster/chain runs route the
-/// budget *inside* the simulation — the conservative-lookahead partitioned
-/// path — whenever the `[network]` topology admits it; results are
-/// bit-identical either way.
+/// pins the pool's worker threads across the spec's independent members —
+/// fleet servers, sweep points, repeats (`None` falls back to the spec's
+/// own `parallelism` knob, then the host). Each member runs on one thread,
+/// so results are bit-identical whatever the worker count.
 #[must_use]
 pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> ExecutionPlan {
     let parallelism = parallelism.or(spec.parallelism);

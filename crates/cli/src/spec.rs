@@ -16,8 +16,8 @@
 //! seed = 7
 //! duration_ms = 50
 //! repeats = 2               # single/cluster only
-//! parallelism = 4           # worker threads (default: host cores);
-//!                           # `--parallelism` on the command line wins
+//! parallelism = 4           # worker threads across repeats/servers/points
+//!                           # (default: host cores); `--parallelism` wins
 //!
 //! [platform]
 //! name = "cpc1a"            # cshallow | cdeep | cpc1a
@@ -562,11 +562,10 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Repeat count (single and cluster kinds only).
     pub repeats: usize,
-    /// Worker-thread pin from the spec itself (`None` sizes the pool to the
-    /// host; an explicit `--parallelism` flag overrides this knob). Besides
-    /// sizing the fleet pools, this is the worker budget of the
-    /// conservative-lookahead partitioned run a single cluster/chain
-    /// experiment takes when its `[network]` topology admits one.
+    /// Worker threads across the experiment's independent members — fleet
+    /// servers, sweep points, repeats — from the spec itself (`None` sizes
+    /// the pool to the host; an explicit `--parallelism` flag overrides
+    /// this knob). Each member's simulation runs on one thread.
     pub parallelism: Option<usize>,
     /// Time-series sampling interval, when `[telemetry]` enables the sink.
     pub timeseries_interval: Option<SimDuration>,

@@ -126,6 +126,33 @@ fn cluster_spec_runs_end_to_end_with_timeseries() {
     assert!(report.contains("valid JSON (array"), "{report}");
 }
 
+/// An 8-node JSQ cluster on a two-tier 5 us fabric at 160k req/s for
+/// 500 ms: a single run with cross-node wire traffic over a horizon of about
+/// a million events, whose bytes must not depend on the worker count.
+const FABRIC_CLUSTER_SPEC: &str = r#"
+[experiment]
+kind = "cluster"
+seed = 7
+duration_ms = 500
+
+[platform]
+name = "cpc1a"
+
+[workload]
+kind = "memcached"
+rate_per_sec = 160_000
+pattern = "constant"
+
+[cluster]
+nodes = 8
+policy = "jsq"
+
+[network]
+topology = "two-tier"
+latency_us = 5
+rack_size = 4
+"#;
+
 #[test]
 fn identical_seeds_export_byte_identically_across_pool_sizes() {
     let spec = Scratch::new("pool.toml");
@@ -143,6 +170,25 @@ fn identical_seeds_export_byte_identically_across_pool_sizes() {
     };
     assert_eq!(run("1", "json"), run("8", "json"));
     assert_eq!(run("1", "csv"), run("8", "csv"));
+
+    let fabric = Scratch::new("pool-fabric.toml");
+    fabric.write(FABRIC_CLUSTER_SPEC);
+    let run = |workers: &str| {
+        execute(&args(&[
+            "run",
+            fabric.path(),
+            "--format",
+            "json",
+            "--parallelism",
+            workers,
+        ]))
+        .unwrap()
+    };
+    assert_eq!(
+        run("1"),
+        run("2"),
+        "a fabric cluster depends on the worker count"
+    );
 }
 
 #[test]
@@ -604,11 +650,7 @@ fn trace_out_needs_a_trace_table_and_profile_needs_a_spec() {
     );
 }
 
-#[test]
-fn sweep_expands_the_cartesian_grid() {
-    let spec = Scratch::new("sweep.toml");
-    spec.write(
-        r#"
+const SWEEP_SPEC: &str = r#"
 [experiment]
 kind = "sweep"
 duration_ms = 2
@@ -620,13 +662,88 @@ rate_per_sec = 1
 [sweep]
 rates = [5_000, 20_000]
 platforms = ["cshallow", "cpc1a"]
-"#,
-    );
+"#;
+
+#[test]
+fn sweep_expands_the_cartesian_grid() {
+    let spec = Scratch::new("sweep.toml");
+    spec.write(SWEEP_SPEC);
     let out = execute(&args(&["sweep", spec.path(), "--format", "csv"])).unwrap();
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 5, "header + 2x2 grid: {out}");
     assert!(lines[1].starts_with("cshallow@5000,"));
     assert!(lines[4].starts_with("cpc1a@20000,"));
+}
+
+#[test]
+fn sweep_exports_are_byte_identical_across_pool_sizes() {
+    let spec = Scratch::new("sweep-pool.toml");
+    spec.write(SWEEP_SPEC);
+    let run = |workers: &str, format: &str| {
+        execute(&args(&[
+            "sweep",
+            spec.path(),
+            "--format",
+            format,
+            "--parallelism",
+            workers,
+        ]))
+        .unwrap()
+    };
+    // Four grid points over one, three and more workers than points.
+    let csv = run("1", "csv");
+    assert_eq!(csv, run("3", "csv"));
+    assert_eq!(csv, run("16", "csv"));
+    assert_eq!(run("1", "json"), run("3", "json"));
+}
+
+#[test]
+fn spec_parallelism_key_spreads_repeats_without_changing_bytes() {
+    let spec = Scratch::new("repeats-pool.toml");
+    spec.write(&CLUSTER_SPEC.replace(
+        "duration_ms = 5\n",
+        "duration_ms = 5\nrepeats = 3\nparallelism = 3\n",
+    ));
+    // No flag: the spec's own key sizes the pool; the flag wins over it.
+    let keyed = execute(&args(&["run", spec.path(), "--format", "json"])).unwrap();
+    let flagged = execute(&args(&[
+        "run",
+        spec.path(),
+        "--format",
+        "json",
+        "--parallelism",
+        "1",
+    ]))
+    .unwrap();
+    assert_eq!(keyed, flagged);
+    let parsed = JsonValue::parse(&keyed).expect("output is valid JSON");
+    let repeats = parsed.as_array().expect("cluster JSON is an array");
+    assert_eq!(repeats.len(), 3, "one entry per repeat");
+    assert_ne!(
+        repeats[0].get("routed"),
+        repeats[1].get("routed"),
+        "repeats run under distinct seeds"
+    );
+}
+
+#[test]
+fn parallelism_below_one_is_a_usage_error() {
+    let single = Scratch::new("zero-workers.toml");
+    single.write(SINGLE_SPEC);
+    let cluster = Scratch::new("zero-workers-cluster.toml");
+    cluster.write(CLUSTER_SPEC);
+    for (command, target) in [
+        ("run", single.path()),
+        ("cluster", cluster.path()),
+        ("run", "cluster-8-mid"),
+    ] {
+        let err = execute(&args(&[command, target, "--parallelism", "0"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("at least 1")),
+            "{command} {target}: {err:?}"
+        );
+        assert_eq!(err.exit_code(), 2);
+    }
 }
 
 #[test]

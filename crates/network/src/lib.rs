@@ -206,22 +206,6 @@ impl NetworkConfig {
         self.link_latency.is_zero()
             && (self.bandwidth_bytes_per_sec.is_none() || self.rpc_bytes == 0)
     }
-
-    /// The minimum propagation latency of any link this configuration
-    /// resolves to — the conservative **lookahead bound** for parallel
-    /// (partitioned) simulation: every endpoint-to-endpoint path crosses at
-    /// least one link, and store-and-forward queueing plus serialization
-    /// only *add* delay, so every transmission takes at least this long.
-    /// All modelled topologies use one uniform per-link latency, so this is
-    /// simply [`NetworkConfig::link_latency`]; see
-    /// [`Topology::min_link_latency`] for the resolved-link-table form.
-    ///
-    /// A zero bound (any instantaneous or zero-latency configuration)
-    /// admits no lookahead window and forces the sequential event loop.
-    #[must_use]
-    pub fn min_link_latency(&self) -> SimDuration {
-        self.link_latency
-    }
 }
 
 /// One unidirectional link: propagation latency plus optional finite
@@ -516,21 +500,6 @@ impl Topology {
         } else {
             format!("pod{}-{dir}", (id - self.pod_base) / 2)
         }
-    }
-
-    /// The minimum propagation latency over the resolved link table — the
-    /// conservative lookahead bound for parallel simulation (every path
-    /// crosses at least one link; queueing and serialization only add).
-    /// Agrees with [`NetworkConfig::min_link_latency`] while links carry
-    /// one uniform latency; this form stays correct if per-link latencies
-    /// ever diverge.
-    #[must_use]
-    pub fn min_link_latency(&self) -> SimDuration {
-        self.links
-            .iter()
-            .map(|l| l.latency)
-            .min()
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// The uncontended flight time of one RPC from `src` to `dst`: the sum
@@ -899,28 +868,6 @@ mod tests {
         assert_eq!(topo.link_label(topo.pod_down(1)), "pod1-down");
         let flat = Topology::new(NetworkConfig::ideal(), 2);
         assert_eq!(flat.link_label(flat.links().len() - 1), "client-down");
-    }
-
-    #[test]
-    fn min_link_latency_is_the_lookahead_bound() {
-        let lat = SimDuration::from_micros(3);
-        for config in [
-            NetworkConfig::flat(lat),
-            NetworkConfig::two_tier(lat, 4),
-            NetworkConfig::fat_tree(lat, 2, 2, 4.0).with_bandwidth(40_000),
-        ] {
-            assert_eq!(config.min_link_latency(), lat);
-            let topo = Topology::new(config, 8);
-            assert_eq!(topo.min_link_latency(), lat);
-            // Every transmission takes at least the lookahead bound.
-            let mut net = NetworkState::new(config, 8);
-            let client = net.client();
-            for dst in 0..8 {
-                assert!(net.transmit(client, dst, SimTime::ZERO) >= lat);
-                assert!(net.transmit(dst, client, SimTime::ZERO) >= lat);
-            }
-        }
-        assert_eq!(NetworkConfig::ideal().min_link_latency(), SimDuration::ZERO);
     }
 
     #[test]

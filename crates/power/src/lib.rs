@@ -1,4 +1,4 @@
-//! # `apc-power` — per-domain power model, energy accounting and RAPL facade
+//! # `apc-power` — per-domain power model and energy accounting
 //!
 //! This crate turns component states from [`apc_soc`] into watts and joules:
 //!
@@ -8,9 +8,7 @@
 //! * [`budget`] — closed-form package-state power budgets reproducing
 //!   Table 1 and the Sec. 5.4 component deltas;
 //! * [`energy`] — piecewise-constant energy integration over a simulated
-//!   timeline;
-//! * [`rapl`] — a RAPL-like counter interface so experiments can be written
-//!   the way the paper's measurement methodology describes.
+//!   timeline.
 //!
 //! # Example
 //!
@@ -33,11 +31,9 @@
 pub mod budget;
 pub mod energy;
 pub mod model;
-pub mod rapl;
 pub mod units;
 
 pub use budget::{PackageStatePower, StatePower};
 pub use energy::{EnergyBreakdown, EnergyMeter};
 pub use model::{PowerBreakdown, PowerModel};
-pub use rapl::{RaplDomain, RaplInterface};
 pub use units::{Joules, Watts};

@@ -56,12 +56,6 @@ impl Joules {
         self.0
     }
 
-    /// The value in microjoules (RAPL's native granularity).
-    #[must_use]
-    pub fn as_microjoules(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// The average power if this energy was dissipated over `d`.
     /// Returns zero power for a zero-length window.
     #[must_use]
@@ -174,7 +168,6 @@ mod tests {
         let p = e.average_power(SimDuration::from_millis(100));
         assert!((p.as_f64() - 10.0).abs() < 1e-9);
         assert_eq!(Joules(5.0).average_power(SimDuration::ZERO), Watts::ZERO);
-        assert!((Joules(1.0).as_microjoules() - 1e6).abs() < 1e-6);
     }
 
     #[test]

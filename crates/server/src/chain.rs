@@ -80,7 +80,7 @@ use crate::components::fabric::{deliver_routed, Fabric, FabricState};
 use crate::components::state::{ClusterState, HasNode};
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
-use crate::fleet::{effective_workers, run_pool, run_pool_streamed, Fleet, FleetResult};
+use crate::fleet::{Fleet, FleetResult, Pool, PoolMember};
 use crate::node::{NodeHandles, ServerNode};
 
 /// One tier of a request chain: `width` parallel RPCs drawn from one
@@ -742,8 +742,7 @@ pub struct ChainResult {
     /// Wire-delay statistics of the network fabric, when one was configured
     /// (`None` for the instantaneous-deposit path).
     pub network: Option<NetworkStats>,
-    /// Events the cluster's event loop dispatched to reach the horizon
-    /// (identical for sequential and parallel executions of the same run).
+    /// Events the cluster's event loop dispatched to reach the horizon.
     pub events_dispatched: u64,
     /// Span log of head-sampled chains, when tracing was configured (see
     /// [`crate::config::ServerConfig::trace`]; the first node's config
@@ -884,97 +883,20 @@ impl ChainMember {
     }
 }
 
+impl PoolMember for ChainMember {
+    type Output = ChainResult;
+    type Results = Vec<ChainResult>;
+
+    fn run(self) -> ChainResult {
+        ChainMember::run(self)
+    }
+}
+
 /// A set of independent chain simulations run as one experiment — e.g. the
 /// same chain cluster under every platform, or a platform under every
-/// routing policy. Members execute on the same deterministic worker pool as
-/// [`Fleet::run`], so a parallel run is bit-identical to
-/// [`ChainFleet::run_sequential`].
-#[derive(Debug, Default)]
-pub struct ChainFleet {
-    members: Vec<ChainMember>,
-    parallelism: Option<usize>,
-}
-
-impl ChainFleet {
-    /// An empty chain fleet.
-    #[must_use]
-    pub fn new() -> Self {
-        ChainFleet::default()
-    }
-
-    /// Adds one chain cluster to the fleet.
-    pub fn push(&mut self, member: ChainMember) -> &mut Self {
-        self.members.push(member);
-        self
-    }
-
-    /// Number of chain clusters in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` when the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Pins the number of worker threads [`ChainFleet::run`] may use
-    /// (`1` forces the sequential path); see [`Fleet::with_parallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Runs every chain cluster to completion — in parallel when the host
-    /// allows — returning results in member order, bit-identical to
-    /// [`ChainFleet::run_sequential`].
-    ///
-    /// A single-member fleet routes its worker budget *inside* the run: the
-    /// one chain cluster is partitioned per node under the
-    /// conservative-lookahead scheduler (see [`crate::parallel`]) whenever
-    /// its topology admits it — still bit-identical either way.
-    #[must_use]
-    pub fn run(mut self) -> Vec<ChainResult> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            return vec![member.run_with_parallelism(self.parallelism)];
-        }
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool(self.members, workers, ChainMember::run)
-    }
-
-    /// Runs every chain cluster back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> Vec<ChainResult> {
-        self.members.into_iter().map(ChainMember::run).collect()
-    }
-
-    /// Like [`ChainFleet::run`], but invokes `emit(i, &result)` once per
-    /// repeat, in member order, as soon as repeat `i` and all its
-    /// predecessors have finished (the CLI's `--stream-out` hook). Results
-    /// are bit-identical to [`ChainFleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns `emit`'s first error; remaining repeats still run but
-    /// nothing further is emitted.
-    pub fn run_streamed<E>(
-        mut self,
-        mut emit: impl FnMut(usize, &ChainResult) -> Result<(), E>,
-    ) -> Result<Vec<ChainResult>, E> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            let result = member.run_with_parallelism(self.parallelism);
-            emit(0, &result)?;
-            return Ok(vec![result]);
-        }
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool_streamed(self.members, workers, ChainMember::run, emit)
-    }
-}
+/// routing policy — on the deterministic worker pool of [`crate::fleet`]: a
+/// parallel run is bit-identical to [`Pool::run_sequential`].
+pub type ChainFleet = Pool<ChainMember>;
 
 /// Convenience: run one homogeneous chain experiment (see
 /// [`ChainMember::homogeneous`] for the seed-derivation scheme).

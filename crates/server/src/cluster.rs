@@ -59,7 +59,7 @@ use crate::components::fabric::{Fabric, FabricState};
 use crate::components::state::ClusterState;
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
-use crate::fleet::{effective_workers, run_pool, run_pool_streamed, Fleet, FleetResult};
+use crate::fleet::{Fleet, FleetResult, Pool, PoolMember};
 use crate::node::{NodeHandles, ServerNode};
 
 /// N complete servers and a load balancer sharing one event loop.
@@ -422,98 +422,20 @@ impl ClusterMember {
     }
 }
 
+impl PoolMember for ClusterMember {
+    type Output = ClusterResult;
+    type Results = Vec<ClusterResult>;
+
+    fn run(self) -> ClusterResult {
+        ClusterMember::run(self)
+    }
+}
+
 /// A set of independent cluster simulations run as one experiment — e.g. the
 /// same cluster under every routing policy, or a policy under every platform
-/// configuration. Members execute on the same deterministic worker pool as
-/// [`Fleet::run`], so a parallel run is bit-identical to
-/// [`ClusterFleet::run_sequential`].
-#[derive(Debug, Default)]
-pub struct ClusterFleet {
-    members: Vec<ClusterMember>,
-    parallelism: Option<usize>,
-}
-
-impl ClusterFleet {
-    /// An empty cluster fleet.
-    #[must_use]
-    pub fn new() -> Self {
-        ClusterFleet::default()
-    }
-
-    /// Adds one cluster to the fleet.
-    pub fn push(&mut self, member: ClusterMember) -> &mut Self {
-        self.members.push(member);
-        self
-    }
-
-    /// Number of clusters in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` when the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Pins the number of worker threads [`ClusterFleet::run`] may use
-    /// (`1` forces the sequential path); see [`Fleet::with_parallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Runs every cluster to completion — in parallel when the host allows —
-    /// returning results in member order, bit-identical to
-    /// [`ClusterFleet::run_sequential`].
-    ///
-    /// A single-member fleet has no member-level parallelism to exploit, so
-    /// the worker budget moves *inside* the run instead: the one cluster is
-    /// partitioned per node under the conservative-lookahead scheduler (see
-    /// [`crate::parallel`]) whenever its topology admits it — still
-    /// bit-identical either way.
-    #[must_use]
-    pub fn run(mut self) -> Vec<ClusterResult> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            return vec![member.run_with_parallelism(self.parallelism)];
-        }
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool(self.members, workers, ClusterMember::run)
-    }
-
-    /// Runs every cluster back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> Vec<ClusterResult> {
-        self.members.into_iter().map(ClusterMember::run).collect()
-    }
-
-    /// Like [`ClusterFleet::run`], but invokes `emit(i, &result)` once per
-    /// repeat, in member order, as soon as repeat `i` and all its
-    /// predecessors have finished (the CLI's `--stream-out` hook). Results
-    /// are bit-identical to [`ClusterFleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns `emit`'s first error; remaining repeats still run but
-    /// nothing further is emitted.
-    pub fn run_streamed<E>(
-        mut self,
-        mut emit: impl FnMut(usize, &ClusterResult) -> Result<(), E>,
-    ) -> Result<Vec<ClusterResult>, E> {
-        if self.members.len() == 1 {
-            let member = self.members.pop().expect("one member");
-            let result = member.run_with_parallelism(self.parallelism);
-            emit(0, &result)?;
-            return Ok(vec![result]);
-        }
-        let workers = effective_workers(self.parallelism, self.members.len());
-        run_pool_streamed(self.members, workers, ClusterMember::run, emit)
-    }
-}
+/// configuration — on the deterministic worker pool of [`crate::fleet`]: a
+/// parallel run is bit-identical to [`Pool::run_sequential`].
+pub type ClusterFleet = Pool<ClusterMember>;
 
 /// Convenience: run one homogeneous cluster experiment (see
 /// [`ClusterMember::homogeneous`] for the seed-derivation scheme).

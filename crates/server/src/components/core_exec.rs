@@ -203,27 +203,21 @@ impl CoreExec {
                 node.telemetry.busy_core_time += work;
             }
         }
-        let mut wire_back = None;
-        if let Some(tag) = leaf_report {
-            // The report crosses the network fabric back to the coordinator
-            // endpoint; without a fabric (or with an instantaneous one) the
-            // zero delay makes this the exact pre-fabric `emit_now`. In a
-            // partitioned run the coordinator lives outside this partition:
-            // the shared state captures the report instead and the parallel
-            // driver replays it against the hub at the epoch barrier.
-            if !shared.capture_leaf_report(self.node, now, tag.chain) {
-                let delay = fabric::report_delay(shared, self.node, now);
-                ctx.emit(
-                    tag.coordinator,
-                    delay,
-                    ServerEvent::ChainLeafDone { chain: tag.chain },
-                );
-                wire_back = Some(delay);
-            }
-        }
+        // A chain RPC's report crosses the network fabric back to the
+        // coordinator endpoint; without a fabric (or with an instantaneous
+        // one) the zero delay makes this the exact pre-fabric `emit_now`.
+        let wire_back = leaf_report.map(|tag| {
+            let delay = fabric::report_delay(shared, self.node, now);
+            ctx.emit(
+                tag.coordinator,
+                delay,
+                ServerEvent::ChainLeafDone { chain: tag.chain },
+            );
+            delay
+        });
         if let Some(trace_ctx) = finished_trace {
             if let Some(trace) = shared.trace_mut() {
-                self.push_request_spans(trace, &trace_ctx, now, leaf_report.is_some(), wire_back);
+                self.push_request_spans(trace, &trace_ctx, now, wire_back);
             }
         }
         let shared = shared.node_mut(self.node);
@@ -250,7 +244,8 @@ impl CoreExec {
     /// Turns a completed request's stamps into the causal span chain
     /// {wire-out, coalesce, queue, wake, service} on this node, plus the
     /// root span (plain requests) or the wire-back span (chain RPCs, whose
-    /// root/tier/join spans the coordinator owns).
+    /// report takes `wire_back` to reach the coordinator, which owns their
+    /// root/tier/join spans).
     ///
     /// Missing stamps inherit the previous boundary, degrading skipped
     /// stages to zero-length spans, so the chain is always contiguous:
@@ -260,7 +255,6 @@ impl CoreExec {
         trace: &mut TraceState,
         trace_ctx: &TraceCtx,
         now: SimTime,
-        is_chain_rpc: bool,
         wire_back: Option<apc_sim::SimDuration>,
     ) {
         let node = self.node as u32;
@@ -300,15 +294,10 @@ impl CoreExec {
         trace
             .log
             .push(span(SpanKind::Service, "", lane, service_start, now));
-        if is_chain_rpc {
-            if let Some(delay) = wire_back {
-                trace
-                    .log
-                    .push(span(SpanKind::WireBack, "", 0, now, now + delay));
-            }
-        } else {
-            trace.log.push(span(SpanKind::Root, "", 0, arrival, now));
-        }
+        trace.log.push(match wire_back {
+            Some(delay) => span(SpanKind::WireBack, "", 0, now, now + delay),
+            None => span(SpanKind::Root, "", 0, arrival, now),
+        });
     }
 
     fn begin_idle(

@@ -511,18 +511,6 @@ pub trait HasNode {
     fn fabric_mut(&mut self) -> Option<&mut super::fabric::FabricState> {
         None
     }
-    /// Intercepts a chain leaf's completion report instead of letting the
-    /// executing core emit [`ChainLeafDone`](super::ServerEvent::ChainLeafDone)
-    /// locally. The default — a sequential simulation, where the coordinator
-    /// shares the event loop — declines, keeping the emission path
-    /// op-identical to the pre-partition code. A parallel partition returns
-    /// `true` and logs `(now, chain)` so the driver can replay the report
-    /// against the hub-owned coordinator (and the hub-owned network fabric,
-    /// whose link occupancy all report transmissions share) at the epoch
-    /// barrier, in global time order.
-    fn capture_leaf_report(&mut self, _node: usize, _now: SimTime, _chain: u64) -> bool {
-        false
-    }
     /// The simulation's request-tracing state, when tracing is enabled.
     /// Defaults to `None` (tracing off). A standalone server resolves it to
     /// the node's [`TelemetryState::trace`]; a cluster resolves it to the

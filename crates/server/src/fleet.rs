@@ -1,22 +1,29 @@
-//! Multi-server fleet runner.
+//! The worker pool for independent simulations, and the multi-server fleet.
 //!
-//! A [`Fleet`] executes N independent server simulations — typically the
-//! same platform configuration under distinct seeds, but arbitrary
-//! per-member configs/workloads/rates are supported — and aggregates their
-//! [`RunResult`]s into a [`FleetResult`]. This is the entry point for
-//! scenario sweeps that need fleet-level statistics (aggregate throughput,
-//! mean power, worst-case tail latency) rather than a single server's view.
+//! A [`Pool`] executes N independent simulations — its members — and
+//! returns their results in member order. Three member kinds share it, one
+//! alias each:
+//!
+//! * [`Fleet`] — single servers ([`FleetMember`]), typically the same
+//!   platform configuration under distinct seeds, aggregated into a
+//!   [`FleetResult`]: the entry point for scenario sweeps that need
+//!   fleet-level statistics (aggregate throughput, mean power, worst-case
+//!   tail latency) rather than a single server's view;
+//! * [`ClusterFleet`](crate::cluster::ClusterFleet) — load-balanced
+//!   clusters, e.g. one cluster under every routing policy;
+//! * [`ChainFleet`](crate::chain::ChainFleet) — fan-out chain clusters.
 //!
 //! # Parallelism
 //!
-//! Members are pairwise independent (no simulated cross-server traffic and
-//! no shared RNG state), so [`Fleet::run`] fans them out over a pool of OS
-//! threads pulling from a shared work queue. Results are written back into
-//! member-order slots, which makes a parallel run **bit-identical** to
-//! [`Fleet::run_sequential`] for the same members: thread scheduling can
-//! change only *when* a member executes, never what it computes or where its
-//! result lands. Use [`Fleet::with_parallelism`] to pin the worker count
-//! (`1` forces the sequential path).
+//! Members are pairwise independent (no simulated cross-member traffic and
+//! no shared RNG state), so [`Pool::run`] fans them out over a pool of OS
+//! threads pulling from a shared work queue; each member's simulation runs
+//! on one thread. Results are written back into member-order slots, which
+//! makes a parallel run **bit-identical** to [`Pool::run_sequential`] for
+//! the same members: thread scheduling can change only *when* a member
+//! executes, never what it computes or where its result lands. Use
+//! [`Pool::with_parallelism`] to pin the worker count (`1` forces the
+//! sequential path).
 //!
 //! # Determinism
 //!
@@ -25,6 +32,7 @@
 //! `"server 0"`, `"server 1"`, …, so a fleet is exactly reproducible
 //! run-to-run while its members remain pairwise independent.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -40,86 +48,187 @@ use crate::config::ServerConfig;
 use crate::result::RunResult;
 use crate::sim::ServerSimulation;
 
-/// Resolves the worker count for a pool over `jobs` jobs: an explicit
-/// [`Fleet::with_parallelism`]-style override, else the host's available
-/// parallelism, never more workers than jobs (and at least one). Shared by
-/// [`Fleet`] and [`crate::cluster::ClusterFleet`] so both runners follow one
-/// policy.
-pub(crate) fn effective_workers(parallelism: Option<usize>, jobs: usize) -> usize {
-    parallelism
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .min(jobs.max(1))
-}
-
-/// The deterministic worker pool both fleet runners share: `workers` OS
-/// threads claim jobs from an atomic cursor and write each result into the
-/// job-order slot, so the output is independent of thread scheduling —
-/// bit-identical to running `jobs.into_iter().map(run).collect()`.
-pub(crate) fn run_pool<T: Send, R: Send>(
-    jobs: Vec<T>,
-    workers: usize,
-    run: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    if workers <= 1 {
-        return jobs.into_iter().map(run).collect();
-    }
-    // Work queue: jobs wait in `Mutex<Option<_>>` slots so any worker can
-    // claim ownership of job `i`; results land in slot `i`.
-    let job_slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = job_slots.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = job_slots.get(i) else { break };
-                let job = job
-                    .lock()
-                    .expect("pool job slot poisoned")
-                    .take()
-                    .expect("pool job claimed twice");
-                let result = run(job);
-                *results[i].lock().expect("pool result slot poisoned") = Some(result);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("pool result slot poisoned")
-                .expect("pool worker exited without storing a result")
-        })
-        .collect()
-}
-
-/// [`run_pool`] with an in-order progress callback: `emit(i, &result)` is
-/// called exactly once per job, in job order, as soon as job `i` **and every
-/// job before it** have finished — while later jobs may still be running.
-/// This is what lets the CLI's `--stream-out` flush sweep rows to disk as
-/// the grid progresses, with byte-identical output to the buffered path.
+/// One independent simulation a [`Pool`] can run.
 ///
-/// `emit` runs on the calling thread. Its first error stops further
-/// emission (workers still drain the queue so the pool joins cleanly) and is
-/// returned after the pool finishes; the computed results are dropped in
-/// that case.
-pub(crate) fn run_pool_streamed<T: Send, R: Send, E>(
-    jobs: Vec<T>,
+/// # Examples
+///
+/// Any `Send` job can be a member; results come back in member order.
+///
+/// ```
+/// use apc_server::fleet::{Pool, PoolMember};
+///
+/// struct Square(u64);
+///
+/// impl PoolMember for Square {
+///     type Output = u64;
+///     type Results = Vec<u64>;
+///
+///     fn run(self) -> u64 {
+///         self.0 * self.0
+///     }
+/// }
+///
+/// let mut pool = Pool::new();
+/// for n in 1..=4 {
+///     pool.push(Square(n));
+/// }
+/// assert_eq!(pool.with_parallelism(2).run(), [1, 4, 9, 16]);
+/// ```
+pub trait PoolMember: Send {
+    /// The result of running one member.
+    type Output: Send;
+    /// What a whole pool run returns, built from the members' outputs in
+    /// member order.
+    type Results: From<Vec<Self::Output>>;
+
+    /// Runs the member's simulation to completion.
+    fn run(self) -> Self::Output;
+}
+
+/// A set of independent simulations run as one experiment on a
+/// deterministic worker pool (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Pool<M> {
+    members: Vec<M>,
+    parallelism: Option<usize>,
+}
+
+/// A set of independent server simulations run as one experiment.
+pub type Fleet = Pool<FleetMember>;
+
+impl<M> Default for Pool<M> {
+    fn default() -> Self {
+        Pool {
+            members: Vec::new(),
+            parallelism: None,
+        }
+    }
+}
+
+impl<M: PoolMember> Pool<M> {
+    /// An empty pool.
+    #[must_use]
+    pub fn new() -> Self {
+        Pool::default()
+    }
+
+    /// Adds one member.
+    pub fn push(&mut self, member: M) -> &mut Self {
+        self.members.push(member);
+        self
+    }
+
+    /// Number of members.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// `true` when the pool has no members.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Pins the number of worker threads [`Pool::run`] may use.
+    ///
+    /// `1` forces the sequential path; values are clamped to at least 1.
+    /// Without this, `run` sizes the pool to the host's available
+    /// parallelism. Either way the pool never runs more workers than it has
+    /// members, and the result is bit-identical — the knob only trades
+    /// wall-clock time against CPU occupancy.
+    #[must_use]
+    pub fn with_parallelism(mut self, workers: usize) -> Self {
+        self.parallelism = Some(workers.max(1));
+        self
+    }
+
+    /// Runs every member to completion — in parallel when the host and the
+    /// [`Pool::with_parallelism`] knob allow it — and collects the results
+    /// in member order, bit-identical to [`Pool::run_sequential`].
+    #[must_use]
+    pub fn run(self) -> M::Results {
+        match self.run_streamed(|_, _| Ok::<(), Infallible>(())) {
+            Ok(results) => results,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Runs every member back-to-back on the calling thread.
+    #[must_use]
+    pub fn run_sequential(self) -> M::Results {
+        self.with_parallelism(1).run()
+    }
+
+    /// Like [`Pool::run`], but invokes `emit(i, &result)` once per member,
+    /// in member order, as soon as member `i` and all its predecessors have
+    /// finished — while later members may still be running. This is the
+    /// hook behind the CLI's incremental `--stream-out` export; the returned
+    /// results are bit-identical to [`Pool::run`]'s.
+    ///
+    /// `emit` runs on the calling thread.
+    ///
+    /// ```
+    /// use apc_server::fleet::{Pool, PoolMember};
+    /// # struct Double(u32);
+    /// # impl PoolMember for Double {
+    /// #     type Output = u32;
+    /// #     type Results = Vec<u32>;
+    /// #     fn run(self) -> u32 {
+    /// #         2 * self.0
+    /// #     }
+    /// # }
+    ///
+    /// let mut pool = Pool::new();
+    /// pool.push(Double(1)).push(Double(2)).push(Double(3));
+    /// let mut seen = Vec::new();
+    /// let results = pool
+    ///     .with_parallelism(3)
+    ///     .run_streamed(|i, out: &u32| {
+    ///         seen.push((i, *out));
+    ///         Ok::<(), std::convert::Infallible>(())
+    ///     })
+    ///     .unwrap();
+    /// assert_eq!(seen, [(0, 2), (1, 4), (2, 6)]);
+    /// assert_eq!(results, [2, 4, 6]);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns `emit`'s first error; the remaining members still run (the
+    /// pool joins cleanly) but nothing further is emitted, and the computed
+    /// results are dropped.
+    pub fn run_streamed<E>(
+        self,
+        emit: impl FnMut(usize, &M::Output) -> Result<(), E>,
+    ) -> Result<M::Results, E> {
+        let workers = self
+            .parallelism
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+            .min(self.members.len().max(1));
+        run_pool(self.members, workers, emit).map(M::Results::from)
+    }
+}
+
+/// The deterministic worker pool behind [`Pool::run_streamed`]: `workers` OS
+/// threads claim jobs from an atomic cursor, the calling thread collects
+/// each result into its job-order slot and emits the in-order frontier, so
+/// the output is independent of thread scheduling — bit-identical to
+/// running `jobs.into_iter().map(PoolMember::run).collect()`.
+fn run_pool<M: PoolMember, E>(
+    jobs: Vec<M>,
     workers: usize,
-    run: impl Fn(T) -> R + Sync,
-    mut emit: impl FnMut(usize, &R) -> Result<(), E>,
-) -> Result<Vec<R>, E> {
+    mut emit: impl FnMut(usize, &M::Output) -> Result<(), E>,
+) -> Result<Vec<M::Output>, E> {
     if workers <= 1 {
         let mut results = Vec::with_capacity(jobs.len());
         let mut failure = None;
         for (i, job) in jobs.into_iter().enumerate() {
-            let result = run(job);
+            let result = job.run();
             if failure.is_none() {
                 failure = emit(i, &result).err();
             }
@@ -131,17 +240,18 @@ pub(crate) fn run_pool_streamed<T: Send, R: Send, E>(
         };
     }
 
-    let job_slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    // Work queue: jobs wait in `Mutex<Option<_>>` slots so any worker can
+    // claim ownership of job `i`.
+    let job_slots: Vec<Mutex<Option<M>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let total = job_slots.len();
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let (tx, rx) = mpsc::channel::<(usize, M::Output)>();
 
     let (results, failure) = std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let job_slots = &job_slots;
             let cursor = &cursor;
-            let run = &run;
             scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = job_slots.get(i) else { break };
@@ -150,7 +260,7 @@ pub(crate) fn run_pool_streamed<T: Send, R: Send, E>(
                     .expect("pool job slot poisoned")
                     .take()
                     .expect("pool job claimed twice");
-                if tx.send((i, run(job))).is_err() {
+                if tx.send((i, job.run())).is_err() {
                     break;
                 }
             });
@@ -160,7 +270,7 @@ pub(crate) fn run_pool_streamed<T: Send, R: Send, E>(
         // The calling thread plays collector: results arrive in completion
         // order, land in their job-order slot, and are emitted as the
         // in-order frontier advances.
-        let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
+        let mut slots: Vec<Option<M::Output>> = (0..total).map(|_| None).collect();
         let mut next = 0;
         let mut failure = None;
         for (i, result) in rx {
@@ -230,8 +340,12 @@ impl FleetMember {
         self.arrivals = Some(arrivals);
         self
     }
+}
 
-    /// Runs this member's simulation to completion.
+impl PoolMember for FleetMember {
+    type Output = RunResult;
+    type Results = FleetResult;
+
     fn run(self) -> RunResult {
         let seed = self.config.seed;
         let loadgen = match self.arrivals {
@@ -244,20 +358,7 @@ impl FleetMember {
     }
 }
 
-/// A set of independent server simulations run as one experiment.
-#[derive(Debug, Default)]
-pub struct Fleet {
-    members: Vec<FleetMember>,
-    parallelism: Option<usize>,
-}
-
 impl Fleet {
-    /// An empty fleet.
-    #[must_use]
-    pub fn new() -> Self {
-        Fleet::default()
-    }
-
     /// A fleet of `n` servers sharing one configuration and workload but
     /// running under distinct, deterministically derived seeds (see the
     /// [module docs](self) for the derivation scheme).
@@ -293,76 +394,6 @@ impl Fleet {
             .fork(&format!("server {index}"))
             .seed()
     }
-
-    /// Adds one member to the fleet.
-    pub fn push(&mut self, member: FleetMember) -> &mut Self {
-        self.members.push(member);
-        self
-    }
-
-    /// Pins the number of worker threads [`Fleet::run`] may use.
-    ///
-    /// `1` forces the sequential path; values are clamped to at least 1.
-    /// Without this, `run` sizes the pool to the host's available
-    /// parallelism. The result is bit-identical either way — the knob only
-    /// trades wall-clock time against CPU occupancy.
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Number of servers in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` when the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Runs every member to completion — in parallel when the host and the
-    /// [`Fleet::with_parallelism`] knob allow it — and aggregates the
-    /// results. Member order in the [`FleetResult`] always matches insertion
-    /// order, and the outcome is bit-identical to
-    /// [`Fleet::run_sequential`].
-    #[must_use]
-    pub fn run(self) -> FleetResult {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        FleetResult {
-            runs: run_pool(self.members, workers, FleetMember::run),
-        }
-    }
-
-    /// Runs every member back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> FleetResult {
-        let runs: Vec<RunResult> = self.members.into_iter().map(FleetMember::run).collect();
-        FleetResult { runs }
-    }
-
-    /// Like [`Fleet::run`], but invokes `emit(i, &result)` once per member,
-    /// in member order, as soon as member `i` and all its predecessors have
-    /// finished — the hook behind the CLI's incremental `--stream-out`
-    /// export. The returned [`FleetResult`] is bit-identical to
-    /// [`Fleet::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns `emit`'s first error; the remaining members still run (the
-    /// pool joins cleanly) but nothing further is emitted.
-    pub fn run_streamed<E>(
-        self,
-        emit: impl FnMut(usize, &RunResult) -> Result<(), E>,
-    ) -> Result<FleetResult, E> {
-        let workers = effective_workers(self.parallelism, self.members.len());
-        Ok(FleetResult {
-            runs: run_pool_streamed(self.members, workers, FleetMember::run, emit)?,
-        })
-    }
 }
 
 /// The aggregated outcome of a fleet run.
@@ -373,6 +404,12 @@ impl Fleet {
 pub struct FleetResult {
     /// Per-server results, in member order.
     pub runs: Vec<RunResult>,
+}
+
+impl From<Vec<RunResult>> for FleetResult {
+    fn from(runs: Vec<RunResult>) -> Self {
+        FleetResult { runs }
+    }
 }
 
 impl FleetResult {
@@ -529,5 +566,148 @@ impl std::fmt::Display for FleetResult {
             self.worst_p99(),
             self.worst_p999(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
+
+    /// Sleeps for `.1` ms, counts its run in `.2`, and reports its index
+    /// `.0` and the thread it ran on.
+    struct Probe(usize, u64, Arc<AtomicUsize>);
+
+    impl PoolMember for Probe {
+        type Output = (usize, ThreadId);
+        type Results = Vec<(usize, ThreadId)>;
+
+        fn run(self) -> Self::Output {
+            thread::sleep(Duration::from_millis(self.1));
+            self.2.fetch_add(1, Ordering::Relaxed);
+            (self.0, thread::current().id())
+        }
+    }
+
+    /// `n` probes whose sleeps shrink with the index, so on a parallel pool
+    /// later members tend to finish first, and their shared run counter.
+    fn probes(n: usize) -> (Pool<Probe>, Arc<AtomicUsize>) {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let mut pool = Pool::new();
+        for i in 0..n {
+            pool.push(Probe(i, 2 * (n - i) as u64, Arc::clone(&runs)));
+        }
+        (pool, runs)
+    }
+
+    fn indices(results: &[(usize, ThreadId)]) -> Vec<usize> {
+        results.iter().map(|&(i, _)| i).collect()
+    }
+
+    #[test]
+    fn results_keep_member_order_whatever_finishes_first() {
+        for workers in 1..=4 {
+            let (pool, runs) = probes(6);
+            let results = pool.with_parallelism(workers).run();
+            assert_eq!(indices(&results), [0, 1, 2, 3, 4, 5], "{workers} workers");
+            assert_eq!(runs.load(Ordering::Relaxed), 6, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn run_streamed_emits_each_member_once_in_member_order() {
+        for workers in [1, 3] {
+            let mut emitted = Vec::new();
+            let results = probes(5)
+                .0
+                .with_parallelism(workers)
+                .run_streamed(|i, out| {
+                    assert_eq!(i, out.0, "slot {i} emitted another member's result");
+                    emitted.push(i);
+                    Ok::<(), Infallible>(())
+                });
+            assert_eq!(emitted, [0, 1, 2, 3, 4], "{workers} workers");
+            assert_eq!(indices(&results.unwrap()), emitted, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn an_emit_error_stops_emission_but_every_member_runs() {
+        for workers in [1, 3] {
+            let (pool, runs) = probes(5);
+            let mut emitted = Vec::new();
+            let outcome = pool.with_parallelism(workers).run_streamed(|i, _| {
+                emitted.push(i);
+                if i == 2 {
+                    Err(format!("sink full at {i}"))
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(outcome.unwrap_err(), "sink full at 2", "{workers} workers");
+            assert_eq!(emitted, [0, 1, 2], "{workers} workers");
+            assert_eq!(runs.load(Ordering::Relaxed), 5, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_every_member_on_the_calling_thread() {
+        let caller = thread::current().id();
+        // `0` clamps to one worker, like `1` and `run_sequential`.
+        for results in [
+            probes(3).0.with_parallelism(0).run(),
+            probes(3).0.with_parallelism(1).run(),
+            probes(3).0.run_sequential(),
+        ] {
+            assert_eq!(results, [(0, caller), (1, caller), (2, caller)]);
+        }
+    }
+
+    #[test]
+    fn a_single_member_never_leaves_the_calling_thread() {
+        // The worker count never exceeds the member count, so a lone member
+        // takes the sequential path whatever the knob says.
+        let results = probes(1).0.with_parallelism(8).run();
+        assert_eq!(results, [(0, thread::current().id())]);
+    }
+
+    #[test]
+    fn parallel_members_run_on_workers_while_emit_runs_on_the_caller() {
+        let caller = thread::current().id();
+        let mut emit_threads = Vec::new();
+        let results = probes(4).0.with_parallelism(2).run_streamed(|_, _| {
+            emit_threads.push(thread::current().id());
+            Ok::<(), Infallible>(())
+        });
+        assert!(results.unwrap().iter().all(|&(_, t)| t != caller));
+        assert_eq!(emit_threads, [caller; 4]);
+    }
+
+    #[test]
+    fn empty_pools_run_nothing_and_pushes_chain() {
+        let empty = Pool::<Probe>::new().with_parallelism(4);
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.run_streamed(|_, _| Err("emitted")), Ok(Vec::new()));
+
+        let (mut pool, runs) = probes(0);
+        pool.push(Probe(0, 0, Arc::clone(&runs)))
+            .push(Probe(1, 0, Arc::clone(&runs)));
+        assert_eq!(pool.len(), 2);
+        assert!(!pool.is_empty());
+        assert_eq!(indices(&pool.run()), [0, 1]);
+    }
+
+    #[test]
+    fn homogeneous_fleets_fork_member_seeds_by_server_label() {
+        let config = ServerConfig::c_pc1a().with_seed(42);
+        let fleet = Fleet::homogeneous(&config, WorkloadSpec::memcached_etc, 10_000.0, 3);
+        let seeds: Vec<u64> = fleet.members.iter().map(|m| m.config.seed).collect();
+        let forked = |i| SimRng::from_seed(42).fork(&format!("server {i}")).seed();
+        assert_eq!(seeds, [forked(0), forked(1), forked(2)]);
+        assert_eq!(Fleet::member_seed(42, 1), forked(1));
+        assert!(seeds[0] != seeds[1] && seeds[1] != seeds[2] && seeds[0] != seeds[2]);
     }
 }

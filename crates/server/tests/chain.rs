@@ -3,6 +3,7 @@
 //! worker-pool configurations, and the predicted-idle regression the
 //! fan-out traffic class exposed.
 
+use apc_network::NetworkConfig;
 use apc_pmu::governor::IdleGovernor;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, RequestGraph};
@@ -113,6 +114,31 @@ fn chain_fleet_parallel_matches_sequential_bit_for_bit() {
     let parallel = build().with_parallelism(8).run();
     let sequential = build().run_sequential();
     assert_eq!(parallel, sequential);
+}
+
+/// A one-member fleet is the member's own run whatever the worker budget:
+/// the pool never runs more workers than it has members, fabric or not.
+#[test]
+fn single_member_chain_fleet_is_the_member_run() {
+    let member = || {
+        ChainMember::homogeneous(
+            &quick_base(ServerConfig::c_pc1a()).with_seed(5),
+            4,
+            RoutingPolicyKind::JoinShortestQueue,
+            RequestGraph::memcached_fanout(4),
+            4_000.0,
+        )
+        .with_network(NetworkConfig::two_tier(SimDuration::from_micros(5), 2))
+    };
+    let alone = member().run();
+    for workers in [1, 4] {
+        let mut fleet = ChainFleet::new();
+        fleet.push(member());
+        assert_eq!(
+            fleet.with_parallelism(workers).run(),
+            std::slice::from_ref(&alone)
+        );
+    }
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! simulation, bit-identical determinism, parallel/sequential cluster-fleet
 //! equality and routing-policy behaviour.
 
+use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::cluster::{run_cluster_experiment, ClusterFleet, ClusterMember, ClusterSimulation};
 use apc_server::config::ServerConfig;
@@ -120,6 +121,33 @@ fn cluster_fleet_parallel_matches_sequential() {
             "power-aware"
         ]
     );
+}
+
+/// A one-member fleet is the member's own run whatever the worker budget:
+/// the pool never runs more workers than it has members, fabric or not.
+#[test]
+fn single_member_cluster_fleet_is_the_member_run() {
+    let member = || {
+        ClusterMember::homogeneous(
+            &ServerConfig::c_pc1a()
+                .with_duration(SimDuration::from_millis(10))
+                .with_seed(5),
+            4,
+            RoutingPolicyKind::JoinShortestQueue,
+            WorkloadSpec::memcached_etc(),
+            60_000.0,
+        )
+        .with_network(NetworkConfig::two_tier(SimDuration::from_micros(5), 2))
+    };
+    let alone = member().run();
+    for workers in [1, 4] {
+        let mut fleet = ClusterFleet::new();
+        fleet.push(member());
+        assert_eq!(
+            fleet.with_parallelism(workers).run(),
+            std::slice::from_ref(&alone)
+        );
+    }
 }
 
 /// Node seeds follow the canonical `Fleet::member_seed` fork, so cluster

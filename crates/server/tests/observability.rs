@@ -1,15 +1,16 @@
 //! Observability-layer tests: request tracing and the engine self-profiler
 //! must never perturb a simulation. Every shape (single, cluster, chain,
-//! parallel) is run twice — observability on and off — and the results,
-//! stripped of the trace log and profile report themselves, must be
-//! **bit-identical**. A second group checks the span trees: the pipeline
-//! spans of every traced request are contiguous and sum exactly to its
-//! end-to-end latency, with wake spans named after the C-state they exit.
+//! and both over a network fabric) is run twice — observability on and
+//! off — and the results, stripped of the trace log and profile report
+//! themselves, must be **bit-identical**. A second group checks the span
+//! trees: the pipeline spans of every traced request are contiguous and
+//! sum exactly to its end-to-end latency, with wake spans named after the
+//! C-state they exit.
 
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
-use apc_server::chain::{run_chain_experiment, ChainMember, ChainResult, RequestGraph};
-use apc_server::cluster::{run_cluster_experiment, ClusterMember, ClusterResult};
+use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph};
+use apc_server::cluster::{run_cluster_experiment, ClusterFleet, ClusterMember, ClusterResult};
 use apc_server::config::ServerConfig;
 use apc_server::result::RunResult;
 use apc_server::sim::run_experiment;
@@ -127,12 +128,11 @@ fn tracing_never_perturbs_chain_runs() {
     }
 }
 
-/// With a nonzero-latency fabric and a pinned 4-worker budget, the plain
-/// run takes the partitioned parallel path while the traced run falls back
-/// to the sequential loop — the two are bit-identical by the conservative-
-/// lookahead guarantee, so this doubles as a cross-execution-mode check.
+/// The zero-perturbation check with nonzero wire delay: over a two-tier
+/// fabric with 5 us links every routed RPC and every leaf report is a
+/// scheduled wire delivery, and the traced spans include the wire hops.
 #[test]
-fn tracing_never_perturbs_parallel_runs() {
+fn tracing_never_perturbs_fabric_runs() {
     let base = ServerConfig::c_pc1a()
         .with_duration(SimDuration::from_millis(20))
         .with_seed(23);
@@ -147,15 +147,16 @@ fn tracing_never_perturbs_parallel_runs() {
             60_000.0,
         )
         .with_network(net)
-        .run_with_parallelism(Some(4))
+        .run()
     };
     let plain = cluster(&base);
     let traced = cluster(&observed(&base));
     assert!(!traced.trace.as_ref().expect("trace log").is_empty());
+    assert!(traced.profile.is_some());
     assert_eq!(
         strip_cluster(traced),
-        strip_cluster(plain),
-        "tracing perturbed a parallel cluster run"
+        plain,
+        "tracing perturbed a fabric cluster run"
     );
 
     let graph = RequestGraph::fanout(TierService::frontend(), TierService::memcached_leaf(), 4);
@@ -168,45 +169,91 @@ fn tracing_never_perturbs_parallel_runs() {
             8_000.0,
         )
         .with_network(net)
-        .run_with_parallelism(Some(4))
+        .run()
     };
     let plain = chain(&base);
     let traced = chain(&observed(&base));
     assert!(!traced.trace.as_ref().expect("trace log").is_empty());
+    assert!(traced.profile.is_some());
     assert_eq!(
         strip_chain(traced),
-        strip_chain(plain),
-        "tracing perturbed a parallel chain run"
+        plain,
+        "tracing perturbed a fabric chain run"
     );
 }
 
-/// The profiler is passive either way, but its report must be filled in
-/// *both* execution modes (the parallel path merges per-partition engine
-/// counters and adds per-worker rows).
+/// Traced and plain members side by side on one worker pool: observability
+/// state belongs to each member's own simulation, so a traced member's log
+/// and profile come out exactly as when it runs alone, and its neighbours
+/// stay unperturbed.
 #[test]
-fn parallel_profile_reports_cover_all_workers() {
-    let base = ServerConfig::c_pc1a()
-        .with_duration(SimDuration::from_millis(20))
-        .with_seed(23)
-        .with_profile();
+fn tracing_never_perturbs_pool_runs() {
     let net = NetworkConfig::two_tier(SimDuration::from_micros(5), 4);
-    let result = ClusterMember::homogeneous(
-        &base,
-        4,
-        RoutingPolicyKind::RoundRobin,
-        WorkloadSpec::memcached_etc(),
-        60_000.0,
-    )
-    .with_network(net)
-    .run_with_parallelism(Some(4));
-    let profile = result.profile.expect("parallel profile report");
-    assert!(profile.engine.dispatched > 0);
-    assert!(!profile.events.is_empty(), "per-kind census retained");
-    let workers: Vec<u32> = profile.workers.iter().map(|w| w.worker).collect();
-    assert_eq!(workers, [0, 1, 2, 3], "one row per worker, in order");
+    let member = |seed: u64, traced: bool| {
+        let base = ServerConfig::c_pc1a()
+            .with_duration(SimDuration::from_millis(10))
+            .with_seed(seed);
+        let config = if traced { observed(&base) } else { base };
+        ClusterMember::homogeneous(
+            &config,
+            4,
+            RoutingPolicyKind::JoinShortestQueue,
+            WorkloadSpec::memcached_etc(),
+            50_000.0,
+        )
+        .with_network(net)
+    };
+    let shape = [(31, false), (31, true), (32, true), (32, false)];
+    let mut fleet = ClusterFleet::new();
+    for (seed, traced) in shape {
+        fleet.push(member(seed, traced));
+    }
+    let pooled = fleet.with_parallelism(2).run();
+    for (result, (seed, traced)) in pooled.iter().zip(shape) {
+        assert_eq!(
+            result,
+            &member(seed, traced).run(),
+            "pooled member (seed {seed}, traced {traced}) differs from its lone run"
+        );
+        assert_eq!(result.trace.is_some(), traced);
+    }
+    assert_eq!(strip_cluster(pooled[1].clone()), pooled[0]);
+    assert_eq!(strip_cluster(pooled[2].clone()), pooled[3]);
+}
+
+/// A pool never merges profiles: each profiled member reports the engine
+/// counters of its own event loop, whichever worker ran it.
+#[test]
+fn pooled_profiles_count_only_their_own_member() {
+    let graph = RequestGraph::fanout(TierService::frontend(), TierService::memcached_leaf(), 4);
+    let base = ServerConfig::c_pc1a()
+        .with_duration(SimDuration::from_millis(10))
+        .with_seed(19)
+        .with_profile();
+    let mut fleet = ChainFleet::new();
+    for rate in [2_000.0, 4_000.0, 8_000.0] {
+        fleet.push(ChainMember::homogeneous(
+            &base,
+            4,
+            RoutingPolicyKind::RoundRobin,
+            graph.clone(),
+            rate,
+        ));
+    }
+    let dispatched: Vec<u64> = fleet
+        .with_parallelism(3)
+        .run()
+        .iter()
+        .map(|c| {
+            let profile = c.profile.as_ref().expect("profile report");
+            assert_eq!(profile.engine.dispatched, c.events_dispatched);
+            assert!(!profile.events.is_empty(), "per-kind census retained");
+            c.events_dispatched
+        })
+        .collect();
     assert!(
-        profile.workers.iter().map(|w| w.epochs).sum::<u64>() > 0,
-        "epoch barrier counts recorded"
+        dispatched[0] < dispatched[1] && dispatched[1] < dispatched[2],
+        "{dispatched:?}"
     );
 }
 

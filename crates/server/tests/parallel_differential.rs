@@ -1,22 +1,30 @@
-//! Differential conformance suite for the conservative-lookahead parallel
-//! event core: every partitioned run must be **bit-identical** (exact
-//! `PartialEq`, no tolerances) to the sequential event loop that produced
-//! all existing goldens — across platforms, routing policies, cluster and
-//! chain drivers, two-tier and fat-tree topologies, and forced worker
-//! counts of 2/4/8 (exercising multi-node partitions per worker and more
-//! workers than the 1-CPU CI host has cores).
+//! Differential conformance suite for the worker pool on networked cluster
+//! and chain members: a [`Pool`] run at any forced worker count must be
+//! **bit-identical** (exact `PartialEq`, no tolerances) to running each
+//! member alone on the calling thread — the sequential event loop that
+//! produced all existing goldens — across platforms, routing policies,
+//! cluster and chain drivers, and two-tier and fat-tree topologies.
+//!
+//! Every member's simulation runs on one thread; the pool only decides
+//! which thread and when. Cross-node wire traffic stays inside a member, so
+//! a fabric must not make a member's bytes depend on its neighbours in the
+//! pool or on the worker count.
+
+use std::fmt::Debug;
 
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::chain::{ChainMember, RequestGraph};
 use apc_server::cluster::ClusterMember;
 use apc_server::config::ServerConfig;
-use apc_server::parallel::{execution_plan, ExecutionPlan, SequentialReason};
-use apc_sim::{SimDuration, SimTime};
+use apc_server::fleet::{Pool, PoolMember};
+use apc_sim::SimDuration;
 use apc_workloads::spec::WorkloadSpec;
 
-/// Forced worker counts: uneven node/worker splits and oversubscription.
-const WORKERS: [usize; 3] = [2, 4, 8];
+/// Forced worker counts: fewer workers than members (each worker claims
+/// several, in completion-dependent order) and more (the pool clamps to one
+/// worker per member, more than a 1-CPU CI host has cores).
+const WORKERS: [usize; 2] = [2, 8];
 
 fn two_tier() -> NetworkConfig {
     NetworkConfig::two_tier(SimDuration::from_micros(2), 4)
@@ -32,71 +40,61 @@ fn base(platform: fn() -> ServerConfig, seed: u64) -> ServerConfig {
         .with_seed(seed)
 }
 
-/// Runs `member()` sequentially once, then partitioned at every forced
-/// worker count, asserting the parallel plan actually engaged and the
-/// results match bit-for-bit.
-fn assert_cluster_identical(label: &str, member: impl Fn() -> ClusterMember) {
-    let sequential = member().run();
+/// Runs every member of `members()` alone, then the whole set through the
+/// pool at every forced worker count, asserting the pooled results match
+/// member for member, bit for bit.
+fn assert_pool_identical<M, R>(label: &str, members: impl Fn() -> Vec<M>)
+where
+    M: PoolMember<Output = R, Results = Vec<R>>,
+    R: PartialEq + Debug,
+{
+    let alone: Vec<R> = members().into_iter().map(PoolMember::run).collect();
+    assert!(
+        alone.len() >= 2,
+        "{label}: a pool needs two members to fan out"
+    );
     for workers in WORKERS {
-        let m = member();
-        assert!(
-            matches!(
-                execution_plan(m.nodes.len(), m.network.as_ref(), Some(workers)),
-                ExecutionPlan::Parallel { .. }
-            ),
-            "{label}: expected a parallel plan at {workers} workers"
-        );
-        let parallel = m.run_with_parallelism(Some(workers));
+        let mut pool = Pool::new();
+        for member in members() {
+            pool.push(member);
+        }
+        let pooled = pool.with_parallelism(workers).run();
         assert_eq!(
-            parallel, sequential,
-            "{label}: parallel run diverged at {workers} workers"
-        );
-    }
-}
-
-fn assert_chain_identical(label: &str, member: impl Fn() -> ChainMember) {
-    let sequential = member().run();
-    for workers in WORKERS {
-        let m = member();
-        assert!(
-            matches!(
-                execution_plan(m.nodes.len(), m.network.as_ref(), Some(workers)),
-                ExecutionPlan::Parallel { .. }
-            ),
-            "{label}: expected a parallel plan at {workers} workers"
-        );
-        let parallel = m.run_with_parallelism(Some(workers));
-        assert_eq!(
-            parallel, sequential,
-            "{label}: parallel run diverged at {workers} workers"
+            pooled, alone,
+            "{label}: pooled run diverged at {workers} workers"
         );
     }
 }
 
 #[test]
 fn cluster_two_tier_is_bit_identical_under_every_routing_policy() {
-    for policy in RoutingPolicyKind::all() {
-        assert_cluster_identical(&format!("two-tier/{policy:?}"), || {
-            ClusterMember::homogeneous(
-                &base(ServerConfig::c_pc1a, 17),
-                8,
-                policy,
-                WorkloadSpec::memcached_etc(),
-                60_000.0,
-            )
-            .with_network(two_tier())
-        });
-    }
+    assert_pool_identical("two-tier/policies", || {
+        RoutingPolicyKind::all()
+            .into_iter()
+            .map(|policy| {
+                ClusterMember::homogeneous(
+                    &base(ServerConfig::c_pc1a, 17),
+                    8,
+                    policy,
+                    WorkloadSpec::memcached_etc(),
+                    60_000.0,
+                )
+                .with_network(two_tier())
+            })
+            .collect()
+    });
 }
 
 #[test]
 fn cluster_fat_tree_is_bit_identical_across_platforms() {
-    for (name, platform) in [
-        ("shallow", ServerConfig::c_shallow as fn() -> ServerConfig),
-        ("deep", ServerConfig::c_deep),
-        ("pc1a", ServerConfig::c_pc1a),
-    ] {
-        assert_cluster_identical(&format!("fat-tree/{name}"), || {
+    assert_pool_identical("fat-tree/platforms", || {
+        [
+            ServerConfig::c_shallow as fn() -> ServerConfig,
+            ServerConfig::c_deep,
+            ServerConfig::c_pc1a,
+        ]
+        .into_iter()
+        .map(|platform| {
             ClusterMember::homogeneous(
                 &base(platform, 23),
                 8,
@@ -105,55 +103,69 @@ fn cluster_fat_tree_is_bit_identical_across_platforms() {
                 80_000.0,
             )
             .with_network(fat_tree())
-        });
-    }
+        })
+        .collect()
+    });
 }
 
 #[test]
 fn cluster_survives_uneven_partitions_and_kafka_tails() {
-    // 6 nodes over {2, 4, 8} workers: worker 0 owns more nodes than the
-    // rest (2 workers), some workers own nothing (8 workers).
-    assert_cluster_identical("two-tier/kafka-6-nodes", || {
-        ClusterMember::homogeneous(
-            &base(ServerConfig::c_deep, 41),
-            6,
-            RoutingPolicyKind::PowerAware,
-            WorkloadSpec::kafka(),
-            9_000.0,
-        )
-        .with_network(two_tier())
+    // Three members over two workers: one worker runs two of them, and
+    // which one depends on how long the first members take.
+    assert_pool_identical("two-tier/kafka-6-nodes", || {
+        [41, 42, 43]
+            .into_iter()
+            .map(|seed| {
+                ClusterMember::homogeneous(
+                    &base(ServerConfig::c_deep, seed),
+                    6,
+                    RoutingPolicyKind::PowerAware,
+                    WorkloadSpec::kafka(),
+                    9_000.0,
+                )
+                .with_network(two_tier())
+            })
+            .collect()
     });
 }
 
 #[test]
 fn cluster_high_load_same_nanosecond_ties_stay_bit_identical() {
-    // Regression: at 20k req/s per node over 20 ms, service completions
-    // routinely collide with routing instants on the same integer
-    // nanosecond. The sequential queue breaks those ties by insertion order
-    // (a completion scheduled *before* the arrival was inserted dispatches
-    // first, so JSQ sees the decremented queue depth); the first driver cut
-    // replayed every hub instant ahead of tied local events and diverged
-    // here. Pins the `(timestamp, insertion instant)` ranking.
-    assert_cluster_identical("two-tier/jsq-high-load", || {
-        ClusterMember::homogeneous(
-            &ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(20)),
-            8,
-            RoutingPolicyKind::JoinShortestQueue,
-            WorkloadSpec::memcached_etc(),
-            160_000.0,
-        )
-        .with_network(two_tier())
+    // At 20k req/s per node over 20 ms, service completions routinely
+    // collide with routing instants on the same integer nanosecond. The
+    // event queue breaks those ties by scheduling order (a completion
+    // scheduled before the arrival dispatches first, so JSQ sees the
+    // decremented queue depth), and that order must not depend on which
+    // thread runs the cluster.
+    assert_pool_identical("two-tier/jsq-high-load", || {
+        [0, 1]
+            .into_iter()
+            .map(|seed| {
+                ClusterMember::homogeneous(
+                    &ServerConfig::c_pc1a()
+                        .with_duration(SimDuration::from_millis(20))
+                        .with_seed(seed),
+                    8,
+                    RoutingPolicyKind::JoinShortestQueue,
+                    WorkloadSpec::memcached_etc(),
+                    160_000.0,
+                )
+                .with_network(two_tier())
+            })
+            .collect()
     });
 }
 
 #[test]
 fn chain_two_tier_is_bit_identical_under_routing_policies() {
-    for policy in [
-        RoutingPolicyKind::Random,
-        RoutingPolicyKind::JoinShortestQueue,
-        RoutingPolicyKind::PowerAware,
-    ] {
-        assert_chain_identical(&format!("chain/two-tier/{policy:?}"), || {
+    assert_pool_identical("chain/two-tier/policies", || {
+        [
+            RoutingPolicyKind::Random,
+            RoutingPolicyKind::JoinShortestQueue,
+            RoutingPolicyKind::PowerAware,
+        ]
+        .into_iter()
+        .map(|policy| {
             ChainMember::homogeneous(
                 &base(ServerConfig::c_pc1a, 29),
                 8,
@@ -162,90 +174,26 @@ fn chain_two_tier_is_bit_identical_under_routing_policies() {
                 4_000.0,
             )
             .with_network(two_tier())
-        });
-    }
-}
-
-#[test]
-fn chain_fat_tree_linear_is_bit_identical() {
-    assert_chain_identical("chain/fat-tree/linear", || {
-        ChainMember::homogeneous(
-            &base(ServerConfig::c_shallow, 31),
-            8,
-            RoutingPolicyKind::RoundRobin,
-            RequestGraph::memcached_fanout(8),
-            2_500.0,
-        )
-        .with_network(fat_tree())
+        })
+        .collect()
     });
 }
 
 #[test]
-fn zero_lookahead_topologies_fall_back_to_the_sequential_loop() {
-    // Plan probes: every ineligible shape names its reason.
-    let two_tier = two_tier();
-    assert_eq!(
-        execution_plan(8, None, Some(4)),
-        ExecutionPlan::Sequential {
-            reason: SequentialReason::NoNetwork
-        }
-    );
-    assert_eq!(
-        execution_plan(8, Some(&NetworkConfig::ideal()), Some(4)),
-        ExecutionPlan::Sequential {
-            reason: SequentialReason::ZeroLookahead
-        }
-    );
-    assert_eq!(
-        execution_plan(8, Some(&NetworkConfig::flat(SimDuration::ZERO)), Some(4)),
-        ExecutionPlan::Sequential {
-            reason: SequentialReason::ZeroLookahead
-        }
-    );
-    assert_eq!(
-        execution_plan(1, Some(&two_tier), Some(4)),
-        ExecutionPlan::Sequential {
-            reason: SequentialReason::SingleNode
-        }
-    );
-    assert_eq!(
-        execution_plan(8, Some(&two_tier), Some(1)),
-        ExecutionPlan::Sequential {
-            reason: SequentialReason::SingleWorker
-        }
-    );
-    // And the fallback actually runs: a zero-latency fabric through
-    // `run_with_parallelism` takes the sequential path and matches `run()`.
-    let member = || {
-        ClusterMember::homogeneous(
-            &base(ServerConfig::c_pc1a, 53),
-            4,
-            RoutingPolicyKind::JoinShortestQueue,
-            WorkloadSpec::memcached_etc(),
-            30_000.0,
-        )
-        .with_network(NetworkConfig::ideal())
-    };
-    assert_eq!(member().run_with_parallelism(Some(4)), member().run());
-}
-
-#[test]
-fn lookahead_epochs_clamp_at_the_measurement_horizon() {
-    // A link latency that does not divide the duration: the last epoch is a
-    // partial window and must still merge identically.
-    let member = || {
-        ClusterMember::homogeneous(
-            &ServerConfig::c_pc1a()
-                .with_duration(SimTime::from_nanos(9_999_700).saturating_since(SimTime::ZERO))
-                .with_seed(59),
-            4,
-            RoutingPolicyKind::RoundRobin,
-            WorkloadSpec::mysql_oltp(),
-            4_000.0,
-        )
-        .with_network(NetworkConfig::two_tier(SimDuration::from_nanos(1_300), 2))
-    };
-    let sequential = member().run();
-    let parallel = member().run_with_parallelism(Some(4));
-    assert_eq!(parallel, sequential);
+fn chain_fat_tree_linear_is_bit_identical() {
+    assert_pool_identical("chain/fat-tree/linear", || {
+        [31, 37]
+            .into_iter()
+            .map(|seed| {
+                ChainMember::homogeneous(
+                    &base(ServerConfig::c_shallow, seed),
+                    8,
+                    RoutingPolicyKind::RoundRobin,
+                    RequestGraph::memcached_fanout(8),
+                    2_500.0,
+                )
+                .with_network(fat_tree())
+            })
+            .collect()
+    });
 }

@@ -539,23 +539,6 @@ impl<E, S> Simulation<E, S> {
         self.queue.schedule(at, Envelope { dst, payload })
     }
 
-    /// Schedules an event from outside any component with an explicit FIFO
-    /// rank: at equal timestamps it orders as if it had been scheduled at
-    /// simulated instant `inserted`. Partitioned-simulation drivers use this
-    /// to replay cross-partition events with the scheduling rank they would
-    /// have received in the sequential loop (see
-    /// [`EventQueue::schedule_backdated`](crate::engine::EventQueue::schedule_backdated)).
-    pub fn schedule_backdated(
-        &mut self,
-        dst: ComponentId,
-        at: SimTime,
-        inserted: SimTime,
-        payload: E,
-    ) -> EventId {
-        self.queue
-            .schedule_backdated(at, inserted, Envelope { dst, payload })
-    }
-
     /// Cancels a previously scheduled event in O(1).
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -564,12 +547,6 @@ impl<E, S> Simulation<E, S> {
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// The `(timestamp, insertion instant)` key of the next pending event —
-    /// the key same-timestamp FIFO order is ranked by.
-    pub fn peek_key(&mut self) -> Option<(SimTime, SimTime)> {
-        self.queue.peek_key()
     }
 
     /// Dispatches the next event: advances the clock, runs the pre-dispatch

@@ -59,15 +59,12 @@ impl HeapEventId {
     }
 }
 
-/// Internal heap entry. Ordered by `(time, inserted, seq)` so that events
-/// scheduled for the same instant are delivered in FIFO order — the
-/// `inserted` component only reorders events injected through
-/// [`HeapEventQueue::schedule_backdated`] — which makes simulations
+/// Internal heap entry. Ordered by `(time, seq)` so that events scheduled for
+/// the same instant are delivered in FIFO order, which makes simulations
 /// deterministic.
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
-    inserted: SimTime,
     seq: u64,
     id: HeapEventId,
     payload: E,
@@ -75,7 +72,7 @@ struct Entry<E> {
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.inserted == other.inserted && self.seq == other.seq
+        self.time == other.time && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -92,7 +89,6 @@ impl<E> Ord for Entry<E> {
         other
             .time
             .cmp(&self.time)
-            .then_with(|| other.inserted.cmp(&self.inserted))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -196,25 +192,10 @@ impl<E> HeapEventQueue<E> {
     /// it is delivered next, which mirrors how hardware would observe a
     /// "should already have happened" condition immediately.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> HeapEventId {
-        self.schedule_backdated(at, self.now, payload)
-    }
-
-    /// Schedules `payload` at `at` with an explicit FIFO rank: at equal
-    /// timestamps the event orders as if scheduled at instant `inserted`
-    /// (clamped to `at`). Mirrors
-    /// [`EventQueue::schedule_backdated`](crate::engine::EventQueue::schedule_backdated);
-    /// see there for why partitioned drivers need it.
-    pub fn schedule_backdated(
-        &mut self,
-        at: SimTime,
-        inserted: SimTime,
-        payload: E,
-    ) -> HeapEventId {
         let time = if at < self.now { self.now } else { at };
         let id = HeapEventId(self.next_seq);
         let entry = Entry {
             time,
-            inserted: inserted.min(time),
             seq: self.next_seq,
             id,
             payload,
@@ -243,13 +224,6 @@ impl<E> HeapEventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.reap_cancelled();
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// The `(timestamp, insertion instant)` key of the next live event, if
-    /// any — the key same-timestamp FIFO order is ranked by.
-    pub fn peek_key(&mut self) -> Option<(SimTime, SimTime)> {
-        self.reap_cancelled();
-        self.heap.peek().map(|e| (e.time, e.inserted))
     }
 
     /// Removes and returns the earliest live event together with its
@@ -313,6 +287,23 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn events_scheduled_at_now_run_after_pending_ties() {
+        let mut q = HeapEventQueue::new();
+        let t = SimTime::from_nanos(100);
+        q.schedule(t, 1);
+        q.schedule(t, 2);
+        assert_eq!(q.pop(), Some((t, 1)));
+        // A follow-up at the current instant queues behind the tie still
+        // pending, in scheduling order, as does a causality-clamped one.
+        q.schedule(t, 3);
+        q.schedule(SimTime::from_nanos(1), 4);
+        assert_eq!(q.pop(), Some((t, 2)));
+        assert_eq!(q.pop(), Some((t, 3)));
+        assert_eq!(q.pop(), Some((t, 4)));
+        assert_eq!(q.now(), t);
     }
 
     #[test]

@@ -95,9 +95,6 @@ enum Loc {
 #[derive(Debug)]
 struct Slot<E> {
     time: u64,
-    /// FIFO rank at equal timestamps: the simulated instant the event was
-    /// scheduled at (see [`EventQueue::schedule_backdated`]).
-    inserted: u64,
     seq: u64,
     /// Bumped every time the slot is freed; ids carry the generation they
     /// were created under, so stale ids (delivered/cancelled events, or
@@ -111,14 +108,12 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
-/// Overflow-heap reference: `(time, inserted, seq)` min-order, pointing back
-/// into the slab. Cancels leave stale references behind (detected by
-/// generation mismatch) which are reaped once they outnumber live overflow
-/// entries.
+/// Overflow-heap reference: `(time, seq)` min-order, pointing back into the
+/// slab. Cancels leave stale references behind (detected by generation
+/// mismatch) which are reaped once they outnumber live overflow entries.
 #[derive(Debug, PartialEq, Eq)]
 struct OverflowRef {
     time: u64,
-    inserted: u64,
     seq: u64,
     index: u32,
     generation: u32,
@@ -136,7 +131,6 @@ impl Ord for OverflowRef {
         other
             .time
             .cmp(&self.time)
-            .then_with(|| other.inserted.cmp(&self.inserted))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -148,7 +142,7 @@ impl Ord for OverflowRef {
 /// observational: no queue decision reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueCounters {
-    /// Events scheduled (every `schedule`/`schedule_backdated` call).
+    /// Events scheduled (every `schedule` call).
     pub scheduled: u64,
     /// Events delivered to `pop` callers.
     pub dispatched: u64,
@@ -213,11 +207,9 @@ pub struct QueueFootprint {
 /// A deterministic pending-event queue for discrete-event simulation.
 ///
 /// Events are delivered in non-decreasing timestamp order; ties are broken by
-/// scheduling order (FIFO) — precisely, by `(insertion instant, scheduling
-/// sequence)`, which coincides with pure scheduling order except for events
-/// injected via [`EventQueue::schedule_backdated`]. Internally this is a
-/// hierarchical timer wheel (see the module docs): `schedule`, `cancel` and
-/// `pop` run in O(1) amortized time and do not allocate in steady state.
+/// scheduling order (FIFO). Internally this is a hierarchical timer wheel
+/// (see the module docs): `schedule`, `cancel` and `pop` run in O(1)
+/// amortized time and do not allocate in steady state.
 ///
 /// # Examples
 ///
@@ -247,10 +239,9 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<OverflowRef>,
     /// Stale (cancelled) references still inside `overflow`.
     overflow_dead: usize,
-    /// Current dispatch batch: `(inserted, seq, index, generation)` of every
-    /// event at `batch_time`, sorted by `(inserted, seq)`. Drained via
-    /// `batch_pos`.
-    batch: Vec<(u64, u64, u32, u32)>,
+    /// Current dispatch batch: `(seq, index, generation)` of every event at
+    /// `batch_time`, sorted by seq. Drained via `batch_pos`.
+    batch: Vec<(u64, u32, u32)>,
     batch_pos: usize,
     batch_time: u64,
     /// Wheel reference time. Only advances inside `pop`, so schedules
@@ -262,10 +253,10 @@ pub struct EventQueue<E> {
     next_seq: u64,
     live: usize,
     delivered: u64,
-    /// Cached head-event key `(time, inserted, seq)`: `None` = stale
-    /// (recompute on demand), `Some(None)` = known empty. Keeps `peek_time`
-    /// and `peek_key` O(1) on the run-loop's peek-then-pop pattern.
-    cached_next: Option<Option<(u64, u64, u64)>>,
+    /// Cached next-event timestamp: `None` = stale (recompute on demand),
+    /// `Some(None)` = known empty, `Some(Some(t))` = next event at `t`.
+    /// Keeps `peek_time` O(1) on the run-loop's peek-then-pop pattern.
+    cached_next: Option<Option<u64>>,
     /// Always-on self-profiling counters (`dispatched` mirrors `delivered`).
     counters: QueueCounters,
     /// Opt-in per-event-kind profiler.
@@ -372,41 +363,22 @@ impl<E> EventQueue<E> {
     /// it is delivered next, which mirrors how hardware would observe a
     /// "should already have happened" condition immediately.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let inserted = SimTime::from_nanos(self.now);
-        self.schedule_backdated(at, inserted, payload)
-    }
-
-    /// Schedules `payload` for delivery at `at` with an explicit FIFO rank:
-    /// at equal timestamps the event is ordered as if it had been scheduled
-    /// at simulated instant `inserted` (clamped to `at`), before every event
-    /// scheduled at a later instant and after every event scheduled at an
-    /// earlier one. Among events with equal `(time, inserted)`, actual
-    /// scheduling order still decides.
-    ///
-    /// [`EventQueue::schedule`] is the `inserted = now` special case, so for
-    /// plain scheduling the rank reduces to pure FIFO. Backdating exists for
-    /// partitioned simulations (see `engine::partition`): a driver replaying
-    /// a cross-partition event into a partition after the fact can hand it
-    /// the seq rank it would have received in the sequential loop, keeping
-    /// same-timestamp dispatch order bit-identical.
-    pub fn schedule_backdated(&mut self, at: SimTime, inserted: SimTime, payload: E) -> EventId {
         let t = at.as_nanos().max(self.now);
-        let ins = inserted.as_nanos().min(t);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.counters.scheduled += 1;
         if let Some(p) = &mut self.profile {
             p.count(&payload, |row| row.scheduled += 1);
         }
-        let index = self.alloc(t, ins, seq, payload);
+        let index = self.alloc(t, seq, payload);
         let generation = self.slab[index as usize].generation;
-        self.place(index, t, ins, seq);
+        self.place(index, t, seq);
         self.live += 1;
         // A valid cache only needs a min-update; a stale one stays stale.
         if let Some(next) = &mut self.cached_next {
             match next {
-                Some(c) => *c = (*c).min((t, ins, seq)),
-                None => *next = Some((t, ins, seq)),
+                Some(c) => *c = (*c).min(t),
+                None => *next = Some(t),
             }
         }
         EventId::pack(generation, index)
@@ -450,7 +422,7 @@ impl<E> EventQueue<E> {
         self.free_slot(index);
         self.live -= 1;
         // Cancelling the (possibly sole) earliest event invalidates the hint.
-        if matches!(self.cached_next, Some(Some((t, _, _))) if t == time) {
+        if self.cached_next == Some(Some(time)) {
             self.cached_next = None;
         }
         true
@@ -460,23 +432,10 @@ impl<E> EventQueue<E> {
     /// from the in-flight dispatch batch or a cached hint, recomputed with a
     /// bitmap scan only after the structure actually changed.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// The `(timestamp, insertion instant)` key of the next live event, if
-    /// any. Same cost and staleness rules as [`EventQueue::peek_time`]; the
-    /// insertion instant is what same-timestamp FIFO order is ranked by (see
-    /// [`EventQueue::schedule_backdated`]), which partitioned-simulation
-    /// drivers compare against to interleave foreign instants exactly where
-    /// the sequential loop would have dispatched them.
-    pub fn peek_key(&mut self) -> Option<(SimTime, SimTime)> {
-        while let Some(&(inserted, _, index, generation)) = self.batch.get(self.batch_pos) {
+        while let Some(&(_, index, generation)) = self.batch.get(self.batch_pos) {
             let slot = &self.slab[index as usize];
             if slot.generation == generation && slot.loc == Loc::Staged {
-                return Some((
-                    SimTime::from_nanos(self.batch_time),
-                    SimTime::from_nanos(inserted),
-                ));
+                return Some(SimTime::from_nanos(self.batch_time));
             }
             // Cancelled while staged; skip permanently.
             self.batch_pos += 1;
@@ -489,14 +448,14 @@ impl<E> EventQueue<E> {
                 next
             }
         };
-        next.map(|(t, ins, _)| (SimTime::from_nanos(t), SimTime::from_nanos(ins)))
+        next.map(SimTime::from_nanos)
     }
 
     /// Removes and returns the earliest live event together with its
     /// timestamp, advancing the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            while let Some(&(_, _, index, generation)) = self.batch.get(self.batch_pos) {
+            while let Some(&(_, index, generation)) = self.batch.get(self.batch_pos) {
                 self.batch_pos += 1;
                 let slot = &mut self.slab[index as usize];
                 if slot.generation != generation || slot.loc != Loc::Staged {
@@ -519,13 +478,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Allocates a slab slot (reusing the free list when possible).
-    fn alloc(&mut self, time: u64, inserted: u64, seq: u64, payload: E) -> u32 {
+    fn alloc(&mut self, time: u64, seq: u64, payload: E) -> u32 {
         if self.free_head != NIL {
             let index = self.free_head;
             let slot = &mut self.slab[index as usize];
             self.free_head = slot.next;
             slot.time = time;
-            slot.inserted = inserted;
             slot.seq = seq;
             slot.payload = Some(payload);
             index
@@ -533,7 +491,6 @@ impl<E> EventQueue<E> {
             assert!(self.slab.len() < NIL as usize, "event slab full");
             self.slab.push(Slot {
                 time,
-                inserted,
                 seq,
                 generation: 0,
                 prev: NIL,
@@ -562,7 +519,7 @@ impl<E> EventQueue<E> {
     /// differs from the cursor; because `t >= cursor` always holds (schedule
     /// clamps, cascades re-place forward), the computed slot index is never
     /// behind the cursor's own index at that level.
-    fn place(&mut self, index: u32, t: u64, inserted: u64, seq: u64) {
+    fn place(&mut self, index: u32, t: u64, seq: u64) {
         let x = t ^ self.cursor;
         if x >> WHEEL_BITS != 0 {
             self.counters.overflow_hits += 1;
@@ -570,7 +527,6 @@ impl<E> EventQueue<E> {
             self.slab[index as usize].loc = Loc::Overflow;
             self.overflow.push(OverflowRef {
                 time: t,
-                inserted,
                 seq,
                 index,
                 generation,
@@ -653,18 +609,18 @@ impl<E> EventQueue<E> {
             match self.overflow.peek() {
                 Some(top) if (top.time ^ self.cursor) >> WHEEL_BITS == 0 => {
                     let r = self.overflow.pop().expect("peeked entry exists");
-                    self.place(r.index, r.time, r.inserted, r.seq);
+                    self.place(r.index, r.time, r.seq);
                 }
                 _ => return,
             }
         }
     }
 
-    /// Exact head-event key `(time, inserted, seq)`, without advancing the
-    /// cursor: the first occupied bucket in level order is the earliest one
-    /// (bucket time ranges are disjoint and increase with level and slot
-    /// index), and overflow entries are always beyond every wheel entry.
-    fn compute_next(&mut self) -> Option<(u64, u64, u64)> {
+    /// Exact next-event timestamp, without advancing the cursor: the first
+    /// occupied bucket in level order is the earliest one (bucket time ranges
+    /// are disjoint and increase with level and slot index), and overflow
+    /// entries are always beyond every wheel entry.
+    fn compute_next(&mut self) -> Option<u64> {
         for level in 0..LEVELS {
             let bits = self.occupied[level];
             if bits == 0 {
@@ -672,20 +628,18 @@ impl<E> EventQueue<E> {
             }
             let s = bits.trailing_zeros() as usize;
             // A level-0 bucket holds a single timestamp; higher buckets span
-            // a range, so scan for the minimum key.
-            let mut key = (u64::MAX, u64::MAX, u64::MAX);
+            // a range, so scan for the minimum.
+            let mut t = u64::MAX;
             let mut i = self.buckets[level][s];
             while i != NIL {
                 let slot = &self.slab[i as usize];
-                key = key.min((slot.time, slot.inserted, slot.seq));
+                t = t.min(slot.time);
                 i = slot.next;
             }
-            return Some(key);
+            return Some(t);
         }
         self.clean_overflow_top();
-        self.overflow
-            .peek()
-            .map(|top| (top.time, top.inserted, top.seq))
+        self.overflow.peek().map(|top| top.time)
     }
 
     /// Finds the earliest non-empty level-0 bucket (cascading higher levels
@@ -720,18 +674,16 @@ impl<E> EventQueue<E> {
                 while i != NIL {
                     let slot = &mut self.slab[i as usize];
                     slot.loc = Loc::Staged;
-                    self.batch
-                        .push((slot.inserted, slot.seq, i, slot.generation));
+                    self.batch.push((slot.seq, i, slot.generation));
                     t = slot.time;
                     i = slot.next;
                 }
-                // FIFO is restored by (inserted, seq), but a full sort is
-                // rarely needed: bucket insertion is head-first (LIFO), so
-                // entries that arrived in one pass — direct schedules and
-                // single-level cascades, the overwhelming steady-state case —
-                // read back exactly reversed. Only a multi-pass mix (cascade
-                // landing in a bucket that already had direct entries, or a
-                // backdated schedule) pays the sort.
+                // FIFO is restored by seq, but a full sort is rarely needed:
+                // bucket insertion is head-first (LIFO), so entries that
+                // arrived in one pass — direct schedules and single-level
+                // cascades, the overwhelming steady-state case — read back
+                // exactly reversed. Only a multi-pass mix (a cascade landing
+                // in a bucket that already had direct entries) pays the sort.
                 if self.batch.len() > 1 {
                     if self.batch.windows(2).all(|w| w[0] >= w[1]) {
                         self.batch.reverse();
@@ -754,8 +706,8 @@ impl<E> EventQueue<E> {
             let mut i = head;
             while i != NIL {
                 let slot = &self.slab[i as usize];
-                let (next, t, ins, seq) = (slot.next, slot.time, slot.inserted, slot.seq);
-                self.place(i, t, ins, seq);
+                let (next, t, seq) = (slot.next, slot.time, slot.seq);
+                self.place(i, t, seq);
                 i = next;
             }
         }
@@ -786,27 +738,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn backdated_schedules_rank_by_insertion_instant_at_equal_timestamps() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(100), 0);
-        q.pop(); // now = 100
-                 // Inserted at instant 100:
-        q.schedule(SimTime::from_nanos(200), 2);
-        // Backdated to instant 50: ranks before the instant-100 insertion
-        // despite the later scheduling call...
-        q.schedule_backdated(SimTime::from_nanos(200), SimTime::from_nanos(50), 1);
-        // ...and equal (time, inserted) keys fall back to scheduling order.
-        q.schedule_backdated(SimTime::from_nanos(200), SimTime::from_nanos(50), 10);
-        q.schedule(SimTime::from_nanos(200), 3);
-        assert_eq!(
-            q.peek_key(),
-            Some((SimTime::from_nanos(200), SimTime::from_nanos(50)))
-        );
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![1, 10, 2, 3]);
     }
 
     #[test]
@@ -905,6 +836,33 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 3)));
         assert_eq!(q.pop(), Some((t, 4)));
         assert_eq!(q.now(), t);
+    }
+
+    #[test]
+    fn ties_dispatch_in_scheduling_order_across_wheel_levels() {
+        // Three events share timestamp `t` but reach the dispatch batch by
+        // different routes: through the overflow heap (scheduled from 0,
+        // past the wheel horizon), from an upper level (scheduled with the
+        // cursor 100 ns away) and straight into level 0 (3 ns away).
+        // Scheduling order alone ranks them.
+        let mut q = EventQueue::new();
+        let t = (1u64 << WHEEL_BITS) + 100;
+        q.schedule(SimTime::from_nanos(t), "overflow");
+        q.schedule(SimTime::from_nanos(1 << WHEEL_BITS), "step");
+        assert_eq!(q.counters().overflow_hits, 2);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("step"));
+        q.schedule(SimTime::from_nanos(t), "upper");
+        q.schedule(SimTime::from_nanos(t - 3), "step");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("step"));
+        q.schedule(SimTime::from_nanos(t), "level0");
+        assert_eq!(
+            q.counters().overflow_hits,
+            2,
+            "later ties stay in the wheel"
+        );
+        let at = SimTime::from_nanos(t);
+        let ties: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(ties, [(at, "overflow"), (at, "upper"), (at, "level0")]);
     }
 
     #[test]

@@ -290,12 +290,9 @@ impl TraceState {
 }
 
 /// Aggregate event-core counters (see [`QueueCounters`] for field semantics).
-///
-/// For parallel runs this is the sum over every partition's event queue;
-/// `max_batch` takes the maximum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineProfile {
-    /// Events scheduled (including backdated cross-partition deposits).
+    /// Events scheduled.
     pub scheduled: u64,
     /// Events dispatched to handlers.
     pub dispatched: u64,
@@ -324,17 +321,6 @@ impl EngineProfile {
             overflow_hits: c.overflow_hits,
         }
     }
-
-    /// Accumulates another queue's counters (partition merge).
-    pub fn merge(&mut self, c: QueueCounters) {
-        self.scheduled += c.scheduled;
-        self.dispatched += c.dispatched;
-        self.cancelled += c.cancelled;
-        self.level0_batches += c.level0_batches;
-        self.batched_events += c.batched_events;
-        self.max_batch = self.max_batch.max(c.max_batch);
-        self.overflow_hits += c.overflow_hits;
-    }
 }
 
 /// Scheduled/dispatched/cancelled counts for one event kind.
@@ -350,22 +336,6 @@ pub struct EventKindCount {
     pub cancelled: u64,
 }
 
-/// Wall-clock profile of one worker thread in a parallel run.
-///
-/// The `*_ns` fields are host wall-clock measurements: useful for diagnosing
-/// scaling, **never** compared between runs (they are not deterministic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerProfile {
-    /// Worker index.
-    pub worker: u32,
-    /// Epochs this worker executed.
-    pub epochs: u64,
-    /// Total wall-clock nanoseconds spent waiting at epoch barriers.
-    pub barrier_wait_ns: u64,
-    /// Cross-partition wire transfers replayed into this worker's partitions.
-    pub cross_wires: u64,
-}
-
 /// Engine self-profile surfaced by `RunResult` / `ClusterResult` /
 /// `ChainResult` when profiling is enabled.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -374,11 +344,6 @@ pub struct ProfileReport {
     pub engine: EngineProfile,
     /// Per-event-kind counters (empty if the kind classifier was not enabled).
     pub events: Vec<EventKindCount>,
-    /// Per-worker profiles; empty for sequential runs.
-    pub workers: Vec<WorkerProfile>,
-    /// Wall-clock nanoseconds the hub spent planning/replaying epochs
-    /// (parallel runs only; not deterministic, never compared).
-    pub hub_replay_ns: u64,
 }
 
 impl ProfileReport {
@@ -409,16 +374,6 @@ impl fmt::Display for ProfileReport {
                 "  {:<18} scheduled {:>10} dispatched {:>10} cancelled {:>10}",
                 kind.kind, kind.scheduled, kind.dispatched, kind.cancelled
             )?;
-        }
-        for w in &self.workers {
-            writeln!(
-                f,
-                "  worker {} epochs {} barrier-wait {} ns cross-wires {}",
-                w.worker, w.epochs, w.barrier_wait_ns, w.cross_wires
-            )?;
-        }
-        if self.hub_replay_ns != 0 {
-            writeln!(f, "  hub replay {} ns", self.hub_replay_ns)?;
         }
         Ok(())
     }
@@ -468,24 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_profile_merges_counters() {
-        let a = QueueCounters {
-            scheduled: 10,
-            dispatched: 8,
-            cancelled: 1,
-            level0_batches: 4,
-            batched_events: 8,
-            max_batch: 3,
-            overflow_hits: 2,
-        };
-        let mut p = EngineProfile::from_counters(a);
-        p.merge(QueueCounters { max_batch: 5, ..a });
-        assert_eq!(p.scheduled, 20);
-        assert_eq!(p.max_batch, 5);
-        assert_eq!(p.overflow_hits, 4);
-    }
-
-    #[test]
     fn span_duration_and_kind_names() {
         let span = Span {
             trace: 9,
@@ -523,18 +460,10 @@ mod tests {
                     cancelled: 0,
                 },
             ],
-            workers: vec![WorkerProfile {
-                worker: 0,
-                epochs: 5,
-                barrier_wait_ns: 10,
-                cross_wires: 2,
-            }],
-            hub_replay_ns: 7,
         };
         report.retain_active_kinds();
         assert_eq!(report.events.len(), 1);
         let text = report.to_string();
         assert!(text.contains("ServiceDone"));
-        assert!(text.contains("hub replay 7 ns"));
     }
 }
