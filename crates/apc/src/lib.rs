@@ -79,8 +79,7 @@ pub mod prelude {
     pub use apc_power::units::{Joules, Watts};
     pub use apc_server::balancer::{RoutingPolicy, RoutingPolicyKind};
     pub use apc_server::chain::{
-        run_chain_experiment, ChainFleet, ChainMember, ChainResult, ChainSimulation, RequestGraph,
-        Tier,
+        run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph, Tier,
     };
     pub use apc_server::cluster::{
         run_cluster_experiment, ClusterFleet, ClusterMember, ClusterResult, ClusterSimulation,

@@ -284,17 +284,8 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
         SpecKind::Cluster { nodes, policy } => {
             let mut cluster_fleet = ClusterFleet::new();
             for i in 0..spec.repeats {
-                let seed = repeat_seed(spec.seed, i, spec.repeats);
-                let base = spec
-                    .platform
-                    .config()
-                    .with_duration(spec.duration)
-                    .with_seed(seed);
-                let base = match spec.timeseries_interval {
-                    Some(every) => base.with_timeseries(every),
-                    None => base,
-                };
-                let base = observe(base, spec);
+                let base =
+                    spec_config(spec, spec.platform, repeat_seed(spec.seed, i, spec.repeats));
                 let rate = spec.traffic.mean_rate_per_sec();
                 let mut member =
                     ClusterMember::homogeneous(&base, *nodes, *policy, spec.workload.spec(), rate);
@@ -321,17 +312,8 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
             let graph = chain_graph(spec.workload, *fanout, *frontend_service, *leaf_service);
             let mut chain_fleet = ChainFleet::new();
             for i in 0..spec.repeats {
-                let seed = repeat_seed(spec.seed, i, spec.repeats);
-                let base = spec
-                    .platform
-                    .config()
-                    .with_duration(spec.duration)
-                    .with_seed(seed);
-                let base = match spec.timeseries_interval {
-                    Some(every) => base.with_timeseries(every),
-                    None => base,
-                };
-                let base = observe(base, spec);
+                let base =
+                    spec_config(spec, spec.platform, repeat_seed(spec.seed, i, spec.repeats));
                 let rate = spec.traffic.mean_rate_per_sec();
                 let mut member =
                     ChainMember::homogeneous(&base, *nodes, *policy, graph.clone(), rate);
@@ -358,10 +340,19 @@ pub fn execute_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Outcom
     plan_spec(spec, parallelism).run()
 }
 
-/// Applies the spec's observability knobs — `[trace]` and the `--profile`
-/// flag — to a built server config. Neither perturbs the simulation: the
-/// results stay bit-identical with or without them.
-fn observe(mut config: ServerConfig, spec: &ExperimentSpec) -> ServerConfig {
+/// The server config every node or member of `spec` runs on `platform`
+/// under `seed`: the spec's duration and `[telemetry]` series, plus its
+/// observability knobs — `[trace]` and the `--profile` flag. Neither knob
+/// perturbs the simulation: the results stay bit-identical with or without
+/// them.
+fn spec_config(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> ServerConfig {
+    let mut config = platform
+        .config()
+        .with_duration(spec.duration)
+        .with_seed(seed);
+    if let Some(every) = spec.timeseries_interval {
+        config = config.with_timeseries(every);
+    }
     if let Some(trace) = spec.trace {
         config = config.with_trace(trace);
     }
@@ -384,15 +375,7 @@ fn repeat_seed(root: u64, i: usize, repeats: usize) -> u64 {
 
 /// Builds one fleet member for `spec` on `platform` under `seed`.
 fn spec_member(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> FleetMember {
-    let config = platform
-        .config()
-        .with_duration(spec.duration)
-        .with_seed(seed);
-    let config = match spec.timeseries_interval {
-        Some(every) => config.with_timeseries(every),
-        None => config,
-    };
-    let config = observe(config, spec);
+    let config = spec_config(spec, platform, seed);
     let rate = spec.traffic.mean_rate_per_sec();
     let mut member = FleetMember::new(config, spec.workload.spec(), rate);
     if let Some(arrivals) = spec.traffic.arrival_process(spec.duration) {
@@ -454,34 +437,14 @@ impl Outcome {
                     .collect::<Vec<_>>(),
             ),
             (Outcome::Clusters { name, results }, OutputFormat::Table) => {
-                let mut out = String::new();
-                for (i, result) in results.iter().enumerate() {
-                    if results.len() > 1 {
-                        out.push_str(&format!("== {name} repeat {i} ==\n"));
-                    } else {
-                        out.push_str(&format!("== {name} ==\n"));
-                    }
-                    out.push_str(&format!("{result}\n"));
-                }
-                out
+                repeats_text(name, results)
             }
             (Outcome::Clusters { results, .. }, OutputFormat::Json) => {
                 JsonValue::Array(results.iter().map(cluster_result_json).collect())
                     .to_pretty_string()
             }
             (Outcome::Clusters { results, .. }, OutputFormat::Csv) => cluster_results_csv(results),
-            (Outcome::Chains { name, results }, OutputFormat::Table) => {
-                let mut out = String::new();
-                for (i, result) in results.iter().enumerate() {
-                    if results.len() > 1 {
-                        out.push_str(&format!("== {name} repeat {i} ==\n"));
-                    } else {
-                        out.push_str(&format!("== {name} ==\n"));
-                    }
-                    out.push_str(&format!("{result}\n"));
-                }
-                out
-            }
+            (Outcome::Chains { name, results }, OutputFormat::Table) => repeats_text(name, results),
             (Outcome::Chains { results, .. }, OutputFormat::Json) => {
                 JsonValue::Array(results.iter().map(chain_result_json).collect()).to_pretty_string()
             }
@@ -568,6 +531,21 @@ fn cluster_node_rows(fleets: Vec<&FleetResult>) -> Vec<(String, &RunResult)> {
         }
     }
     rows
+}
+
+/// The text rendering of cluster-shaped repeats: each result's `Display`
+/// under a `== name ==` heading, numbered when there is more than one.
+fn repeats_text(name: &str, results: &[impl std::fmt::Display]) -> String {
+    let mut out = String::new();
+    for (i, result) in results.iter().enumerate() {
+        if results.len() > 1 {
+            out.push_str(&format!("== {name} repeat {i} ==\n"));
+        } else {
+            out.push_str(&format!("== {name} ==\n"));
+        }
+        out.push_str(&format!("{result}\n"));
+    }
+    out
 }
 
 fn runs_table(name: &str, labels: &[String], runs: &[RunResult]) -> String {

@@ -1,13 +1,15 @@
 //! Cluster load balancer: the cluster-level arrival stream and pluggable
 //! request-routing policies.
 //!
-//! The [`Balancer`] is one more component in a
-//! [`crate::cluster::ClusterSimulation`]'s event loop: it owns the cluster's
-//! [`LoadGenerator`], draws each arriving request, asks its
-//! [`RoutingPolicy`] for a destination node and deposits the request into
+//! The [`Balancer`] is the front component of a
+//! [`crate::cluster::ClusterSimulation`] serving independent requests: it
+//! owns the cluster's [`LoadGenerator`], draws each arriving request, asks
+//! its [`RoutingPolicy`] for a destination node and deposits the request into
 //! that node's NIC coalescing buffer — exactly the hand-off a standalone
 //! server's NIC performs for itself, so routing is the *only* behavioural
-//! difference between a node in a cluster and a standalone server.
+//! difference between a node in a cluster and a standalone server. The chain
+//! coordinator ([`crate::chain::ChainCoordinator`]) routes every RPC through
+//! the same hand-off.
 //!
 //! Routing is what shapes the per-server idle-period distribution the
 //! paper's PC1A savings depend on: spreading policies
@@ -18,10 +20,13 @@
 
 use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::rng::SimRng;
+use apc_sim::SimTime;
 use apc_workloads::loadgen::LoadGenerator;
+use apc_workloads::request::Request;
 
+use crate::cluster::{ClusterFront, ClusterResult, ClusterRun};
 use crate::components::fabric::deliver_routed;
-use crate::components::state::{ClusterState, HasNode};
+use crate::components::state::{ClusterState, HasNode, ServerState};
 use crate::components::ServerEvent;
 
 /// A request-routing policy: picks the destination node for each arriving
@@ -185,6 +190,61 @@ impl RoutingPolicyKind {
     }
 }
 
+/// A routing policy plus its per-node census: the hand-off every cluster
+/// front shares.
+pub(crate) struct Router {
+    policy: Box<dyn RoutingPolicy>,
+    routed: Vec<u64>,
+}
+
+impl Router {
+    /// A router over `nodes` nodes.
+    pub(crate) fn new(policy: Box<dyn RoutingPolicy>, nodes: usize) -> Self {
+        Router {
+            policy,
+            routed: vec![0; nodes],
+        }
+    }
+
+    /// Routes `request` to a node, counts it and deposits it into that
+    /// node's NIC through the fabric. The policy draws from `ctx`'s stream,
+    /// the front component's own.
+    pub(crate) fn send(
+        &mut self,
+        shared: &mut ClusterState,
+        ctx: &mut SimulationContext<'_, ServerEvent>,
+        request: Request,
+    ) {
+        let target = self.policy.route(shared, ctx.rng());
+        debug_assert!(
+            target < shared.node_count(),
+            "policy {} routed to node {target} of {}",
+            self.policy.name(),
+            shared.node_count()
+        );
+        self.routed[target] += 1;
+        deliver_routed(shared, ctx, target, request);
+    }
+
+    /// The policy's name and the requests routed to each node, in node
+    /// order.
+    pub(crate) fn census(&self) -> (&'static str, Vec<u64>) {
+        (self.policy.name(), self.routed.clone())
+    }
+}
+
+/// How unevenly a routing census spread its requests: max/mean per node
+/// (1.0 = perfectly even, N = everything on one of N nodes).
+pub(crate) fn routing_imbalance(routed: &[u64]) -> f64 {
+    let total: u64 = routed.iter().sum();
+    if total == 0 {
+        return 1.0;
+    }
+    let mean = total as f64 / routed.len() as f64;
+    let max = routed.iter().copied().max().unwrap_or(0) as f64;
+    max / mean
+}
+
 /// The load-balancer component: generates the cluster arrival stream and
 /// routes each request to a node's NIC.
 ///
@@ -197,8 +257,7 @@ impl RoutingPolicyKind {
 /// fabric — or none — deposits synchronously through that same code path.
 pub struct Balancer {
     loadgen: LoadGenerator,
-    policy: Box<dyn RoutingPolicy>,
-    routed: Vec<u64>,
+    router: Router,
 }
 
 impl Balancer {
@@ -208,21 +267,8 @@ impl Balancer {
     pub fn new(loadgen: LoadGenerator, policy: Box<dyn RoutingPolicy>, nodes: usize) -> Self {
         Balancer {
             loadgen,
-            policy,
-            routed: vec![0; nodes],
+            router: Router::new(policy, nodes),
         }
-    }
-
-    /// The routing policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Requests routed to each node so far.
-    #[must_use]
-    pub fn routed(&self) -> &[u64] {
-        &self.routed
     }
 }
 
@@ -246,15 +292,48 @@ impl EventHandler<ServerEvent, ClusterState> for Balancer {
                     request.with_trace(apc_trace::TraceCtx::root(request.id.0, request.arrival));
             }
         }
-        let target = self.policy.route(shared, ctx.rng());
-        debug_assert!(
-            target < shared.node_count(),
-            "policy {} routed to node {target} of {}",
-            self.policy.name(),
-            shared.node_count()
-        );
-        self.routed[target] += 1;
-        deliver_routed(shared, ctx, target, request);
+        self.router.send(shared, ctx, request);
         ctx.emit_self_at(next_arrival, ServerEvent::ClusterArrival);
+    }
+}
+
+impl ClusterFront for Balancer {
+    const NAME: &'static str = "balancer";
+    type Output = ClusterResult;
+
+    /// Each node's recorded `offered_rate` is the *nominal* per-node share
+    /// of the cluster rate (total / N), mirroring how a standalone server
+    /// records its loadgen's nominal rate. Non-uniform policies route more
+    /// or less than this to individual nodes — the actual census is
+    /// [`ClusterResult::routed`] (divide by the duration for the achieved
+    /// per-node offered rate).
+    fn describe_nodes(&self, nodes: &mut [ServerState]) {
+        let per_node_rate = self.loadgen.rate_per_sec() / nodes.len() as f64;
+        for node in nodes {
+            node.workload_name = self.loadgen.spec().name;
+            node.offered_rate = per_node_rate;
+            node.network_rtt = self.loadgen.spec().network_rtt;
+        }
+    }
+
+    fn first_arrival(&self) -> (SimTime, ServerEvent) {
+        (
+            self.loadgen.peek_next_arrival(),
+            ServerEvent::ClusterArrival,
+        )
+    }
+
+    fn finish(&mut self, run: ClusterRun) -> ClusterResult {
+        let (policy, routed) = self.router.census();
+        ClusterResult {
+            policy,
+            routed,
+            duration: run.duration,
+            events_dispatched: run.events_dispatched,
+            network: run.network,
+            trace: run.trace,
+            profile: run.profile,
+            nodes: run.nodes,
+        }
     }
 }

@@ -13,16 +13,16 @@
 //!   [`Tier`] of `width` parallel RPCs (width 1 = a linear hop, width N = a
 //!   fan-out joined by wait-for-all) with a per-tier service-time spec
 //!   ([`apc_workloads::chain::TierService`]);
-//! * [`ChainCoordinator`] — one more component in the cluster's event loop:
-//!   it owns the root-arrival process, routes every RPC through a pluggable
-//!   [`RoutingPolicy`] into node NIC buffers (the same deposit the balancer
-//!   performs), joins per-leaf completions reported by the serving cores and
-//!   records end-to-end latency (root arrival → last leaf join) plus the
-//!   leaf-straggler gap (first → last leaf of a fan-out tier);
-//! * [`ChainSimulation`] / [`ChainMember`] / [`ChainFleet`] — the drivers,
-//!   mirroring [`crate::cluster`]: N complete server nodes plus the
-//!   coordinator in one event loop, runnable declaratively and in parallel
-//!   with bit-identical results.
+//! * [`ChainCoordinator`] — the front component of a
+//!   [`ClusterSimulation`]: it owns the root-arrival process, routes every
+//!   RPC through a pluggable [`RoutingPolicy`] into node NIC buffers (the
+//!   same hand-off the balancer uses), joins per-leaf completions reported
+//!   by the serving cores and records end-to-end latency (root arrival →
+//!   last leaf join) plus the leaf-straggler gap (first → last leaf of a
+//!   fan-out tier);
+//! * [`ChainMember`] / [`ChainFleet`] — a chain run described declaratively
+//!   and a set of them run in parallel with bit-identical results, mirroring
+//!   [`crate::cluster`].
 //!
 //! # Determinism
 //!
@@ -57,31 +57,26 @@
 //! assert!(result.chain_latency.p99 >= result.straggler.p99);
 //! ```
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
-use apc_sim::component::Simulation;
+use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_telemetry::latency::{LatencyRecorder, LatencySummary};
-use apc_trace::{ProfileReport, Span, SpanKind, TraceCtx, TraceLog, TraceState};
+use apc_trace::{ProfileReport, Span, SpanKind, TraceCtx, TraceLog};
 use apc_workloads::arrival::{ArrivalProcess, PoissonArrivals};
 use apc_workloads::chain::TierService;
 use apc_workloads::request::{ChainTag, Request, RequestId};
 
-use apc_sim::component::{EventHandler, SimulationContext};
-
 use apc_network::{NetworkConfig, NetworkStats};
 
-use crate::balancer::{RoutingPolicy, RoutingPolicyKind};
-use crate::components::fabric::{deliver_routed, Fabric, FabricState};
-use crate::components::state::{ClusterState, HasNode};
+use crate::balancer::{routing_imbalance, Router, RoutingPolicy, RoutingPolicyKind};
+use crate::cluster::{ClusterFront, ClusterRun, ClusterSimulation};
+use crate::components::state::{ClusterState, HasNode, ServerState};
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
 use crate::fleet::{Fleet, FleetResult, Pool, PoolMember};
-use crate::node::{NodeHandles, ServerNode};
 
 /// One tier of a request chain: `width` parallel RPCs drawn from one
 /// service-time spec, joined by wait-for-all before the next tier starts.
@@ -241,8 +236,7 @@ pub struct ChainCoordinator {
     ///
     /// [`LoadGenerator`]: apc_workloads::loadgen::LoadGenerator
     workload_rng: SimRng,
-    policy: Box<dyn RoutingPolicy>,
-    routed: Vec<u64>,
+    router: Router,
     next_arrival: SimTime,
     inflight: BTreeMap<u64, ChainProgress>,
     next_chain_id: u64,
@@ -275,8 +269,7 @@ impl ChainCoordinator {
             graph,
             arrivals,
             workload_rng,
-            policy,
-            routed: vec![0; nodes],
+            router: Router::new(policy, nodes),
             next_arrival: SimTime::ZERO + first_gap,
             inflight: BTreeMap::new(),
             next_chain_id: 0,
@@ -286,36 +279,6 @@ impl ChainCoordinator {
             e2e: LatencyRecorder::new(),
             straggler: LatencyRecorder::new(),
         }
-    }
-
-    /// The arrival time of the first root chain (for the driver bootstrap).
-    #[must_use]
-    pub fn first_arrival(&self) -> SimTime {
-        self.next_arrival
-    }
-
-    /// The routing policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// RPCs routed to each node so far.
-    #[must_use]
-    pub fn routed(&self) -> &[u64] {
-        &self.routed
-    }
-
-    /// Chains whose root has arrived.
-    #[must_use]
-    pub fn chains_started(&self) -> u64 {
-        self.chains_started
-    }
-
-    /// Chains whose last tier fully joined.
-    #[must_use]
-    pub fn chains_completed(&self) -> u64 {
-        self.chains_completed
     }
 
     /// Issues every RPC of the chain's current tier, routing each through
@@ -360,15 +323,7 @@ impl ChainCoordinator {
                 request = request.with_trace(TraceCtx::root(chain_id, now));
             }
             self.next_request_id += 1;
-            let target = self.policy.route(shared, ctx.rng());
-            debug_assert!(
-                target < shared.node_count(),
-                "policy {} routed to node {target} of {}",
-                self.policy.name(),
-                shared.node_count()
-            );
-            self.routed[target] += 1;
-            deliver_routed(shared, ctx, target, request);
+            self.router.send(shared, ctx, request);
         }
     }
 
@@ -438,7 +393,7 @@ impl ChainCoordinator {
         // pseudo-node (index = node count): one join span per sibling report
         // (report arrival → tier join; the straggler's is zero-length) and
         // one tier span covering issue → join.
-        let coordinator_node = self.routed.len() as u32;
+        let coordinator_node = shared.node_count() as u32;
         if let (Some(tier_trace), Some(trace)) = (progress.trace.as_ref(), shared.trace.as_mut()) {
             for (sibling, &report) in tier_trace.reports.iter().enumerate() {
                 trace.log.push(Span {
@@ -485,31 +440,6 @@ impl ChainCoordinator {
             }
         }
     }
-
-    /// Reduces the coordinator's telemetry (consumes the recorders'
-    /// summaries; call once at the end of a run).
-    fn stats(&mut self) -> ChainStats {
-        ChainStats {
-            policy: self.policy.name(),
-            graph: self.graph.describe(),
-            routed: self.routed.clone(),
-            chains_started: self.chains_started,
-            chains_completed: self.chains_completed,
-            chain_latency: self.e2e.summary(),
-            straggler: self.straggler.summary(),
-        }
-    }
-}
-
-/// Coordinator-side telemetry of one run (private reduction helper).
-struct ChainStats {
-    policy: &'static str,
-    graph: String,
-    routed: Vec<u64>,
-    chains_started: u64,
-    chains_completed: u64,
-    chain_latency: LatencySummary,
-    straggler: LatencySummary,
 }
 
 impl EventHandler<ServerEvent, ClusterState> for ChainCoordinator {
@@ -527,186 +457,44 @@ impl EventHandler<ServerEvent, ClusterState> for ChainCoordinator {
     }
 }
 
-/// N complete servers and a chain coordinator sharing one event loop.
-pub struct ChainSimulation {
-    sim: Simulation<ServerEvent, ClusterState>,
-    nodes: Vec<NodeHandles>,
-    coordinator: Rc<RefCell<ChainCoordinator>>,
-    end_at: SimTime,
-    profile: bool,
-}
+impl ClusterFront for ChainCoordinator {
+    const NAME: &'static str = "chain-coordinator";
+    type Output = ChainResult;
 
-impl ChainSimulation {
-    /// Builds a chain cluster of one node per config, executing `graph` at
-    /// `chains_per_sec` root arrivals routed through `policy`.
-    ///
-    /// `seed` is the cluster-level seed: the coordinator's policy stream
-    /// forks from it by the `"chain-coordinator"` component name and the
-    /// root-arrival/service stream by `"chain-loadgen"`. Node components
-    /// draw from their own config's seed exactly as everywhere else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty or the configs disagree on duration.
-    #[must_use]
-    pub fn new(
-        seed: u64,
-        configs: Vec<ServerConfig>,
-        policy: Box<dyn RoutingPolicy>,
-        graph: RequestGraph,
-        chains_per_sec: f64,
-    ) -> Self {
-        Self::with_network(seed, configs, policy, graph, chains_per_sec, None)
-    }
-
-    /// Like [`ChainSimulation::new`], additionally routing every fan-out RPC
-    /// *and* every leaf-completion report through a network fabric (see
-    /// [`crate::components::fabric`]), so wire delay compounds at every tier
-    /// boundary exactly where C-state wake latency does.
-    ///
-    /// `None` — or an [instantaneous](NetworkConfig::is_instantaneous)
-    /// configuration — is bit-identical to the fabric-less path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty or the configs disagree on duration.
-    #[must_use]
-    pub fn with_network(
-        seed: u64,
-        configs: Vec<ServerConfig>,
-        policy: Box<dyn RoutingPolicy>,
-        graph: RequestGraph,
-        chains_per_sec: f64,
-        network: Option<NetworkConfig>,
-    ) -> Self {
-        assert!(
-            !configs.is_empty(),
-            "a chain cluster needs at least one node"
-        );
-        let duration = configs[0].duration;
-        assert!(
-            configs.iter().all(|c| c.duration == duration),
-            "every chain-cluster node must share one measurement duration"
-        );
-        let node_count = configs.len();
-        let end_at = SimTime::ZERO + duration;
-        // Observability is a cluster-level concern (one sampler, one span
-        // log, one event loop to profile): the first node's config decides.
-        let trace_config = configs[0].trace;
-        let profile = configs[0].profile;
-
-        let mut state = ClusterState::new(configs);
-        // Each node's nominal offered rate is its share of the cluster-wide
-        // RPC rate (chains/sec × RPCs per chain ÷ N); the routed census is
-        // the actual per-node count. Chain RPCs travel the internal fabric,
-        // so no client network RTT is added to per-RPC node latency.
-        let rpc_rate = chains_per_sec * graph.rpcs_per_chain() as f64;
-        for node in &mut state.nodes {
+    /// Each node's nominal offered rate is its share of the cluster-wide
+    /// RPC rate (chains/sec × RPCs per chain ÷ N); the routed census is the
+    /// actual per-node count. Chain RPCs travel the internal fabric, so no
+    /// client network RTT is added to per-RPC node latency.
+    fn describe_nodes(&self, nodes: &mut [ServerState]) {
+        let rpc_rate = self.arrivals.rate_per_sec() * self.graph.rpcs_per_chain() as f64;
+        let per_node_rate = rpc_rate / nodes.len() as f64;
+        for node in nodes {
             node.workload_name = "chain";
-            node.offered_rate = rpc_rate / node_count as f64;
+            node.offered_rate = per_node_rate;
             node.network_rtt = SimDuration::ZERO;
         }
-
-        let mut sim = Simulation::new(seed, state);
-        let builders: Vec<ServerNode> = (0..node_count).map(ServerNode::new).collect();
-        let nodes: Vec<NodeHandles> = builders
-            .iter()
-            .map(|b| b.register(&mut sim, None))
-            .collect();
-        let coordinator = Rc::new(RefCell::new(ChainCoordinator::new(
-            graph,
-            chains_per_sec,
-            policy,
-            node_count,
-            seed,
-        )));
-        let coordinator_id = sim.add_component("chain-coordinator", Rc::clone(&coordinator));
-        // The coordinator deposits RPCs into node NIC buffers (on arrivals
-        // *and* on joins that issue the next tier), so every node's power
-        // observer must also watch it — the same dispatch-observer routing
-        // the cluster balancer uses (see `crate::cluster::ClusterSimulation`,
-        // including why the package observers stay unsubscribed).
-        // As in the cluster simulation, the fabric registers even when no
-        // network is configured (name-forked RNG stream, zero events — the
-        // no-network event sequence is untouched) and the power observers
-        // watch its NIC-buffer deposits.
-        let fabric_id = sim.add_component("fabric", Fabric);
-        for handles in &nodes {
-            sim.add_observer_target(handles.power, coordinator_id);
-            sim.add_observer_target(handles.power, fabric_id);
-        }
-        sim.shared_mut().fabric =
-            network.map(|config| FabricState::new(config, node_count, fabric_id));
-        sim.shared_mut().trace = trace_config
-            .map(|config| TraceState::new(config, SimRng::from_seed(seed).fork("trace-sampler")));
-        if profile {
-            sim.enable_event_profile(ServerEvent::KIND_COUNT, ServerEvent::kind);
-        }
-        // Bootstrap in the cluster order: the first root arrival, then every
-        // node's background timers / initial idle entries / power sampling.
-        let first_arrival = coordinator.borrow().first_arrival();
-        sim.schedule(coordinator_id, first_arrival, ServerEvent::ChainArrival);
-        for (builder, handles) in builders.iter().zip(&nodes) {
-            builder.bootstrap(&mut sim, handles);
-        }
-
-        ChainSimulation {
-            sim,
-            nodes,
-            coordinator,
-            end_at,
-            profile,
-        }
     }
 
-    /// Number of server nodes in the cluster.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    fn first_arrival(&self) -> (SimTime, ServerEvent) {
+        (self.next_arrival, ServerEvent::ChainArrival)
     }
 
-    /// Read access to the shared cluster state (for tests and tracing).
-    #[must_use]
-    pub fn state(&self) -> &ClusterState {
-        self.sim.shared()
-    }
-
-    /// Runs the cluster to the horizon and reduces chain telemetry plus
-    /// per-node power/residency into a [`ChainResult`].
-    #[must_use]
-    pub fn run(mut self) -> ChainResult {
-        let events_dispatched = self.sim.run_until(self.end_at);
-        let end = self.end_at;
-        let network = self
-            .sim
-            .shared()
-            .fabric
-            .as_ref()
-            .map(|f| f.net.stats().clone());
-        let profile = self.profile.then(|| {
-            crate::components::profile_report(self.sim.queue_counters(), self.sim.event_profile())
-        });
-        let runs = self
-            .nodes
-            .iter()
-            .map(|handles| handles.collect_result(self.sim.shared_mut(), end))
-            .collect();
-        let trace = self.sim.shared_mut().trace.take().map(TraceState::into_log);
-        let stats = self.coordinator.borrow_mut().stats();
+    fn finish(&mut self, run: ClusterRun) -> ChainResult {
+        let (policy, routed) = self.router.census();
         ChainResult {
-            policy: stats.policy,
-            graph: stats.graph,
-            duration: self.end_at.saturating_since(SimTime::ZERO),
-            chains_started: stats.chains_started,
-            chains_completed: stats.chains_completed,
-            chain_latency: stats.chain_latency,
-            straggler: stats.straggler,
-            routed: stats.routed,
-            network,
-            events_dispatched,
-            trace,
-            profile,
-            nodes: FleetResult { runs },
+            policy,
+            graph: self.graph.describe(),
+            duration: run.duration,
+            chains_started: self.chains_started,
+            chains_completed: self.chains_completed,
+            chain_latency: self.e2e.summary(),
+            straggler: self.straggler.summary(),
+            routed,
+            network: run.network,
+            events_dispatched: run.events_dispatched,
+            trace: run.trace,
+            profile: run.profile,
+            nodes: run.nodes,
         }
     }
 }
@@ -777,13 +565,7 @@ impl ChainResult {
     /// (1.0 = perfectly even).
     #[must_use]
     pub fn routing_imbalance(&self) -> f64 {
-        let total = self.total_routed();
-        if total == 0 || self.routed.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.routed.len() as f64;
-        let max = self.routed.iter().copied().max().unwrap_or(0) as f64;
-        max / mean
+        routing_imbalance(&self.routed)
     }
 }
 
@@ -861,7 +643,7 @@ impl ChainMember {
     }
 
     /// Routes every RPC and leaf report of this chain cluster through
-    /// `network` (see [`ChainSimulation::with_network`]).
+    /// `network` (see [`ClusterSimulation::new`]).
     #[must_use]
     pub fn with_network(mut self, network: NetworkConfig) -> Self {
         self.network = Some(network);
@@ -871,15 +653,14 @@ impl ChainMember {
     /// Builds and runs the chain cluster to completion.
     #[must_use]
     pub fn run(self) -> ChainResult {
-        ChainSimulation::with_network(
-            self.seed,
-            self.nodes,
-            self.policy.build(),
+        let coordinator = ChainCoordinator::new(
             self.graph,
             self.chains_per_sec,
-            self.network,
-        )
-        .run()
+            self.policy.build(),
+            self.nodes.len(),
+            self.seed,
+        );
+        ClusterSimulation::new(self.seed, self.nodes, coordinator, self.network).run()
     }
 }
 

@@ -1,25 +1,37 @@
-//! Single-event-loop cluster simulation: N complete server nodes plus a
-//! load balancer.
+//! Single-event-loop cluster simulation: N complete server nodes plus the
+//! component at the cluster's front.
 //!
 //! Where [`crate::fleet::Fleet`] runs *independent* server simulations (one
 //! event loop each, no cross-server interaction), a [`ClusterSimulation`]
-//! hosts every node inside **one** [`Simulation`]: one cluster-level arrival
-//! stream feeds a [`Balancer`] component that routes each request to a
-//! node's NIC according to a pluggable [`RoutingPolicy`]. This is the layer
-//! where routing policy — the thing that *creates* each server's idle-period
-//! distribution — becomes studyable: the same offered load produces entirely
-//! different per-node idle-period distributions (and therefore PC1A savings)
-//! under spreading vs. packing policies.
+//! hosts every node inside **one** [`Simulation`], fed by a [`ClusterFront`]
+//! that owns the cluster's arrival process and routes work into node NIC
+//! buffers through a pluggable [`RoutingPolicy`]. Two fronts exist:
+//!
+//! * the [`Balancer`] routes one stream of independent requests and reduces
+//!   to a [`ClusterResult`];
+//! * the [`ChainCoordinator`] fans multi-tier request chains out across the
+//!   nodes, joins them and reduces to a [`ChainResult`].
+//!
+//! This is the layer where routing policy — the thing that *creates* each
+//! server's idle-period distribution — becomes studyable: the same offered
+//! load produces entirely different per-node idle-period distributions (and
+//! therefore PC1A savings) under spreading vs. packing policies.
+//!
+//! [`RoutingPolicy`]: crate::balancer::RoutingPolicy
+//! [`ChainCoordinator`]: crate::chain::ChainCoordinator
+//! [`ChainResult`]: crate::chain::ChainResult
 //!
 //! # Determinism
 //!
 //! A cluster run is exactly reproducible: node components draw from streams
 //! forked off each node's own seed (see [`crate::node::ServerNode`]), the
-//! balancer from the cluster seed's `"balancer"` stream, and the arrival
-//! stream from the cluster loadgen's seed. A **1-node cluster replays a
-//! standalone [`crate::sim::ServerSimulation`] bit-for-bit** when node
-//! config and loadgen seed match — the regression test
-//! `crates/server/tests/cluster.rs` pins this.
+//! front from the cluster seed's stream named after it (`"balancer"` or
+//! `"chain-coordinator"`), and the arrival stream from the front's own seed
+//! (the cluster loadgen's, or the cluster seed's `"chain-loadgen"` stream).
+//! A **1-node balanced cluster replays a standalone
+//! [`crate::sim::ServerSimulation`] bit-for-bit** when node config and
+//! loadgen seed match — the regression test `crates/server/tests/cluster.rs`
+//! pins this.
 //!
 //! # Example
 //!
@@ -47,39 +59,88 @@ use std::fmt;
 use std::rc::Rc;
 
 use apc_network::{NetworkConfig, NetworkStats};
-use apc_sim::component::Simulation;
+use apc_sim::component::{EventHandler, Simulation};
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_trace::{ProfileReport, TraceLog, TraceState};
 use apc_workloads::loadgen::LoadGenerator;
 use apc_workloads::spec::WorkloadSpec;
 
-use crate::balancer::{Balancer, RoutingPolicy, RoutingPolicyKind};
+use crate::balancer::{routing_imbalance, Balancer, RoutingPolicyKind};
 use crate::components::fabric::{Fabric, FabricState};
-use crate::components::state::ClusterState;
+use crate::components::state::{ClusterState, ServerState};
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
 use crate::fleet::{Fleet, FleetResult, Pool, PoolMember};
 use crate::node::{NodeHandles, ServerNode};
 
-/// N complete servers and a load balancer sharing one event loop.
-pub struct ClusterSimulation {
+/// The component at a cluster's front: it owns the cluster's arrival
+/// process and routes work into node NIC buffers. [`ClusterSimulation`]
+/// supplies everything else — the nodes, the fabric, tracing, profiling and
+/// the front-independent part of the result.
+pub trait ClusterFront: EventHandler<ServerEvent, ClusterState> + 'static {
+    /// Registration name. The front's component stream, which randomised
+    /// routing policies draw from, forks from the cluster seed by this name.
+    const NAME: &'static str;
+
+    /// What a run reduces to.
+    type Output;
+
+    /// Labels every node with the workload name, nominal offered rate and
+    /// client RTT its [`crate::result::RunResult`] reports.
+    fn describe_nodes(&self, nodes: &mut [ServerState]);
+
+    /// The front's first arrival: its instant and the event kind the front
+    /// handles it as.
+    fn first_arrival(&self) -> (SimTime, ServerEvent);
+
+    /// Reduces the front's telemetry and the shared part of the run into the
+    /// result. Called once, after the horizon.
+    fn finish(&mut self, run: ClusterRun) -> Self::Output;
+}
+
+/// The part of a cluster run's result that does not depend on its front.
+#[derive(Debug)]
+pub struct ClusterRun {
+    /// The simulated duration.
+    pub duration: SimDuration,
+    /// Total simulation events dispatched by the run's single event loop
+    /// (every node plus the front and fabric).
+    pub events_dispatched: u64,
+    /// Wire-delay statistics of the network fabric, when one was configured.
+    pub network: Option<NetworkStats>,
+    /// Span log of head-sampled requests, when tracing was configured.
+    pub trace: Option<TraceLog>,
+    /// Engine self-profile, when profiling was configured.
+    pub profile: Option<ProfileReport>,
+    /// Per-node results in node order.
+    pub nodes: FleetResult,
+}
+
+/// N complete servers and a front component sharing one event loop.
+pub struct ClusterSimulation<F> {
     sim: Simulation<ServerEvent, ClusterState>,
     nodes: Vec<NodeHandles>,
-    balancer: Rc<RefCell<Balancer>>,
+    front: Rc<RefCell<F>>,
     end_at: SimTime,
     profile: bool,
 }
 
-impl ClusterSimulation {
-    /// Builds a cluster of one node per config, balancing `loadgen`'s
-    /// arrival stream across them through `policy`.
+impl<F: ClusterFront> ClusterSimulation<F> {
+    /// Builds a cluster of one node per config, fed by `front`.
     ///
-    /// `seed` is the cluster-level seed: it feeds the balancer's private
-    /// stream (randomised policies draw from it). Node components draw from
-    /// their own config's seed and the arrival stream from the loadgen's, so
-    /// a 1-node cluster whose node config and loadgen seed match a
-    /// standalone server reproduces it exactly.
+    /// `seed` is the cluster-level seed: the front's component stream forks
+    /// from it by [`ClusterFront::NAME`]. Node components draw from their
+    /// own config's seed, so a 1-node balanced cluster whose node config and
+    /// loadgen seed match a standalone server reproduces it exactly.
+    ///
+    /// `network` routes every front deposit — and every chain leaf's
+    /// completion report — through a network fabric (see
+    /// [`crate::components::fabric`]). `None`, or an
+    /// [instantaneous](NetworkConfig::is_instantaneous) configuration such as
+    /// [`NetworkConfig::ideal`], is **bit-identical** to the fabric-less
+    /// path: requests deposit synchronously in the exact pre-fabric order
+    /// (`crates/server/tests/network_differential.rs` pins this op-for-op).
     ///
     /// # Panics
     ///
@@ -89,30 +150,7 @@ impl ClusterSimulation {
     pub fn new(
         seed: u64,
         configs: Vec<ServerConfig>,
-        policy: Box<dyn RoutingPolicy>,
-        loadgen: LoadGenerator,
-    ) -> Self {
-        Self::with_network(seed, configs, policy, loadgen, None)
-    }
-
-    /// Like [`ClusterSimulation::new`], additionally routing every balancer
-    /// deposit through a network fabric (see [`crate::components::fabric`]).
-    ///
-    /// `None` — or an [instantaneous](NetworkConfig::is_instantaneous)
-    /// configuration such as [`NetworkConfig::ideal`] — is **bit-identical**
-    /// to the fabric-less path: requests deposit synchronously in the exact
-    /// pre-fabric order (`crates/server/tests/network_differential.rs` pins
-    /// this op-for-op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty or the configs disagree on duration.
-    #[must_use]
-    pub fn with_network(
-        seed: u64,
-        configs: Vec<ServerConfig>,
-        policy: Box<dyn RoutingPolicy>,
-        loadgen: LoadGenerator,
+        front: F,
         network: Option<NetworkConfig>,
     ) -> Self {
         assert!(!configs.is_empty(), "a cluster needs at least one node");
@@ -129,19 +167,8 @@ impl ClusterSimulation {
         let profile = configs[0].profile;
 
         let mut state = ClusterState::new(configs);
-        // Each node's recorded `offered_rate` is the *nominal* per-node share
-        // of the cluster rate (total / N), mirroring how a standalone server
-        // records its loadgen's nominal rate. Non-uniform policies route more
-        // or less than this to individual nodes — the actual census is
-        // [`ClusterResult::routed`] (divide by the duration for the achieved
-        // per-node offered rate).
-        let per_node_rate = loadgen.rate_per_sec() / node_count as f64;
-        for node in &mut state.nodes {
-            node.workload_name = loadgen.spec().name;
-            node.offered_rate = per_node_rate;
-            node.network_rtt = loadgen.spec().network_rtt;
-        }
-        let first_arrival = loadgen.peek_next_arrival();
+        front.describe_nodes(&mut state.nodes);
+        let (first_at, first_arrival) = front.first_arrival();
 
         let mut sim = Simulation::new(seed, state);
         let builders: Vec<ServerNode> = (0..node_count).map(ServerNode::new).collect();
@@ -149,26 +176,26 @@ impl ClusterSimulation {
             .iter()
             .map(|b| b.register(&mut sim, None))
             .collect();
-        let balancer = Rc::new(RefCell::new(Balancer::new(loadgen, policy, node_count)));
-        let balancer_id = sim.add_component("balancer", Rc::clone(&balancer));
+        let front = Rc::new(RefCell::new(front));
+        let front_id = sim.add_component(F::NAME, Rc::clone(&front));
         // Each node's observers are scoped to the node's own components (see
         // `ServerNode::register`); subscribe the power observers to the
-        // balancer too, since an arrival deposits into a node's NIC buffer —
-        // the instant a standalone server would account through its own
-        // `ClientArrival`. The package observers stay unsubscribed: a
-        // balancer event only touches a NIC buffer, which none of the
-        // package-state inputs read, so their hooks would record a
-        // same-state no-op transition (the range check in
+        // front too, since its events deposit into a node's NIC buffer — the
+        // instant a standalone server would account through its own
+        // `ClientArrival`. The package observers stay unsubscribed: a front
+        // event only touches a NIC buffer, which none of the package-state
+        // inputs read, so their hooks would record a same-state no-op
+        // transition (the range check in
         // `PackageController::on_post_dispatch` guards the same invariant).
         // The fabric component registers even without a `[network]`
         // configuration: registration forks its RNG stream by name (a pure
         // function that perturbs no other stream) and an absent fabric never
         // receives an event, so the no-network event sequence is untouched.
         // A deferred `WireDeliver` deposits into a node's NIC buffer just
-        // like a balancer arrival, so the power observers watch it too.
+        // like a front event, so the power observers watch it too.
         let fabric_id = sim.add_component("fabric", Fabric);
         for handles in &nodes {
-            sim.add_observer_target(handles.power, balancer_id);
+            sim.add_observer_target(handles.power, front_id);
             sim.add_observer_target(handles.power, fabric_id);
         }
         sim.shared_mut().fabric =
@@ -180,7 +207,7 @@ impl ClusterSimulation {
         }
         // Bootstrap in the standalone order: the first arrival, then every
         // node's background timers / initial idle entries / power sampling.
-        sim.schedule(balancer_id, first_arrival, ServerEvent::ClusterArrival);
+        sim.schedule(front_id, first_at, first_arrival);
         for (builder, handles) in builders.iter().zip(&nodes) {
             builder.bootstrap(&mut sim, handles);
         }
@@ -188,22 +215,10 @@ impl ClusterSimulation {
         ClusterSimulation {
             sim,
             nodes,
-            balancer,
+            front,
             end_at,
             profile,
         }
-    }
-
-    /// Number of server nodes in the cluster.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read access to the shared cluster state (for tests and tracing).
-    #[must_use]
-    pub fn state(&self) -> &ClusterState {
-        self.sim.shared()
     }
 
     /// The underlying component simulation (for tests and tracing).
@@ -212,10 +227,10 @@ impl ClusterSimulation {
         &self.sim
     }
 
-    /// Runs the cluster to the horizon and reduces per-node telemetry into a
-    /// [`ClusterResult`].
+    /// Runs the cluster to the horizon and reduces per-node telemetry and
+    /// the front's own into the front's result.
     #[must_use]
-    pub fn run(mut self) -> ClusterResult {
+    pub fn run(mut self) -> F::Output {
         let events_dispatched = self.sim.run_until(self.end_at);
         let end = self.end_at;
         let network = self
@@ -233,17 +248,14 @@ impl ClusterSimulation {
             .map(|handles| handles.collect_result(self.sim.shared_mut(), end))
             .collect();
         let trace = self.sim.shared_mut().trace.take().map(TraceState::into_log);
-        let balancer = self.balancer.borrow();
-        ClusterResult {
-            policy: balancer.policy_name(),
-            routed: balancer.routed().to_vec(),
-            duration: self.end_at.saturating_since(SimTime::ZERO),
+        self.front.borrow_mut().finish(ClusterRun {
+            duration: end.saturating_since(SimTime::ZERO),
             events_dispatched,
             network,
             trace,
             profile,
             nodes: FleetResult { runs },
-        }
+        })
     }
 }
 
@@ -314,13 +326,7 @@ impl ClusterResult {
     /// (1.0 = perfectly even, N = everything on one of N nodes).
     #[must_use]
     pub fn routing_imbalance(&self) -> f64 {
-        let total = self.total_routed();
-        if total == 0 || self.routed.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.routed.len() as f64;
-        let max = self.routed.iter().copied().max().unwrap_or(0) as f64;
-        max / mean
+        routing_imbalance(&self.routed)
     }
 }
 
@@ -400,7 +406,7 @@ impl ClusterMember {
     }
 
     /// Routes every RPC of this cluster through `network` (see
-    /// [`ClusterSimulation::with_network`]).
+    /// [`ClusterSimulation::new`]).
     #[must_use]
     pub fn with_network(mut self, network: NetworkConfig) -> Self {
         self.network = Some(network);
@@ -411,14 +417,8 @@ impl ClusterMember {
     #[must_use]
     pub fn run(self) -> ClusterResult {
         let loadgen = LoadGenerator::new(self.spec, self.total_rate_per_sec, self.seed);
-        ClusterSimulation::with_network(
-            self.seed,
-            self.nodes,
-            self.policy.build(),
-            loadgen,
-            self.network,
-        )
-        .run()
+        let balancer = Balancer::new(loadgen, self.policy.build(), self.nodes.len());
+        ClusterSimulation::new(self.seed, self.nodes, balancer, self.network).run()
     }
 }
 

@@ -26,8 +26,9 @@
 //! [`state::HasNode`] view of the simulation's shared state. The same
 //! component code therefore runs unchanged whether the shared state is one
 //! `ServerState` (a standalone [`crate::sim::ServerSimulation`]) or a
-//! [`state::ClusterState`] hosting N complete servers plus a load balancer
-//! in one event loop ([`crate::cluster::ClusterSimulation`]).
+//! [`state::ClusterState`] hosting N complete servers plus a front component
+//! (load balancer or chain coordinator) in one event loop
+//! ([`crate::cluster::ClusterSimulation`]).
 
 pub mod core_exec;
 pub mod fabric;

@@ -494,8 +494,9 @@ impl ServerState {
 /// reaches its node's [`ServerState`] through this trait, so the same
 /// component code runs unchanged inside a standalone
 /// [`crate::sim::ServerSimulation`] (where the shared type *is* the one
-/// `ServerState`) and inside a [`crate::cluster::ClusterSimulation`] (where
-/// the shared type is a [`ClusterState`] holding N of them).
+/// `ServerState`) and inside a [`crate::cluster::ClusterSimulation`] behind
+/// either front, balancer or chain coordinator (where the shared type is a
+/// [`ClusterState`] holding N of them).
 pub trait HasNode {
     /// The state of node `index`.
     fn node(&self, index: usize) -> &ServerState;

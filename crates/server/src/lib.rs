@@ -17,16 +17,17 @@
 //!   complete server into an externally owned simulation;
 //! * [`sim`] — the thin 1-node [`sim::ServerSimulation`] driver, and the
 //!   [`sim::run_experiment`] entry point;
-//! * [`cluster`] — [`cluster::ClusterSimulation`]: N nodes plus a load
-//!   balancer in one event loop, with per-node and cluster-aggregate
-//!   results;
-//! * [`balancer`] — the cluster-level arrival stream and the pluggable
-//!   [`balancer::RoutingPolicy`] (random, round-robin, join-shortest-queue,
-//!   power-aware packing);
+//! * [`cluster`] — [`cluster::ClusterSimulation`], the one multi-node
+//!   driver: N nodes plus a [`cluster::ClusterFront`] component in one
+//!   event loop, with per-node and cluster-aggregate results;
+//! * [`balancer`] — the pluggable [`balancer::RoutingPolicy`] (random,
+//!   round-robin, join-shortest-queue, power-aware packing) and the
+//!   [`balancer::Balancer`] front, which routes one cluster-level arrival
+//!   stream of independent requests;
 //! * [`chain`] — multi-tier RPC request chains ([`chain::RequestGraph`]:
 //!   linear chains and frontend → N-leaf scatter-gather with wait-for-all
-//!   joins), executed across the cluster by a [`chain::ChainCoordinator`]
-//!   that records end-to-end latency and the leaf-straggler gap;
+//!   joins), executed across the cluster by the [`chain::ChainCoordinator`]
+//!   front, which records end-to-end latency and the leaf-straggler gap;
 //! * [`fleet`] — the [`fleet::Pool`] running many independent simulations
 //!   (servers, clusters or chains) in parallel with bit-identical results,
 //!   and the [`fleet::Fleet`] of servers aggregating theirs;
@@ -65,9 +66,7 @@ pub mod scenario;
 pub mod sim;
 
 pub use balancer::{RoutingPolicy, RoutingPolicyKind};
-pub use chain::{
-    run_chain_experiment, ChainFleet, ChainMember, ChainResult, ChainSimulation, RequestGraph, Tier,
-};
+pub use chain::{run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph, Tier};
 pub use cluster::{
     run_cluster_experiment, ClusterFleet, ClusterMember, ClusterResult, ClusterSimulation,
 };

@@ -4,8 +4,8 @@
 //! [`ServerNode`] is the builder both drivers share: a standalone
 //! [`crate::sim::ServerSimulation`] registers exactly one node over a
 //! [`ServerState`](crate::components::state::ServerState), a
-//! [`crate::cluster::ClusterSimulation`] registers N of
-//! them (plus a load balancer) over a
+//! [`crate::cluster::ClusterSimulation`] registers N of them (plus its
+//! front component, the load balancer or the chain coordinator) over a
 //! [`crate::components::state::ClusterState`]. Registration, bootstrap
 //! scheduling and result extraction are identical in both cases, which is
 //! what makes a 1-node cluster bit-identical to a standalone server.
@@ -102,7 +102,8 @@ impl ServerNode {
     ///
     /// `loadgen` selects the arrival path: `Some` gives the node a
     /// self-driving NIC (standalone server), `None` a cluster-fed NIC whose
-    /// requests are deposited by the balancer.
+    /// requests are deposited by the cluster's front component (or the
+    /// fabric, for requests with wire delay).
     ///
     /// The node's configuration is read from its [`ServerState`] in
     /// `sim.shared()`, which must already hold a state for this index.
@@ -183,9 +184,10 @@ impl ServerNode {
         // host simulation. In a standalone server this covers every
         // component (identical behaviour); in a cluster it keeps the
         // per-event hook cost O(1) in the node count. The cluster driver
-        // additionally subscribes both observers to its balancer, whose
-        // arrival events deposit into node NIC buffers (see
-        // [`crate::cluster::ClusterSimulation`]).
+        // additionally subscribes the power observer to its front component
+        // and to the fabric, whose events deposit into node NIC buffers; the
+        // package observer stays unsubscribed because no package-state input
+        // reads a NIC buffer (see [`crate::cluster::ClusterSimulation`]).
         let mut node_components = vec![power, package_id, scheduler, nic];
         node_components.extend(addrs.cores.iter().copied());
         node_components.extend(timeseries);
@@ -221,9 +223,9 @@ impl ServerNode {
     /// and the first power sample when tracing is enabled.
     ///
     /// The *arrival* bootstrap is the driver's job (the first
-    /// `ClientArrival` to a standalone NIC, or the first `ClusterArrival` to
-    /// the balancer) and must be scheduled **before** this call to keep the
-    /// historical same-timestamp event order.
+    /// `ClientArrival` to a standalone NIC, or the front component's first
+    /// `ClusterArrival` / `ChainArrival`) and must be scheduled **before**
+    /// this call to keep the historical same-timestamp event order.
     pub fn bootstrap<S: HasNode>(
         &self,
         sim: &mut Simulation<ServerEvent, S>,

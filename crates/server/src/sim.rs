@@ -8,8 +8,9 @@
 //! event loop to the configured horizon. All simulation behaviour lives in
 //! the components of [`crate::components`]; this module only wires them
 //! together and reduces the shared telemetry into a [`RunResult`]. The
-//! N-node counterpart hosting several servers plus a load balancer in one
-//! event loop is [`crate::cluster::ClusterSimulation`].
+//! N-node counterpart hosting several servers plus a front component (load
+//! balancer or chain coordinator) in one event loop is
+//! [`crate::cluster::ClusterSimulation`].
 
 use apc_sim::component::Simulation;
 use apc_sim::rng::SimRng;

@@ -3,7 +3,8 @@
 //! equality and routing-policy behaviour.
 
 use apc_network::NetworkConfig;
-use apc_server::balancer::RoutingPolicyKind;
+use apc_server::balancer::{Balancer, RoutingPolicyKind};
+use apc_server::chain::{ChainCoordinator, RequestGraph};
 use apc_server::cluster::{run_cluster_experiment, ClusterFleet, ClusterMember, ClusterSimulation};
 use apc_server::config::ServerConfig;
 use apc_server::fleet::Fleet;
@@ -35,9 +36,9 @@ fn one_node_cluster_reproduces_server_simulation_exactly() {
         standalone.events_dispatched = 0;
         for policy in RoutingPolicyKind::all() {
             let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), rate, config.seed);
+            let balancer = Balancer::new(loadgen, policy.build(), 1);
             let cluster =
-                ClusterSimulation::new(config.seed, vec![config.clone()], policy.build(), loadgen)
-                    .run();
+                ClusterSimulation::new(config.seed, vec![config.clone()], balancer, None).run();
             assert_eq!(cluster.nodes.runs.len(), 1);
             assert_eq!(
                 cluster.nodes.runs[0],
@@ -220,38 +221,70 @@ fn join_shortest_queue_is_plausible() {
     assert!(rendered.contains("node   0"), "{rendered}");
 }
 
-/// The cluster registry hosts N complete servers plus the balancer, with
-/// per-node prefixed names.
+fn node_configs(n: usize) -> Vec<ServerConfig> {
+    let config = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(10));
+    (0..n)
+        .map(|i| config.clone().with_seed(Fleet::member_seed(config.seed, i)))
+        .collect()
+}
+
+fn balancer(nodes: usize) -> Balancer {
+    let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 10_000.0, 1);
+    Balancer::new(loadgen, RoutingPolicyKind::RoundRobin.build(), nodes)
+}
+
+/// The cluster registry hosts N complete servers plus the front component
+/// (balancer or chain coordinator) and the fabric, with per-node prefixed
+/// names.
 #[test]
 fn cluster_registry_has_expected_layout() {
-    let config = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(10));
     let n = 3;
-    let configs: Vec<ServerConfig> = (0..n)
-        .map(|i| config.clone().with_seed(Fleet::member_seed(config.seed, i)))
-        .collect();
-    let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 10_000.0, config.seed);
-    let sim = ClusterSimulation::new(
-        config.seed,
-        configs,
+    let coordinator = ChainCoordinator::new(
+        RequestGraph::memcached_fanout(2),
+        1_000.0,
         RoutingPolicyKind::RoundRobin.build(),
-        loadgen,
+        n,
+        1,
     );
-    let cores = sim.state().nodes[0].soc.cores().len();
-    let inner = sim.simulation();
-    assert_eq!(sim.node_count(), n);
-    // N complete nodes + the balancer + the (always-registered) fabric.
-    assert_eq!(inner.component_count(), n * (4 + cores) + 2);
-    assert!(inner.lookup("balancer").is_some());
-    assert!(inner.lookup("fabric").is_some());
-    for node in 0..n {
-        assert!(inner.lookup(&format!("node {node} nic")).is_some());
-        assert!(inner.lookup(&format!("node {node} scheduler")).is_some());
-        assert!(inner.lookup(&format!("node {node} package")).is_some());
-        assert!(inner.lookup(&format!("node {node} power")).is_some());
-        for c in 0..cores {
-            assert!(inner.lookup(&format!("node {node} core {c}")).is_some());
+    let balanced = ClusterSimulation::new(1, node_configs(n), balancer(n), None);
+    let chained = ClusterSimulation::new(1, node_configs(n), coordinator, None);
+    for (inner, front, absent) in [
+        (balanced.simulation(), "balancer", "chain-coordinator"),
+        (chained.simulation(), "chain-coordinator", "balancer"),
+    ] {
+        let cores = inner.shared().nodes[0].soc.cores().len();
+        assert_eq!(inner.shared().nodes.len(), n);
+        // N complete nodes + the front + the (always-registered) fabric.
+        assert_eq!(inner.component_count(), n * (4 + cores) + 2);
+        assert!(inner.lookup(front).is_some());
+        assert!(inner.lookup(absent).is_none());
+        assert!(inner.lookup("fabric").is_some());
+        for node in 0..n {
+            assert!(inner.lookup(&format!("node {node} nic")).is_some());
+            assert!(inner.lookup(&format!("node {node} scheduler")).is_some());
+            assert!(inner.lookup(&format!("node {node} package")).is_some());
+            assert!(inner.lookup(&format!("node {node} power")).is_some());
+            for c in 0..cores {
+                assert!(inner.lookup(&format!("node {node} core {c}")).is_some());
+            }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "at least one node")]
+fn cluster_without_nodes_is_rejected() {
+    let _ = ClusterSimulation::new(1, Vec::new(), balancer(0), None);
+}
+
+#[test]
+#[should_panic(expected = "share one measurement duration")]
+fn cluster_nodes_with_different_durations_are_rejected() {
+    let mut configs = node_configs(2);
+    configs[1] = configs[1]
+        .clone()
+        .with_duration(SimDuration::from_millis(20));
+    let _ = ClusterSimulation::new(1, configs, balancer(2), None);
 }
 
 /// At trough load, the packing policy deepens package idle on the spared

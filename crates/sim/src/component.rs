@@ -527,13 +527,6 @@ impl<E, S> Simulation<E, S> {
         self.shared
     }
 
-    /// Forks a named RNG stream off the root seed (for driver-level draws
-    /// that should not perturb component streams).
-    #[must_use]
-    pub fn fork_rng(&self, label: &str) -> SimRng {
-        self.root_rng.fork(label)
-    }
-
     /// Schedules an event from outside any component (bootstrap).
     pub fn schedule(&mut self, dst: ComponentId, at: SimTime, payload: E) -> EventId {
         self.queue.schedule(at, Envelope { dst, payload })
