@@ -299,6 +299,7 @@ impl JsonValue {
     /// Returns a [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -313,6 +314,8 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    /// The input document; `bytes` is the same input, byte-indexed.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -472,13 +475,16 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = text.chars().next().expect("non-empty rest");
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input and is itself
+                    // valid UTF-8.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -1521,6 +1527,36 @@ mod tests {
                 Some(2)
             );
         }
+    }
+
+    #[test]
+    fn parser_round_trips_multibyte_utf8() {
+        for text in ["µs", "10 °C — ✓", "🚀 \"ünï\" \\ cödé", "é\n", "\u{7f}ñ"] {
+            let value = JsonValue::Array(vec![JsonValue::Str(text.to_owned())]);
+            for doc in [value.to_compact_string(), value.to_pretty_string()] {
+                assert_eq!(JsonValue::parse(&doc), Ok(value.clone()), "{doc:?}");
+            }
+        }
+        // Escapes between multi-byte characters, parsed from raw text.
+        let parsed = JsonValue::parse("\"ä\\u00e9ö\\\"ü\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("äéö\"ü"));
+    }
+
+    #[test]
+    fn parser_is_linear_in_string_heavy_documents() {
+        // 2.3 MB of strings: a parser that rescans the rest of the input
+        // per character needs minutes here, a linear one milliseconds.
+        let cell = format!("{}\\\"ö{}", "x".repeat(60), "y".repeat(50));
+        let doc = format!("[{}\"end\"]", format!("\"{cell}\",").repeat(20_000));
+        assert!(doc.len() > 2_000_000, "{} bytes", doc.len());
+        let start = std::time::Instant::now();
+        let parsed = JsonValue::parse(&doc).expect("document parses");
+        let elapsed = start.elapsed();
+        let items = parsed.as_array().expect("an array");
+        assert_eq!(items.len(), 20_001);
+        let want = format!("{}\"ö{}", "x".repeat(60), "y".repeat(50));
+        assert_eq!(items[19_999].as_str(), Some(want.as_str()));
+        assert!(elapsed.as_secs_f64() < 5.0, "parse took {elapsed:?}");
     }
 
     #[test]

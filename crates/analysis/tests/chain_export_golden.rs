@@ -13,6 +13,12 @@
 //! count, mean and max stayed exact) and the `nodes` object was
 //! restructured runs-first
 //! with a `combined_latency` aggregate for the streaming exporters.
+//!
+//! Re-captured when energy accounting became exact integer nW × ns: the
+//! per-node `avg_soc_power_w` / `avg_dram_power_w` and the fleet's
+//! `total_power_w` / `mean_soc_power_w` / `fleet_power_w` lost their
+//! float-summation noise and moved by at most 2.8e-14 W; every other byte
+//! is unchanged.
 
 use apc_analysis::export::{chain_result_json, chain_results_csv, JsonValue, CHAIN_CSV_HEADER};
 use apc_network::NetworkConfig;
@@ -83,8 +89,8 @@ const GOLDEN_CHAIN_JSON: &str = r#"{
           "p999_ns": 73889,
           "max_ns": 96812
         },
-        "avg_soc_power_w": 32.14215511999998,
-        "avg_dram_power_w": 2.4727939000000014,
+        "avg_soc_power_w": 32.14215512,
+        "avg_dram_power_w": 2.4727939,
         "cpu_utilization": 0.025304,
         "cc0_fraction": 0.026254,
         "cc1_fraction": 0.9737459999999999,
@@ -115,8 +121,8 @@ const GOLDEN_CHAIN_JSON: &str = r#"{
           "p999_ns": 53654,
           "max_ns": 62365
         },
-        "avg_soc_power_w": 32.00121404999999,
-        "avg_dram_power_w": 2.452034575000003,
+        "avg_soc_power_w": 32.00121405,
+        "avg_dram_power_w": 2.452034575,
         "cpu_utilization": 0.02379365,
         "cc0_fraction": 0.02469365,
         "cc1_fraction": 0.97530635,
@@ -135,8 +141,8 @@ const GOLDEN_CHAIN_JSON: &str = r#"{
     "servers": 2,
     "total_completed_requests": 18,
     "aggregate_throughput_rps": 9000.0,
-    "total_power_w": 69.06819764499997,
-    "mean_soc_power_w": 32.071684584999986,
+    "total_power_w": 69.068197645,
+    "mean_soc_power_w": 32.071684585,
     "mean_pc1a_residency": 0.7881389999999999,
     "mean_latency_ns": 51256,
     "combined_latency": {
@@ -162,7 +168,7 @@ straggler_p999_ns,total_routed,routing_imbalance,fleet_power_w,\
 mean_pc1a_residency,worst_rpc_p99_ns\n\
 0,join-shortest-queue,1x frontend -> 2x kv-get,2000000,6,6,3000,105376,\
 97766,110231,110231,137621,12712,21382,21382,18,1.2222222222222223,\
-69.06819764499997,0.7881389999999999,73889\n";
+69.068197645,0.7881389999999999,73889\n";
 
 #[test]
 fn chain_json_export_matches_golden_bytes() {
@@ -357,7 +363,7 @@ const GOLDEN_NETWORK_CHAIN_JSON: &str = r#"{
           "p999_ns": 88462,
           "max_ns": 111812
         },
-        "avg_soc_power_w": 31.886016959999985,
+        "avg_soc_power_w": 31.88601696,
         "avg_dram_power_w": 2.3730568,
         "cpu_utilization": 0.029080099999999998,
         "cc0_fraction": 0.030911799999999996,
@@ -389,8 +395,8 @@ const GOLDEN_NETWORK_CHAIN_JSON: &str = r#"{
           "p999_ns": 58189,
           "max_ns": 58189
         },
-        "avg_soc_power_w": 31.04172537999999,
-        "avg_dram_power_w": 2.2690256500000014,
+        "avg_soc_power_w": 31.04172538,
+        "avg_dram_power_w": 2.26902565,
         "cpu_utilization": 0.018491300000000002,
         "cc0_fraction": 0.019241299999999996,
         "cc1_fraction": 0.9807587,
@@ -409,8 +415,8 @@ const GOLDEN_NETWORK_CHAIN_JSON: &str = r#"{
     "servers": 2,
     "total_completed_requests": 17,
     "aggregate_throughput_rps": 8500.0,
-    "total_power_w": 67.56982478999998,
-    "mean_soc_power_w": 31.463871169999987,
+    "total_power_w": 67.56982479,
+    "mean_soc_power_w": 31.463871169999997,
     "mean_pc1a_residency": 0.824281,
     "mean_latency_ns": 64485,
     "combined_latency": {
@@ -437,7 +443,7 @@ mean_pc1a_residency,worst_rpc_p99_ns,net_topology,net_link_latency_ns,\
 net_messages,net_mean_wire_delay_ns,net_max_wire_delay_ns\n\
 0,join-shortest-queue,1x frontend -> 2x kv-get,2000000,6,5,2500,160824,\
 154871,158000,158000,197621,12712,17859,17859,18,1.8888888888888888,\
-67.56982478999998,0.824281,88462,two-tier,5000,35,15000,15000\n";
+67.56982479,0.824281,88462,two-tier,5000,35,15000,15000\n";
 
 #[test]
 fn network_chain_json_export_matches_golden_bytes() {

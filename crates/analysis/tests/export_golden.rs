@@ -12,6 +12,11 @@
 //! percentile fields are now sketch estimates (≤ 1 % relative error,
 //! clamped to the exact min/max), so p50/p95/p99/p999 shifted; count,
 //! mean and max are exact and did not change.
+//!
+//! Re-captured when energy accounting became exact integer nW × ns: the two
+//! power fields lost their float-summation noise and moved by under 1e-14 W
+//! (`avg_soc_power_w` +7.1e-15, `avg_dram_power_w` -4.9e-15); every other
+//! byte is unchanged.
 
 use apc_analysis::export::{
     fleet_csv, run_result_json, run_results_csv, timeseries_csv, JsonValue,
@@ -49,8 +54,8 @@ const GOLDEN_JSON: &str = r#"{
     "p999_ns": 209056,
     "max_ns": 211155
   },
-  "avg_soc_power_w": 37.38770723999999,
-  "avg_dram_power_w": 3.352499800000005,
+  "avg_soc_power_w": 37.38770724,
+  "avg_dram_power_w": 3.3524998,
   "cpu_utilization": 0.06868790000000001,
   "cc0_fraction": 0.0704629,
   "cc1_fraction": 0.9295371000000001,
@@ -73,7 +78,7 @@ avg_soc_power_w,avg_dram_power_w,cpu_utilization,cc0_fraction,cc1_fraction,\
 cc6_fraction,all_idle_fraction,pc1a_residency,pc6_residency,pc1a_transitions,\
 pc1a_aborted,pc6_transitions,idle_periods,idle_periods_20_200us\n\
 run 0,CPC1A,memcached,20000,2000000,47,23500,163843,161192,200859,209056,209056,\
-211155,37.38770723999999,3.352499800000005,0.06868790000000001,0.0704629,\
+211155,37.38770724,3.3524998,0.06868790000000001,0.0704629,\
 0.9295371000000001,0,0.576999,0.5768615,0,22,0,0,20,0.75\n";
 
 const GOLDEN_TIMESERIES_CSV: &str = "node,at_ns,soc_power_w,queue_depth,busy_cores,\
@@ -131,7 +136,7 @@ fn golden_json_round_trips_through_the_parser() {
     // Float fields survive exactly (shortest-round-trip formatting).
     assert_eq!(
         parsed.get("avg_soc_power_w").and_then(JsonValue::as_f64),
-        Some(37.38770723999999)
+        Some(37.38770724)
     );
 }
 

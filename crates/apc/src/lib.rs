@@ -76,7 +76,7 @@ pub mod prelude {
     pub use apc_pmu::config::PlatformConfig;
     pub use apc_power::budget::PackageStatePower;
     pub use apc_power::model::PowerModel;
-    pub use apc_power::units::{Joules, Watts};
+    pub use apc_power::units::Watts;
     pub use apc_server::balancer::{RoutingPolicy, RoutingPolicyKind};
     pub use apc_server::chain::{
         run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph, Tier,

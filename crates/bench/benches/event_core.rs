@@ -20,10 +20,12 @@
 //!   event and schedule a replacement, then drain). Timestamps come from
 //!   the crate's deterministic xoshiro streams, so both queues see the
 //!   identical operation sequence.
-//! * `cluster_scale` — wall-clock per 20 ms of simulated time for 1/4/8/16
-//!   server nodes in one event loop (JSQ, 20k req/s per node), with the
-//!   dispatched-event count from [`ClusterResult::events_dispatched`]
-//!   turned into an end-to-end events/second figure.
+//! * `cluster_scale` — wall-clock per 20 ms of simulated time for
+//!   1/4/8/16/32/64 server nodes in one event loop (JSQ, 20k req/s per
+//!   node), with the dispatched-event count from
+//!   [`ClusterResult::events_dispatched`] turned into an end-to-end
+//!   events/second figure. Flat events/s from 1 to 64 nodes means the
+//!   per-event cost does not grow with the cluster.
 //!
 //! Wall-clock numbers take the minimum over several repeats: the minimum is
 //! the least noise-contaminated estimate on a shared container.
@@ -191,7 +193,7 @@ fn main() {
         if smoke {
             (&[10_000], 2, &[8], 2)
         } else {
-            (&[10_000, 100_000, 1_000_000], 5, &[1, 4, 8, 16], 10)
+            (&[10_000, 100_000, 1_000_000], 5, &[1, 4, 8, 16, 32, 64], 10)
         };
 
     let mut micro_json = Vec::new();
@@ -294,6 +296,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"event_core\",\n",
+            "  \"host_cores\": {},\n",
             "  \"methodology\": \"min over repeats on a shared container; ",
             "micro: {} repeats, cluster: {} repeats; ",
             "identical xoshiro-seeded operation sequences for both queue ",
@@ -305,6 +308,7 @@ fn main() {
             "  \"cluster_scale\": [\n{}\n  ]\n",
             "}}\n"
         ),
+        std::thread::available_parallelism().map_or(1, usize::from),
         repeats,
         cluster_repeats,
         micro_json.join(",\n"),

@@ -325,11 +325,16 @@ impl Invocation {
     }
 
     fn duration(&self) -> Result<Option<SimDuration>, CliError> {
+        /// The longest horizon whose nanosecond count fits a `u64`.
+        const MAX_MS: u64 = u64::MAX / 1_000_000;
         match self.u64_flag("duration-ms")? {
             None => Ok(None),
             Some(0) => Err(CliError::Usage(
                 "`--duration-ms` must be at least 1".to_owned(),
             )),
+            Some(ms) if ms > MAX_MS => Err(CliError::Usage(format!(
+                "`--duration-ms` must be at most {MAX_MS}, got {ms}"
+            ))),
             Some(ms) => Ok(Some(SimDuration::from_millis(ms))),
         }
     }

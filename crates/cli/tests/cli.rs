@@ -747,6 +747,30 @@ fn parallelism_below_one_is_a_usage_error() {
 }
 
 #[test]
+fn duration_beyond_the_nanosecond_range_is_a_usage_error() {
+    // u64::MAX / 1e6 ms is the longest horizon whose nanosecond count fits
+    // a u64; anything longer would overflow `SimDuration::from_millis`.
+    let single = Scratch::new("huge-horizon.toml");
+    single.write(SINGLE_SPEC);
+    let cluster = Scratch::new("huge-horizon-cluster.toml");
+    cluster.write(CLUSTER_SPEC);
+    for (command, target) in [
+        ("run", single.path()),
+        ("cluster", cluster.path()),
+        ("run", "cluster-8-mid"),
+    ] {
+        for ms in ["18446744073710", "18446744073709551615"] {
+            let err = execute(&args(&[command, target, "--duration-ms", ms])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("at most 18446744073709")),
+                "{command} {target} {ms}: {err:?}"
+            );
+            assert_eq!(err.exit_code(), 2);
+        }
+    }
+}
+
+#[test]
 fn list_names_every_library_scenario() {
     let table = execute(&args(&["list"])).unwrap();
     for name in [

@@ -1,14 +1,14 @@
 //! # `apc-power` — per-domain power model and energy accounting
 //!
-//! This crate turns component states from [`apc_soc`] into watts and joules:
+//! This crate turns component states from [`apc_soc`] into watts and energy:
 //!
-//! * [`units`] — [`units::Watts`] / [`units::Joules`] newtypes;
+//! * [`units`] — the [`units::Watts`] newtype;
 //! * [`model`] — the calibrated per-domain [`model::PowerModel`] and the
 //!   [`model::PowerBreakdown`] snapshot;
 //! * [`budget`] — closed-form package-state power budgets reproducing
 //!   Table 1 and the Sec. 5.4 component deltas;
-//! * [`energy`] — piecewise-constant energy integration over a simulated
-//!   timeline.
+//! * [`energy`] — exact integer (nW × ns) integration of piecewise-constant
+//!   power over a simulated timeline.
 //!
 //! # Example
 //!
@@ -34,6 +34,6 @@ pub mod model;
 pub mod units;
 
 pub use budget::{PackageStatePower, StatePower};
-pub use energy::{EnergyBreakdown, EnergyMeter};
+pub use energy::{EnergyBreakdown, EnergyMeter, PowerLevel};
 pub use model::{PowerBreakdown, PowerModel};
-pub use units::{Joules, Watts};
+pub use units::Watts;

@@ -176,28 +176,19 @@ impl<F: ClusterFront> ClusterSimulation<F> {
             .iter()
             .map(|b| b.register(&mut sim, None))
             .collect();
+        // Each node's observers watch only the node's own components (see
+        // `ServerNode::register`). Front and fabric events deposit into NIC
+        // buffers, which no observer reads, so they run no node hook: a node
+        // accounts its energy at its own events and at the horizon, which
+        // the integer energy meter makes exactly what a standalone server
+        // accounting at every `ClientArrival` would meter.
         let front = Rc::new(RefCell::new(front));
         let front_id = sim.add_component(F::NAME, Rc::clone(&front));
-        // Each node's observers are scoped to the node's own components (see
-        // `ServerNode::register`); subscribe the power observers to the
-        // front too, since its events deposit into a node's NIC buffer — the
-        // instant a standalone server would account through its own
-        // `ClientArrival`. The package observers stay unsubscribed: a front
-        // event only touches a NIC buffer, which none of the package-state
-        // inputs read, so their hooks would record a same-state no-op
-        // transition (the range check in
-        // `PackageController::on_post_dispatch` guards the same invariant).
         // The fabric component registers even without a `[network]`
         // configuration: registration forks its RNG stream by name (a pure
         // function that perturbs no other stream) and an absent fabric never
         // receives an event, so the no-network event sequence is untouched.
-        // A deferred `WireDeliver` deposits into a node's NIC buffer just
-        // like a front event, so the power observers watch it too.
         let fabric_id = sim.add_component("fabric", Fabric);
-        for handles in &nodes {
-            sim.add_observer_target(handles.power, front_id);
-            sim.add_observer_target(handles.power, fabric_id);
-        }
         sim.shared_mut().fabric =
             network.map(|config| FabricState::new(config, node_count, fabric_id));
         sim.shared_mut().trace = trace_config

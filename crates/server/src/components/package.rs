@@ -4,7 +4,7 @@
 use apc_core::apmu::{Apmu, ApmuState, WakeCause, WakeOutcome};
 use apc_pmu::config::PackagePolicy;
 use apc_pmu::gpmu::{Gpmu, GpmuPhase};
-use apc_sim::component::{ComponentId, EventHandler, SimulationContext};
+use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::SimTime;
 use apc_soc::cstate::PackageCState;
 
@@ -22,8 +22,8 @@ use super::ServerEvent;
 /// The controller owns both FSMs and mirrors uncore availability into
 /// [`ServerState::uncore`] after every transition so the scheduler can gate
 /// dispatch without reaching into controller internals. Its post-dispatch
-/// hook tracks package C-state residency after *every* simulation event,
-/// mirroring how the monolithic loop sampled the state after each handler.
+/// hook tracks package C-state residency after every event addressed to the
+/// node's components, the only events that can move the package state.
 pub struct PackageController {
     node: usize,
     policy: PackagePolicy,
@@ -267,18 +267,13 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
         false
     }
 
-    fn on_post_dispatch(&mut self, now: SimTime, dst: ComponentId, shared: &mut S) {
-        // Track the package C-state after every event addressed to this
-        // node, whatever component handled it: state may change through
-        // core activity alone. Events outside the node's component range
-        // only deposit into the NIC buffer, which none of the package-state
-        // inputs (core activity, running/pending work, PMU FSMs) read, so
-        // the transition below would always be a same-state no-op for them.
+    fn on_post_dispatch(&mut self, now: SimTime, shared: &mut S) {
+        // Track the package C-state after every event addressed to one of
+        // this node's components, whatever component handled it: state may
+        // change through core activity alone. (The observer is scoped to the
+        // node; other components' events at most deposit into the NIC
+        // buffer, which none of the package-state inputs read.)
         let shared = shared.node_mut(self.node);
-        let d = dst.as_usize();
-        if d < shared.component_range.0 || d > shared.component_range.1 {
-            return;
-        }
         // Same SoC epoch + same occupancy + no intervening event through
         // this controller (which clears the cache) ⇒ the derivation below
         // would yield the same state again and `transition` would

@@ -1,7 +1,7 @@
 //! Power and energy accounting component.
 
-use apc_power::model::PowerBreakdown;
-use apc_sim::component::{ComponentId, EventHandler, SimulationContext};
+use apc_power::energy::PowerLevel;
+use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::{SimDuration, SimTime};
 
 use super::state::HasNode;
@@ -9,26 +9,32 @@ use super::ServerEvent;
 
 /// Attributes elapsed simulated time to the power state that held during it.
 ///
-/// The pre-dispatch hook runs before *every* event's state changes are
-/// applied, so each interval between events is charged at the power level
-/// that actually held across it — the same invariant the monolithic loop
-/// maintained by calling `account_power` at the top of its event loop.
+/// The pre-dispatch hook runs before every event addressed to one of the
+/// node's own components, so each interval between two such events is
+/// charged at the power level that held across it; the node's
+/// [`finish_telemetry`](super::state::ServerState::finish_telemetry) closes
+/// the last interval at the horizon. Events of other components (a cluster's
+/// front, the fabric, other nodes) cannot change this node's power: at most
+/// they deposit into its NIC buffer, which no power input reads. Skipping
+/// them only means the meter accounts a constant-power stretch in fewer
+/// steps, and the meter's integer accounting is split-invariant (see
+/// [`apc_power::energy`]), so a node embedded in a cluster meters exactly
+/// what a standalone server with the same event sequence meters.
 ///
-/// The power breakdown is a pure function of three inputs: the uncore
-/// component states, the per-core C-state vector and the busy-core count
-/// (which fixes memory utilisation). The component caches the breakdown
-/// keyed on all three — the SoC's
+/// The power level is a pure function of three inputs: the uncore component
+/// states, the per-core C-state vector and the busy-core count (which fixes
+/// memory utilisation). The component caches the level, quantised to whole
+/// nanowatts, keyed on all three — the SoC's
 /// [`uncore_change_epoch`](apc_soc::topology::SkxSoc::uncore_change_epoch),
 /// the injective
 /// [`cstate_fingerprint`](apc_soc::core::CoreSet::cstate_fingerprint) and
 /// `busy_cores()` — and recomputes only when a key moved; zero-length
-/// intervals skip the breakdown entirely. Equal keys guarantee a recompute
+/// intervals skip the level entirely. Equal keys guarantee a recompute
 /// would reproduce the cached value bit for bit (same inputs through the
-/// same float operations), so both shortcuts preserve the
-/// recompute-every-event accounting exactly — same intervals, same
-/// piecewise-constant power values. (A `None` fingerprint — more cores
-/// than the encoding can hold — disables the cache rather than risking a
-/// stale hit.)
+/// same float operations and the same quantiser), so both shortcuts
+/// preserve the recompute-every-event accounting exactly. (A `None`
+/// fingerprint — more cores than the encoding can hold — disables the cache
+/// rather than risking a stale hit.)
 ///
 /// When a sampling interval is configured the component also records an
 /// instantaneous SoC power trace, useful for debugging entry/exit flows.
@@ -36,9 +42,9 @@ pub struct PowerTelemetry {
     node: usize,
     sample_every: Option<SimDuration>,
     /// `(uncore change-epoch, core C-state fingerprint, busy-core count,
-    /// breakdown)` as of the last recomputation; stale once any key differs
-    /// from the node's current value.
-    cached: Option<(u64, u64, usize, PowerBreakdown)>,
+    /// level)` as of the last recomputation; stale once any key differs from
+    /// the node's current value.
+    cached: Option<(u64, u64, usize, PowerLevel)>,
 }
 
 impl PowerTelemetry {
@@ -85,27 +91,27 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PowerTelemetry {
         false
     }
 
-    fn on_pre_dispatch(&mut self, now: SimTime, _dst: ComponentId, shared: &mut S) {
+    fn on_pre_dispatch(&mut self, now: SimTime, shared: &mut S) {
         let node = shared.node_mut(self.node);
         if now <= node.telemetry.energy.last() {
             // Zero-length interval: `advance` would be a no-op, so the
-            // breakdown is not needed at all.
+            // level is not needed at all.
             return;
         }
         let epoch = node.soc.uncore_change_epoch();
         let busy = node.sched.busy_cores();
-        let breakdown = match (node.soc.cores().cstate_fingerprint(), &self.cached) {
+        let level = match (node.soc.cores().cstate_fingerprint(), &self.cached) {
             (Some(fp), Some((e, f, b, cached))) if *e == epoch && *f == fp && *b == busy => cached,
             (Some(fp), _) => {
-                self.cached = Some((epoch, fp, busy, node.power_snapshot()));
+                self.cached = Some((epoch, fp, busy, node.power_level()));
                 &self.cached.as_ref().expect("cache filled above").3
             }
             // Too many cores for the fingerprint: no caching, recompute.
             (None, _) => {
-                self.cached = Some((epoch, 0, usize::MAX, node.power_snapshot()));
+                self.cached = Some((epoch, 0, usize::MAX, node.power_level()));
                 &self.cached.as_ref().expect("cache filled above").3
             }
         };
-        node.telemetry.energy.advance(now, breakdown);
+        node.telemetry.energy.advance(now, level);
     }
 }

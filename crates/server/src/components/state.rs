@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use apc_power::energy::EnergyMeter;
+use apc_power::energy::{EnergyMeter, PowerLevel};
 use apc_power::units::Watts;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::core::CoreActivity;
@@ -342,15 +342,6 @@ pub struct ServerState {
     pub config: ServerConfig,
     /// Peer component ids, filled by the driver after registration.
     pub addrs: Addresses,
-    /// Inclusive range of raw component ids registered for this node
-    /// (components are registered contiguously per node), filled by the
-    /// driver after registration. The node's observers use it to recognise
-    /// events that cannot have mutated this node's state: anything
-    /// dispatched outside the range only *deposits* into the NIC buffer
-    /// (balancer / chain-coordinator arrivals), which no power or
-    /// package-state derivation reads. The default covers every component,
-    /// which is always safe (no skipping).
-    pub component_range: (usize, usize),
     /// The SoC structural model.
     pub soc: SkxSoc,
     /// NIC arrival buffering (coalescing window).
@@ -397,7 +388,6 @@ impl ServerState {
         ServerState {
             soc,
             addrs: Addresses::default(),
-            component_range: (0, usize::MAX),
             nic: NicState::default(),
             sched: SchedState::new(cores),
             uncore: UncoreStatus::default(),
@@ -439,16 +429,20 @@ impl ServerState {
         self.config.power.snapshot(&self.soc, mem_util)
     }
 
-    /// Attributes the interval since the last accounting point to the power
-    /// state currently held, advancing the energy meter to `to`.
-    pub fn account_power(&mut self, to: SimTime) {
-        let breakdown = self.power_snapshot();
-        self.telemetry.energy.advance(to, &breakdown);
+    /// [`ServerState::power_snapshot`] quantised to whole nanowatts: the
+    /// level the energy meter integrates.
+    #[must_use]
+    pub fn power_level(&self) -> PowerLevel {
+        PowerLevel::quantise(&self.power_snapshot())
     }
 
     /// Closes every telemetry stream at the end of the measurement window.
+    /// Energy is charged up to `end` at the level currently held: the power
+    /// observer accounts only at the node's own events, and nothing after
+    /// the node's last event changed its power.
     pub fn finish_telemetry(&mut self, end: SimTime) {
-        self.account_power(end);
+        let level = self.power_level();
+        self.telemetry.energy.advance(end, &level);
         self.telemetry.core_residency.finish(end);
         self.telemetry.package_residency.finish(end);
         self.telemetry.idle_tracker.finish(end);

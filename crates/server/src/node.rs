@@ -179,35 +179,21 @@ impl ServerNode {
 
         // The node's two observers (power accounting, package-residency
         // tracking) read only this node's state, and only events addressed
-        // to this node's components can mutate it — so their dispatch hooks
-        // are scoped to the node instead of running on every event of the
-        // host simulation. In a standalone server this covers every
-        // component (identical behaviour); in a cluster it keeps the
-        // per-event hook cost O(1) in the node count. The cluster driver
-        // additionally subscribes the power observer to its front component
-        // and to the fabric, whose events deposit into node NIC buffers; the
-        // package observer stays unsubscribed because no package-state input
-        // reads a NIC buffer (see [`crate::cluster::ClusterSimulation`]).
+        // to this node's components can change what they read — so their
+        // dispatch hooks are scoped to the node instead of running on every
+        // event of the host simulation. In a standalone server this covers
+        // every component; in a cluster it keeps the per-event hook cost
+        // O(1) in the node count. A cluster's front and fabric events only
+        // deposit into NIC buffers, which neither observer reads; the power
+        // observer's split-invariant energy meter makes the fewer accounting
+        // points exact (see `PowerTelemetry`).
         let mut node_components = vec![power, package_id, scheduler, nic];
         node_components.extend(addrs.cores.iter().copied());
         node_components.extend(timeseries);
         sim.scope_observer(power, &node_components);
         sim.scope_observer(package_id, &node_components);
 
-        // All ids from `power` (first registered) to the last one belong to
-        // this node; the observers use the range to skip events that cannot
-        // have mutated node state (see `ServerState::component_range`).
-        let first = power.as_usize();
-        let last = node_components
-            .iter()
-            .map(|c| c.as_usize())
-            .max()
-            .expect("node registers at least one component");
-        {
-            let state = sim.shared_mut().node_mut(self.index);
-            state.addrs = addrs.clone();
-            state.component_range = (first, last);
-        }
+        sim.shared_mut().node_mut(self.index).addrs = addrs.clone();
         NodeHandles {
             index: self.index,
             addrs,

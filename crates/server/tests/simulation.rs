@@ -147,7 +147,10 @@ fn golden_results_match_pre_refactor_capture() {
     // p99 literals re-captured when the latency recorder moved to the
     // quantile sketch: percentiles are sketch estimates now (<= 1 %
     // relative error, clamped to the exact min/max); completed counts and
-    // means are exact and did not change.
+    // means are exact and did not change. SoC W literals re-captured when
+    // energy accounting became exact integer nW x ns: each moved by under
+    // 1e-12 W (Cshallow +9.7e-13, Cdeep +4.4e-13, CPC1A +8.3e-13), the f64
+    // rounding noise of the old per-interval float sums.
     let golden = [
         // (config, completed, mean ns, p99 ns, soc W, pc1a, pc6, idle periods, pc1a residency)
         (
@@ -155,7 +158,7 @@ fn golden_results_match_pre_refactor_capture() {
             2792u64,
             160_938i64,
             226_468i64,
-            50.18249155799904f64,
+            50.18249155800001f64,
             0u64,
             0u64,
             478u64,
@@ -175,7 +178,7 @@ fn golden_results_match_pre_refactor_capture() {
             2791,
             179_053,
             318_180,
-            47.701750616199554,
+            47.701750616199995,
             0,
             2,
             175,
@@ -186,7 +189,7 @@ fn golden_results_match_pre_refactor_capture() {
             2792,
             160_996,
             226_468,
-            43.19331979119917,
+            43.1933197912,
             632,
             0,
             478,

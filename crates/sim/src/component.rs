@@ -213,13 +213,11 @@ pub trait EventHandler<E, S> {
 
     /// Called for every observing component immediately before an event is
     /// dispatched (the clock has already advanced to the event's timestamp).
-    /// `dst` is the event's destination component, letting a scoped observer
-    /// subscribed to several targets tell which one is about to run.
-    fn on_pre_dispatch(&mut self, _now: SimTime, _dst: ComponentId, _shared: &mut S) {}
+    fn on_pre_dispatch(&mut self, _now: SimTime, _shared: &mut S) {}
 
     /// Called for every observing component immediately after an event was
-    /// dispatched. `dst` is the component that handled it.
-    fn on_post_dispatch(&mut self, _now: SimTime, _dst: ComponentId, _shared: &mut S) {}
+    /// dispatched.
+    fn on_post_dispatch(&mut self, _now: SimTime, _shared: &mut S) {}
 }
 
 /// Registering an `Rc<RefCell<T>>` lets the caller keep a handle to the
@@ -242,12 +240,12 @@ impl<E, S, T: EventHandler<E, S>> EventHandler<E, S> for Rc<RefCell<T>> {
         self.borrow().observes_post_dispatch()
     }
 
-    fn on_pre_dispatch(&mut self, now: SimTime, dst: ComponentId, shared: &mut S) {
-        self.borrow_mut().on_pre_dispatch(now, dst, shared);
+    fn on_pre_dispatch(&mut self, now: SimTime, shared: &mut S) {
+        self.borrow_mut().on_pre_dispatch(now, shared);
     }
 
-    fn on_post_dispatch(&mut self, now: SimTime, dst: ComponentId, shared: &mut S) {
-        self.borrow_mut().on_post_dispatch(now, dst, shared);
+    fn on_post_dispatch(&mut self, now: SimTime, shared: &mut S) {
+        self.borrow_mut().on_post_dispatch(now, shared);
     }
 }
 
@@ -386,9 +384,7 @@ impl<E, S> Simulation<E, S> {
     /// Scoping is correct when everything the observer's hooks read can
     /// only be mutated by events addressed to `targets` — then every hook
     /// invocation this skips would have observed (and recorded) exactly the
-    /// state it observed at the previous invocation. Use
-    /// [`Simulation::add_observer_target`] to extend the set later (e.g.
-    /// with a router component registered after the sub-system).
+    /// state it observed at the previous invocation.
     ///
     /// Hook order per event: global observers first (registration order),
     /// then the destination's scoped observers (subscription order).
@@ -396,7 +392,7 @@ impl<E, S> Simulation<E, S> {
     /// # Panics
     ///
     /// Panics if `observer` was not registered as an observing component or
-    /// has already been scoped.
+    /// has already been scoped, or if `targets` names a component twice.
     pub fn scope_observer(&mut self, observer: ComponentId, targets: &[ComponentId]) {
         let in_pre = self.observers_pre.iter().position(|&i| i == observer.0);
         let in_post = self.observers_post.iter().position(|&i| i == observer.0);
@@ -411,44 +407,25 @@ impl<E, S> Simulation<E, S> {
         if let Some(pos) = in_post {
             self.observers_post.remove(pos);
         }
+        let (pre, post) = self.observes[observer.0];
         for &target in targets {
-            self.add_scoped(observer.0, target);
-        }
-    }
-
-    /// Additionally runs the (already scoped) observer's hooks for events
-    /// addressed to `target`. See [`Simulation::scope_observer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observer` is still a global observer (scope it first) or
-    /// is already subscribed to `target`.
-    pub fn add_observer_target(&mut self, observer: ComponentId, target: ComponentId) {
-        assert!(
-            !self.observers_pre.contains(&observer.0) && !self.observers_post.contains(&observer.0),
-            "component {:?} observes every event; scope it before adding targets",
-            self.name(observer)
-        );
-        self.add_scoped(observer.0, target);
-    }
-
-    fn add_scoped(&mut self, observer: usize, target: ComponentId) {
-        let (pre, post) = self.observes[observer];
-        if self.scoped_pre.len() <= target.0 {
-            self.scoped_pre.resize_with(target.0 + 1, Vec::new);
-            self.scoped_post.resize_with(target.0 + 1, Vec::new);
-        }
-        assert!(
-            !self.scoped_pre[target.0].contains(&observer)
-                && !self.scoped_post[target.0].contains(&observer),
-            "observer {observer} already subscribed to component {}",
-            target.0
-        );
-        if pre {
-            self.scoped_pre[target.0].push(observer);
-        }
-        if post {
-            self.scoped_post[target.0].push(observer);
+            if self.scoped_pre.len() <= target.0 {
+                self.scoped_pre.resize_with(target.0 + 1, Vec::new);
+                self.scoped_post.resize_with(target.0 + 1, Vec::new);
+            }
+            assert!(
+                !self.scoped_pre[target.0].contains(&observer.0)
+                    && !self.scoped_post[target.0].contains(&observer.0),
+                "observer {} already subscribed to component {}",
+                observer.0,
+                target.0
+            );
+            if pre {
+                self.scoped_pre[target.0].push(observer.0);
+            }
+            if post {
+                self.scoped_post[target.0].push(observer.0);
+            }
         }
     }
 
@@ -594,24 +571,24 @@ impl<E, S> Simulation<E, S> {
     fn run_pre_hooks(&mut self, now: SimTime, dst: ComponentId) {
         for idx in 0..self.observers_pre.len() {
             let i = self.observers_pre[idx];
-            self.handlers[i].on_pre_dispatch(now, dst, &mut self.shared);
+            self.handlers[i].on_pre_dispatch(now, &mut self.shared);
         }
         let scoped_count = self.scoped_pre.get(dst.0).map_or(0, Vec::len);
         for idx in 0..scoped_count {
             let i = self.scoped_pre[dst.0][idx];
-            self.handlers[i].on_pre_dispatch(now, dst, &mut self.shared);
+            self.handlers[i].on_pre_dispatch(now, &mut self.shared);
         }
     }
 
     fn run_post_hooks(&mut self, now: SimTime, dst: ComponentId) {
         for idx in 0..self.observers_post.len() {
             let i = self.observers_post[idx];
-            self.handlers[i].on_post_dispatch(now, dst, &mut self.shared);
+            self.handlers[i].on_post_dispatch(now, &mut self.shared);
         }
         let scoped_count = self.scoped_post.get(dst.0).map_or(0, Vec::len);
         for idx in 0..scoped_count {
             let i = self.scoped_post[dst.0][idx];
-            self.handlers[i].on_post_dispatch(now, dst, &mut self.shared);
+            self.handlers[i].on_post_dispatch(now, &mut self.shared);
         }
     }
 }
@@ -681,11 +658,11 @@ mod tests {
             true
         }
 
-        fn on_pre_dispatch(&mut self, _now: SimTime, _dst: ComponentId, shared: &mut Shared) {
+        fn on_pre_dispatch(&mut self, _now: SimTime, shared: &mut Shared) {
             shared.pre_calls += 1;
         }
 
-        fn on_post_dispatch(&mut self, _now: SimTime, _dst: ComponentId, shared: &mut Shared) {
+        fn on_post_dispatch(&mut self, _now: SimTime, shared: &mut Shared) {
             shared.post_calls += 1;
         }
     }
@@ -824,21 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_targets_can_be_extended() {
-        let mut sim = Simulation::new(7, Shared::default());
-        let sink = sim.add_component("sink", Sink);
-        let a = sim.add_component("a", Ticker { peer: None });
-        let b = sim.add_component("b", Ticker { peer: None });
-        sim.scope_observer(sink, &[a]);
-        sim.add_observer_target(sink, b);
-        sim.schedule(a, SimTime::from_micros(1), Ev::Noise);
-        sim.schedule(b, SimTime::from_micros(2), Ev::Noise);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.shared().pre_calls, 2);
-        assert_eq!(sim.shared().post_calls, 2);
-    }
-
-    #[test]
     fn scoping_an_observer_to_all_components_matches_global_default() {
         // The scoped path must reproduce the global path exactly when the
         // scope covers every component (the standalone-server case).
@@ -860,14 +822,6 @@ mod tests {
         let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
         let ticker = sim.add_component("ticker", Ticker { peer: None });
         sim.scope_observer(ticker, &[ticker]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scope it before adding targets")]
-    fn adding_targets_to_a_global_observer_panics() {
-        let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
-        let sink = sim.add_component("sink", Sink);
-        sim.add_observer_target(sink, sink);
     }
 
     #[test]
