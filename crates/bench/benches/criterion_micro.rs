@@ -95,13 +95,18 @@ fn bench_scheduler_free_core(c: &mut Criterion) {
     let mut soc = SocConfig::small_test(cores).build();
     let mut sched = SchedState::new(cores);
     for i in 0..cores - 1 {
-        sched.running[i] = Some(WorkItem::Background {
-            work: SimDuration::from_micros(10),
-        });
+        sched.start_running(
+            i,
+            WorkItem::Background {
+                work: SimDuration::from_micros(10),
+            },
+        );
     }
-    soc.cores_mut()
-        .core_mut(apc_soc::core::CoreId(cores - 1))
-        .force_state(SimTime::ZERO, CoreCState::CC1);
+    soc.cores_mut().force_state(
+        apc_soc::core::CoreId(cores - 1),
+        SimTime::ZERO,
+        CoreCState::CC1,
+    );
     sched.mark_free(cores - 1);
     c.bench_function("dispatch_lookup_scan_48_cores", |b| {
         b.iter(|| (0..cores).find(|&i| sched.core_is_free(&soc, i)));

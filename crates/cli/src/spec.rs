@@ -102,7 +102,8 @@ pub struct SpecError {
     /// Usage-level mistake: the CLI maps these to exit code 2 (like a bad
     /// flag) instead of the general input-error exit code 1. Set for
     /// `[network]` table errors, where a fat-fingered fabric parameter
-    /// should fail the *invocation* loudly.
+    /// should fail the *invocation* loudly, and for offered rates above one
+    /// request per ns, which could never finish.
     pub usage: bool,
 }
 
@@ -581,6 +582,11 @@ pub struct ExperimentSpec {
     pub profile: bool,
 }
 
+/// The highest offered rate a spec may ask for: one request per simulated
+/// nanosecond. Above it every Poisson gap rounds to 0 ns, so simulated time
+/// would never advance.
+const MAX_RATE_PER_SEC: f64 = 1e9;
+
 /// Parses a routing-policy spelling shared by spec files and `--policy`.
 #[must_use]
 pub fn parse_policy(name: &str) -> Option<RoutingPolicyKind> {
@@ -683,9 +689,19 @@ impl ExperimentSpec {
                 format!("unknown workload `{workload_name}` (memcached|kafka|mysql)"),
             )
         })?;
-        let (rate, _) = workload_table
+        let (rate, rate_line) = workload_table
             .positive("rate_per_sec")?
             .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `rate_per_sec`"))?;
+        if rate > MAX_RATE_PER_SEC {
+            return Err(SpecError::at(
+                rate_line,
+                format!(
+                    "`rate_per_sec` must be at most {MAX_RATE_PER_SEC:e} \
+                     (one request per ns), got {rate:e}"
+                ),
+            )
+            .into_usage());
+        }
         let traffic = parse_traffic(workload_table, rate)?;
 
         // [telemetry]
@@ -784,6 +800,16 @@ impl ExperimentSpec {
                             let mut rates = Vec::new();
                             for item in items {
                                 match item.as_f64() {
+                                    Some(n) if n > MAX_RATE_PER_SEC => {
+                                        return Err(SpecError::at(
+                                            e.line,
+                                            format!(
+                                                "`rates` must be at most {MAX_RATE_PER_SEC:e} \
+                                                 (one request per ns), got {n:e}"
+                                            ),
+                                        )
+                                        .into_usage())
+                                    }
                                     Some(n) if n > 0.0 => rates.push(n),
                                     _ => {
                                         return Err(SpecError::at(

@@ -771,6 +771,80 @@ fn duration_beyond_the_nanosecond_range_is_a_usage_error() {
 }
 
 #[test]
+fn a_rate_too_small_to_arrive_runs_to_the_horizon() {
+    // 1e9 / 1e-300 ns overflows to an infinite mean gap: the first arrival
+    // never comes, so both the standalone NIC's and the balancer's arrival
+    // streams must saturate to "never" instead of landing every arrival at
+    // t = 0 and looping forever.
+    let single = Scratch::new("tiny-rate.toml");
+    single.write(&SINGLE_SPEC.replace("rate_per_sec = 20_000", "rate_per_sec = 1e-300"));
+    let out = execute(&args(&["run", single.path(), "--format", "json"])).unwrap();
+    let parsed = JsonValue::parse(&out).expect("output is valid JSON");
+    let run = &parsed.get("runs").and_then(JsonValue::as_array).unwrap()[0];
+    assert_eq!(
+        run.get("completed_requests").and_then(JsonValue::as_u64),
+        Some(0)
+    );
+
+    let cluster = Scratch::new("tiny-rate-cluster.toml");
+    cluster.write(&CLUSTER_SPEC.replace("rate_per_sec = 40_000", "rate_per_sec = 1e-300"));
+    let out = execute(&args(&["run", cluster.path(), "--format", "json"])).unwrap();
+    let parsed = JsonValue::parse(&out).expect("output is valid JSON");
+    let cluster = &parsed.as_array().expect("cluster JSON is an array")[0];
+    assert_eq!(
+        cluster.get("total_routed").and_then(JsonValue::as_u64),
+        Some(0)
+    );
+    let nodes = cluster
+        .get("nodes")
+        .and_then(|n| n.get("runs"))
+        .and_then(JsonValue::as_array)
+        .expect("per-node runs");
+    assert_eq!(nodes.len(), 2);
+    for node in nodes {
+        assert_eq!(
+            node.get("completed_requests").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+    }
+}
+
+#[test]
+fn rates_above_one_request_per_ns_are_line_numbered_usage_errors() {
+    // Above 1e9 req/s every gap rounds to 0 ns and simulated time would
+    // never advance.
+    let single = Scratch::new("huge-rate.toml");
+    single.write(&SINGLE_SPEC.replace("rate_per_sec = 20_000", "rate_per_sec = 1e300"));
+    let sweep = Scratch::new("huge-rate-sweep.toml");
+    sweep.write(
+        &format!("{SINGLE_SPEC}\n[sweep]\nrates = [1_000, 2e9]\n")
+            .replace("kind = \"single\"", "kind = \"sweep\""),
+    );
+    for (command, spec, needle, line) in [
+        (
+            "run",
+            &single,
+            "`rate_per_sec` must be at most 1e9",
+            "line 10",
+        ),
+        ("sweep", &sweep, "`rates` must be at most 1e9", "line 13"),
+    ] {
+        let err = execute(&args(&[command, spec.path()])).unwrap_err();
+        let CliError::Usage(message) = &err else {
+            panic!("expected usage error for {command}, got {err:?}");
+        };
+        assert!(message.contains(needle), "{command} -> {message}");
+        assert!(message.contains(line), "{command} -> {message}");
+        assert_eq!(err.exit_code(), 2);
+    }
+    // Exactly one request per ns is still accepted by the parser.
+    let edge = Scratch::new("edge-rate.toml");
+    edge.write(&SINGLE_SPEC.replace("rate_per_sec = 20_000", "rate_per_sec = 1e9"));
+    let spec = std::fs::read_to_string(edge.path()).unwrap();
+    assert!(apc_cli::spec::ExperimentSpec::parse(&spec).is_ok());
+}
+
+#[test]
 fn list_names_every_library_scenario() {
     let table = execute(&args(&["list"])).unwrap();
     for name in [

@@ -20,12 +20,13 @@ use apc_sim::{SimDuration, SimTime};
 use crate::model::PowerBreakdown;
 use crate::units::Watts;
 
-/// Watts to the nearest whole nanowatt. Adding 0.5 and truncating rounds
-/// half up for the non-negative levels the model produces (and clamps
-/// anything negative to zero) without the library call `f64::round` costs
-/// on baseline x86-64.
+/// Watts to the nearest whole nanowatt: the quantiser behind every
+/// [`PowerLevel`] field. Adding 0.5 and truncating rounds half up for the
+/// non-negative levels the model produces (and clamps anything negative to
+/// zero) without the library call `f64::round` costs on baseline x86-64.
 #[inline]
-fn nanowatts(power: Watts) -> u64 {
+#[must_use]
+pub fn nanowatts(power: Watts) -> u64 {
     (power.as_f64() * 1e9 + 0.5) as u64
 }
 

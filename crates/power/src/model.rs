@@ -18,9 +18,10 @@
 use std::fmt;
 
 use apc_soc::clm::ClmState;
+use apc_soc::core::CoreSet;
 use apc_soc::cstate::CoreCState;
 use apc_soc::io::{IoKind, LinkPowerState};
-use apc_soc::memory::DramPowerMode;
+use apc_soc::memory::{DramPowerMode, MemorySet};
 use apc_soc::pll::PllState;
 use apc_soc::topology::SkxSoc;
 
@@ -83,6 +84,20 @@ impl fmt::Display for PowerBreakdown {
             self.dram
         )
     }
+}
+
+/// The uncore part of a [`PowerBreakdown`]: every domain that depends only
+/// on the uncore component states (see [`PowerModel::uncore_domain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct UncorePower {
+    /// The CLM domain (CHA + LLC + mesh).
+    pub clm: Watts,
+    /// High-speed IO controllers, their PHYs and the memory controllers.
+    pub io: Watts,
+    /// Uncore (non-core) PLLs.
+    pub plls: Watts,
+    /// Always-on north-cap infrastructure.
+    pub uncore_misc: Watts,
 }
 
 /// The calibrated per-domain power model.
@@ -239,48 +254,65 @@ impl PowerModel {
         })
     }
 
-    /// Computes the instantaneous power breakdown of a socket by walking its
-    /// component states. `memory_utilization` (0–1) scales the DRAM activity
-    /// component (only meaningful when at least one core is active).
+    /// Power of the cores domain: every core at its established C-state.
     #[must_use]
-    pub fn snapshot(&self, soc: &SkxSoc, memory_utilization: f64) -> PowerBreakdown {
-        let cores: Watts = soc
-            .cores()
-            .iter()
-            .map(|c| self.core_power(c.cstate()))
-            .sum();
-        let clm = self.clm_power(soc.clm().state());
+    pub fn cores_domain(&self, cores: &CoreSet) -> Watts {
+        cores.iter().map(|c| self.core_power(c.cstate())).sum()
+    }
 
+    /// Power of the uncore domains (CLM, IO + memory controllers, uncore
+    /// PLLs, north cap), which depend only on the uncore component states.
+    #[must_use]
+    pub fn uncore_domain(&self, soc: &SkxSoc) -> UncorePower {
         let links: Watts = soc
             .ios()
             .iter()
             .map(|c| self.io_power(c.kind(), c.state()))
             .sum();
         let mcs: Watts = soc.memory().iter().map(|m| self.mc_power(m.mode())).sum();
-
-        // DRAM device power follows the deepest common mode of the
-        // controllers (they transition together in the package flows); mixed
-        // states are averaged.
-        let dram: Watts = soc
-            .memory()
-            .iter()
-            .map(|m| self.dram_power(m.mode(), memory_utilization))
-            .sum::<Watts>()
-            / soc.memory().len().max(1) as f64;
-
         let plls: Watts = soc
             .plls()
             .uncore_plls()
             .map(|p| self.pll_power(p.state()))
             .sum();
-
-        PowerBreakdown {
-            cores,
-            clm,
+        UncorePower {
+            clm: self.clm_power(soc.clm().state()),
             io: links + mcs,
             plls,
             uncore_misc: Watts(self.north_cap_base),
-            dram,
+        }
+    }
+
+    /// Power of the DRAM devices. `memory_utilization` (0–1) scales the
+    /// activity component of active-mode controllers.
+    ///
+    /// DRAM device power follows the deepest common mode of the controllers
+    /// (they transition together in the package flows); mixed states are
+    /// averaged.
+    #[must_use]
+    pub fn dram_domain(&self, memory: &MemorySet, memory_utilization: f64) -> Watts {
+        memory
+            .iter()
+            .map(|m| self.dram_power(m.mode(), memory_utilization))
+            .sum::<Watts>()
+            / memory.len().max(1) as f64
+    }
+
+    /// Computes the instantaneous power breakdown of a socket from its three
+    /// domains: [`PowerModel::cores_domain`], [`PowerModel::uncore_domain`]
+    /// and [`PowerModel::dram_domain`]. `memory_utilization` (0–1) scales
+    /// the DRAM activity component (only meaningful when at least one core
+    /// is active).
+    #[must_use]
+    pub fn snapshot(&self, soc: &SkxSoc, memory_utilization: f64) -> PowerBreakdown {
+        let uncore = self.uncore_domain(soc);
+        PowerBreakdown {
+            cores: self.cores_domain(soc.cores()),
+            clm: uncore.clm,
+            io: uncore.io,
+            plls: uncore.plls,
+            uncore_misc: uncore.uncore_misc,
+            dram: self.dram_domain(soc.memory(), memory_utilization),
         }
     }
 }
@@ -441,8 +473,7 @@ mod tests {
         soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
         for i in 0..3 {
             soc.cores_mut()
-                .core_mut(CoreId(i))
-                .force_state(SimTime::ZERO, CoreCState::CC0);
+                .force_state(CoreId(i), SimTime::ZERO, CoreCState::CC0);
         }
         let b = m.snapshot(&soc, 0.3);
         let expected_cores = 3.0 * m.core_cc0 + 7.0 * m.core_cc1;

@@ -288,8 +288,8 @@ impl EventHandler<ServerEvent, ClusterState> for Balancer {
         // span tree starts at the balancer whatever node it lands on.
         if let Some(trace) = shared.trace.as_mut() {
             if trace.sampler.sample() {
-                request =
-                    request.with_trace(apc_trace::TraceCtx::root(request.id.0, request.arrival));
+                let root = apc_trace::TraceCtx::root(request.id.0, request.arrival);
+                request = request.with_trace(root);
             }
         }
         self.router.send(shared, ctx, request);

@@ -104,11 +104,7 @@ impl CoreExec {
         // a traced request's wake span names the state whose exit latency it
         // actually paid.
         let leaving = shared.soc.cores().core(self.core_id()).cstate();
-        let exit = shared
-            .soc
-            .cores_mut()
-            .core_mut(self.core_id())
-            .begin_wakeup(now);
+        let exit = shared.soc.cores_mut().begin_wakeup(self.core_id(), now);
         if let Some(WorkItem::Client(request)) = shared.sched.pending_start[self.index].as_mut() {
             if let Some(trace) = request.trace.as_mut() {
                 trace.wake_start = Some(now);
@@ -133,8 +129,7 @@ impl CoreExec {
         shared
             .soc
             .cores_mut()
-            .core_mut(self.core_id())
-            .complete_transition(now);
+            .complete_transition(self.core_id(), now);
         shared
             .telemetry
             .core_residency
@@ -167,7 +162,7 @@ impl CoreExec {
             WorkItem::Client(r) => r.service + shared.config.softirq_overhead,
             WorkItem::Background { work } => *work,
         };
-        shared.sched.running[self.index] = Some(item);
+        shared.sched.start_running(self.index, item);
         ctx.emit_self(service, ServerEvent::ServiceDone);
     }
 
@@ -178,8 +173,9 @@ impl CoreExec {
     ) {
         let now = ctx.now();
         let node = shared.node_mut(self.node);
-        let item = node.sched.running[self.index]
-            .take()
+        let item = node
+            .sched
+            .take_running(self.index)
             .expect("core had no running work");
         let mut leaf_report = None;
         let mut finished_trace = None;
@@ -317,8 +313,7 @@ impl CoreExec {
         let entry = shared
             .soc
             .cores_mut()
-            .core_mut(self.core_id())
-            .begin_idle(now, target);
+            .begin_idle(self.core_id(), now, target);
         shared.telemetry.idle_tracker.core_idle(now);
         // The core can accept new work from this point on (an assignment
         // would abort the idle entry): tell the scheduler's free-core index.
@@ -340,8 +335,7 @@ impl CoreExec {
         shared
             .soc
             .cores_mut()
-            .core_mut(self.core_id())
-            .complete_transition(now);
+            .complete_transition(self.core_id(), now);
         let state = shared.soc.cores().core(self.core_id()).cstate();
         shared
             .telemetry

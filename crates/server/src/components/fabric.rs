@@ -76,7 +76,7 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for Fabric {
     ) {
         match event {
             ServerEvent::WireDeliver { node, request } => {
-                buffer_request(shared.node_mut(node), ctx, request);
+                buffer_request(shared.node_mut(node), ctx, *request);
             }
             other => unreachable!("fabric received unexpected event {other:?}"),
         }
@@ -115,7 +115,7 @@ pub(crate) fn deliver_routed<S: HasNode>(
             delay,
             ServerEvent::WireDeliver {
                 node: target,
-                request,
+                request: Box::new(request),
             },
         );
     }

@@ -63,8 +63,9 @@ pub enum ServerEvent {
     WireDeliver {
         /// The destination node.
         node: usize,
-        /// The request coming off the wire.
-        request: Request,
+        /// The request coming off the wire, boxed so that this rare variant
+        /// does not size every queued event.
+        request: Box<Request>,
     },
     /// A core's periodic background (OS) wakeup fires. (→ `core <i>`)
     BackgroundTick,
@@ -260,5 +261,17 @@ impl Default for Addresses {
             package: unset,
             cores: Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_stay_small() {
+        // Every scheduled event is moved into and out of the queue's slab:
+        // the wire variant boxes its request so no payload inflates them.
+        assert_eq!(std::mem::size_of::<ServerEvent>(), 24);
     }
 }

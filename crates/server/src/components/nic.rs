@@ -95,7 +95,8 @@ impl NicArrival {
         // receives `ClientArrival`, so node-local trace state is in scope).
         if let Some(trace) = shared.telemetry.trace.as_mut() {
             if trace.sampler.sample() {
-                request = request.with_trace(TraceCtx::root(request.id.0, request.arrival));
+                let root = TraceCtx::root(request.id.0, request.arrival);
+                request = request.with_trace(root);
             }
         }
         buffer_request(shared, ctx, request);

@@ -32,14 +32,13 @@ pub struct PackageController {
     /// A wake arrived while the GPMU entry flow was still running; exit as
     /// soon as the entry completes.
     gpmu_pending_wake: bool,
-    /// `(soc change-epoch, core-occupancy bit)` as of the last post-dispatch
-    /// residency update. The package state is a pure function of the SoC
-    /// state (core activity), scheduler occupancy (the work-in-flight half
-    /// of [`ServerState::any_core_active`]) and this controller's own FSMs;
-    /// while the first two are unchanged *and* no event has run through this
-    /// controller (which clears the cache), the state cannot have moved and
-    /// the residency update — a same-state no-op — can be skipped outright.
-    residency_cache: Option<(u64, bool)>,
+    /// [`ServerState::any_core_active`] as of the last post-dispatch
+    /// residency update. The package state is a pure function of that bit
+    /// and this controller's own FSMs; while the bit is unchanged *and* no
+    /// event has run through this controller (which clears the cache), the
+    /// state cannot have moved and the residency update — a same-state
+    /// no-op — can be skipped outright.
+    residency_cache: Option<bool>,
 }
 
 impl PackageController {
@@ -255,7 +254,8 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
         }
         self.sync_uncore(shared);
         // The handler may have moved the FSMs; the cached residency state is
-        // no longer trustworthy (the SoC epoch alone cannot see FSM moves).
+        // no longer trustworthy (the activity bit alone cannot see FSM
+        // moves).
         self.residency_cache = None;
     }
 
@@ -274,16 +274,13 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
         // node; other components' events at most deposit into the NIC
         // buffer, which none of the package-state inputs read.)
         let shared = shared.node_mut(self.node);
-        // Same SoC epoch + same occupancy + no intervening event through
-        // this controller (which clears the cache) ⇒ the derivation below
-        // would yield the same state again and `transition` would
-        // early-return: skip both.
-        let epoch = shared.soc.change_epoch();
-        let occupied = shared.sched.free_cores.count() < shared.sched.running.len();
-        if self.residency_cache == Some((epoch, occupied)) {
+        // Same activity bit + no intervening event through this controller
+        // (which clears the cache) ⇒ the derivation below would yield the
+        // same state again and `transition` would early-return: skip both.
+        let any_active = shared.any_core_active();
+        if self.residency_cache == Some(any_active) {
             return;
         }
-        let any_active = shared.any_core_active();
         let state = match self.policy {
             PackagePolicy::Pc1a => self.apmu.package_state(any_active),
             PackagePolicy::Pc6 => self.gpmu.package_state(!any_active),
@@ -296,6 +293,6 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
             }
         };
         shared.telemetry.package_residency.transition(now, state);
-        self.residency_cache = Some((epoch, occupied));
+        self.residency_cache = Some(any_active);
     }
 }

@@ -38,6 +38,8 @@ use crate::config::ServerConfig;
 pub struct FreeCoreSet {
     words: Vec<u64>,
     len: usize,
+    /// Number of set bits, maintained by `insert`/`remove`.
+    ones: usize,
 }
 
 impl FreeCoreSet {
@@ -48,6 +50,7 @@ impl FreeCoreSet {
         FreeCoreSet {
             words: vec![0; cores.div_ceil(64)],
             len: cores,
+            ones: 0,
         }
     }
 
@@ -62,13 +65,19 @@ impl FreeCoreSet {
     /// Marks `core` free.
     pub fn insert(&mut self, core: usize) {
         debug_assert!(core < self.len);
-        self.words[core / 64] |= 1u64 << (core % 64);
+        let word = &mut self.words[core / 64];
+        let bit = 1u64 << (core % 64);
+        self.ones += usize::from(*word & bit == 0);
+        *word |= bit;
     }
 
     /// Marks `core` occupied.
     pub fn remove(&mut self, core: usize) {
         debug_assert!(core < self.len);
-        self.words[core / 64] &= !(1u64 << (core % 64));
+        let word = &mut self.words[core / 64];
+        let bit = 1u64 << (core % 64);
+        self.ones -= usize::from(*word & bit != 0);
+        *word &= !bit;
     }
 
     /// `true` when `core` is marked free.
@@ -130,10 +139,17 @@ impl FreeCoreSet {
         }
     }
 
-    /// Number of free cores.
+    /// Number of free cores. O(1): the set maintains the count.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        debug_assert_eq!(
+            self.ones,
+            self.words
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+        );
+        self.ones
     }
 }
 
@@ -175,8 +191,12 @@ pub struct SchedState {
     pub client_queue: VecDeque<Request>,
     /// Per-core queues of pinned OS background work.
     pub background: Vec<VecDeque<SimDuration>>,
-    /// Work currently executing on each core.
-    pub running: Vec<Option<WorkItem>>,
+    /// Work currently executing on each core; changed only through
+    /// [`SchedState::start_running`] and [`SchedState::take_running`], which
+    /// keep `busy` in step.
+    running: Vec<Option<WorkItem>>,
+    /// Number of `Some` slots in `running`.
+    busy: usize,
     /// Work assigned to a core that is still completing its wake transition.
     pub pending_start: Vec<Option<WorkItem>>,
     /// When each core's next background timer fires (the OS knows its own
@@ -200,6 +220,7 @@ impl SchedState {
             client_queue: VecDeque::new(),
             background: vec![VecDeque::new(); cores],
             running: vec![None; cores],
+            busy: 0,
             pending_start: vec![None; cores],
             next_background_at: vec![SimTime::MAX; cores],
             free_cores: FreeCoreSet::new_all_occupied(cores),
@@ -217,6 +238,20 @@ impl SchedState {
         self.free_cores.remove(core);
     }
 
+    /// Starts `item` executing on `core` (which must be running nothing).
+    pub fn start_running(&mut self, core: usize, item: WorkItem) {
+        let previous = self.running[core].replace(item);
+        debug_assert!(previous.is_none(), "core {core} is already running work");
+        self.busy += usize::from(previous.is_none());
+    }
+
+    /// Takes the work executing on `core`, if any.
+    pub fn take_running(&mut self, core: usize) -> Option<WorkItem> {
+        let item = self.running[core].take();
+        self.busy -= usize::from(item.is_some());
+        item
+    }
+
     /// `true` when `core` can accept new work.
     #[must_use]
     pub fn core_is_free(&self, soc: &SkxSoc, core: usize) -> bool {
@@ -225,10 +260,15 @@ impl SchedState {
             && soc.cores().core(apc_soc::core::CoreId(core)).activity() != CoreActivity::Busy
     }
 
-    /// Number of cores currently executing work.
+    /// Number of cores currently executing work. O(1): the state maintains
+    /// the count.
     #[must_use]
     pub fn busy_cores(&self) -> usize {
-        self.running.iter().filter(|w| w.is_some()).count()
+        debug_assert_eq!(
+            self.busy,
+            self.running.iter().filter(|w| w.is_some()).count()
+        );
+        self.busy
     }
 
     /// `true` when any core is running or about to run work.
@@ -402,7 +442,7 @@ impl ServerState {
     }
 
     /// `true` when any core is active or has work in flight (the package
-    /// cannot be considered idle).
+    /// cannot be considered idle). O(1): both halves read maintained counts.
     #[must_use]
     pub fn any_core_active(&self) -> bool {
         if self.soc.cores().any_active() {
@@ -413,9 +453,16 @@ impl ServerState {
         // all cores are occupied *and* busy until their initial idle entry,
         // so the short-circuit above covers the window where the free set
         // alone would over-report; see `FreeCoreSet::new_all_occupied`.)
-        let occupied = self.sched.free_cores.count() < self.sched.running.len();
+        let occupied = self.sched.free_cores.count() < self.soc.cores().len();
         debug_assert_eq!(occupied, self.sched.any_work_in_flight());
         occupied
+    }
+
+    /// Memory-bandwidth utilisation (0–1) implied by `busy` busy cores: the
+    /// DRAM power domain's activity input.
+    #[must_use]
+    pub fn memory_utilization(&self, busy: usize) -> f64 {
+        busy as f64 / self.soc.cores().len().max(1) as f64
     }
 
     /// The instantaneous power breakdown implied by the current SoC state
@@ -424,8 +471,7 @@ impl ServerState {
     /// reported power figure agrees on one definition.
     #[must_use]
     pub fn power_snapshot(&self) -> apc_power::model::PowerBreakdown {
-        let busy = self.sched.busy_cores() as f64;
-        let mem_util = busy / self.soc.cores().len().max(1) as f64;
+        let mem_util = self.memory_utilization(self.sched.busy_cores());
         self.config.power.snapshot(&self.soc, mem_util)
     }
 
@@ -637,11 +683,11 @@ mod tests {
         // Idle the even cores the way the core component does.
         let now = apc_sim::SimTime::from_micros(1);
         for c in (0..cores).step_by(2) {
-            state
-                .soc
-                .cores_mut()
-                .core_mut(apc_soc::core::CoreId(c))
-                .begin_idle(now, apc_soc::cstate::CoreCState::CC1);
+            state.soc.cores_mut().begin_idle(
+                apc_soc::core::CoreId(c),
+                now,
+                apc_soc::cstate::CoreCState::CC1,
+            );
             state.sched.mark_free(c);
         }
         for c in 0..cores {
@@ -675,12 +721,15 @@ mod tests {
         };
         state.nic.buffer.push_back(request());
         state.sched.client_queue.push_back(request());
-        state.sched.running[0] = Some(WorkItem::Client(request()));
+        state.sched.start_running(0, WorkItem::Client(request()));
         state.sched.pending_start[1] = Some(WorkItem::Client(request()));
         // Background work never counts.
-        state.sched.running[2] = Some(WorkItem::Background {
-            work: SimDuration::from_micros(5),
-        });
+        state.sched.start_running(
+            2,
+            WorkItem::Background {
+                work: SimDuration::from_micros(5),
+            },
+        );
         assert_eq!(state.outstanding_requests(), 4);
     }
 }

@@ -182,8 +182,13 @@ impl SimRng {
 
     /// An exponentially distributed draw with the given mean.
     ///
-    /// Returns `0.0` for non-positive or non-finite means.
+    /// Returns `f64::INFINITY` for an infinite mean (a gap that never ends,
+    /// e.g. the inter-arrival time of a rate that underflows to zero) and
+    /// `0.0` for non-positive or NaN means. Neither consumes a draw.
     pub fn exponential(&mut self, mean: f64) -> f64 {
+        if mean == f64::INFINITY {
+            return f64::INFINITY;
+        }
         if !mean.is_finite() || mean <= 0.0 {
             return 0.0;
         }
@@ -280,6 +285,9 @@ mod tests {
             "observed mean {observed} too far from {mean}"
         );
         assert_eq!(rng.exponential(-1.0), 0.0);
+        assert_eq!(rng.exponential(f64::NAN), 0.0);
+        // An infinite mean saturates to a gap that never ends.
+        assert_eq!(rng.exponential(1e9 / 1e-300), f64::INFINITY);
     }
 
     #[test]

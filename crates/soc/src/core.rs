@@ -38,23 +38,25 @@ pub enum CoreActivity {
 ///
 /// The core is a passive state machine: the surrounding simulation decides
 /// *when* to request transitions, the core records the state and answers
-/// questions about latency and status signals.
+/// questions about latency and status signals. Cores live in a [`CoreSet`],
+/// the only way to mutate them.
 ///
 /// # Examples
 ///
 /// ```
-/// use apc_soc::core::{Core, CoreId};
+/// use apc_soc::core::{CoreId, CoreSet};
 /// use apc_soc::cstate::CoreCState;
 /// use apc_sim::SimTime;
 ///
-/// let mut core = Core::new(CoreId(0));
-/// assert!(core.cstate().is_active());
+/// let mut cores = CoreSet::new(1);
+/// let id = CoreId(0);
+/// assert!(cores.core(id).cstate().is_active());
 ///
 /// // The OS idles the core into CC1.
 /// let t = SimTime::from_micros(10);
-/// core.begin_idle(t, CoreCState::CC1);
-/// core.complete_transition(t + CoreCState::CC1.entry_latency());
-/// assert!(core.in_cc1_or_deeper());
+/// let entry = cores.begin_idle(id, t, CoreCState::CC1);
+/// cores.complete_transition(id, t + entry);
+/// assert!(cores.core(id).in_cc1_or_deeper());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Core {
@@ -73,8 +75,7 @@ pub struct Core {
 
 impl Core {
     /// Creates a core in the active state (CC0, busy) at time zero.
-    #[must_use]
-    pub fn new(id: CoreId) -> Self {
+    fn new(id: CoreId) -> Self {
         Core {
             id,
             cstate: CoreCState::CC0,
@@ -135,16 +136,8 @@ impl Core {
             && self.cstate.at_least_as_deep_as(CoreCState::CC1)
     }
 
-    /// Starts an idle transition into `target` at time `now`.
-    ///
-    /// Returns the entry latency the caller should wait before calling
-    /// [`Core::complete_transition`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is `CC0` (use [`Core::begin_wakeup`]) or if the core
-    /// is already idle or transitioning.
-    pub fn begin_idle(&mut self, now: SimTime, target: CoreCState) -> SimDuration {
+    /// See [`CoreSet::begin_idle`].
+    fn begin_idle(&mut self, now: SimTime, target: CoreCState) -> SimDuration {
         assert!(target.is_idle(), "begin_idle requires an idle target state");
         assert_eq!(
             self.activity,
@@ -160,17 +153,8 @@ impl Core {
         target.entry_latency()
     }
 
-    /// Starts a wakeup (transition back to CC0) at time `now`.
-    ///
-    /// Returns the exit latency of the state the core is leaving. Waking a
-    /// core that is still completing its idle entry is allowed (hardware
-    /// aborts the entry); the exit latency is then the target state's exit
-    /// latency, which is the conservative choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core is already busy.
-    pub fn begin_wakeup(&mut self, now: SimTime) -> SimDuration {
+    /// See [`CoreSet::begin_wakeup`].
+    fn begin_wakeup(&mut self, now: SimTime) -> SimDuration {
         assert_ne!(
             self.activity,
             CoreActivity::Busy,
@@ -185,13 +169,8 @@ impl Core {
         leaving.exit_latency()
     }
 
-    /// Completes an in-flight transition at time `now`, establishing the
-    /// pending state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no transition is pending.
-    pub fn complete_transition(&mut self, now: SimTime) {
+    /// See [`CoreSet::complete_transition`].
+    fn complete_transition(&mut self, now: SimTime) {
         let target = self
             .pending
             .take()
@@ -205,10 +184,8 @@ impl Core {
         self.since = now;
     }
 
-    /// Forces the core into an established state without modelling the
-    /// transition latency. Used for initial conditions and by analytical
-    /// (non-event-driven) experiments.
-    pub fn force_state(&mut self, now: SimTime, state: CoreCState) {
+    /// See [`CoreSet::force_state`].
+    fn force_state(&mut self, now: SimTime, state: CoreCState) {
         self.pending = None;
         self.cstate = state;
         self.activity = if state.is_active() {
@@ -222,9 +199,19 @@ impl Core {
 
 /// The set of cores of a socket, with helpers for the all-core status signals
 /// the package controllers consume.
+///
+/// The set is the only way to mutate its cores, so it maintains two facts
+/// the per-event hot paths read in O(1): the number of busy cores (what
+/// [`CoreSet::active_count`] and [`CoreSet::any_active`] report) and a
+/// counter bumped whenever some core's established C-state changes (see
+/// [`CoreSet::cstate_changes`]).
 #[derive(Debug, Clone)]
 pub struct CoreSet {
     cores: Vec<Core>,
+    /// Cores whose activity is [`CoreActivity::Busy`].
+    busy: usize,
+    /// Bumped once per core whose established C-state changed.
+    cstate_changes: u64,
 }
 
 impl CoreSet {
@@ -233,6 +220,8 @@ impl CoreSet {
     pub fn new(n: usize) -> Self {
         CoreSet {
             cores: (0..n).map(|i| Core::new(CoreId(i))).collect(),
+            busy: n,
+            cstate_changes: 0,
         }
     }
 
@@ -259,36 +248,88 @@ impl CoreSet {
         &self.cores[id.0]
     }
 
-    /// Mutable access to a core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn core_mut(&mut self, id: CoreId) -> &mut Core {
-        &mut self.cores[id.0]
-    }
-
     /// Iterator over all cores.
     pub fn iter(&self) -> impl Iterator<Item = &Core> {
         self.cores.iter()
     }
 
-    /// A compact injective encoding of every core's C-state (2 bits per
-    /// core), or `None` when the socket has more cores than fit one word.
-    /// Equal fingerprints guarantee bit-identical per-core C-states, so a
-    /// cached value derived from them (e.g. a power breakdown) can be
-    /// reused without recomputation; `None` means callers must assume a
-    /// change.
+    /// Applies `change` to core `id`, keeping the busy count and the
+    /// C-state change counter in step with it.
+    fn update<R>(&mut self, id: CoreId, change: impl FnOnce(&mut Core) -> R) -> R {
+        let core = &mut self.cores[id.0];
+        let (was_busy, was) = (core.activity == CoreActivity::Busy, core.cstate);
+        let out = change(core);
+        let is_busy = core.activity == CoreActivity::Busy;
+        if core.cstate != was {
+            self.cstate_changes += 1;
+        }
+        if is_busy != was_busy {
+            if is_busy {
+                self.busy += 1;
+            } else {
+                self.busy -= 1;
+            }
+        }
+        out
+    }
+
+    /// Starts an idle transition of core `id` into `target` at time `now`.
+    ///
+    /// Returns the entry latency the caller should wait before calling
+    /// [`CoreSet::complete_transition`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range, if `target` is `CC0` (use
+    /// [`CoreSet::begin_wakeup`]) or if the core is already idle or
+    /// transitioning.
+    pub fn begin_idle(&mut self, id: CoreId, now: SimTime, target: CoreCState) -> SimDuration {
+        self.update(id, |c| c.begin_idle(now, target))
+    }
+
+    /// Starts a wakeup of core `id` (a transition back to CC0) at time `now`.
+    ///
+    /// Returns the exit latency of the state the core is leaving. Waking a
+    /// core that is still completing its idle entry is allowed (hardware
+    /// aborts the entry); the exit latency is then the target state's exit
+    /// latency, which is the conservative choice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or the core is already busy.
+    pub fn begin_wakeup(&mut self, id: CoreId, now: SimTime) -> SimDuration {
+        self.update(id, |c| c.begin_wakeup(now))
+    }
+
+    /// Completes core `id`'s in-flight transition at time `now`,
+    /// establishing the pending state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or no transition is pending.
+    pub fn complete_transition(&mut self, id: CoreId, now: SimTime) {
+        self.update(id, |c| c.complete_transition(now));
+    }
+
+    /// Forces core `id` into an established state without modelling the
+    /// transition latency. Used for initial conditions and by analytical
+    /// (non-event-driven) experiments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn force_state(&mut self, id: CoreId, now: SimTime, state: CoreCState) {
+        self.update(id, |c| c.force_state(now, state));
+    }
+
+    /// A counter bumped whenever some core's established C-state changes
+    /// (once per changed core). Equal values guarantee every core is in the
+    /// C-state it had when the value was read, so a cached value derived
+    /// from the C-states (e.g. the cores' power) can be reused without
+    /// recomputation.
     #[must_use]
-    pub fn cstate_fingerprint(&self) -> Option<u64> {
-        if self.cores.len() > 32 {
-            return None;
-        }
-        let mut fp = 0u64;
-        for (i, c) in self.cores.iter().enumerate() {
-            fp |= (c.cstate() as u64) << (2 * i);
-        }
-        Some(fp)
+    pub fn cstate_changes(&self) -> u64 {
+        self.cstate_changes
     }
 
     /// The aggregated `InCC1` signal: `true` when **all** cores assert their
@@ -312,23 +353,25 @@ impl CoreSet {
     }
 
     /// Number of cores currently active (CC0 established or transitioning to
-    /// it).
+    /// it). O(1): the set maintains the count.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.cores
-            .iter()
-            .filter(|c| c.activity() == CoreActivity::Busy)
-            .count()
+        debug_assert_eq!(
+            self.busy,
+            self.cores
+                .iter()
+                .filter(|c| c.activity() == CoreActivity::Busy)
+                .count(),
+            "maintained busy-core count out of sync"
+        );
+        self.busy
     }
 
-    /// `true` when at least one core is active — a nonzero
-    /// [`CoreSet::active_count`] with an early exit, for the per-event hot
-    /// paths that only need the yes/no answer.
+    /// `true` when at least one core is active: a nonzero
+    /// [`CoreSet::active_count`].
     #[must_use]
     pub fn any_active(&self) -> bool {
-        self.cores
-            .iter()
-            .any(|c| c.activity() == CoreActivity::Busy)
+        self.active_count() > 0
     }
 
     /// Number of cores established in exactly the given C-state.
@@ -423,8 +466,7 @@ mod tests {
         assert_eq!(set.active_count(), 4);
 
         for i in 0..4 {
-            set.core_mut(CoreId(i))
-                .force_state(SimTime::ZERO, CoreCState::CC1);
+            set.force_state(CoreId(i), SimTime::ZERO, CoreCState::CC1);
         }
         assert!(set.all_in_cc1_or_deeper());
         assert!(set.all_at_least(CoreCState::CC1));
@@ -432,10 +474,79 @@ mod tests {
         assert_eq!(set.count_in(CoreCState::CC1), 4);
         assert_eq!(set.active_count(), 0);
 
-        set.core_mut(CoreId(2))
-            .force_state(SimTime::ZERO, CoreCState::CC0);
+        set.force_state(CoreId(2), SimTime::ZERO, CoreCState::CC0);
         assert!(!set.all_in_cc1_or_deeper());
         assert_eq!(set.active_count(), 1);
+    }
+
+    /// Drives `cores` cores through `steps` SimRng-drawn legal mutations and
+    /// checks the maintained facts against a scan after every step.
+    fn check_maintained_counts(cores: usize, steps: usize, seed: u64) {
+        use apc_sim::rng::SimRng;
+        const STATES: [CoreCState; 4] = [
+            CoreCState::CC0,
+            CoreCState::CC1,
+            CoreCState::CC1E,
+            CoreCState::CC6,
+        ];
+        const IDLE: [CoreCState; 3] = [CoreCState::CC1, CoreCState::CC1E, CoreCState::CC6];
+        let mut rng = SimRng::from_seed(seed);
+        let mut set = CoreSet::new(cores);
+        let mut now = SimTime::ZERO;
+        for step in 0..steps {
+            now += SimDuration::from_nanos(rng.index(2_000) as u64);
+            let before: Vec<CoreCState> = set.iter().map(Core::cstate).collect();
+            let changes = set.cstate_changes();
+            let id = CoreId(rng.index(cores));
+            if rng.chance(0.05) {
+                set.force_state(id, now, STATES[rng.index(4)]);
+            } else {
+                match set.core(id).activity() {
+                    CoreActivity::Busy => {
+                        set.begin_idle(id, now, IDLE[rng.index(3)]);
+                    }
+                    CoreActivity::Idle => {
+                        set.begin_wakeup(id, now);
+                    }
+                    // A transition either completes or (an interrupt during
+                    // idle entry) turns into a wakeup.
+                    CoreActivity::Transitioning if rng.chance(0.3) => {
+                        set.begin_wakeup(id, now);
+                    }
+                    CoreActivity::Transitioning => set.complete_transition(id, now),
+                }
+            }
+            let busy = set
+                .iter()
+                .filter(|c| c.activity() == CoreActivity::Busy)
+                .count();
+            assert_eq!(set.active_count(), busy, "step {step}: busy count");
+            assert_eq!(set.any_active(), busy > 0, "step {step}: any_active");
+            let changed = set
+                .iter()
+                .zip(&before)
+                .filter(|(c, was)| c.cstate() != **was)
+                .count() as u64;
+            assert_eq!(
+                set.cstate_changes() - changes,
+                changed,
+                "step {step}: the C-state counter must move exactly with the C-states"
+            );
+        }
+    }
+
+    #[test]
+    fn maintained_counts_match_a_scan_on_10_cores() {
+        for seed in 0..20 {
+            check_maintained_counts(10, 2_000, seed);
+        }
+    }
+
+    #[test]
+    fn maintained_counts_match_a_scan_on_48_cores() {
+        for seed in 100..110 {
+            check_maintained_counts(48, 5_000, seed);
+        }
     }
 
     #[test]

@@ -123,7 +123,6 @@ impl SocConfig {
                 Fivr::new_mbvr("vccio", Millivolts(950)),
             ],
             config: self.clone(),
-            change_epoch: 0,
             uncore_epoch: 0,
         }
     }
@@ -160,9 +159,7 @@ pub struct SkxSoc {
     plls: PllSet,
     motherboard_rails: Vec<Fivr>,
     config: SocConfig,
-    /// Bumped by every mutable-access path (see [`SkxSoc::change_epoch`]).
-    change_epoch: u64,
-    /// Bumped by every mutable-access path *except* `cores_mut` (see
+    /// Bumped by every uncore mutable-access path (see
     /// [`SkxSoc::uncore_change_epoch`]).
     uncore_epoch: u64,
 }
@@ -186,9 +183,9 @@ impl SkxSoc {
         &self.cores
     }
 
-    /// Mutable access to the core set.
+    /// Mutable access to the core set (which maintains its own change
+    /// counters; see [`CoreSet::cstate_changes`]).
     pub fn cores_mut(&mut self) -> &mut CoreSet {
-        self.change_epoch += 1;
         &mut self.cores
     }
 
@@ -200,7 +197,6 @@ impl SkxSoc {
 
     /// Mutable access to the CLM domain.
     pub fn clm_mut(&mut self) -> &mut ClmDomain {
-        self.change_epoch += 1;
         self.uncore_epoch += 1;
         &mut self.clm
     }
@@ -213,7 +209,6 @@ impl SkxSoc {
 
     /// Mutable access to the IO controllers.
     pub fn ios_mut(&mut self) -> &mut IoSet {
-        self.change_epoch += 1;
         self.uncore_epoch += 1;
         &mut self.ios
     }
@@ -226,7 +221,6 @@ impl SkxSoc {
 
     /// Mutable access to the memory subsystem.
     pub fn memory_mut(&mut self) -> &mut MemorySet {
-        self.change_epoch += 1;
         self.uncore_epoch += 1;
         &mut self.memory
     }
@@ -239,7 +233,6 @@ impl SkxSoc {
 
     /// Mutable access to the PLL inventory.
     pub fn plls_mut(&mut self) -> &mut PllSet {
-        self.change_epoch += 1;
         self.uncore_epoch += 1;
         &mut self.plls
     }
@@ -254,33 +247,19 @@ impl SkxSoc {
     /// latencies. Convenience for setting up analytical experiments
     /// ("all cores in CC1", "all cores in CC6").
     pub fn force_all_cores(&mut self, now: SimTime, state: CoreCState) {
-        self.change_epoch += 1;
         for i in 0..self.cores.len() {
-            self.cores.core_mut(CoreId(i)).force_state(now, state);
+            self.cores.force_state(CoreId(i), now, state);
         }
     }
 
-    /// A counter bumped by every mutable-access path into the socket
-    /// (`cores_mut`, `clm_mut`, `ios_mut`, `memory_mut`, `plls_mut`,
-    /// [`force_all_cores`](SkxSoc::force_all_cores)). Two equal epochs
-    /// guarantee the socket state — and therefore any pure function of it,
-    /// such as a power snapshot — is unchanged; an epoch bump does *not*
-    /// guarantee a change (handing out a `&mut` that is never written still
-    /// bumps). Lets callers cache derived values with an exact "maybe
-    /// changed" signal instead of recomputing on every event.
-    #[must_use]
-    pub fn change_epoch(&self) -> u64 {
-        self.change_epoch
-    }
-
-    /// Like [`change_epoch`](SkxSoc::change_epoch) but *not* bumped by
-    /// `cores_mut`: it tracks only the uncore component models (CLM, IO
-    /// controllers, memory, PLLs). Core C-states move orders of magnitude
-    /// more often than the uncore, so callers whose derivation depends on
-    /// core state only through the C-state vector can pair this epoch with
-    /// [`CoreSet::cstate_fingerprint`](crate::core::CoreSet::cstate_fingerprint)
-    /// and skip recomputation across the frequent core-only `&mut` accesses
-    /// that leave every C-state in place.
+    /// A counter bumped by every mutable-access path into the uncore
+    /// component models (`clm_mut`, `ios_mut`, `memory_mut`, `plls_mut`).
+    /// Two equal epochs guarantee the uncore state — and therefore any pure
+    /// function of it, such as the uncore's power — is unchanged; a bump
+    /// does *not* guarantee a change (handing out a `&mut` that is never
+    /// written still bumps). Core state is tracked by the core set itself
+    /// (see [`CoreSet::cstate_changes`]), so the frequent core transitions
+    /// leave this epoch alone.
     #[must_use]
     pub fn uncore_change_epoch(&self) -> u64 {
         self.uncore_epoch

@@ -78,7 +78,11 @@ pub struct ChainTag {
 }
 
 /// A single request as generated by a load generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Requests move by value through the NIC buffer, the run queue and the
+/// event queue, so the struct is kept at 64 bytes: the rarely present trace
+/// context sits behind a box.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Identifier.
     pub id: RequestId,
@@ -98,7 +102,7 @@ pub struct Request {
     /// `Some` when this request was head-sampled for span tracing: the
     /// trace context components stamp as the request moves through the
     /// pipeline. Purely observational — no simulation decision reads it.
-    pub trace: Option<TraceCtx>,
+    pub trace: Option<Box<TraceCtx>>,
 }
 
 impl Request {
@@ -126,7 +130,7 @@ impl Request {
     /// Attaches a sampled trace context.
     #[must_use]
     pub fn with_trace(mut self, ctx: TraceCtx) -> Self {
-        self.trace = Some(ctx);
+        self.trace = Some(Box::new(ctx));
         self
     }
 }
@@ -160,5 +164,10 @@ mod tests {
             SimDuration::from_micros(5),
         );
         assert!(!bg.memory_intensive);
+    }
+
+    #[test]
+    fn request_stays_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Request>(), 64);
     }
 }
