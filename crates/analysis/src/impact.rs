@@ -61,12 +61,6 @@ impl ImpactInputs {
     }
 }
 
-/// The *measured* relative latency impact between two simulated runs.
-#[must_use]
-pub fn measured_impact(apc: &RunResult, baseline: &RunResult) -> f64 {
-    apc.latency_overhead_vs(baseline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

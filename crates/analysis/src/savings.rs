@@ -11,7 +11,6 @@
 
 use apc_power::budget::{PackageStatePower, StatePower};
 use apc_power::units::Watts;
-use apc_server::result::RunResult;
 use apc_soc::cstate::PackageCState;
 
 /// Inputs to Eq. 1.
@@ -81,13 +80,6 @@ pub fn idle_savings(pc0idle: StatePower, pc1a: StatePower) -> f64 {
         return 0.0;
     }
     1.0 - pc1a.total().as_f64() / idle
-}
-
-/// Measured power saving between two simulated runs (e.g. `CPC1A` vs
-/// `Cshallow` at the same request rate).
-#[must_use]
-pub fn measured_savings(apc: &RunResult, baseline: &RunResult) -> f64 {
-    apc.power_saving_vs(baseline)
 }
 
 /// A simple energy-proportionality score: the ratio of the power *actually*

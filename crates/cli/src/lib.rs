@@ -6,7 +6,7 @@
 //! recompile per scenario.
 //!
 //! ```text
-//! apc-cli list                                # named scenario libraries
+//! apc-cli list                                # the named scenarios
 //! apc-cli run examples/specs/smoke.toml       # run a spec file
 //! apc-cli run cluster-8-mid --format json     # run a named scenario
 //! apc-cli sweep examples/specs/low_load_sweep.toml --format csv --out sweep.csv
@@ -14,11 +14,15 @@
 //! apc-cli validate out.json                   # round-trip the JSON export
 //! ```
 //!
-//! Subcommands: `list` (the built-in scenario and cluster-scenario
-//! libraries), `run` (a spec file or a named scenario), `sweep` (a spec
-//! with a `[sweep]` table: cartesian rates × platforms), `cluster` (a
-//! cluster spec or named cluster scenario) and `validate` (parse a JSON
-//! export with the bundled parser).
+//! Subcommands: `list` (the named scenarios), `run` (a spec file or a
+//! named scenario), `sweep` (a spec with a `[sweep]` table: cartesian
+//! rates × platforms), `cluster` (a cluster spec or named cluster
+//! scenario) and `validate` (parse a JSON export with the bundled parser).
+//!
+//! A named scenario is a committed spec file under
+//! `examples/specs/library/`, embedded in the binary ([`LIBRARY`]): it runs
+//! through the same parser and planner as any spec file, so every flag
+//! applies to it alike.
 //!
 //! All execution goes through the `apc-server` worker pool, so results
 //! are bit-identical whatever `--parallelism` says, and the JSON/CSV
@@ -39,12 +43,11 @@ use apc_analysis::export::{chrome_trace_json, csv_escape, JsonValue};
 use apc_analysis::report::TextTable;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::fleet::Fleet;
-use apc_server::scenario::{ChainScenario, ClusterScenario, Scenario};
 use apc_sim::SimDuration;
 
 use crate::checkpoint::{merge_checkpoints, Checkpoint, CheckpointPoint};
-use crate::runner::{execute_spec, plan_spec, sweep_grid, Outcome, OutputFormat};
-use crate::spec::{parse_policy, ExperimentSpec, PlatformKind, SpecKind};
+use crate::runner::{chain_graph, execute_spec, plan_spec, sweep_grid, Outcome, OutputFormat};
+use crate::spec::{parse_policy, ExperimentSpec, PlatformKind, SpecKind, MAX_DURATION_MS};
 
 /// A CLI failure: what went wrong and which exit code it maps to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,9 +88,8 @@ pub const USAGE: &str = "\
 usage: apc-cli <command> [options]
 
 commands:
-  list                      the named scenario / cluster / chain libraries
+  list                      the named scenarios (fleet, cluster, fan-out chain)
   run <spec|name>           run a spec file or a named scenario
-                            (fleet, cluster or fan-out chain)
   sweep <spec>              run a spec's [sweep] grid (rates x platforms)
   merge <checkpoint...>     combine `sweep --shard` checkpoints (one per
                             shard) into the unsharded sweep output
@@ -99,7 +101,7 @@ options:
   --out <path>              write the output to a file instead of stdout
   --stream-out <path>       write json/csv output to a file incrementally,
                             flushing each result as it finishes — the final
-                            file is byte-identical to --out (spec files)
+                            file is byte-identical to --out
   --shard <i/n>             with `sweep --out <path>`: run only grid points
                             with index ≡ i (mod n) and write a checkpoint
                             for `merge` instead of results
@@ -107,10 +109,11 @@ options:
   --trace-out <path>        write sampled request spans as Chrome trace
                             JSON (needs a spec with a [trace] table)
   --profile                 attach the engine self-profiler report to the
-                            results (spec files only; shown in JSON output)
-  --platform <name>         cshallow|cdeep|cpc1a (named scenarios; default cpc1a)
-  --policy <name>           random|round-robin|jsq|power-aware
-                            (cluster and chain scenarios)
+                            results (shown in JSON output)
+  --platform <name>         cshallow|cdeep|cpc1a: override the platform
+                            (not a sweep's, which owns its platform axis)
+  --policy <name>           random|round-robin|jsq|power-aware: override a
+                            cluster or chain experiment's routing policy
   --duration-ms <n>         override the simulated duration
   --seed <n>                override the root seed
   --parallelism <n>         worker threads across independent runs (fleet
@@ -325,32 +328,51 @@ impl Invocation {
     }
 
     fn duration(&self) -> Result<Option<SimDuration>, CliError> {
-        /// The longest horizon whose nanosecond count fits a `u64`.
-        const MAX_MS: u64 = u64::MAX / 1_000_000;
         match self.u64_flag("duration-ms")? {
             None => Ok(None),
             Some(0) => Err(CliError::Usage(
                 "`--duration-ms` must be at least 1".to_owned(),
             )),
-            Some(ms) if ms > MAX_MS => Err(CliError::Usage(format!(
-                "`--duration-ms` must be at most {MAX_MS}, got {ms}"
+            Some(ms) if ms > MAX_DURATION_MS => Err(CliError::Usage(format!(
+                "`--duration-ms` must be at most {MAX_DURATION_MS}, got {ms}"
             ))),
             Some(ms) => Ok(Some(SimDuration::from_millis(ms))),
         }
     }
 }
 
-/// How a `run`/`cluster` target resolves.
-enum Target {
-    Spec(ExperimentSpec),
-    Scenario(Scenario),
-    ClusterScenario(ClusterScenario),
-    ChainScenario(ChainScenario),
+/// The named scenarios: the spec files under `examples/specs/library/`,
+/// embedded at build time, in `list` order. Each file's `[experiment]
+/// name` is the name `run` and `cluster` resolve.
+pub const LIBRARY: [&str; 9] = [
+    include_str!("../../../examples/specs/library/diurnal.toml"),
+    include_str!("../../../examples/specs/library/flash-crowd.toml"),
+    include_str!("../../../examples/specs/library/heterogeneous.toml"),
+    include_str!("../../../examples/specs/library/low-load-sweep.toml"),
+    include_str!("../../../examples/specs/library/cluster-8-mid.toml"),
+    include_str!("../../../examples/specs/library/cluster-8-trough.toml"),
+    include_str!("../../../examples/specs/library/cluster-16-kafka.toml"),
+    include_str!("../../../examples/specs/library/mesh-8-fanout4.toml"),
+    include_str!("../../../examples/specs/library/mesh-16-memcached.toml"),
+];
+
+/// The named scenarios, parsed, in `list` order.
+///
+/// # Panics
+///
+/// Panics if an embedded spec fails to parse (the test suite parses every
+/// one).
+#[must_use]
+pub fn library() -> Vec<ExperimentSpec> {
+    LIBRARY
+        .iter()
+        .map(|text| ExperimentSpec::parse(text).expect("library specs parse"))
+        .collect()
 }
 
 /// Resolves a positional target: a readable file parses as a spec; anything
-/// else must name a library (cluster-/chain-)scenario.
-fn resolve_target(arg: &str) -> Result<Target, CliError> {
+/// else must name a library scenario.
+fn resolve_target(arg: &str) -> Result<ExperimentSpec, CliError> {
     let looks_like_path = arg.contains('/')
         || arg.contains('\\')
         || arg.ends_with(".toml")
@@ -358,189 +380,43 @@ fn resolve_target(arg: &str) -> Result<Target, CliError> {
     if looks_like_path {
         let text = std::fs::read_to_string(arg)
             .map_err(|e| CliError::Io(format!("cannot read spec `{arg}`: {e}")))?;
-        let spec = ExperimentSpec::parse(&text).map_err(|e| {
+        return ExperimentSpec::parse(&text).map_err(|e| {
             let message = format!("{arg}: {e}");
-            // Usage-flagged spec errors ([network] table mistakes) map to
-            // the usage exit code, like a bad flag would.
+            // Usage-flagged spec errors ([network] and [trace] mistakes,
+            // rates and horizons a run could never finish) map to the usage
+            // exit code, like a bad flag would.
             if e.usage {
                 CliError::Usage(message)
             } else {
                 CliError::Input(message)
             }
-        })?;
-        return Ok(Target::Spec(spec));
+        });
     }
-    if let Some(s) = Scenario::library().into_iter().find(|s| s.name == arg) {
-        return Ok(Target::Scenario(s));
+    let library = library();
+    if let Some(spec) = library.iter().find(|s| s.name == arg) {
+        return Ok(spec.clone());
     }
-    if let Some(s) = ClusterScenario::library()
-        .into_iter()
-        .find(|s| s.name == arg)
-    {
-        return Ok(Target::ClusterScenario(s));
-    }
-    if let Some(s) = ChainScenario::library().into_iter().find(|s| s.name == arg) {
-        return Ok(Target::ChainScenario(s));
-    }
-    let known: Vec<&str> = Scenario::library()
-        .iter()
-        .map(|s| s.name)
-        .chain(ClusterScenario::library().iter().map(|s| s.name))
-        .chain(ChainScenario::library().iter().map(|s| s.name))
-        .collect();
+    let known: Vec<&str> = library.iter().map(|s| s.name.as_str()).collect();
     Err(CliError::Input(format!(
         "unknown scenario `{arg}` (not a spec file; known scenarios: {})",
         known.join(", ")
     )))
 }
 
-/// Converts a named fleet scenario into a runnable spec-shaped outcome.
-fn run_scenario(
-    scenario: &Scenario,
-    platform: PlatformKind,
-    duration: Option<SimDuration>,
-    seed: Option<u64>,
-    parallelism: Option<usize>,
-) -> Outcome {
-    let mut scenario = scenario.clone();
-    if let Some(d) = duration {
-        scenario = scenario.with_duration(d);
-    }
-    if let Some(s) = seed {
-        scenario = scenario.with_seed(s);
-    }
-    let mut fleet = scenario.build_fleet(&platform.config());
-    if let Some(workers) = parallelism {
-        fleet = fleet.with_parallelism(workers);
-    }
-    let labels = (0..scenario.servers())
-        .map(|i| format!("server {i}"))
-        .collect();
-    Outcome::Runs {
-        name: format!("{} ({})", scenario.name, platform.name()),
-        labels,
-        fleet: fleet.run(),
-    }
-}
-
-fn run_chain_scenario(
-    scenario: &ChainScenario,
-    platform: PlatformKind,
-    policy: RoutingPolicyKind,
-    duration: Option<SimDuration>,
-    seed: Option<u64>,
-    parallelism: Option<usize>,
-) -> Outcome {
-    let mut scenario = scenario.clone();
-    if let Some(d) = duration {
-        scenario = scenario.with_duration(d);
-    }
-    if let Some(s) = seed {
-        scenario = scenario.with_seed(s);
-    }
-    // Route through the ChainFleet pool like the spec path does, so
-    // `--parallelism` means the same thing everywhere.
-    let base = platform
-        .config()
-        .with_duration(scenario.duration)
-        .with_seed(scenario.seed);
-    let mut fleet = apc_server::chain::ChainFleet::new();
-    fleet.push(apc_server::chain::ChainMember::homogeneous(
-        &base,
-        scenario.nodes,
-        policy,
-        scenario.graph.clone(),
-        scenario.chains_per_sec,
-    ));
-    if let Some(workers) = parallelism {
-        fleet = fleet.with_parallelism(workers);
-    }
-    Outcome::Chains {
-        name: format!("{} ({}, {})", scenario.name, platform.name(), policy.name()),
-        results: fleet.run(),
-    }
-}
-
-fn run_cluster_scenario(
-    scenario: &ClusterScenario,
-    platform: PlatformKind,
-    policy: RoutingPolicyKind,
-    duration: Option<SimDuration>,
-    seed: Option<u64>,
-    parallelism: Option<usize>,
-) -> Outcome {
-    let mut scenario = scenario.clone();
-    if let Some(d) = duration {
-        scenario = scenario.with_duration(d);
-    }
-    if let Some(s) = seed {
-        scenario = scenario.with_seed(s);
-    }
-    // Route through the ClusterFleet pool like the spec path does, so
-    // `--parallelism` means the same thing everywhere (the pool clamps to
-    // the job count — one cluster runs on one worker either way).
-    let base = platform
-        .config()
-        .with_duration(scenario.duration)
-        .with_seed(scenario.seed);
-    let mut fleet = apc_server::cluster::ClusterFleet::new();
-    fleet.push(apc_server::cluster::ClusterMember::homogeneous(
-        &base,
-        scenario.nodes,
-        policy,
-        scenario.workload.spec(),
-        scenario.total_rate_per_sec,
-    ));
-    if let Some(workers) = parallelism {
-        fleet = fleet.with_parallelism(workers);
-    }
-    Outcome::Clusters {
-        name: format!("{} ({}, {})", scenario.name, platform.name(), policy.name()),
-        results: fleet.run(),
-    }
-}
-
-/// Rejects `--timeseries-out` up front when nothing will record a series —
-/// before the (possibly long) simulation runs and before `--out` is
-/// written, so a usage error never leaves partial outputs behind.
-fn check_timeseries_flag(inv: &Invocation, series_enabled: bool) -> Result<(), CliError> {
-    if inv.flag("timeseries-out").is_some() && !series_enabled {
+/// Rejects `--timeseries-out` and `--trace-out` up front when the spec
+/// records no time series or request spans — before the (possibly long)
+/// simulation runs and before `--out` is written, so a usage error never
+/// leaves partial outputs behind.
+fn check_recording_flags(inv: &Invocation, spec: &ExperimentSpec) -> Result<(), CliError> {
+    if inv.flag("timeseries-out").is_some() && spec.timeseries_interval.is_none() {
         return Err(CliError::Usage(
-            "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
-             (named library scenarios never record a time series)"
+            "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table"
                 .to_owned(),
         ));
     }
-    Ok(())
-}
-
-/// Rejects `--trace-out` / `--profile` up front when they cannot apply —
-/// before the (possibly long) simulation runs and before `--out` is
-/// written, same stance as [`check_timeseries_flag`].
-fn check_observability_flags(
-    inv: &Invocation,
-    trace_enabled: bool,
-    spec_target: bool,
-) -> Result<(), CliError> {
-    if inv.flag("trace-out").is_some() && !trace_enabled {
+    if inv.flag("trace-out").is_some() && spec.trace.is_none() {
         return Err(CliError::Usage(
-            "conflicting flags: `--trace-out` needs a spec with a [trace] table \
-             (named library scenarios never record request spans)"
-                .to_owned(),
-        ));
-    }
-    if inv.switch("profile") && !spec_target {
-        return Err(CliError::Usage(
-            "conflicting flags: `--profile` applies to spec files \
-             (named library scenarios run without the self-profiler)"
-                .to_owned(),
-        ));
-    }
-    if inv.flag("stream-out").is_some() && !spec_target {
-        return Err(CliError::Usage(
-            "conflicting flags: `--stream-out` applies to spec files \
-             (named library scenarios render their output whole; use `--out`)"
-                .to_owned(),
+            "conflicting flags: `--trace-out` needs a spec with a [trace] table".to_owned(),
         ));
     }
     Ok(())
@@ -593,193 +469,111 @@ fn finish_streamed(
     Ok(stdout)
 }
 
-/// The deduplicated `+`-joined workload names of a fleet scenario.
-fn scenario_workloads(s: &Scenario) -> String {
-    let mut workloads: Vec<&str> = s.groups.iter().map(|g| g.workload.name()).collect();
-    workloads.dedup();
-    workloads.join("+")
+/// A `list` row's server count and workloads column.
+fn servers_and_workloads(spec: &ExperimentSpec) -> (usize, String) {
+    match &spec.kind {
+        SpecKind::Fleet { servers } => {
+            let mut names: Vec<&str> = spec.per_server.iter().map(|(w, _)| w.name()).collect();
+            names.dedup();
+            (*servers, names.join("+"))
+        }
+        SpecKind::Cluster { nodes, .. } => (*nodes, spec.workload.name().to_owned()),
+        SpecKind::Chain {
+            nodes,
+            fanout,
+            frontend_service,
+            leaf_service,
+            ..
+        } => (
+            *nodes,
+            chain_graph(spec.workload, *fanout, *frontend_service, *leaf_service).describe(),
+        ),
+        SpecKind::Single => (1, spec.workload.name().to_owned()),
+        SpecKind::Sweep { rates, platforms } => (
+            rates.len() * platforms.len(),
+            spec.workload.name().to_owned(),
+        ),
+    }
 }
 
 fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
-    match inv.format()? {
+    let library = library();
+    let rows = library.iter().map(|spec| {
+        let (servers, workloads) = servers_and_workloads(spec);
+        let description = spec.description.clone().unwrap_or_default();
+        (
+            spec.name.clone(),
+            spec.kind.name(),
+            servers,
+            workloads,
+            description,
+        )
+    });
+    Ok(match inv.format()? {
         OutputFormat::Table => {
             let mut table = TextTable::new(
                 "scenario libraries",
                 &["name", "kind", "servers", "workloads", "description"],
             );
-            for s in Scenario::library() {
+            for (name, kind, servers, workloads, description) in rows {
                 table.add_row(&[
-                    s.name.to_owned(),
-                    "fleet".to_owned(),
-                    s.servers().to_string(),
-                    scenario_workloads(&s),
-                    s.description.to_owned(),
+                    name,
+                    kind.to_owned(),
+                    servers.to_string(),
+                    workloads,
+                    description,
                 ]);
             }
-            for s in ClusterScenario::library() {
-                table.add_row(&[
-                    s.name.to_owned(),
-                    "cluster".to_owned(),
-                    s.nodes.to_string(),
-                    s.workload.name().to_owned(),
-                    s.description.to_owned(),
-                ]);
-            }
-            for s in ChainScenario::library() {
-                table.add_row(&[
-                    s.name.to_owned(),
-                    "chain".to_owned(),
-                    s.nodes.to_string(),
-                    s.graph.describe(),
-                    s.description.to_owned(),
-                ]);
-            }
-            Ok(table.render())
+            table.render()
         }
         OutputFormat::Json => {
-            let mut items = Vec::new();
-            for s in Scenario::library() {
-                let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(s.name.to_owned()))
-                    .push("kind", JsonValue::Str("fleet".to_owned()))
-                    .push("servers", JsonValue::UInt(s.servers() as u64))
-                    .push("workloads", JsonValue::Str(scenario_workloads(&s)))
-                    .push("description", JsonValue::Str(s.description.to_owned()));
-                items.push(o);
-            }
-            for s in ClusterScenario::library() {
-                let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(s.name.to_owned()))
-                    .push("kind", JsonValue::Str("cluster".to_owned()))
-                    .push("servers", JsonValue::UInt(s.nodes as u64))
-                    .push("workloads", JsonValue::Str(s.workload.name().to_owned()))
-                    .push("description", JsonValue::Str(s.description.to_owned()));
-                items.push(o);
-            }
-            for s in ChainScenario::library() {
-                let mut o = JsonValue::object();
-                o.push("name", JsonValue::Str(s.name.to_owned()))
-                    .push("kind", JsonValue::Str("chain".to_owned()))
-                    .push("servers", JsonValue::UInt(s.nodes as u64))
-                    .push("workloads", JsonValue::Str(s.graph.describe()))
-                    .push("description", JsonValue::Str(s.description.to_owned()));
-                items.push(o);
-            }
-            Ok(JsonValue::Array(items).to_pretty_string())
+            let items = rows
+                .map(|(name, kind, servers, workloads, description)| {
+                    let mut o = JsonValue::object();
+                    o.push("name", JsonValue::Str(name))
+                        .push("kind", JsonValue::Str(kind.to_owned()))
+                        .push("servers", JsonValue::UInt(servers as u64))
+                        .push("workloads", JsonValue::Str(workloads))
+                        .push("description", JsonValue::Str(description));
+                    o
+                })
+                .collect();
+            JsonValue::Array(items).to_pretty_string()
         }
         OutputFormat::Csv => {
             let mut out = String::from("name,kind,servers,workloads,description\n");
-            for s in Scenario::library() {
+            for (name, kind, servers, workloads, description) in rows {
                 out.push_str(&format!(
-                    "{},fleet,{},{},{}\n",
-                    csv_escape(s.name),
-                    s.servers(),
-                    csv_escape(&scenario_workloads(&s)),
-                    csv_escape(s.description)
+                    "{},{kind},{servers},{},{}\n",
+                    csv_escape(&name),
+                    csv_escape(&workloads),
+                    csv_escape(&description)
                 ));
             }
-            for s in ClusterScenario::library() {
-                out.push_str(&format!(
-                    "{},cluster,{},{},{}\n",
-                    csv_escape(s.name),
-                    s.nodes,
-                    csv_escape(s.workload.name()),
-                    csv_escape(s.description)
-                ));
-            }
-            for s in ChainScenario::library() {
-                out.push_str(&format!(
-                    "{},chain,{},{},{}\n",
-                    csv_escape(s.name),
-                    s.nodes,
-                    csv_escape(&s.graph.describe()),
-                    csv_escape(s.description)
-                ));
-            }
-            Ok(out)
+            out
         }
-    }
+    })
 }
 
 fn cmd_run(inv: &Invocation) -> Result<String, CliError> {
-    let target = resolve_target(&inv.positional[0])?;
-    let outcome = match &target {
-        Target::Spec(spec) => {
-            if inv.flag("platform").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--platform` applies to named scenarios; \
-                     spec files declare their platform in [platform]"
-                        .to_owned(),
-                ));
-            }
-            if inv.flag("policy").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
-                     spec files declare their policy in [cluster]/[chain]"
-                        .to_owned(),
-                ));
-            }
-            check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
-            check_observability_flags(inv, spec.trace.is_some(), true)?;
-            let spec = override_spec(spec, inv)?;
-            if let Some((path, format)) = stream_request(inv)? {
-                return finish_streamed(inv, &spec, path, format);
-            }
-            execute_spec(&spec, inv.parallelism()?)
-        }
-        Target::Scenario(s) => {
-            if inv.flag("policy").is_some() {
-                return Err(CliError::Usage(format!(
-                    "conflicting flags: `--policy` does not apply to fleet scenario `{}`",
-                    s.name
-                )));
-            }
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
-        Target::ClusterScenario(s) => {
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_cluster_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
-        Target::ChainScenario(s) => {
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_chain_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.policy()?
-                    .unwrap_or(RoutingPolicyKind::JoinShortestQueue),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
-    };
+    run_spec(inv, &resolve_target(&inv.positional[0])?)
+}
+
+/// The one execution path of `run`, `cluster` and `sweep`: checks the
+/// recording flags, applies the overrides, then runs the spec — streamed
+/// with `--stream-out`, rendered whole otherwise.
+fn run_spec(inv: &Invocation, spec: &ExperimentSpec) -> Result<String, CliError> {
+    check_recording_flags(inv, spec)?;
+    let spec = override_spec(spec, inv)?;
+    if let Some((path, format)) = stream_request(inv)? {
+        return finish_streamed(inv, &spec, path, format);
+    }
+    let outcome = execute_spec(&spec, inv.parallelism()?);
     finish(inv, &outcome)
 }
 
 fn cmd_sweep(inv: &Invocation) -> Result<String, CliError> {
-    let target = resolve_target(&inv.positional[0])?;
-    let Target::Spec(spec) = target else {
-        return Err(CliError::Usage(
-            "`sweep` needs a spec file with a [sweep] table".to_owned(),
-        ));
-    };
+    let spec = resolve_target(&inv.positional[0])?;
     if !matches!(spec.kind, SpecKind::Sweep { .. }) {
         return Err(CliError::Input(format!(
             "`{}` is not a sweep spec (kind = \"sweep\" with a [sweep] table)",
@@ -789,14 +583,7 @@ fn cmd_sweep(inv: &Invocation) -> Result<String, CliError> {
     if let Some(shard) = inv.flag("shard") {
         return cmd_sweep_shard(inv, &spec, shard);
     }
-    check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
-    check_observability_flags(inv, spec.trace.is_some(), true)?;
-    let spec = override_spec(&spec, inv)?;
-    if let Some((path, format)) = stream_request(inv)? {
-        return finish_streamed(inv, &spec, path, format);
-    }
-    let outcome = execute_spec(&spec, inv.parallelism()?);
-    finish(inv, &outcome)
+    run_spec(inv, &spec)
 }
 
 /// Parses a `--shard i/n` spelling.
@@ -896,63 +683,14 @@ fn cmd_merge(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_cluster(inv: &Invocation) -> Result<String, CliError> {
-    let target = resolve_target(&inv.positional[0])?;
-    let outcome = match &target {
-        Target::Spec(spec) => {
-            let SpecKind::Cluster { .. } = spec.kind else {
-                return Err(CliError::Input(format!(
-                    "`{}` is not a cluster spec (kind = \"cluster\" with a [cluster] table)",
-                    inv.positional[0]
-                )));
-            };
-            if inv.flag("platform").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--platform` applies to named scenarios; \
-                     spec files declare their platform in [platform]"
-                        .to_owned(),
-                ));
-            }
-            if inv.flag("policy").is_some() {
-                return Err(CliError::Usage(
-                    "conflicting flags: `--policy` applies to named cluster/chain scenarios; \
-                     spec files declare their policy in [cluster]/[chain]"
-                        .to_owned(),
-                ));
-            }
-            check_timeseries_flag(inv, spec.timeseries_interval.is_some())?;
-            check_observability_flags(inv, spec.trace.is_some(), true)?;
-            let spec = override_spec(spec, inv)?;
-            if let Some((path, format)) = stream_request(inv)? {
-                return finish_streamed(inv, &spec, path, format);
-            }
-            execute_spec(&spec, inv.parallelism()?)
-        }
-        Target::Scenario(s) => {
-            return Err(CliError::Input(format!(
-                "`{}` is a fleet scenario; use `apc-cli run {}`",
-                s.name, s.name
-            )))
-        }
-        Target::ChainScenario(s) => {
-            return Err(CliError::Input(format!(
-                "`{}` is a chain scenario; use `apc-cli run {}`",
-                s.name, s.name
-            )))
-        }
-        Target::ClusterScenario(s) => {
-            check_timeseries_flag(inv, false)?;
-            check_observability_flags(inv, false, false)?;
-            run_cluster_scenario(
-                s,
-                inv.platform()?.unwrap_or(PlatformKind::Cpc1a),
-                inv.policy()?.unwrap_or(RoutingPolicyKind::PowerAware),
-                inv.duration()?,
-                inv.u64_flag("seed")?,
-                inv.parallelism()?,
-            )
-        }
-    };
-    finish(inv, &outcome)
+    let spec = resolve_target(&inv.positional[0])?;
+    if !matches!(spec.kind, SpecKind::Cluster { .. }) {
+        return Err(CliError::Input(format!(
+            "`{}` is not a cluster spec (kind = \"cluster\" with a [cluster] table)",
+            inv.positional[0]
+        )));
+    }
+    run_spec(inv, &spec)
 }
 
 fn cmd_validate(inv: &Invocation) -> Result<String, CliError> {
@@ -971,8 +709,10 @@ fn cmd_validate(inv: &Invocation) -> Result<String, CliError> {
     ))
 }
 
-/// Applies `--duration-ms` / `--seed` / `--profile` overrides to a parsed
-/// spec.
+/// Applies the `--duration-ms` / `--seed` / `--platform` / `--policy` /
+/// `--profile` overrides to a parsed spec. An override the spec has no
+/// value for is a usage error: `--policy` outside cluster and chain
+/// experiments, `--platform` on a sweep (which owns its platform axis).
 fn override_spec(spec: &ExperimentSpec, inv: &Invocation) -> Result<ExperimentSpec, CliError> {
     let mut spec = spec.clone();
     if let Some(d) = inv.duration()? {
@@ -980,6 +720,29 @@ fn override_spec(spec: &ExperimentSpec, inv: &Invocation) -> Result<ExperimentSp
     }
     if let Some(s) = inv.u64_flag("seed")? {
         spec.seed = s;
+    }
+    if let Some(platform) = inv.platform()? {
+        if matches!(spec.kind, SpecKind::Sweep { .. }) {
+            return Err(CliError::Usage(format!(
+                "conflicting flags: `--platform` does not apply to kind = \"sweep\" \
+                 (`{}` declares its platform axis itself)",
+                spec.name
+            )));
+        }
+        spec.platform = platform;
+    }
+    if let Some(policy) = inv.policy()? {
+        match &mut spec.kind {
+            SpecKind::Cluster { policy: p, .. } | SpecKind::Chain { policy: p, .. } => *p = policy,
+            other => {
+                return Err(CliError::Usage(format!(
+                    "conflicting flags: `--policy` does not apply to kind = \"{}\" \
+                     (`{}` routes no requests)",
+                    other.name(),
+                    spec.name
+                )))
+            }
+        }
     }
     spec.profile = inv.switch("profile");
     Ok(spec)

@@ -18,12 +18,11 @@ use apc_server::cluster::{ClusterFleet, ClusterMember, ClusterResult};
 use apc_server::config::ServerConfig;
 use apc_server::fleet::{Fleet, FleetMember, FleetResult};
 use apc_server::result::RunResult;
-use apc_server::scenario::{TrafficPattern, WorkloadKind};
 use apc_sim::SimDuration;
 use apc_trace::TraceLog;
 use apc_workloads::chain::TierService;
 
-use crate::spec::{ExperimentSpec, PlatformKind, SpecKind};
+use crate::spec::{ExperimentSpec, PlatformKind, SpecKind, TrafficPattern, WorkloadKind};
 
 /// The output format of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,15 +228,12 @@ pub fn sweep_grid(spec: &ExperimentSpec) -> Option<Vec<(String, FleetMember)>> {
     let mut grid = Vec::new();
     for &platform in platforms {
         for &rate in rates {
-            let sweep_spec = ExperimentSpec {
-                traffic: TrafficPattern::Constant { rate_per_sec: rate },
-                ..spec.clone()
-            };
+            let traffic = TrafficPattern::Constant { rate_per_sec: rate };
             // Every grid point reuses the root seed: points differ
             // only along the declared axes, maximising comparability.
             grid.push((
                 format!("{}@{rate}", platform.name()),
-                spec_member(&sweep_spec, platform, spec.seed),
+                spec_member(spec, platform, spec.seed, spec.workload, &traffic),
             ));
         }
     }
@@ -257,18 +253,24 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
             let (labels, members) = (0..spec.repeats)
                 .map(|i| {
                     let seed = repeat_seed(spec.seed, i, spec.repeats);
-                    (format!("run {i}"), spec_member(spec, spec.platform, seed))
+                    (
+                        format!("run {i}"),
+                        spec_member(spec, spec.platform, seed, spec.workload, &spec.traffic),
+                    )
                 })
                 .unzip();
             plan_fleet(spec, labels, members, parallelism)
         }
-        SpecKind::Fleet { servers } => {
-            let (labels, members) = (0..*servers)
-                .map(|i| {
+        SpecKind::Fleet { .. } => {
+            let (labels, members) = spec
+                .per_server
+                .iter()
+                .enumerate()
+                .map(|(i, (workload, traffic))| {
                     let seed = Fleet::member_seed(spec.seed, i);
                     (
                         format!("server {i}"),
-                        spec_member(spec, spec.platform, seed),
+                        spec_member(spec, spec.platform, seed, *workload, traffic),
                     )
                 })
                 .unzip();
@@ -298,7 +300,7 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
                 cluster_fleet = cluster_fleet.with_parallelism(workers);
             }
             ExecutionPlan::Cluster {
-                name: spec.name.clone(),
+                name: title(spec),
                 fleet: cluster_fleet,
             }
         }
@@ -326,7 +328,7 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
                 chain_fleet = chain_fleet.with_parallelism(workers);
             }
             ExecutionPlan::Chain {
-                name: spec.name.clone(),
+                name: title(spec),
                 fleet: chain_fleet,
             }
         }
@@ -373,12 +375,32 @@ fn repeat_seed(root: u64, i: usize, repeats: usize) -> u64 {
     }
 }
 
-/// Builds one fleet member for `spec` on `platform` under `seed`.
-fn spec_member(spec: &ExperimentSpec, platform: PlatformKind, seed: u64) -> FleetMember {
+/// The table title of a run: the experiment name with its platform, plus
+/// the routing policy for cluster and chain runs, so that an override
+/// shows. A sweep's rows name their own platforms, so its title is the name.
+fn title(spec: &ExperimentSpec) -> String {
+    let platform = spec.platform.name();
+    match &spec.kind {
+        SpecKind::Single | SpecKind::Fleet { .. } => format!("{} ({platform})", spec.name),
+        SpecKind::Cluster { policy, .. } | SpecKind::Chain { policy, .. } => {
+            format!("{} ({platform}, {})", spec.name, policy.name())
+        }
+        SpecKind::Sweep { .. } => spec.name.clone(),
+    }
+}
+
+/// Builds one fleet member of `spec` running `workload` under `traffic`
+/// on `platform` under `seed`.
+fn spec_member(
+    spec: &ExperimentSpec,
+    platform: PlatformKind,
+    seed: u64,
+    workload: WorkloadKind,
+    traffic: &TrafficPattern,
+) -> FleetMember {
     let config = spec_config(spec, platform, seed);
-    let rate = spec.traffic.mean_rate_per_sec();
-    let mut member = FleetMember::new(config, spec.workload.spec(), rate);
-    if let Some(arrivals) = spec.traffic.arrival_process(spec.duration) {
+    let mut member = FleetMember::new(config, workload.spec(), traffic.mean_rate_per_sec());
+    if let Some(arrivals) = traffic.arrival_process(spec.duration) {
         member = member.with_arrival_process(arrivals);
     }
     member
@@ -398,7 +420,7 @@ fn plan_fleet(
         fleet = fleet.with_parallelism(workers);
     }
     ExecutionPlan::Fleet {
-        name: spec.name.clone(),
+        name: title(spec),
         labels,
         fleet,
     }
@@ -581,4 +603,39 @@ fn runs_table(name: &str, labels: &[String], runs: &[RunResult]) -> String {
         ]);
     }
     table.render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(kind: &str, table: &str) -> ExperimentSpec {
+        ExperimentSpec::parse(&format!(
+            "[experiment]\nkind = \"{kind}\"\nname = \"t\"\n\n[platform]\nname = \"cdeep\"\n\n\
+             [workload]\nkind = \"memcached\"\nrate_per_sec = 100\n\n{table}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn titles_name_the_platform_and_policy_that_ran() {
+        for (kind, table, expected) in [
+            ("single", "", "t (cdeep)"),
+            ("fleet", "[fleet]\nservers = 2\n", "t (cdeep)"),
+            (
+                "cluster",
+                "[cluster]\nnodes = 2\n",
+                "t (cdeep, power-aware)",
+            ),
+            (
+                "chain",
+                "[chain]\nnodes = 2\nfanout = 2\n",
+                "t (cdeep, join-shortest-queue)",
+            ),
+            // A sweep's rows carry their platforms; the title is the name.
+            ("sweep", "[sweep]\nrates = [100]\n", "t"),
+        ] {
+            assert_eq!(title(&parse(kind, table)), expected, "{kind}");
+        }
+    }
 }

@@ -12,7 +12,9 @@
 //!
 //! ```toml
 //! [experiment]
-//! kind = "cluster"          # single | fleet | cluster | sweep
+//! kind = "cluster"          # single | fleet | cluster | chain | sweep
+//! name = "cluster-8-mid"    # titles the table output
+//! description = "8-node memcached cluster at the mid operating point"
 //! seed = 7
 //! duration_ms = 50
 //! repeats = 2               # single/cluster only
@@ -33,6 +35,23 @@
 //!
 //! [telemetry]
 //! sample_interval_us = 100  # enables the time-series sink
+//! ```
+//!
+//! The CLI's `--duration-ms`, `--seed`, `--platform` and `--policy` flags
+//! override the spec's own values (see `apc-cli`'s usage text).
+//!
+//! A `kind = "fleet"` experiment runs `[fleet] servers` independent
+//! servers. Its `[workload] kind` and `rate_per_sec` may each be a
+//! single-line array with exactly one entry per server, server 0 first; a
+//! scalar applies to every server, and the pattern is shared:
+//!
+//! ```toml
+//! [workload]
+//! kind = ["memcached", "memcached", "kafka", "mysql"]
+//! rate_per_sec = [25_000, 25_000, 8_000, 800]
+//!
+//! [fleet]
+//! servers = 4
 //! ```
 //!
 //! A `kind = "chain"` experiment swaps `[cluster]` for a `[chain]` table
@@ -82,14 +101,18 @@
 //! so a typo fails loudly instead of silently running a default.
 //! `[network]` and `[trace]` errors are additionally flagged as *usage*
 //! errors (CLI exit code 2): a bad fabric or tracing parameter fails the
-//! invocation itself.
+//! invocation itself. So are values that would make a run panic or never
+//! end: a rate (or flash-crowd burst rate) above one request per ns, a
+//! `peak_multiplier` below 1 and a `duration_ms` beyond the `u64`
+//! nanosecond range.
 
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::config::ServerConfig;
-use apc_server::scenario::{TrafficPattern, WorkloadKind};
 use apc_sim::SimDuration;
 use apc_trace::TraceConfig;
+use apc_workloads::arrival::{ArrivalProcess, PiecewiseRateArrivals, SinusoidArrivals};
+use apc_workloads::spec::WorkloadSpec;
 
 /// A spec parse/validation error with the 1-based line it occurred on
 /// (line 0 marks document-level problems, e.g. a missing table).
@@ -102,8 +125,10 @@ pub struct SpecError {
     /// Usage-level mistake: the CLI maps these to exit code 2 (like a bad
     /// flag) instead of the general input-error exit code 1. Set for
     /// `[network]` table errors, where a fat-fingered fabric parameter
-    /// should fail the *invocation* loudly, and for offered rates above one
-    /// request per ns, which could never finish.
+    /// should fail the *invocation* loudly, and for values that would make
+    /// a run panic or never finish: offered or burst rates above one
+    /// request per ns, a `peak_multiplier` below 1, a `duration_ms` beyond
+    /// the nanosecond range.
     pub usage: bool,
 }
 
@@ -504,6 +529,124 @@ impl PlatformKind {
     }
 }
 
+/// Which of the modelled services a server runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkloadKind {
+    /// Memcached under the Facebook ETC mix ([`WorkloadSpec::memcached_etc`]).
+    MemcachedEtc,
+    /// Kafka produce/consume streaming ([`WorkloadSpec::kafka`]).
+    Kafka,
+    /// MySQL running sysbench-OLTP transactions ([`WorkloadSpec::mysql_oltp`]).
+    MysqlOltp,
+}
+
+impl WorkloadKind {
+    /// Builds a fresh specification for this workload (specs own boxed
+    /// distributions and cannot be cloned, so each member gets its own).
+    #[must_use]
+    pub fn spec(self) -> WorkloadSpec {
+        match self {
+            WorkloadKind::MemcachedEtc => WorkloadSpec::memcached_etc(),
+            WorkloadKind::Kafka => WorkloadSpec::kafka(),
+            WorkloadKind::MysqlOltp => WorkloadSpec::mysql_oltp(),
+        }
+    }
+
+    /// The spec-file spelling, as it appears in results and tables.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WorkloadKind::MemcachedEtc => "memcached",
+            WorkloadKind::Kafka => "kafka",
+            WorkloadKind::MysqlOltp => "mysql",
+        }
+    }
+}
+
+/// The shape of a server's offered traffic over the run.
+///
+/// Time-varying patterns are expressed relative to the run's duration, so
+/// one spec scales from unit-test windows to long runs without re-tuning.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrafficPattern {
+    /// The workload's default stationary arrivals (bursty MMPP for the
+    /// built-in workloads) at a constant offered rate.
+    Constant {
+        /// Offered rate in requests per second.
+        rate_per_sec: f64,
+    },
+    /// A sinusoidal day/night curve compressed into the run: one full
+    /// oscillation over the duration.
+    Diurnal {
+        /// Long-run average rate in requests per second.
+        mean_rate_per_sec: f64,
+        /// Relative swing in `[0, 1)`: 0.75 oscillates between 0.25× and
+        /// 1.75× the mean.
+        swing: f64,
+    },
+    /// A transient burst: base rate, then `peak_multiplier ×` base for a
+    /// window, then base again.
+    FlashCrowd {
+        /// Rate outside the burst, in requests per second.
+        base_rate_per_sec: f64,
+        /// Rate multiplier during the burst (at least 1).
+        peak_multiplier: f64,
+        /// Burst start, as a fraction of the duration in `(0, 1)`.
+        start_fraction: f64,
+        /// Burst length, as a fraction of the duration in `(0, 1)`.
+        length_fraction: f64,
+    },
+}
+
+impl TrafficPattern {
+    /// The pattern's mean rate over the run horizon.
+    #[must_use]
+    pub fn mean_rate_per_sec(&self) -> f64 {
+        match self {
+            TrafficPattern::Constant { rate_per_sec } => *rate_per_sec,
+            TrafficPattern::Diurnal {
+                mean_rate_per_sec, ..
+            } => *mean_rate_per_sec,
+            TrafficPattern::FlashCrowd {
+                base_rate_per_sec,
+                peak_multiplier,
+                length_fraction,
+                ..
+            } => base_rate_per_sec * (1.0 + (peak_multiplier - 1.0) * length_fraction),
+        }
+    }
+
+    /// Builds the arrival process for one server, or `None` when the
+    /// workload's own stationary process should be used
+    /// ([`TrafficPattern::Constant`]).
+    #[must_use]
+    pub fn arrival_process(&self, duration: SimDuration) -> Option<Box<dyn ArrivalProcess>> {
+        match self {
+            TrafficPattern::Constant { .. } => None,
+            TrafficPattern::Diurnal {
+                mean_rate_per_sec,
+                swing,
+            } => Some(Box::new(SinusoidArrivals::new(
+                *mean_rate_per_sec,
+                *swing,
+                duration,
+                0.0,
+            ))),
+            TrafficPattern::FlashCrowd {
+                base_rate_per_sec,
+                peak_multiplier,
+                start_fraction,
+                length_fraction,
+            } => Some(Box::new(PiecewiseRateArrivals::flash_crowd(
+                *base_rate_per_sec,
+                *peak_multiplier,
+                duration.mul_f64(*start_fraction),
+                duration.mul_f64(*length_fraction),
+            ))),
+        }
+    }
+}
+
 /// What shape of experiment a spec runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecKind {
@@ -544,19 +687,41 @@ pub enum SpecKind {
     },
 }
 
+impl SpecKind {
+    /// The spec-file spelling of the kind.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            SpecKind::Single => "single",
+            SpecKind::Fleet { .. } => "fleet",
+            SpecKind::Cluster { .. } => "cluster",
+            SpecKind::Chain { .. } => "chain",
+            SpecKind::Sweep { .. } => "sweep",
+        }
+    }
+}
+
 /// A parsed, validated experiment specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Experiment name (defaults to `"experiment"`).
     pub name: String,
+    /// One-line description of what the experiment exercises (`list`
+    /// prints it).
+    pub description: Option<String>,
     /// The experiment shape.
     pub kind: SpecKind,
     /// Base platform (for sweeps, the per-point platform axis wins).
     pub platform: PlatformKind,
-    /// The service the servers run.
+    /// The service the server or every node runs. A fleet runs
+    /// `per_server` instead; this is its server 0.
     pub workload: WorkloadKind,
-    /// The offered-traffic shape.
+    /// The offered-traffic shape. A fleet runs `per_server` instead; this
+    /// is its server 0.
     pub traffic: TrafficPattern,
+    /// A fleet's `(workload, traffic)` per server, server 0 first: exactly
+    /// `[fleet] servers` entries. Empty for every other kind.
+    pub per_server: Vec<(WorkloadKind, TrafficPattern)>,
     /// Simulated duration of each run.
     pub duration: SimDuration,
     /// Root seed.
@@ -586,6 +751,10 @@ pub struct ExperimentSpec {
 /// nanosecond. Above it every Poisson gap rounds to 0 ns, so simulated time
 /// would never advance.
 const MAX_RATE_PER_SEC: f64 = 1e9;
+
+/// The longest horizon, in milliseconds, whose nanosecond count fits a
+/// `u64`; shared by `duration_ms` and `--duration-ms`.
+pub const MAX_DURATION_MS: u64 = u64::MAX / 1_000_000;
 
 /// Parses a routing-policy spelling shared by spec files and `--policy`.
 #[must_use]
@@ -648,7 +817,19 @@ impl ExperimentSpec {
         let name = experiment
             .str("name")?
             .map_or_else(|| "experiment".to_owned(), |(s, _)| s);
+        let description = experiment.str("description")?.map(|(s, _)| s);
         let seed = experiment.uint("seed")?.map_or(0x5eed, |(u, _)| u);
+        // Like `--duration-ms`, a horizon beyond the nanosecond range is a
+        // usage error, not a silent saturation to a run that never ends.
+        if let Some((ms, line)) = experiment.num("duration_ms")? {
+            if ms > MAX_DURATION_MS as f64 {
+                return Err(SpecError::at(
+                    line,
+                    format!("`duration_ms` must be at most {MAX_DURATION_MS}, got {ms}"),
+                )
+                .into_usage());
+            }
+        }
         let duration = experiment
             .duration("duration_ms", |ms| {
                 SimDuration::from_micros_f64(ms * 1_000.0)
@@ -680,29 +861,45 @@ impl ExperimentSpec {
         // [workload]
         let workload_table =
             find("workload").ok_or_else(|| SpecError::doc("missing required table [workload]"))?;
-        let (workload_name, workload_line) = workload_table
-            .str("kind")?
-            .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `kind`"))?;
-        let workload = parse_workload(&workload_name).ok_or_else(|| {
-            SpecError::at(
-                workload_line,
-                format!("unknown workload `{workload_name}` (memcached|kafka|mysql)"),
-            )
-        })?;
-        let (rate, rate_line) = workload_table
-            .positive("rate_per_sec")?
-            .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `rate_per_sec`"))?;
-        if rate > MAX_RATE_PER_SEC {
-            return Err(SpecError::at(
-                rate_line,
-                format!(
-                    "`rate_per_sec` must be at most {MAX_RATE_PER_SEC:e} \
-                     (one request per ns), got {rate:e}"
-                ),
-            )
-            .into_usage());
-        }
-        let traffic = parse_traffic(workload_table, rate)?;
+        let kinds = PerServer::parse(workload_table, "kind", |value, line| match value {
+            TomlValue::Str(s) => parse_workload(s).ok_or_else(|| {
+                SpecError::at(
+                    line,
+                    format!("unknown workload `{s}` (memcached|kafka|mysql)"),
+                )
+            }),
+            other => Err(SpecError::at(
+                line,
+                format!("`kind` must be a string, got a {}", other.type_name()),
+            )),
+        })?
+        .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `kind`"))?;
+        let rates = PerServer::parse(workload_table, "rate_per_sec", |value, line| {
+            match value.as_f64() {
+                None => Err(SpecError::at(
+                    line,
+                    format!(
+                        "`rate_per_sec` must be a number, got a {}",
+                        value.type_name()
+                    ),
+                )),
+                Some(rate) if rate <= 0.0 => Err(SpecError::at(
+                    line,
+                    format!("`rate_per_sec` must be > 0, got {rate}"),
+                )),
+                Some(rate) if rate > MAX_RATE_PER_SEC => Err(SpecError::at(
+                    line,
+                    format!(
+                        "`rate_per_sec` must be at most {MAX_RATE_PER_SEC:e} \
+                         (one request per ns), got {rate:e}"
+                    ),
+                )
+                .into_usage()),
+                Some(rate) => Ok(rate),
+            }
+        })?
+        .ok_or_else(|| SpecError::at(workload_table.line, "[workload] needs `rate_per_sec`"))?;
+        let traffic = parse_traffic(workload_table, rates.values[0], rates.line)?;
 
         // [telemetry]
         let timeseries_interval = match find("telemetry") {
@@ -969,6 +1166,48 @@ impl ExperimentSpec {
             ));
         }
 
+        // Per-server arrays describe a fleet: one entry per server.
+        let servers = match kind {
+            SpecKind::Fleet { servers } => Some(servers),
+            _ => None,
+        };
+        for (key, values, array, line) in [
+            ("kind", kinds.values.len(), kinds.array, kinds.line),
+            ("rate_per_sec", rates.values.len(), rates.array, rates.line),
+        ] {
+            match servers {
+                _ if !array => {}
+                None => {
+                    return Err(SpecError::at(
+                        line,
+                        format!(
+                            "`{key}` may be an array only for kind = \"fleet\" \
+                             (one entry per server), not kind = \"{kind_name}\""
+                        ),
+                    ))
+                }
+                Some(n) if n != values => {
+                    return Err(SpecError::at(
+                        line,
+                        format!("`{key}` lists {values} entries for {n} servers"),
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+        // Every fleet server gets its own load, from an array or a scalar;
+        // the shared pattern is re-read at each server's rate, so a flash
+        // crowd's burst is checked against every one of them.
+        let per_server = match servers {
+            Some(n) => (0..n)
+                .map(|i| {
+                    let traffic = parse_traffic(workload_table, *rates.get(i), rates.line)?;
+                    Ok((*kinds.get(i), traffic))
+                })
+                .collect::<Result<_, SpecError>>()?,
+            None => Vec::new(),
+        };
+
         // Every key must have been consumed by now.
         for t in &tables {
             if let Some(err) = t.unused_key_error() {
@@ -978,10 +1217,12 @@ impl ExperimentSpec {
 
         Ok(ExperimentSpec {
             name,
+            description,
             kind,
             platform,
-            workload,
+            workload: kinds.values[0],
             traffic,
+            per_server,
             duration,
             seed,
             repeats,
@@ -1114,7 +1355,54 @@ fn parse_network(t: &Table) -> Result<NetworkConfig, SpecError> {
     Ok(config)
 }
 
-fn parse_traffic(table: &Table, rate: f64) -> Result<TrafficPattern, SpecError> {
+/// A `[workload]` key given once for every server or, in a fleet, as a
+/// single-line array with one entry per server.
+struct PerServer<T> {
+    /// The values, in server order (one for a scalar; never empty).
+    values: Vec<T>,
+    /// Whether the key was written as an array.
+    array: bool,
+    /// The key's line.
+    line: usize,
+}
+
+impl<T> PerServer<T> {
+    /// Reads `key` from `table`, parsing each value with `item`; `None`
+    /// when the key is absent.
+    fn parse(
+        table: &Table,
+        key: &str,
+        item: impl Fn(&TomlValue, usize) -> Result<T, SpecError>,
+    ) -> Result<Option<Self>, SpecError> {
+        let Some(e) = table.entry(key) else {
+            return Ok(None);
+        };
+        let (items, array) = match &e.value {
+            TomlValue::Array(items) => (items.as_slice(), true),
+            scalar => (std::slice::from_ref(scalar), false),
+        };
+        if items.is_empty() {
+            return Err(SpecError::at(e.line, format!("`{key}` must not be empty")));
+        }
+        let values = items
+            .iter()
+            .map(|v| item(v, e.line))
+            .collect::<Result<_, _>>()?;
+        Ok(Some(PerServer {
+            values,
+            array,
+            line: e.line,
+        }))
+    }
+
+    /// Server `i`'s value.
+    fn get(&self, i: usize) -> &T {
+        &self.values[if self.array { i } else { 0 }]
+    }
+}
+
+/// Parses the traffic pattern at `rate` (written on `rate_line`).
+fn parse_traffic(table: &Table, rate: f64, rate_line: usize) -> Result<TrafficPattern, SpecError> {
     let pattern = table.str("pattern")?;
     let (pattern_name, pattern_line) = match &pattern {
         None => ("constant", table.line),
@@ -1178,10 +1466,29 @@ fn parse_traffic(table: &Table, rate: f64) -> Result<TrafficPattern, SpecError> 
                     }
                 }
             };
-            let peak = match table.positive("peak_multiplier")? {
-                None => 6.0,
-                Some((v, _)) => v,
+            let (peak, peak_line) = match table.num("peak_multiplier")? {
+                None => (6.0, rate_line),
+                Some((v, line)) if v < 1.0 => {
+                    return Err(SpecError::at(
+                        line,
+                        format!("`peak_multiplier` must be >= 1, got {v}"),
+                    )
+                    .into_usage())
+                }
+                Some(peak) => peak,
             };
+            // The burst, like the base rate, stays within one request per ns.
+            let burst = rate * peak;
+            if burst > MAX_RATE_PER_SEC {
+                return Err(SpecError::at(
+                    peak_line,
+                    format!(
+                        "the burst rate `rate_per_sec` x `peak_multiplier` must be at most \
+                         {MAX_RATE_PER_SEC:e} (one request per ns), got {burst:e}"
+                    ),
+                )
+                .into_usage());
+            }
             Ok(TrafficPattern::FlashCrowd {
                 base_rate_per_sec: rate,
                 peak_multiplier: peak,
@@ -1551,6 +1858,109 @@ rpc_bytes = 2_000
                 .contains("[trace] applies to single, cluster and chain"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn traffic_pattern_mean_rates() {
+        let d = SimDuration::from_millis(100);
+        let c = TrafficPattern::Constant {
+            rate_per_sec: 5_000.0,
+        };
+        assert_eq!(c.mean_rate_per_sec(), 5_000.0);
+        assert!(c.arrival_process(d).is_none());
+
+        let fc = TrafficPattern::FlashCrowd {
+            base_rate_per_sec: 10_000.0,
+            peak_multiplier: 6.0,
+            start_fraction: 0.4,
+            length_fraction: 0.2,
+        };
+        // Burst adds (6 - 1) * 0.2 = 1.0x of base on average.
+        assert!((fc.mean_rate_per_sec() - 20_000.0).abs() < 1e-9);
+        assert!(fc.arrival_process(d).is_some());
+    }
+
+    #[test]
+    fn description_is_optional_and_kind_names_round_trip() {
+        let text = |kind: &str, extra: &str| {
+            format!(
+                "[experiment]\nkind = \"{kind}\"\n{extra}\n[workload]\nkind = \"memcached\"\n\
+                 rate_per_sec = 100\n"
+            )
+        };
+        let spec = ExperimentSpec::parse(&text("single", "")).unwrap();
+        assert_eq!(spec.description, None);
+        assert_eq!(spec.kind.name(), "single");
+        let spec = ExperimentSpec::parse(&text("single", "description = \"one line\"\n")).unwrap();
+        assert_eq!(spec.description.as_deref(), Some("one line"));
+        let err = ExperimentSpec::parse(&text("single", "description = 3\n")).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(
+            err.message.contains("`description` must be a string"),
+            "{err}"
+        );
+        for (kind, table) in [
+            ("fleet", "[fleet]\nservers = 1\n"),
+            ("cluster", "[cluster]\nnodes = 1\n"),
+            ("chain", "[chain]\nnodes = 1\nfanout = 1\n"),
+            ("sweep", "[sweep]\nrates = [100]\n"),
+        ] {
+            let spec = ExperimentSpec::parse(&format!("{}\n{table}", text(kind, ""))).unwrap();
+            assert_eq!(spec.kind.name(), kind);
+        }
+    }
+
+    #[test]
+    fn fleet_arrays_give_one_load_per_server() {
+        let text = r#"
+[experiment]
+kind = "fleet"
+description = "two kinds, three rates"
+
+[workload]
+kind = ["memcached", "kafka", "kafka"]
+rate_per_sec = [1_000, 2_000, 3_000]
+pattern = "diurnal"
+swing = 0.5
+
+[fleet]
+servers = 3
+"#;
+        let spec = ExperimentSpec::parse(text).unwrap();
+        assert_eq!(spec.description.as_deref(), Some("two kinds, three rates"));
+        let diurnal = |rate| TrafficPattern::Diurnal {
+            mean_rate_per_sec: rate,
+            swing: 0.5,
+        };
+        assert_eq!(
+            spec.per_server,
+            [
+                (WorkloadKind::MemcachedEtc, diurnal(1_000.0)),
+                (WorkloadKind::Kafka, diurnal(2_000.0)),
+                (WorkloadKind::Kafka, diurnal(3_000.0)),
+            ]
+        );
+        // A scalar applies to every server.
+        let scalar_kind = text.replace(r#"["memcached", "kafka", "kafka"]"#, r#""mysql""#);
+        let spec = ExperimentSpec::parse(&scalar_kind).unwrap();
+        assert_eq!(
+            spec.per_server[1],
+            (WorkloadKind::MysqlOltp, diurnal(2_000.0))
+        );
+        let scalars = scalar_kind.replace("[1_000, 2_000, 3_000]", "1_000");
+        let spec = ExperimentSpec::parse(&scalars).unwrap();
+        assert_eq!(
+            spec.per_server,
+            vec![(WorkloadKind::MysqlOltp, diurnal(1_000.0)); 3]
+        );
+        // Only a fleet lists loads per server.
+        let single = "[experiment]\nkind = \"single\"\n\n[workload]\nkind = \"memcached\"\n\
+                      rate_per_sec = 100\n";
+        assert!(ExperimentSpec::parse(single).unwrap().per_server.is_empty());
+        // An empty array is no per-server list at all.
+        let err = ExperimentSpec::parse(&text.replace("[1_000, 2_000, 3_000]", "[]")).unwrap_err();
+        assert_eq!(err.line, 8, "{err}");
+        assert!(err.message.contains("must not be empty"), "{err}");
     }
 
     #[test]

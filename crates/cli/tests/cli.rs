@@ -313,7 +313,7 @@ fn named_chain_scenarios_run_through_the_cli() {
     let CliError::Input(message) = &err else {
         panic!("expected input error, got {err:?}");
     };
-    assert!(message.contains("chain scenario"), "{message}");
+    assert!(message.contains("not a cluster spec"), "{message}");
 }
 
 #[test]
@@ -631,7 +631,8 @@ fn trace_out_needs_a_trace_table_and_profile_needs_a_spec() {
         "{err:?}"
     );
     assert_eq!(err.exit_code(), 2);
-    // Named library scenarios never trace or profile.
+    // Named scenarios are specs like any other: without a [trace] table
+    // they record no spans, but `--profile` applies to them.
     let err = execute(&args(&[
         "run",
         "mesh-8-fanout4",
@@ -643,11 +644,19 @@ fn trace_out_needs_a_trace_table_and_profile_needs_a_spec() {
         matches!(&err, CliError::Usage(m) if m.contains("--trace-out")),
         "{err:?}"
     );
-    let err = execute(&args(&["run", "cluster-8-mid", "--profile"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--profile")),
-        "{err:?}"
-    );
+    let out = execute(&args(&[
+        "run",
+        "cluster-8-mid",
+        "--profile",
+        "--duration-ms",
+        "2",
+        "--format",
+        "json",
+    ]))
+    .unwrap();
+    let parsed = JsonValue::parse(&out).expect("output is valid JSON");
+    let cluster = &parsed.as_array().expect("cluster JSON is an array")[0];
+    assert!(cluster.get("profile").is_some(), "{out}");
 }
 
 const SWEEP_SPEC: &str = r#"
@@ -844,6 +853,130 @@ fn rates_above_one_request_per_ns_are_line_numbered_usage_errors() {
     assert!(apc_cli::spec::ExperimentSpec::parse(&spec).is_ok());
 }
 
+/// A fleet spec with a flash-crowd pattern; `{rate}`, `{peak}` and
+/// `{duration}` are substituted per case.
+const FLASH_SPEC: &str = r#"
+[experiment]
+kind = "fleet"
+duration_ms = {duration}
+
+[workload]
+kind = "memcached"
+rate_per_sec = {rate}
+pattern = "flash-crowd"
+peak_multiplier = {peak}
+
+[fleet]
+servers = 2
+"#;
+
+#[test]
+fn spec_inputs_that_would_panic_or_hang_are_line_numbered_usage_errors() {
+    let flash = |rate: &str, peak: &str, duration: &str| {
+        FLASH_SPEC
+            .replace("{rate}", rate)
+            .replace("{peak}", peak)
+            .replace("{duration}", duration)
+    };
+    for (name, text, needle, line) in [
+        // Below 1 the burst would be a trough, which the arrival process
+        // refuses with a panic.
+        (
+            "peak-below-one.toml",
+            flash("20_000", "0.5", "1"),
+            "`peak_multiplier` must be >= 1, got 0.5",
+            "line 10",
+        ),
+        // The burst rate must stay within one request per ns, like the
+        // base rate, or simulated time stalls in the burst.
+        (
+            "burst-too-fast.toml",
+            flash("20_000", "1e9", "1"),
+            "burst rate",
+            "line 10",
+        ),
+        // Every server's rate is checked against the burst.
+        (
+            "burst-array.toml",
+            flash("[1_000, 2e8]", "6", "1"),
+            "got 1.2e9",
+            "line 10",
+        ),
+        // A horizon beyond u64 nanoseconds is rejected like --duration-ms,
+        // not saturated to a run that never ends.
+        (
+            "huge-duration.toml",
+            flash("20_000", "6", "1e20"),
+            "`duration_ms` must be at most 18446744073709",
+            "line 4",
+        ),
+        // A per-server rate above one request per ns.
+        (
+            "array-rate.toml",
+            flash("[1_000, 2e9]", "1", "1"),
+            "`rate_per_sec` must be at most 1e9",
+            "line 8",
+        ),
+    ] {
+        let spec = Scratch::new(name);
+        spec.write(&text);
+        let err = execute(&args(&["run", spec.path()])).unwrap_err();
+        let CliError::Usage(message) = &err else {
+            panic!("expected usage error for {name}, got {err:?}");
+        };
+        assert!(message.contains(needle), "{name} -> {message}");
+        assert!(message.contains(line), "{name} -> {message}");
+        assert_eq!(err.exit_code(), 2);
+    }
+    // The edges still run: no burst at all, and a burst of exactly one
+    // request per ns stays accepted by the parser.
+    let spec = Scratch::new("peak-one.toml");
+    spec.write(&flash("20_000", "1", "1"));
+    execute(&args(&["run", spec.path()])).unwrap();
+    let text = flash("1e8", "10", "1");
+    assert!(apc_cli::spec::ExperimentSpec::parse(&text).is_ok());
+}
+
+#[test]
+fn per_server_arrays_are_fleet_only_and_one_per_server() {
+    for (name, text, needle, line) in [
+        (
+            "array-length.toml",
+            FLASH_SPEC
+                .replace("{rate}", "[1_000, 2_000, 3_000]")
+                .replace("{peak}", "2")
+                .replace("{duration}", "1"),
+            "`rate_per_sec` lists 3 entries for 2 servers",
+            "line 8",
+        ),
+        (
+            "array-cluster.toml",
+            CLUSTER_SPEC.replace("kind = \"memcached\"", "kind = [\"memcached\", \"kafka\"]"),
+            "`kind` may be an array only for kind = \"fleet\"",
+            "line 8",
+        ),
+        (
+            "array-workload.toml",
+            FLASH_SPEC
+                .replace("kind = \"memcached\"", "kind = [\"memcached\", \"redis\"]")
+                .replace("{rate}", "1_000")
+                .replace("{peak}", "2")
+                .replace("{duration}", "1"),
+            "unknown workload `redis`",
+            "line 7",
+        ),
+    ] {
+        let spec = Scratch::new(name);
+        spec.write(&text);
+        let err = execute(&args(&["run", spec.path()])).unwrap_err();
+        let CliError::Input(message) = &err else {
+            panic!("expected input error for {name}, got {err:?}");
+        };
+        assert!(message.contains(needle), "{name} -> {message}");
+        assert!(message.contains(line), "{name} -> {message}");
+    }
+}
+
 #[test]
 fn list_names_every_library_scenario() {
     let table = execute(&args(&["list"])).unwrap();
@@ -908,37 +1041,48 @@ fn conflicting_flags_are_usage_errors() {
     );
     assert_eq!(err.exit_code(), 2);
 
-    // A policy on a fleet scenario.
-    let err = execute(&args(&["run", "diurnal", "--policy", "jsq"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("does not apply to fleet scenario")),
-        "{err:?}"
-    );
-
-    // A policy override on a cluster spec file (specs own their policy;
-    // `--policy` only applies to named cluster scenarios).
-    let cluster_spec = Scratch::new("conflict-cluster.toml");
-    cluster_spec.write(CLUSTER_SPEC);
-    let err = execute(&args(&[
-        "cluster",
-        cluster_spec.path(),
-        "--policy",
-        "random",
-    ]))
-    .unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--policy")),
-        "{err:?}"
-    );
-
-    // A platform override on a spec file (specs own their platform).
+    // A policy on a fleet scenario, or on a single spec file: neither
+    // routes requests.
     let spec = Scratch::new("conflict.toml");
     spec.write(SINGLE_SPEC);
-    let err = execute(&args(&["run", spec.path(), "--platform", "cdeep"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--platform")),
-        "{err:?}"
-    );
+    for (target, kind) in [("diurnal", "fleet"), (spec.path(), "single")] {
+        let err = execute(&args(&["run", target, "--policy", "jsq"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m)
+                if m.contains("--policy") && m.contains(&format!("kind = \"{kind}\""))),
+            "{target}: {err:?}"
+        );
+    }
+
+    // A platform override on a sweep, whether `[sweep] platforms`, a
+    // [platform] table or the default declares its axis.
+    let sweep = Scratch::new("conflict-sweep.toml");
+    let bare_sweep = Scratch::new("conflict-bare-sweep.toml");
+    sweep.write(SWEEP_SPEC);
+    bare_sweep.write(&SWEEP_SPEC.replace("platforms = [\"cshallow\", \"cpc1a\"]\n", ""));
+    for target in [sweep.path(), bare_sweep.path()] {
+        let err = execute(&args(&["run", target, "--platform", "cdeep"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m)
+                if m.contains("--platform") && m.contains("kind = \"sweep\"")),
+            "{target}: {err:?}"
+        );
+        // `sweep` takes no `--platform` at all, so no shard of a sweep runs
+        // on a platform the others do not, in either flag order.
+        for flags in [
+            ["--shard", "0/2", "--platform", "cdeep"],
+            ["--platform", "cdeep", "--shard", "1/2"],
+        ] {
+            let mut argv = vec!["sweep", target];
+            argv.extend(flags);
+            argv.extend(["--out", "/tmp/apc-cli-never-written.json"]);
+            let err = execute(&args(&argv)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains("`--platform`")),
+                "{argv:?}: {err:?}"
+            );
+        }
+    }
 
     // --timeseries-out without a [telemetry] table.
     let err = execute(&args(&[
@@ -979,6 +1123,12 @@ fn sweep_rejects_non_sweep_specs() {
         matches!(&err, CliError::Input(m) if m.contains("not a sweep spec")),
         "{err:?}"
     );
+    // A named scenario is a spec like any other, and no library spec sweeps.
+    let err = execute(&args(&["sweep", "low-load-sweep"])).unwrap_err();
+    assert!(
+        matches!(&err, CliError::Input(m) if m.contains("`low-load-sweep` is not a sweep spec")),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -992,9 +1142,53 @@ fn cluster_rejects_non_cluster_targets() {
     );
     let err = execute(&args(&["cluster", "diurnal"])).unwrap_err();
     assert!(
-        matches!(&err, CliError::Input(m) if m.contains("fleet scenario")),
+        matches!(&err, CliError::Input(m) if m.contains("`diurnal` is not a cluster spec")),
         "{err:?}"
     );
+}
+
+#[test]
+fn platform_and_policy_override_every_spec_and_show_in_the_title() {
+    // A spec file's own platform and policy give way to the flags, and the
+    // table title names what actually ran.
+    let cluster = Scratch::new("override-cluster.toml");
+    cluster.write(CLUSTER_SPEC);
+    let out = execute(&args(&[
+        "cluster",
+        cluster.path(),
+        "--platform",
+        "cdeep",
+        "--policy",
+        "random",
+    ]))
+    .unwrap();
+    assert!(out.starts_with("== experiment (cdeep, random) =="), "{out}");
+    let single = Scratch::new("override-single.toml");
+    single.write(SINGLE_SPEC);
+    let out = execute(&args(&[
+        "run",
+        single.path(),
+        "--platform",
+        "cshallow",
+        "--format",
+        "csv",
+    ]))
+    .unwrap();
+    assert!(out.lines().nth(1).unwrap().contains(",Cshallow,"), "{out}");
+    let out = execute(&args(&["run", single.path(), "--platform", "cshallow"])).unwrap();
+    assert!(out.contains("test-single (cshallow)"), "{out}");
+    // A sweep's rows name their platforms, so its title is the bare name;
+    // without a declared axis it covers all three.
+    let sweep = Scratch::new("override-sweep.toml");
+    sweep.write(&SWEEP_SPEC.replace("platforms = [\"cshallow\", \"cpc1a\"]\n", ""));
+    let out = execute(&args(&["sweep", sweep.path(), "--format", "csv"])).unwrap();
+    assert_eq!(
+        out.lines().count(),
+        7,
+        "header + 3 platforms x 2 rates: {out}"
+    );
+    let out = execute(&args(&["sweep", sweep.path(), "--seed", "3"])).unwrap();
+    assert!(out.starts_with("== experiment =="), "{out}");
 }
 
 #[test]

@@ -189,20 +189,6 @@ fn stream_out_flag_conflicts_are_usage_errors() {
         matches!(&err, CliError::Usage(m) if m.contains("tables are rendered whole")),
         "{err:?}"
     );
-    // Named library scenarios render their output whole.
-    let err = execute(&args(&[
-        "run",
-        "cluster-8-mid",
-        "--format",
-        "json",
-        "--stream-out",
-        "/tmp/b.json",
-    ]))
-    .unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--stream-out") && m.contains("spec files")),
-        "{err:?}"
-    );
 }
 
 // ---- sweep --shard / merge ---------------------------------------------

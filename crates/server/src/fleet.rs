@@ -308,12 +308,12 @@ pub struct FleetMember {
     /// spec's default arrival process runs at, and the `offered_rate`
     /// recorded in the member's [`RunResult`]. When an arrival override is
     /// installed, set this to the pattern's long-run average over the run
-    /// (as [`crate::scenario`] does) — the override itself only knows its
-    /// schedule, not the run horizon.
+    /// (as `apc-cli` does for its diurnal and flash-crowd patterns) — the
+    /// override itself only knows its schedule, not the run horizon.
     pub rate_per_sec: f64,
     /// Optional arrival-process override. `None` uses the spec's default
-    /// stationary process at [`FleetMember::rate_per_sec`]; scenarios install
-    /// time-varying processes here (see [`crate::scenario`]).
+    /// stationary process at [`FleetMember::rate_per_sec`]; time-varying
+    /// traffic patterns install their processes here.
     pub arrivals: Option<Box<dyn ArrivalProcess>>,
 }
 
@@ -386,8 +386,8 @@ impl Fleet {
     /// The canonical seed of fleet member `index` under root seed
     /// `root_seed`: the root forked by label `"server {index}"` (see
     /// [`SimRng::fork`] for the full derivation scheme). Both
-    /// [`Fleet::homogeneous`] and the scenario builder derive member seeds
-    /// through this single function, so fleets built either way agree.
+    /// [`Fleet::homogeneous`] and `apc-cli`'s fleet specs derive member
+    /// seeds through this single function, so fleets built either way agree.
     #[must_use]
     pub fn member_seed(root_seed: u64, index: usize) -> u64 {
         SimRng::from_seed(root_seed)
@@ -465,12 +465,6 @@ impl FleetResult {
             return 0.0;
         }
         self.runs.iter().map(|r| r.pc1a_residency).sum::<f64>() / self.runs.len() as f64
-    }
-
-    /// Total PC1A transitions across the fleet.
-    #[must_use]
-    pub fn total_pc1a_transitions(&self) -> u64 {
-        self.runs.iter().map(|r| r.pc1a_transitions).sum()
     }
 
     /// The worst p99 latency any server observed.

@@ -31,11 +31,6 @@
 //! * [`fleet`] — the [`fleet::Pool`] running many independent simulations
 //!   (servers, clusters or chains) in parallel with bit-identical results,
 //!   and the [`fleet::Fleet`] of servers aggregating theirs;
-//! * [`scenario`] — declarative [`scenario::Scenario`] specs plus a library
-//!   of named fleet experiments (diurnal, flash crowd, heterogeneous,
-//!   low-load sweep), cluster-routing scenarios
-//!   ([`scenario::ClusterScenario`]) and fan-out chain scenarios
-//!   ([`scenario::ChainScenario`]: `mesh-8-fanout4`, `mesh-16-memcached`);
 //! * [`result`] — [`result::RunResult`] with derived metrics.
 //!
 //! # Example
@@ -62,7 +57,6 @@ pub mod config;
 pub mod fleet;
 pub mod node;
 pub mod result;
-pub mod scenario;
 pub mod sim;
 
 pub use balancer::{RoutingPolicy, RoutingPolicyKind};
@@ -74,8 +68,4 @@ pub use config::ServerConfig;
 pub use fleet::{Fleet, FleetMember, FleetResult, Pool, PoolMember};
 pub use node::ServerNode;
 pub use result::RunResult;
-pub use scenario::{
-    ChainScenario, ClusterScenario, MemberGroup, Scenario, ScenarioResult, TrafficPattern,
-    WorkloadKind,
-};
 pub use sim::{run_experiment, ServerSimulation};

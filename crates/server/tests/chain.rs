@@ -6,16 +6,28 @@
 use apc_network::NetworkConfig;
 use apc_pmu::governor::IdleGovernor;
 use apc_server::balancer::RoutingPolicyKind;
-use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, RequestGraph};
+use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph};
 use apc_server::components::state::ServerState;
 use apc_server::config::ServerConfig;
-use apc_server::scenario::ChainScenario;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::CoreCState;
 use apc_workloads::chain::TierService;
 
 fn quick_base(platform: ServerConfig) -> ServerConfig {
     platform.with_duration(SimDuration::from_millis(20))
+}
+
+/// The chain of the named `mesh-8-fanout4` scenario (8 nodes, memcached
+/// fan-out 4 at 8k chains/s, seed `0x5ce0`) on `platform` under JSQ.
+fn mesh_8_fanout4(platform: ServerConfig, duration: SimDuration) -> ChainResult {
+    ChainMember::homogeneous(
+        &platform.with_duration(duration).with_seed(0x5ce0),
+        8,
+        RoutingPolicyKind::JoinShortestQueue,
+        RequestGraph::memcached_fanout(4),
+        8_000.0,
+    )
+    .run()
 }
 
 #[test]
@@ -143,20 +155,16 @@ fn single_member_chain_fleet_is_the_member_run() {
 
 #[test]
 fn chain_scenarios_run_under_every_platform() {
-    let scenario = ChainScenario::mesh_8_fanout4().with_duration(SimDuration::from_millis(10));
     for platform in [
         ServerConfig::c_shallow(),
         ServerConfig::c_deep(),
         ServerConfig::c_pc1a(),
     ] {
-        let result = scenario.run(&platform, RoutingPolicyKind::JoinShortestQueue);
+        let name = platform.platform.name;
+        let result = mesh_8_fanout4(platform, SimDuration::from_millis(10));
         assert_eq!(result.nodes.servers(), 8);
-        assert!(result.chains_completed > 0, "{}", platform.platform.name);
+        assert!(result.chains_completed > 0, "{name}");
     }
-    assert_eq!(ChainScenario::library().len(), 2);
-    assert!(ChainScenario::library()
-        .iter()
-        .all(|s| s.graph.has_fanout()));
 }
 
 /// Regression (predicted-idle plumbing): a core going idle while a fan-out
@@ -210,19 +218,10 @@ fn armed_nic_delivery_bounds_the_predicted_idle() {
 /// tail, while `CPC1A` holds a `Cshallow`-class tail at lower power.
 #[test]
 fn cdeep_widens_the_fanout_tail_cpc1a_holds_it() {
-    let scenario = ChainScenario::mesh_8_fanout4().with_duration(SimDuration::from_millis(50));
-    let shallow = scenario.run(
-        &ServerConfig::c_shallow(),
-        RoutingPolicyKind::JoinShortestQueue,
-    );
-    let deep = scenario.run(
-        &ServerConfig::c_deep(),
-        RoutingPolicyKind::JoinShortestQueue,
-    );
-    let pc1a = scenario.run(
-        &ServerConfig::c_pc1a(),
-        RoutingPolicyKind::JoinShortestQueue,
-    );
+    let window = SimDuration::from_millis(50);
+    let shallow = mesh_8_fanout4(ServerConfig::c_shallow(), window);
+    let deep = mesh_8_fanout4(ServerConfig::c_deep(), window);
+    let pc1a = mesh_8_fanout4(ServerConfig::c_pc1a(), window);
     assert!(
         deep.chain_latency.p999 > shallow.chain_latency.p999,
         "deep {} vs shallow {}",

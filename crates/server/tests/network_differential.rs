@@ -12,17 +12,16 @@
 //! Every comparison here strips only the `network` stats field (the one
 //! field the fabric-less run cannot have) and then uses the results' exact
 //! `PartialEq` — the same equality the determinism suites pin — across all
-//! three platform configurations, every routing policy, and the chain
-//! scenario library. No golden was re-captured for the fabric: the
+//! three platform configurations, every routing policy, and the two named
+//! fan-out meshes. No golden was re-captured for the fabric: the
 //! pre-existing pinned exports in `crates/analysis/tests/` run fabric-less
 //! and still pass unchanged.
 
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
-use apc_server::chain::{ChainMember, ChainResult};
+use apc_server::chain::{ChainMember, ChainResult, RequestGraph};
 use apc_server::cluster::{ClusterMember, ClusterResult};
 use apc_server::config::ServerConfig;
-use apc_server::scenario::ChainScenario;
 use apc_sim::SimDuration;
 use apc_workloads::spec::WorkloadSpec;
 
@@ -119,34 +118,37 @@ fn zero_latency_nonflat_topologies_match_fabricless_cluster() {
     }
 }
 
-/// The chain scenarios: fan-out RPCs *and* leaf-completion reports both
-/// cross the fabric, so the chain path exercises both transmission
-/// directions. Bit-identical on every platform for both the spreading and
-/// the packing policy.
+/// The chain meshes of the named `mesh-8-fanout4` and `mesh-16-memcached`
+/// scenarios: fan-out RPCs *and* leaf-completion reports both cross the
+/// fabric, so the chain path exercises both transmission directions.
+/// Bit-identical on every platform for both the spreading and the packing
+/// policy.
 #[test]
 fn ideal_fabric_matches_fabricless_chain_scenarios() {
-    for scenario in ChainScenario::library() {
-        let scenario = scenario.with_duration(SimDuration::from_millis(2));
+    for (name, nodes, fanout, chains_per_sec) in [
+        ("mesh-8-fanout4", 8, 4, 8_000.0),
+        ("mesh-16-memcached", 16, 8, 6_000.0),
+    ] {
         for platform in platforms() {
             for policy in [
                 RoutingPolicyKind::JoinShortestQueue,
                 RoutingPolicyKind::PowerAware,
             ] {
-                let baseline = scenario.run(&platform, policy);
-                // Replicate ChainScenario::run exactly, plus the fabric.
                 let base = platform
                     .clone()
-                    .with_duration(scenario.duration)
-                    .with_seed(scenario.seed);
-                let fabric = ChainMember::homogeneous(
-                    &base,
-                    scenario.nodes,
-                    policy,
-                    scenario.graph.clone(),
-                    scenario.chains_per_sec,
-                )
-                .with_network(NetworkConfig::ideal())
-                .run();
+                    .with_duration(SimDuration::from_millis(2))
+                    .with_seed(0x5ce0);
+                let member = || {
+                    ChainMember::homogeneous(
+                        &base,
+                        nodes,
+                        policy,
+                        RequestGraph::memcached_fanout(fanout),
+                        chains_per_sec,
+                    )
+                };
+                let baseline = member().run();
+                let fabric = member().with_network(NetworkConfig::ideal()).run();
                 let stats = fabric.network.clone().expect("fabric stats");
                 assert!(
                     stats.messages >= baseline.total_routed(),
@@ -155,8 +157,7 @@ fn ideal_fabric_matches_fabricless_chain_scenarios() {
                 assert_eq!(
                     strip_chain(fabric),
                     baseline,
-                    "scenario {} platform {} policy {policy:?} diverged",
-                    scenario.name,
+                    "scenario {name} platform {} policy {policy:?} diverged",
                     base.platform.name,
                 );
             }
@@ -175,7 +176,7 @@ fn nonzero_latency_fabric_actually_delays_chains() {
             &base,
             4,
             RoutingPolicyKind::JoinShortestQueue,
-            apc_server::chain::RequestGraph::memcached_fanout(4),
+            RequestGraph::memcached_fanout(4),
             4_000.0,
         )
     };

@@ -78,12 +78,6 @@ use crate::time::SimTime;
 pub struct ComponentId(usize);
 
 impl ComponentId {
-    /// The raw index value (useful for logging).
-    #[must_use]
-    pub const fn as_usize(self) -> usize {
-        self.0
-    }
-
     /// Builds an id from a raw index.
     ///
     /// Ids are assigned by [`Simulation::add_component`] in registration

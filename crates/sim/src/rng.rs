@@ -126,11 +126,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 random mantissa bits scaled into [0, 1).

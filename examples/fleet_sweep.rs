@@ -2,7 +2,7 @@
 //! independent servers per platform configuration and prints fleet-level
 //! aggregates — the scenario the single-server figures cannot show.
 //! Members execute in parallel on all available cores (`Fleet::run`);
-//! see `scenario_matrix` for the declarative scenario-library variant.
+//! the named fleet scenarios (`apc-cli list`) are the declarative variant.
 //!
 //! ```text
 //! cargo run --release --example fleet_sweep
