@@ -8,7 +8,9 @@
 //! * [`budget`] — closed-form package-state power budgets reproducing
 //!   Table 1 and the Sec. 5.4 component deltas;
 //! * [`energy`] — exact integer (nW × ns) integration of piecewise-constant
-//!   power over a simulated timeline.
+//!   power over a simulated timeline;
+//! * [`table`] — the model quantised to whole-nanowatt per-state constants,
+//!   the form per-event accounting reads.
 //!
 //! # Example
 //!
@@ -31,9 +33,11 @@
 pub mod budget;
 pub mod energy;
 pub mod model;
+pub mod table;
 pub mod units;
 
 pub use budget::{PackageStatePower, StatePower};
 pub use energy::{EnergyBreakdown, EnergyMeter, PowerLevel};
 pub use model::{PowerBreakdown, PowerModel};
+pub use table::PowerTable;
 pub use units::Watts;

@@ -21,7 +21,7 @@ use apc_soc::clm::ClmState;
 use apc_soc::core::CoreSet;
 use apc_soc::cstate::CoreCState;
 use apc_soc::io::{IoKind, LinkPowerState};
-use apc_soc::memory::{DramPowerMode, MemorySet};
+use apc_soc::memory::{DramPowerMode, MemoryController, MemorySet};
 use apc_soc::pll::PllState;
 use apc_soc::topology::SkxSoc;
 
@@ -84,6 +84,13 @@ impl fmt::Display for PowerBreakdown {
             self.dram
         )
     }
+}
+
+/// Memory-bandwidth utilisation (0–1) implied by `busy` of `cores` cores
+/// executing work: the DRAM domain's activity input.
+#[must_use]
+pub fn memory_utilization(busy: usize, cores: usize) -> f64 {
+    busy as f64 / cores.max(1) as f64
 }
 
 /// The uncore part of a [`PowerBreakdown`]: every domain that depends only
@@ -291,11 +298,26 @@ impl PowerModel {
     /// averaged.
     #[must_use]
     pub fn dram_domain(&self, memory: &MemorySet, memory_utilization: f64) -> Watts {
-        memory
-            .iter()
-            .map(|m| self.dram_power(m.mode(), memory_utilization))
+        self.dram_of_modes(
+            memory.iter().map(MemoryController::mode),
+            memory.len(),
+            memory_utilization,
+        )
+    }
+
+    /// [`PowerModel::dram_domain`] of `n` controllers in `modes`: the one
+    /// float expression behind the DRAM domain, shared with
+    /// [`crate::table::PowerTable`].
+    pub(crate) fn dram_of_modes(
+        &self,
+        modes: impl Iterator<Item = DramPowerMode>,
+        n: usize,
+        memory_utilization: f64,
+    ) -> Watts {
+        modes
+            .map(|mode| self.dram_power(mode, memory_utilization))
             .sum::<Watts>()
-            / memory.len().max(1) as f64
+            / n.max(1) as f64
     }
 
     /// Computes the instantaneous power breakdown of a socket from its three

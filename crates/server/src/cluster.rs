@@ -176,12 +176,12 @@ impl<F: ClusterFront> ClusterSimulation<F> {
             .iter()
             .map(|b| b.register(&mut sim, None))
             .collect();
-        // Each node's observers watch only the node's own components (see
-        // `ServerNode::register`). Front and fabric events deposit into NIC
-        // buffers, which no observer reads, so they run no node hook: a node
-        // accounts its energy at its own events and at the horizon, which
-        // the integer energy meter makes exactly what a standalone server
-        // accounting at every `ClientArrival` would meter.
+        // A node accounts energy and residency around its own components'
+        // events only (see `ServerNode::register`). Front and fabric events
+        // deposit into NIC buffers, which no accounting input reads: a node
+        // charges its energy at its own events and at the horizon, which the
+        // integer energy meter makes exactly what a standalone server
+        // charging at every `ClientArrival` would meter.
         let front = Rc::new(RefCell::new(front));
         let front_id = sim.add_component(F::NAME, Rc::clone(&front));
         // The fabric component registers even without a `[network]`
@@ -197,7 +197,7 @@ impl<F: ClusterFront> ClusterSimulation<F> {
             sim.enable_event_profile(ServerEvent::KIND_COUNT, ServerEvent::kind);
         }
         // Bootstrap in the standalone order: the first arrival, then every
-        // node's background timers / initial idle entries / power sampling.
+        // node's background timers / initial idle entries / time series.
         sim.schedule(front_id, first_at, first_arrival);
         for (builder, handles) in builders.iter().zip(&nodes) {
             builder.bootstrap(&mut sim, handles);
@@ -267,7 +267,7 @@ pub struct ClusterResult {
     /// Total simulation events dispatched by the run's single event loop
     /// (every node plus the balancer). The event core's workload size: wall
     /// time divided by this is the per-event cost of the whole stack (queue,
-    /// dispatch hooks, handlers).
+    /// accounting, handlers).
     pub events_dispatched: u64,
     /// Wire-delay statistics of the network fabric, when one was configured
     /// (`None` for the instantaneous-deposit path).

@@ -10,13 +10,15 @@
 //!   availability);
 //! * [`package`] — the package controllers: firmware GPMU (PC6) and, under
 //!   `CPC1A`, the APC APMU (PC1A entry/abort/exit flows);
-//! * [`power`] — power/energy attribution and the optional power trace;
 //! * [`timeseries`] — the optional periodic time-series sampler (power,
 //!   residency deltas, queue depth over simulated time).
 //!
 //! Cross-component state (the SoC structural model, work queues, uncore
 //! availability, telemetry) lives in [`state::ServerState`]; everything else
-//! is private to its component. Components communicate only by events:
+//! is private to its component. Energy and package-residency accounting
+//! belong to no component: [`crate::node::ServerNode::register`] wraps each
+//! of the node's components so that [`state::ServerState::charge`] and
+//! [`state::ServerState::settle`] bracket every event they handle. Components communicate only by events:
 //! zero-delay events model same-instant hardware signals (e.g. the NIC
 //! raising `PackageWake` before the scheduler's `Dispatch` runs) and the
 //! FIFO tie-break of the event queue keeps those exchanges deterministic.
@@ -34,7 +36,6 @@ pub mod core_exec;
 pub mod fabric;
 pub mod nic;
 pub mod package;
-pub mod power;
 pub mod scheduler;
 pub mod state;
 pub mod timeseries;
@@ -109,8 +110,6 @@ pub enum ServerEvent {
     GpmuEntryDone,
     /// The PC6 exit flow completed. (→ `package`)
     GpmuExitDone,
-    /// Periodic power-trace sample. (→ `power`)
-    PowerSample,
     /// Periodic time-series telemetry sample. (→ `timeseries`)
     TimeSeriesSample,
     /// The next root request of a request chain arrives at the chain
@@ -131,7 +130,7 @@ impl ServerEvent {
     /// Number of distinct event kinds (the bound for
     /// [`ServerEvent::kind`] indices and the length of
     /// [`ServerEvent::KIND_NAMES`]).
-    pub const KIND_COUNT: usize = 23;
+    pub const KIND_COUNT: usize = 22;
 
     /// Stable names of every event kind, indexed by [`ServerEvent::kind`].
     pub const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
@@ -154,7 +153,6 @@ impl ServerEvent {
         "ApmuExitDone",
         "GpmuEntryDone",
         "GpmuExitDone",
-        "PowerSample",
         "TimeSeriesSample",
         "ChainArrival",
         "ChainLeafDone",
@@ -183,10 +181,9 @@ impl ServerEvent {
             ServerEvent::ApmuExitDone => 16,
             ServerEvent::GpmuEntryDone => 17,
             ServerEvent::GpmuExitDone => 18,
-            ServerEvent::PowerSample => 19,
-            ServerEvent::TimeSeriesSample => 20,
-            ServerEvent::ChainArrival => 21,
-            ServerEvent::ChainLeafDone { .. } => 22,
+            ServerEvent::TimeSeriesSample => 19,
+            ServerEvent::ChainArrival => 20,
+            ServerEvent::ChainLeafDone { .. } => 21,
         }
     }
 }

@@ -1,11 +1,16 @@
 //! Package controller component: the firmware GPMU (PC6) and, under
 //! `CPC1A`, the APC APMU (PC1A flows).
+//!
+//! The controller records no residency itself. After each of its events it
+//! mirrors the package state its FSMs imply into
+//! [`PackageMirror`](super::state::PackageMirror), and the node's
+//! accounting wrapper records the residency from that mirror after every
+//! node event (see [`ServerState::settle`]).
 
 use apc_core::apmu::{Apmu, ApmuState, WakeCause, WakeOutcome};
 use apc_pmu::config::PackagePolicy;
 use apc_pmu::gpmu::{Gpmu, GpmuPhase};
 use apc_sim::component::{EventHandler, SimulationContext};
-use apc_sim::SimTime;
 use apc_soc::cstate::PackageCState;
 
 use super::state::{HasNode, ServerState};
@@ -20,10 +25,10 @@ use super::ServerEvent;
 /// * `PackagePolicy::None` — no package states (the `Cshallow` baseline).
 ///
 /// The controller owns both FSMs and mirrors uncore availability into
-/// [`ServerState::uncore`] after every transition so the scheduler can gate
-/// dispatch without reaching into controller internals. Its post-dispatch
-/// hook tracks package C-state residency after every event addressed to the
-/// node's components, the only events that can move the package state.
+/// [`ServerState::uncore`], and the package state the FSMs imply into
+/// [`ServerState::pkg`], after every event it handles. So the scheduler can
+/// gate dispatch, and [`ServerState::settle`] can track package residency
+/// after every node event, without reaching into controller internals.
 pub struct PackageController {
     node: usize,
     policy: PackagePolicy,
@@ -32,13 +37,6 @@ pub struct PackageController {
     /// A wake arrived while the GPMU entry flow was still running; exit as
     /// soon as the entry completes.
     gpmu_pending_wake: bool,
-    /// [`ServerState::any_core_active`] as of the last post-dispatch
-    /// residency update. The package state is a pure function of that bit
-    /// and this controller's own FSMs; while the bit is unchanged *and* no
-    /// event has run through this controller (which clears the cache), the
-    /// state cannot have moved and the residency update — a same-state
-    /// no-op — can be skipped outright.
-    residency_cache: Option<bool>,
 }
 
 impl PackageController {
@@ -57,7 +55,6 @@ impl PackageController {
             apmu,
             gpmu: Gpmu::new(package_limit),
             gpmu_pending_wake: false,
-            residency_cache: None,
         }
     }
 
@@ -84,11 +81,22 @@ impl PackageController {
         }
     }
 
-    /// Mirrors uncore availability and the package-event gating facts into
-    /// the shared state (see
+    /// Mirrors uncore availability, the package-event gating facts and the
+    /// package state the FSMs imply into the shared state (see
     /// [`super::state::PackageMirror`]).
     fn sync_uncore(&self, shared: &mut ServerState) {
         shared.uncore.available = self.uncore_available();
+        (shared.pkg.active_state, shared.pkg.idle_state) = match self.policy {
+            PackagePolicy::Pc1a => (
+                self.apmu.package_state(true),
+                self.apmu.package_state(false),
+            ),
+            PackagePolicy::Pc6 => (
+                self.gpmu.package_state(false),
+                self.gpmu.package_state(true),
+            ),
+            PackagePolicy::None => (PackageCState::PC0, PackageCState::PC0Idle),
+        };
         shared.pkg.acc1_armed = self.apmu.state() == ApmuState::Acc1;
         shared.pkg.wakeable = match self.policy {
             PackagePolicy::Pc1a => matches!(
@@ -253,46 +261,5 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
             other => unreachable!("package controller received unexpected event {other:?}"),
         }
         self.sync_uncore(shared);
-        // The handler may have moved the FSMs; the cached residency state is
-        // no longer trustworthy (the activity bit alone cannot see FSM
-        // moves).
-        self.residency_cache = None;
-    }
-
-    fn observes_dispatch(&self) -> bool {
-        true
-    }
-
-    fn observes_pre_dispatch(&self) -> bool {
-        false
-    }
-
-    fn on_post_dispatch(&mut self, now: SimTime, shared: &mut S) {
-        // Track the package C-state after every event addressed to one of
-        // this node's components, whatever component handled it: state may
-        // change through core activity alone. (The observer is scoped to the
-        // node; other components' events at most deposit into the NIC
-        // buffer, which none of the package-state inputs read.)
-        let shared = shared.node_mut(self.node);
-        // Same activity bit + no intervening event through this controller
-        // (which clears the cache) ⇒ the derivation below would yield the
-        // same state again and `transition` would early-return: skip both.
-        let any_active = shared.any_core_active();
-        if self.residency_cache == Some(any_active) {
-            return;
-        }
-        let state = match self.policy {
-            PackagePolicy::Pc1a => self.apmu.package_state(any_active),
-            PackagePolicy::Pc6 => self.gpmu.package_state(!any_active),
-            PackagePolicy::None => {
-                if any_active {
-                    PackageCState::PC0
-                } else {
-                    PackageCState::PC0Idle
-                }
-            }
-        };
-        shared.telemetry.package_residency.transition(now, state);
-        self.residency_cache = Some(any_active);
     }
 }

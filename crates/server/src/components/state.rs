@@ -4,13 +4,20 @@
 //! another (the SoC models, work queues, uncore availability, telemetry)
 //! lives here; state with a single owner (the APMU FSM, a core's transition
 //! epoch, the NIC's coalescing buffer) lives inside its component.
+//!
+//! A node's energy and package-residency accounting lives here too, as
+//! [`ServerState::charge`] and [`ServerState::settle`]: the node's
+//! accounting wrapper calls them around every event of the node's
+//! components (see [`crate::node`]). Charging reads the node's power level
+//! from its [`PowerTable`] in O(1) integer work.
 
 use std::collections::VecDeque;
 
 use apc_power::energy::{EnergyMeter, PowerLevel};
-use apc_power::units::Watts;
+use apc_power::model::memory_utilization;
+use apc_power::table::{PowerTable, UncoreLevel};
 use apc_sim::{SimDuration, SimTime};
-use apc_soc::core::CoreActivity;
+use apc_soc::core::{CoreActivity, CoreId};
 use apc_soc::cstate::PackageCState;
 use apc_soc::topology::SkxSoc;
 use apc_telemetry::idle::IdlePeriodTracker;
@@ -295,20 +302,25 @@ impl Default for UncoreStatus {
 }
 
 /// Package-FSM facts mirrored into the shared state by the package
-/// controller (alongside [`UncoreStatus`]) after every event it handles, so
-/// the components that *emit* package events — cores finishing a wake, the
-/// NIC delivering a batch — can skip emissions the controller would handle
-/// as pure no-ops. Skipping is bit-identical: every gated event is emitted
-/// with `emit_now` (zero-length interval, so the energy meter's accounting
-/// point is a no-op) and its handler would leave all package-state inputs
-/// untouched (so the residency observation it triggers repeats the previous
-/// one and is dropped by the same-state early return).
+/// controller (alongside [`UncoreStatus`]) after every event it handles.
 ///
-/// Both flags start `false`, matching the FSM starting points (APMU in PC0,
-/// GPMU `Active`), and only package-controller handlers ever change the
-/// facts they mirror — so a mirror read between package events is always
-/// current.
-#[derive(Debug, Clone, Copy, Default)]
+/// The gating flags let the components that *emit* package events — cores
+/// finishing a wake, the NIC delivering a batch — skip emissions the
+/// controller would handle as pure no-ops. Skipping is bit-identical: every
+/// gated event is emitted with `emit_now` (zero-length interval, so charging
+/// the energy meter is a no-op) and its handler would leave all
+/// package-state inputs untouched (so the residency update after it repeats
+/// the previous state and is dropped by the same-state early return).
+///
+/// The two states are the package C-state the FSMs imply while some core
+/// is active and while every core is idle: [`ServerState::settle`] picks
+/// one by [`ServerState::any_core_active`] after every node event.
+///
+/// The mirror starts at the FSM starting points (APMU in PC0, GPMU
+/// `Active`: no gating, PC0 or PC0idle), and only package-controller
+/// handlers ever change the facts it mirrors — so a mirror read between
+/// package events is always current.
+#[derive(Debug, Clone, Copy)]
 pub struct PackageMirror {
     /// The APMU sits in ACC1: the first core to run again must send
     /// `CoreActive` so the controller clears AllowL0s (PC1A policy only).
@@ -317,10 +329,25 @@ pub struct PackageMirror {
     /// package C-state (PC1A: `Acc1`/`Entering`/`InPc1a`; PC6:
     /// `Entering`/`InPc6`). `false` under `PackagePolicy::None`.
     pub wakeable: bool,
+    /// The package state while some core is active.
+    pub active_state: PackageCState,
+    /// The package state while every core is idle.
+    pub idle_state: PackageCState,
 }
 
-/// All measurement state: power/energy, latency, residencies, idle periods
-/// and run counters.
+impl Default for PackageMirror {
+    fn default() -> Self {
+        PackageMirror {
+            acc1_armed: false,
+            wakeable: false,
+            active_state: PackageCState::PC0,
+            idle_state: PackageCState::PC0Idle,
+        }
+    }
+}
+
+/// All measurement state: energy, latency, residencies, idle periods and
+/// run counters.
 #[derive(Debug)]
 pub struct TelemetryState {
     /// Energy accumulation (power attribution over elapsed intervals).
@@ -337,9 +364,6 @@ pub struct TelemetryState {
     pub completed_requests: u64,
     /// Total busy core-time accumulated.
     pub busy_core_time: SimDuration,
-    /// Optional instantaneous power trace `(time, soc_power)`, filled by the
-    /// power component when sampling is enabled.
-    pub power_trace: Vec<(SimTime, Watts)>,
     /// Optional time-series telemetry, filled by the time-series sampler
     /// component when [`crate::config::ServerConfig::timeseries_interval`]
     /// is set.
@@ -364,7 +388,6 @@ impl TelemetryState {
             idle_tracker: IdlePeriodTracker::with_socwatch_floor(cores, SimTime::ZERO),
             completed_requests: 0,
             busy_core_time: SimDuration::ZERO,
-            power_trace: Vec::new(),
             timeseries: None,
             trace: None,
         }
@@ -411,6 +434,11 @@ pub struct ServerState {
     pub offered_rate: f64,
     /// Client network round-trip added to server-side latency.
     pub network_rtt: SimDuration,
+    /// `config.power` quantised for this node's SoC.
+    power_table: PowerTable,
+    /// The uncore part of the power level, and the
+    /// [`SkxSoc::uncore_change_epoch`] it was computed at.
+    uncore_level: (u64, UncoreLevel),
 }
 
 impl ServerState {
@@ -425,6 +453,8 @@ impl ServerState {
             .timeseries_interval
             .filter(|d| !d.is_zero())
             .map(TimeSeries::new);
+        let power_table = PowerTable::new(&config.power, &soc);
+        let uncore_level = (soc.uncore_change_epoch(), power_table.uncore(&soc));
         ServerState {
             soc,
             addrs: Addresses::default(),
@@ -437,6 +467,8 @@ impl ServerState {
             workload_name: "",
             offered_rate: 0.0,
             network_rtt: SimDuration::ZERO,
+            power_table,
+            uncore_level,
             config,
         }
     }
@@ -458,40 +490,103 @@ impl ServerState {
         occupied
     }
 
-    /// Memory-bandwidth utilisation (0–1) implied by `busy` busy cores: the
-    /// DRAM power domain's activity input.
-    #[must_use]
-    pub fn memory_utilization(&self, busy: usize) -> f64 {
-        busy as f64 / self.soc.cores().len().max(1) as f64
-    }
-
     /// The instantaneous power breakdown implied by the current SoC state
-    /// and memory utilisation — the single derivation shared by energy
-    /// accounting, the power trace and the time-series sampler, so every
-    /// reported power figure agrees on one definition.
+    /// and memory utilisation, in float watts: what the time-series sampler
+    /// reports. [`ServerState::power_level`] is the same breakdown in whole
+    /// nanowatts.
     #[must_use]
     pub fn power_snapshot(&self) -> apc_power::model::PowerBreakdown {
-        let mem_util = self.memory_utilization(self.sched.busy_cores());
-        self.config.power.snapshot(&self.soc, mem_util)
+        let busy = self.sched.busy_cores();
+        let utilization = memory_utilization(busy, self.soc.cores().len());
+        self.config.power.snapshot(&self.soc, utilization)
     }
 
-    /// [`ServerState::power_snapshot`] quantised to whole nanowatts: the
-    /// level the energy meter integrates.
+    /// The level the energy meter integrates: the node's power in whole
+    /// nanowatts, summed from its [`PowerTable`]. Equal to
+    /// [`PowerLevel::quantise`] of [`ServerState::power_snapshot`] for a
+    /// model of whole-microwatt constants (see [`apc_power::table`]).
     #[must_use]
     pub fn power_level(&self) -> PowerLevel {
-        PowerLevel::quantise(&self.power_snapshot())
+        let uncore = self.power_table.uncore(&self.soc);
+        self.power_table
+            .level(&self.soc, &uncore, self.sched.busy_cores())
+    }
+
+    /// Charges the energy meter up to `now` at the level held since the
+    /// last charge. Runs before every event of the node's components (see
+    /// [`crate::node::ServerNode::register`]), so each interval between two
+    /// node events is charged at the level that held across it. Events of
+    /// other components (a cluster's front, the fabric, other nodes) at most
+    /// deposit into this node's NIC buffer, which no power input reads, and
+    /// the meter's integer accounting is split-invariant (see
+    /// [`apc_power::energy`]): charging at fewer instants meters the same
+    /// energy.
+    ///
+    /// The level is [`ServerState::power_level`] with the uncore part
+    /// cached until [`SkxSoc::uncore_change_epoch`] moves: O(1) integer work
+    /// per charge (see [`PowerTable::level`]), and none for a zero-length
+    /// interval.
+    #[inline]
+    pub fn charge(&mut self, now: SimTime) {
+        if now <= self.telemetry.energy.last() {
+            return;
+        }
+        let epoch = self.soc.uncore_change_epoch();
+        if self.uncore_level.0 != epoch {
+            self.uncore_level = (epoch, self.power_table.uncore(&self.soc));
+        }
+        let level =
+            self.power_table
+                .level(&self.soc, &self.uncore_level.1, self.sched.busy_cores());
+        self.telemetry.energy.advance(now, &level);
+    }
+
+    /// Records the package C-state at `now`. Runs after every event of the
+    /// node's components: the state is a pure function of
+    /// [`ServerState::any_core_active`] and the package FSMs, which only
+    /// those events move, and the package controller mirrors what the FSMs
+    /// imply into [`ServerState::pkg`]. A repeated state is a no-op.
+    #[inline]
+    pub fn settle(&mut self, now: SimTime) {
+        let state = if self.any_core_active() {
+            self.pkg.active_state
+        } else {
+            self.pkg.idle_state
+        };
+        self.telemetry.package_residency.transition(now, state);
     }
 
     /// Closes every telemetry stream at the end of the measurement window.
-    /// Energy is charged up to `end` at the level currently held: the power
-    /// observer accounts only at the node's own events, and nothing after
-    /// the node's last event changed its power.
+    /// Energy is charged up to `end` at the level currently held: nothing
+    /// after the node's last event changed its power.
+    ///
+    /// Debug builds then check that the meter and every residency tracker
+    /// cover exactly `[0, end]` in integer nanoseconds.
     pub fn finish_telemetry(&mut self, end: SimTime) {
-        let level = self.power_level();
-        self.telemetry.energy.advance(end, &level);
+        self.charge(end);
         self.telemetry.core_residency.finish(end);
         self.telemetry.package_residency.finish(end);
         self.telemetry.idle_tracker.finish(end);
+        let horizon = end.saturating_since(SimTime::ZERO);
+        debug_assert_eq!(
+            self.telemetry.energy.elapsed(),
+            horizon,
+            "the energy meter must reach the horizon"
+        );
+        debug_assert_eq!(
+            self.telemetry.package_residency.total(),
+            horizon,
+            "package residency must tile the horizon"
+        );
+        debug_assert!(
+            (0..self.telemetry.core_residency.len()).all(|c| self
+                .telemetry
+                .core_residency
+                .core(CoreId(c))
+                .total()
+                == horizon),
+            "every core's residency must tile the horizon"
+        );
     }
 
     /// The OS's bound on how long `core` will stay idle from `now`: the
@@ -637,6 +732,182 @@ impl HasNode for ClusterState {
 mod tests {
     use super::*;
     use crate::config::ServerConfig;
+    use apc_power::energy::EnergyMeter;
+    use apc_sim::rng::SimRng;
+    use apc_soc::cstate::CoreCState;
+    use apc_soc::io::IoId;
+    use apc_soc::topology::SocConfig;
+
+    const IDLE: [CoreCState; 3] = [CoreCState::CC1, CoreCState::CC1E, CoreCState::CC6];
+
+    /// One legal transition of a drawn core.
+    fn step_core(node: &mut ServerState, rng: &mut SimRng, now: SimTime) {
+        let cores = node.soc.cores_mut();
+        let id = CoreId(rng.index(cores.len()));
+        match cores.core(id).activity() {
+            CoreActivity::Busy => {
+                cores.begin_idle(id, now, IDLE[rng.index(3)]);
+            }
+            CoreActivity::Idle => {
+                cores.begin_wakeup(id, now);
+            }
+            CoreActivity::Transitioning => cores.complete_transition(id, now),
+        }
+    }
+
+    /// Starts or finishes work on a drawn core.
+    fn step_busy(node: &mut ServerState, running: &mut [bool], rng: &mut SimRng) {
+        let core = rng.index(running.len());
+        if running[core] {
+            assert!(node.sched.take_running(core).is_some());
+        } else {
+            let work = SimDuration::from_micros(1);
+            node.sched
+                .start_running(core, WorkItem::Background { work });
+        }
+        running[core] = !running[core];
+    }
+
+    /// One drawn uncore change, including mutable accesses that change
+    /// nothing and memory controllers left in mixed modes.
+    fn step_uncore(node: &mut ServerState, rng: &mut SimRng, now: SimTime) {
+        let soc = &mut node.soc;
+        match rng.index(11) {
+            0 => {
+                soc.clm_mut().clock_gate(now);
+            }
+            1 => {
+                soc.clm_mut().clock_ungate(now);
+            }
+            2 => {
+                let clm = soc.clm_mut();
+                if rng.chance(0.5) {
+                    clm.assert_retention(now);
+                } else {
+                    clm.deassert_retention(now);
+                }
+                clm.complete_voltage_transition(now);
+            }
+            3 => {
+                soc.ios_mut().set_allow_shallow_all(now, rng.chance(0.5));
+            }
+            4 => {
+                let io = soc.ios_mut().controller_mut(IoId(rng.index(2)));
+                io.begin_traffic(now);
+                io.end_traffic(now);
+                io.try_enter_shallow(now + SimDuration::from_millis(1));
+            }
+            5 => {
+                soc.memory_mut().set_allow_cke_off_all(now, rng.chance(0.5));
+            }
+            6 => {
+                for mc in soc.memory_mut().iter_mut() {
+                    mc.set_allow_self_refresh(true);
+                    mc.enter_self_refresh(now);
+                }
+            }
+            7 => {
+                for mc in soc.memory_mut().iter_mut() {
+                    mc.wake(now);
+                }
+            }
+            8 => {
+                let plls = soc.plls_mut();
+                if rng.chance(0.5) {
+                    plls.power_off_uncore(now);
+                } else {
+                    plls.begin_relock_uncore(now);
+                    plls.complete_relock_uncore(now);
+                }
+            }
+            9 => {
+                // One controller only: the others keep their modes.
+                let wake = rng.chance(0.5);
+                if let Some(mc) = soc.memory_mut().iter_mut().next() {
+                    if wake {
+                        mc.wake(now);
+                    } else {
+                        mc.set_allow_self_refresh(true);
+                        mc.enter_self_refresh(now);
+                    }
+                }
+            }
+            _ => {
+                let _ = soc.clm_mut();
+            }
+        }
+    }
+
+    /// Drives drawn core, busy and uncore changes through a node at
+    /// non-decreasing instants and checks the power accounting against the
+    /// float model. Before every step the table level must equal the
+    /// quantised float snapshot. And a meter charged through
+    /// [`ServerState::charge`] only at a random subset of the instants —
+    /// the node's own events, each charged before it changes the node, as
+    /// the node's accounting wrapper does — must equal, bit for bit, a
+    /// reference meter advanced at every instant with a freshly computed
+    /// level.
+    fn check_power_accounting(soc: SocConfig, steps: usize, seed: u64) {
+        let mut config = ServerConfig::c_pc1a();
+        config.soc = soc;
+        let mut node = ServerState::new(config);
+        let mut running = vec![false; node.soc.cores().len()];
+        let mut reference = EnergyMeter::new(SimTime::ZERO);
+        let mut rng = SimRng::from_seed(seed);
+        let mut now = SimTime::ZERO;
+        for step in 0..steps {
+            let fresh = PowerLevel::quantise(&node.power_snapshot());
+            assert_eq!(node.power_level(), fresh, "step {step} (seed {seed})");
+            // Several instants between two reads, some of them equal; at
+            // each, a node event changing one domain, or another
+            // component's event, which leaves the node alone.
+            for _ in 0..1 + rng.index(4) {
+                now += SimDuration::from_nanos(rng.index(5_000) as u64);
+                reference.advance(now, &PowerLevel::quantise(&node.power_snapshot()));
+                if rng.chance(0.4) {
+                    continue;
+                }
+                node.charge(now);
+                assert_eq!(
+                    node.telemetry.energy.energy(),
+                    reference.energy(),
+                    "step {step} (seed {seed})"
+                );
+                match rng.index(3) {
+                    0 => step_core(&mut node, &mut rng, now),
+                    1 => step_busy(&mut node, &mut running, &mut rng),
+                    _ => step_uncore(&mut node, &mut rng, now),
+                }
+            }
+        }
+        now += SimDuration::from_micros(1);
+        reference.advance(now, &PowerLevel::quantise(&node.power_snapshot()));
+        node.charge(now);
+        assert_eq!(node.telemetry.energy.energy(), reference.energy());
+        assert_eq!(node.telemetry.energy.elapsed(), reference.elapsed());
+    }
+
+    #[test]
+    fn power_accounting_matches_the_float_model_on_10_cores() {
+        for seed in 0..10 {
+            check_power_accounting(SocConfig::xeon_silver_4114(), 2_000, seed);
+        }
+    }
+
+    #[test]
+    fn power_accounting_matches_the_float_model_on_48_cores() {
+        for seed in 0..5 {
+            check_power_accounting(SocConfig::small_test(48), 2_000, seed);
+        }
+    }
+
+    #[test]
+    fn power_accounting_matches_the_float_model_on_7_cores() {
+        // Seven cores do not divide the DRAM utilisation term evenly.
+        for seed in 0..5 {
+            check_power_accounting(SocConfig::small_test(7), 2_000, seed);
+        }
+    }
 
     #[test]
     fn free_core_set_basic_operations() {

@@ -28,9 +28,6 @@ pub struct ServerConfig {
     pub duration: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// When set, the power/telemetry component records an instantaneous SoC
-    /// power trace at this interval (off by default: traces cost memory).
-    pub power_sample_interval: Option<SimDuration>,
     /// When set, a time-series sampler component records power, package
     /// residency deltas and queue depth at this interval, delivered in the
     /// run result's `timeseries` field (off by default: series cost memory).
@@ -78,7 +75,6 @@ impl ServerConfig {
             softirq_overhead: SimDuration::from_micros(3),
             duration: SimDuration::from_millis(500),
             seed: 0x5eed,
-            power_sample_interval: None,
             timeseries_interval: None,
             trace: None,
             profile: false,
@@ -103,13 +99,6 @@ impl ServerConfig {
     #[must_use]
     pub fn without_noise(mut self) -> Self {
         self.noise = None;
-        self
-    }
-
-    /// Enables the instantaneous power trace at the given sampling interval.
-    #[must_use]
-    pub fn with_power_trace(mut self, every: SimDuration) -> Self {
-        self.power_sample_interval = Some(every);
         self
     }
 

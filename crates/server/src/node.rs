@@ -19,12 +19,26 @@
 //! [`Simulation::add_component_with_stream`] — a pure function of
 //! `(seed, label)` — so a node embedded anywhere draws exactly the streams a
 //! standalone server with the same seed would.
+//!
+//! # Accounting around node events
+//!
+//! Every node component is registered inside one generic wrapper whose
+//! handler charges the node's energy meter up to the event's instant
+//! ([`ServerState::charge`]) before the component runs, and records the
+//! node's package C-state ([`ServerState::settle`]) after it. Only the
+//! node's own events can move its power or package state, so bracketing
+//! exactly those events accounts energy and residency at the instants they
+//! change, at the cost of the node's events alone. A cluster's front and
+//! fabric stay unwrapped: they at most deposit into NIC buffers.
+//!
+//! [`ServerState::charge`]: crate::components::state::ServerState::charge
+//! [`ServerState::settle`]: crate::components::state::ServerState::settle
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use apc_pmu::governor::IdleGovernor;
-use apc_sim::component::{ComponentId, Simulation};
+use apc_sim::component::{ComponentId, EventHandler, Simulation, SimulationContext};
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::{CoreCState, PackageCState};
@@ -33,7 +47,6 @@ use apc_workloads::loadgen::LoadGenerator;
 use crate::components::core_exec::CoreExec;
 use crate::components::nic::NicArrival;
 use crate::components::package::PackageController;
-use crate::components::power::PowerTelemetry;
 use crate::components::scheduler::Scheduler;
 use crate::components::state::HasNode;
 use crate::components::timeseries::TimeSeriesSampler;
@@ -48,16 +61,13 @@ pub struct ServerNode {
     prefix: String,
 }
 
-/// Handles to one registered node: its peer addresses, the power component's
-/// id (for the sampling bootstrap) and the package controller (whose FSM
-/// statistics the run result needs).
+/// Handles to one registered node: its peer addresses and the package
+/// controller (whose FSM statistics the run result needs).
 pub struct NodeHandles {
     /// The node's index within the host simulation's shared state.
     pub index: usize,
     /// Component ids of the node's components.
     pub addrs: Addresses,
-    /// The power/telemetry component's id.
-    pub power: ComponentId,
     /// The time-series sampler's id, when the node's configuration enables
     /// time-series telemetry.
     pub timeseries: Option<ComponentId>,
@@ -96,9 +106,25 @@ impl ServerNode {
         format!("{}{base}", self.prefix)
     }
 
-    /// Registers the node's five component kinds (power, package, scheduler,
-    /// NIC, one executor per core) with `sim` and fills the node's
-    /// [`Addresses`] in the shared state.
+    /// Registers `handler` as one of this node's components, inside the
+    /// accounting wrapper (see the [module docs](self)).
+    fn add<S: HasNode + 'static>(
+        &self,
+        sim: &mut Simulation<ServerEvent, S>,
+        base: &str,
+        handler: impl EventHandler<ServerEvent, S> + 'static,
+        streams: &SimRng,
+    ) -> ComponentId {
+        let accounted = Accounted {
+            node: self.index,
+            inner: handler,
+        };
+        sim.add_component_with_stream(self.name(base), accounted, streams.fork(base))
+    }
+
+    /// Registers the node's component kinds (package, scheduler, NIC, one
+    /// executor per core, and the time-series sampler when enabled) with
+    /// `sim` and fills the node's [`Addresses`] in the shared state.
     ///
     /// `loadgen` selects the arrival path: `Some` gives the node a
     /// self-driving NIC (standalone server), `None` a cluster-fed NIC whose
@@ -114,61 +140,40 @@ impl ServerNode {
         sim: &mut Simulation<ServerEvent, S>,
         loadgen: Option<LoadGenerator>,
     ) -> NodeHandles {
-        let (seed, platform, noise, sample_every, timeseries_every, cores) = {
+        let (seed, platform, noise, timeseries_every, cores) = {
             let node = sim.shared().node(self.index);
             (
                 node.config.seed,
                 node.config.platform.clone(),
                 node.config.noise.clone(),
-                node.config.power_sample_interval,
                 node.config.timeseries_interval.filter(|d| !d.is_zero()),
                 node.soc.cores().len(),
             )
         };
         let streams = SimRng::from_seed(seed);
 
-        let power = sim.add_component_with_stream(
-            self.name("power"),
-            PowerTelemetry::new(self.index, sample_every),
-            streams.fork("power"),
-        );
         let package = Rc::new(RefCell::new(PackageController::new(
             self.index,
             platform.package_policy,
             platform.package_cstate_limit(),
         )));
-        let package_id = sim.add_component_with_stream(
-            self.name("package"),
-            Rc::clone(&package),
-            streams.fork("package"),
-        );
-        let scheduler = sim.add_component_with_stream(
-            self.name("scheduler"),
-            Scheduler::new(self.index),
-            streams.fork("scheduler"),
-        );
+        let package_id = self.add(sim, "package", Rc::clone(&package), &streams);
+        let scheduler = self.add(sim, "scheduler", Scheduler::new(self.index), &streams);
         let nic_handler = match loadgen {
             Some(loadgen) => NicArrival::new(self.index, loadgen),
             None => NicArrival::cluster_fed(self.index),
         };
-        let nic = sim.add_component_with_stream(self.name("nic"), nic_handler, streams.fork("nic"));
+        let nic = self.add(sim, "nic", nic_handler, &streams);
         let core_ids = (0..cores)
             .map(|i| {
                 let governor = IdleGovernor::new(&platform);
-                sim.add_component_with_stream(
-                    self.name(&format!("core {i}")),
-                    CoreExec::new(self.index, i, governor, noise.clone()),
-                    streams.fork(&format!("core {i}")),
-                )
+                let core = CoreExec::new(self.index, i, governor, noise.clone());
+                self.add(sim, &format!("core {i}"), core, &streams)
             })
             .collect();
-
         let timeseries = timeseries_every.map(|every| {
-            sim.add_component_with_stream(
-                self.name("timeseries"),
-                TimeSeriesSampler::new(self.index, every),
-                streams.fork("timeseries"),
-            )
+            let sampler = TimeSeriesSampler::new(self.index, every);
+            self.add(sim, "timeseries", sampler, &streams)
         });
         let addrs = Addresses {
             nic,
@@ -177,27 +182,10 @@ impl ServerNode {
             cores: core_ids,
         };
 
-        // The node's two observers (power accounting, package-residency
-        // tracking) read only this node's state, and only events addressed
-        // to this node's components can change what they read — so their
-        // dispatch hooks are scoped to the node instead of running on every
-        // event of the host simulation. In a standalone server this covers
-        // every component; in a cluster it keeps the per-event hook cost
-        // O(1) in the node count. A cluster's front and fabric events only
-        // deposit into NIC buffers, which neither observer reads; the power
-        // observer's split-invariant energy meter makes the fewer accounting
-        // points exact (see `PowerTelemetry`).
-        let mut node_components = vec![power, package_id, scheduler, nic];
-        node_components.extend(addrs.cores.iter().copied());
-        node_components.extend(timeseries);
-        sim.scope_observer(power, &node_components);
-        sim.scope_observer(package_id, &node_components);
-
         sim.shared_mut().node_mut(self.index).addrs = addrs.clone();
         NodeHandles {
             index: self.index,
             addrs,
-            power,
             timeseries,
             package,
         }
@@ -206,7 +194,7 @@ impl ServerNode {
     /// Schedules the node's bootstrap events: one background timer per core
     /// (offsets drawn from the node-seed `"bootstrap"` stream so component
     /// streams stay stable), an immediate idle entry for every booted core,
-    /// and the first power sample when tracing is enabled.
+    /// and the first time-series sample when the series is enabled.
     ///
     /// The *arrival* bootstrap is the driver's job (the first
     /// `ClientArrival` to a standalone NIC, or the front component's first
@@ -217,12 +205,11 @@ impl ServerNode {
         sim: &mut Simulation<ServerEvent, S>,
         handles: &NodeHandles,
     ) {
-        let (seed, noise, sample_every, cores) = {
+        let (seed, noise, cores) = {
             let node = sim.shared().node(self.index);
             (
                 node.config.seed,
                 node.config.noise.clone(),
-                node.config.power_sample_interval,
                 node.soc.cores().len(),
             )
         };
@@ -240,12 +227,31 @@ impl ServerNode {
         for i in 0..cores {
             sim.schedule(handles.addrs.cores[i], SimTime::ZERO, ServerEvent::InitIdle);
         }
-        if sample_every.is_some() {
-            sim.schedule(handles.power, SimTime::ZERO, ServerEvent::PowerSample);
-        }
         if let Some(timeseries) = handles.timeseries {
             sim.schedule(timeseries, SimTime::ZERO, ServerEvent::TimeSeriesSample);
         }
+    }
+}
+
+/// A node component inside the node's accounting: charges the node's energy
+/// meter before each of the component's events and settles its package
+/// state after (see the [module docs](self)).
+struct Accounted<H> {
+    node: usize,
+    inner: H,
+}
+
+impl<S: HasNode, H: EventHandler<ServerEvent, S>> EventHandler<ServerEvent, S> for Accounted<H> {
+    fn on_event(
+        &mut self,
+        event: ServerEvent,
+        shared: &mut S,
+        ctx: &mut SimulationContext<'_, ServerEvent>,
+    ) {
+        let now = ctx.now();
+        shared.node_mut(self.node).charge(now);
+        self.inner.on_event(event, shared, ctx);
+        shared.node_mut(self.node).settle(now);
     }
 }
 

@@ -60,7 +60,7 @@ impl ServerSimulation {
         let builder = ServerNode::standalone();
         let node = builder.register(&mut sim, Some(loadgen));
         // Bootstrap order (first client arrival, then the node's background
-        // timers / initial idle entries / power sampling) is part of the
+        // timers / initial idle entries / time series) is part of the
         // deterministic event sequence — see `ServerNode::bootstrap`.
         sim.schedule(node.addrs.nic, first_arrival, ServerEvent::ClientArrival);
         builder.bootstrap(&mut sim, &node);
@@ -80,7 +80,7 @@ impl ServerSimulation {
     }
 
     /// Runs the simulation to completion and returns the result together
-    /// with the final shared state (queues, telemetry, power trace).
+    /// with the final shared state (queues, telemetry).
     #[must_use]
     pub fn run_into_state(mut self) -> (RunResult, ServerState) {
         let dispatched = self.sim.run_until(self.end_at);

@@ -255,7 +255,7 @@ fn cluster_registry_has_expected_layout() {
         let cores = inner.shared().nodes[0].soc.cores().len();
         assert_eq!(inner.shared().nodes.len(), n);
         // N complete nodes + the front + the (always-registered) fabric.
-        assert_eq!(inner.component_count(), n * (4 + cores) + 2);
+        assert_eq!(inner.component_count(), n * (3 + cores) + 2);
         assert!(inner.lookup(front).is_some());
         assert!(inner.lookup(absent).is_none());
         assert!(inner.lookup("fabric").is_some());
@@ -263,7 +263,6 @@ fn cluster_registry_has_expected_layout() {
             assert!(inner.lookup(&format!("node {node} nic")).is_some());
             assert!(inner.lookup(&format!("node {node} scheduler")).is_some());
             assert!(inner.lookup(&format!("node {node} package")).is_some());
-            assert!(inner.lookup(&format!("node {node} power")).is_some());
             for c in 0..cores {
                 assert!(inner.lookup(&format!("node {node} core {c}")).is_some());
             }

@@ -156,8 +156,7 @@ fn fleet_of_four_is_deterministic_and_aggregates() {
 }
 
 /// The component registry exposes the expected layout: one NIC, one
-/// scheduler, one package controller, one power component and one component
-/// per core.
+/// scheduler, one package controller and one component per core.
 #[test]
 fn component_registry_has_expected_layout() {
     let config = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(10));
@@ -165,11 +164,10 @@ fn component_registry_has_expected_layout() {
     let sim = ServerSimulation::new(config, loadgen);
     let inner = sim.simulation();
     let cores = sim.state().soc.cores().len();
-    assert_eq!(inner.component_count(), 4 + cores);
+    assert_eq!(inner.component_count(), 3 + cores);
     assert!(inner.lookup("nic").is_some());
     assert!(inner.lookup("scheduler").is_some());
     assert!(inner.lookup("package").is_some());
-    assert!(inner.lookup("power").is_some());
     for i in 0..cores {
         assert!(
             inner.lookup(&format!("core {i}")).is_some(),

@@ -219,47 +219,3 @@ fn golden_results_match_pre_refactor_capture() {
         assert_eq!(r.pc1a_residency, residency, "{name}");
     }
 }
-
-#[test]
-fn power_trace_records_samples_when_enabled() {
-    let config = ServerConfig::c_pc1a()
-        .with_duration(SimDuration::from_millis(20))
-        .with_power_trace(SimDuration::from_millis(1));
-    let loadgen = apc_workloads::loadgen::LoadGenerator::new(
-        WorkloadSpec::memcached_etc(),
-        10_000.0,
-        config.seed,
-    );
-    let sim = apc_server::sim::ServerSimulation::new(config, loadgen);
-    assert!(sim.state().telemetry.power_trace.is_empty());
-    let (result, state) = sim.run_into_state();
-    assert!(result.completed_requests > 0);
-    // 20 ms at a 1 ms sampling interval: expect on the order of 20 samples.
-    assert!(
-        state.telemetry.power_trace.len() >= 15,
-        "trace has {} samples",
-        state.telemetry.power_trace.len()
-    );
-    assert!(state
-        .telemetry
-        .power_trace
-        .iter()
-        .all(|(_, w)| w.as_f64() > 0.0));
-}
-
-#[test]
-fn zero_power_trace_interval_is_treated_as_disabled() {
-    // A zero sampling interval would re-arm PowerSample at the same instant
-    // forever; it must degrade to "trace off", not hang the event loop.
-    let config = ServerConfig::c_shallow()
-        .with_duration(SimDuration::from_millis(5))
-        .with_power_trace(SimDuration::ZERO);
-    let loadgen = apc_workloads::loadgen::LoadGenerator::new(
-        WorkloadSpec::memcached_etc(),
-        1_000.0,
-        config.seed,
-    );
-    let (result, state) = apc_server::sim::ServerSimulation::new(config, loadgen).run_into_state();
-    assert!(state.telemetry.power_trace.is_empty());
-    assert!(result.finished_at == apc_sim::SimTime::from_millis(5));
-}

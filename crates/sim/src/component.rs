@@ -21,6 +21,13 @@
 //! name, so identical seeds yield bit-identical runs regardless of how much
 //! randomness any individual component consumes.
 //!
+//! The driver has no generic dispatch hooks: [`Simulation::step`] pops the
+//! next event and hands it to its destination's handler, nothing else. Work
+//! that must bracket a group of components' events (the server crate's
+//! energy and residency accounting, say) belongs in a handler that wraps
+//! those components, so it costs only their events and is dispatched
+//! statically.
+//!
 //! # Example
 //!
 //! ```
@@ -158,60 +165,19 @@ impl<E> SimulationContext<'_, E> {
         self.emit_at(self.self_id, at, payload)
     }
 
-    /// Cancels a previously emitted event in O(1).
+    /// Cancels a previously emitted event (see [`EventQueue::cancel`]).
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }
 }
 
-/// A simulation component: consumes events addressed to it and may observe
-/// every dispatch through the pre/post hooks.
+/// A simulation component: consumes the events addressed to it.
 ///
 /// Components receive `&mut` access to the shared state `S` and produce new
-/// events through the [`SimulationContext`]. The hooks default to no-ops; a
-/// telemetry component typically overrides them to attribute elapsed
-/// simulated time to the power state that held during it *before* an event
-/// mutates that state ([`EventHandler::on_pre_dispatch`]) and to sample
-/// derived state after the mutation ([`EventHandler::on_post_dispatch`]).
+/// events through the [`SimulationContext`].
 pub trait EventHandler<E, S> {
     /// Delivers an event addressed to this component.
     fn on_event(&mut self, event: E, shared: &mut S, ctx: &mut SimulationContext<'_, E>);
-
-    /// Whether this component wants its dispatch hooks invoked. Sampled once
-    /// at registration time; only observing components pay the per-event
-    /// hook cost, so the main loop stays O(observers) rather than
-    /// O(components) per event. Components overriding
-    /// [`EventHandler::on_pre_dispatch`] or [`EventHandler::on_post_dispatch`]
-    /// must also override this to return `true`. An observer watches every
-    /// event by default; the driver can narrow it to events addressed to
-    /// specific components with [`Simulation::scope_observer`].
-    fn observes_dispatch(&self) -> bool {
-        false
-    }
-
-    /// Whether this observer wants the *pre*-dispatch hook. Defaults to
-    /// [`EventHandler::observes_dispatch`]; a post-only observer (one whose
-    /// [`EventHandler::on_pre_dispatch`] stays the default no-op) should
-    /// override this to `false` so the main loop never pays a virtual call
-    /// for the empty hook. Sampled once at registration time.
-    fn observes_pre_dispatch(&self) -> bool {
-        self.observes_dispatch()
-    }
-
-    /// Whether this observer wants the *post*-dispatch hook. Defaults to
-    /// [`EventHandler::observes_dispatch`]; see
-    /// [`EventHandler::observes_pre_dispatch`] for the narrowing rationale.
-    fn observes_post_dispatch(&self) -> bool {
-        self.observes_dispatch()
-    }
-
-    /// Called for every observing component immediately before an event is
-    /// dispatched (the clock has already advanced to the event's timestamp).
-    fn on_pre_dispatch(&mut self, _now: SimTime, _shared: &mut S) {}
-
-    /// Called for every observing component immediately after an event was
-    /// dispatched.
-    fn on_post_dispatch(&mut self, _now: SimTime, _shared: &mut S) {}
 }
 
 /// Registering an `Rc<RefCell<T>>` lets the caller keep a handle to the
@@ -220,26 +186,6 @@ pub trait EventHandler<E, S> {
 impl<E, S, T: EventHandler<E, S>> EventHandler<E, S> for Rc<RefCell<T>> {
     fn on_event(&mut self, event: E, shared: &mut S, ctx: &mut SimulationContext<'_, E>) {
         self.borrow_mut().on_event(event, shared, ctx);
-    }
-
-    fn observes_dispatch(&self) -> bool {
-        self.borrow().observes_dispatch()
-    }
-
-    fn observes_pre_dispatch(&self) -> bool {
-        self.borrow().observes_pre_dispatch()
-    }
-
-    fn observes_post_dispatch(&self) -> bool {
-        self.borrow().observes_post_dispatch()
-    }
-
-    fn on_pre_dispatch(&mut self, now: SimTime, shared: &mut S) {
-        self.borrow_mut().on_pre_dispatch(now, shared);
-    }
-
-    fn on_post_dispatch(&mut self, now: SimTime, shared: &mut S) {
-        self.borrow_mut().on_post_dispatch(now, shared);
     }
 }
 
@@ -257,26 +203,6 @@ pub struct Simulation<E, S> {
     names: Vec<String>,
     rngs: Vec<SimRng>,
     handlers: Vec<Box<dyn EventHandler<E, S>>>,
-    /// Per-component `(pre, post)` observation flags sampled at registration
-    /// ([`EventHandler::observes_pre_dispatch`] /
-    /// [`EventHandler::observes_post_dispatch`]); consulted when the
-    /// observer is later scoped so each hook list only ever holds
-    /// components with a non-default hook body.
-    observes: Vec<(bool, bool)>,
-    /// Indices of *global* observers: components whose observation flags
-    /// were set at registration and that have not been narrowed with
-    /// [`Simulation::scope_observer`]. These pay the hook cost on every
-    /// dispatched event. Split by phase so a post-only observer costs
-    /// nothing on the pre pass (and vice versa).
-    observers_pre: Vec<usize>,
-    observers_post: Vec<usize>,
-    /// Per-destination observer lists: `scoped_pre[dst]` /
-    /// `scoped_post[dst]` hold the indices of scoped observers whose hooks
-    /// run when an event addressed to component `dst` is dispatched (see
-    /// [`Simulation::scope_observer`]). Outer index is the destination
-    /// component id; inner order is subscription order.
-    scoped_pre: Vec<Vec<usize>>,
-    scoped_post: Vec<Vec<usize>>,
     shared: S,
 }
 
@@ -291,11 +217,6 @@ impl<E, S> Simulation<E, S> {
             names: Vec::new(),
             rngs: Vec::new(),
             handlers: Vec::new(),
-            observes: Vec::new(),
-            observers_pre: Vec::new(),
-            observers_post: Vec::new(),
-            scoped_pre: Vec::new(),
-            scoped_post: Vec::new(),
             shared,
         }
     }
@@ -346,81 +267,10 @@ impl<E, S> Simulation<E, S> {
             "component name {name:?} registered twice"
         );
         let index = self.handlers.len();
-        let flags = (
-            handler.observes_pre_dispatch(),
-            handler.observes_post_dispatch(),
-        );
-        if flags.0 {
-            self.observers_pre.push(index);
-        }
-        if flags.1 {
-            self.observers_post.push(index);
-        }
-        self.observes.push(flags);
         self.names.push(name);
         self.rngs.push(rng);
         self.handlers.push(Box::new(handler));
         ComponentId(index)
-    }
-
-    /// Narrows an observing component's dispatch hooks to events addressed
-    /// to `targets` (instead of every event in the simulation).
-    ///
-    /// By default an observer ([`EventHandler::observes_dispatch`] `true`)
-    /// runs its pre/post hooks on **every** dispatched event. In a
-    /// simulation hosting many independent sub-systems (e.g. the nodes of a
-    /// cluster) that fans each event past every sub-system's observers, so
-    /// the per-event cost grows with the host size even though only one
-    /// sub-system's state can change per event. Scoping restores O(1)
-    /// hooks per event: after this call the observer's hooks run only for
-    /// events addressed to one of `targets`.
-    ///
-    /// Scoping is correct when everything the observer's hooks read can
-    /// only be mutated by events addressed to `targets` — then every hook
-    /// invocation this skips would have observed (and recorded) exactly the
-    /// state it observed at the previous invocation.
-    ///
-    /// Hook order per event: global observers first (registration order),
-    /// then the destination's scoped observers (subscription order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observer` was not registered as an observing component or
-    /// has already been scoped, or if `targets` names a component twice.
-    pub fn scope_observer(&mut self, observer: ComponentId, targets: &[ComponentId]) {
-        let in_pre = self.observers_pre.iter().position(|&i| i == observer.0);
-        let in_post = self.observers_post.iter().position(|&i| i == observer.0);
-        assert!(
-            in_pre.is_some() || in_post.is_some(),
-            "component {:?} is not an unscoped dispatch observer",
-            self.name(observer)
-        );
-        if let Some(pos) = in_pre {
-            self.observers_pre.remove(pos);
-        }
-        if let Some(pos) = in_post {
-            self.observers_post.remove(pos);
-        }
-        let (pre, post) = self.observes[observer.0];
-        for &target in targets {
-            if self.scoped_pre.len() <= target.0 {
-                self.scoped_pre.resize_with(target.0 + 1, Vec::new);
-                self.scoped_post.resize_with(target.0 + 1, Vec::new);
-            }
-            assert!(
-                !self.scoped_pre[target.0].contains(&observer.0)
-                    && !self.scoped_post[target.0].contains(&observer.0),
-                "observer {} already subscribed to component {}",
-                observer.0,
-                target.0
-            );
-            if pre {
-                self.scoped_pre[target.0].push(observer.0);
-            }
-            if post {
-                self.scoped_post[target.0].push(observer.0);
-            }
-        }
     }
 
     /// Finds a component id by registration name.
@@ -503,7 +353,7 @@ impl<E, S> Simulation<E, S> {
         self.queue.schedule(at, Envelope { dst, payload })
     }
 
-    /// Cancels a previously scheduled event in O(1).
+    /// Cancels a previously scheduled event (see [`EventQueue::cancel`]).
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }
@@ -513,12 +363,9 @@ impl<E, S> Simulation<E, S> {
         self.queue.peek_time()
     }
 
-    /// Dispatches the next event: advances the clock, runs the pre-dispatch
-    /// hook of every observer watching the destination (global observers
-    /// plus the destination's scoped observers — see
-    /// [`Simulation::scope_observer`]), delivers the event, then runs the
-    /// same observers' post-dispatch hooks. Returns the event's timestamp,
-    /// or `None` when the queue is empty.
+    /// Dispatches the next event: advances the clock and delivers the event
+    /// to its destination. Returns the event's timestamp, or `None` when the
+    /// queue is empty.
     ///
     /// # Panics
     ///
@@ -531,7 +378,6 @@ impl<E, S> Simulation<E, S> {
             dst < self.handlers.len(),
             "event addressed to unregistered component {dst}"
         );
-        self.run_pre_hooks(time, envelope.dst);
         let mut ctx = SimulationContext {
             now: time,
             self_id: envelope.dst,
@@ -539,7 +385,6 @@ impl<E, S> Simulation<E, S> {
             rng: &mut self.rngs[dst],
         };
         self.handlers[dst].on_event(envelope.payload, &mut self.shared, &mut ctx);
-        self.run_post_hooks(time, envelope.dst);
         Some(time)
     }
 
@@ -557,33 +402,6 @@ impl<E, S> Simulation<E, S> {
             dispatched += 1;
         }
         dispatched
-    }
-
-    // Global observers (registration order), then the destination's scoped
-    // observers (subscription order). Observer sets never change mid-run, so
-    // the two passes cover each watching observer once.
-    fn run_pre_hooks(&mut self, now: SimTime, dst: ComponentId) {
-        for idx in 0..self.observers_pre.len() {
-            let i = self.observers_pre[idx];
-            self.handlers[i].on_pre_dispatch(now, &mut self.shared);
-        }
-        let scoped_count = self.scoped_pre.get(dst.0).map_or(0, Vec::len);
-        for idx in 0..scoped_count {
-            let i = self.scoped_pre[dst.0][idx];
-            self.handlers[i].on_pre_dispatch(now, &mut self.shared);
-        }
-    }
-
-    fn run_post_hooks(&mut self, now: SimTime, dst: ComponentId) {
-        for idx in 0..self.observers_post.len() {
-            let i = self.observers_post[idx];
-            self.handlers[i].on_post_dispatch(now, &mut self.shared);
-        }
-        let scoped_count = self.scoped_post.get(dst.0).map_or(0, Vec::len);
-        for idx in 0..scoped_count {
-            let i = self.scoped_post[dst.0][idx];
-            self.handlers[i].on_post_dispatch(now, &mut self.shared);
-        }
     }
 }
 
@@ -603,8 +421,6 @@ mod tests {
     struct Shared {
         ticks: u64,
         forwards: u64,
-        pre_calls: u64,
-        post_calls: u64,
         draws: Vec<u64>,
     }
 
@@ -647,18 +463,6 @@ mod tests {
             assert_eq!(event, Ev::Forward);
             shared.forwards += 1;
         }
-
-        fn observes_dispatch(&self) -> bool {
-            true
-        }
-
-        fn on_pre_dispatch(&mut self, _now: SimTime, shared: &mut Shared) {
-            shared.pre_calls += 1;
-        }
-
-        fn on_post_dispatch(&mut self, _now: SimTime, shared: &mut Shared) {
-            shared.post_calls += 1;
-        }
     }
 
     fn build() -> (Simulation<Ev, Shared>, ComponentId, ComponentId) {
@@ -676,16 +480,6 @@ mod tests {
         assert_eq!(sim.shared().ticks, 5);
         assert_eq!(sim.shared().forwards, 5);
         assert_eq!(sim.now(), SimTime::from_micros(41));
-    }
-
-    #[test]
-    fn hooks_fire_once_per_dispatch() {
-        let (mut sim, ticker, _sink) = build();
-        sim.schedule(ticker, SimTime::from_micros(1), Ev::Tick);
-        sim.run_until(SimTime::from_secs(1));
-        let dispatched = sim.dispatched();
-        assert_eq!(sim.shared().pre_calls, dispatched);
-        assert_eq!(sim.shared().post_calls, dispatched);
     }
 
     #[test]
@@ -775,47 +569,6 @@ mod tests {
             sim.into_shared().draws
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn scoped_observers_fire_only_for_their_targets() {
-        // Two tickers, one sink-observer scoped to ticker A: the hooks must
-        // fire once per event addressed to A (pre + post), never for B.
-        let mut sim = Simulation::new(7, Shared::default());
-        let sink = sim.add_component("sink", Sink);
-        let a = sim.add_component("a", Ticker { peer: None });
-        let b = sim.add_component("b", Ticker { peer: None });
-        sim.scope_observer(sink, &[a]);
-        sim.schedule(a, SimTime::from_micros(1), Ev::Noise);
-        sim.schedule(b, SimTime::from_micros(2), Ev::Noise);
-        sim.schedule(b, SimTime::from_micros(3), Ev::Noise);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.shared().pre_calls, 1);
-        assert_eq!(sim.shared().post_calls, 1);
-    }
-
-    #[test]
-    fn scoping_an_observer_to_all_components_matches_global_default() {
-        // The scoped path must reproduce the global path exactly when the
-        // scope covers every component (the standalone-server case).
-        let run = |scope: bool| {
-            let (mut sim, ticker, sink) = build();
-            if scope {
-                sim.scope_observer(sink, &[ticker, sink]);
-            }
-            sim.schedule(ticker, SimTime::from_micros(1), Ev::Tick);
-            sim.run_until(SimTime::from_secs(1));
-            (sim.shared().pre_calls, sim.shared().post_calls)
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an unscoped dispatch observer")]
-    fn scoping_a_non_observer_panics() {
-        let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
-        let ticker = sim.add_component("ticker", Ticker { peer: None });
-        sim.scope_observer(ticker, &[ticker]);
     }
 
     #[test]

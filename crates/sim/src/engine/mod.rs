@@ -12,13 +12,17 @@
 //! # Implementations
 //!
 //! Two queue implementations share the same delivery contract (non-decreasing
-//! timestamps, FIFO tie-break by scheduling order, O(1) cancellation,
-//! causality clamping of past timestamps):
+//! timestamps, FIFO tie-break by scheduling order, exact cancellation,
+//! causality clamping of past timestamps). An event scheduled at the last
+//! delivered instant, directly or by clamping, is therefore delivered after
+//! every event already queued for that instant.
 //!
 //! * [`EventQueue`] — the production queue: a hierarchical timer wheel with
 //!   slab-backed event entries, per-level occupancy bitmaps, an overflow heap
-//!   for far-future events and batched same-timestamp dispatch. Schedule,
-//!   cancel and pop are O(1) amortized and allocation-free in steady state.
+//!   for far-future events, batched same-timestamp dispatch and a FIFO lane
+//!   for events scheduled at the current instant. Schedule and pop are O(1)
+//!   amortized, cancel is O(1) (O(log n) in the lane), and all three are
+//!   allocation-free in steady state.
 //! * [`HeapEventQueue`] — the original binary-heap queue with lazy-deleted
 //!   cancels, retained as the reference model for the differential test
 //!   suite (`tests/event_core_differential.rs`) and as a baseline in the

@@ -28,6 +28,17 @@
 //!   sharing one timestamp) into a staging batch sorted by scheduling
 //!   sequence number, then hands events out one by one without re-touching
 //!   the priority structure.
+//! * **Same-instant lane.** An event scheduled at exactly the last delivered
+//!   timestamp — a zero-delay signal, or a past timestamp clamped to it —
+//!   comes after everything already queued for that instant, and the wheel
+//!   holds nothing else for it (all of that is staged). So it skips the
+//!   slab and the wheel: it is appended to a FIFO lane that `pop` drains
+//!   after the staged batch and before the next refill. The lane is handed
+//!   out in rounds, each exactly the batch the level-0 bucket at that
+//!   instant would have staged, so the batch counters read as if the bucket
+//!   had been used. A lane id is the event's scheduling sequence number
+//!   with the top bit set, and cancelling one is a binary search over the
+//!   lane.
 //!
 //! The wheel cursor only advances inside `pop`, immediately before an event
 //! is delivered, so a `schedule` between `peek_time` and `pop` can never
@@ -52,13 +63,25 @@ const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 /// Sentinel "null" slab index for bucket links and the free list.
 const NIL: u32 = u32::MAX;
 
+/// Slab generations count modulo 2^31, so a slab id never sets the top bit.
+const GENERATION_MASK: u32 = u32::MAX >> 1;
+
+/// The top id bit: set on the ids of same-instant lane events.
+const LANE_TAG: u64 = 1 << 63;
+
+/// Spent lane entries kept before a new round drops them.
+const LANE_SPENT_MAX: usize = 64;
+
 /// Identifier of a scheduled event, used for cancellation.
 ///
 /// The id packs the event's slab slot and a per-slot generation counter, so
 /// cancellation is a bounds-checked array access plus a generation compare —
 /// no hashing. Within one [`EventQueue`] an id never aliases a different
-/// event until a single slab slot has been reused 2^32 times, which no
-/// realistic simulation approaches.
+/// event until a single slab slot has been reused 2^31 times, which no
+/// realistic simulation approaches. An event scheduled at the current
+/// instant never enters the slab (see the same-instant lane in the module
+/// docs): its id is its scheduling sequence number with the top bit set,
+/// which never aliases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
@@ -96,9 +119,9 @@ enum Loc {
 struct Slot<E> {
     time: u64,
     seq: u64,
-    /// Bumped every time the slot is freed; ids carry the generation they
-    /// were created under, so stale ids (delivered/cancelled events, or
-    /// reused slots) are rejected by a single compare.
+    /// Bumped (modulo 2^31) every time the slot is freed; ids carry the
+    /// generation they were created under, so stale ids (delivered/cancelled
+    /// events, or reused slots) are rejected by a single compare.
     generation: u32,
     /// Previous entry in the wheel bucket (NIL at the head).
     prev: u32,
@@ -202,14 +225,18 @@ pub struct QueueFootprint {
     /// Entries physically held by the overflow heap, including cancelled
     /// entries awaiting the reap pass.
     pub overflow_entries: usize,
+    /// Entries physically held by the same-instant lane, including
+    /// delivered and cancelled ones not yet dropped.
+    pub lane_entries: usize,
 }
 
 /// A deterministic pending-event queue for discrete-event simulation.
 ///
 /// Events are delivered in non-decreasing timestamp order; ties are broken by
 /// scheduling order (FIFO). Internally this is a hierarchical timer wheel
-/// (see the module docs): `schedule`, `cancel` and `pop` run in O(1)
-/// amortized time and do not allocate in steady state.
+/// plus a same-instant lane (see the module docs): `schedule` and `pop` run
+/// in O(1) amortized time, `cancel` in O(1) (O(log n) for an event at the
+/// current instant), and none of them allocates in steady state.
 ///
 /// # Examples
 ///
@@ -244,6 +271,17 @@ pub struct EventQueue<E> {
     batch: Vec<(u64, u32, u32)>,
     batch_pos: usize,
     batch_time: u64,
+    /// The same-instant lane: `(seq, payload)` of every event scheduled at
+    /// exactly `now`, in scheduling order; the payload is `None` once the
+    /// event was delivered or cancelled.
+    lane: Vec<(u64, Option<E>)>,
+    /// Next lane entry to deliver.
+    lane_pos: usize,
+    /// End (exclusive) of the lane round being delivered: the entries the
+    /// level-0 bucket at `now` would have staged as one batch.
+    round_end: usize,
+    /// Live lane entries at or after `round_end`: the next round's size.
+    lane_pending: usize,
     /// Wheel reference time. Only advances inside `pop`, so schedules
     /// observed between pops can never land behind it (they clamp to `now`,
     /// and `now == cursor` once a batch is being delivered).
@@ -283,6 +321,10 @@ impl<E> EventQueue<E> {
             batch: Vec::new(),
             batch_pos: 0,
             batch_time: 0,
+            lane: Vec::new(),
+            lane_pos: 0,
+            round_end: 0,
+            lane_pending: 0,
             cursor: 0,
             now: 0,
             next_seq: 0,
@@ -352,6 +394,7 @@ impl<E> EventQueue<E> {
         QueueFootprint {
             slab_slots: self.slab.len(),
             overflow_entries: self.overflow.len(),
+            lane_entries: self.lane.len(),
         }
     }
 
@@ -370,10 +413,15 @@ impl<E> EventQueue<E> {
         if let Some(p) = &mut self.profile {
             p.count(&payload, |row| row.scheduled += 1);
         }
+        self.live += 1;
+        if t == self.now {
+            self.lane.push((seq, Some(payload)));
+            self.lane_pending += 1;
+            return EventId(LANE_TAG | seq);
+        }
         let index = self.alloc(t, seq, payload);
         let generation = self.slab[index as usize].generation;
         self.place(index, t, seq);
-        self.live += 1;
         // A valid cache only needs a min-update; a stale one stays stale.
         if let Some(next) = &mut self.cached_next {
             match next {
@@ -384,13 +432,17 @@ impl<E> EventQueue<E> {
         EventId::pack(generation, index)
     }
 
-    /// Cancels a previously scheduled event in O(1).
+    /// Cancels a previously scheduled event in O(1), or in O(log n) for an
+    /// event in the same-instant lane.
     ///
     /// Returns `true` if the event was still pending, `false` if it had
     /// already been delivered or cancelled. Wheel-resident entries are
     /// unlinked and freed immediately; overflow entries are freed and their
     /// heap references reaped once dead references outnumber live ones.
     pub fn cancel(&mut self, id: EventId) -> bool {
+        if id.0 & LANE_TAG != 0 {
+            return self.cancel_in_lane(id.0 & !LANE_TAG);
+        }
         let (generation, index) = id.unpack();
         let Some(slot) = self.slab.get(index as usize) else {
             return false;
@@ -440,6 +492,13 @@ impl<E> EventQueue<E> {
             // Cancelled while staged; skip permanently.
             self.batch_pos += 1;
         }
+        // The lane comes next, and it is always at `now`.
+        while self.lane_pos < self.round_end && self.lane[self.lane_pos].1.is_none() {
+            self.lane_pos += 1;
+        }
+        if self.lane_pos < self.round_end || self.lane_pending > 0 {
+            return Some(SimTime::from_nanos(self.now));
+        }
         let next = match self.cached_next {
             Some(next) => next,
             None => {
@@ -471,10 +530,77 @@ impl<E> EventQueue<E> {
                 }
                 return Some((SimTime::from_nanos(self.batch_time), payload));
             }
+            if let Some(payload) = self.pop_lane() {
+                return Some((SimTime::from_nanos(self.now), payload));
+            }
             if !self.refill_batch() {
                 return None;
             }
         }
+    }
+
+    /// Delivers the next live lane event, opening a new round when the
+    /// current one is used up. A round holds the lane events that were live
+    /// when it opened, exactly the batch the level-0 bucket at `now` would
+    /// have staged, and the batch counters record it as one. `None` once
+    /// the lane is empty.
+    fn pop_lane(&mut self) -> Option<E> {
+        loop {
+            while self.lane_pos < self.round_end {
+                let entry = self.lane[self.lane_pos].1.take();
+                self.lane_pos += 1;
+                if let Some(payload) = entry {
+                    self.live -= 1;
+                    self.delivered += 1;
+                    if let Some(p) = &mut self.profile {
+                        p.count(&payload, |row| row.dispatched += 1);
+                    }
+                    return Some(payload);
+                }
+            }
+            if self.lane_pending == 0 {
+                self.lane.clear();
+                self.lane_pos = 0;
+                self.round_end = 0;
+                return None;
+            }
+            // A long chain of same-instant events drops its spent rounds
+            // once they add up, so the lane stays O(live events); each
+            // pending entry moves at most once.
+            if self.round_end >= LANE_SPENT_MAX {
+                self.lane.drain(..self.round_end);
+                self.lane_pos = 0;
+            }
+            let size = self.lane_pending as u64;
+            self.counters.level0_batches += 1;
+            self.counters.batched_events += size;
+            self.counters.max_batch = self.counters.max_batch.max(size);
+            self.round_end = self.lane.len();
+            self.lane_pending = 0;
+        }
+    }
+
+    /// Cancels the lane event scheduled with sequence number `seq`, if it is
+    /// still pending.
+    fn cancel_in_lane(&mut self, seq: u64) -> bool {
+        let Ok(pos) = self.lane.binary_search_by_key(&seq, |&(s, _)| s) else {
+            return false;
+        };
+        let Some(payload) = self.lane[pos].1.take() else {
+            return false;
+        };
+        self.counters.cancelled += 1;
+        if let Some(p) = &mut self.profile {
+            p.count(&payload, |row| row.cancelled += 1);
+        }
+        // An event of the round being delivered stays counted in it, as a
+        // staged entry does; a later one leaves its round, as an entry
+        // unlinked from its bucket does.
+        if pos >= self.round_end {
+            self.lane_pending -= 1;
+        }
+        self.live -= 1;
+        true
     }
 
     /// Allocates a slab slot (reusing the free list when possible).
@@ -506,7 +632,7 @@ impl<E> EventQueue<E> {
     /// handed out for it so far goes stale.
     fn free_slot(&mut self, index: u32) {
         let slot = &mut self.slab[index as usize];
-        slot.generation = slot.generation.wrapping_add(1);
+        slot.generation = (slot.generation + 1) & GENERATION_MASK;
         slot.loc = Loc::Free;
         slot.payload = None;
         slot.next = self.free_head;
@@ -941,6 +1067,80 @@ mod tests {
                 dispatched: 2,
                 cancelled: 0
             }
+        );
+    }
+
+    #[test]
+    fn lane_rounds_count_as_the_level0_batches_they_replace() {
+        // Hand-built same-instant rounds at `t`, with the batch counters the
+        // level-0 bucket at `t` would have produced pinned after each step.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(50);
+        let later = SimTime::from_nanos(60);
+        let counts = |q: &EventQueue<&str>| {
+            let c = q.counters();
+            (c.level0_batches, c.batched_events, c.max_batch)
+        };
+        q.schedule(t, "a");
+        q.schedule(t, "b");
+        q.schedule(later, "h");
+        assert_eq!(q.pop(), Some((t, "a")));
+        assert_eq!(counts(&q), (1, 2, 2), "the wheel batch [a, b]");
+        // Mid-batch schedules at `t`, one of them clamped from the past, go
+        // to the lane: their ids carry the tag bit and take no slab slot.
+        let c = q.schedule(t, "c");
+        q.schedule(SimTime::from_nanos(3), "d");
+        assert_eq!(c.as_u64() >> 63, 1);
+        assert_eq!(q.footprint().slab_slots, 3);
+        assert_eq!(q.pop(), Some((t, "b")));
+        let e = q.schedule(t, "e");
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, "c")));
+        assert_eq!(counts(&q), (2, 5, 3), "round [c, d, e]");
+        // Cancelling `e` inside its round leaves it counted, as a staged
+        // entry is, and leaves the next round alone; cancelling `g` before
+        // its round drops it, as unlinking it from the bucket would.
+        q.schedule(t, "f");
+        assert!(q.cancel(e));
+        let g = q.schedule(t, "g");
+        assert!(q.cancel(g));
+        assert_eq!(q.len(), 3, "d, f and h");
+        assert_eq!(q.pop(), Some((t, "d")));
+        assert_eq!(q.pop(), Some((t, "f")));
+        assert_eq!(counts(&q), (3, 6, 3), "round [f]");
+        // Stale lane ids report false.
+        assert!(!q.cancel(c));
+        assert!(!q.cancel(e));
+        assert!(!q.cancel(g));
+        assert_eq!(q.pop(), Some((later, "h")));
+        assert_eq!(counts(&q), (4, 7, 3), "the wheel batch [h]");
+        assert_eq!(q.pop(), None);
+        let c = q.counters();
+        assert_eq!((c.scheduled, c.dispatched, c.cancelled), (8, 6, 2));
+    }
+
+    #[test]
+    fn a_long_same_instant_chain_keeps_the_lane_bounded() {
+        // Every delivery schedules its successor at the same instant, as a
+        // chain of zero-delay signals does: one round per event, and the
+        // spent rounds are dropped as they add up.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(7);
+        q.schedule(t, 0u32);
+        for i in 0..10_000u32 {
+            assert_eq!(q.pop(), Some((t, i)));
+            q.schedule(t, i + 1);
+            assert!(q.footprint().lane_entries <= LANE_SPENT_MAX + 1);
+        }
+        let c = q.counters();
+        assert_eq!(
+            (c.level0_batches, c.batched_events, c.max_batch),
+            (10_000, 10_000, 1)
+        );
+        assert_eq!(
+            q.footprint().slab_slots,
+            1,
+            "only the first event took a slot"
         );
     }
 

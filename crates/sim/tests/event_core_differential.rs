@@ -49,13 +49,14 @@ impl Lockstep {
         }
     }
 
-    fn schedule(&mut self, at: SimTime) {
+    fn schedule(&mut self, at: SimTime) -> u64 {
         let payload = self.next_payload;
         self.next_payload += 1;
         let w = self.wheel.schedule(at, payload);
         let h = self.heap.schedule(at, payload);
         self.live.insert(payload, (w, h));
         self.check_observables("schedule");
+        payload
     }
 
     fn pop(&mut self) {
@@ -83,8 +84,15 @@ impl Lockstep {
         // Deterministic pick: order the live payloads, then index.
         let mut payloads: Vec<u64> = self.live.keys().copied().collect();
         payloads.sort_unstable();
-        let payload = payloads[rng.index(payloads.len())];
-        let (w, h) = self.live.remove(&payload).expect("picked from live set");
+        self.cancel_payload(payloads[rng.index(payloads.len())]);
+    }
+
+    /// Cancels the live event carrying `payload`.
+    fn cancel_payload(&mut self, payload: u64) {
+        let (w, h) = self
+            .live
+            .remove(&payload)
+            .expect("cancelling a live payload");
         let cw = self.wheel.cancel(w);
         let ch = self.heap.cancel(h);
         assert_eq!(
@@ -286,6 +294,120 @@ fn cancel_rearm_churn_recycles_slots_identically() {
             0 => lock.pop(),
             1 => lock.cancel_stale(&mut rng),
             _ => {}
+        }
+    }
+    lock.drain();
+}
+
+/// Same-instant work, the wheel's lane: handlers scheduling at exactly
+/// `now` from inside a multi-event batch, past timestamps clamped to `now`,
+/// chains of same-instant rounds, and cancels of live and stale lane ids
+/// (events scheduled at `now` since the clock last moved), interleaved with
+/// future bursts so wheel batches and lane rounds alternate.
+#[test]
+fn same_instant_work_stays_bit_identical() {
+    for seed in [0x1a4e_u64, 0x5a3e_1a4e, 7] {
+        let mut rng = SimRng::from_seed(seed);
+        let mut lock = Lockstep::new(seed);
+        // Payloads scheduled at the current instant (lane events), and the
+        // ids of the most recent lane events for stale-cancel probes.
+        let mut lane: Vec<u64> = Vec::new();
+        let mut lane_ids: Vec<(u64, (EventId, HeapEventId))> = Vec::new();
+        for _ in 0..30_000 {
+            let now = lock.wheel.now();
+            let at = match rng.index(14) {
+                // Zero-delay signals, and past timestamps clamped to `now`.
+                0..=2 => Some(now),
+                3 => Some(SimTime::from_nanos(
+                    now.as_nanos().saturating_sub(1 + rng.next_u64() % 5_000),
+                )),
+                // A future burst at one timestamp: a multi-event wheel batch
+                // that later same-instant schedules land inside.
+                4 => {
+                    let at = SimTime::from_nanos(now.as_nanos() + 1 + rng.next_u64() % 3_000);
+                    for _ in 0..1 + rng.index(4) {
+                        lock.schedule(at);
+                    }
+                    None
+                }
+                5..=9 => {
+                    lock.pop();
+                    if lock.wheel.now() != now {
+                        lane.clear();
+                    }
+                    None
+                }
+                10 | 11 => {
+                    lane.retain(|p| lock.live.contains_key(p));
+                    if !lane.is_empty() {
+                        let payload = lane.swap_remove(rng.index(lane.len()));
+                        lock.cancel_payload(payload);
+                    }
+                    None
+                }
+                12 => {
+                    lock.cancel_live(&mut rng);
+                    None
+                }
+                _ => {
+                    // A lane id that was delivered or cancelled stays dead.
+                    let stale: Vec<_> = lane_ids
+                        .iter()
+                        .filter(|(p, _)| !lock.live.contains_key(p))
+                        .map(|&(_, ids)| ids)
+                        .collect();
+                    if !stale.is_empty() {
+                        let (w, h) = stale[rng.index(stale.len())];
+                        let (cw, ch) = (lock.wheel.cancel(w), lock.heap.cancel(h));
+                        assert_eq!((cw, ch), (false, false), "stale lane id (seed {seed})");
+                        lock.check_observables("cancel_stale_lane");
+                    }
+                    None
+                }
+            };
+            if let Some(at) = at {
+                let payload = lock.schedule(at);
+                lane.push(payload);
+                if lane_ids.len() >= 64 {
+                    lane_ids.remove(0);
+                }
+                lane_ids.push((payload, lock.live[&payload]));
+            }
+        }
+        lock.drain();
+    }
+}
+
+/// Long same-instant chains: many rounds at one instant, each delivery
+/// scheduling zero to two successors there, with live lane cancels mixed
+/// in, so the lane drops spent rounds mid-instant while both queues stay
+/// observably identical.
+#[test]
+fn long_same_instant_chains_stay_bit_identical() {
+    let seed = 0xc4a1_u64;
+    let mut rng = SimRng::from_seed(seed);
+    let mut lock = Lockstep::new(seed);
+    for _ in 0..20 {
+        let now = lock.wheel.now();
+        let mut lane: Vec<u64> = (0..1 + rng.index(8)).map(|_| lock.schedule(now)).collect();
+        lock.schedule(SimTime::from_nanos(
+            now.as_nanos() + 1 + rng.next_u64() % 100,
+        ));
+        for _ in 0..2_000 {
+            if lock.wheel.now() != now {
+                break;
+            }
+            lock.pop();
+            for _ in 0..rng.index(3) {
+                lane.push(lock.schedule(now));
+            }
+            if rng.chance(0.1) {
+                lane.retain(|p| lock.live.contains_key(p));
+                if !lane.is_empty() {
+                    let payload = lane.swap_remove(rng.index(lane.len()));
+                    lock.cancel_payload(payload);
+                }
+            }
         }
     }
     lock.drain();

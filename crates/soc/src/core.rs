@@ -202,16 +202,16 @@ impl Core {
 ///
 /// The set is the only way to mutate its cores, so it maintains two facts
 /// the per-event hot paths read in O(1): the number of busy cores (what
-/// [`CoreSet::active_count`] and [`CoreSet::any_active`] report) and a
-/// counter bumped whenever some core's established C-state changes (see
-/// [`CoreSet::cstate_changes`]).
+/// [`CoreSet::active_count`] and [`CoreSet::any_active`] report) and the
+/// number of cores established in each C-state (see
+/// [`CoreSet::cstate_census`]).
 #[derive(Debug, Clone)]
 pub struct CoreSet {
     cores: Vec<Core>,
     /// Cores whose activity is [`CoreActivity::Busy`].
     busy: usize,
-    /// Bumped once per core whose established C-state changed.
-    cstate_changes: u64,
+    /// Cores per established C-state, indexed like [`CoreCState::ALL`].
+    census: [usize; 4],
 }
 
 impl CoreSet {
@@ -221,7 +221,7 @@ impl CoreSet {
         CoreSet {
             cores: (0..n).map(|i| Core::new(CoreId(i))).collect(),
             busy: n,
-            cstate_changes: 0,
+            census: [n, 0, 0, 0],
         }
     }
 
@@ -254,14 +254,15 @@ impl CoreSet {
     }
 
     /// Applies `change` to core `id`, keeping the busy count and the
-    /// C-state change counter in step with it.
+    /// C-state census in step with it.
     fn update<R>(&mut self, id: CoreId, change: impl FnOnce(&mut Core) -> R) -> R {
         let core = &mut self.cores[id.0];
         let (was_busy, was) = (core.activity == CoreActivity::Busy, core.cstate);
         let out = change(core);
         let is_busy = core.activity == CoreActivity::Busy;
         if core.cstate != was {
-            self.cstate_changes += 1;
+            self.census[was as usize] -= 1;
+            self.census[core.cstate as usize] += 1;
         }
         if is_busy != was_busy {
             if is_busy {
@@ -322,14 +323,19 @@ impl CoreSet {
         self.update(id, |c| c.force_state(now, state));
     }
 
-    /// A counter bumped whenever some core's established C-state changes
-    /// (once per changed core). Equal values guarantee every core is in the
-    /// C-state it had when the value was read, so a cached value derived
-    /// from the C-states (e.g. the cores' power) can be reused without
-    /// recomputation.
+    /// The number of cores established in each C-state, indexed like
+    /// [`CoreCState::ALL`] (a core keeps its established state while it
+    /// transitions). O(1): the set maintains the census. The cores' power is
+    /// a pure function of it.
+    #[inline]
     #[must_use]
-    pub fn cstate_changes(&self) -> u64 {
-        self.cstate_changes
+    pub fn cstate_census(&self) -> &[usize; 4] {
+        debug_assert_eq!(
+            self.census,
+            CoreCState::ALL.map(|s| self.cores.iter().filter(|c| c.cstate == s).count()),
+            "maintained C-state census out of sync"
+        );
+        &self.census
     }
 
     /// The aggregated `InCC1` signal: `true` when **all** cores assert their
@@ -495,8 +501,6 @@ mod tests {
         let mut now = SimTime::ZERO;
         for step in 0..steps {
             now += SimDuration::from_nanos(rng.index(2_000) as u64);
-            let before: Vec<CoreCState> = set.iter().map(Core::cstate).collect();
-            let changes = set.cstate_changes();
             let id = CoreId(rng.index(cores));
             if rng.chance(0.05) {
                 set.force_state(id, now, STATES[rng.index(4)]);
@@ -522,16 +526,8 @@ mod tests {
                 .count();
             assert_eq!(set.active_count(), busy, "step {step}: busy count");
             assert_eq!(set.any_active(), busy > 0, "step {step}: any_active");
-            let changed = set
-                .iter()
-                .zip(&before)
-                .filter(|(c, was)| c.cstate() != **was)
-                .count() as u64;
-            assert_eq!(
-                set.cstate_changes() - changes,
-                changed,
-                "step {step}: the C-state counter must move exactly with the C-states"
-            );
+            let census = STATES.map(|s| set.iter().filter(|c| c.cstate() == s).count());
+            assert_eq!(set.cstate_census(), &census, "step {step}: C-state census");
         }
     }
 

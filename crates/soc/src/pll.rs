@@ -227,12 +227,12 @@ impl PllSet {
         self.plls.iter_mut()
     }
 
-    /// The PLLs that are *not* per-core (uncore PLLs). Their power is the
-    /// `PPLLs_diff` term of Eq. 2: it is what PC1A keeps on and PC6 turns off.
+    /// The PLLs that are *not* per-core (uncore PLLs): every PLL after the
+    /// per-core ones, which [`PllSet::new`] lays out first. Their power is
+    /// the `PPLLs_diff` term of Eq. 2: it is what PC1A keeps on and PC6
+    /// turns off.
     pub fn uncore_plls(&self) -> impl Iterator<Item = &Pll> {
-        self.plls
-            .iter()
-            .filter(|p| !matches!(p.domain(), PllDomain::Core(_)))
+        self.plls[self.core_count..].iter()
     }
 
     /// Aggregate power of the uncore PLLs when locked, in watts.

@@ -183,8 +183,8 @@ impl SkxSoc {
         &self.cores
     }
 
-    /// Mutable access to the core set (which maintains its own change
-    /// counters; see [`CoreSet::cstate_changes`]).
+    /// Mutable access to the core set (which maintains its own counts; see
+    /// [`CoreSet::cstate_census`]).
     pub fn cores_mut(&mut self) -> &mut CoreSet {
         &mut self.cores
     }
@@ -258,7 +258,7 @@ impl SkxSoc {
     /// function of it, such as the uncore's power — is unchanged; a bump
     /// does *not* guarantee a change (handing out a `&mut` that is never
     /// written still bumps). Core state is tracked by the core set itself
-    /// (see [`CoreSet::cstate_changes`]), so the frequent core transitions
+    /// (see [`CoreSet::cstate_census`]), so the frequent core transitions
     /// leave this epoch alone.
     #[must_use]
     pub fn uncore_change_epoch(&self) -> u64 {
