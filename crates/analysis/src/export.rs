@@ -165,9 +165,9 @@ impl JsonValue {
     /// Serialises a pretty-printed *fragment*: the value rendered as if it
     /// sat at container depth `depth` of a [`Self::to_pretty_string`]
     /// document (its own first line unindented, nested lines indented
-    /// `2 * (depth + 1)` spaces, no trailing newline). The streaming
-    /// writers in [`crate::stream`] use this to emit array elements one at
-    /// a time while staying byte-identical to the buffered form.
+    /// `2 * (depth + 1)` spaces, no trailing newline). The writers in
+    /// [`crate::stream`] use this to emit array elements one at a time, in
+    /// the same layout as the whole value pretty-printed.
     #[must_use]
     pub fn to_pretty_fragment(&self, depth: usize) -> String {
         let mut out = String::new();
@@ -703,10 +703,11 @@ pub fn run_result_from_json(
 }
 
 /// A fleet result: the per-member runs in member order *first*, then the
-/// aggregates. Runs-first is what lets `--stream-out` write each run the
-/// moment it finishes — the aggregate block only becomes computable once
-/// the last member completes, so it closes the object (see
-/// [`crate::stream::JsonRunsWriter`]).
+/// aggregates. Runs-first is what lets [`crate::stream::JsonRunsWriter`]
+/// write each run of a top-level fleet object the moment it finishes: the
+/// aggregate block only becomes computable once the last member completes,
+/// so it closes the object. Cluster and chain exports nest this form under
+/// `nodes`.
 #[must_use]
 pub fn fleet_result_json(f: &FleetResult) -> JsonValue {
     let mut o = JsonValue::object();
@@ -725,8 +726,9 @@ pub fn fleet_result_json(f: &FleetResult) -> JsonValue {
 }
 
 /// The aggregate block of [`fleet_result_json`] — everything after the
-/// `runs` array, as its own object. Split out so the streaming writer can
-/// emit bytes identical to the buffered exporter.
+/// `runs` array, as its own object. Split out so
+/// [`crate::stream::JsonRunsWriter`] can close a fleet object it wrote run
+/// by run.
 #[must_use]
 pub fn fleet_aggregates_json(f: &FleetResult) -> JsonValue {
     let mut o = JsonValue::object();
@@ -1249,8 +1251,8 @@ pub fn csv_escape(cell: &str) -> String {
     }
 }
 
-/// One labelled run row of [`run_results_csv`], newline-terminated — the
-/// unit the streaming CSV writer emits per finished run.
+/// One labelled run row of a run-level CSV export (a `label` column, the
+/// caller's row name, then [`RUN_CSV_HEADER`]), newline-terminated.
 #[must_use]
 pub fn run_csv_line(label: &str, r: &RunResult) -> String {
     let mut out = format!("{},", csv_escape(label));
@@ -1258,33 +1260,9 @@ pub fn run_csv_line(label: &str, r: &RunResult) -> String {
     out
 }
 
-/// Labelled run results as CSV: a `label` column (the caller's row names —
-/// member indices, sweep points) followed by [`RUN_CSV_HEADER`].
-#[must_use]
-pub fn run_results_csv<'a>(rows: impl IntoIterator<Item = (&'a str, &'a RunResult)>) -> String {
-    let mut out = format!("label,{RUN_CSV_HEADER}\n");
-    for (label, r) in rows {
-        out.push_str(&run_csv_line(label, r));
-    }
-    out
-}
-
-/// A fleet result as CSV: one row per member, labelled `server <i>`.
-#[must_use]
-pub fn fleet_csv(f: &FleetResult) -> String {
-    let labels: Vec<String> = (0..f.runs.len()).map(|i| format!("server {i}")).collect();
-    run_results_csv(
-        labels
-            .iter()
-            .map(String::as_str)
-            .zip(f.runs.iter())
-            .collect::<Vec<_>>(),
-    )
-}
-
 /// The CSV columns carrying the network-fabric census. Emitted only when
-/// at least one exported result crossed a fabric, so fabric-less exports
-/// keep their historical shape byte for byte.
+/// the exported runs crossed a fabric, so fabric-less exports keep their
+/// historical shape byte for byte.
 pub const NETWORK_CSV_COLUMNS: &str =
     "net_topology,net_link_latency_ns,net_messages,net_mean_wire_delay_ns,net_max_wire_delay_ns";
 
@@ -1307,10 +1285,10 @@ fn push_network_cells(out: &mut String, n: Option<&NetworkStats>) {
     }
 }
 
-/// The header line of [`cluster_results_csv`], newline-terminated.
-/// `with_network` inserts the [`NETWORK_CSV_COLUMNS`]; pass whether any
-/// exported result crossed a fabric (for a streamed spec run that is known
-/// up front: every repeat shares the spec's `[network]` table).
+/// The header line of a cluster CSV export, newline-terminated:
+/// `repeat,node,policy,routed,` then the run columns. `with_network`
+/// inserts the [`NETWORK_CSV_COLUMNS`] between `routed` and the run
+/// columns.
 #[must_use]
 pub fn cluster_csv_header(with_network: bool) -> String {
     if with_network {
@@ -1320,9 +1298,9 @@ pub fn cluster_csv_header(with_network: bool) -> String {
     }
 }
 
-/// The rows of one cluster run of [`cluster_results_csv`] (one per node),
-/// newline-terminated — the unit the streaming CSV writer emits per
-/// finished repeat. `with_network` must match the header's.
+/// The rows one cluster run contributes to a cluster CSV export (one per
+/// node, led by the run's `repeat` index), newline-terminated.
+/// `with_network` must match the header's.
 #[must_use]
 pub fn cluster_csv_rows(repeat: usize, c: &ClusterResult, with_network: bool) -> String {
     let mut out = String::new();
@@ -1342,21 +1320,6 @@ pub fn cluster_csv_rows(repeat: usize, c: &ClusterResult, with_network: bool) ->
     out
 }
 
-/// Several cluster runs (e.g. repeats of one spec) as a single CSV with a
-/// leading `repeat` column: `repeat,node,policy,routed,` then the run
-/// columns. When any run crossed a network fabric, the
-/// [`NETWORK_CSV_COLUMNS`] are inserted between `routed` and the run
-/// columns.
-#[must_use]
-pub fn cluster_results_csv(results: &[ClusterResult]) -> String {
-    let with_network = results.iter().any(|c| c.network.is_some());
-    let mut out = cluster_csv_header(with_network);
-    for (repeat, c) in results.iter().enumerate() {
-        out.push_str(&cluster_csv_rows(repeat, c, with_network));
-    }
-    out
-}
-
 /// The CSV column set of chain-level exports, in order: identity, chain
 /// census, end-to-end latency percentiles (p50/p99/p999 and mean/max), the
 /// leaf-straggler breakdown, routing spread and fleet power/residency
@@ -1368,9 +1331,9 @@ e2e_p99_ns,e2e_p999_ns,e2e_max_ns,straggler_p50_ns,straggler_p99_ns,\
 straggler_p999_ns,total_routed,routing_imbalance,fleet_power_w,\
 mean_pc1a_residency,worst_rpc_p99_ns";
 
-/// The header line of [`chain_results_csv`], newline-terminated.
-/// `with_network` appends the [`NETWORK_CSV_COLUMNS`] (see
-/// [`cluster_csv_header`] for the streaming contract).
+/// The header line of a chain CSV export, newline-terminated.
+/// `with_network` appends the [`NETWORK_CSV_COLUMNS`] after the chain
+/// columns.
 #[must_use]
 pub fn chain_csv_header(with_network: bool) -> String {
     if with_network {
@@ -1380,8 +1343,9 @@ pub fn chain_csv_header(with_network: bool) -> String {
     }
 }
 
-/// The single row one chain run contributes to [`chain_results_csv`],
-/// newline-terminated. `with_network` must match the header's.
+/// The single row one chain run contributes to a chain CSV export (see
+/// [`CHAIN_CSV_HEADER`]), newline-terminated. `with_network` must match
+/// the header's.
 #[must_use]
 pub fn chain_csv_row(repeat: usize, c: &ChainResult, with_network: bool) -> String {
     let mut out = String::new();
@@ -1419,20 +1383,6 @@ pub fn chain_csv_row(repeat: usize, c: &ChainResult, with_network: bool) -> Stri
         push_network_cells(&mut out, c.network.as_ref());
     }
     out.push('\n');
-    out
-}
-
-/// Several chain runs (e.g. repeats of one spec, or one run per platform)
-/// as a single CSV, one row per run (see [`CHAIN_CSV_HEADER`]). When any
-/// run crossed a network fabric, the [`NETWORK_CSV_COLUMNS`] are appended
-/// after the chain columns.
-#[must_use]
-pub fn chain_results_csv(results: &[ChainResult]) -> String {
-    let with_network = results.iter().any(|c| c.network.is_some());
-    let mut out = chain_csv_header(with_network);
-    for (repeat, c) in results.iter().enumerate() {
-        out.push_str(&chain_csv_row(repeat, c, with_network));
-    }
     out
 }
 

@@ -6,10 +6,11 @@
 //!   (#transitions × transition cost vs. baseline latency);
 //! * [`report`] — fixed-width table rendering shared by the experiment
 //!   harnesses;
-//! * [`export`] — deterministic JSON/CSV export of run, fleet, cluster and
-//!   time-series results (the `apc-cli` output layer);
-//! * [`stream`] — incremental writers over the same formats, byte-identical
-//!   to the buffered exporters (the `apc-cli --stream-out` output layer).
+//! * [`export`] — deterministic JSON values and CSV rows of run, fleet,
+//!   cluster, chain and time-series results, and the JSON parser;
+//! * [`stream`] — the incremental writers that compose those pieces into
+//!   whole JSON/CSV documents, one result at a time (the `apc-cli` output
+//!   layer).
 //!
 //! # Example
 //!

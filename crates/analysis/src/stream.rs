@@ -1,19 +1,17 @@
-//! Incremental (streaming) writers for the JSON/CSV export formats.
+//! Incremental writers for the JSON/CSV export formats: each result is
+//! written the moment it finishes. Every `apc-cli` JSON/CSV results
+//! document goes through them, wherever it goes: the CLI runs them over
+//! its `--out` file while the simulation runs, and over memory for stdout,
+//! `merge` and the in-process renderings.
 //!
-//! The buffered exporters in [`crate::export`] hold every result in memory
-//! and render at the end; these writers emit each result the moment it
-//! finishes and **produce byte-identical artefacts** — a file written
-//! through a streaming writer compares equal, byte for byte, to the same
-//! results rendered buffered. That identity is what lets `apc-cli
-//! --stream-out` reuse the golden-pinned formats while keeping memory
-//! bounded by one result instead of the whole run set (the point of the
-//! sketch-backed result path: a sweep's memory ceiling no longer grows
-//! with either the request count *or* the completed grid points).
+//! Writing as results finish changes when bytes reach the file, not how
+//! much memory a run takes: the caller still holds every result (the
+//! fleet object's aggregate block needs them all).
 //!
 //! Three shapes cover every `apc-cli` artefact:
 //!
 //! * [`JsonRunsWriter`] — the fleet object (`run`/`sweep` JSON): a `runs`
-//!   array streamed element by element, closed by the aggregate block
+//!   array written element by element, closed by the aggregate block
 //!   (computable only once every member finished) and the optional label
 //!   list;
 //! * [`JsonArrayWriter`] — a top-level result array (`cluster`/`chain`
@@ -23,8 +21,7 @@
 //!
 //! Writers flush after every push, so a consumer tailing the file sees
 //! complete rows/elements as the simulation progresses. All three are
-//! plain [`io::Write`] adapters: the CLI hands them buffered files, the
-//! byte-identity tests hand them `Vec<u8>`.
+//! plain [`io::Write`] adapters.
 
 use std::io::{self, Write};
 
@@ -33,9 +30,9 @@ use apc_server::result::RunResult;
 
 use crate::export::{fleet_aggregates_json, run_result_json, JsonValue};
 
-/// Streams the fleet-object JSON export (see
-/// [`crate::export::fleet_result_json`]): `{ "runs": [` …one element per
-/// [`push`](Self::push)… `],` then the aggregates on
+/// Writes the fleet-object JSON export, laid out as
+/// [`crate::export::fleet_result_json`] pretty-prints: `{ "runs": [` …one
+/// element per [`push`](Self::push)… `],` then the aggregates on
 /// [`finish`](Self::finish).
 #[derive(Debug)]
 pub struct JsonRunsWriter<W: Write> {
@@ -75,9 +72,9 @@ impl<W: Write> JsonRunsWriter<W> {
     /// Closes the `runs` array and writes the aggregate block (and the
     /// CLI's trailing `labels` array when given), finishing the document.
     ///
-    /// The pushed runs must be exactly `fleet.runs` in order — the
-    /// aggregates are computed from `fleet`, and the byte-identity
-    /// contract is with `fleet_result_json(fleet)`.
+    /// The pushed runs must be exactly `fleet.runs` in order: the
+    /// aggregates are computed from `fleet`, and without labels the
+    /// document equals `fleet_result_json(fleet)` pretty-printed.
     ///
     /// # Errors
     ///
@@ -93,7 +90,7 @@ impl<W: Write> JsonRunsWriter<W> {
         }
         // The tail object pretty-prints as `{\n  "k": v,…\n}`; its interior
         // (everything between the braces, already indented for depth 1) is
-        // exactly what follows the closed `runs` array in the buffered form.
+        // exactly what follows the closed `runs` array in the whole object.
         let rendered = tail.to_pretty_fragment(0);
         let interior = &rendered[1..rendered.len() - 2];
         if self.runs > 0 {
@@ -109,7 +106,7 @@ impl<W: Write> JsonRunsWriter<W> {
     }
 }
 
-/// Streams a top-level pretty-printed JSON array (the `cluster`/`chain`
+/// Writes a top-level pretty-printed JSON array (the `cluster`/`chain`
 /// export shape), one element per [`push`](Self::push).
 #[derive(Debug)]
 pub struct JsonArrayWriter<W: Write> {
@@ -159,45 +156,59 @@ impl<W: Write> JsonArrayWriter<W> {
     }
 }
 
-/// Streams a CSV export: the header line up front, then newline-terminated
-/// row chunks (one [`crate::export::run_csv_line`], one
+/// Writes a CSV export: a header line, then newline-terminated row chunks
+/// (one [`crate::export::run_csv_line`], one
 /// [`crate::export::cluster_csv_rows`] block, …) as results finish.
+///
+/// The header goes out with the first chunk, or alone at
+/// [`finish`](Self::finish) when no row came, so a caller can choose it
+/// from the first result (a cluster header carries the fabric columns only
+/// when its runs crossed a fabric).
 #[derive(Debug)]
 pub struct CsvWriter<W: Write> {
     out: W,
+    started: bool,
 }
 
 impl<W: Write> CsvWriter<W> {
-    /// Writes the newline-terminated `header` and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn new(mut out: W, header: &str) -> io::Result<Self> {
-        out.write_all(header.as_bytes())?;
-        out.flush()?;
-        Ok(CsvWriter { out })
+    /// Wraps `out`; nothing is written until the first push.
+    pub fn new(out: W) -> Self {
+        CsvWriter {
+            out,
+            started: false,
+        }
     }
 
-    /// Appends one newline-terminated row chunk and flushes.
+    /// Appends one newline-terminated row chunk, after the newline-terminated
+    /// `header` when it is the first, and flushes.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn push(&mut self, rows: &str) -> io::Result<()> {
+    pub fn push(&mut self, header: &str, rows: &str) -> io::Result<()> {
+        self.start(header)?;
         self.out.write_all(rows.as_bytes())?;
         self.out.flush()
     }
 
-    /// Finishes the export (CSV needs no trailer; this just flushes and
-    /// returns the writer).
+    /// Finishes the export (a document without rows is its `header` alone)
+    /// and returns the writer.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn finish(mut self) -> io::Result<W> {
+    pub fn finish(mut self, header: &str) -> io::Result<W> {
+        self.start(header)?;
         self.out.flush()?;
         Ok(self.out)
+    }
+
+    fn start(&mut self, header: &str) -> io::Result<()> {
+        if !self.started {
+            self.out.write_all(header.as_bytes())?;
+            self.started = true;
+        }
+        Ok(())
     }
 }
 
@@ -209,7 +220,7 @@ mod tests {
     use apc_sim::SimDuration;
     use apc_workloads::spec::WorkloadSpec;
 
-    use crate::export::{fleet_result_json, run_csv_line, run_results_csv};
+    use crate::export::{fleet_result_json, run_csv_line, RUN_CSV_HEADER};
 
     fn small_fleet() -> FleetResult {
         let mut fleet = Fleet::new();
@@ -297,21 +308,24 @@ mod tests {
     }
 
     #[test]
-    fn streamed_csv_matches_buffered_bytes() {
+    fn csv_header_goes_out_once_with_the_first_rows() {
         let result = small_fleet();
-        let labels: Vec<String> = (0..3).map(|i| format!("server {i}")).collect();
-        let buffered = run_results_csv(
-            labels
-                .iter()
-                .map(String::as_str)
-                .zip(result.runs.iter())
-                .collect::<Vec<_>>(),
-        );
-        let header = buffered.split_inclusive('\n').next().unwrap();
-        let mut w = CsvWriter::new(Vec::new(), header).unwrap();
-        for (label, r) in labels.iter().zip(&result.runs) {
-            w.push(&run_csv_line(label, r)).unwrap();
+        let header = format!("label,{RUN_CSV_HEADER}\n");
+        let mut w = CsvWriter::new(Vec::new());
+        let mut expected = header.clone();
+        for (i, r) in result.runs.iter().enumerate() {
+            let line = run_csv_line(&format!("server {i}"), r);
+            w.push(&header, &line).unwrap();
+            expected.push_str(&line);
         }
-        assert_eq!(String::from_utf8(w.finish().unwrap()).unwrap(), buffered);
+        assert_eq!(
+            String::from_utf8(w.finish(&header).unwrap()).unwrap(),
+            expected
+        );
+        assert_eq!(expected.lines().count(), 4, "one header, three rows");
+
+        // No rows: the document is the header alone.
+        let empty = CsvWriter::new(Vec::new()).finish(&header).unwrap();
+        assert_eq!(String::from_utf8(empty).unwrap(), header);
     }
 }

@@ -1,7 +1,7 @@
 //! Golden-file tests of the chain exporters: the exact JSON and CSV bytes
 //! one fixed-seed fan-out run produces.
 //!
-//! Captured from `chain_result_json` / `chain_results_csv` on the pinned
+//! Captured from `chain_result_json` / the chain CSV export on the pinned
 //! run (CPC1A, 2 nodes, `1x frontend -> 2x kv-get`, 4 K chains/s, 2 ms
 //! window, seed 7). Like `export_golden.rs`, these pin the exporters' field
 //! order / float formatting *and* the chain simulation's determinism on the
@@ -20,12 +20,25 @@
 //! float-summation noise and moved by at most 2.8e-14 W; every other byte
 //! is unchanged.
 
-use apc_analysis::export::{chain_result_json, chain_results_csv, JsonValue, CHAIN_CSV_HEADER};
+use apc_analysis::export::{
+    chain_csv_header, chain_csv_row, chain_result_json, JsonValue, CHAIN_CSV_HEADER,
+};
+use apc_analysis::stream::CsvWriter;
 use apc_network::NetworkConfig;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::chain::{run_chain_experiment, ChainMember, ChainResult, RequestGraph};
 use apc_server::config::ServerConfig;
 use apc_sim::SimDuration;
+
+/// One chain run as a chain CSV document, through the export writer; the
+/// network columns appear when the run crossed a fabric.
+fn chain_csv(result: &ChainResult) -> String {
+    let network = result.network.is_some();
+    let header = chain_csv_header(network);
+    let mut w = CsvWriter::new(Vec::new());
+    w.push(&header, &chain_csv_row(0, result, network)).unwrap();
+    String::from_utf8(w.finish(&header).unwrap()).unwrap()
+}
 
 fn golden_chain_run() -> ChainResult {
     run_chain_experiment(
@@ -179,7 +192,7 @@ fn chain_json_export_matches_golden_bytes() {
 #[test]
 fn chain_csv_export_matches_golden_bytes() {
     let result = golden_chain_run();
-    let text = chain_results_csv(std::slice::from_ref(&result));
+    let text = chain_csv(&result);
     assert_eq!(text, GOLDEN_CHAIN_CSV);
     assert!(text.starts_with(CHAIN_CSV_HEADER));
 }
@@ -454,7 +467,7 @@ fn network_chain_json_export_matches_golden_bytes() {
 #[test]
 fn network_chain_csv_export_matches_golden_bytes() {
     let result = golden_network_chain_run();
-    let text = chain_results_csv(std::slice::from_ref(&result));
+    let text = chain_csv(&result);
     assert_eq!(text, GOLDEN_NETWORK_CHAIN_CSV);
     // The network columns extend the fabric-less header, never reorder it.
     assert!(text.starts_with(CHAIN_CSV_HEADER));

@@ -19,14 +19,25 @@
 //! byte is unchanged.
 
 use apc_analysis::export::{
-    fleet_csv, run_result_json, run_results_csv, timeseries_csv, JsonValue,
+    fleet_result_json, run_csv_line, run_result_json, timeseries_csv, JsonValue, RUN_CSV_HEADER,
 };
+use apc_analysis::stream::CsvWriter;
 use apc_server::config::ServerConfig;
-use apc_server::fleet::{Fleet, FleetMember};
+use apc_server::fleet::{Fleet, FleetMember, FleetResult};
 use apc_server::result::RunResult;
 use apc_server::sim::run_experiment;
 use apc_sim::SimDuration;
 use apc_workloads::spec::WorkloadSpec;
+
+/// Labelled runs as a run-level CSV document, through the export writer.
+fn runs_csv<'a>(rows: impl IntoIterator<Item = (&'a str, &'a RunResult)>) -> String {
+    let header = format!("label,{RUN_CSV_HEADER}\n");
+    let mut w = CsvWriter::new(Vec::new());
+    for (label, r) in rows {
+        w.push(&header, &run_csv_line(label, r)).unwrap();
+    }
+    String::from_utf8(w.finish(&header).unwrap()).unwrap()
+}
 
 fn golden_run() -> RunResult {
     run_experiment(
@@ -97,7 +108,7 @@ fn json_export_matches_golden_bytes() {
 #[test]
 fn csv_export_matches_golden_bytes() {
     let run = golden_run();
-    let text = run_results_csv([("run 0", &run)]);
+    let text = runs_csv([("run 0", &run)]);
     assert_eq!(text, GOLDEN_CSV);
 }
 
@@ -157,9 +168,10 @@ fn exports_are_byte_identical_across_sequential_and_parallel_pools() {
     };
     let sequential = build(1).run();
     let parallel = build(8).run();
-    assert_eq!(fleet_csv(&sequential), fleet_csv(&parallel));
+    let csv = |f: &FleetResult| runs_csv(f.runs.iter().map(|r| ("server", r)));
+    assert_eq!(csv(&sequential), csv(&parallel));
     assert_eq!(
-        apc_analysis::export::fleet_result_json(&sequential).to_pretty_string(),
-        apc_analysis::export::fleet_result_json(&parallel).to_pretty_string()
+        fleet_result_json(&sequential).to_pretty_string(),
+        fleet_result_json(&parallel).to_pretty_string()
     );
 }

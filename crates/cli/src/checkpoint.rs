@@ -15,9 +15,10 @@
 //!
 //! Checkpoints are deliberately strict on the way in: wrong version, shard
 //! mismatches, points outside the shard's residue class, duplicate or
-//! missing grid indices, and summaries inconsistent with their sketch are
-//! all hard errors — a corrupted shard must fail loudly at merge, not bend
-//! the final artefact.
+//! missing grid indices, sketches with other than the latency-default
+//! parameters, and summaries inconsistent with their sketch are all hard
+//! errors — a corrupted shard must fail loudly at merge, not bend the final
+//! artefact, panic or exhaust memory.
 
 use apc_analysis::export::{
     run_result_from_json, run_result_json, sketch_from_json, sketch_json, JsonValue,
@@ -25,6 +26,7 @@ use apc_analysis::export::{
 use apc_server::fleet::FleetResult;
 use apc_server::result::RunResult;
 use apc_sim::{SimDuration, SimTime};
+use apc_telemetry::sketch::QuantileSketch;
 
 /// The checkpoint format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -165,10 +167,25 @@ impl Checkpoint {
                 );
             let sketch = p
                 .get("sketch")
-                .map(sketch_from_json)
-                .transpose()
-                .map_err(|e| format!("point {index}: {e}"))?
                 .ok_or_else(|| format!("point {index}: missing `sketch`"))?;
+            // Every run records into the latency default, and sketches of
+            // other parameters do not merge into the fleet's combined one.
+            // Checked before the sketch is rebuilt: its parameters bound
+            // what rebuilding allocates.
+            let latency = QuantileSketch::latency_default();
+            if sketch.get("relative_error").and_then(JsonValue::as_f64)
+                != Some(latency.relative_error())
+                || sketch.get("max_buckets").and_then(JsonValue::as_u64)
+                    != Some(latency.max_buckets() as u64)
+            {
+                return Err(format!(
+                    "point {index}: sketch parameters differ from the latency default \
+                     (relative error {}, {} buckets)",
+                    latency.relative_error(),
+                    latency.max_buckets()
+                ));
+            }
+            let sketch = sketch_from_json(sketch).map_err(|e| format!("point {index}: {e}"))?;
             let run = p
                 .get("run")
                 .map(|run| run_result_from_json(run, sketch, finished_at))
@@ -197,7 +214,9 @@ impl Checkpoint {
 /// # Errors
 ///
 /// Returns a description of the first inconsistency: mismatched envelopes,
-/// a missing or repeated shard, and missing or duplicate grid points.
+/// a missing or repeated shard, a grid larger than the given points can
+/// fill, missing or duplicate grid points, and per-point counts whose
+/// fleet totals overflow.
 pub fn merge_checkpoints(
     shards: Vec<Checkpoint>,
 ) -> Result<(String, Vec<String>, FleetResult), String> {
@@ -214,9 +233,7 @@ pub fn merge_checkpoints(
         ));
     }
     let mut seen_shards = vec![false; of];
-    let mut slots: Vec<Option<CheckpointPoint>> = Vec::new();
-    slots.resize_with(total_points, || None);
-    for ck in shards {
+    for ck in &shards {
         if ck.spec_name != spec_name {
             return Err(format!(
                 "checkpoint spec `{}` does not match `{spec_name}`",
@@ -239,6 +256,18 @@ pub fn merge_checkpoints(
             return Err(format!("shard {} given more than once", ck.shard));
         }
         seen_shards[ck.shard] = true;
+    }
+    // Checked before the grid is allocated: `total_points` is read from
+    // the file, and only points the checkpoints hold can fill it.
+    let given: usize = shards.iter().map(|ck| ck.points.len()).sum();
+    if given < total_points {
+        return Err(format!(
+            "the checkpoints hold {given} of the sweep's {total_points} grid points"
+        ));
+    }
+    let mut slots: Vec<Option<CheckpointPoint>> = Vec::new();
+    slots.resize_with(total_points, || None);
+    for ck in shards {
         for point in ck.points {
             let slot = &mut slots[point.index];
             if slot.is_some() {
@@ -253,6 +282,20 @@ pub fn merge_checkpoints(
         let point = slot.ok_or_else(|| format!("grid point {index} is missing"))?;
         labels.push(point.label);
         runs.push(point.run);
+    }
+    // The fleet aggregates add these up over the points.
+    let totals = runs
+        .iter()
+        .try_fold((0_u64, 0_u64, 0_u64, 0_u128), |(c, e, n, s), r| {
+            Some((
+                c.checked_add(r.completed_requests)?,
+                e.checked_add(r.events_dispatched)?,
+                n.checked_add(r.latency_sketch.count())?,
+                s.checked_add(r.latency_sketch.sum())?,
+            ))
+        });
+    if totals.is_none() {
+        return Err("the points' request, event or latency totals overflow".to_owned());
     }
     Ok((spec_name, labels, FleetResult { runs }))
 }

@@ -46,8 +46,9 @@ use apc_server::fleet::Fleet;
 use apc_sim::SimDuration;
 
 use crate::checkpoint::{merge_checkpoints, Checkpoint, CheckpointPoint};
-use crate::runner::{chain_graph, execute_spec, plan_spec, sweep_grid, Outcome, OutputFormat};
+use crate::runner::{chain_graph, plan_spec, sweep_grid, Outcome, OutputFormat};
 use crate::spec::{parse_policy, ExperimentSpec, PlatformKind, SpecKind, MAX_DURATION_MS};
+use crate::stream_out::Sink;
 
 /// A CLI failure: what went wrong and which exit code it maps to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,10 +99,8 @@ commands:
 
 options:
   --format table|json|csv   output format (default table)
-  --out <path>              write the output to a file instead of stdout
-  --stream-out <path>       write json/csv output to a file incrementally,
-                            flushing each result as it finishes — the final
-                            file is byte-identical to --out
+  --out <path>              write the output to a file instead of stdout;
+                            json/csv rows are written as results finish
   --shard <i/n>             with `sweep --out <path>`: run only grid points
                             with index ≡ i (mod n) and write a checkpoint
                             for `merge` instead of results
@@ -140,7 +139,6 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
             &[
                 "format",
                 "out",
-                "stream-out",
                 "timeseries-out",
                 "trace-out",
                 "profile",
@@ -157,7 +155,6 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
             &[
                 "format",
                 "out",
-                "stream-out",
                 "shard",
                 "timeseries-out",
                 "profile",
@@ -177,7 +174,6 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
             &[
                 "format",
                 "out",
-                "stream-out",
                 "timeseries-out",
                 "trace-out",
                 "profile",
@@ -422,51 +418,22 @@ fn check_recording_flags(inv: &Invocation, spec: &ExperimentSpec) -> Result<(), 
     Ok(())
 }
 
-/// Resolves `--stream-out`: `Some((path, format))` when incremental output
-/// was requested, after rejecting the combinations it cannot serve. Tables
-/// need the whole result set for column widths, so streaming is json/csv
-/// only; `--out` would write the same artefact twice.
-fn stream_request(inv: &Invocation) -> Result<Option<(&str, OutputFormat)>, CliError> {
-    let Some(path) = inv.flag("stream-out") else {
-        return Ok(None);
+/// Creates the `--out` file (stdout's buffer without one) and the
+/// `--timeseries-out` file, before anything runs: an unwritable path fails
+/// at once, and a failed `--out` leaves no series file behind. Both fill in
+/// as results finish, so they cannot share a path.
+fn open_outputs(inv: &Invocation) -> Result<(Sink, Option<Sink>), CliError> {
+    if inv.flag("out").is_some() && inv.flag("out") == inv.flag("timeseries-out") {
+        return Err(CliError::Usage(
+            "conflicting flags: `--out` and `--timeseries-out` name the same file".to_owned(),
+        ));
+    }
+    let out = match inv.flag("out") {
+        Some(path) => Sink::create(path)?,
+        None => Sink::Memory(Vec::new()),
     };
-    if inv.flag("out").is_some() {
-        return Err(CliError::Usage(
-            "conflicting flags: `--stream-out` and `--out` write the same artefact; give one"
-                .to_owned(),
-        ));
-    }
-    let format = inv.format()?;
-    if format == OutputFormat::Table {
-        return Err(CliError::Usage(
-            "conflicting flags: `--stream-out` needs `--format json` or `--format csv` \
-             (tables are rendered whole)"
-                .to_owned(),
-        ));
-    }
-    Ok(Some((path, format)))
-}
-
-/// The `--stream-out` execution path for a spec target: plans the spec,
-/// streams the artefact (and any `--timeseries-out`) while it runs, then
-/// honours `--trace-out` on the completed outcome.
-fn finish_streamed(
-    inv: &Invocation,
-    spec: &ExperimentSpec,
-    path: &str,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    let plan = plan_spec(spec, inv.parallelism()?);
-    let (outcome, mut stdout) = stream_out::execute_plan_streamed(
-        plan,
-        format,
-        path,
-        inv.flag("timeseries-out"),
-        spec.repeats,
-        spec.network.is_some(),
-    )?;
-    write_trace_out(inv, &outcome, &mut stdout)?;
-    Ok(stdout)
+    let series = inv.flag("timeseries-out").map(Sink::create).transpose()?;
+    Ok((out, series))
 }
 
 /// A `list` row's server count and workloads column.
@@ -560,16 +527,19 @@ fn cmd_run(inv: &Invocation) -> Result<String, CliError> {
 }
 
 /// The one execution path of `run`, `cluster` and `sweep`: checks the
-/// recording flags, applies the overrides, then runs the spec — streamed
-/// with `--stream-out`, rendered whole otherwise.
+/// recording flags, applies the overrides, creates the output files, then
+/// runs the spec, writing json/csv results to `--out` as they finish.
 fn run_spec(inv: &Invocation, spec: &ExperimentSpec) -> Result<String, CliError> {
     check_recording_flags(inv, spec)?;
     let spec = override_spec(spec, inv)?;
-    if let Some((path, format)) = stream_request(inv)? {
-        return finish_streamed(inv, &spec, path, format);
-    }
-    let outcome = execute_spec(&spec, inv.parallelism()?);
-    finish(inv, &outcome)
+    let format = inv.format()?;
+    let plan = plan_spec(&spec, inv.parallelism()?);
+    let (out, series) = open_outputs(inv)?;
+    let (outcome, written) = stream_out::execute(plan, Some((format, out)), series)
+        .map_err(|e| CliError::Io(e.to_string()))?;
+    let mut stdout = written.report();
+    write_trace_out(inv, &outcome, &mut stdout)?;
+    Ok(stdout)
 }
 
 fn cmd_sweep(inv: &Invocation) -> Result<String, CliError> {
@@ -612,7 +582,7 @@ fn cmd_sweep_shard(
     shard: &str,
 ) -> Result<String, CliError> {
     let (i, n) = parse_shard(shard)?;
-    for flag in ["format", "stream-out", "timeseries-out", "profile"] {
+    for flag in ["format", "timeseries-out", "profile"] {
         if inv.flag(flag).is_some() {
             return Err(CliError::Usage(format!(
                 "conflicting flags: `--shard` writes a checkpoint, not results; \
@@ -674,12 +644,23 @@ fn cmd_merge(inv: &Invocation) -> Result<String, CliError> {
         shards.push(ck);
     }
     let (name, labels, fleet) = merge_checkpoints(shards).map_err(CliError::Input)?;
+    if inv.flag("timeseries-out").is_some() && fleet.runs.iter().all(|r| r.timeseries.is_none()) {
+        return Err(CliError::Usage(
+            "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
+             (no run recorded a time series)"
+                .to_owned(),
+        ));
+    }
+    let format = inv.format()?;
     let outcome = Outcome::Runs {
         name,
         labels,
         fleet,
     };
-    finish(inv, &outcome)
+    let (out, series) = open_outputs(inv)?;
+    let written = stream_out::replay(&outcome, Some((format, out)), series)
+        .map_err(|e| CliError::Io(e.to_string()))?;
+    Ok(written.report())
 }
 
 fn cmd_cluster(inv: &Invocation) -> Result<String, CliError> {
@@ -746,35 +727,6 @@ fn override_spec(spec: &ExperimentSpec, inv: &Invocation) -> Result<ExperimentSp
     }
     spec.profile = inv.switch("profile");
     Ok(spec)
-}
-
-/// Renders the outcome, honours `--out` / `--timeseries-out`, and returns
-/// what to print on stdout.
-fn finish(inv: &Invocation, outcome: &Outcome) -> Result<String, CliError> {
-    let rendered = outcome.render(inv.format()?);
-    let mut stdout = String::new();
-    match inv.flag("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered)
-                .map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
-            stdout.push_str(&format!("wrote {path} ({} bytes)\n", rendered.len()));
-        }
-        None => stdout.push_str(&rendered),
-    }
-    if let Some(path) = inv.flag("timeseries-out") {
-        let csv = outcome.timeseries_csv().ok_or_else(|| {
-            CliError::Usage(
-                "conflicting flags: `--timeseries-out` needs a spec with a [telemetry] table \
-                 (no run recorded a time series)"
-                    .to_owned(),
-            )
-        })?;
-        std::fs::write(path, &csv)
-            .map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
-        stdout.push_str(&format!("wrote {path} ({} bytes)\n", csv.len()));
-    }
-    write_trace_out(inv, outcome, &mut stdout)?;
-    Ok(stdout)
 }
 
 /// Honours `--trace-out`, appending its `wrote …` line to `stdout`.

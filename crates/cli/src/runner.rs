@@ -8,10 +8,6 @@
 //! `--format json|csv` output byte-identical between sequential and
 //! parallel execution.
 
-use apc_analysis::export::{
-    chain_result_json, chain_results_csv, cluster_result_json, cluster_results_csv,
-    fleet_result_json, run_results_csv, timeseries_csv, JsonValue,
-};
 use apc_analysis::report::TextTable;
 use apc_server::chain::{ChainFleet, ChainMember, ChainResult, RequestGraph};
 use apc_server::cluster::{ClusterFleet, ClusterMember, ClusterResult};
@@ -23,6 +19,7 @@ use apc_trace::TraceLog;
 use apc_workloads::chain::TierService;
 
 use crate::spec::{ExperimentSpec, PlatformKind, SpecKind, TrafficPattern, WorkloadKind};
+use crate::stream_out::{self, Sink};
 
 /// The output format of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,9 +110,9 @@ pub fn chain_graph(
 
 /// A materialised spec, ready to run: the built pool plus the display
 /// metadata the [`Outcome`] needs. Splitting planning from execution is
-/// what lets `--stream-out` pick its writer (by kind and format) *before*
-/// the simulation starts, then observe results through
-/// [`ExecutionPlan::run_streamed`] as they finish.
+/// what lets `apc-cli --out` pick its writer (by kind and format) and
+/// create its file *before* the simulation starts, then write each result
+/// as it finishes.
 pub enum ExecutionPlan {
     /// Run-level plan (single, fleet and sweep specs): one [`Fleet`] member
     /// per run/grid-point.
@@ -147,73 +144,10 @@ impl ExecutionPlan {
     /// Executes the plan to completion.
     #[must_use]
     pub fn run(self) -> Outcome {
-        match self {
-            ExecutionPlan::Fleet {
-                name,
-                labels,
-                fleet,
-            } => Outcome::Runs {
-                name,
-                labels,
-                fleet: fleet.run(),
-            },
-            ExecutionPlan::Cluster { name, fleet } => Outcome::Clusters {
-                name,
-                results: fleet.run(),
-            },
-            ExecutionPlan::Chain { name, fleet } => Outcome::Chains {
-                name,
-                results: fleet.run(),
-            },
-        }
+        stream_out::execute(self, None, None)
+            .expect("nothing is written")
+            .0
     }
-
-    /// Executes the plan, handing each result to `sink` in member order as
-    /// soon as it (and every earlier member) has finished — the in-order
-    /// frontier of the parallel pool, so a sink writing a file produces the
-    /// same bytes whatever the worker count. A sink error stops emission
-    /// and is returned; the simulation results are discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink error.
-    pub fn run_streamed<E, S: StreamSink<E>>(self, sink: &mut S) -> Result<Outcome, E> {
-        match self {
-            ExecutionPlan::Fleet {
-                name,
-                labels,
-                fleet,
-            } => {
-                let fleet = fleet.run_streamed(|i, r| sink.on_run(i, &labels[i], r))?;
-                Ok(Outcome::Runs {
-                    name,
-                    labels,
-                    fleet,
-                })
-            }
-            ExecutionPlan::Cluster { name, fleet } => {
-                let results = fleet.run_streamed(|i, c| sink.on_cluster(i, c))?;
-                Ok(Outcome::Clusters { name, results })
-            }
-            ExecutionPlan::Chain { name, fleet } => {
-                let results = fleet.run_streamed(|i, c| sink.on_chain(i, c))?;
-                Ok(Outcome::Chains { name, results })
-            }
-        }
-    }
-}
-
-/// Observer of streamed execution: one callback per outcome kind, invoked
-/// in member order (see [`ExecutionPlan::run_streamed`]). A plan only ever
-/// calls the callback matching its kind.
-pub trait StreamSink<E> {
-    /// One run-level result (single/fleet/sweep plans): member index, its
-    /// display label and the finished run.
-    fn on_run(&mut self, index: usize, label: &str, run: &RunResult) -> Result<(), E>;
-    /// One cluster repeat.
-    fn on_cluster(&mut self, repeat: usize, result: &ClusterResult) -> Result<(), E>;
-    /// One chain repeat.
-    fn on_chain(&mut self, repeat: usize, result: &ChainResult) -> Result<(), E>;
 }
 
 /// The full sweep grid of a sweep spec, in declaration order
@@ -335,13 +269,6 @@ pub fn plan_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Execution
     }
 }
 
-/// Executes a parsed spec end-to-end (see [`plan_spec`] for the
-/// `parallelism` contract).
-#[must_use]
-pub fn execute_spec(spec: &ExperimentSpec, parallelism: Option<usize>) -> Outcome {
-    plan_spec(spec, parallelism).run()
-}
-
 /// The server config every node or member of `spec` runs on `platform`
 /// under `seed`: the spec's duration and `[telemetry]` series, plus its
 /// observability knobs — `[trace]` and the `--profile` flag. Neither knob
@@ -427,66 +354,28 @@ fn plan_fleet(
 }
 
 impl Outcome {
-    /// Renders the outcome in `format`.
+    /// Renders the outcome in `format`. The JSON shape is a function of the
+    /// outcome kind alone, never of the result count: run-level outcomes
+    /// are always a fleet object (even for one run), clusters always an
+    /// array (even for one repeat), so consumers keep parsing when a count
+    /// changes.
     #[must_use]
     pub fn render(&self, format: OutputFormat) -> String {
-        match (self, format) {
-            (
-                Outcome::Runs {
-                    name,
-                    labels,
-                    fleet,
-                },
-                OutputFormat::Table,
-            ) => runs_table(name, labels, &fleet.runs),
-            // The JSON shape is a function of the outcome kind alone, never
-            // of the result count: run-level outcomes are always a fleet
-            // object (even for one run), clusters always an array (even for
-            // one repeat) — consumers keep parsing when a count changes.
-            (Outcome::Runs { labels, fleet, .. }, OutputFormat::Json) => {
-                let mut o = fleet_result_json(fleet);
-                o.push(
-                    "labels",
-                    JsonValue::Array(labels.iter().map(|l| JsonValue::Str(l.clone())).collect()),
-                );
-                o.to_pretty_string()
-            }
-            (Outcome::Runs { labels, fleet, .. }, OutputFormat::Csv) => run_results_csv(
-                labels
-                    .iter()
-                    .map(String::as_str)
-                    .zip(fleet.runs.iter())
-                    .collect::<Vec<_>>(),
-            ),
-            (Outcome::Clusters { name, results }, OutputFormat::Table) => {
-                repeats_text(name, results)
-            }
-            (Outcome::Clusters { results, .. }, OutputFormat::Json) => {
-                JsonValue::Array(results.iter().map(cluster_result_json).collect())
-                    .to_pretty_string()
-            }
-            (Outcome::Clusters { results, .. }, OutputFormat::Csv) => cluster_results_csv(results),
-            (Outcome::Chains { name, results }, OutputFormat::Table) => repeats_text(name, results),
-            (Outcome::Chains { results, .. }, OutputFormat::Json) => {
-                JsonValue::Array(results.iter().map(chain_result_json).collect()).to_pretty_string()
-            }
-            (Outcome::Chains { results, .. }, OutputFormat::Csv) => chain_results_csv(results),
-        }
+        stream_out::replay(self, Some((format, Sink::Memory(Vec::new()))), None)
+            .expect("writing to memory cannot fail")
+            .report()
     }
 
-    /// The per-run results with their labels, for time-series extraction.
-    #[must_use]
-    pub fn labelled_runs(&self) -> Vec<(String, &RunResult)> {
+    /// The table rendering: a run table, or each repeat's summary.
+    pub(crate) fn table(&self) -> String {
         match self {
-            Outcome::Runs { labels, fleet, .. } => {
-                labels.iter().cloned().zip(fleet.runs.iter()).collect()
-            }
-            Outcome::Clusters { results, .. } => {
-                cluster_node_rows(results.iter().map(|c| &c.nodes).collect())
-            }
-            Outcome::Chains { results, .. } => {
-                cluster_node_rows(results.iter().map(|c| &c.nodes).collect())
-            }
+            Outcome::Runs {
+                name,
+                labels,
+                fleet,
+            } => runs_table(name, labels, &fleet.runs),
+            Outcome::Clusters { name, results } => repeats_text(name, results),
+            Outcome::Chains { name, results } => repeats_text(name, results),
         }
     }
 
@@ -516,43 +405,14 @@ impl Outcome {
     }
 
     /// Renders every recorded time series as one concatenated CSV, or
-    /// `None` when no run recorded one.
+    /// `None` when no run recorded one. Cluster and chain rows are labelled
+    /// `node <i>`, prefixed with the repeat when there is more than one.
     #[must_use]
     pub fn timeseries_csv(&self) -> Option<String> {
-        let mut out = String::new();
-        let mut any = false;
-        for (label, run) in self.labelled_runs() {
-            if let Some(ts) = &run.timeseries {
-                let block = timeseries_csv(&label, ts);
-                if any {
-                    // Drop the repeated header; one header tops the file.
-                    out.push_str(block.split_once('\n').map_or("", |(_, rest)| rest));
-                } else {
-                    out.push_str(&block);
-                    any = true;
-                }
-            }
-        }
-        any.then_some(out)
+        stream_out::replay(self, None, Some(Sink::Memory(Vec::new())))
+            .expect("writing to memory cannot fail")
+            .series_csv()
     }
-}
-
-/// Labels the per-node runs of several cluster-shaped results (`node <i>`,
-/// prefixed with the repeat when there is more than one result).
-fn cluster_node_rows(fleets: Vec<&FleetResult>) -> Vec<(String, &RunResult)> {
-    let mut rows = Vec::new();
-    let repeats = fleets.len();
-    for (repeat, fleet) in fleets.into_iter().enumerate() {
-        for (i, r) in fleet.runs.iter().enumerate() {
-            let label = if repeats > 1 {
-                format!("repeat {repeat} node {i}")
-            } else {
-                format!("node {i}")
-            };
-            rows.push((label, r));
-        }
-    }
-    rows
 }
 
 /// The text rendering of cluster-shaped repeats: each result's `Display`

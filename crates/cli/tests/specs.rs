@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 
 use apc_analysis::export::JsonValue;
-use apc_cli::runner::{execute_spec, Outcome, OutputFormat};
+use apc_cli::runner::{plan_spec, Outcome, OutputFormat};
 use apc_cli::spec::{ExperimentSpec, PlatformKind, SpecKind};
 use apc_cli::{execute, library, LIBRARY};
 use apc_server::balancer::RoutingPolicyKind;
@@ -41,7 +41,7 @@ fn named(name: &str, platform: PlatformKind, duration: SimDuration) -> Experimen
 }
 
 fn run_fleet(spec: &ExperimentSpec) -> FleetResult {
-    match execute_spec(spec, None) {
+    match plan_spec(spec, None).run() {
         Outcome::Runs { fleet, .. } => fleet,
         other => panic!("{} is not a fleet: {other:?}", spec.name),
     }
@@ -61,7 +61,7 @@ fn every_fleet_scenario_yields_finite_stats_under_every_platform() {
         for platform in PlatformKind::all() {
             let spec = named(&scenario.name, platform, SMOKE_WINDOW);
             let label = format!("{} under {}", spec.name, platform.name());
-            let outcome = execute_spec(&spec, None);
+            let outcome = plan_spec(&spec, None).run();
             // The table title names both axes.
             let table = outcome.render(OutputFormat::Table);
             assert!(
@@ -110,7 +110,7 @@ fn every_cluster_scenario_yields_finite_stats() {
             *p = policy;
             let nodes = *nodes;
             let label = format!("{} under {}", spec.name, policy.name());
-            let Outcome::Clusters { results, .. } = execute_spec(&spec, None) else {
+            let Outcome::Clusters { results, .. } = plan_spec(&spec, None).run() else {
                 panic!("{label}: not a cluster outcome");
             };
             let [result] = results.as_slice() else {
@@ -158,7 +158,7 @@ fn every_chain_scenario_yields_finite_stats() {
             *p = policy;
             let nodes = *nodes;
             let label = format!("{} under {}", spec.name, policy.name());
-            let Outcome::Chains { results, .. } = execute_spec(&spec, None) else {
+            let Outcome::Chains { results, .. } = plan_spec(&spec, None).run() else {
                 panic!("{label}: not a chain outcome");
             };
             let [result] = results.as_slice() else {
@@ -190,7 +190,7 @@ fn named_scenarios_equal_the_runs_the_server_api_builds() {
         |platform: PlatformKind, seed: u64| platform.config().with_duration(window).with_seed(seed);
 
     let spec = named("cluster-16-kafka", PlatformKind::Cshallow, window);
-    let Outcome::Clusters { results, .. } = execute_spec(&spec, None) else {
+    let Outcome::Clusters { results, .. } = plan_spec(&spec, None).run() else {
         panic!("not a cluster outcome");
     };
     let direct = ClusterMember::homogeneous(
@@ -204,7 +204,7 @@ fn named_scenarios_equal_the_runs_the_server_api_builds() {
     assert_eq!(results, [direct]);
 
     let spec = named("mesh-16-memcached", PlatformKind::Cdeep, window);
-    let Outcome::Chains { results, .. } = execute_spec(&spec, None) else {
+    let Outcome::Chains { results, .. } = plan_spec(&spec, None).run() else {
         panic!("not a chain outcome");
     };
     let direct = ChainMember::homogeneous(
@@ -244,14 +244,12 @@ fn named_scenarios_equal_the_runs_the_server_api_builds() {
 }
 
 /// A short-horizon, in-suite companion of CI's 1 s check: no named
-/// scenario's bytes depend on the worker count or on streaming.
+/// scenario's bytes depend on the worker count, and the `--out` file,
+/// written as results finish, holds exactly the bytes stdout prints.
 #[test]
-fn named_runs_do_not_depend_on_workers_or_streaming() {
-    let streamed = std::env::temp_dir().join(format!(
-        "apc-specs-test-{}-streamed.csv",
-        std::process::id()
-    ));
-    let streamed_path = streamed.to_str().expect("temp paths are UTF-8");
+fn named_runs_do_not_depend_on_workers_or_destination() {
+    let out = std::env::temp_dir().join(format!("apc-specs-test-{}-out.csv", std::process::id()));
+    let out_path = out.to_str().expect("temp paths are UTF-8");
     for spec in library() {
         let run = |extra: &[&str]| {
             let mut argv = args(&["run", &spec.name, "--duration-ms", "5", "--format", "csv"]);
@@ -260,11 +258,11 @@ fn named_runs_do_not_depend_on_workers_or_streaming() {
         };
         let one = run(&["--parallelism", "1"]);
         assert_eq!(one, run(&["--parallelism", "2"]), "{}", spec.name);
-        run(&["--stream-out", streamed_path]);
-        let text = std::fs::read_to_string(&streamed).expect("streamed file");
+        run(&["--out", out_path]);
+        let text = std::fs::read_to_string(&out).expect("--out file");
         assert_eq!(one, text, "{}", spec.name);
     }
-    let _ = std::fs::remove_file(&streamed);
+    let _ = std::fs::remove_file(&out);
 }
 
 /// `list` is pinned byte for byte in every format: the library's names,

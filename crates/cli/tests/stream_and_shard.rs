@@ -1,15 +1,17 @@
-//! Integration tests of the streaming result path: `--stream-out`
-//! incremental exports, `sweep --shard` checkpoints and `merge`.
+//! Integration tests of the result path: `--out` written as results
+//! finish, `sweep --shard` checkpoints and `merge`.
 //!
-//! The contract under test is *byte identity*: streaming a result to disk,
-//! or sharding a sweep across processes and merging the checkpoints, must
-//! reproduce the buffered single-process artefact exactly — same bytes,
-//! not just same numbers. Every identity assertion here compares whole
-//! file contents.
+//! The contract under test is *byte identity*: writing a result to disk as
+//! it finishes, or sharding a sweep across processes and merging the
+//! checkpoints, must reproduce the single-process stdout artefact exactly —
+//! same bytes, not just same numbers. Every identity assertion here
+//! compares whole file contents.
 
 use std::path::PathBuf;
 
 use apc_analysis::export::JsonValue;
+use apc_cli::runner::plan_spec;
+use apc_cli::spec::ExperimentSpec;
 use apc_cli::{execute, CliError};
 
 /// A scratch file unique to this test process, cleaned up on drop.
@@ -80,115 +82,167 @@ policy = "jsq"
 sample_interval_us = 1000
 "#;
 
-// ---- --stream-out ------------------------------------------------------
+// ---- --out -------------------------------------------------------------
 
 #[test]
-fn streamed_sweep_output_is_byte_identical_to_buffered() {
+fn sweep_out_file_holds_the_stdout_bytes() {
     let spec = Scratch::new("sweep.toml");
     spec.write(SWEEP_SPEC);
-    for format in ["json", "csv"] {
-        let buffered = Scratch::new(&format!("sweep-buf.{format}"));
-        let streamed = Scratch::new(&format!("sweep-stream.{format}"));
-        execute(&args(&[
-            "sweep",
-            spec.path(),
-            "--format",
-            format,
-            "--out",
-            buffered.path(),
-        ]))
-        .unwrap();
+    for format in ["json", "csv", "table"] {
+        let out = Scratch::new(&format!("sweep-out.{format}"));
+        let printed = execute(&args(&["sweep", spec.path(), "--format", format])).unwrap();
         let stdout = execute(&args(&[
             "sweep",
             spec.path(),
             "--format",
             format,
-            "--stream-out",
-            streamed.path(),
+            "--out",
+            out.path(),
         ]))
         .unwrap();
-        assert!(stdout.contains("wrote"), "{stdout}");
-        assert_eq!(buffered.read(), streamed.read(), "{format}");
+        assert_eq!(
+            stdout,
+            format!("wrote {} ({} bytes)\n", out.path(), printed.len()),
+            "{format}"
+        );
+        assert_eq!(out.read(), printed, "{format}");
     }
 }
 
 #[test]
-fn streamed_cluster_output_and_timeseries_are_byte_identical_to_buffered() {
-    let spec = Scratch::new("cluster.toml");
-    spec.write(CLUSTER_SPEC);
-    let buffered = Scratch::new("cluster-buf.json");
-    let buffered_ts = Scratch::new("cluster-buf-ts.csv");
-    let streamed = Scratch::new("cluster-stream.json");
-    let streamed_ts = Scratch::new("cluster-stream-ts.csv");
-    execute(&args(&[
-        "run",
-        spec.path(),
-        "--format",
-        "json",
-        "--out",
-        buffered.path(),
-        "--timeseries-out",
-        buffered_ts.path(),
-    ]))
-    .unwrap();
-    execute(&args(&[
-        "run",
-        spec.path(),
-        "--format",
-        "json",
-        "--stream-out",
-        streamed.path(),
-        "--timeseries-out",
-        streamed_ts.path(),
-    ]))
-    .unwrap();
-    assert_eq!(buffered.read(), streamed.read());
-    assert_eq!(buffered_ts.read(), streamed_ts.read());
-    // The `cluster` alias streams the same bytes as `run`.
-    let via_cluster = Scratch::new("cluster-alias.json");
-    let via_cluster_ts = Scratch::new("cluster-alias-ts.csv");
-    execute(&args(&[
-        "cluster",
-        spec.path(),
-        "--format",
-        "json",
-        "--stream-out",
-        via_cluster.path(),
-        "--timeseries-out",
-        via_cluster_ts.path(),
-    ]))
-    .unwrap();
-    assert_eq!(buffered.read(), via_cluster.read());
-    assert_eq!(buffered_ts.read(), via_cluster_ts.read());
+fn cluster_out_and_timeseries_files_match_the_finished_outcome() {
+    // Two repeats over a fabric: series labels carry the repeat, and every
+    // CSV row carries the fabric columns.
+    let repeated = CLUSTER_SPEC.replace("duration_ms = 5\n", "duration_ms = 5\nrepeats = 2\n")
+        + "\n[network]\ntopology = \"flat\"\nlatency_us = 5\n";
+    for (name, text, label, network) in [
+        ("cluster", CLUSTER_SPEC, "\nnode 1,", false),
+        ("repeated", repeated.as_str(), "\nrepeat 1 node 1,", true),
+    ] {
+        let spec = Scratch::new(&format!("{name}.toml"));
+        spec.write(text);
+        let outcome = plan_spec(&ExperimentSpec::parse(text).unwrap(), None).run();
+        let series = outcome.timeseries_csv().expect("the spec records a series");
+        assert!(
+            series.starts_with("node,at_ns,") && series.contains(label),
+            "{name}"
+        );
+        for format in ["json", "csv"] {
+            let printed = execute(&args(&["run", spec.path(), "--format", format])).unwrap();
+            assert_eq!(
+                printed,
+                outcome.render(apc_cli::runner::OutputFormat::parse(format).unwrap())
+            );
+            if format == "csv" {
+                let header = printed.lines().next().unwrap();
+                assert_eq!(header.contains("net_topology"), network, "{name}");
+                let columns = header.split(',').count();
+                assert!(
+                    printed.lines().all(|row| row.split(',').count() == columns),
+                    "{name}: {printed}"
+                );
+            }
+            // `cluster` is an alias of `run` for cluster specs.
+            for command in ["run", "cluster"] {
+                let out = Scratch::new(&format!("{name}-{command}.{format}"));
+                let ts = Scratch::new(&format!("{name}-{command}-ts-{format}.csv"));
+                execute(&args(&[
+                    command,
+                    spec.path(),
+                    "--format",
+                    format,
+                    "--out",
+                    out.path(),
+                    "--timeseries-out",
+                    ts.path(),
+                ]))
+                .unwrap();
+                assert_eq!(out.read(), printed, "{name} {command} {format}");
+                assert_eq!(ts.read(), series, "{name} {command} {format}");
+            }
+        }
+    }
 }
 
 #[test]
-fn stream_out_flag_conflicts_are_usage_errors() {
-    let spec = Scratch::new("conflicts.toml");
-    spec.write(SWEEP_SPEC);
-    // --stream-out and --out write the same artefact.
+fn unwritable_out_fails_before_the_run_and_leaves_no_series_file() {
+    let spec = Scratch::new("unwritable.toml");
+    spec.write(CLUSTER_SPEC);
+    let missing_dir = std::env::temp_dir().join(format!(
+        "apc-stream-test-{}-no-such-dir",
+        std::process::id()
+    ));
+    let out = missing_dir.join("out");
+    let out = out.to_str().expect("temp paths are UTF-8");
+    for format in ["json", "csv", "table"] {
+        let ts = Scratch::new(&format!("unwritable-ts-{format}.csv"));
+        let err = execute(&args(&[
+            "run",
+            spec.path(),
+            "--format",
+            format,
+            "--out",
+            out,
+            "--timeseries-out",
+            ts.path(),
+        ]))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Io(m) if m.contains(&format!("cannot write `{out}`"))),
+            "{format}: {err:?}"
+        );
+        assert_eq!(err.exit_code(), 1);
+        assert!(!ts.0.exists(), "{format}: the series file was created");
+    }
+    // Both files fill in as results finish, so they cannot share a path.
+    let shared = Scratch::new("shared-path.csv");
     let err = execute(&args(&[
-        "sweep",
+        "run",
         spec.path(),
-        "--format",
-        "json",
         "--out",
-        "/tmp/a.json",
-        "--stream-out",
-        "/tmp/b.json",
+        shared.path(),
+        "--timeseries-out",
+        shared.path(),
     ]))
     .unwrap_err();
     assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("write the same artefact")),
+        matches!(&err, CliError::Usage(m) if m.contains("name the same file")),
         "{err:?}"
     );
-    assert_eq!(err.exit_code(), 2);
-    // Tables are rendered whole; streaming needs json or csv.
-    let err = execute(&args(&["sweep", spec.path(), "--stream-out", "/tmp/b.txt"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("tables are rendered whole")),
-        "{err:?}"
-    );
+    assert!(!shared.0.exists());
+}
+
+/// The incremental-output flag that `--out` replaced. Spelled in two
+/// pieces, so that searching the sources for it finds no live use.
+const REMOVED_FLAG: &str = concat!("--stream", "-out");
+
+#[test]
+fn stream_out_is_an_unknown_flag() {
+    let spec = Scratch::new("removed-flag.toml");
+    spec.write(SWEEP_SPEC);
+    let cluster = Scratch::new("removed-flag-cluster.toml");
+    cluster.write(CLUSTER_SPEC);
+    for (command, target) in [
+        ("run", spec.path()),
+        ("sweep", spec.path()),
+        ("cluster", cluster.path()),
+    ] {
+        let err = execute(&args(&[
+            command,
+            target,
+            "--format",
+            "json",
+            REMOVED_FLAG,
+            "/tmp/apc-stream-test-never-written.json",
+        ]))
+        .unwrap_err();
+        let expected = format!("unknown or inapplicable flag `{REMOVED_FLAG}`");
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains(&expected)),
+            "{command}: {err:?}"
+        );
+        assert_eq!(err.exit_code(), 2);
+    }
 }
 
 // ---- sweep --shard / merge ---------------------------------------------
@@ -277,7 +331,7 @@ fn shard_flag_errors_are_usage_errors() {
     // Result-shaping flags belong to `merge`, not to the shard run.
     for flag in [
         &["--format", "json"][..],
-        &["--stream-out", "/tmp/x.json"][..],
+        &["--timeseries-out", "/tmp/x.csv"][..],
         &["--profile"][..],
     ] {
         let mut cmd = vec![
@@ -376,4 +430,138 @@ fn merge_rejects_inconsistent_or_tampered_checkpoints() {
     // A missing file is an I/O error.
     let err = execute(&args(&["merge", "/no/such/checkpoint.json"])).unwrap_err();
     assert!(matches!(err, CliError::Io(_)), "{err:?}");
+}
+
+/// A one-point sweep's checkpoint with one value replaced, as a hostile or
+/// corrupted shard would carry it.
+fn tampered(name: &str, checkpoint: &str, edit: impl FnOnce(&mut JsonValue)) -> Scratch {
+    let mut ck = JsonValue::parse(checkpoint).unwrap();
+    edit(&mut ck);
+    let file = Scratch::new(name);
+    file.write(&ck.to_pretty_string());
+    file
+}
+
+/// The value at `key` of an object.
+fn field<'a>(v: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+    let JsonValue::Object(entries) = v else {
+        panic!("not an object");
+    };
+    &mut entries
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .expect("key present")
+        .1
+}
+
+/// The sketch of the checkpoint's only point.
+fn sketch(ck: &mut JsonValue) -> &mut JsonValue {
+    let JsonValue::Array(points) = field(ck, "points") else {
+        panic!("points is an array");
+    };
+    field(&mut points[0], "sketch")
+}
+
+fn buckets(pairs: &[(i64, u64)]) -> JsonValue {
+    JsonValue::Array(
+        pairs
+            .iter()
+            .map(|&(i, c)| JsonValue::Array(vec![JsonValue::Int(i), JsonValue::UInt(c)]))
+            .collect(),
+    )
+}
+
+#[test]
+fn merge_rejects_hostile_checkpoints_as_input_errors() {
+    let spec = Scratch::new("hostile.toml");
+    spec.write(
+        &SWEEP_SPEC
+            .replace("[5_000, 20_000]", "[5_000]")
+            .replace("[\"cshallow\", \"cpc1a\"]", "[\"cpc1a\"]"),
+    );
+    let shard = Scratch::new("hostile-shard.json");
+    execute(&args(&[
+        "sweep",
+        spec.path(),
+        "--shard",
+        "0/1",
+        "--out",
+        shard.path(),
+    ]))
+    .unwrap();
+    let checkpoint = shard.read();
+
+    let cases = [
+        // A grid no checkpoint can fill: allocating it would overflow.
+        tampered("hostile-total.json", &checkpoint, |ck| {
+            *field(ck, "total_points") = JsonValue::UInt(1 << 62);
+        }),
+        // The widest i32 bucket span, whose width overflows i32.
+        tampered("hostile-span.json", &checkpoint, |ck| {
+            *field(sketch(ck), "buckets") = buckets(&[(-2_147_483_648, 1), (2_147_483_647, 1)]);
+        }),
+        // Bucket counts whose total overflows u64.
+        tampered("hostile-counts.json", &checkpoint, |ck| {
+            *field(sketch(ck), "buckets") = buckets(&[(100, u64::MAX), (101, 1)]);
+        }),
+        // A sketch the fleet's combined latency cannot merge.
+        tampered("hostile-params.json", &checkpoint, |ck| {
+            *field(sketch(ck), "max_buckets") = JsonValue::UInt(4096);
+        }),
+        // Two buckets 20M indices apart: a dense rebuild takes 160 MB.
+        tampered("hostile-wide.json", &checkpoint, |ck| {
+            *field(sketch(ck), "buckets") = buckets(&[(0, 1), (20_000_000, 1)]);
+        }),
+    ];
+    let expected = [
+        "hold 1 of the sweep's 4611686018427387904 grid points",
+        "span 4294967296 indices",
+        "overflow",
+        "differ from the latency default",
+        "span 20000001 indices",
+    ];
+    for (file, expected) in cases.iter().zip(expected) {
+        for format in ["json", "csv", "table"] {
+            let err = execute(&args(&["merge", file.path(), "--format", format])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Input(m) if m.contains(expected)),
+                "{} ({format}): {err:?}",
+                file.path()
+            );
+            assert_eq!(err.exit_code(), 1);
+        }
+    }
+    // Per-point counts that fit, but whose fleet totals overflow u64.
+    let whole = Scratch::new("hostile-whole.json");
+    let four_points = Scratch::new("hostile-four.toml");
+    four_points.write(SWEEP_SPEC);
+    execute(&args(&[
+        "sweep",
+        four_points.path(),
+        "--shard",
+        "0/1",
+        "--out",
+        whole.path(),
+    ]))
+    .unwrap();
+    let totals = tampered("hostile-totals.json", &whole.read(), |ck| {
+        let JsonValue::Array(points) = field(ck, "points") else {
+            panic!("points is an array");
+        };
+        for p in points {
+            *field(field(p, "run"), "completed_requests") = JsonValue::UInt(u64::MAX);
+        }
+    });
+    for format in ["json", "csv", "table"] {
+        let err = execute(&args(&["merge", totals.path(), "--format", format])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Input(m) if m.contains("totals overflow")),
+            "{format}: {err:?}"
+        );
+    }
+
+    // The untampered checkpoint still merges into the unsharded sweep.
+    let merged = execute(&args(&["merge", shard.path(), "--format", "csv"])).unwrap();
+    let unsharded = execute(&args(&["sweep", spec.path(), "--format", "csv"])).unwrap();
+    assert_eq!(merged, unsharded);
 }

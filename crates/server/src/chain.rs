@@ -676,7 +676,7 @@ impl PoolMember for ChainMember {
 /// A set of independent chain simulations run as one experiment — e.g. the
 /// same chain cluster under every platform, or a platform under every
 /// routing policy — on the deterministic worker pool of [`crate::fleet`]: a
-/// parallel run is bit-identical to [`Pool::run_sequential`].
+/// parallel run is bit-identical to a sequential one (see [`Pool::run`]).
 pub type ChainFleet = Pool<ChainMember>;
 
 /// Convenience: run one homogeneous chain experiment (see

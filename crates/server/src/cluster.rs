@@ -425,7 +425,7 @@ impl PoolMember for ClusterMember {
 /// A set of independent cluster simulations run as one experiment — e.g. the
 /// same cluster under every routing policy, or a policy under every platform
 /// configuration — on the deterministic worker pool of [`crate::fleet`]: a
-/// parallel run is bit-identical to [`Pool::run_sequential`].
+/// parallel run is bit-identical to a sequential one (see [`Pool::run`]).
 pub type ClusterFleet = Pool<ClusterMember>;
 
 /// Convenience: run one homogeneous cluster experiment (see

@@ -19,11 +19,11 @@
 //! no shared RNG state), so [`Pool::run`] fans them out over a pool of OS
 //! threads pulling from a shared work queue; each member's simulation runs
 //! on one thread. Results are written back into member-order slots, which
-//! makes a parallel run **bit-identical** to [`Pool::run_sequential`] for
-//! the same members: thread scheduling can change only *when* a member
-//! executes, never what it computes or where its result lands. Use
-//! [`Pool::with_parallelism`] to pin the worker count (`1` forces the
-//! sequential path).
+//! makes a parallel run **bit-identical** to a sequential one
+//! (`with_parallelism(1)`) for the same members: thread scheduling can
+//! change only *when* a member executes, never what it computes or where
+//! its result lands. Use [`Pool::with_parallelism`] to pin the worker count
+//! (`1` forces the sequential path).
 //!
 //! # Determinism
 //!
@@ -145,7 +145,7 @@ impl<M: PoolMember> Pool<M> {
 
     /// Runs every member to completion — in parallel when the host and the
     /// [`Pool::with_parallelism`] knob allow it — and collects the results
-    /// in member order, bit-identical to [`Pool::run_sequential`].
+    /// in member order, bit-identical whatever the worker count.
     #[must_use]
     pub fn run(self) -> M::Results {
         match self.run_streamed(|_, _| Ok::<(), Infallible>(())) {
@@ -154,17 +154,12 @@ impl<M: PoolMember> Pool<M> {
         }
     }
 
-    /// Runs every member back-to-back on the calling thread.
-    #[must_use]
-    pub fn run_sequential(self) -> M::Results {
-        self.with_parallelism(1).run()
-    }
-
     /// Like [`Pool::run`], but invokes `emit(i, &result)` once per member,
     /// in member order, as soon as member `i` and all its predecessors have
     /// finished — while later members may still be running. This is the
-    /// hook behind the CLI's incremental `--stream-out` export; the returned
-    /// results are bit-identical to [`Pool::run`]'s.
+    /// hook behind the CLI's `--out`, which writes each result as it
+    /// finishes; the returned results are bit-identical to [`Pool::run`]'s,
+    /// and every one of them is kept until the pool finishes.
     ///
     /// `emit` runs on the calling thread.
     ///
@@ -649,11 +644,10 @@ mod tests {
     #[test]
     fn one_worker_runs_every_member_on_the_calling_thread() {
         let caller = thread::current().id();
-        // `0` clamps to one worker, like `1` and `run_sequential`.
+        // `0` clamps to one worker, like `1`.
         for results in [
             probes(3).0.with_parallelism(0).run(),
             probes(3).0.with_parallelism(1).run(),
-            probes(3).0.run_sequential(),
         ] {
             assert_eq!(results, [(0, caller), (1, caller), (2, caller)]);
         }

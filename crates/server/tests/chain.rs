@@ -124,7 +124,7 @@ fn chain_fleet_parallel_matches_sequential_bit_for_bit() {
     };
     // Exercise the pool even on single-core hosts by forcing 8 workers.
     let parallel = build().with_parallelism(8).run();
-    let sequential = build().run_sequential();
+    let sequential = build().with_parallelism(1).run();
     assert_eq!(parallel, sequential);
 }
 

@@ -110,7 +110,7 @@ fn cluster_fleet_parallel_matches_sequential() {
         fleet
     };
     let parallel = build().with_parallelism(4).run();
-    let sequential = build().with_parallelism(1).run_sequential();
+    let sequential = build().with_parallelism(1).run();
     assert_eq!(parallel, sequential);
     let policies: Vec<&str> = parallel.iter().map(|r| r.policy).collect();
     assert_eq!(

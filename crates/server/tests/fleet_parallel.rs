@@ -23,7 +23,7 @@ fn parallel_run_is_bit_identical_to_sequential() {
 fn auto_parallelism_matches_sequential() {
     // No knob: `run` picks the host's available parallelism.
     let auto = homogeneous_fleet(4).run();
-    let sequential = homogeneous_fleet(4).run_sequential();
+    let sequential = homogeneous_fleet(4).with_parallelism(1).run();
     assert_eq!(auto, sequential);
 }
 

@@ -411,7 +411,8 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency found (parameters
-    /// out of range, buckets out of order, more buckets than the bound).
+    /// out of range, buckets out of order, a bucket-index span wider than
+    /// the bound, counts that overflow `u64`).
     pub fn from_parts(parts: &SketchParts) -> Result<QuantileSketch, String> {
         if !(parts.relative_error > 0.0 && parts.relative_error < 1.0) {
             return Err(format!(
@@ -425,15 +426,6 @@ impl QuantileSketch {
                 parts.max_buckets
             ));
         }
-        if parts.buckets.len() > parts.max_buckets {
-            return Err(format!(
-                "sketch holds {} buckets, above its bound {}",
-                parts.buckets.len(),
-                parts.max_buckets
-            ));
-        }
-        let mut sketch = QuantileSketch::new(parts.relative_error, parts.max_buckets);
-        let mut bucket_count: u64 = 0;
         for window in parts.buckets.windows(2) {
             if window[0].0 >= window[1].0 {
                 return Err(format!(
@@ -442,8 +434,22 @@ impl QuantileSketch {
                 ));
             }
         }
-        for &(index, count) in &parts.buckets {
-            if count == 0 {
+        // Counts are stored densely from the lowest index to the highest,
+        // and no sketch ever spans more than `max_buckets` indices: a wider
+        // span is corrupt, and rebuilding it could zero-fill gigabytes.
+        if let (Some(&(low, _)), Some(&(high, _))) = (parts.buckets.first(), parts.buckets.last()) {
+            let span = i64::from(high) - i64::from(low) + 1;
+            if usize::try_from(span).map_or(true, |span| span > parts.max_buckets) {
+                return Err(format!(
+                    "sketch buckets span {span} indices, above its bound {}",
+                    parts.max_buckets
+                ));
+            }
+        }
+        let mut sketch = QuantileSketch::new(parts.relative_error, parts.max_buckets);
+        let mut count = parts.zero_count;
+        for &(index, by) in &parts.buckets {
+            if by == 0 {
                 return Err(format!("sketch bucket {index} has zero count"));
             }
             if let Some(floor) = parts.floor_index {
@@ -453,12 +459,14 @@ impl QuantileSketch {
                     ));
                 }
             }
-            sketch.bump(index, count);
-            bucket_count += count;
+            count = count
+                .checked_add(by)
+                .ok_or("sketch counts overflow a 64-bit total")?;
+            sketch.bump(index, by);
         }
         sketch.floor_index = parts.floor_index;
         sketch.zero_count = parts.zero_count;
-        sketch.count = parts.zero_count + bucket_count;
+        sketch.count = count;
         sketch.sum = parts.sum;
         if sketch.count > 0 {
             if parts.min > parts.max {
@@ -707,10 +715,48 @@ mod tests {
             .unwrap_err()
             .contains("relative error"));
 
-        let mut below_floor = good;
+        let mut below_floor = good.clone();
         below_floor.floor_index = Some(i32::MAX);
         assert!(QuantileSketch::from_parts(&below_floor)
             .unwrap_err()
             .contains("collapse floor"));
+
+        let mut overflowing = good;
+        overflowing.buckets = vec![(100, u64::MAX), (101, 1)];
+        assert!(QuantileSketch::from_parts(&overflowing)
+            .unwrap_err()
+            .contains("overflow"));
+        overflowing.buckets = vec![(100, u64::MAX)];
+        overflowing.zero_count = 1;
+        assert!(QuantileSketch::from_parts(&overflowing)
+            .unwrap_err()
+            .contains("overflow"));
+    }
+
+    #[test]
+    fn from_parts_bounds_the_bucket_span_before_allocating() {
+        let parts = |max_buckets: usize, buckets: Vec<(i32, u64)>| SketchParts {
+            relative_error: 0.01,
+            max_buckets,
+            floor_index: None,
+            zero_count: 0,
+            sum: 2,
+            min: 1,
+            max: 1,
+            buckets,
+        };
+        // The widest i32 span: its width overflows i32 arithmetic, and a
+        // dense rebuild would zero-fill 32 GiB.
+        let err = QuantileSketch::from_parts(&parts(2048, vec![(i32::MIN, 1), (i32::MAX, 1)]))
+            .unwrap_err();
+        assert!(err.contains("span 4294967296 indices"), "{err}");
+        // Two buckets far apart are few in number, but not in span.
+        let err =
+            QuantileSketch::from_parts(&parts(2048, vec![(0, 1), (20_000_000, 1)])).unwrap_err();
+        assert!(err.contains("above its bound 2048"), "{err}");
+        // A span of exactly the bound is a sketch `record` can build.
+        let edge = QuantileSketch::from_parts(&parts(2048, vec![(0, 1), (2047, 1)])).unwrap();
+        assert_eq!(edge.count(), 2);
+        assert!(QuantileSketch::from_parts(&parts(2048, vec![(0, 1), (2048, 1)])).is_err());
     }
 }
