@@ -88,7 +88,7 @@ pub mod prelude {
     pub use apc_server::fleet::{Fleet, FleetMember, FleetResult};
     pub use apc_server::node::ServerNode;
     pub use apc_server::result::RunResult;
-    pub use apc_server::sim::{run_experiment, ServerSimulation};
+    pub use apc_server::sim::run_experiment;
     pub use apc_sim::component::{EventHandler, Simulation, SimulationContext};
     pub use apc_sim::{SimDuration, SimTime};
     pub use apc_soc::cstate::{CoreCState, PackageCState};

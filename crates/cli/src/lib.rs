@@ -38,6 +38,7 @@ pub mod spec;
 mod stream_out;
 
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 use apc_analysis::export::{chrome_trace_json, csv_escape, JsonValue};
 use apc_analysis::report::TextTable;
@@ -421,12 +422,20 @@ fn check_recording_flags(inv: &Invocation, spec: &ExperimentSpec) -> Result<(), 
 /// Creates the `--out` file (stdout's buffer without one) and the
 /// `--timeseries-out` file, before anything runs: an unwritable path fails
 /// at once, and a failed `--out` leaves no series file behind. Both fill in
-/// as results finish, so they cannot share a path.
+/// as results finish and `--trace-out` is written after them, so no two of
+/// the three may name the same file, however spelled (see
+/// [`resolve_path`]).
 fn open_outputs(inv: &Invocation) -> Result<(Sink, Option<Sink>), CliError> {
-    if inv.flag("out").is_some() && inv.flag("out") == inv.flag("timeseries-out") {
-        return Err(CliError::Usage(
-            "conflicting flags: `--out` and `--timeseries-out` name the same file".to_owned(),
-        ));
+    let files = ["out", "timeseries-out", "trace-out"].map(|f| (f, inv.flag(f).map(resolve_path)));
+    for (i, (a, path)) in files.iter().enumerate() {
+        if let Some((b, _)) = files[i + 1..]
+            .iter()
+            .find(|(_, p)| path.is_some() && p == path)
+        {
+            return Err(CliError::Usage(format!(
+                "conflicting flags: `--{a}` and `--{b}` name the same file"
+            )));
+        }
     }
     let out = match inv.flag("out") {
         Some(path) => Sink::create(path)?,
@@ -434,6 +443,34 @@ fn open_outputs(inv: &Invocation) -> Result<(Sink, Option<Sink>), CliError> {
     };
     let series = inv.flag("timeseries-out").map(Sink::create).transpose()?;
     Ok((out, series))
+}
+
+/// The file `path` names, independent of its spelling: the file itself
+/// canonicalised when it exists, else its canonical parent directory joined
+/// with its file name, so `d/x.csv`, `d/./x.csv` and `d/sub/../x.csv` (or
+/// a symlink to it) resolve alike. A path whose parent cannot be resolved
+/// is kept as given: creating it fails anyway.
+fn resolve_path(path: &str) -> PathBuf {
+    let mut path = PathBuf::from(path);
+    // Creating a dangling symlink creates its target: follow the links, at
+    // most as many as the kernel would, to the file that would be written.
+    for _ in 0..40 {
+        let Ok(target) = std::fs::read_link(&path) else {
+            break;
+        };
+        path = path.parent().unwrap_or(Path::new("")).join(target);
+    }
+    if let Ok(file) = path.canonicalize() {
+        return file;
+    }
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    match (parent.canonicalize(), path.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => path,
+    }
 }
 
 /// A `list` row's server count and workloads column.

@@ -782,9 +782,9 @@ fn duration_beyond_the_nanosecond_range_is_a_usage_error() {
 #[test]
 fn a_rate_too_small_to_arrive_runs_to_the_horizon() {
     // 1e9 / 1e-300 ns overflows to an infinite mean gap: the first arrival
-    // never comes, so both the standalone NIC's and the balancer's arrival
-    // streams must saturate to "never" instead of landing every arrival at
-    // t = 0 and looping forever.
+    // never comes, so the balancer's arrival stream, for a single server as
+    // for a cluster, must saturate to "never" instead of landing every
+    // arrival at t = 0 and looping forever.
     let single = Scratch::new("tiny-rate.toml");
     single.write(&SINGLE_SPEC.replace("rate_per_sec = 20_000", "rate_per_sec = 1e-300"));
     let out = execute(&args(&["run", single.path(), "--format", "json"])).unwrap();

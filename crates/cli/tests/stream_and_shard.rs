@@ -212,6 +212,60 @@ fn unwritable_out_fails_before_the_run_and_leaves_no_series_file() {
     assert!(!shared.0.exists());
 }
 
+/// `--out`, `--timeseries-out` and `--trace-out` are compared as the files
+/// they name, not as strings: spellings through `.`, `..` or a symlink of
+/// one file are the same usage error as identical strings, whether or not
+/// the file exists, and nothing is written.
+#[test]
+fn aliased_output_paths_are_the_same_file() {
+    let spec = Scratch::new("aliased.toml");
+    spec.write(&format!("{CLUSTER_SPEC}\n[trace]\nsample_every = 8\n"));
+    let dir = std::env::temp_dir().join(format!("apc-stream-test-{}-aliases", std::process::id()));
+    std::fs::create_dir_all(dir.join("sub")).expect("create scratch directories");
+    let link = dir.join("link.csv");
+    let _ = std::fs::remove_file(&link);
+    let file = dir.join("x.csv");
+    let spell = |p: PathBuf| p.to_str().expect("temp paths are UTF-8").to_owned();
+    let mut aliases = vec![
+        spell(dir.join(".").join("x.csv")),
+        spell(dir.join("sub").join("..").join("x.csv")),
+    ];
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::symlink(&file, &link).expect("create symlink");
+        aliases.push(spell(link.clone()));
+    }
+    let plain = spell(file.clone());
+    for existing in [false, true] {
+        if existing {
+            std::fs::write(&file, "kept").expect("write scratch file");
+        }
+        for (a, b) in [
+            ("--out", "--timeseries-out"),
+            ("--out", "--trace-out"),
+            ("--timeseries-out", "--trace-out"),
+        ] {
+            for alias in &aliases {
+                for (x, y) in [(&plain, alias), (alias, &plain)] {
+                    let err = execute(&args(&["run", spec.path(), "--format", "csv", a, x, b, y]))
+                        .unwrap_err();
+                    assert!(
+                        matches!(&err, CliError::Usage(m) if m.contains(&format!("`{a}` and `{b}` name the same file"))),
+                        "{a} {x} {b} {y}: {err:?}"
+                    );
+                    assert_eq!(err.exit_code(), 2);
+                    if existing {
+                        assert_eq!(std::fs::read_to_string(&file).unwrap(), "kept");
+                    } else {
+                        assert!(!file.exists(), "{a} {x} {b} {y}: a file was written");
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch directories");
+}
+
 /// The incremental-output flag that `--out` replaced. Spelled in two
 /// pieces, so that searching the sources for it finds no live use.
 const REMOVED_FLAG: &str = concat!("--stream", "-out");

@@ -185,12 +185,6 @@ impl Apmu {
         matches!(self.state, ApmuState::InPc1a { .. })
     }
 
-    /// The latency model the FSM uses.
-    #[must_use]
-    pub fn latency_model(&self) -> &Pc1aLatencyModel {
-        &self.latency
-    }
-
     /// Statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> ApmuStats {

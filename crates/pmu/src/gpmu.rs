@@ -134,12 +134,6 @@ impl Gpmu {
         self.phase
     }
 
-    /// The latency model in use.
-    #[must_use]
-    pub fn latency_model(&self) -> &Pc6LatencyModel {
-        &self.latency
-    }
-
     /// Number of completed PC6 entries.
     #[must_use]
     pub fn pc6_entries(&self) -> u64 {

@@ -5,9 +5,9 @@
 //! [`crate::cluster::ClusterSimulation`] serving independent requests: it
 //! owns the cluster's [`LoadGenerator`], draws each arriving request, asks
 //! its [`RoutingPolicy`] for a destination node and deposits the request into
-//! that node's NIC coalescing buffer — exactly the hand-off a standalone
-//! server's NIC performs for itself, so routing is the *only* behavioural
-//! difference between a node in a cluster and a standalone server. The chain
+//! that node's NIC coalescing buffer. A single server is a 1-node cluster
+//! behind a balancer, so routing is the *only* behavioural difference
+//! between a node in a cluster and a server on its own. The chain
 //! coordinator ([`crate::chain::ChainCoordinator`]) routes every RPC through
 //! the same hand-off.
 //!
@@ -26,7 +26,7 @@ use apc_workloads::request::Request;
 
 use crate::cluster::{ClusterFront, ClusterResult, ClusterRun};
 use crate::components::fabric::deliver_routed;
-use crate::components::state::{ClusterState, HasNode, ServerState};
+use crate::components::state::{ClusterState, ServerState};
 use crate::components::ServerEvent;
 
 /// A request-routing policy: picks the destination node for each arriving
@@ -45,7 +45,7 @@ pub trait RoutingPolicy: Send {
     /// `cluster` exposes every node's queues, core activity and package
     /// state; `rng` is the balancer's private deterministic stream (so
     /// randomised policies never perturb node streams). Must return an index
-    /// `< cluster.node_count()`.
+    /// `< cluster.nodes.len()`.
     fn route(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize;
 }
 
@@ -61,7 +61,7 @@ impl RoutingPolicy for Random {
     }
 
     fn route(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize {
-        (rng.next_u64() % cluster.node_count() as u64) as usize
+        (rng.next_u64() % cluster.nodes.len() as u64) as usize
     }
 }
 
@@ -78,7 +78,7 @@ impl RoutingPolicy for RoundRobin {
     }
 
     fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let target = self.next % cluster.node_count();
+        let target = self.next % cluster.nodes.len();
         self.next = target + 1;
         target
     }
@@ -122,20 +122,17 @@ impl RoutingPolicy for PowerAware {
     }
 
     fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let awake = (0..cluster.node_count())
-            .filter(|&i| cluster.node(i).any_core_active())
-            .min_by_key(|&i| (cluster.node(i).outstanding, i));
+        let awake = (0..cluster.nodes.len())
+            .filter(|&i| cluster.nodes[i].any_core_active())
+            .min_by_key(|&i| (cluster.nodes[i].outstanding, i));
         awake.unwrap_or_else(|| min_by_key_index(cluster, |n| n.outstanding))
     }
 }
 
 /// Lowest node index minimising `key` (ties broken by index).
-fn min_by_key_index<K: Ord>(
-    cluster: &ClusterState,
-    key: impl Fn(&crate::components::state::ServerState) -> K,
-) -> usize {
-    (0..cluster.node_count())
-        .min_by_key(|&i| (key(cluster.node(i)), i))
+fn min_by_key_index<K: Ord>(cluster: &ClusterState, key: impl Fn(&ServerState) -> K) -> usize {
+    (0..cluster.nodes.len())
+        .min_by_key(|&i| (key(&cluster.nodes[i]), i))
         .expect("cluster has at least one node")
 }
 
@@ -217,10 +214,10 @@ impl Router {
     ) {
         let target = self.policy.route(shared, ctx.rng());
         debug_assert!(
-            target < shared.node_count(),
+            target < shared.nodes.len(),
             "policy {} routed to node {target} of {}",
             self.policy.name(),
-            shared.node_count()
+            shared.nodes.len()
         );
         self.routed[target] += 1;
         deliver_routed(shared, ctx, target, request);
@@ -248,10 +245,8 @@ pub(crate) fn routing_imbalance(routed: &[u64]) -> f64 {
 /// The load-balancer component: generates the cluster arrival stream and
 /// routes each request to a node's NIC.
 ///
-/// The hand-off (buffer deposit + coalesced-interrupt arming) reuses the
-/// exact code path of a standalone server's NIC, in the same emission order,
-/// so a 1-node cluster replays a standalone server's event sequence
-/// bit-for-bit whatever the policy (there is only one node to route to).
+/// With one node every policy routes to node 0, so a 1-node cluster — a
+/// single server — runs the same event sequence whatever the policy.
 /// When the cluster carries a network fabric the routed request first
 /// crosses the wire (see [`crate::components::fabric`]); an instantaneous
 /// fabric — or none — deposits synchronously through that same code path.
@@ -302,11 +297,10 @@ impl ClusterFront for Balancer {
     type Output = ClusterResult;
 
     /// Each node's recorded `offered_rate` is the *nominal* per-node share
-    /// of the cluster rate (total / N), mirroring how a standalone server
-    /// records its loadgen's nominal rate. Non-uniform policies route more
-    /// or less than this to individual nodes — the actual census is
-    /// [`ClusterResult::routed`] (divide by the duration for the achieved
-    /// per-node offered rate).
+    /// of the cluster rate (total / N): the loadgen's nominal rate for a
+    /// single server. Non-uniform policies route more or less than this to
+    /// individual nodes — the actual census is [`ClusterResult::routed`]
+    /// (divide by the duration for the achieved per-node offered rate).
     fn describe_nodes(&self, nodes: &mut [ServerState]) {
         let per_node_rate = self.loadgen.rate_per_sec() / nodes.len() as f64;
         for node in nodes {

@@ -73,7 +73,7 @@ use apc_network::{NetworkConfig, NetworkStats};
 
 use crate::balancer::{routing_imbalance, Router, RoutingPolicy, RoutingPolicyKind};
 use crate::cluster::{ClusterFront, ClusterRun, ClusterSimulation};
-use crate::components::state::{ClusterState, HasNode, ServerState};
+use crate::components::state::{ClusterState, ServerState};
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
 use crate::fleet::{Fleet, FleetResult, Pool, PoolMember};
@@ -393,7 +393,7 @@ impl ChainCoordinator {
         // pseudo-node (index = node count): one join span per sibling report
         // (report arrival → tier join; the straggler's is zero-length) and
         // one tier span covering issue → join.
-        let coordinator_node = shared.node_count() as u32;
+        let coordinator_node = shared.nodes.len() as u32;
         if let (Some(tier_trace), Some(trace)) = (progress.trace.as_ref(), shared.trace.as_mut()) {
             for (sibling, &report) in tier_trace.reports.iter().enumerate() {
                 trace.log.push(Span {

@@ -1,11 +1,14 @@
-//! Single-event-loop cluster simulation: N complete server nodes plus the
-//! component at the cluster's front.
+//! The simulation driver: N complete server nodes plus the component at the
+//! cluster's front, in one event loop.
 //!
-//! Where [`crate::fleet::Fleet`] runs *independent* server simulations (one
-//! event loop each, no cross-server interaction), a [`ClusterSimulation`]
-//! hosts every node inside **one** [`Simulation`], fed by a [`ClusterFront`]
-//! that owns the cluster's arrival process and routes work into node NIC
-//! buffers through a pluggable [`RoutingPolicy`]. Two fronts exist:
+//! A [`ClusterSimulation`] hosts every node inside **one** [`Simulation`],
+//! fed by a [`ClusterFront`] that owns the cluster's arrival process and
+//! routes work into node NIC buffers through a pluggable [`RoutingPolicy`].
+//! It is the only driver: a single server (every
+//! [`crate::fleet::FleetMember`], and so [`crate::sim::run_experiment`]) is
+//! a 1-node cluster behind a round-robin [`Balancer`], and a
+//! [`crate::fleet::Fleet`] runs many of those independently. Two fronts
+//! exist:
 //!
 //! * the [`Balancer`] routes one stream of independent requests and reduces
 //!   to a [`ClusterResult`];
@@ -28,10 +31,10 @@
 //! front from the cluster seed's stream named after it (`"balancer"` or
 //! `"chain-coordinator"`), and the arrival stream from the front's own seed
 //! (the cluster loadgen's, or the cluster seed's `"chain-loadgen"` stream).
-//! A **1-node balanced cluster replays a standalone
-//! [`crate::sim::ServerSimulation`] bit-for-bit** when node config and
-//! loadgen seed match — the regression test `crates/server/tests/cluster.rs`
-//! pins this.
+//! With one node every routing policy picks node 0, so a 1-node balanced
+//! cluster gives the same result under every policy — the test
+//! `crates/server/tests/cluster.rs` pins this against
+//! [`crate::sim::run_experiment`].
 //!
 //! # Example
 //!
@@ -130,9 +133,9 @@ impl<F: ClusterFront> ClusterSimulation<F> {
     /// Builds a cluster of one node per config, fed by `front`.
     ///
     /// `seed` is the cluster-level seed: the front's component stream forks
-    /// from it by [`ClusterFront::NAME`]. Node components draw from their
-    /// own config's seed, so a 1-node balanced cluster whose node config and
-    /// loadgen seed match a standalone server reproduces it exactly.
+    /// from it by [`ClusterFront::NAME`], and the request-trace sampler by
+    /// `"trace-sampler"`. Node components draw from their own config's
+    /// seed.
     ///
     /// `network` routes every front deposit — and every chain leaf's
     /// completion report — through a network fabric (see
@@ -172,16 +175,13 @@ impl<F: ClusterFront> ClusterSimulation<F> {
 
         let mut sim = Simulation::new(seed, state);
         let builders: Vec<ServerNode> = (0..node_count).map(ServerNode::new).collect();
-        let nodes: Vec<NodeHandles> = builders
-            .iter()
-            .map(|b| b.register(&mut sim, None))
-            .collect();
+        let nodes: Vec<NodeHandles> = builders.iter().map(|b| b.register(&mut sim)).collect();
         // A node accounts energy and residency around its own components'
         // events only (see `ServerNode::register`). Front and fabric events
         // deposit into NIC buffers, which no accounting input reads: a node
         // charges its energy at its own events and at the horizon, which the
-        // integer energy meter makes exactly what a standalone server
-        // charging at every `ClientArrival` would meter.
+        // integer energy meter makes exactly what charging at every deposit
+        // as well would meter.
         let front = Rc::new(RefCell::new(front));
         let front_id = sim.add_component(F::NAME, Rc::clone(&front));
         // The fabric component registers even without a `[network]`
@@ -196,8 +196,8 @@ impl<F: ClusterFront> ClusterSimulation<F> {
         if profile {
             sim.enable_event_profile(ServerEvent::KIND_COUNT, ServerEvent::kind);
         }
-        // Bootstrap in the standalone order: the first arrival, then every
-        // node's background timers / initial idle entries / time series.
+        // Bootstrap order: the first arrival, then every node's background
+        // timers / initial idle entries / time series.
         sim.schedule(front_id, first_at, first_arrival);
         for (builder, handles) in builders.iter().zip(&nodes) {
             builder.bootstrap(&mut sim, handles);

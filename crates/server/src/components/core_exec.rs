@@ -12,7 +12,7 @@ use apc_trace::{Span, SpanKind, TraceCtx, TraceState};
 use apc_workloads::spec::BackgroundNoise;
 
 use super::fabric;
-use super::state::{HasNode, ServerState};
+use super::state::{ClusterState, ServerState};
 use super::{ServerEvent, WorkItem};
 
 /// Static name of a core C-state, for [`Span`] labels (spans hold
@@ -166,13 +166,13 @@ impl CoreExec {
         ctx.emit_self(service, ServerEvent::ServiceDone);
     }
 
-    fn on_service_done<S: HasNode>(
+    fn on_service_done(
         &mut self,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         let now = ctx.now();
-        let node = shared.node_mut(self.node);
+        let node = &mut shared.nodes[self.node];
         let item = node
             .sched
             .take_running(self.index)
@@ -212,11 +212,11 @@ impl CoreExec {
             delay
         });
         if let Some(trace_ctx) = finished_trace {
-            if let Some(trace) = shared.trace_mut() {
+            if let Some(trace) = shared.trace.as_mut() {
                 self.push_request_spans(trace, &trace_ctx, now, wire_back);
             }
         }
-        let shared = shared.node_mut(self.node);
+        let shared = &mut shared.nodes[self.node];
         // Pick up more work without sleeping if any is available.
         if let Some(mut next) = shared.sched.client_queue.pop_front() {
             // Queue exit without a scheduler round: the already-awake core
@@ -356,11 +356,11 @@ impl CoreExec {
     }
 }
 
-impl<S: HasNode> EventHandler<ServerEvent, S> for CoreExec {
+impl EventHandler<ServerEvent, ClusterState> for CoreExec {
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         // ServiceDone keeps the whole shared state in reach: a finished
@@ -369,7 +369,7 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for CoreExec {
         if matches!(event, ServerEvent::ServiceDone) {
             return self.on_service_done(shared, ctx);
         }
-        let node = shared.node_mut(self.node);
+        let node = &mut shared.nodes[self.node];
         match event {
             ServerEvent::BackgroundTick => self.on_background_tick(node, ctx),
             ServerEvent::InitIdle => self.begin_idle(ctx.now(), node, ctx),

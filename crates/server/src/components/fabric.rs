@@ -5,8 +5,8 @@
 //! glue binding it into the cluster event loop:
 //!
 //! * [`FabricState`] — the [`apc_network::NetworkState`] plus the fabric
-//!   component's id, stored in the shared cluster state and reached through
-//!   [`HasNode::fabric_mut`];
+//!   component's id, stored in the shared cluster state as
+//!   [`ClusterState::fabric`];
 //! * [`Fabric`] — the registered component receiving
 //!   [`ServerEvent::WireDeliver`] events and depositing the request into the
 //!   destination node's NIC buffer through the same
@@ -34,7 +34,7 @@ use apc_workloads::request::Request;
 use apc_network::{NetworkConfig, NetworkState};
 
 use super::nic::buffer_request;
-use super::state::HasNode;
+use super::state::ClusterState;
 use super::ServerEvent;
 
 /// The shared-state half of the network fabric: the wire-delay model plus
@@ -67,16 +67,16 @@ impl FabricState {
 /// exactly as the balancer would have.
 pub struct Fabric;
 
-impl<S: HasNode> EventHandler<ServerEvent, S> for Fabric {
+impl EventHandler<ServerEvent, ClusterState> for Fabric {
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         match event {
             ServerEvent::WireDeliver { node, request } => {
-                buffer_request(shared.node_mut(node), ctx, *request);
+                buffer_request(&mut shared.nodes[node], ctx, *request);
             }
             other => unreachable!("fabric received unexpected event {other:?}"),
         }
@@ -90,13 +90,13 @@ impl<S: HasNode> EventHandler<ServerEvent, S> for Fabric {
 /// deposit happens synchronously through [`buffer_request`] — the exact
 /// pre-fabric code path. A nonzero wire delay instead schedules
 /// [`ServerEvent::WireDeliver`] on the [`Fabric`] component.
-pub(crate) fn deliver_routed<S: HasNode>(
-    shared: &mut S,
+pub(crate) fn deliver_routed(
+    shared: &mut ClusterState,
     ctx: &mut SimulationContext<'_, ServerEvent>,
     target: usize,
     request: Request,
 ) {
-    let (delay, component) = match shared.fabric_mut() {
+    let (delay, component) = match shared.fabric.as_mut() {
         None => (SimDuration::ZERO, None),
         Some(fabric) => {
             let client = fabric.net.client();
@@ -107,7 +107,7 @@ pub(crate) fn deliver_routed<S: HasNode>(
         }
     };
     if delay.is_zero() {
-        buffer_request(shared.node_mut(target), ctx, request);
+        buffer_request(&mut shared.nodes[target], ctx, request);
     } else {
         let component = component.expect("nonzero wire delay requires a fabric");
         ctx.emit(
@@ -125,8 +125,8 @@ pub(crate) fn deliver_routed<S: HasNode>(
 /// to the coordinator endpoint (node → coordinator direction). Zero without
 /// a fabric; the caller emits [`ServerEvent::ChainLeafDone`] after this
 /// delay, which with a zero delay is the exact pre-fabric `emit_now`.
-pub(crate) fn report_delay<S: HasNode>(shared: &mut S, node: usize, now: SimTime) -> SimDuration {
-    match shared.fabric_mut() {
+pub(crate) fn report_delay(shared: &mut ClusterState, node: usize, now: SimTime) -> SimDuration {
+    match shared.fabric.as_mut() {
         None => SimDuration::ZERO,
         Some(fabric) => {
             let client = fabric.net.client();

@@ -3,7 +3,8 @@
 //! Each module implements one focused piece of the modelled server as an
 //! [`apc_sim::component::EventHandler`]:
 //!
-//! * [`nic`] — client arrival process and NIC interrupt coalescing;
+//! * [`nic`] — NIC interrupt coalescing of the requests deposited by the
+//!   cluster's front;
 //! * [`core_exec`] — one component per core: wake transitions, request
 //!   execution, idle entry and OS background noise;
 //! * [`scheduler`] — work dispatch onto free cores (gated on uncore
@@ -11,26 +12,26 @@
 //! * [`package`] — the package controllers: firmware GPMU (PC6) and, under
 //!   `CPC1A`, the APC APMU (PC1A entry/abort/exit flows);
 //! * [`timeseries`] — the optional periodic time-series sampler (power,
-//!   residency deltas, queue depth over simulated time).
+//!   residency deltas, queue depth over simulated time);
+//! * [`fabric`] — the network fabric routed requests cross.
 //!
 //! Cross-component state (the SoC structural model, work queues, uncore
 //! availability, telemetry) lives in [`state::ServerState`]; everything else
 //! is private to its component. Energy and package-residency accounting
 //! belong to no component: [`crate::node::ServerNode::register`] wraps each
 //! of the node's components so that [`state::ServerState::charge`] and
-//! [`state::ServerState::settle`] bracket every event they handle. Components communicate only by events:
-//! zero-delay events model same-instant hardware signals (e.g. the NIC
-//! raising `PackageWake` before the scheduler's `Dispatch` runs) and the
-//! FIFO tie-break of the event queue keeps those exchanges deterministic.
+//! [`state::ServerState::settle`] bracket every event they handle.
+//! Components communicate only by events: zero-delay events model
+//! same-instant hardware signals (e.g. the NIC raising `PackageWake` before
+//! the scheduler's `Dispatch` runs) and the FIFO tie-break of the event
+//! queue keeps those exchanges deterministic.
 //!
 //! Every component is *node-scoped*: it carries the index of the server node
-//! it belongs to and reaches that node's [`state::ServerState`] through the
-//! [`state::HasNode`] view of the simulation's shared state. The same
-//! component code therefore runs unchanged whether the shared state is one
-//! `ServerState` (a standalone [`crate::sim::ServerSimulation`]) or a
-//! [`state::ClusterState`] hosting N complete servers plus a front component
-//! (load balancer or chain coordinator) in one event loop
-//! ([`crate::cluster::ClusterSimulation`]).
+//! it belongs to and reaches that node's [`state::ServerState`] as
+//! `nodes[index]` of the one shared [`state::ClusterState`], which hosts N
+//! complete servers plus a front component (load balancer or chain
+//! coordinator) in one event loop ([`crate::cluster::ClusterSimulation`]).
+//! A single server is the 1-node case.
 
 pub mod core_exec;
 pub mod fabric;
@@ -49,10 +50,8 @@ use apc_workloads::request::Request;
 /// the comments note the component each variant is addressed to.
 #[derive(Debug, Clone)]
 pub enum ServerEvent {
-    /// The next client request arrives at the NIC. (→ `nic`)
-    ClientArrival,
     /// The next client request arrives at the cluster's load balancer, which
-    /// routes it to a node. Never fires in a single-server simulation.
+    /// routes it to a node — the only node, for a single server.
     /// (→ `balancer`)
     ClusterArrival,
     /// The NIC raises an interrupt delivering the coalesced batch. (→ `nic`)
@@ -130,11 +129,10 @@ impl ServerEvent {
     /// Number of distinct event kinds (the bound for
     /// [`ServerEvent::kind`] indices and the length of
     /// [`ServerEvent::KIND_NAMES`]).
-    pub const KIND_COUNT: usize = 22;
+    pub const KIND_COUNT: usize = 21;
 
     /// Stable names of every event kind, indexed by [`ServerEvent::kind`].
     pub const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
-        "ClientArrival",
         "ClusterArrival",
         "NicDeliver",
         "WireDeliver",
@@ -162,28 +160,27 @@ impl ServerEvent {
     #[must_use]
     pub fn kind(&self) -> usize {
         match self {
-            ServerEvent::ClientArrival => 0,
-            ServerEvent::ClusterArrival => 1,
-            ServerEvent::NicDeliver => 2,
-            ServerEvent::WireDeliver { .. } => 3,
-            ServerEvent::BackgroundTick => 4,
-            ServerEvent::InitIdle => 5,
-            ServerEvent::BeginWake => 6,
-            ServerEvent::WakeDone { .. } => 7,
-            ServerEvent::ServiceDone => 8,
-            ServerEvent::IdleEntered { .. } => 9,
-            ServerEvent::Dispatch => 10,
-            ServerEvent::PackageWake { .. } => 11,
-            ServerEvent::CoreActive => 12,
-            ServerEvent::AllIdleCheck => 13,
-            ServerEvent::StandbyDeadline => 14,
-            ServerEvent::ApmuEntryDone => 15,
-            ServerEvent::ApmuExitDone => 16,
-            ServerEvent::GpmuEntryDone => 17,
-            ServerEvent::GpmuExitDone => 18,
-            ServerEvent::TimeSeriesSample => 19,
-            ServerEvent::ChainArrival => 20,
-            ServerEvent::ChainLeafDone { .. } => 21,
+            ServerEvent::ClusterArrival => 0,
+            ServerEvent::NicDeliver => 1,
+            ServerEvent::WireDeliver { .. } => 2,
+            ServerEvent::BackgroundTick => 3,
+            ServerEvent::InitIdle => 4,
+            ServerEvent::BeginWake => 5,
+            ServerEvent::WakeDone { .. } => 6,
+            ServerEvent::ServiceDone => 7,
+            ServerEvent::IdleEntered { .. } => 8,
+            ServerEvent::Dispatch => 9,
+            ServerEvent::PackageWake { .. } => 10,
+            ServerEvent::CoreActive => 11,
+            ServerEvent::AllIdleCheck => 12,
+            ServerEvent::StandbyDeadline => 13,
+            ServerEvent::ApmuEntryDone => 14,
+            ServerEvent::ApmuExitDone => 15,
+            ServerEvent::GpmuEntryDone => 16,
+            ServerEvent::GpmuExitDone => 17,
+            ServerEvent::TimeSeriesSample => 18,
+            ServerEvent::ChainArrival => 19,
+            ServerEvent::ChainLeafDone { .. } => 20,
         }
     }
 }
@@ -236,7 +233,7 @@ pub enum WorkItem {
 /// ids returned from registration, before any event is scheduled.
 #[derive(Debug, Clone)]
 pub struct Addresses {
-    /// The NIC / arrival component.
+    /// The NIC component.
     pub nic: ComponentId,
     /// The dispatch scheduler.
     pub scheduler: ComponentId,

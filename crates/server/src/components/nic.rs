@@ -1,24 +1,20 @@
-//! NIC / arrival component: client request generation and interrupt
-//! coalescing.
+//! NIC component: interrupt coalescing of the requests deposited into a
+//! node's buffer.
 
 use apc_core::apmu::WakeCause;
 use apc_sim::component::{EventHandler, SimulationContext};
 use apc_soc::io::IoId;
-use apc_trace::TraceCtx;
-use apc_workloads::loadgen::LoadGenerator;
 use apc_workloads::request::Request;
 
-use super::state::{HasNode, ServerState};
+use super::state::{ClusterState, ServerState};
 use super::ServerEvent;
 
 /// Buffers `request` in `node`'s NIC and, if no interrupt is armed yet,
 /// schedules the coalesced `NicDeliver` at the end of the coalescing window.
 ///
-/// This is the single entry point for requests reaching a server, shared by
-/// the two arrival paths: the standalone NIC's own arrival handler and the
-/// cluster balancer depositing a routed request. Keeping the emission order
-/// identical on both paths (buffer push, then `NicDeliver` arming) is what
-/// makes a 1-node cluster bit-identical to a standalone server.
+/// This is the single entry point for requests reaching a server: the
+/// balancer, the chain coordinator and the fabric all deposit through it,
+/// in the same emission order (buffer push, then `NicDeliver` arming).
 pub(crate) fn buffer_request(
     node: &mut ServerState,
     ctx: &mut SimulationContext<'_, ServerEvent>,
@@ -48,59 +44,18 @@ pub(crate) fn buffer_request(
 /// the window of the first buffered request are delivered together by one
 /// interrupt, which both batches work and lengthens package idle periods.
 ///
-/// In a standalone server the NIC also *generates* the client arrival
-/// process from its own [`LoadGenerator`]. In a cluster the arrival process
-/// lives in the balancer (one stream for the whole cluster) and the NIC only
-/// drains the buffer the balancer deposits into — build it with
-/// [`NicArrival::cluster_fed`] and no generator.
+/// The arrival process lives in the cluster's front (the balancer or the
+/// chain coordinator); the NIC only drains the buffer the front, or the
+/// fabric, deposits into.
 pub struct NicArrival {
     node: usize,
-    loadgen: Option<LoadGenerator>,
 }
 
 impl NicArrival {
-    /// Creates the NIC component for node `node`, driving its own `loadgen`
-    /// (the standalone single-server arrival path).
+    /// Creates the NIC component for node `node`.
     #[must_use]
-    pub fn new(node: usize, loadgen: LoadGenerator) -> Self {
-        NicArrival {
-            node,
-            loadgen: Some(loadgen),
-        }
-    }
-
-    /// Creates the NIC component for node `node` of a cluster: requests are
-    /// deposited by the load balancer, the NIC only handles delivery.
-    #[must_use]
-    pub fn cluster_fed(node: usize) -> Self {
-        NicArrival {
-            node,
-            loadgen: None,
-        }
-    }
-
-    fn on_client_arrival(
-        &mut self,
-        shared: &mut ServerState,
-        ctx: &mut SimulationContext<'_, ServerEvent>,
-    ) {
-        let loadgen = self
-            .loadgen
-            .as_mut()
-            .expect("a cluster-fed NIC never receives ClientArrival");
-        let mut request = loadgen.next_request();
-        let next_arrival = loadgen.peek_next_arrival();
-        // Standalone head-sampling site: the cluster paths sample at the
-        // balancer / chain coordinator instead (a cluster-fed NIC never
-        // receives `ClientArrival`, so node-local trace state is in scope).
-        if let Some(trace) = shared.telemetry.trace.as_mut() {
-            if trace.sampler.sample() {
-                let root = TraceCtx::root(request.id.0, request.arrival);
-                request = request.with_trace(root);
-            }
-        }
-        buffer_request(shared, ctx, request);
-        ctx.emit_self_at(next_arrival, ServerEvent::ClientArrival);
+    pub fn new(node: usize) -> Self {
+        NicArrival { node }
     }
 
     fn on_nic_deliver(
@@ -141,17 +96,15 @@ impl NicArrival {
     }
 }
 
-impl<S: HasNode> EventHandler<ServerEvent, S> for NicArrival {
+impl EventHandler<ServerEvent, ClusterState> for NicArrival {
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        let node = shared.node_mut(self.node);
         match event {
-            ServerEvent::ClientArrival => self.on_client_arrival(node, ctx),
-            ServerEvent::NicDeliver => self.on_nic_deliver(node, ctx),
+            ServerEvent::NicDeliver => self.on_nic_deliver(&mut shared.nodes[self.node], ctx),
             other => unreachable!("NIC received unexpected event {other:?}"),
         }
     }

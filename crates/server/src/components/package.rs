@@ -13,7 +13,7 @@ use apc_pmu::gpmu::{Gpmu, GpmuPhase};
 use apc_sim::component::{EventHandler, SimulationContext};
 use apc_soc::cstate::PackageCState;
 
-use super::state::{HasNode, ServerState};
+use super::state::{ClusterState, ServerState};
 use super::ServerEvent;
 
 /// Drives the package C-state machinery for the configured policy:
@@ -241,14 +241,14 @@ impl PackageController {
     }
 }
 
-impl<S: HasNode> EventHandler<ServerEvent, S> for PackageController {
+impl EventHandler<ServerEvent, ClusterState> for PackageController {
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        let shared = shared.node_mut(self.node);
+        let shared = &mut shared.nodes[self.node];
         match event {
             ServerEvent::PackageWake { cause } => self.on_package_wake(cause, shared, ctx),
             ServerEvent::CoreActive => self.on_core_active(shared, ctx),

@@ -2,7 +2,7 @@
 
 use apc_sim::component::{EventHandler, SimulationContext};
 
-use super::state::{HasNode, ServerState};
+use super::state::{ClusterState, ServerState};
 use super::{ServerEvent, WorkItem};
 
 /// Places queued work onto free cores whenever a `Dispatch` event fires.
@@ -28,16 +28,16 @@ impl Scheduler {
     }
 }
 
-impl<S: HasNode> EventHandler<ServerEvent, S> for Scheduler {
+impl EventHandler<ServerEvent, ClusterState> for Scheduler {
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         debug_assert!(matches!(event, ServerEvent::Dispatch));
         let _ = event;
-        let shared = shared.node_mut(self.node);
+        let shared = &mut shared.nodes[self.node];
         if !shared.uncore.available {
             // Every path that makes the uncore available again (ApmuExitDone,
             // GpmuExitDone) emits a Dispatch, so there is nothing to re-arm.

@@ -161,9 +161,9 @@ impl FreeCoreSet {
 }
 
 /// NIC-side arrival buffering: requests waiting for the coalesced interrupt
-/// delivery. Shared (rather than private to the NIC component) because in a
-/// cluster the load balancer deposits routed requests into a node's buffer,
-/// while the node's own NIC component drains it on `NicDeliver`.
+/// delivery. Shared (rather than private to the NIC component) because the
+/// cluster's front (or the fabric) deposits routed requests into a node's
+/// buffer, while the node's own NIC component drains it on `NicDeliver`.
 #[derive(Debug)]
 pub struct NicState {
     /// Requests buffered during the current coalescing window.
@@ -171,11 +171,11 @@ pub struct NicState {
     /// `true` while a `NicDeliver` interrupt is armed for the buffer.
     pub deliver_pending: bool,
     /// When the armed `NicDeliver` interrupt fires ([`SimTime::MAX`] when
-    /// none is armed). Written by the single shared deposit helper (both the
-    /// standalone NIC and the cluster balancer/coordinator arrival paths go
-    /// through it), read by the idle governor's predicted-idle bound — a
-    /// core going idle with a delivery already armed knows work is imminent
-    /// and must not pick a deep C-state it cannot amortise (see
+    /// none is armed). Written by the single shared deposit helper (every
+    /// balancer, coordinator and fabric deposit goes through it), read by
+    /// the idle governor's predicted-idle bound — a core going idle with a
+    /// delivery already armed knows work is imminent and must not pick a
+    /// deep C-state it cannot amortise (see
     /// [`ServerState::predicted_idle_bound`]).
     pub next_deliver_at: SimTime,
 }
@@ -368,12 +368,6 @@ pub struct TelemetryState {
     /// component when [`crate::config::ServerConfig::timeseries_interval`]
     /// is set.
     pub timeseries: Option<TimeSeries>,
-    /// Request span tracing: head-sampler plus the bounded span log. Set by
-    /// the standalone driver when [`crate::config::ServerConfig::trace`] is
-    /// configured; in a cluster the log lives on the shared
-    /// [`ClusterState`] instead (requests cross nodes) and this stays
-    /// `None`. Purely observational — no simulation decision reads it.
-    pub trace: Option<TraceState>,
 }
 
 impl TelemetryState {
@@ -389,16 +383,13 @@ impl TelemetryState {
             completed_requests: 0,
             busy_core_time: SimDuration::ZERO,
             timeseries: None,
-            trace: None,
         }
     }
 }
 
 /// The state of one complete simulated server: every component of the node
-/// reads and writes this, addressed through a [`HasNode`] view of the host
-/// simulation's shared state. A standalone single-server simulation shares
-/// exactly one `ServerState`; a cluster shares a [`ClusterState`] holding
-/// one per node.
+/// reads and writes this as its entry in [`ClusterState::nodes`], indexed
+/// by the node number the component carries.
 #[derive(Debug)]
 pub struct ServerState {
     /// The run configuration (platform, power model, NIC, noise).
@@ -594,9 +585,9 @@ impl ServerState {
     /// coalesced-interrupt delivery. Both are events the kernel genuinely
     /// knows about (its own timer wheel, the interrupt it armed); open-loop
     /// client arrivals stay unpredictable. The idle governor uses this one
-    /// bound on every idle entry, whichever path deposited the pending work
-    /// — the standalone NIC and the cluster balancer/chain-coordinator all
-    /// arm delivery through the same helper.
+    /// bound on every idle entry, whichever front deposited the pending
+    /// work — the balancer, the chain coordinator and the fabric all arm
+    /// delivery through the same helper.
     #[must_use]
     pub fn predicted_idle_bound(&self, core: usize, now: SimTime) -> SimDuration {
         self.sched.next_background_at[core]
@@ -622,64 +613,10 @@ impl ServerState {
     }
 }
 
-/// Node-scoped access to the shared state of a simulation hosting one or
-/// more complete servers.
-///
-/// Every server component carries the index of the node it belongs to and
-/// reaches its node's [`ServerState`] through this trait, so the same
-/// component code runs unchanged inside a standalone
-/// [`crate::sim::ServerSimulation`] (where the shared type *is* the one
-/// `ServerState`) and inside a [`crate::cluster::ClusterSimulation`] behind
-/// either front, balancer or chain coordinator (where the shared type is a
-/// [`ClusterState`] holding N of them).
-pub trait HasNode {
-    /// The state of node `index`.
-    fn node(&self, index: usize) -> &ServerState;
-    /// Mutable state of node `index`.
-    fn node_mut(&mut self, index: usize) -> &mut ServerState;
-    /// Number of nodes hosted by the simulation.
-    fn node_count(&self) -> usize;
-    /// The cluster's network fabric, when one is configured. Defaults to
-    /// `None` — a standalone server has no fabric and a cluster without a
-    /// `[network]` configuration behaves identically to one — so every
-    /// transmission helper (see [`super::fabric`]) degrades to the
-    /// instantaneous pre-fabric path.
-    fn fabric_mut(&mut self) -> Option<&mut super::fabric::FabricState> {
-        None
-    }
-    /// The simulation's request-tracing state, when tracing is enabled.
-    /// Defaults to `None` (tracing off). A standalone server resolves it to
-    /// the node's [`TelemetryState::trace`]; a cluster resolves it to the
-    /// shared [`ClusterState::trace`] so one sampler and one span log cover
-    /// requests that cross nodes.
-    fn trace_mut(&mut self) -> Option<&mut TraceState> {
-        None
-    }
-}
-
-/// The single-server case: the state is its own (only) node.
-impl HasNode for ServerState {
-    fn node(&self, index: usize) -> &ServerState {
-        debug_assert_eq!(index, 0, "single-server state has only node 0");
-        self
-    }
-
-    fn node_mut(&mut self, index: usize) -> &mut ServerState {
-        debug_assert_eq!(index, 0, "single-server state has only node 0");
-        self
-    }
-
-    fn node_count(&self) -> usize {
-        1
-    }
-
-    fn trace_mut(&mut self) -> Option<&mut TraceState> {
-        self.telemetry.trace.as_mut()
-    }
-}
-
-/// The state shared by every component of a cluster simulation: one complete
-/// [`ServerState`] per node, hosted in a single event loop.
+/// The state shared by every component of a simulation: one complete
+/// [`ServerState`] per node, hosted in a single event loop (a single server
+/// is the 1-node case). Node components reach their node as
+/// `nodes[index]`.
 #[derive(Debug)]
 pub struct ClusterState {
     /// Per-node server state, indexed by node number.
@@ -703,28 +640,6 @@ impl ClusterState {
             fabric: None,
             trace: None,
         }
-    }
-}
-
-impl HasNode for ClusterState {
-    fn node(&self, index: usize) -> &ServerState {
-        &self.nodes[index]
-    }
-
-    fn node_mut(&mut self, index: usize) -> &mut ServerState {
-        &mut self.nodes[index]
-    }
-
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn fabric_mut(&mut self) -> Option<&mut super::fabric::FabricState> {
-        self.fabric.as_mut()
-    }
-
-    fn trace_mut(&mut self) -> Option<&mut TraceState> {
-        self.trace.as_mut()
     }
 }
 

@@ -19,7 +19,7 @@ use apc_sim::SimDuration;
 use apc_soc::cstate::PackageCState;
 use apc_telemetry::timeseries::TimeSeriesSample;
 
-use super::state::HasNode;
+use super::state::ClusterState;
 use super::ServerEvent;
 
 /// The four package states the time series tracks, in export order.
@@ -57,17 +57,17 @@ impl TimeSeriesSampler {
     }
 }
 
-impl<S: HasNode> EventHandler<ServerEvent, S> for TimeSeriesSampler {
+impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         debug_assert!(matches!(event, ServerEvent::TimeSeriesSample));
         let _ = event;
         let now = ctx.now();
-        let node = shared.node_mut(self.node);
+        let node = &mut shared.nodes[self.node];
 
         let busy_cores = node.sched.busy_cores();
         let snapshot = node.power_snapshot();

@@ -44,9 +44,10 @@ use apc_workloads::arrival::ArrivalProcess;
 use apc_workloads::loadgen::LoadGenerator;
 use apc_workloads::spec::WorkloadSpec;
 
+use crate::balancer::{Balancer, RoutingPolicyKind};
+use crate::cluster::{ClusterResult, ClusterSimulation};
 use crate::config::ServerConfig;
 use crate::result::RunResult;
-use crate::sim::ServerSimulation;
 
 /// One independent simulation a [`Pool`] can run.
 ///
@@ -190,9 +191,10 @@ impl<M: PoolMember> Pool<M> {
     ///
     /// # Errors
     ///
-    /// Returns `emit`'s first error; the remaining members still run (the
-    /// pool joins cleanly) but nothing further is emitted, and the computed
-    /// results are dropped.
+    /// Returns `emit`'s first error. No member is claimed after it: the
+    /// sequential path returns at once, and the parallel pool joins as soon
+    /// as the members already running finish. Nothing further is emitted,
+    /// and the computed results are dropped.
     pub fn run_streamed<E>(
         self,
         emit: impl FnMut(usize, &M::Output) -> Result<(), E>,
@@ -213,7 +215,9 @@ impl<M: PoolMember> Pool<M> {
 /// threads claim jobs from an atomic cursor, the calling thread collects
 /// each result into its job-order slot and emits the in-order frontier, so
 /// the output is independent of thread scheduling — bit-identical to
-/// running `jobs.into_iter().map(PoolMember::run).collect()`.
+/// running `jobs.into_iter().map(PoolMember::run).collect()`. A failed
+/// `emit` ends the claiming: the cursor moves past the last job and the
+/// collector stops, so workers exit after the job in hand.
 fn run_pool<M: PoolMember, E>(
     jobs: Vec<M>,
     workers: usize,
@@ -221,18 +225,12 @@ fn run_pool<M: PoolMember, E>(
 ) -> Result<Vec<M::Output>, E> {
     if workers <= 1 {
         let mut results = Vec::with_capacity(jobs.len());
-        let mut failure = None;
         for (i, job) in jobs.into_iter().enumerate() {
             let result = job.run();
-            if failure.is_none() {
-                failure = emit(i, &result).err();
-            }
+            emit(i, &result)?;
             results.push(result);
         }
-        return match failure {
-            Some(e) => Err(e),
-            None => Ok(results),
-        };
+        return Ok(results);
     }
 
     // Work queue: jobs wait in `Mutex<Option<_>>` slots so any worker can
@@ -264,18 +262,18 @@ fn run_pool<M: PoolMember, E>(
 
         // The calling thread plays collector: results arrive in completion
         // order, land in their job-order slot, and are emitted as the
-        // in-order frontier advances.
+        // in-order frontier advances. Leaving the loop drops the receiver,
+        // so a worker's next send fails and it exits.
         let mut slots: Vec<Option<M::Output>> = (0..total).map(|_| None).collect();
         let mut next = 0;
         let mut failure = None;
-        for (i, result) in rx {
+        'collect: for (i, result) in rx {
             slots[i] = Some(result);
-            while next < total {
-                let Some(result) = slots[next].as_ref() else {
-                    break;
-                };
-                if failure.is_none() {
-                    failure = emit(next, result).err();
+            while let Some(Some(result)) = slots.get(next) {
+                if let Err(e) = emit(next, result) {
+                    cursor.fetch_max(total, Ordering::Relaxed);
+                    failure = Some(e);
+                    break 'collect;
                 }
                 next += 1;
             }
@@ -341,6 +339,10 @@ impl PoolMember for FleetMember {
     type Output = RunResult;
     type Results = FleetResult;
 
+    /// Runs the server as a 1-node cluster (with one node every routing
+    /// policy routes alike) seeded by the config's seed, and moves the
+    /// loop-level dispatch count, span log and profile into the node's
+    /// result.
     fn run(self) -> RunResult {
         let seed = self.config.seed;
         let loadgen = match self.arrivals {
@@ -349,7 +351,19 @@ impl PoolMember for FleetMember {
             }
             None => LoadGenerator::new(self.spec, self.rate_per_sec, seed),
         };
-        ServerSimulation::new(self.config, loadgen).run()
+        let balancer = Balancer::new(loadgen, RoutingPolicyKind::RoundRobin.build(), 1);
+        let ClusterResult {
+            events_dispatched,
+            trace,
+            profile,
+            nodes,
+            ..
+        } = ClusterSimulation::new(seed, vec![self.config], balancer, None).run();
+        let [mut run] = <[RunResult; 1]>::try_from(nodes.runs).expect("a 1-node cluster");
+        run.events_dispatched = events_dispatched;
+        run.trace = trace;
+        run.profile = profile;
+        run
     }
 }
 
@@ -421,8 +435,8 @@ impl FleetResult {
     }
 
     /// Total events dispatched across the fleet's event loops. Zero for the
-    /// node sub-results of a cluster/chain run, whose single shared loop
-    /// reports its census on the cluster-level result instead.
+    /// node sub-results of a multi-node cluster/chain run, whose single
+    /// shared loop reports its census on the cluster-level result instead.
     #[must_use]
     pub fn events_dispatched(&self) -> u64 {
         self.runs.iter().map(|r| r.events_dispatched).sum()
@@ -561,7 +575,7 @@ impl std::fmt::Display for FleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, RwLock};
     use std::thread::{self, ThreadId};
     use std::time::Duration;
 
@@ -577,6 +591,19 @@ mod tests {
             thread::sleep(Duration::from_millis(self.1));
             self.2.fetch_add(1, Ordering::Relaxed);
             (self.0, thread::current().id())
+        }
+    }
+
+    /// A probe that first waits until the gate it shares is open.
+    struct Gated(Probe, Arc<RwLock<()>>);
+
+    impl PoolMember for Gated {
+        type Output = (usize, ThreadId);
+        type Results = Vec<(usize, ThreadId)>;
+
+        fn run(self) -> Self::Output {
+            drop(self.1.read().expect("gate poisoned"));
+            self.0.run()
         }
     }
 
@@ -623,9 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn an_emit_error_stops_emission_but_every_member_runs() {
+    fn an_emit_error_stops_emission() {
         for workers in [1, 3] {
-            let (pool, runs) = probes(5);
+            let (pool, _) = probes(5);
             let mut emitted = Vec::new();
             let outcome = pool.with_parallelism(workers).run_streamed(|i, _| {
                 emitted.push(i);
@@ -637,8 +664,46 @@ mod tests {
             });
             assert_eq!(outcome.unwrap_err(), "sink full at 2", "{workers} workers");
             assert_eq!(emitted, [0, 1, 2], "{workers} workers");
-            assert_eq!(runs.load(Ordering::Relaxed), 5, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn an_emit_error_stops_claiming_members() {
+        // One worker: the failing member is the last to run.
+        let runs = Arc::new(AtomicUsize::new(0));
+        let mut pool = Pool::new();
+        for i in 0..6 {
+            pool.push(Probe(i, 0, Arc::clone(&runs)));
+        }
+        let outcome = pool
+            .with_parallelism(1)
+            .run_streamed(|i, _| if i == 1 { Err(i) } else { Ok(()) });
+        assert_eq!(outcome.unwrap_err(), 1);
+        assert_eq!(runs.load(Ordering::Relaxed), 2);
+
+        // Four workers: every member but the first waits at a gate that only
+        // the failing emit of member 0 opens, so only the members claimed
+        // before the error lands can run (in practice one per worker, and
+        // the one claimed after member 0).
+        let n = 32;
+        let runs = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new(RwLock::new(()));
+        let mut shut = Some(gate.write().expect("gate poisoned"));
+        let mut pool = Pool::new();
+        pool.push(Gated(Probe(0, 0, Arc::clone(&runs)), Arc::default()));
+        for i in 1..n {
+            pool.push(Gated(Probe(i, 20, Arc::clone(&runs)), Arc::clone(&gate)));
+        }
+        let outcome = pool.with_parallelism(4).run_streamed(|i, _| {
+            shut.take();
+            Err::<(), _>(i)
+        });
+        assert_eq!(outcome.unwrap_err(), 0);
+        let ran = runs.load(Ordering::Relaxed);
+        assert!(
+            ran < n / 2,
+            "{ran} of {n} members ran after the first emit failed"
+        );
     }
 
     #[test]

@@ -8,18 +8,18 @@
 //! * [`config`] — [`config::ServerConfig`] (topology, platform, power model,
 //!   NIC coalescing, background noise);
 //! * [`components`] — the simulation decomposed into registered
-//!   [`apc_sim::component::EventHandler`] components (NIC/arrival, dispatch
+//!   [`apc_sim::component::EventHandler`] components (NIC, dispatch
 //!   scheduler, per-core execution, package controller, power/telemetry),
-//!   each node-scoped through the [`components::state::HasNode`] view of
-//!   the shared state ([`components::state::ServerState`] for one server,
-//!   [`components::state::ClusterState`] for many);
-//! * [`node`] — the embeddable [`node::ServerNode`] builder registering one
-//!   complete server into an externally owned simulation;
-//! * [`sim`] — the thin 1-node [`sim::ServerSimulation`] driver, and the
-//!   [`sim::run_experiment`] entry point;
-//! * [`cluster`] — [`cluster::ClusterSimulation`], the one multi-node
+//!   each node-scoped: it reaches its node's
+//!   [`components::state::ServerState`] as `nodes[index]` of the shared
+//!   [`components::state::ClusterState`];
+//! * [`node`] — the [`node::ServerNode`] builder registering one complete
+//!   server into a cluster's simulation;
+//! * [`cluster`] — [`cluster::ClusterSimulation`], the one simulation
 //!   driver: N nodes plus a [`cluster::ClusterFront`] component in one
-//!   event loop, with per-node and cluster-aggregate results;
+//!   event loop, with per-node and cluster-aggregate results. A single
+//!   server is a 1-node cluster;
+//! * [`sim`] — the single-server [`sim::run_experiment`] entry point;
 //! * [`balancer`] — the pluggable [`balancer::RoutingPolicy`] (random,
 //!   round-robin, join-shortest-queue, power-aware packing) and the
 //!   [`balancer::Balancer`] front, which routes one cluster-level arrival
@@ -68,4 +68,4 @@ pub use config::ServerConfig;
 pub use fleet::{Fleet, FleetMember, FleetResult, Pool, PoolMember};
 pub use node::ServerNode;
 pub use result::RunResult;
-pub use sim::{run_experiment, ServerSimulation};
+pub use sim::run_experiment;

@@ -1,24 +1,21 @@
 //! Embeddable server node: registers one complete server's components into
-//! an externally owned [`Simulation`].
+//! a cluster's [`Simulation`].
 //!
-//! [`ServerNode`] is the builder both drivers share: a standalone
-//! [`crate::sim::ServerSimulation`] registers exactly one node over a
-//! [`ServerState`](crate::components::state::ServerState), a
-//! [`crate::cluster::ClusterSimulation`] registers N of them (plus its
-//! front component, the load balancer or the chain coordinator) over a
-//! [`crate::components::state::ClusterState`]. Registration, bootstrap
-//! scheduling and result extraction are identical in both cases, which is
-//! what makes a 1-node cluster bit-identical to a standalone server.
+//! [`crate::cluster::ClusterSimulation`] registers one [`ServerNode`] per
+//! node (plus its front component, the load balancer or the chain
+//! coordinator) over a [`ClusterState`]; a single server is the 1-node
+//! case. Registration, bootstrap scheduling and result extraction are the
+//! same for every node.
 //!
 //! # Determinism across embeddings
 //!
 //! Component registration names must be unique within a simulation, so
-//! cluster nodes register under prefixed names (`"node 1 nic"`, …). RNG
-//! streams, however, are derived from the **node's own seed** by the
-//! *unprefixed* label (`"nic"`, `"core 3"`, `"bootstrap"`) via
+//! nodes register under prefixed names (`"node 1 nic"`, …). RNG streams,
+//! however, are derived from the **node's own seed** by the *unprefixed*
+//! label (`"nic"`, `"core 3"`, `"bootstrap"`) via
 //! [`Simulation::add_component_with_stream`] — a pure function of
-//! `(seed, label)` — so a node embedded anywhere draws exactly the streams a
-//! standalone server with the same seed would.
+//! `(seed, label)` — so a node draws the same streams whatever its index
+//! and whatever else shares its cluster.
 //!
 //! # Accounting around node events
 //!
@@ -42,20 +39,18 @@ use apc_sim::component::{ComponentId, EventHandler, Simulation, SimulationContex
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::{CoreCState, PackageCState};
-use apc_workloads::loadgen::LoadGenerator;
 
 use crate::components::core_exec::CoreExec;
 use crate::components::nic::NicArrival;
 use crate::components::package::PackageController;
 use crate::components::scheduler::Scheduler;
-use crate::components::state::HasNode;
+use crate::components::state::ClusterState;
 use crate::components::timeseries::TimeSeriesSampler;
 use crate::components::{Addresses, ServerEvent};
 use crate::result::RunResult;
 
-/// Builder that registers one server node's components into an externally
-/// owned simulation. See the [module docs](self) for the naming/seeding
-/// scheme.
+/// Builder that registers one server node's components into a cluster's
+/// simulation. See the [module docs](self) for the naming/seeding scheme.
 pub struct ServerNode {
     index: usize,
     prefix: String,
@@ -64,7 +59,7 @@ pub struct ServerNode {
 /// Handles to one registered node: its peer addresses and the package
 /// controller (whose FSM statistics the run result needs).
 pub struct NodeHandles {
-    /// The node's index within the host simulation's shared state.
+    /// The node's index in [`ClusterState::nodes`].
     pub index: usize,
     /// Component ids of the node's components.
     pub addrs: Addresses,
@@ -76,8 +71,8 @@ pub struct NodeHandles {
 }
 
 impl ServerNode {
-    /// A builder for node `index` of a multi-node simulation; components are
-    /// registered under `"node {index} "`-prefixed names.
+    /// A builder for node `index`; components are registered under
+    /// `"node {index} "`-prefixed names.
     #[must_use]
     pub fn new(index: usize) -> Self {
         ServerNode {
@@ -86,62 +81,36 @@ impl ServerNode {
         }
     }
 
-    /// A builder for the only node of a single-server simulation; components
-    /// keep their historical unprefixed names (`"nic"`, `"core 0"`, …).
-    #[must_use]
-    pub fn standalone() -> Self {
-        ServerNode {
-            index: 0,
-            prefix: String::new(),
-        }
-    }
-
-    /// The node index this builder registers.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    fn name(&self, base: &str) -> String {
-        format!("{}{base}", self.prefix)
-    }
-
     /// Registers `handler` as one of this node's components, inside the
     /// accounting wrapper (see the [module docs](self)).
-    fn add<S: HasNode + 'static>(
+    fn add(
         &self,
-        sim: &mut Simulation<ServerEvent, S>,
+        sim: &mut Simulation<ServerEvent, ClusterState>,
         base: &str,
-        handler: impl EventHandler<ServerEvent, S> + 'static,
+        handler: impl EventHandler<ServerEvent, ClusterState> + 'static,
         streams: &SimRng,
     ) -> ComponentId {
         let accounted = Accounted {
             node: self.index,
             inner: handler,
         };
-        sim.add_component_with_stream(self.name(base), accounted, streams.fork(base))
+        let name = self.prefix.clone() + base;
+        sim.add_component_with_stream(name, accounted, streams.fork(base))
     }
 
     /// Registers the node's component kinds (package, scheduler, NIC, one
     /// executor per core, and the time-series sampler when enabled) with
-    /// `sim` and fills the node's [`Addresses`] in the shared state.
-    ///
-    /// `loadgen` selects the arrival path: `Some` gives the node a
-    /// self-driving NIC (standalone server), `None` a cluster-fed NIC whose
-    /// requests are deposited by the cluster's front component (or the
-    /// fabric, for requests with wire delay).
+    /// `sim` and fills the node's [`Addresses`] in the shared state. The
+    /// NIC's requests are deposited by the cluster's front component (or
+    /// the fabric, for requests with wire delay).
     ///
     /// The node's configuration is read from its [`ServerState`] in
     /// `sim.shared()`, which must already hold a state for this index.
     ///
     /// [`ServerState`]: crate::components::state::ServerState
-    pub fn register<S: HasNode + 'static>(
-        &self,
-        sim: &mut Simulation<ServerEvent, S>,
-        loadgen: Option<LoadGenerator>,
-    ) -> NodeHandles {
+    pub fn register(&self, sim: &mut Simulation<ServerEvent, ClusterState>) -> NodeHandles {
         let (seed, platform, noise, timeseries_every, cores) = {
-            let node = sim.shared().node(self.index);
+            let node = &sim.shared().nodes[self.index];
             (
                 node.config.seed,
                 node.config.platform.clone(),
@@ -159,11 +128,7 @@ impl ServerNode {
         )));
         let package_id = self.add(sim, "package", Rc::clone(&package), &streams);
         let scheduler = self.add(sim, "scheduler", Scheduler::new(self.index), &streams);
-        let nic_handler = match loadgen {
-            Some(loadgen) => NicArrival::new(self.index, loadgen),
-            None => NicArrival::cluster_fed(self.index),
-        };
-        let nic = self.add(sim, "nic", nic_handler, &streams);
+        let nic = self.add(sim, "nic", NicArrival::new(self.index), &streams);
         let core_ids = (0..cores)
             .map(|i| {
                 let governor = IdleGovernor::new(&platform);
@@ -182,7 +147,7 @@ impl ServerNode {
             cores: core_ids,
         };
 
-        sim.shared_mut().node_mut(self.index).addrs = addrs.clone();
+        sim.shared_mut().nodes[self.index].addrs = addrs.clone();
         NodeHandles {
             index: self.index,
             addrs,
@@ -196,17 +161,17 @@ impl ServerNode {
     /// streams stay stable), an immediate idle entry for every booted core,
     /// and the first time-series sample when the series is enabled.
     ///
-    /// The *arrival* bootstrap is the driver's job (the first
-    /// `ClientArrival` to a standalone NIC, or the front component's first
-    /// `ClusterArrival` / `ChainArrival`) and must be scheduled **before**
-    /// this call to keep the historical same-timestamp event order.
-    pub fn bootstrap<S: HasNode>(
+    /// The *arrival* bootstrap is the driver's job (the front component's
+    /// first `ClusterArrival` / `ChainArrival`) and must be scheduled
+    /// **before** this call to keep the historical same-timestamp event
+    /// order.
+    pub fn bootstrap(
         &self,
-        sim: &mut Simulation<ServerEvent, S>,
+        sim: &mut Simulation<ServerEvent, ClusterState>,
         handles: &NodeHandles,
     ) {
         let (seed, noise, cores) = {
-            let node = sim.shared().node(self.index);
+            let node = &sim.shared().nodes[self.index];
             (
                 node.config.seed,
                 node.config.noise.clone(),
@@ -217,10 +182,7 @@ impl ServerNode {
             let mut boot_rng = SimRng::from_seed(seed).fork("bootstrap");
             for i in 0..cores {
                 let at = SimTime::ZERO + noise.sample_interval(&mut boot_rng);
-                sim.shared_mut()
-                    .node_mut(self.index)
-                    .sched
-                    .next_background_at[i] = at;
+                sim.shared_mut().nodes[self.index].sched.next_background_at[i] = at;
                 sim.schedule(handles.addrs.cores[i], at, ServerEvent::BackgroundTick);
             }
         }
@@ -241,32 +203,33 @@ struct Accounted<H> {
     inner: H,
 }
 
-impl<S: HasNode, H: EventHandler<ServerEvent, S>> EventHandler<ServerEvent, S> for Accounted<H> {
+impl<H: EventHandler<ServerEvent, ClusterState>> EventHandler<ServerEvent, ClusterState>
+    for Accounted<H>
+{
     fn on_event(
         &mut self,
         event: ServerEvent,
-        shared: &mut S,
+        shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         let now = ctx.now();
-        shared.node_mut(self.node).charge(now);
+        shared.nodes[self.node].charge(now);
         self.inner.on_event(event, shared, ctx);
-        shared.node_mut(self.node).settle(now);
+        shared.nodes[self.node].settle(now);
     }
 }
 
 impl NodeHandles {
     /// Closes the node's telemetry at `end` and reduces it into a
-    /// [`RunResult`] — the same reduction for a standalone server and for
-    /// every node of a cluster.
+    /// [`RunResult`].
     #[must_use]
-    pub fn collect_result(&self, shared: &mut impl HasNode, end: SimTime) -> RunResult {
+    pub fn collect_result(&self, shared: &mut ClusterState, end: SimTime) -> RunResult {
         let package = self.package.borrow();
         let apmu_stats = package.apmu().stats();
         let pc6_entries = package.gpmu().pc6_entries();
         drop(package);
 
-        let state = shared.node_mut(self.index);
+        let state = &mut shared.nodes[self.index];
         state.finish_telemetry(end);
         let cores = state.soc.cores().len() as f64;
         let util = state.telemetry.busy_core_time.as_secs_f64()
@@ -317,15 +280,10 @@ impl NodeHandles {
                 .idle_tracker
                 .fraction_between(SimDuration::from_micros(20), SimDuration::from_micros(200)),
             timeseries: state.telemetry.timeseries.take(),
-            trace: state
-                .telemetry
-                .trace
-                .take()
-                .map(apc_trace::TraceState::into_log),
-            // The driver that owns the event loop fills these in: a
-            // standalone run knows its dispatch count and profiler state;
-            // cluster/chain nodes share one loop, whose totals live on the
-            // cluster-level result instead.
+            // The span log, the profile and the dispatch count belong to the
+            // cluster's one event loop and live on the cluster-level result;
+            // a single-server run moves them into its own result.
+            trace: None,
             profile: None,
             events_dispatched: 0,
             finished_at: end,

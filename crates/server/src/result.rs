@@ -77,7 +77,11 @@ pub struct RunResult {
     /// configuration sets [`crate::config::ServerConfig::profile`]. Also
     /// zero-perturbation.
     pub profile: Option<ProfileReport>,
-    /// Events the simulation dispatched to reach the horizon.
+    /// Events the simulation dispatched to reach the horizon. Like
+    /// [`RunResult::trace`] and [`RunResult::profile`], this belongs to the
+    /// run's event loop: a single-server run reports it here, while the
+    /// nodes of a multi-node cluster leave it 0 and the cluster-level result
+    /// carries it.
     pub events_dispatched: u64,
     /// End of the simulated timeline.
     pub finished_at: SimTime,

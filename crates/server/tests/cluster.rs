@@ -1,6 +1,6 @@
-//! Cluster-layer tests: the 1-node regression against the standalone server
-//! simulation, bit-identical determinism, parallel/sequential cluster-fleet
-//! equality and routing-policy behaviour.
+//! Cluster-layer tests: single servers as 1-node clusters, bit-identical
+//! determinism, parallel/sequential cluster-fleet equality and
+//! routing-policy behaviour.
 
 use apc_network::NetworkConfig;
 use apc_server::balancer::{Balancer, RoutingPolicyKind};
@@ -8,14 +8,17 @@ use apc_server::chain::{ChainCoordinator, RequestGraph};
 use apc_server::cluster::{run_cluster_experiment, ClusterFleet, ClusterMember, ClusterSimulation};
 use apc_server::config::ServerConfig;
 use apc_server::fleet::Fleet;
-use apc_sim::SimDuration;
+use apc_server::sim::run_experiment;
+use apc_sim::{SimDuration, SimTime};
+use apc_trace::TraceConfig;
 use apc_workloads::loadgen::LoadGenerator;
 use apc_workloads::spec::WorkloadSpec;
 
-/// A 1-node cluster must reproduce the standalone `ServerSimulation`
-/// **bit-for-bit** for the same node config and loadgen seed, under every
-/// routing policy (with one node, routing is trivial) and every platform.
-/// This is the acceptance regression pinning the embeddable-node refactor.
+/// A single server is a 1-node cluster, and with one node every routing
+/// policy routes alike: under every policy and on every platform, a 1-node
+/// cluster whose loop-level dispatch count, span log and profile move into
+/// its node's result equals `run_experiment` **bit-for-bit**. Tracing and
+/// profiling are on, so the moved fields are compared too.
 #[test]
 fn one_node_cluster_reproduces_server_simulation_exactly() {
     for base in [
@@ -25,29 +28,32 @@ fn one_node_cluster_reproduces_server_simulation_exactly() {
     ] {
         let config = base
             .with_duration(SimDuration::from_millis(50))
-            .with_seed(9);
+            .with_seed(9)
+            .with_trace(TraceConfig::new(16))
+            .with_profile();
         let rate = 30_000.0;
-        let mut standalone =
-            apc_server::sim::run_experiment(config.clone(), WorkloadSpec::memcached_etc(), rate);
-        // The event census is loop-driver metadata, not node behaviour: a
-        // standalone server counts its own loop, while a cluster node shares
-        // one loop (with balancer/deposit events) whose census lives on the
-        // `ClusterResult`. Every simulated metric must still match exactly.
-        standalone.events_dispatched = 0;
+        let single = run_experiment(config.clone(), WorkloadSpec::memcached_etc(), rate);
+        assert!(single.events_dispatched > 0);
+        assert!(single.trace.as_ref().is_some_and(|t| !t.is_empty()));
+        assert!(single.profile.is_some());
         for policy in RoutingPolicyKind::all() {
             let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), rate, config.seed);
             let balancer = Balancer::new(loadgen, policy.build(), 1);
             let cluster =
                 ClusterSimulation::new(config.seed, vec![config.clone()], balancer, None).run();
-            assert_eq!(cluster.nodes.runs.len(), 1);
-            assert_eq!(
-                cluster.nodes.runs[0],
-                standalone,
-                "1-node cluster under {} diverged from the standalone simulation on {}",
-                policy.name(),
-                standalone.config_name,
-            );
             assert_eq!(cluster.total_routed(), cluster.routed[0]);
+            let [mut node] = <[_; 1]>::try_from(cluster.nodes.runs).expect("one node");
+            assert_eq!((node.events_dispatched, &node.trace), (0, &None));
+            node.events_dispatched = cluster.events_dispatched;
+            node.trace = cluster.trace;
+            node.profile = cluster.profile;
+            assert_eq!(
+                node,
+                single,
+                "1-node cluster under {} diverged from run_experiment on {}",
+                policy.name(),
+                single.config_name,
+            );
         }
     }
 }
@@ -235,37 +241,43 @@ fn balancer(nodes: usize) -> Balancer {
 
 /// The cluster registry hosts N complete servers plus the front component
 /// (balancer or chain coordinator) and the fabric, with per-node prefixed
-/// names.
+/// names: one NIC, one scheduler, one package controller and one component
+/// per core each. `n = 1` is the layout every single-server run has.
 #[test]
 fn cluster_registry_has_expected_layout() {
-    let n = 3;
-    let coordinator = ChainCoordinator::new(
-        RequestGraph::memcached_fanout(2),
-        1_000.0,
-        RoutingPolicyKind::RoundRobin.build(),
-        n,
-        1,
-    );
-    let balanced = ClusterSimulation::new(1, node_configs(n), balancer(n), None);
-    let chained = ClusterSimulation::new(1, node_configs(n), coordinator, None);
-    for (inner, front, absent) in [
-        (balanced.simulation(), "balancer", "chain-coordinator"),
-        (chained.simulation(), "chain-coordinator", "balancer"),
-    ] {
-        let cores = inner.shared().nodes[0].soc.cores().len();
-        assert_eq!(inner.shared().nodes.len(), n);
-        // N complete nodes + the front + the (always-registered) fabric.
-        assert_eq!(inner.component_count(), n * (3 + cores) + 2);
-        assert!(inner.lookup(front).is_some());
-        assert!(inner.lookup(absent).is_none());
-        assert!(inner.lookup("fabric").is_some());
-        for node in 0..n {
-            assert!(inner.lookup(&format!("node {node} nic")).is_some());
-            assert!(inner.lookup(&format!("node {node} scheduler")).is_some());
-            assert!(inner.lookup(&format!("node {node} package")).is_some());
-            for c in 0..cores {
-                assert!(inner.lookup(&format!("node {node} core {c}")).is_some());
+    for n in [1, 3] {
+        let coordinator = ChainCoordinator::new(
+            RequestGraph::memcached_fanout(2),
+            1_000.0,
+            RoutingPolicyKind::RoundRobin.build(),
+            n,
+            1,
+        );
+        let balanced = ClusterSimulation::new(1, node_configs(n), balancer(n), None);
+        let chained = ClusterSimulation::new(1, node_configs(n), coordinator, None);
+        for (inner, front, absent) in [
+            (balanced.simulation(), "balancer", "chain-coordinator"),
+            (chained.simulation(), "chain-coordinator", "balancer"),
+        ] {
+            let cores = inner.shared().nodes[0].soc.cores().len();
+            assert_eq!(inner.shared().nodes.len(), n);
+            // N complete nodes + the front + the (always-registered) fabric.
+            assert_eq!(inner.component_count(), n * (3 + cores) + 2);
+            assert!(inner.lookup(front).is_some());
+            assert!(inner.lookup(absent).is_none());
+            assert!(inner.lookup("fabric").is_some());
+            for node in 0..n {
+                assert!(inner.lookup(&format!("node {node} nic")).is_some());
+                assert!(inner.lookup(&format!("node {node} scheduler")).is_some());
+                assert!(inner.lookup(&format!("node {node} package")).is_some());
+                for c in 0..cores {
+                    assert!(
+                        inner.lookup(&format!("node {node} core {c}")).is_some(),
+                        "node {node} core {c} missing"
+                    );
+                }
             }
+            assert_eq!(inner.now(), SimTime::ZERO);
         }
     }
 }

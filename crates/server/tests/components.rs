@@ -4,9 +4,8 @@
 use apc_server::config::ServerConfig;
 use apc_server::fleet::Fleet;
 use apc_server::result::RunResult;
-use apc_server::sim::{run_experiment, ServerSimulation};
-use apc_sim::{SimDuration, SimTime};
-use apc_workloads::loadgen::LoadGenerator;
+use apc_server::sim::run_experiment;
+use apc_sim::SimDuration;
 use apc_workloads::spec::WorkloadSpec;
 
 fn run_seeded(seed: u64, rate: f64) -> RunResult {
@@ -153,26 +152,4 @@ fn fleet_of_four_is_deterministic_and_aggregates() {
     assert!(a.total_power_w() > a.mean_soc_power_w());
     assert!(a.mean_pc1a_residency() > 0.0);
     assert!(a.worst_p99() >= a.mean_latency());
-}
-
-/// The component registry exposes the expected layout: one NIC, one
-/// scheduler, one package controller and one component per core.
-#[test]
-fn component_registry_has_expected_layout() {
-    let config = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(10));
-    let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 1_000.0, config.seed);
-    let sim = ServerSimulation::new(config, loadgen);
-    let inner = sim.simulation();
-    let cores = sim.state().soc.cores().len();
-    assert_eq!(inner.component_count(), 3 + cores);
-    assert!(inner.lookup("nic").is_some());
-    assert!(inner.lookup("scheduler").is_some());
-    assert!(inner.lookup("package").is_some());
-    for i in 0..cores {
-        assert!(
-            inner.lookup(&format!("core {i}")).is_some(),
-            "core {i} missing"
-        );
-    }
-    assert_eq!(inner.now(), SimTime::ZERO);
 }

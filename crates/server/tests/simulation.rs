@@ -133,15 +133,15 @@ fn throughput_tracks_offered_load() {
     );
 }
 
-/// Golden pin: exact pre-refactor results for one seed/rate under every
-/// platform, captured from the monolithic-era `ServerSimulation` (PR 2
-/// tree). The 1-node-cluster regression in `tests/cluster.rs` only proves
-/// cluster ≡ standalone on the *shared* node code path; these literals
-/// protect the shared path itself, so any event-ordering or accounting
-/// change that shifts results — even uniformly — fails loudly instead of
-/// silently breaking comparability with previously published numbers.
-/// (If such a change is ever intentional, re-capture these literals and say
-/// so in the commit.)
+/// Golden pin: exact results for one seed/rate under every platform,
+/// captured when the simulation was still one monolithic driver and kept
+/// through every refactor since. The 1-node-cluster check in
+/// `tests/cluster.rs` only proves the routing policies agree on the
+/// *shared* node code path; these literals protect that path itself, so
+/// any event-ordering or accounting change that shifts results — even
+/// uniformly — fails loudly instead of silently breaking comparability
+/// with previously published numbers. (If such a change is ever
+/// intentional, re-capture these literals and say so in the commit.)
 #[test]
 fn golden_results_match_pre_refactor_capture() {
     // p99 literals re-captured when the latency recorder moved to the

@@ -4,7 +4,7 @@
 //!
 //! The latency recorder no longer retains samples, so the exact distribution
 //! has to come from somewhere else: tracing. With `TraceConfig::new(1)`
-//! every arriving request is head-sampled, and on a standalone server every
+//! every arriving request is head-sampled, and on a single server every
 //! completed client-visible request closes exactly one [`SpanKind::Root`]
 //! span covering its server-side time `(arrival, completion)`. The recorded
 //! latency for that request is server-side time plus the workload's constant

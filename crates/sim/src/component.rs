@@ -247,10 +247,10 @@ impl<E, S> Simulation<E, S> {
     /// caller may want to derive from some other root). The cluster layer
     /// relies on this: node components are registered under prefixed names
     /// (`"node 1 nic"`, …) while their streams are forked from the node's
-    /// own seed by the unprefixed label, so an N-node host simulation gives
-    /// every node exactly the streams a standalone single-server simulation
-    /// with the same node seed would (see [`SimRng::fork`], which is a pure
-    /// function of `(parent seed, label)`).
+    /// own seed by the unprefixed label, so a node draws exactly the same
+    /// streams whatever its index and whatever else shares its simulation
+    /// (see [`SimRng::fork`], which is a pure function of
+    /// `(parent seed, label)`).
     ///
     /// # Panics
     ///

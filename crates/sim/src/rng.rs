@@ -82,7 +82,7 @@ impl SimRng {
     ///
     /// | consumer | label | forked from |
     /// |---|---|---|
-    /// | server-node component | its unprefixed label (`"nic"`, `"core 3"`) | the node's seed (a standalone server's simulation root) |
+    /// | server-node component | its unprefixed label (`"nic"`, `"core 3"`) | the node's seed (for a single server, also its cluster seed) |
     /// | node bootstrap draws | `"bootstrap"` | the node's seed |
     /// | load generator | `"loadgen"` | the server's (or cluster's) seed |
     /// | fleet / scenario member `i` | `"server i"` | the fleet or scenario seed |
@@ -93,8 +93,8 @@ impl SimRng {
     /// share one simulation, but their streams are forked by the
     /// *unprefixed* label from the *node seed* (see
     /// `Simulation::add_component_with_stream`), so a node embedded in a
-    /// cluster draws exactly what a standalone server with the same seed
-    /// would.
+    /// cluster draws exactly what a single server (a 1-node cluster) with
+    /// the same seed would.
     ///
     /// Because each member/component seed is a pure function of
     /// `(parent seed, label)`, fleets are exactly reproducible run-to-run,
