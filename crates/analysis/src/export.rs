@@ -11,10 +11,10 @@
 //!   bit pattern, so bit-identical results (what the fleet's
 //!   parallel-vs-sequential invariant guarantees) export to byte-identical
 //!   text; durations and timestamps are exported as integer nanoseconds;
-//! * **no external dependencies** — the workspace is offline; like the
-//!   vendored criterion shim, the JSON layer is a minimal hand-rolled
-//!   value type with a writer *and* a parser, so round-trip validation
-//!   (`apc-cli validate`) needs nothing but this crate.
+//! * **no external dependencies** — the workspace is offline: the JSON
+//!   layer is a minimal hand-rolled value type with a writer *and* a
+//!   parser, so round-trip validation (`apc-cli validate`) needs nothing
+//!   but this crate.
 //!
 //! # Example
 //!

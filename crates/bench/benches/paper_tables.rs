@@ -1,6 +1,7 @@
 //! Regenerates the closed-form artefacts of the paper: Table 1, Table 2,
 //! the Sec. 2 savings model, the Sec. 5.4 power derivation, the Sec. 5.5
-//! latency budget and the Sec. 5.1–5.3 area overhead.
+//! latency budget, the Sec. 5.1–5.3 area overhead and the Fig. 7(a) idle
+//! power (also the idle row of Fig. 7(b)).
 //!
 //! Run with: `cargo bench -p apc-bench --bench paper_tables`
 
@@ -16,4 +17,6 @@ fn main() {
     print!("{}", apc_bench::sec55_pc1a_latency());
     println!();
     print!("{}", apc_bench::sec5_area_overhead());
+    println!();
+    print!("{}", apc_bench::fig7a_idle_power());
 }

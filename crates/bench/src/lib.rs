@@ -1,44 +1,30 @@
-//! # `apc-bench` — experiment harnesses for every table and figure
+//! # `apc-bench` — the paper's closed-form tables, and two benchmarks
 //!
-//! Each public function regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md §4 for the index) and returns the rendered
-//! text table; the `benches/` targets print them under `cargo bench`.
+//! Each public function renders one closed-form table of the paper as
+//! text: Table 1, Table 2, the Fig. 7(a) idle power, the Sec. 2 savings
+//! model, the Sec. 5.4 power derivation, the Sec. 5.5 latency budget and
+//! the Sec. 5.1–5.3 area overhead. None of them simulates; the
+//! `paper_tables` bench target prints them all.
 //!
-//! The harnesses are intentionally thin: all modelling lives in the library
-//! crates, so the same results can be produced programmatically.
+//! The simulated figures (Figs. 5–9) are sweep specs under
+//! `examples/specs/`, run by `apc-cli sweep`; `docs/REPRODUCING.md` maps
+//! each figure to its spec and columns. The `event_core` and `result_path`
+//! bench targets time the event queue and the result path and write their
+//! `BENCH_*.json` files.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use apc_analysis::impact::ImpactInputs;
 use apc_analysis::report::TextTable;
-use apc_analysis::savings::{idle_savings, SavingsInputs};
+use apc_analysis::savings::SavingsInputs;
 use apc_core::area::ApcAreaModel;
 use apc_core::latency::Pc1aLatencyModel;
 use apc_core::power::Pc1aPowerEstimator;
 use apc_pmu::gpmu::Pc6LatencyModel;
 use apc_power::budget::{PackageStatePower, PackageStateRecipe};
-use apc_server::config::ServerConfig;
-use apc_server::result::RunResult;
-use apc_server::sim::run_experiment;
-use apc_sim::SimDuration;
 use apc_soc::cstate::PackageCState;
-use apc_workloads::spec::WorkloadSpec;
-
-/// Simulated measurement window per experiment point. Long enough for
-/// stable averages, short enough that regenerating every figure stays in the
-/// minutes range.
-pub const POINT_DURATION: SimDuration = SimDuration::from_millis(400);
-
-fn run(config: ServerConfig, spec: WorkloadSpec, rate: f64) -> RunResult {
-    run_experiment(config.with_duration(POINT_DURATION), spec, rate)
-}
 
 fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-fn us(d: SimDuration) -> String {
-    format!("{:.1}", d.as_micros_f64())
 }
 
 /// **Table 1** — power and transition latency across package C-states.
@@ -101,107 +87,6 @@ pub fn table2_cstate_characteristics() -> String {
     t.render()
 }
 
-/// **Fig. 5** — Memcached average and p99 latency, `Cshallow` vs `Cdeep`.
-#[must_use]
-pub fn fig5_cshallow_vs_cdeep_latency() -> String {
-    let mut t = TextTable::new(
-        "Fig. 5: Memcached latency, Cshallow vs Cdeep (us)",
-        &[
-            "QPS",
-            "Cshallow avg",
-            "Cshallow p99",
-            "Cdeep avg",
-            "Cdeep p99",
-        ],
-    );
-    for rate in [4_000.0, 25_000.0, 50_000.0, 100_000.0, 200_000.0, 300_000.0] {
-        let shallow = run(
-            ServerConfig::c_shallow(),
-            WorkloadSpec::memcached_etc(),
-            rate,
-        );
-        let deep = run(ServerConfig::c_deep(), WorkloadSpec::memcached_etc(), rate);
-        t.add_row(&[
-            format!("{rate:.0}"),
-            us(shallow.latency.mean),
-            us(shallow.latency.p99),
-            us(deep.latency.mean),
-            us(deep.latency.p99),
-        ]);
-    }
-    t.render()
-}
-
-/// **Fig. 6(a)** — core C-state residency of the `Cshallow` baseline.
-#[must_use]
-pub fn fig6a_core_cstate_residency() -> String {
-    let mut t = TextTable::new(
-        "Fig. 6a: Cshallow core C-state residency (per-core average)",
-        &["QPS", "CC0", "CC1"],
-    );
-    for rate in [4_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0] {
-        let r = run(
-            ServerConfig::c_shallow(),
-            WorkloadSpec::memcached_etc(),
-            rate,
-        );
-        t.add_row(&[
-            format!("{rate:.0}"),
-            pct(r.cc0_fraction),
-            pct(r.cc1_fraction),
-        ]);
-    }
-    t.render()
-}
-
-/// **Fig. 6(b)** — PC1A residency opportunity (all cores simultaneously in
-/// CC1) vs request rate.
-#[must_use]
-pub fn fig6b_pc1a_residency() -> String {
-    let mut t = TextTable::new(
-        "Fig. 6b: PC1A residency opportunity (Memcached)",
-        &["QPS", "all-idle (Cshallow)", "PC1A residency (CPC1A)"],
-    );
-    for rate in [4_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0] {
-        let base = run(
-            ServerConfig::c_shallow(),
-            WorkloadSpec::memcached_etc(),
-            rate,
-        );
-        let apc = run(ServerConfig::c_pc1a(), WorkloadSpec::memcached_etc(), rate);
-        t.add_row(&[
-            format!("{rate:.0}"),
-            pct(base.all_idle_fraction),
-            pct(apc.pc1a_residency),
-        ]);
-    }
-    t.render()
-}
-
-/// **Fig. 6(c)** — distribution of fully-idle period lengths at low load.
-#[must_use]
-pub fn fig6c_idle_period_distribution() -> String {
-    let r = run(
-        ServerConfig::c_shallow(),
-        WorkloadSpec::memcached_etc(),
-        10_000.0,
-    );
-    let mut t = TextTable::new(
-        "Fig. 6c: fully-idle periods at 10K QPS (Cshallow)",
-        &["metric", "value"],
-    );
-    t.add_row(&[
-        "idle periods (>=10us)".to_owned(),
-        r.idle_periods.to_string(),
-    ]);
-    t.add_row(&[
-        "fraction 20us-200us".to_owned(),
-        pct(r.idle_periods_20_200us),
-    ]);
-    t.add_row(&["all-idle fraction".to_owned(), pct(r.all_idle_fraction)]);
-    t.render()
-}
-
 /// **Fig. 7(a)** — idle SoC+DRAM power under the three configurations.
 #[must_use]
 pub fn fig7a_idle_power() -> String {
@@ -220,121 +105,6 @@ pub fn fig7a_idle_power() -> String {
             format!("{:.2} W", p.dram.as_f64()),
             format!("{:.1} W", p.total().as_f64()),
             pct(1.0 - p.total().as_f64() / shallow.total().as_f64()),
-        ]);
-    }
-    t.render()
-}
-
-/// **Fig. 7(b)** — power and savings vs request rate (Memcached).
-#[must_use]
-pub fn fig7b_power_vs_load() -> String {
-    let mut t = TextTable::new(
-        "Fig. 7b: Memcached SoC+DRAM power and PC1A savings",
-        &["QPS", "Cshallow W", "CPC1A W", "saving"],
-    );
-    let budget = PackageStatePower::skx_reference();
-    let idle_saving = idle_savings(
-        budget.state_power(PackageCState::PC0Idle),
-        budget.state_power(PackageCState::PC1A),
-    );
-    t.add_row(&[
-        "0 (idle)".to_owned(),
-        format!(
-            "{:.2}",
-            budget.state_power(PackageCState::PC0Idle).total().as_f64()
-        ),
-        format!(
-            "{:.2}",
-            budget.state_power(PackageCState::PC1A).total().as_f64()
-        ),
-        pct(idle_saving),
-    ]);
-    for rate in [4_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0] {
-        let base = run(
-            ServerConfig::c_shallow(),
-            WorkloadSpec::memcached_etc(),
-            rate,
-        );
-        let apc = run(ServerConfig::c_pc1a(), WorkloadSpec::memcached_etc(), rate);
-        t.add_row(&[
-            format!("{rate:.0}"),
-            format!("{:.2}", base.avg_total_power().as_f64()),
-            format!("{:.2}", apc.avg_total_power().as_f64()),
-            pct(apc.power_saving_vs(&base)),
-        ]);
-    }
-    t.render()
-}
-
-/// **Fig. 7(c)** — average latency impact of PC1A vs request rate.
-#[must_use]
-pub fn fig7c_latency_impact() -> String {
-    let mut t = TextTable::new(
-        "Fig. 7c: Memcached average latency and PC1A impact",
-        &[
-            "QPS",
-            "Cshallow avg us",
-            "CPC1A avg us",
-            "measured impact",
-            "model impact",
-        ],
-    );
-    for rate in [4_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0] {
-        let base = run(
-            ServerConfig::c_shallow(),
-            WorkloadSpec::memcached_etc(),
-            rate,
-        );
-        let apc = run(ServerConfig::c_pc1a(), WorkloadSpec::memcached_etc(), rate);
-        let model = ImpactInputs::from_runs(&apc, &base).relative_impact();
-        t.add_row(&[
-            format!("{rate:.0}"),
-            us(base.latency.mean),
-            us(apc.latency.mean),
-            format!("{:+.3}%", apc.latency_overhead_vs(&base) * 100.0),
-            format!("{:.3}%", model * 100.0),
-        ]);
-    }
-    t.render()
-}
-
-/// **Fig. 8** — MySQL residency and power reduction at low/mid/high load.
-#[must_use]
-pub fn fig8_mysql() -> String {
-    workload_figure("Fig. 8: MySQL (sysbench OLTP)", WorkloadSpec::mysql_oltp)
-}
-
-/// **Fig. 9** — Kafka residency and power reduction at low/high load.
-#[must_use]
-pub fn fig9_kafka() -> String {
-    workload_figure("Fig. 9: Kafka", WorkloadSpec::kafka)
-}
-
-fn workload_figure(title: &str, make: fn() -> WorkloadSpec) -> String {
-    let mut t = TextTable::new(
-        title,
-        &[
-            "point",
-            "rate/s",
-            "util",
-            "CC0",
-            "all-idle",
-            "PC1A res",
-            "power saving",
-        ],
-    );
-    let points = make().operating_points.clone();
-    for point in points {
-        let base = run(ServerConfig::c_shallow(), make(), point.rate_per_sec);
-        let apc = run(ServerConfig::c_pc1a(), make(), point.rate_per_sec);
-        t.add_row(&[
-            point.label.to_owned(),
-            format!("{:.0}", point.rate_per_sec),
-            pct(base.cpu_utilization),
-            pct(base.cc0_fraction),
-            pct(base.all_idle_fraction),
-            pct(apc.pc1a_residency),
-            pct(apc.power_saving_vs(&base)),
         ]);
     }
     t.render()
@@ -413,5 +183,28 @@ mod tests {
         assert!(table1_package_cstate_power().contains("PC1A"));
         assert!(table2_cstate_characteristics().contains("retention"));
         assert!(sec55_pc1a_latency().contains("speedup"));
+    }
+
+    /// docs/REPRODUCING.md quotes these idle figures for Fig. 7a and the
+    /// idle row of Fig. 7b.
+    #[test]
+    fn idle_power_tables_print_the_documented_figures() {
+        let fig7a = fig7a_idle_power();
+        let row = |platform: &str| {
+            let cell = format!("| {platform} ");
+            fig7a
+                .lines()
+                .find(|line| line.starts_with(&cell))
+                .unwrap_or_else(|| panic!("no {platform} row in\n{fig7a}"))
+                .to_owned()
+        };
+        assert!(row("Cshallow").contains("| 49.5 W |"), "{fig7a}");
+        assert!(row("Cdeep").contains("| 12.4 W |"), "{fig7a}");
+        let pc1a = row("CPC1A");
+        assert!(
+            pc1a.contains("| 29.2 W |") && pc1a.contains("| 41.1%"),
+            "{fig7a}"
+        );
+        assert!(sec54_pc1a_power_breakdown().contains("(total 29.16W)"));
     }
 }

@@ -1,12 +1,12 @@
 //! The experiment-spec file format and its hand-rolled parser.
 //!
 //! Specs are written in a small, offline-safe **TOML subset** (the
-//! workspace has no external dependencies, so the parser is hand-rolled in
-//! the spirit of the vendored criterion shim): `[table]` headers, `key =
-//! value` pairs, `#` comments, and values that are strings, numbers,
-//! booleans or single-line arrays of those. Underscores in numbers
-//! (`60_000`) are accepted. What the subset deliberately leaves out:
-//! nested/dotted keys, inline tables, multi-line strings and arrays, dates.
+//! workspace has no external dependencies, so the parser is hand-rolled):
+//! `[table]` headers, `key = value` pairs, `#` comments, and values that
+//! are strings, numbers, booleans or single-line arrays of those.
+//! Underscores in numbers (`60_000`) are accepted. What the subset
+//! deliberately leaves out: nested/dotted keys, inline tables, multi-line
+//! strings and arrays, dates.
 //!
 //! A spec describes one experiment end-to-end:
 //!

@@ -1,19 +1,25 @@
 //! The named scenarios and the committed spec files: every named scenario
 //! runs with finite, plausible statistics under every platform (and, for
 //! clusters, under a spreading and a packing policy), the library is
-//! exactly the files under `examples/specs/library/`, and every spec file
-//! under `examples/specs/` parses and runs.
+//! exactly the files under `examples/specs/library/`, every spec file
+//! under `examples/specs/` parses and runs, and the paper-figure sweeps
+//! declare the paper's grids.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use apc_analysis::export::JsonValue;
+use apc_analysis::impact::ImpactInputs;
 use apc_cli::runner::{plan_spec, Outcome, OutputFormat};
-use apc_cli::spec::{ExperimentSpec, PlatformKind, SpecKind};
+use apc_cli::spec::{ExperimentSpec, PlatformKind, SpecKind, WorkloadKind};
 use apc_cli::{execute, library, LIBRARY};
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::chain::{ChainMember, RequestGraph};
 use apc_server::cluster::ClusterMember;
+use apc_server::config::ServerConfig;
 use apc_server::fleet::{Fleet, FleetMember, FleetResult};
+use apc_server::result::RunResult;
+use apc_server::sim::run_experiment;
 use apc_sim::SimDuration;
 use apc_workloads::spec::WorkloadSpec;
 
@@ -445,7 +451,7 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
 #[test]
 fn every_committed_spec_file_runs() {
     let files = spec_files(&specs_dir());
-    assert!(files.len() >= 7 + LIBRARY.len(), "{files:?}");
+    assert!(files.len() >= 10 + LIBRARY.len(), "{files:?}");
     for path in files {
         let path = path.to_str().expect("UTF-8 paths");
         let out = execute(&args(&[
@@ -458,5 +464,208 @@ fn every_committed_spec_file_runs() {
         ]))
         .unwrap_or_else(|e| panic!("{path}: {e}"));
         JsonValue::parse(&out).unwrap_or_else(|e| panic!("{path}: {e}"));
+    }
+}
+
+/// The paper's simulated figures are sweeps over the grids of the figure
+/// tables (docs/REPRODUCING.md): Fig. 5 over all three platforms, Figs. 6
+/// and 7(b, c) over `low_load_sweep.toml`, and Figs. 8 and 9 over each
+/// workload's operating points. The figure specs run the `ServerConfig`
+/// default seed for 400 ms, and a grid point of every sweep is the direct
+/// `run_experiment` of its platform, workload and rate.
+#[test]
+fn figure_specs_are_the_paper_grids() {
+    use PlatformKind::{Cdeep, Cpc1a, Cshallow};
+    let operating_rates = |workload: WorkloadSpec| -> Vec<f64> {
+        workload
+            .operating_points
+            .iter()
+            .map(|p| p.rate_per_sec)
+            .collect()
+    };
+    let grids = [
+        (
+            "fig5_latency.toml",
+            WorkloadKind::MemcachedEtc,
+            vec![Cshallow, Cdeep, Cpc1a],
+            vec![4_000.0, 25_000.0, 50_000.0, 100_000.0, 200_000.0, 300_000.0],
+        ),
+        (
+            "low_load_sweep.toml",
+            WorkloadKind::MemcachedEtc,
+            vec![Cshallow, Cdeep, Cpc1a],
+            vec![4_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0],
+        ),
+        (
+            "fig8_mysql.toml",
+            WorkloadKind::MysqlOltp,
+            vec![Cshallow, Cpc1a],
+            operating_rates(WorkloadSpec::mysql_oltp()),
+        ),
+        (
+            "fig9_kafka.toml",
+            WorkloadKind::Kafka,
+            vec![Cshallow, Cpc1a],
+            operating_rates(WorkloadSpec::kafka()),
+        ),
+    ];
+    let window = SimDuration::from_millis(5);
+    for (file, workload, platforms, rates) in grids {
+        let text = std::fs::read_to_string(specs_dir().join(file)).expect(file);
+        let mut spec = ExperimentSpec::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(
+            spec.kind,
+            SpecKind::Sweep {
+                rates: rates.clone(),
+                platforms: platforms.clone(),
+            },
+            "{file}"
+        );
+        assert_eq!(spec.workload, workload, "{file}");
+        if file != "low_load_sweep.toml" {
+            assert_eq!(spec.seed, ServerConfig::c_shallow().seed, "{file}");
+            assert_eq!(spec.duration, SimDuration::from_millis(400), "{file}");
+        }
+
+        // The grid's last point, cut to a short window.
+        spec.duration = window;
+        let Outcome::Runs { labels, fleet, .. } = plan_spec(&spec, None).run() else {
+            panic!("{file}: not a sweep outcome");
+        };
+        let (platform, rate) = (*platforms.last().unwrap(), *rates.last().unwrap());
+        let label = format!("{}@{rate}", platform.name());
+        assert_eq!(labels.last(), Some(&label), "{file}");
+        let direct = run_experiment(
+            platform.config().with_duration(window).with_seed(spec.seed),
+            workload.spec(),
+            rate,
+        );
+        assert_eq!(fleet.runs.last(), Some(&direct), "{file}");
+    }
+}
+
+/// One row of a figure sweep's CSV: its numeric cells by column name, and
+/// the run the row prints.
+struct FigureRow {
+    cells: HashMap<String, f64>,
+    run: RunResult,
+}
+
+/// The sweep of the committed figure spec `file`, cut to [`SMOKE_WINDOW`],
+/// as the CSV `apc-cli sweep … --format csv` prints, keyed by row label.
+fn figure_rows(file: &str) -> HashMap<String, FigureRow> {
+    let path = specs_dir().join(file);
+    let path = path.to_str().expect("UTF-8 paths");
+    let window_ms = (SMOKE_WINDOW.as_nanos() / 1_000_000).to_string();
+    let csv = execute(&args(&[
+        "sweep",
+        path,
+        "--duration-ms",
+        &window_ms,
+        "--format",
+        "csv",
+    ]))
+    .unwrap_or_else(|e| panic!("{file}: {e}"));
+    let mut spec = ExperimentSpec::parse(&std::fs::read_to_string(path).expect(file))
+        .unwrap_or_else(|e| panic!("{file}: {e}"));
+    spec.duration = SMOKE_WINDOW;
+    let Outcome::Runs { labels, fleet, .. } = plan_spec(&spec, None).run() else {
+        panic!("{file}: not a sweep outcome");
+    };
+
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("CSV header").split(',').collect();
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), fleet.runs.len(), "{file}");
+    rows.into_iter()
+        .zip(labels.into_iter().zip(fleet.runs))
+        .map(|(line, (label, run))| {
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells[0], label, "{file}");
+            let cells = header
+                .iter()
+                .zip(cells)
+                .filter_map(|(column, cell)| Some(((*column).to_owned(), cell.parse().ok()?)))
+                .collect();
+            (label, FigureRow { cells, run })
+        })
+        .collect()
+}
+
+/// The `cshallow` and `cpc1a` rows of `rows` at every rate of `file`.
+fn baseline_and_pc1a_rows<'a>(
+    file: &str,
+    rows: &'a HashMap<String, FigureRow>,
+) -> Vec<(&'a FigureRow, &'a FigureRow)> {
+    let text = std::fs::read_to_string(specs_dir().join(file)).expect(file);
+    let spec = ExperimentSpec::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let SpecKind::Sweep { rates, .. } = spec.kind else {
+        panic!("{file}: not a sweep");
+    };
+    rates
+        .iter()
+        .map(|rate| {
+            let row = |platform: &str| {
+                let label = format!("{platform}@{rate}");
+                rows.get(&label)
+                    .unwrap_or_else(|| panic!("{file}: no row {label}"))
+            };
+            (row("cshallow"), row("cpc1a"))
+        })
+        .collect()
+}
+
+/// docs/REPRODUCING.md's PC1A power saving (Figs. 7b, 8 and 9),
+/// 1 − P(cpc1a)/P(cshallow) with P = `avg_soc_power_w + avg_dram_power_w`,
+/// is the run's `power_saving_vs` its Cshallow baseline.
+#[test]
+fn documented_power_saving_is_the_run_saving() {
+    for file in ["fig8_mysql.toml", "fig9_kafka.toml"] {
+        let rows = figure_rows(file);
+        for (shallow, pc1a) in baseline_and_pc1a_rows(file, &rows) {
+            let power =
+                |row: &FigureRow| row.cells["avg_soc_power_w"] + row.cells["avg_dram_power_w"];
+            let saving = 1.0 - power(pc1a) / power(shallow);
+            assert_eq!(saving, pc1a.run.power_saving_vs(&shallow.run), "{file}");
+            assert!(
+                saving > 0.0,
+                "{file}: PC1A saves power at every operating point"
+            );
+        }
+    }
+}
+
+/// docs/REPRODUCING.md's measured latency impact (Figs. 5 and 7c), the
+/// `mean_ns` ratio − 1, is the run's `latency_overhead_vs` its Cshallow
+/// baseline.
+#[test]
+fn documented_measured_impact_is_the_run_latency_overhead() {
+    let file = "fig5_latency.toml";
+    let rows = figure_rows(file);
+    for (shallow, pc1a) in baseline_and_pc1a_rows(file, &rows) {
+        let impact = pc1a.cells["mean_ns"] / shallow.cells["mean_ns"] - 1.0;
+        assert_eq!(impact, pc1a.run.latency_overhead_vs(&shallow.run));
+    }
+}
+
+/// docs/REPRODUCING.md's model impact (Fig. 7c),
+/// round(200 ns × `pc1a_transitions` / `completed_requests`) / Cshallow
+/// `mean_ns`, is the analytical model `ImpactInputs::from_runs` builds.
+#[test]
+fn documented_model_impact_is_the_impact_model() {
+    let file = "fig5_latency.toml";
+    let rows = figure_rows(file);
+    let pairs = baseline_and_pc1a_rows(file, &rows);
+    assert!(pairs
+        .iter()
+        .any(|(_, pc1a)| pc1a.cells["pc1a_transitions"] > 0.0));
+    for (shallow, pc1a) in pairs {
+        let per_request_ns =
+            (200.0 * pc1a.cells["pc1a_transitions"] / pc1a.cells["completed_requests"]).round();
+        let impact = per_request_ns / shallow.cells["mean_ns"];
+        assert_eq!(
+            impact,
+            ImpactInputs::from_runs(&pc1a.run, &shallow.run).relative_impact()
+        );
     }
 }

@@ -72,6 +72,8 @@
 //! ```
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::engine::{EventId, EventQueue};
@@ -195,12 +197,16 @@ impl<E, S, T: EventHandler<E, S>> EventHandler<E, S> for Rc<RefCell<T>> {
 /// Component storage is a struct-of-arrays (`names` / `rngs` / `handlers`
 /// indexed by [`ComponentId`]) so the dispatch loop can borrow a handler,
 /// the destination's RNG and the shared state simultaneously as disjoint
-/// fields — no `Option` dance or per-event moves.
+/// fields — no `Option` dance or per-event moves. A name → id map beside
+/// them answers [`Simulation::lookup`] and the uniqueness check of every
+/// registration in O(log n), so building an n-component simulation is not
+/// quadratic in n.
 pub struct Simulation<E, S> {
     queue: EventQueue<Envelope<E>>,
     clock: SimTime,
     root_rng: SimRng,
     names: Vec<String>,
+    ids: BTreeMap<String, ComponentId>,
     rngs: Vec<SimRng>,
     handlers: Vec<Box<dyn EventHandler<E, S>>>,
     shared: S,
@@ -215,6 +221,7 @@ impl<E, S> Simulation<E, S> {
             clock: SimTime::ZERO,
             root_rng: SimRng::from_seed(seed),
             names: Vec::new(),
+            ids: BTreeMap::new(),
             rngs: Vec::new(),
             handlers: Vec::new(),
             shared,
@@ -261,22 +268,25 @@ impl<E, S> Simulation<E, S> {
         handler: impl EventHandler<E, S> + 'static,
         rng: SimRng,
     ) -> ComponentId {
-        let name = name.into();
-        assert!(
-            self.lookup(&name).is_none(),
-            "component name {name:?} registered twice"
-        );
-        let index = self.handlers.len();
-        self.names.push(name);
+        let id = ComponentId(self.handlers.len());
+        match self.ids.entry(name.into()) {
+            Entry::Vacant(slot) => {
+                self.names.push(slot.key().clone());
+                slot.insert(id);
+            }
+            Entry::Occupied(slot) => {
+                panic!("component name {:?} registered twice", slot.key())
+            }
+        }
         self.rngs.push(rng);
         self.handlers.push(Box::new(handler));
-        ComponentId(index)
+        id
     }
 
     /// Finds a component id by registration name.
     #[must_use]
     pub fn lookup(&self, name: &str) -> Option<ComponentId> {
-        self.names.iter().position(|n| n == name).map(ComponentId)
+        self.ids.get(name).copied()
     }
 
     /// The registration name of a component.
@@ -577,6 +587,43 @@ mod tests {
         let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
         sim.add_component("dup", Sink);
         sim.add_component("dup", Sink);
+    }
+
+    #[test]
+    fn a_rejected_duplicate_leaves_the_registry_unchanged() {
+        let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
+        let first = sim.add_component("dup", Sink);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.add_component("dup", Sink);
+        }));
+        assert!(rejected.is_err());
+        assert_eq!(sim.lookup("dup"), Some(first));
+        assert_eq!(sim.component_count(), 1);
+        let next = sim.add_component("next", Sink);
+        assert_ne!(next, first);
+        assert_eq!(sim.lookup("next"), Some(next));
+        assert_eq!(sim.name(next), "next");
+    }
+
+    #[test]
+    fn lookup_is_exact_across_many_prefixed_names() {
+        // Cluster-style names share prefixes ("node 1", "node 1 nic",
+        // "node 10 nic"); the index matches whole names only.
+        let mut sim: Simulation<Ev, Shared> = Simulation::new(1, Shared::default());
+        let mut registered = Vec::new();
+        for node in 0..300 {
+            for part in ["", " nic", " apmu"] {
+                let name = format!("node {node}{part}");
+                registered.push((sim.add_component(name.clone(), Sink), name));
+            }
+        }
+        assert_eq!(sim.component_count(), 900);
+        for (id, name) in &registered {
+            assert_eq!(sim.lookup(name), Some(*id));
+            assert_eq!(sim.name(*id), name);
+        }
+        assert_eq!(sim.lookup("node 300"), None);
+        assert_eq!(sim.lookup("node 1 ni"), None);
     }
 
     #[test]

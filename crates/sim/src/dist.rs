@@ -1,8 +1,8 @@
 //! Probability distributions for workload modelling.
 //!
-//! The workload generators (crate `apc-workloads`) compose these primitives
-//! into arrival processes and service-time models. All distributions draw
-//! from the deterministic [`SimRng`] so experiments are reproducible.
+//! The workload models (crate `apc-workloads`) draw their service times
+//! from a [`LogNormal`] behind the [`Distribution`] trait. Samples come from
+//! the deterministic [`SimRng`] so experiments are reproducible.
 
 use crate::rng::SimRng;
 
@@ -17,106 +17,6 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
     /// The analytic (or configured) mean of the distribution, used by load
     /// calculators to translate a target utilization into a request rate.
     fn mean(&self) -> f64;
-}
-
-/// A distribution that always returns the same value.
-///
-/// # Examples
-///
-/// ```
-/// use apc_sim::dist::{Constant, Distribution};
-/// use apc_sim::rng::SimRng;
-///
-/// let d = Constant::new(5.0);
-/// assert_eq!(d.sample(&mut SimRng::from_seed(1)), 5.0);
-/// assert_eq!(d.mean(), 5.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant {
-    value: f64,
-}
-
-impl Constant {
-    /// Creates a degenerate distribution at `value` (clamped to `>= 0`).
-    #[must_use]
-    pub fn new(value: f64) -> Self {
-        Constant {
-            value: value.max(0.0),
-        }
-    }
-}
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.value
-    }
-    fn mean(&self) -> f64 {
-        self.value
-    }
-}
-
-/// A uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution; the bounds are swapped if reversed and
-    /// clamped to be non-negative.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64) -> Self {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        Uniform {
-            lo: lo.max(0.0),
-            hi: hi.max(0.0),
-        }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform_range(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
-/// An exponential distribution parameterised by its mean.
-///
-/// Used for memoryless arrival gaps and as a building block of the
-/// hyper-exponential service models.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with the given mean (clamped to a
-    /// tiny positive value to avoid degenerate rates).
-    #[must_use]
-    pub fn new(mean: f64) -> Self {
-        Exponential {
-            mean: mean.max(f64::MIN_POSITIVE),
-        }
-    }
-
-    /// Creates an exponential distribution from a rate (events per unit).
-    #[must_use]
-    pub fn from_rate(rate: f64) -> Self {
-        Exponential::new(1.0 / rate.max(f64::MIN_POSITIVE))
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.exponential(self.mean)
-    }
-    fn mean(&self) -> f64 {
-        self.mean
-    }
 }
 
 /// A log-normal distribution parameterised by the underlying normal's
@@ -145,6 +45,15 @@ impl LogNormal {
     ///
     /// This is the most convenient constructor for workload calibration:
     /// "mean service time 20 µs with cv 0.7".
+    ///
+    /// ```
+    /// use apc_sim::dist::{Distribution, LogNormal};
+    /// use apc_sim::rng::SimRng;
+    ///
+    /// let service_ns = LogNormal::from_mean_cv(20_000.0, 0.7);
+    /// assert!((service_ns.mean() - 20_000.0).abs() < 1e-6);
+    /// assert!(service_ns.sample(&mut SimRng::from_seed(1)) > 0.0);
+    /// ```
     #[must_use]
     pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
         let mean = mean.max(f64::MIN_POSITIVE);
@@ -167,186 +76,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// A bounded Pareto distribution (heavy tail with a cap).
-///
-/// Used to model the occasional very large request (e.g. Memcached multi-get
-/// or an OLTP transaction that touches many rows) without letting a single
-/// sample dominate a finite simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    shape: f64,
-    lo: f64,
-    hi: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto with shape `alpha` on `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo <= 0`, `hi <= lo`, or `alpha <= 0`.
-    #[must_use]
-    pub fn new(alpha: f64, lo: f64, hi: f64) -> Self {
-        assert!(lo > 0.0, "lower bound must be positive");
-        assert!(hi > lo, "upper bound must exceed lower bound");
-        assert!(alpha > 0.0, "shape must be positive");
-        BoundedPareto {
-            shape: alpha,
-            lo,
-            hi,
-        }
-    }
-}
-
-impl Distribution for BoundedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Inverse-CDF of the bounded Pareto.
-        let u = rng.uniform();
-        let la = self.lo.powf(self.shape);
-        let ha = self.hi.powf(self.shape);
-        let x = (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / self.shape);
-        x.clamp(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        let a = self.shape;
-        let (l, h) = (self.lo, self.hi);
-        if (a - 1.0).abs() < 1e-12 {
-            // alpha == 1 limit.
-            (h / l).ln() * l * h / (h - l)
-        } else {
-            (l.powf(a) / (1.0 - (l / h).powf(a)))
-                * (a / (a - 1.0))
-                * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
-        }
-    }
-}
-
-/// A discrete empirical distribution over weighted values.
-///
-/// Useful for modelling request-class mixes such as the Facebook ETC
-/// GET/SET ratio or the sysbench OLTP read/write mix.
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    values: Vec<f64>,
-    cumulative: Vec<f64>,
-    mean: f64,
-}
-
-impl Empirical {
-    /// Builds an empirical distribution from `(value, weight)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty or all weights are non-positive.
-    #[must_use]
-    pub fn new(pairs: &[(f64, f64)]) -> Self {
-        assert!(!pairs.is_empty(), "empirical distribution needs samples");
-        let total: f64 = pairs.iter().map(|(_, w)| w.max(0.0)).sum();
-        assert!(total > 0.0, "total weight must be positive");
-        let mut values = Vec::with_capacity(pairs.len());
-        let mut cumulative = Vec::with_capacity(pairs.len());
-        let mut acc = 0.0;
-        let mut mean = 0.0;
-        for (v, w) in pairs {
-            let w = w.max(0.0) / total;
-            acc += w;
-            values.push(*v);
-            cumulative.push(acc);
-            mean += v * w;
-        }
-        // Guard against floating point drift.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        Empirical {
-            values,
-            cumulative,
-            mean,
-        }
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = rng.uniform();
-        let idx = self
-            .cumulative
-            .iter()
-            .position(|&c| u <= c)
-            .unwrap_or(self.cumulative.len() - 1);
-        self.values[idx]
-    }
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-/// A two-component mixture: with probability `p` sample from `a`, otherwise
-/// from `b`.
-///
-/// This captures bimodal service behaviour (e.g. cache hit vs. miss).
-#[derive(Debug)]
-pub struct Mixture<A, B> {
-    p: f64,
-    a: A,
-    b: B,
-}
-
-impl<A: Distribution, B: Distribution> Mixture<A, B> {
-    /// Creates a mixture choosing `a` with probability `p` (clamped to
-    /// `[0, 1]`) and `b` otherwise.
-    #[must_use]
-    pub fn new(p: f64, a: A, b: B) -> Self {
-        Mixture {
-            p: p.clamp(0.0, 1.0),
-            a,
-            b,
-        }
-    }
-}
-
-impl<A: Distribution, B: Distribution> Distribution for Mixture<A, B> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        if rng.chance(self.p) {
-            self.a.sample(rng)
-        } else {
-            self.b.sample(rng)
-        }
-    }
-    fn mean(&self) -> f64 {
-        self.p * self.a.mean() + (1.0 - self.p) * self.b.mean()
-    }
-}
-
-/// A distribution shifted by a constant offset (e.g. a fixed protocol
-/// processing cost added to a variable body).
-#[derive(Debug)]
-pub struct Shifted<D> {
-    offset: f64,
-    inner: D,
-}
-
-impl<D: Distribution> Shifted<D> {
-    /// Adds `offset` (clamped to `>= 0`) to every sample of `inner`.
-    #[must_use]
-    pub fn new(offset: f64, inner: D) -> Self {
-        Shifted {
-            offset: offset.max(0.0),
-            inner,
-        }
-    }
-}
-
-impl<D: Distribution> Distribution for Shifted<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.offset + self.inner.sample(rng)
-    }
-    fn mean(&self) -> f64 {
-        self.offset + self.inner.mean()
-    }
-}
-
 impl Distribution for Box<dyn Distribution> {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.as_ref().sample(rng)
@@ -366,27 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_and_uniform() {
-        let c = Constant::new(4.0);
-        assert_eq!(empirical_mean(&c, 10, 1), 4.0);
-        let u = Uniform::new(10.0, 20.0);
-        let m = empirical_mean(&u, 40_000, 2);
-        assert!((m - 15.0).abs() < 0.2);
-        // Reversed bounds are fixed up.
-        let r = Uniform::new(20.0, 10.0);
-        assert_eq!(r.mean(), 15.0);
-    }
-
-    #[test]
-    fn exponential_matches_mean() {
-        let e = Exponential::new(100.0);
-        let m = empirical_mean(&e, 60_000, 3);
-        assert!((m - 100.0).abs() / 100.0 < 0.05);
-        let r = Exponential::from_rate(0.01);
-        assert!((r.mean() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn lognormal_from_mean_cv_matches_mean() {
         let d = LogNormal::from_mean_cv(50.0, 0.8);
         assert!((d.mean() - 50.0).abs() < 1e-9);
@@ -395,62 +103,39 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let d = BoundedPareto::new(1.3, 10.0, 1000.0);
-        let mut rng = SimRng::from_seed(5);
-        for _ in 0..20_000 {
+    fn lognormal_from_mean_cv_matches_cv() {
+        let d = LogNormal::from_mean_cv(50.0, 0.8);
+        let mut rng = SimRng::from_seed(9);
+        let xs: Vec<f64> = (0..200_000).map(|_| d.sample(&mut rng)).collect();
+        assert!(xs.iter().all(|x| x.is_finite() && *x > 0.0));
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+        assert!((sd / mean - 0.8).abs() < 0.03, "observed cv {}", sd / mean);
+    }
+
+    #[test]
+    fn lognormal_with_zero_cv_always_draws_its_mean() {
+        let d = LogNormal::from_mean_cv(20_000.0, 0.0);
+        let mut rng = SimRng::from_seed(3);
+        for _ in 0..100 {
             let x = d.sample(&mut rng);
-            assert!((10.0..=1000.0).contains(&x));
+            assert!((x - 20_000.0).abs() < 1e-9 * 20_000.0, "drew {x}");
         }
-        let m = empirical_mean(&d, 200_000, 6);
-        assert!(
-            (m - d.mean()).abs() / d.mean() < 0.1,
-            "mean {m} vs {}",
-            d.mean()
-        );
     }
 
     #[test]
-    #[should_panic(expected = "upper bound must exceed lower bound")]
-    fn bounded_pareto_rejects_bad_bounds() {
-        let _ = BoundedPareto::new(1.0, 10.0, 5.0);
-    }
-
-    #[test]
-    fn empirical_respects_weights() {
-        let d = Empirical::new(&[(1.0, 3.0), (10.0, 1.0)]);
-        assert!((d.mean() - 3.25).abs() < 1e-12);
-        let mut rng = SimRng::from_seed(7);
-        let n = 40_000;
-        let ones = (0..n).filter(|_| d.sample(&mut rng) == 1.0).count();
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.02, "frac {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "empirical distribution needs samples")]
-    fn empirical_rejects_empty() {
-        let _ = Empirical::new(&[]);
-    }
-
-    #[test]
-    fn mixture_and_shifted_compose() {
-        let hit = Constant::new(10.0);
-        let miss = Constant::new(100.0);
-        let d = Mixture::new(0.9, hit, miss);
-        assert!((d.mean() - 19.0).abs() < 1e-12);
-        let m = empirical_mean(&d, 50_000, 8);
-        assert!((m - 19.0).abs() < 1.0);
-
-        let s = Shifted::new(5.0, Constant::new(1.0));
-        assert_eq!(s.mean(), 6.0);
-        assert_eq!(empirical_mean(&s, 10, 9), 6.0);
+    fn lognormal_new_takes_sigma_by_magnitude() {
+        let d = LogNormal::new(1.0, -0.5);
+        assert_eq!(d, LogNormal::new(1.0, 0.5));
+        assert!((d.mean() - 1.125_f64.exp()).abs() < 1e-12);
     }
 
     #[test]
     fn boxed_distribution_is_usable() {
-        let d: Box<dyn Distribution> = Box::new(Constant::new(2.0));
-        assert_eq!(d.mean(), 2.0);
-        assert_eq!(empirical_mean(&d, 5, 10), 2.0);
+        let inner = LogNormal::from_mean_cv(20.0, 0.5);
+        let d: Box<dyn Distribution> = Box::new(inner);
+        assert_eq!(d.mean(), inner.mean());
+        assert_eq!(empirical_mean(&d, 5, 10), empirical_mean(&inner, 5, 10));
     }
 }

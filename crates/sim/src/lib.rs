@@ -10,9 +10,9 @@
 //!   [`component::SimulationContext`] through which registered components
 //!   schedule events and draw per-component deterministic randomness;
 //! * [`rng`] — seeded, forkable random number generation;
-//! * [`dist`] — probability distributions for service-time and arrival models;
-//! * [`stats`] — streaming statistics, percentile recording and duration
-//!   histograms used to reduce simulated timelines into the paper's figures.
+//! * [`dist`] — the log-normal service-time distribution;
+//! * [`stats`] — exact percentile recording and the duration histograms
+//!   behind the idle-period telemetry.
 //!
 //! # Example
 //!

@@ -190,28 +190,6 @@ impl SimRng {
         let u = 1.0 - self.uniform();
         -mean * u.ln()
     }
-
-    /// A Poisson-distributed draw with the given mean (Knuth's algorithm for
-    /// small means, normal approximation above 64).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        if !mean.is_finite() || mean <= 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let v = mean + mean.sqrt() * self.standard_normal();
-            return v.max(0.0).round() as u64;
-        }
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,21 +261,6 @@ mod tests {
         assert_eq!(rng.exponential(f64::NAN), 0.0);
         // An infinite mean saturates to a gap that never ends.
         assert_eq!(rng.exponential(1e9 / 1e-300), f64::INFINITY);
-    }
-
-    #[test]
-    fn poisson_mean_is_close() {
-        let mut rng = SimRng::from_seed(5);
-        for &mean in &[0.5, 4.0, 30.0, 200.0] {
-            let n = 20_000;
-            let sum: u64 = (0..n).map(|_| rng.poisson(mean)).sum();
-            let observed = sum as f64 / f64::from(n);
-            assert!(
-                (observed - mean).abs() / mean < 0.1,
-                "poisson({mean}) observed {observed}"
-            );
-        }
-        assert_eq!(rng.poisson(0.0), 0);
     }
 
     #[test]

@@ -1,148 +1,29 @@
-//! Streaming statistics, histograms and percentile estimation.
+//! Exact percentiles and duration histograms.
 //!
-//! Every figure in the paper's evaluation reduces a simulated timeline to a
-//! small set of summary statistics: mean/percentile latencies (Fig. 5, 7c),
-//! residency fractions (Fig. 6a/b, 8a, 9a), idle-period length distributions
-//! (Fig. 6c) and average power (Fig. 7a/b, 8b, 9b). The types in this module
-//! are the shared reduction machinery.
+//! [`DurationHistogram`] buckets the fully-idle periods behind Fig. 6(c).
+//! [`PercentileRecorder`] keeps every sample and answers quantiles exactly:
+//! it is the ground truth the latency sketch is checked against.
 
 use std::fmt;
 
 use crate::time::SimDuration;
-
-/// Streaming mean / variance / extrema accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use apc_sim::stats::StreamingStats;
-///
-/// let mut s = StreamingStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 4.0).abs() < 1e-12);
-/// assert_eq!(s.min(), Some(2.0));
-/// assert_eq!(s.max(), Some(6.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StreamingStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl StreamingStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        StreamingStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Records one observation. Non-finite values are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Population variance (0 when fewer than two observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, `None` when empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, `None` when empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Records a full set of samples and answers percentile queries exactly.
 ///
 /// The evaluation runs produce at most a few million latency samples, so an
 /// exact recorder is affordable and avoids any estimator bias in tail-latency
 /// comparisons (Fig. 5).
+///
+/// ```
+/// use apc_sim::stats::PercentileRecorder;
+///
+/// let mut latencies_us = PercentileRecorder::new();
+/// for us in 1..=100 {
+///     latencies_us.record(f64::from(us));
+/// }
+/// assert_eq!(latencies_us.median(), Some(50.5));
+/// assert_eq!(latencies_us.quantile(1.0), Some(100.0));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct PercentileRecorder {
     samples: Vec<f64>,
@@ -351,96 +232,9 @@ impl fmt::Display for DurationHistogram {
     }
 }
 
-/// A simple weighted-average accumulator for time-weighted quantities
-/// (e.g. average power = energy / time).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeightedMean {
-    weighted_sum: f64,
-    weight: f64,
-}
-
-impl WeightedMean {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        WeightedMean::default()
-    }
-
-    /// Adds `value` with the given non-negative `weight`.
-    pub fn add(&mut self, value: f64, weight: f64) {
-        if weight <= 0.0 || !value.is_finite() {
-            return;
-        }
-        self.weighted_sum += value * weight;
-        self.weight += weight;
-    }
-
-    /// The weighted mean (0 when no weight has been added).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.weight <= 0.0 {
-            0.0
-        } else {
-            self.weighted_sum / self.weight
-        }
-    }
-
-    /// Total accumulated weight.
-    #[must_use]
-    pub fn total_weight(&self) -> f64 {
-        self.weight
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streaming_stats_basic_moments() {
-        let mut s = StreamingStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 5);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert!((s.variance() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(5.0));
-        assert!((s.sum() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streaming_stats_ignores_non_finite() {
-        let mut s = StreamingStats::new();
-        s.record(f64::NAN);
-        s.record(f64::INFINITY);
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn streaming_stats_merge_matches_single_pass() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut all = StreamingStats::new();
-        for &x in &data {
-            all.record(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn percentile_recorder_exact_quantiles() {
@@ -462,6 +256,69 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.quantile(0.5), None);
         assert_eq!(r.mean(), 0.0);
+    }
+
+    #[test]
+    fn percentile_recorder_ignores_non_finite_samples() {
+        let mut r = PercentileRecorder::new();
+        for x in [f64::NAN, 3.0, f64::INFINITY, 1.0, f64::NEG_INFINITY, 2.0] {
+            r.record(x);
+        }
+        assert_eq!(r.count(), 3);
+        assert_eq!(r.mean(), 2.0);
+        assert_eq!(r.quantile(0.0), Some(1.0));
+        assert_eq!(r.quantile(1.0), Some(3.0));
+    }
+
+    #[test]
+    fn percentile_recorder_sees_samples_recorded_after_a_query() {
+        let mut r = PercentileRecorder::new();
+        for x in [30.0, 10.0, 20.0] {
+            r.record(x);
+        }
+        assert_eq!(r.median(), Some(20.0));
+        for x in [2.0, 1.0] {
+            r.record(x);
+        }
+        assert_eq!(r.quantile(0.0), Some(1.0));
+        assert_eq!(r.median(), Some(10.0));
+        assert_eq!(r.quantile(1.0), Some(30.0));
+    }
+
+    #[test]
+    fn percentile_recorder_clamps_and_interpolates_quantiles() {
+        let mut r = PercentileRecorder::new();
+        for x in [8.0, 4.0] {
+            r.record(x);
+        }
+        assert_eq!(r.quantile(-0.5), Some(4.0));
+        assert_eq!(r.quantile(1.5), Some(8.0));
+        assert_eq!(r.quantile(0.25), Some(5.0));
+    }
+
+    #[test]
+    fn duration_histogram_bounds_are_inclusive() {
+        let (ten, twenty) = (SimDuration::from_micros(10), SimDuration::from_micros(20));
+        let one_ns = SimDuration::from_nanos(1);
+        let mut h = DurationHistogram::new(&[ten, twenty]);
+        for d in [ten, ten + one_ns, twenty, twenty + one_ns] {
+            h.record(d);
+        }
+        let counts: Vec<(SimDuration, u64)> = h.buckets().collect();
+        assert_eq!(counts, [(ten, 1), (twenty, 2)]);
+        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.total_duration(), SimDuration::from_nanos(60_002));
+    }
+
+    #[test]
+    fn empty_duration_histogram_has_no_fractions() {
+        let h = DurationHistogram::idle_period_default();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.total_duration(), SimDuration::ZERO);
+        let all = h.fraction_between(SimDuration::ZERO, SimDuration::from_millis(10));
+        assert_eq!(all, 0.0);
+        assert_eq!(h.to_string().lines().count(), h.buckets().count() + 1);
     }
 
     #[test]
@@ -491,14 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_weights_properly() {
-        let mut w = WeightedMean::new();
-        w.add(10.0, 1.0);
-        w.add(20.0, 3.0);
-        assert!((w.mean() - 17.5).abs() < 1e-12);
-        assert!((w.total_weight() - 4.0).abs() < 1e-12);
-        w.add(1000.0, 0.0); // ignored
-        w.add(f64::NAN, 5.0); // ignored
-        assert!((w.mean() - 17.5).abs() < 1e-12);
+    #[should_panic(expected = "at least one bound")]
+    fn duration_histogram_rejects_empty_bounds() {
+        let _ = DurationHistogram::new(&[]);
     }
 }

@@ -5,8 +5,9 @@
 //! trip, plus the operating points (request rates) at which the paper
 //! evaluates the service. The parameters are calibrated so that the
 //! *processor utilisation* and *full-system idleness* land in the ranges the
-//! paper reports (see DESIGN.md §5), not to reproduce the services'
-//! micro-architectural behaviour.
+//! paper reports (Figs. 6, 8 and 9; docs/REPRODUCING.md lists the
+//! reproduced values), not to reproduce the services' micro-architectural
+//! behaviour.
 
 use apc_sim::dist::{Distribution, LogNormal};
 use apc_sim::rng::SimRng;

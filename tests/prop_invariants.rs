@@ -9,7 +9,7 @@ use apc::core::apmu::{Apmu, WakeCause};
 use apc::prelude::*;
 use apc::sim::engine::EventQueue;
 use apc::sim::rng::SimRng;
-use apc::sim::stats::{PercentileRecorder, StreamingStats};
+use apc::sim::stats::PercentileRecorder;
 
 /// Runs `body` against `cases` independently seeded RNG streams. The seed is
 /// derived from the property name so each property sees a distinct but fully
@@ -52,22 +52,6 @@ fn event_queue_is_time_ordered() {
     });
 }
 
-/// Streaming statistics agree with a direct two-pass computation.
-#[test]
-fn streaming_stats_match_naive() {
-    for_each_case("streaming_stats_match_naive", 64, |rng| {
-        let values = vec_f64(rng, -1e6, 1e6, 1, 300);
-        let mut s = StreamingStats::new();
-        for &v in &values {
-            s.record(v);
-        }
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        assert!((s.variance() - var).abs() < 1e-5 * var.abs().max(1.0));
-    });
-}
-
 /// Quantiles are monotonic in the quantile parameter and bounded by the
 /// sample extremes.
 #[test]
@@ -85,6 +69,32 @@ fn quantiles_are_monotonic() {
         let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(lo <= mid && mid <= hi);
         assert!(lo >= min - 1e-9 && hi <= max + 1e-9);
+    });
+}
+
+/// The exact recorder agrees with a direct computation: its quantile at
+/// every sample rank is that rank's sorted sample, and its mean is the
+/// two-pass mean.
+#[test]
+fn percentile_recorder_matches_a_sorted_copy() {
+    for_each_case("percentile_recorder_matches_a_sorted_copy", 64, |rng| {
+        let values = vec_f64(rng, -1e6, 1e6, 2, 300);
+        let mut r = PercentileRecorder::new();
+        for &v in &values {
+            r.record(v);
+        }
+        let mut sorted = values.clone();
+        sorted.sort_by(f64::total_cmp);
+        let last_rank = (sorted.len() - 1) as f64;
+        for (rank, &x) in sorted.iter().enumerate() {
+            let q = r.quantile(rank as f64 / last_rank).unwrap();
+            assert!(
+                (q - x).abs() <= 1e-9 * x.abs().max(1.0),
+                "rank {rank}: {q} vs {x}"
+            );
+        }
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
+        assert!((r.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
     });
 }
 
