@@ -1553,7 +1553,7 @@ mod tests {
     #[test]
     fn profile_json_carries_engine_counters_and_event_kinds_only() {
         let report = ProfileReport {
-            engine: apc_trace::EngineProfile {
+            engine: apc_sim::engine::QueueCounters {
                 scheduled: 9,
                 dispatched: 7,
                 cancelled: 2,

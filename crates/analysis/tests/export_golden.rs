@@ -17,6 +17,11 @@
 //! power fields lost their float-summation noise and moved by under 1e-14 W
 //! (`avg_soc_power_w` +7.1e-15, `avg_dram_power_w` -4.9e-15); every other
 //! byte is unchanged.
+//!
+//! Re-captured when the time series began reporting the SoC part of the
+//! metered whole-nanowatt level instead of a float sum over domains: the
+//! `soc_power_w` cells lost their summation noise (`84.99600000000001` is
+//! now `84.996`); every other byte is unchanged.
 
 use apc_analysis::export::{
     fleet_result_json, run_csv_line, run_result_json, timeseries_csv, JsonValue, RUN_CSV_HEADER,
@@ -94,9 +99,9 @@ run 0,CPC1A,memcached,20000,2000000,47,23500,163843,161192,200859,209056,209056,
 
 const GOLDEN_TIMESERIES_CSV: &str = "node,at_ns,soc_power_w,queue_depth,busy_cores,\
 package_state,pc0_delta_ns,pc0_idle_delta_ns,pc1a_delta_ns,pc6_delta_ns\n\
-run 0,0,84.99600000000001,0,0,PC0Idle,0,0,0,0\n\
-run 0,500000,60.395999999999994,3,3,PC0,219667,8360,271973,0\n\
-run 0,1000000,27.555999999999997,0,0,PC1A,296216,10550,193234,0\n\
+run 0,0,84.996,0,0,PC0Idle,0,0,0,0\n\
+run 0,500000,60.396,3,3,PC0,219667,8360,271973,0\n\
+run 0,1000000,27.556,0,0,PC1A,296216,10550,193234,0\n\
 run 0,1500000,48.096,1,1,PC0,148409,9514,342077,0\n";
 
 #[test]

@@ -1,6 +1,5 @@
-//! Event-core benchmarks: the timer-wheel [`EventQueue`] against the
-//! reference binary-heap [`HeapEventQueue`] in isolation, plus the
-//! end-to-end cluster simulation whose event loop the wheel powers.
+//! Event-core benchmarks: the timer-wheel [`EventQueue`] in isolation, plus
+//! the end-to-end cluster simulation whose event loop the wheel powers.
 //!
 //! Unlike the figure benches this harness writes a machine-readable result
 //! file, `BENCH_event_core.json` at the repository root, so the measured
@@ -14,12 +13,11 @@
 //! Sections:
 //!
 //! * `event_queue` micro — schedule/pop/cancel throughput at 10^4..10^6
-//!   pending events for both implementations, under three access patterns:
-//!   `fill_drain` (schedule N, pop N), `churn` (steady-state pop-one /
-//!   schedule-one at depth N) and `cancel_rearm` (cancel a random live
-//!   event and schedule a replacement, then drain). Timestamps come from
-//!   the crate's deterministic xoshiro streams, so both queues see the
-//!   identical operation sequence.
+//!   pending events under three access patterns: `fill_drain` (schedule N,
+//!   pop N), `churn` (steady-state pop-one / schedule-one at depth N) and
+//!   `cancel_rearm` (cancel a random live event and schedule a replacement,
+//!   then drain). Timestamps come from the crate's deterministic xoshiro
+//!   streams, so every run sees the identical operation sequence.
 //! * `cluster_scale` — wall-clock per 20 ms of simulated time for
 //!   1/4/8/16/32/64 server nodes in one event loop (JSQ, 20k req/s per
 //!   node), with the dispatched-event count from
@@ -37,7 +35,7 @@ use std::time::Instant;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::cluster::{run_cluster_experiment, ClusterResult};
 use apc_server::config::ServerConfig;
-use apc_sim::engine::{EventQueue, HeapEventQueue};
+use apc_sim::engine::{EventQueue, QueueCounters};
 use apc_sim::{SimDuration, SimRng, SimTime};
 use apc_workloads::spec::WorkloadSpec;
 
@@ -82,70 +80,61 @@ fn next_time(rng: &mut SimRng, now: SimTime) -> SimTime {
     SimTime::from_nanos(now.as_nanos() + offset)
 }
 
-/// Expands to the three access patterns for one queue type; a macro rather
-/// than a trait because the two queues are deliberately unrelated types.
-macro_rules! micro_patterns {
-    ($fill:ident, $churn:ident, $cancel:ident, $queue:ty) => {
-        fn $fill(n: u64, seed: u64) -> Measure {
-            let mut rng = SimRng::from_seed(seed);
-            let mut q = <$queue>::new();
-            let start = Instant::now();
-            for i in 0..n {
-                let at = next_time(&mut rng, q.now());
-                q.schedule(at, i);
-            }
-            while q.pop().is_some() {}
-            Measure {
-                ops: 2 * n,
-                secs: start.elapsed().as_secs_f64(),
-            }
-        }
-
-        fn $churn(n: u64, seed: u64) -> Measure {
-            let mut rng = SimRng::from_seed(seed);
-            let mut q = <$queue>::new();
-            for i in 0..n {
-                let at = next_time(&mut rng, q.now());
-                q.schedule(at, i);
-            }
-            let start = Instant::now();
-            for i in 0..4 * n {
-                let (_, _) = q.pop().expect("queue holds n events");
-                let at = next_time(&mut rng, q.now());
-                q.schedule(at, i);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            while q.pop().is_some() {}
-            Measure { ops: 8 * n, secs }
-        }
-
-        fn $cancel(n: u64, seed: u64) -> Measure {
-            let mut rng = SimRng::from_seed(seed);
-            let mut q = <$queue>::new();
-            let mut live = Vec::with_capacity(n as usize);
-            for i in 0..n {
-                let at = next_time(&mut rng, q.now());
-                live.push(q.schedule(at, i));
-            }
-            let start = Instant::now();
-            for i in 0..2 * n {
-                let idx = rng.index(live.len());
-                let id = live.swap_remove(idx);
-                assert!(q.cancel(id), "live events cancel exactly once");
-                let at = next_time(&mut rng, q.now());
-                live.push(q.schedule(at, i));
-            }
-            while q.pop().is_some() {}
-            Measure {
-                ops: 5 * n,
-                secs: start.elapsed().as_secs_f64(),
-            }
-        }
-    };
+fn fill_drain(n: u64, seed: u64) -> Measure {
+    let mut rng = SimRng::from_seed(seed);
+    let mut q = EventQueue::new();
+    let start = Instant::now();
+    for i in 0..n {
+        let at = next_time(&mut rng, q.now());
+        q.schedule(at, i);
+    }
+    while q.pop().is_some() {}
+    Measure {
+        ops: 2 * n,
+        secs: start.elapsed().as_secs_f64(),
+    }
 }
 
-micro_patterns!(wheel_fill, wheel_churn, wheel_cancel, EventQueue<u64>);
-micro_patterns!(heap_fill, heap_churn, heap_cancel, HeapEventQueue<u64>);
+fn churn(n: u64, seed: u64) -> Measure {
+    let mut rng = SimRng::from_seed(seed);
+    let mut q = EventQueue::new();
+    for i in 0..n {
+        let at = next_time(&mut rng, q.now());
+        q.schedule(at, i);
+    }
+    let start = Instant::now();
+    for i in 0..4 * n {
+        let (_, _) = q.pop().expect("queue holds n events");
+        let at = next_time(&mut rng, q.now());
+        q.schedule(at, i);
+    }
+    let secs = start.elapsed().as_secs_f64();
+    while q.pop().is_some() {}
+    Measure { ops: 8 * n, secs }
+}
+
+fn cancel_rearm(n: u64, seed: u64) -> Measure {
+    let mut rng = SimRng::from_seed(seed);
+    let mut q = EventQueue::new();
+    let mut live = Vec::with_capacity(n as usize);
+    for i in 0..n {
+        let at = next_time(&mut rng, q.now());
+        live.push(q.schedule(at, i));
+    }
+    let start = Instant::now();
+    for i in 0..2 * n {
+        let idx = rng.index(live.len());
+        let id = live.swap_remove(idx);
+        assert!(q.cancel(id), "live events cancel exactly once");
+        let at = next_time(&mut rng, q.now());
+        live.push(q.schedule(at, i));
+    }
+    while q.pop().is_some() {}
+    Measure {
+        ops: 5 * n,
+        secs: start.elapsed().as_secs_f64(),
+    }
+}
 
 /// One timed cluster run; the result carries the dispatched-event census.
 fn cluster_run(nodes: usize) -> (f64, ClusterResult) {
@@ -164,7 +153,7 @@ fn cluster_run(nodes: usize) -> (f64, ClusterResult) {
 /// One untimed profiled run of the same configuration: the self-profiler's
 /// engine counters (wheel batches, overflow-heap hits) for the row. Kept
 /// out of the timed runs so the report never contaminates the wall clock.
-fn cluster_profile(nodes: usize) -> apc_trace::EngineProfile {
+fn cluster_profile(nodes: usize) -> QueueCounters {
     let base = ServerConfig::c_pc1a().with_duration(WINDOW).with_profile();
     let result = run_cluster_experiment(
         &base,
@@ -200,41 +189,24 @@ fn main() {
     println!("event_queue micro ({} repeats, min):", repeats);
     for &n in sizes {
         let seed = 0xec0 + n;
-        let cases: [(&str, Measure, Measure); 3] = [
-            (
-                "fill_drain",
-                fastest(repeats, || wheel_fill(n, seed)),
-                fastest(repeats, || heap_fill(n, seed)),
-            ),
-            (
-                "churn",
-                fastest(repeats, || wheel_churn(n, seed)),
-                fastest(repeats, || heap_churn(n, seed)),
-            ),
-            (
-                "cancel_rearm",
-                fastest(repeats, || wheel_cancel(n, seed)),
-                fastest(repeats, || heap_cancel(n, seed)),
-            ),
-        ];
-        for (pattern, wheel, heap) in cases {
+        for (pattern, run) in [
+            ("fill_drain", fill_drain as fn(u64, u64) -> Measure),
+            ("churn", churn),
+            ("cancel_rearm", cancel_rearm),
+        ] {
+            let wheel = fastest(repeats, || run(n, seed));
             println!(
-                "  {n:>9} pending, {pattern:<12} wheel {:>6.1} Mops/s  heap {:>6.1} Mops/s  ({:.2}x)",
+                "  {n:>9} pending, {pattern:<12} wheel {:>6.1} Mops/s",
                 wheel.ops_per_sec() / 1e6,
-                heap.ops_per_sec() / 1e6,
-                wheel.ops_per_sec() / heap.ops_per_sec(),
             );
             micro_json.push(format!(
                 concat!(
                     "    {{\"pending_events\": {}, \"pattern\": \"{}\", ",
-                    "\"wheel_ops_per_sec\": {:.0}, \"heap_ops_per_sec\": {:.0}, ",
-                    "\"speedup_vs_heap\": {:.3}}}"
+                    "\"wheel_ops_per_sec\": {:.0}}}"
                 ),
                 n,
                 json_escape_free(pattern),
                 wheel.ops_per_sec(),
-                heap.ops_per_sec(),
-                wheel.ops_per_sec() / heap.ops_per_sec(),
             ));
         }
     }
@@ -299,8 +271,8 @@ fn main() {
             "  \"host_cores\": {},\n",
             "  \"methodology\": \"min over repeats on a shared container; ",
             "micro: {} repeats, cluster: {} repeats; ",
-            "identical xoshiro-seeded operation sequences for both queue ",
-            "implementations; wheel-batch/overflow counters from one untimed ",
+            "xoshiro-seeded operation sequences; ",
+            "wheel-batch/overflow counters from one untimed ",
             "self-profiled run per row\",\n",
             "  \"baseline_8_nodes_ms_per_20ms_sim\": {{\"recorded_pre_wheel\": 14.9, ",
             "\"this_container_pre_wheel\": 16.06}},\n",

@@ -10,14 +10,14 @@
 //! apc-cli run examples/specs/smoke.toml       # run a spec file
 //! apc-cli run cluster-8-mid --format json     # run a named scenario
 //! apc-cli sweep examples/specs/low_load_sweep.toml --format csv --out sweep.csv
-//! apc-cli cluster cluster-8-trough --policy power-aware
+//! apc-cli run cluster-8-trough --policy power-aware
 //! apc-cli validate out.json                   # round-trip the JSON export
 //! ```
 //!
 //! Subcommands: `list` (the named scenarios), `run` (a spec file or a
 //! named scenario), `sweep` (a spec with a `[sweep]` table: cartesian
-//! rates × platforms), `cluster` (a cluster spec or named cluster
-//! scenario) and `validate` (parse a JSON export with the bundled parser).
+//! rates × platforms), `merge` (recombine `sweep --shard` checkpoints) and
+//! `validate` (parse a JSON export with the bundled parser).
 //!
 //! A named scenario is a committed spec file under
 //! `examples/specs/library/`, embedded in the binary ([`LIBRARY`]): it runs
@@ -95,7 +95,6 @@ commands:
   sweep <spec>              run a spec's [sweep] grid (rates x platforms)
   merge <checkpoint...>     combine `sweep --shard` checkpoints (one per
                             shard) into the unsharded sweep output
-  cluster <spec|name>       run a cluster spec or named cluster scenario
   validate <file.json>      parse a JSON export (round-trip check)
 
 options:
@@ -168,22 +167,6 @@ pub fn execute(args: &[String]) -> Result<String, CliError> {
         "merge" => cmd_merge(&Invocation::parse_at_least(
             rest,
             &["format", "out", "timeseries-out"],
-            1,
-        )?),
-        "cluster" => cmd_cluster(&Invocation::parse(
-            rest,
-            &[
-                "format",
-                "out",
-                "timeseries-out",
-                "trace-out",
-                "profile",
-                "platform",
-                "policy",
-                "duration-ms",
-                "seed",
-                "parallelism",
-            ],
             1,
         )?),
         "validate" => cmd_validate(&Invocation::parse(rest, &[], 1)?),
@@ -340,7 +323,7 @@ impl Invocation {
 
 /// The named scenarios: the spec files under `examples/specs/library/`,
 /// embedded at build time, in `list` order. Each file's `[experiment]
-/// name` is the name `run` and `cluster` resolve.
+/// name` is the name `run` and `sweep` resolve.
 pub const LIBRARY: [&str; 9] = [
     include_str!("../../../examples/specs/library/diurnal.toml"),
     include_str!("../../../examples/specs/library/flash-crowd.toml"),
@@ -563,7 +546,7 @@ fn cmd_run(inv: &Invocation) -> Result<String, CliError> {
     run_spec(inv, &resolve_target(&inv.positional[0])?)
 }
 
-/// The one execution path of `run`, `cluster` and `sweep`: checks the
+/// The one execution path of `run` and `sweep`: checks the
 /// recording flags, applies the overrides, creates the output files, then
 /// runs the spec, writing json/csv results to `--out` as they finish.
 fn run_spec(inv: &Invocation, spec: &ExperimentSpec) -> Result<String, CliError> {
@@ -698,17 +681,6 @@ fn cmd_merge(inv: &Invocation) -> Result<String, CliError> {
     let written = stream_out::replay(&outcome, Some((format, out)), series)
         .map_err(|e| CliError::Io(e.to_string()))?;
     Ok(written.report())
-}
-
-fn cmd_cluster(inv: &Invocation) -> Result<String, CliError> {
-    let spec = resolve_target(&inv.positional[0])?;
-    if !matches!(spec.kind, SpecKind::Cluster { .. }) {
-        return Err(CliError::Input(format!(
-            "`{}` is not a cluster spec (kind = \"cluster\" with a [cluster] table)",
-            inv.positional[0]
-        )));
-    }
-    run_spec(inv, &spec)
 }
 
 fn cmd_validate(inv: &Invocation) -> Result<String, CliError> {

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use apc_analysis::export::JsonValue;
-use apc_cli::{execute, CliError};
+use apc_cli::{execute, CliError, USAGE};
 
 /// A scratch file unique to this test process, cleaned up on drop.
 struct Scratch(PathBuf);
@@ -205,13 +205,7 @@ fn named_scenarios_run_through_the_cli() {
     assert!(out.starts_with("repeat,node,policy,routed,"), "{out}");
     assert_eq!(out.lines().count(), 9, "header + 8 nodes");
 
-    let out = execute(&args(&[
-        "cluster",
-        "cluster-8-trough",
-        "--duration-ms",
-        "2",
-    ]))
-    .unwrap();
+    let out = execute(&args(&["run", "cluster-8-trough", "--duration-ms", "2"])).unwrap();
     assert!(out.contains("cluster (power-aware)"), "{out}");
 }
 
@@ -308,12 +302,6 @@ fn named_chain_scenarios_run_through_the_cli() {
         "{out}"
     );
     assert!(out.contains("e2e p50"), "{out}");
-    // Chain scenarios are `run` targets, not `cluster` targets.
-    let err = execute(&args(&["cluster", "mesh-8-fanout4"])).unwrap_err();
-    let CliError::Input(message) = &err else {
-        panic!("expected input error, got {err:?}");
-    };
-    assert!(message.contains("not a cluster spec"), "{message}");
 }
 
 #[test]
@@ -741,15 +729,11 @@ fn parallelism_below_one_is_a_usage_error() {
     single.write(SINGLE_SPEC);
     let cluster = Scratch::new("zero-workers-cluster.toml");
     cluster.write(CLUSTER_SPEC);
-    for (command, target) in [
-        ("run", single.path()),
-        ("cluster", cluster.path()),
-        ("run", "cluster-8-mid"),
-    ] {
-        let err = execute(&args(&[command, target, "--parallelism", "0"])).unwrap_err();
+    for target in [single.path(), cluster.path(), "cluster-8-mid"] {
+        let err = execute(&args(&["run", target, "--parallelism", "0"])).unwrap_err();
         assert!(
             matches!(&err, CliError::Usage(m) if m.contains("at least 1")),
-            "{command} {target}: {err:?}"
+            "{target}: {err:?}"
         );
         assert_eq!(err.exit_code(), 2);
     }
@@ -763,16 +747,12 @@ fn duration_beyond_the_nanosecond_range_is_a_usage_error() {
     single.write(SINGLE_SPEC);
     let cluster = Scratch::new("huge-horizon-cluster.toml");
     cluster.write(CLUSTER_SPEC);
-    for (command, target) in [
-        ("run", single.path()),
-        ("cluster", cluster.path()),
-        ("run", "cluster-8-mid"),
-    ] {
+    for target in [single.path(), cluster.path(), "cluster-8-mid"] {
         for ms in ["18446744073710", "18446744073709551615"] {
-            let err = execute(&args(&[command, target, "--duration-ms", ms])).unwrap_err();
+            let err = execute(&args(&["run", target, "--duration-ms", ms])).unwrap_err();
             assert!(
                 matches!(&err, CliError::Usage(m) if m.contains("at most 18446744073709")),
-                "{command} {target} {ms}: {err:?}"
+                "{target} {ms}: {err:?}"
             );
             assert_eq!(err.exit_code(), 2);
         }
@@ -1099,17 +1079,51 @@ fn conflicting_flags_are_usage_errors() {
 }
 
 #[test]
+fn help_prints_the_usage_and_every_listed_command_is_dispatched() {
+    for flag in ["help", "--help", "-h"] {
+        assert_eq!(execute(&args(&[flag])).unwrap(), format!("{USAGE}\n"));
+    }
+    // The first word of each entry of the usage text's command list.
+    let listed = USAGE
+        .split_once("commands:\n")
+        .and_then(|(_, rest)| rest.split_once("\n\n"))
+        .expect("a command list")
+        .0;
+    let commands: Vec<&str> = listed
+        .lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .filter(|entry| !entry.starts_with(' '))
+        .filter_map(|entry| entry.split_whitespace().next())
+        .collect();
+    assert_eq!(commands, ["list", "run", "sweep", "merge", "validate"]);
+    // A listed command that `execute` no longer knows would fail as an
+    // unknown command instead of on the flag.
+    for command in commands {
+        let err = execute(&args(&[command, "--no-such-flag"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("flag `--no-such-flag`")),
+            "{command}: {err:?}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flags_and_commands_are_usage_errors() {
     let err = execute(&args(&["run", "diurnal", "--nodes", "4"])).unwrap_err();
     assert!(
         matches!(&err, CliError::Usage(m) if m.contains("--nodes")),
         "{err:?}"
     );
-    let err = execute(&args(&["frobnicate"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("frobnicate")),
-        "{err:?}"
-    );
+    // `run` runs cluster specs; there is no `cluster` command.
+    for command in ["frobnicate", "cluster"] {
+        let err = execute(&args(&[command, "cluster-8-mid"])).unwrap_err();
+        let expected = format!("unknown command `{command}`");
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains(&expected)),
+            "{err:?}"
+        );
+        assert_eq!(err.exit_code(), 2);
+    }
     let err = execute(&args(&[])).unwrap_err();
     assert!(matches!(err, CliError::Usage(_)), "{err:?}");
 }
@@ -1132,29 +1146,13 @@ fn sweep_rejects_non_sweep_specs() {
 }
 
 #[test]
-fn cluster_rejects_non_cluster_targets() {
-    let spec = Scratch::new("notcluster.toml");
-    spec.write(SINGLE_SPEC);
-    let err = execute(&args(&["cluster", spec.path()])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Input(m) if m.contains("not a cluster spec")),
-        "{err:?}"
-    );
-    let err = execute(&args(&["cluster", "diurnal"])).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Input(m) if m.contains("`diurnal` is not a cluster spec")),
-        "{err:?}"
-    );
-}
-
-#[test]
 fn platform_and_policy_override_every_spec_and_show_in_the_title() {
     // A spec file's own platform and policy give way to the flags, and the
     // table title names what actually ran.
     let cluster = Scratch::new("override-cluster.toml");
     cluster.write(CLUSTER_SPEC);
     let out = execute(&args(&[
-        "cluster",
+        "run",
         cluster.path(),
         "--platform",
         "cdeep",

@@ -433,6 +433,28 @@ fn the_embedded_library_is_the_library_directory() {
     assert_eq!(files, embedded);
 }
 
+/// Each library spec's header shows how to run it (`#     apc-cli …`), and
+/// the CLI accepts that command as written, cut to 1 ms.
+#[test]
+fn library_specs_document_a_command_the_cli_accepts() {
+    for text in LIBRARY.iter() {
+        let name = ExperimentSpec::parse(text)
+            .expect("library specs parse")
+            .name;
+        let commands: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("#     apc-cli "))
+            .collect();
+        let [command] = commands[..] else {
+            panic!("{name}: expected one documented command, got {commands:?}");
+        };
+        let mut argv: Vec<&str> = command.split_whitespace().collect();
+        assert_eq!(argv.get(1), Some(&name.as_str()), "{name}: `{command}`");
+        argv.extend(["--duration-ms", "1"]);
+        execute(&args(&argv)).unwrap_or_else(|e| panic!("{name}: `apc-cli {command}`: {e}"));
+    }
+}
+
 /// Every `.toml` under `dir`, recursively, in path order.
 fn spec_files(dir: &Path) -> Vec<PathBuf> {
     let mut found = Vec::new();

@@ -142,24 +142,21 @@ fn cluster_out_and_timeseries_files_match_the_finished_outcome() {
                     "{name}: {printed}"
                 );
             }
-            // `cluster` is an alias of `run` for cluster specs.
-            for command in ["run", "cluster"] {
-                let out = Scratch::new(&format!("{name}-{command}.{format}"));
-                let ts = Scratch::new(&format!("{name}-{command}-ts-{format}.csv"));
-                execute(&args(&[
-                    command,
-                    spec.path(),
-                    "--format",
-                    format,
-                    "--out",
-                    out.path(),
-                    "--timeseries-out",
-                    ts.path(),
-                ]))
-                .unwrap();
-                assert_eq!(out.read(), printed, "{name} {command} {format}");
-                assert_eq!(ts.read(), series, "{name} {command} {format}");
-            }
+            let out = Scratch::new(&format!("{name}-out.{format}"));
+            let ts = Scratch::new(&format!("{name}-ts-{format}.csv"));
+            execute(&args(&[
+                "run",
+                spec.path(),
+                "--format",
+                format,
+                "--out",
+                out.path(),
+                "--timeseries-out",
+                ts.path(),
+            ]))
+            .unwrap();
+            assert_eq!(out.read(), printed, "{name} {format}");
+            assert_eq!(ts.read(), series, "{name} {format}");
         }
     }
 }
@@ -279,7 +276,7 @@ fn stream_out_is_an_unknown_flag() {
     for (command, target) in [
         ("run", spec.path()),
         ("sweep", spec.path()),
-        ("cluster", cluster.path()),
+        ("run", cluster.path()),
     ] {
         let err = execute(&args(&[
             command,

@@ -62,6 +62,12 @@ impl PowerLevel {
             dram: nanowatts(power.dram),
         }
     }
+
+    /// Total SoC (package) power, in nW: every domain but DRAM.
+    #[must_use]
+    pub fn soc_total(&self) -> u64 {
+        self.cores + self.clm + self.io + self.plls + self.uncore_misc
+    }
 }
 
 /// Cumulative energy per domain, in nanowatt-nanoseconds (10⁻¹⁸ J).
@@ -239,6 +245,19 @@ mod tests {
             dram: 100,
         };
         assert_eq!(e.soc_total(), 15);
+    }
+
+    #[test]
+    fn level_soc_total_is_every_domain_but_dram() {
+        let level = PowerLevel {
+            cores: 1,
+            clm: 20,
+            io: 300,
+            plls: 4_000,
+            uncore_misc: 50_000,
+            dram: 600_000,
+        };
+        assert_eq!(level.soc_total(), 54_321);
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub fn profile_report(
         })
         .unwrap_or_default();
     let mut report = apc_trace::ProfileReport {
-        engine: apc_trace::EngineProfile::from_counters(counters),
+        engine: counters,
         events,
     };
     report.retain_active_kinds();

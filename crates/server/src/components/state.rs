@@ -14,7 +14,6 @@
 use std::collections::VecDeque;
 
 use apc_power::energy::{EnergyMeter, PowerLevel};
-use apc_power::model::memory_utilization;
 use apc_power::table::{PowerTable, UncoreLevel};
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::core::{CoreActivity, CoreId};
@@ -481,21 +480,13 @@ impl ServerState {
         occupied
     }
 
-    /// The instantaneous power breakdown implied by the current SoC state
-    /// and memory utilisation, in float watts: what the time-series sampler
-    /// reports. [`ServerState::power_level`] is the same breakdown in whole
-    /// nanowatts.
-    #[must_use]
-    pub fn power_snapshot(&self) -> apc_power::model::PowerBreakdown {
-        let busy = self.sched.busy_cores();
-        let utilization = memory_utilization(busy, self.soc.cores().len());
-        self.config.power.snapshot(&self.soc, utilization)
-    }
-
     /// The level the energy meter integrates: the node's power in whole
     /// nanowatts, summed from its [`PowerTable`]. Equal to
-    /// [`PowerLevel::quantise`] of [`ServerState::power_snapshot`] for a
-    /// model of whole-microwatt constants (see [`apc_power::table`]).
+    /// [`PowerLevel::quantise`] of the float [`PowerModel::snapshot`] for a
+    /// model of whole-microwatt constants (see [`apc_power::table`]). The
+    /// time-series sampler reports its SoC part.
+    ///
+    /// [`PowerModel::snapshot`]: apc_power::model::PowerModel::snapshot
     #[must_use]
     pub fn power_level(&self) -> PowerLevel {
         let uncore = self.power_table.uncore(&self.soc);
@@ -648,6 +639,7 @@ mod tests {
     use super::*;
     use crate::config::ServerConfig;
     use apc_power::energy::EnergyMeter;
+    use apc_power::model::memory_utilization;
     use apc_sim::rng::SimRng;
     use apc_soc::cstate::CoreCState;
     use apc_soc::io::IoId;
@@ -753,6 +745,16 @@ mod tests {
         }
     }
 
+    /// The node's power from the float [`PowerModel::snapshot`], quantised:
+    /// the reference the table level is checked against.
+    ///
+    /// [`PowerModel::snapshot`]: apc_power::model::PowerModel::snapshot
+    fn float_level(node: &ServerState) -> PowerLevel {
+        let busy = node.sched.busy_cores();
+        let utilization = memory_utilization(busy, node.soc.cores().len());
+        PowerLevel::quantise(&node.config.power.snapshot(&node.soc, utilization))
+    }
+
     /// Drives drawn core, busy and uncore changes through a node at
     /// non-decreasing instants and checks the power accounting against the
     /// float model. Before every step the table level must equal the
@@ -771,14 +773,14 @@ mod tests {
         let mut rng = SimRng::from_seed(seed);
         let mut now = SimTime::ZERO;
         for step in 0..steps {
-            let fresh = PowerLevel::quantise(&node.power_snapshot());
+            let fresh = float_level(&node);
             assert_eq!(node.power_level(), fresh, "step {step} (seed {seed})");
             // Several instants between two reads, some of them equal; at
             // each, a node event changing one domain, or another
             // component's event, which leaves the node alone.
             for _ in 0..1 + rng.index(4) {
                 now += SimDuration::from_nanos(rng.index(5_000) as u64);
-                reference.advance(now, &PowerLevel::quantise(&node.power_snapshot()));
+                reference.advance(now, &float_level(&node));
                 if rng.chance(0.4) {
                     continue;
                 }
@@ -796,7 +798,7 @@ mod tests {
             }
         }
         now += SimDuration::from_micros(1);
-        reference.advance(now, &PowerLevel::quantise(&node.power_snapshot()));
+        reference.advance(now, &float_level(&node));
         node.charge(now);
         assert_eq!(node.telemetry.energy.energy(), reference.energy());
         assert_eq!(node.telemetry.energy.elapsed(), reference.elapsed());

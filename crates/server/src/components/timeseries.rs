@@ -7,7 +7,9 @@
 //! [`TelemetryState::timeseries`](super::state::TelemetryState::timeseries):
 //! instantaneous SoC power, queue depth, busy cores, the current package
 //! C-state and the per-state package residency *deltas* since the previous
-//! sample.
+//! sample. The power is the SoC part of the level the energy meter
+//! integrates ([`ServerState::power_level`](super::state::ServerState::power_level)),
+//! so one power level always prints the same digits.
 //!
 //! The sampler is read-only with respect to simulation behaviour: it draws
 //! no randomness and emits only its own re-arm event, so enabling it never
@@ -70,7 +72,7 @@ impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
         let node = &mut shared.nodes[self.node];
 
         let busy_cores = node.sched.busy_cores();
-        let snapshot = node.power_snapshot();
+        let soc_nanowatts = node.power_level().soc_total();
 
         let residency = &node.telemetry.package_residency;
         let mut cumulative = [SimDuration::ZERO; 4];
@@ -81,7 +83,7 @@ impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
         }
         let sample = TimeSeriesSample {
             at: now,
-            soc_power_w: snapshot.soc_total().as_f64(),
+            soc_power_w: soc_nanowatts as f64 / 1e9,
             queue_depth: node.outstanding_requests(),
             busy_cores,
             package_state: residency.current(),

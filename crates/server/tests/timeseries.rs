@@ -30,6 +30,23 @@ fn sampler_records_one_sample_per_interval() {
 }
 
 #[test]
+fn soc_power_is_the_metered_level_in_whole_nanowatts() {
+    // The sampler reports the integer level the energy meter integrates, so
+    // every value is a whole number of nanowatts and prints with at most
+    // nine decimals, whichever cores are busy (a float sum over the cores
+    // printed one level as both 52.196 and 52.19599999999999).
+    let result = run(ServerConfig::c_pc1a().with_timeseries(SimDuration::from_micros(20)));
+    let ts = result.timeseries.expect("series enabled");
+    for s in ts.samples() {
+        let watts = s.soc_power_w;
+        assert_eq!((watts * 1e9).round() / 1e9, watts, "at {}", s.at);
+        let printed = watts.to_string();
+        let decimals = printed.split_once('.').map_or(0, |(_, d)| d.len());
+        assert!(decimals <= 9, "{printed} at {}", s.at);
+    }
+}
+
+#[test]
 fn residency_deltas_tile_the_sampling_interval() {
     let every = SimDuration::from_micros(200);
     let result = run(ServerConfig::c_pc1a().with_timeseries(every));

@@ -1,9 +1,8 @@
 //! Hierarchical timer-wheel event queue with slab-backed entries.
 //!
-//! This is the production [`EventQueue`]: it replaces the binary-heap hot
-//! path with a Linux-style hierarchical timer wheel. See the `engine` module
-//! docs for the delivery contract and `ARCHITECTURE.md` ("Event core") for
-//! the design discussion.
+//! The simulator's [`EventQueue`] is a Linux-style hierarchical timer wheel.
+//! See the `engine` module docs for the delivery contract and
+//! `ARCHITECTURE.md` ("Event core") for the design discussion.
 //!
 //! Structure:
 //!
@@ -43,7 +42,7 @@
 //! The wheel cursor only advances inside `pop`, immediately before an event
 //! is delivered, so a `schedule` between `peek_time` and `pop` can never
 //! land behind the cursor: anything earlier than the last *delivered*
-//! timestamp is causality-clamped to it, exactly as the heap queue did.
+//! timestamp is causality-clamped to it, as the delivery contract requires.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -1068,6 +1067,29 @@ mod tests {
                 cancelled: 0
             }
         );
+    }
+
+    #[test]
+    fn kind_profile_ignores_kinds_outside_its_rows() {
+        // Kinds 0 and 1 have rows; the classifier's 2 and 7 are dropped
+        // without disturbing delivery or the aggregate counters.
+        let mut q = EventQueue::new();
+        q.enable_profile(2, |e: &usize| *e);
+        for kind in [0, 7, 1, 2] {
+            q.schedule(SimTime::from_nanos(5), kind);
+        }
+        let stray = q.schedule(SimTime::from_nanos(9), 7);
+        assert!(q.cancel(stray));
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [0, 7, 1, 2]);
+        let once = KindCounters {
+            scheduled: 1,
+            dispatched: 1,
+            cancelled: 0,
+        };
+        assert_eq!(q.kind_counters(), Some(&[once, once][..]));
+        let c = q.counters();
+        assert_eq!((c.scheduled, c.dispatched, c.cancelled), (5, 4, 1));
     }
 
     #[test]

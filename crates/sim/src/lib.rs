@@ -11,8 +11,7 @@
 //!   schedule events and draw per-component deterministic randomness;
 //! * [`rng`] — seeded, forkable random number generation;
 //! * [`dist`] — the log-normal service-time distribution;
-//! * [`stats`] — exact percentile recording and the duration histograms
-//!   behind the idle-period telemetry.
+//! * [`stats`] — the duration histograms behind the idle-period telemetry.
 //!
 //! # Example
 //!

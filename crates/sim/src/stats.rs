@@ -1,114 +1,29 @@
-//! Exact percentiles and duration histograms.
+//! Duration histograms.
 //!
 //! [`DurationHistogram`] buckets the fully-idle periods behind Fig. 6(c).
-//! [`PercentileRecorder`] keeps every sample and answers quantiles exactly:
-//! it is the ground truth the latency sketch is checked against.
+//! Latency percentiles come from the quantile sketch in `apc-telemetry`.
 
 use std::fmt;
 
 use crate::time::SimDuration;
 
-/// Records a full set of samples and answers percentile queries exactly.
-///
-/// The evaluation runs produce at most a few million latency samples, so an
-/// exact recorder is affordable and avoids any estimator bias in tail-latency
-/// comparisons (Fig. 5).
-///
-/// ```
-/// use apc_sim::stats::PercentileRecorder;
-///
-/// let mut latencies_us = PercentileRecorder::new();
-/// for us in 1..=100 {
-///     latencies_us.record(f64::from(us));
-/// }
-/// assert_eq!(latencies_us.median(), Some(50.5));
-/// assert_eq!(latencies_us.quantile(1.0), Some(100.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PercentileRecorder {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl PercentileRecorder {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        PercentileRecorder {
-            samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Records one sample. Non-finite values are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when no samples are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean of the samples (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) using nearest-rank interpolation.
-    /// Returns `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("non-finite samples are filtered"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.samples.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            Some(self.samples[lo])
-        } else {
-            let frac = pos - lo as f64;
-            Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
-        }
-    }
-
-    /// Convenience accessor for the median.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Convenience accessor for the 99th percentile (the paper's tail metric).
-    pub fn p99(&mut self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-}
-
 /// A histogram over durations with logarithmically spaced bucket boundaries.
 ///
 /// Mirrors the presentation of Fig. 6(c): "what fraction of fully-idle
 /// periods fall between 20 µs and 200 µs?".
+///
+/// ```
+/// use apc_sim::stats::DurationHistogram;
+/// use apc_sim::time::SimDuration;
+///
+/// let mut idle = DurationHistogram::idle_period_default();
+/// for us in [3, 30, 150, 900, 40_000] {
+///     idle.record(SimDuration::from_micros(us));
+/// }
+/// let (lo, hi) = (SimDuration::from_micros(20), SimDuration::from_micros(200));
+/// assert_eq!(idle.fraction_between(lo, hi), 0.4);
+/// assert_eq!(idle.overflow(), 1); // 40 ms is past the 10 ms bound
+/// ```
 #[derive(Debug, Clone)]
 pub struct DurationHistogram {
     /// Upper bounds (inclusive) of each bucket, ascending. A final implicit
@@ -237,66 +152,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_recorder_exact_quantiles() {
-        let mut r = PercentileRecorder::new();
-        for x in (1..=100).rev() {
-            r.record(f64::from(x));
-        }
-        assert_eq!(r.count(), 100);
-        assert!((r.median().unwrap() - 50.5).abs() < 1e-9);
-        assert!((r.quantile(0.0).unwrap() - 1.0).abs() < 1e-9);
-        assert!((r.quantile(1.0).unwrap() - 100.0).abs() < 1e-9);
-        assert!((r.p99().unwrap() - 99.01).abs() < 0.02);
-        assert!((r.mean() - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_recorder_empty_is_none() {
-        let mut r = PercentileRecorder::new();
-        assert!(r.is_empty());
-        assert_eq!(r.quantile(0.5), None);
-        assert_eq!(r.mean(), 0.0);
-    }
-
-    #[test]
-    fn percentile_recorder_ignores_non_finite_samples() {
-        let mut r = PercentileRecorder::new();
-        for x in [f64::NAN, 3.0, f64::INFINITY, 1.0, f64::NEG_INFINITY, 2.0] {
-            r.record(x);
-        }
-        assert_eq!(r.count(), 3);
-        assert_eq!(r.mean(), 2.0);
-        assert_eq!(r.quantile(0.0), Some(1.0));
-        assert_eq!(r.quantile(1.0), Some(3.0));
-    }
-
-    #[test]
-    fn percentile_recorder_sees_samples_recorded_after_a_query() {
-        let mut r = PercentileRecorder::new();
-        for x in [30.0, 10.0, 20.0] {
-            r.record(x);
-        }
-        assert_eq!(r.median(), Some(20.0));
-        for x in [2.0, 1.0] {
-            r.record(x);
-        }
-        assert_eq!(r.quantile(0.0), Some(1.0));
-        assert_eq!(r.median(), Some(10.0));
-        assert_eq!(r.quantile(1.0), Some(30.0));
-    }
-
-    #[test]
-    fn percentile_recorder_clamps_and_interpolates_quantiles() {
-        let mut r = PercentileRecorder::new();
-        for x in [8.0, 4.0] {
-            r.record(x);
-        }
-        assert_eq!(r.quantile(-0.5), Some(4.0));
-        assert_eq!(r.quantile(1.5), Some(8.0));
-        assert_eq!(r.quantile(0.25), Some(5.0));
-    }
-
-    #[test]
     fn duration_histogram_bounds_are_inclusive() {
         let (ten, twenty) = (SimDuration::from_micros(10), SimDuration::from_micros(20));
         let one_ns = SimDuration::from_nanos(1);
@@ -338,6 +193,21 @@ mod tests {
         assert!(h.total_duration() > SimDuration::from_millis(20));
         let rendered = h.to_string();
         assert!(rendered.contains('%'));
+    }
+
+    #[test]
+    fn duration_histogram_display_lists_each_bucket_with_its_share() {
+        let mut h =
+            DurationHistogram::new(&[SimDuration::from_micros(10), SimDuration::from_micros(20)]);
+        for us in [5, 15, 15, 40] {
+            h.record(SimDuration::from_micros(us));
+        }
+        let expected = concat!(
+            "       0ns -   10.000us         1   25.00%\n",
+            "  10.000us -   20.000us         2   50.00%\n",
+            "  20.000us +                    1   25.00%\n",
+        );
+        assert_eq!(h.to_string(), expected);
     }
 
     #[test]

@@ -82,6 +82,20 @@ pub struct SketchParts {
 /// non-empty buckets) are equal — the internal storage layout is canonical
 /// for a given recording history, so parallel and sequential executions that
 /// record the same values in the same order produce `==` sketches.
+///
+/// ```
+/// use apc_telemetry::QuantileSketch;
+///
+/// let mut latency_ns = QuantileSketch::latency_default();
+/// for us in 1..=1_000 {
+///     latency_ns.record(us * 1_000);
+/// }
+/// assert_eq!(latency_ns.count(), 1_000);
+/// assert_eq!(latency_ns.max(), Some(1_000_000));
+/// // Within 1 % of the lower nearest-rank p99, the 990th smallest sample.
+/// let p99 = latency_ns.quantile(0.99).unwrap();
+/// assert!(p99.abs_diff(990_000) <= 9_900, "{p99}");
+/// ```
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
     /// Relative accuracy `alpha`.
@@ -545,6 +559,23 @@ mod tests {
             assert_eq!(s.quantile(q), Some(123_456));
         }
         assert_eq!(s.mean(), Some(123_456.0));
+    }
+
+    #[test]
+    fn out_of_range_quantiles_clamp_to_the_extremes() {
+        let sorted = [5, 700, 1_234, 90_000];
+        let mut s = QuantileSketch::latency_default();
+        for v in [700, 5, 90_000, 1_234] {
+            s.record(v);
+        }
+        for q in [-0.5, f64::NEG_INFINITY] {
+            assert_eq!(s.quantile(q), s.quantile(0.0), "q={q}");
+        }
+        for q in [1.5, f64::INFINITY] {
+            assert_eq!(s.quantile(q), s.quantile(1.0), "q={q}");
+        }
+        assert_within_contract(&s, &sorted, 0.0);
+        assert_within_contract(&s, &sorted, 1.0);
     }
 
     #[test]

@@ -289,40 +289,6 @@ impl TraceState {
     }
 }
 
-/// Aggregate event-core counters (see [`QueueCounters`] for field semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineProfile {
-    /// Events scheduled.
-    pub scheduled: u64,
-    /// Events dispatched to handlers.
-    pub dispatched: u64,
-    /// Events cancelled before dispatch.
-    pub cancelled: u64,
-    /// Level-0 wheel batches staged.
-    pub level0_batches: u64,
-    /// Events dispatched through level-0 batches.
-    pub batched_events: u64,
-    /// Largest single same-timestamp batch.
-    pub max_batch: u64,
-    /// Events that missed the wheel horizon and hit the overflow heap.
-    pub overflow_hits: u64,
-}
-
-impl EngineProfile {
-    /// Lifts one event queue's counters into a profile.
-    pub fn from_counters(c: QueueCounters) -> Self {
-        Self {
-            scheduled: c.scheduled,
-            dispatched: c.dispatched,
-            cancelled: c.cancelled,
-            level0_batches: c.level0_batches,
-            batched_events: c.batched_events,
-            max_batch: c.max_batch,
-            overflow_hits: c.overflow_hits,
-        }
-    }
-}
-
 /// Scheduled/dispatched/cancelled counts for one event kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventKindCount {
@@ -341,7 +307,7 @@ pub struct EventKindCount {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProfileReport {
     /// Aggregate event-core counters.
-    pub engine: EngineProfile,
+    pub engine: QueueCounters,
     /// Per-event-kind counters (empty if the kind classifier was not enabled).
     pub events: Vec<EventKindCount>,
 }
@@ -441,7 +407,7 @@ mod tests {
     #[test]
     fn profile_report_display_and_retain() {
         let mut report = ProfileReport {
-            engine: EngineProfile {
+            engine: QueueCounters {
                 scheduled: 3,
                 dispatched: 3,
                 ..Default::default()
