@@ -1201,3 +1201,56 @@ fn validate_rejects_invalid_json() {
     let err = execute(&args(&["validate", "/no/such/file.json"])).unwrap_err();
     assert!(matches!(err, CliError::Io(_)), "{err:?}");
 }
+
+/// Runs the `apc-cli` binary on the committed smoke spec (2 ms, JSON) with
+/// `stdout` as its standard output; returns its exit code and stderr.
+#[cfg(unix)]
+fn run_binary_into(stdout: std::process::Stdio) -> (Option<i32>, String) {
+    use std::process::{Command, Stdio};
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/smoke.toml"
+    );
+    let child = Command::new(env!("CARGO_BIN_EXE_apc-cli"))
+        .args(["run", spec, "--format", "json", "--duration-ms", "2"])
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn apc-cli");
+    let out = child.wait_with_output().expect("wait for apc-cli");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A reader that stops early (`apc-cli … | head -c 100`) closes the pipe:
+/// the binary stops quietly with exit 0 instead of panicking. Its stdout is
+/// a socket whose peer is already closed, so the first write fails with a
+/// broken pipe whatever the output size.
+#[cfg(unix)]
+#[test]
+fn closed_stdout_stops_quietly() {
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+    let (reader, writer) = UnixStream::pair().expect("socket pair");
+    drop(reader);
+    let (code, stderr) = run_binary_into(OwnedFd::from(writer).into());
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// Any other failure to write the result is an I/O error: a message and
+/// exit 1, no panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_stdout_fails_with_exit_1() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let (code, stderr) = run_binary_into(full.into());
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.starts_with("apc-cli: "), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

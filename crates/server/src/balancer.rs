@@ -43,9 +43,10 @@ pub trait RoutingPolicy: Send {
     /// Picks the node for the next request.
     ///
     /// `cluster` exposes every node's queues, core activity and package
-    /// state; `rng` is the balancer's private deterministic stream (so
-    /// randomised policies never perturb node streams). Must return an index
-    /// `< cluster.nodes.len()`.
+    /// state, and each node's outstanding requests in O(1) through
+    /// [`ClusterState::routing`]; `rng` is the balancer's private
+    /// deterministic stream (so randomised policies never perturb node
+    /// streams). Must return an index `< cluster.nodes.len()`.
     fn route(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize;
 }
 
@@ -86,10 +87,9 @@ impl RoutingPolicy for RoundRobin {
 
 /// Join-shortest-queue: each request goes to the node with the fewest
 /// outstanding client requests (buffered, queued, reserved or in service;
-/// see [`crate::components::state::ServerState::outstanding_requests`]),
-/// lowest index winning ties. The latency-optimal greedy policy — and the
-/// most aggressive idle-period fragmenter, since it preferentially wakes the
-/// most-idle node.
+/// see [`ClusterState::routing`]), lowest index winning ties. The
+/// latency-optimal greedy policy — and the most aggressive idle-period
+/// fragmenter, since it preferentially wakes the most-idle node.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct JoinShortestQueue;
 
@@ -99,10 +99,9 @@ impl RoutingPolicy for JoinShortestQueue {
     }
 
     fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        min_by_key_index(cluster, |node| {
-            debug_assert_eq!(node.outstanding, node.outstanding_requests());
-            node.outstanding
-        })
+        let pick = cluster.routing.least_loaded();
+        debug_assert_eq!(Some(pick), scan_least_loaded(cluster, |_| true));
+        pick
     }
 }
 
@@ -112,7 +111,7 @@ impl RoutingPolicy for JoinShortestQueue {
 /// in practice node 0). Load concentrates on few warm nodes, so the
 /// remaining nodes see long unbroken idle periods and deep PC1A/PC6
 /// residency — the routing-layer complement to the paper's fast package
-/// C-state.
+/// C-state. Reads the awake bits and loads of [`ClusterState::routing`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PowerAware;
 
@@ -122,18 +121,29 @@ impl RoutingPolicy for PowerAware {
     }
 
     fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let awake = (0..cluster.nodes.len())
-            .filter(|&i| cluster.nodes[i].any_core_active())
-            .min_by_key(|&i| (cluster.nodes[i].outstanding, i));
-        awake.unwrap_or_else(|| min_by_key_index(cluster, |n| n.outstanding))
+        let routing = &cluster.routing;
+        let pick = routing
+            .least_loaded_awake()
+            .unwrap_or_else(|| routing.least_loaded());
+        debug_assert_eq!(
+            Some(pick),
+            scan_least_loaded(cluster, ServerState::any_core_active)
+                .or_else(|| scan_least_loaded(cluster, |_| true))
+        );
+        pick
     }
 }
 
-/// Lowest node index minimising `key` (ties broken by index).
-fn min_by_key_index<K: Ord>(cluster: &ClusterState, key: impl Fn(&ServerState) -> K) -> usize {
+/// The lowest-index node with the fewest outstanding requests among those
+/// `eligible` admits, found by scanning every node's [`ServerState`]: the
+/// pick the routing index must reproduce (checked in debug builds).
+fn scan_least_loaded(
+    cluster: &ClusterState,
+    eligible: impl Fn(&ServerState) -> bool,
+) -> Option<usize> {
     (0..cluster.nodes.len())
-        .min_by_key(|&i| (key(&cluster.nodes[i]), i))
-        .expect("cluster has at least one node")
+        .filter(|&i| eligible(&cluster.nodes[i]))
+        .min_by_key(|&i| cluster.nodes[i].outstanding_requests())
 }
 
 /// The built-in routing policies as a plain enum, for declarative cluster

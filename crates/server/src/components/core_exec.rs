@@ -181,7 +181,7 @@ impl CoreExec {
         let mut finished_trace = None;
         match item {
             WorkItem::Client(request) => {
-                node.outstanding -= 1;
+                shared.routing.finish_request(self.node);
                 let server_side = now.saturating_since(request.arrival);
                 let total = server_side + node.network_rtt;
                 if request.class.is_client_visible() {

@@ -76,7 +76,7 @@ impl EventHandler<ServerEvent, ClusterState> for Fabric {
     ) {
         match event {
             ServerEvent::WireDeliver { node, request } => {
-                buffer_request(&mut shared.nodes[node], ctx, *request);
+                buffer_request(shared, node, ctx, *request);
             }
             other => unreachable!("fabric received unexpected event {other:?}"),
         }
@@ -107,7 +107,7 @@ pub(crate) fn deliver_routed(
         }
     };
     if delay.is_zero() {
-        buffer_request(&mut shared.nodes[target], ctx, request);
+        buffer_request(shared, target, ctx, request);
     } else {
         let component = component.expect("nonzero wire delay requires a fabric");
         ctx.emit(

@@ -14,17 +14,20 @@ use super::ServerEvent;
 ///
 /// This is the single entry point for requests reaching a server: the
 /// balancer, the chain coordinator and the fabric all deposit through it,
-/// in the same emission order (buffer push, then `NicDeliver` arming).
+/// in the same emission order (buffer push, then `NicDeliver` arming). It
+/// counts the request into the node's load in [`ClusterState::routing`].
 pub(crate) fn buffer_request(
-    node: &mut ServerState,
+    shared: &mut ClusterState,
+    node: usize,
     ctx: &mut SimulationContext<'_, ServerEvent>,
     mut request: Request,
 ) {
     if let Some(trace) = request.trace.as_mut() {
         trace.deposited = Some(ctx.now());
     }
+    shared.routing.add_request(node);
+    let node = &mut shared.nodes[node];
     node.nic.buffer.push_back(request);
-    node.outstanding += 1;
     if !node.nic.deliver_pending {
         node.nic.deliver_pending = true;
         // Record the delivery instant so the idle governor's predicted-idle

@@ -407,15 +407,6 @@ pub struct ServerState {
     /// *emitters* can skip package events the controller would handle as
     /// no-ops (see [`PackageMirror`]).
     pub pkg: PackageMirror,
-    /// Maintained count of outstanding client requests — always equal to
-    /// what [`ServerState::outstanding_requests`] derives by scanning.
-    /// Only two stage boundaries change the total, so only they touch it:
-    /// the NIC-buffer deposit (+1, every arrival path goes through the
-    /// shared `buffer_request` helper) and client service completion (−1);
-    /// moves between buffer → queue → reserved → running are neutral. The
-    /// JSQ and power-aware balancers read a load signal per node per
-    /// arrival, so it must be O(1).
-    pub outstanding: usize,
     /// Measurements.
     pub telemetry: TelemetryState,
     /// Workload name (for the run result).
@@ -452,7 +443,6 @@ impl ServerState {
             sched: SchedState::new(cores),
             uncore: UncoreStatus::default(),
             pkg: PackageMirror::default(),
-            outstanding: 0,
             telemetry,
             workload_name: "",
             offered_rate: 0.0,
@@ -523,19 +513,24 @@ impl ServerState {
         self.telemetry.energy.advance(now, &level);
     }
 
-    /// Records the package C-state at `now`. Runs after every event of the
-    /// node's components: the state is a pure function of
-    /// [`ServerState::any_core_active`] and the package FSMs, which only
-    /// those events move, and the package controller mirrors what the FSMs
-    /// imply into [`ServerState::pkg`]. A repeated state is a no-op.
+    /// Records the package C-state at `now` and returns
+    /// [`ServerState::any_core_active`], which picks it. Runs after every
+    /// event of the node's components: the state is a pure function of that
+    /// flag and the package FSMs, which only those events move, and the
+    /// package controller mirrors what the FSMs imply into
+    /// [`ServerState::pkg`]. A repeated state is a no-op. The node's
+    /// accounting wrapper publishes the flag as the node's awake bit in
+    /// [`ClusterState::routing`].
     #[inline]
-    pub fn settle(&mut self, now: SimTime) {
-        let state = if self.any_core_active() {
+    pub fn settle(&mut self, now: SimTime) -> bool {
+        let awake = self.any_core_active();
+        let state = if awake {
             self.pkg.active_state
         } else {
             self.pkg.idle_state
         };
         self.telemetry.package_residency.transition(now, state);
+        awake
     }
 
     /// Closes every telemetry stream at the end of the measurement window.
@@ -588,7 +583,9 @@ impl ServerState {
 
     /// Number of client requests currently outstanding at this node: buffered
     /// in the NIC, queued for dispatch, reserved on a waking core or in
-    /// service. The join-shortest-queue routing policy's load signal.
+    /// service, derived by scanning the node's queues and cores. The load
+    /// the routing policies read is this count as maintained by
+    /// [`RoutingIndex`] (debug builds check that they agree).
     #[must_use]
     pub fn outstanding_requests(&self) -> usize {
         let client = |w: &Option<WorkItem>| matches!(w, Some(WorkItem::Client(_)));
@@ -604,6 +601,93 @@ impl ServerState {
     }
 }
 
+/// The two per-node signals the load-aware routing policies read, kept
+/// dense so that a routing decision touches no node's [`ServerState`].
+///
+/// * **Load:** each node's outstanding client requests, the only copy of
+///   that count (equal to what [`ServerState::outstanding_requests`] derives
+///   by scanning). Only two stage boundaries change it: the NIC-buffer
+///   deposit (+1; every arrival path goes through the shared
+///   `buffer_request` helper) and client service completion (−1). Moves
+///   between buffer, queue, reservation and service are neutral.
+/// * **Awake:** one bit per node, set while
+///   [`ServerState::any_core_active`] holds. The node's accounting wrapper
+///   writes it after every node event from the flag
+///   [`ServerState::settle`] computes anyway. Only node events move the
+///   flag, so the bit is exact whenever a front routes. Every bit starts
+///   set, because cores boot busy.
+#[derive(Debug, Clone)]
+pub struct RoutingIndex {
+    load: Vec<usize>,
+    awake: Vec<u64>,
+}
+
+impl RoutingIndex {
+    /// The index of `nodes` booting nodes: no load, every node awake.
+    pub(crate) fn new(nodes: usize) -> Self {
+        let mut awake = vec![u64::MAX; nodes.div_ceil(64)];
+        if nodes % 64 != 0 {
+            awake[nodes / 64] = (1 << (nodes % 64)) - 1;
+        }
+        RoutingIndex {
+            load: vec![0; nodes],
+            awake,
+        }
+    }
+
+    /// Node `node`'s outstanding client requests.
+    #[must_use]
+    pub fn load(&self, node: usize) -> usize {
+        self.load[node]
+    }
+
+    /// The lowest-index node with the least load.
+    pub(crate) fn least_loaded(&self) -> usize {
+        (0..self.load.len())
+            .min_by_key(|&node| self.load[node])
+            .expect("cluster has at least one node")
+    }
+
+    /// The lowest-index awake node with the least load, if any node is
+    /// awake. Visits the set bits only.
+    pub(crate) fn least_loaded_awake(&self) -> Option<usize> {
+        let mut best: Option<(usize, usize)> = None;
+        for (word_idx, &word) in self.awake.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let node = word_idx * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let load = self.load[node];
+                // Nodes come in index order: keeping the first of equal
+                // loads keeps the lowest index.
+                match best {
+                    Some((least, _)) if least <= load => {}
+                    _ => best = Some((load, node)),
+                }
+            }
+        }
+        best.map(|(_, node)| node)
+    }
+
+    /// Counts a request deposited into node `node`'s NIC buffer.
+    pub(crate) fn add_request(&mut self, node: usize) {
+        self.load[node] += 1;
+    }
+
+    /// Counts a client request node `node` finished serving.
+    pub(crate) fn finish_request(&mut self, node: usize) {
+        self.load[node] -= 1;
+    }
+
+    /// Publishes node `node`'s awake flag.
+    #[inline]
+    pub(crate) fn set_awake(&mut self, node: usize, awake: bool) {
+        let word = &mut self.awake[node / 64];
+        let bit = 1 << (node % 64);
+        *word = (*word & !bit) | if awake { bit } else { 0 };
+    }
+}
+
 /// The state shared by every component of a simulation: one complete
 /// [`ServerState`] per node, hosted in a single event loop (a single server
 /// is the 1-node case). Node components reach their node as
@@ -612,6 +696,8 @@ impl ServerState {
 pub struct ClusterState {
     /// Per-node server state, indexed by node number.
     pub nodes: Vec<ServerState>,
+    /// The per-node load and awake signals the routing policies read.
+    pub routing: RoutingIndex,
     /// The network fabric every routed RPC and leaf report crosses; `None`
     /// keeps the instantaneous-deposit behaviour.
     pub fabric: Option<super::fabric::FabricState>,
@@ -626,8 +712,10 @@ impl ClusterState {
     /// network fabric (instantaneous deposits).
     #[must_use]
     pub fn new(configs: Vec<ServerConfig>) -> Self {
+        let nodes: Vec<ServerState> = configs.into_iter().map(ServerState::new).collect();
         ClusterState {
-            nodes: configs.into_iter().map(ServerState::new).collect(),
+            routing: RoutingIndex::new(nodes.len()),
+            nodes,
             fabric: None,
             trace: None,
         }

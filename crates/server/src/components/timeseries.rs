@@ -84,7 +84,7 @@ impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
         let sample = TimeSeriesSample {
             at: now,
             soc_power_w: soc_nanowatts as f64 / 1e9,
-            queue_depth: node.outstanding_requests(),
+            queue_depth: shared.routing.load(self.node),
             busy_cores,
             package_state: residency.current(),
             pc0_delta: deltas[0],

@@ -22,14 +22,18 @@
 //! Every node component is registered inside one generic wrapper whose
 //! handler charges the node's energy meter up to the event's instant
 //! ([`ServerState::charge`]) before the component runs, and records the
-//! node's package C-state ([`ServerState::settle`]) after it. Only the
-//! node's own events can move its power or package state, so bracketing
-//! exactly those events accounts energy and residency at the instants they
-//! change, at the cost of the node's events alone. A cluster's front and
-//! fabric stay unwrapped: they at most deposit into NIC buffers.
+//! node's package C-state ([`ServerState::settle`]) after it. `settle`
+//! returns whether some core is active, and the wrapper publishes that as
+//! the node's awake bit in the cluster's [`RoutingIndex`]. Only the node's
+//! own events can move its power, package state or awake flag, so
+//! bracketing exactly those events accounts energy and residency at the
+//! instants they change, at the cost of the node's events alone. A
+//! cluster's front and fabric stay unwrapped: they at most deposit into NIC
+//! buffers.
 //!
 //! [`ServerState::charge`]: crate::components::state::ServerState::charge
 //! [`ServerState::settle`]: crate::components::state::ServerState::settle
+//! [`RoutingIndex`]: crate::components::state::RoutingIndex
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -196,8 +200,8 @@ impl ServerNode {
 }
 
 /// A node component inside the node's accounting: charges the node's energy
-/// meter before each of the component's events and settles its package
-/// state after (see the [module docs](self)).
+/// meter before each of the component's events, and after it settles its
+/// package state and publishes its awake bit (see the [module docs](self)).
 struct Accounted<H> {
     node: usize,
     inner: H,
@@ -215,7 +219,8 @@ impl<H: EventHandler<ServerEvent, ClusterState>> EventHandler<ServerEvent, Clust
         let now = ctx.now();
         shared.nodes[self.node].charge(now);
         self.inner.on_event(event, shared, ctx);
-        shared.nodes[self.node].settle(now);
+        let awake = shared.nodes[self.node].settle(now);
+        shared.routing.set_awake(self.node, awake);
     }
 }
 

@@ -200,11 +200,12 @@ impl Core {
 /// The set of cores of a socket, with helpers for the all-core status signals
 /// the package controllers consume.
 ///
-/// The set is the only way to mutate its cores, so it maintains two facts
+/// The set is the only way to mutate its cores, so it maintains three facts
 /// the per-event hot paths read in O(1): the number of busy cores (what
-/// [`CoreSet::active_count`] and [`CoreSet::any_active`] report) and the
+/// [`CoreSet::active_count`] and [`CoreSet::any_active`] report), the
 /// number of cores established in each C-state (see
-/// [`CoreSet::cstate_census`]).
+/// [`CoreSet::cstate_census`]) and the number of cores asserting `InCC1`
+/// (see [`CoreSet::all_in_cc1_or_deeper`]).
 #[derive(Debug, Clone)]
 pub struct CoreSet {
     cores: Vec<Core>,
@@ -212,6 +213,8 @@ pub struct CoreSet {
     busy: usize,
     /// Cores per established C-state, indexed like [`CoreCState::ALL`].
     census: [usize; 4],
+    /// Cores for which [`Core::in_cc1_or_deeper`] holds.
+    in_cc1: usize,
 }
 
 impl CoreSet {
@@ -222,6 +225,7 @@ impl CoreSet {
             cores: (0..n).map(|i| Core::new(CoreId(i))).collect(),
             busy: n,
             census: [n, 0, 0, 0],
+            in_cc1: 0,
         }
     }
 
@@ -253,11 +257,12 @@ impl CoreSet {
         self.cores.iter()
     }
 
-    /// Applies `change` to core `id`, keeping the busy count and the
-    /// C-state census in step with it.
+    /// Applies `change` to core `id`, keeping the busy count, the C-state
+    /// census and the `InCC1` count in step with it.
     fn update<R>(&mut self, id: CoreId, change: impl FnOnce(&mut Core) -> R) -> R {
         let core = &mut self.cores[id.0];
-        let (was_busy, was) = (core.activity == CoreActivity::Busy, core.cstate);
+        let was_busy = core.activity == CoreActivity::Busy;
+        let (was, was_in_cc1) = (core.cstate, core.in_cc1_or_deeper());
         let out = change(core);
         let is_busy = core.activity == CoreActivity::Busy;
         if core.cstate != was {
@@ -269,6 +274,14 @@ impl CoreSet {
                 self.busy += 1;
             } else {
                 self.busy -= 1;
+            }
+        }
+        let is_in_cc1 = core.in_cc1_or_deeper();
+        if is_in_cc1 != was_in_cc1 {
+            if is_in_cc1 {
+                self.in_cc1 += 1;
+            } else {
+                self.in_cc1 -= 1;
             }
         }
         out
@@ -340,10 +353,16 @@ impl CoreSet {
 
     /// The aggregated `InCC1` signal: `true` when **all** cores assert their
     /// per-core `InCC1` (i.e. every core is established in CC1 or deeper).
-    /// This is the AND-tree the APMU consumes (paper Fig. 3).
+    /// This is the AND-tree the APMU consumes (paper Fig. 3). O(1): the set
+    /// maintains the number of asserting cores.
     #[must_use]
     pub fn all_in_cc1_or_deeper(&self) -> bool {
-        !self.cores.is_empty() && self.cores.iter().all(Core::in_cc1_or_deeper)
+        debug_assert_eq!(
+            self.in_cc1,
+            self.cores.iter().filter(|c| c.in_cc1_or_deeper()).count(),
+            "maintained InCC1 count out of sync"
+        );
+        !self.cores.is_empty() && self.in_cc1 == self.cores.len()
     }
 
     /// `true` when every core is established in a state at least as deep as
@@ -528,6 +547,11 @@ mod tests {
             assert_eq!(set.any_active(), busy > 0, "step {step}: any_active");
             let census = STATES.map(|s| set.iter().filter(|c| c.cstate() == s).count());
             assert_eq!(set.cstate_census(), &census, "step {step}: C-state census");
+            assert_eq!(
+                set.all_in_cc1_or_deeper(),
+                set.iter().all(Core::in_cc1_or_deeper),
+                "step {step}: aggregated InCC1"
+            );
         }
     }
 
@@ -535,6 +559,14 @@ mod tests {
     fn maintained_counts_match_a_scan_on_10_cores() {
         for seed in 0..20 {
             check_maintained_counts(10, 2_000, seed);
+        }
+    }
+
+    #[test]
+    fn maintained_counts_match_a_scan_on_3_cores() {
+        // Few cores: every core asserting `InCC1` at once is common.
+        for seed in 200..220 {
+            check_maintained_counts(3, 2_000, seed);
         }
     }
 

@@ -6,29 +6,54 @@
 //! C-state. Figures 6(a), 6(b), 8(a) and 9(a) are direct reductions of these
 //! counters.
 
-use std::collections::BTreeMap;
-
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::core::CoreId;
 use apc_soc::cstate::{CoreCState, PackageCState};
 
+/// A state of a machine [`StateResidency`] can track: each state owns one
+/// fixed slot of the tracker's duration array.
+pub trait ResidencyState: Copy + Eq {
+    /// The state's slot: its position in the type's `ALL` list, below five.
+    fn slot(self) -> usize;
+}
+
+/// The most states a tracked machine has: the five package C-states.
+const MAX_STATES: usize = 5;
+
+impl ResidencyState for CoreCState {
+    /// The position in [`CoreCState::ALL`].
+    #[inline]
+    fn slot(self) -> usize {
+        self as usize
+    }
+}
+
+impl ResidencyState for PackageCState {
+    /// The position in [`PackageCState::ALL`].
+    #[inline]
+    fn slot(self) -> usize {
+        self as usize
+    }
+}
+
 /// Tracks time spent per state for one state machine (a core or the package).
+/// Each state's time is one slot of a fixed array, so a transition is O(1).
 #[derive(Debug, Clone)]
-pub struct StateResidency<S: Ord + Copy> {
+pub struct StateResidency<S: ResidencyState> {
     current: S,
     since: SimTime,
-    accumulated: BTreeMap<S, SimDuration>,
+    accumulated: [SimDuration; MAX_STATES],
     transitions: u64,
 }
 
-impl<S: Ord + Copy> StateResidency<S> {
+impl<S: ResidencyState> StateResidency<S> {
     /// Creates a tracker starting in `initial` at time `start`.
     #[must_use]
     pub fn new(initial: S, start: SimTime) -> Self {
         StateResidency {
             current: initial,
             since: start,
-            accumulated: BTreeMap::new(),
+            accumulated: [SimDuration::ZERO; MAX_STATES],
             transitions: 0,
         }
     }
@@ -51,11 +76,7 @@ impl<S: Ord + Copy> StateResidency<S> {
         if next == self.current {
             return;
         }
-        let dwell = now.saturating_since(self.since);
-        *self
-            .accumulated
-            .entry(self.current)
-            .or_insert(SimDuration::ZERO) += dwell;
+        self.accumulated[self.current.slot()] += now.saturating_since(self.since);
         self.current = next;
         self.since = now;
         self.transitions += 1;
@@ -64,21 +85,14 @@ impl<S: Ord + Copy> StateResidency<S> {
     /// Closes the accounting window at `now` without changing state (call at
     /// the end of a run before reading residencies).
     pub fn finish(&mut self, now: SimTime) {
-        let dwell = now.saturating_since(self.since);
-        *self
-            .accumulated
-            .entry(self.current)
-            .or_insert(SimDuration::ZERO) += dwell;
+        self.accumulated[self.current.slot()] += now.saturating_since(self.since);
         self.since = now;
     }
 
     /// Total time attributed to `state`.
     #[must_use]
     pub fn time_in(&self, state: S) -> SimDuration {
-        self.accumulated
-            .get(&state)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+        self.accumulated[state.slot()]
     }
 
     /// Total time attributed to `state` *as of* `now`, including the still
@@ -97,7 +111,7 @@ impl<S: Ord + Copy> StateResidency<S> {
     /// Total accounted time across all states.
     #[must_use]
     pub fn total(&self) -> SimDuration {
-        self.accumulated.values().copied().sum()
+        self.accumulated.iter().copied().sum()
     }
 
     /// Fraction of accounted time spent in `state` (0 when nothing has been
@@ -192,6 +206,112 @@ pub type PackageResidency = StateResidency<PackageCState>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_sim::rng::SimRng;
+    use std::collections::BTreeMap;
+
+    /// What a residency tracker must report, kept as a map from state to
+    /// accumulated time.
+    struct Model<S> {
+        current: S,
+        since: SimTime,
+        accumulated: BTreeMap<S, SimDuration>,
+        transitions: u64,
+    }
+
+    impl<S: Ord + Copy> Model<S> {
+        fn close_dwell(&mut self, now: SimTime) {
+            *self.accumulated.entry(self.current).or_default() += now.saturating_since(self.since);
+            self.since = now;
+        }
+
+        fn time_in(&self, state: S) -> SimDuration {
+            self.accumulated.get(&state).copied().unwrap_or_default()
+        }
+
+        fn total(&self) -> SimDuration {
+            self.accumulated.values().copied().sum()
+        }
+    }
+
+    /// Drives a tracker and the model through the same drawn transitions
+    /// (same-state ones included), zero-length dwells and mid-run
+    /// `finish` calls, and compares every read after every step.
+    fn check_against_model<S: ResidencyState + Ord + std::fmt::Debug>(
+        states: &[S],
+        steps: usize,
+        seed: u64,
+    ) {
+        let mut rng = SimRng::from_seed(seed);
+        let start = SimTime::from_nanos(rng.index(1_000) as u64);
+        let initial = states[rng.index(states.len())];
+        let mut tracker = StateResidency::new(initial, start);
+        let mut model = Model {
+            current: initial,
+            since: start,
+            accumulated: BTreeMap::new(),
+            transitions: 0,
+        };
+        let mut now = start;
+        for step in 0..steps {
+            now += SimDuration::from_nanos(rng.index(4) as u64 * rng.index(10_000) as u64);
+            if rng.chance(0.1) {
+                tracker.finish(now);
+                model.close_dwell(now);
+            } else {
+                let next = states[rng.index(states.len())];
+                tracker.transition(now, next);
+                if next != model.current {
+                    model.close_dwell(now);
+                    model.current = next;
+                    model.transitions += 1;
+                }
+            }
+            let at = now + SimDuration::from_nanos(rng.index(5_000) as u64);
+            let total = model.total();
+            assert_eq!(
+                tracker.current(),
+                model.current,
+                "step {step} (seed {seed})"
+            );
+            assert_eq!(tracker.total(), total, "step {step} (seed {seed})");
+            assert_eq!(tracker.transitions(), model.transitions, "step {step}");
+            for &state in states {
+                let time = model.time_in(state);
+                let open = if state == model.current {
+                    at.saturating_since(model.since)
+                } else {
+                    SimDuration::ZERO
+                };
+                let fraction = if total.is_zero() {
+                    0.0
+                } else {
+                    time.as_nanos() as f64 / total.as_nanos() as f64
+                };
+                let what = format!("{state:?} at step {step} (seed {seed})");
+                assert_eq!(tracker.time_in(state), time, "{what}");
+                assert_eq!(tracker.time_in_at(state, at), time + open, "{what}");
+                assert_eq!(
+                    tracker.fraction_in(state).to_bits(),
+                    fraction.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn package_residency_matches_a_map_model() {
+        for seed in 0..20 {
+            check_against_model(&PackageCState::ALL, 2_000, seed);
+        }
+    }
+
+    #[test]
+    fn core_residency_matches_a_map_model() {
+        for seed in 100..120 {
+            check_against_model(&CoreCState::ALL, 2_000, seed);
+        }
+    }
 
     #[test]
     fn single_tracker_accumulates_dwell_times() {
