@@ -897,7 +897,7 @@ pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
     .push("messages", JsonValue::UInt(n.messages))
     .push(
         "total_wire_delay_ns",
-        JsonValue::UInt(n.total_wire_delay.as_nanos()),
+        JsonValue::UInt(u64::try_from(n.total_wire_delay_ns).unwrap_or(u64::MAX)),
     )
     .push(
         "mean_wire_delay_ns",
@@ -1099,14 +1099,15 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
 }
 
 /// An engine self-profile as an object: the aggregate event-core counters
-/// and the per-event-kind breakdown.
+/// and the per-event-kind breakdown. Both keep a `cancelled` key for their
+/// readers; events are never cancelled, so it always reads 0.
 #[must_use]
 pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
     let mut engine = JsonValue::object();
     engine
         .push("scheduled", JsonValue::UInt(p.engine.scheduled))
         .push("dispatched", JsonValue::UInt(p.engine.dispatched))
-        .push("cancelled", JsonValue::UInt(p.engine.cancelled))
+        .push("cancelled", JsonValue::UInt(0))
         .push("level0_batches", JsonValue::UInt(p.engine.level0_batches))
         .push("batched_events", JsonValue::UInt(p.engine.batched_events))
         .push("max_batch", JsonValue::UInt(p.engine.max_batch))
@@ -1119,7 +1120,7 @@ pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
             o.push("kind", JsonValue::Str(k.kind.to_owned()))
                 .push("scheduled", JsonValue::UInt(k.scheduled))
                 .push("dispatched", JsonValue::UInt(k.dispatched))
-                .push("cancelled", JsonValue::UInt(k.cancelled));
+                .push("cancelled", JsonValue::UInt(0));
             o
         })
         .collect();
@@ -1556,7 +1557,6 @@ mod tests {
             engine: apc_sim::engine::QueueCounters {
                 scheduled: 9,
                 dispatched: 7,
-                cancelled: 2,
                 level0_batches: 5,
                 batched_events: 6,
                 max_batch: 3,
@@ -1566,13 +1566,12 @@ mod tests {
                 kind: "Arrival",
                 scheduled: 4,
                 dispatched: 4,
-                cancelled: 0,
             }],
         };
         assert_eq!(
             profile_report_json(&report).to_compact_string(),
             concat!(
-                r#"{"engine":{"scheduled":9,"dispatched":7,"cancelled":2,"#,
+                r#"{"engine":{"scheduled":9,"dispatched":7,"cancelled":0,"#,
                 r#""level0_batches":5,"batched_events":6,"max_batch":3,"#,
                 r#""overflow_hits":1},"#,
                 r#""events":[{"kind":"Arrival","scheduled":4,"dispatched":4,"cancelled":0}]}"#,

@@ -1,5 +1,5 @@
-//! Event-core benchmarks: the timer-wheel [`EventQueue`] in isolation, plus
-//! the end-to-end cluster simulation whose event loop the wheel powers.
+//! Event-core benchmarks: the calendar [`EventQueue`] in isolation, plus
+//! the end-to-end cluster simulation whose event loop it powers.
 //!
 //! Unlike the figure benches this harness writes a machine-readable result
 //! file, `BENCH_event_core.json` at the repository root, so the measured
@@ -12,12 +12,13 @@
 //!
 //! Sections:
 //!
-//! * `event_queue` micro — schedule/pop/cancel throughput at 10^4..10^6
-//!   pending events under three access patterns: `fill_drain` (schedule N,
-//!   pop N), `churn` (steady-state pop-one / schedule-one at depth N) and
-//!   `cancel_rearm` (cancel a random live event and schedule a replacement,
-//!   then drain). Timestamps come from the crate's deterministic xoshiro
-//!   streams, so every run sees the identical operation sequence.
+//! * `event_queue` micro — steady-state churn (pop one, schedule one) at
+//!   16, 512 and 4,096 pending events: from a single server's run to a
+//!   256-node cluster's boot. Delays follow the mix recorded from the
+//!   simulator's own queue traffic: 44 % at the current instant, 4 % under
+//!   64 ns, 28 % under 4.1 µs, 19 % under 262 µs and 5 % under 16.8 ms,
+//!   drawn from the crate's deterministic xoshiro streams, so every run
+//!   sees the identical operation sequence.
 //! * `cluster_scale` — wall-clock per 20 ms of simulated time for
 //!   1/4/8/16/32/64 server nodes in one event loop (JSQ, 20k req/s per
 //!   node), with the dispatched-event count from
@@ -68,71 +69,39 @@ fn fastest(repeats: usize, mut f: impl FnMut() -> Measure) -> Measure {
     best.expect("at least one repeat")
 }
 
-/// A future timestamp drawn from the mixture the simulator produces in
-/// practice: mostly near-term (nanoseconds to microseconds ahead), a tail
-/// of far-future deadlines.
+/// A timestamp drawn from the delay mix of the simulator's queue traffic
+/// (percent of schedules per delay band).
 fn next_time(rng: &mut SimRng, now: SimTime) -> SimTime {
-    let offset = match rng.index(10) {
-        0..=5 => rng.next_u64() % 4_096,
-        6..=8 => rng.next_u64() % 1_000_000,
-        _ => rng.next_u64() % 10_000_000_000,
+    let (low, high) = match rng.index(100) {
+        0..=43 => return now,
+        44..=47 => (1, 64),
+        48..=75 => (64, 4_096),
+        76..=94 => (4_096, 262_144),
+        _ => (262_144, 16_777_216),
     };
-    SimTime::from_nanos(now.as_nanos() + offset)
+    SimTime::from_nanos(now.as_nanos() + low + rng.next_u64() % (high - low))
 }
 
-fn fill_drain(n: u64, seed: u64) -> Measure {
+/// Steady-state churn at `depth` pending events: `pops` pop-one /
+/// schedule-one pairs after an untimed fill.
+fn churn(depth: u64, pops: u64, seed: u64) -> Measure {
     let mut rng = SimRng::from_seed(seed);
     let mut q = EventQueue::new();
-    let start = Instant::now();
-    for i in 0..n {
-        let at = next_time(&mut rng, q.now());
-        q.schedule(at, i);
-    }
-    while q.pop().is_some() {}
-    Measure {
-        ops: 2 * n,
-        secs: start.elapsed().as_secs_f64(),
-    }
-}
-
-fn churn(n: u64, seed: u64) -> Measure {
-    let mut rng = SimRng::from_seed(seed);
-    let mut q = EventQueue::new();
-    for i in 0..n {
+    for i in 0..depth {
         let at = next_time(&mut rng, q.now());
         q.schedule(at, i);
     }
     let start = Instant::now();
-    for i in 0..4 * n {
-        let (_, _) = q.pop().expect("queue holds n events");
+    for i in 0..pops {
+        let (_, _) = q.pop().expect("the queue holds `depth` events");
         let at = next_time(&mut rng, q.now());
         q.schedule(at, i);
     }
     let secs = start.elapsed().as_secs_f64();
-    while q.pop().is_some() {}
-    Measure { ops: 8 * n, secs }
-}
-
-fn cancel_rearm(n: u64, seed: u64) -> Measure {
-    let mut rng = SimRng::from_seed(seed);
-    let mut q = EventQueue::new();
-    let mut live = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        let at = next_time(&mut rng, q.now());
-        live.push(q.schedule(at, i));
-    }
-    let start = Instant::now();
-    for i in 0..2 * n {
-        let idx = rng.index(live.len());
-        let id = live.swap_remove(idx);
-        assert!(q.cancel(id), "live events cancel exactly once");
-        let at = next_time(&mut rng, q.now());
-        live.push(q.schedule(at, i));
-    }
-    while q.pop().is_some() {}
+    assert_eq!(q.len() as u64, depth);
     Measure {
-        ops: 5 * n,
-        secs: start.elapsed().as_secs_f64(),
+        ops: 2 * pops,
+        secs,
     }
 }
 
@@ -151,7 +120,7 @@ fn cluster_run(nodes: usize) -> (f64, ClusterResult) {
 }
 
 /// One untimed profiled run of the same configuration: the self-profiler's
-/// engine counters (wheel batches, overflow-heap hits) for the row. Kept
+/// engine counters (dispatch batches, overflow hits) for the row. Kept
 /// out of the timed runs so the report never contaminates the wall clock.
 fn cluster_profile(nodes: usize) -> QueueCounters {
     let base = ServerConfig::c_pc1a().with_duration(WINDOW).with_profile();
@@ -168,47 +137,35 @@ fn cluster_profile(nodes: usize) -> QueueCounters {
         .engine
 }
 
-fn json_escape_free(name: &str) -> &str {
-    debug_assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     // `cargo bench` forwards `--bench`; a figure-style filter is not
     // supported here, everything always runs.
-    let (sizes, repeats, cluster_nodes, cluster_repeats): (&[u64], usize, &[usize], usize) =
-        if smoke {
-            (&[10_000], 2, &[8], 2)
-        } else {
-            (&[10_000, 100_000, 1_000_000], 5, &[1, 4, 8, 16, 32, 64], 10)
-        };
+    let (depths, pops, repeats, cluster_nodes, cluster_repeats): (
+        &[u64],
+        u64,
+        usize,
+        &[usize],
+        usize,
+    ) = if smoke {
+        (&[512], 200_000, 2, &[8], 2)
+    } else {
+        (&[16, 512, 4_096], 2_000_000, 5, &[1, 4, 8, 16, 32, 64], 10)
+    };
 
     let mut micro_json = Vec::new();
-    println!("event_queue micro ({} repeats, min):", repeats);
-    for &n in sizes {
-        let seed = 0xec0 + n;
-        for (pattern, run) in [
-            ("fill_drain", fill_drain as fn(u64, u64) -> Measure),
-            ("churn", churn),
-            ("cancel_rearm", cancel_rearm),
-        ] {
-            let wheel = fastest(repeats, || run(n, seed));
-            println!(
-                "  {n:>9} pending, {pattern:<12} wheel {:>6.1} Mops/s",
-                wheel.ops_per_sec() / 1e6,
-            );
-            micro_json.push(format!(
-                concat!(
-                    "    {{\"pending_events\": {}, \"pattern\": \"{}\", ",
-                    "\"wheel_ops_per_sec\": {:.0}}}"
-                ),
-                n,
-                json_escape_free(pattern),
-                wheel.ops_per_sec(),
-            ));
-        }
+    println!("event_queue micro ({repeats} repeats, min; {pops} pop/schedule pairs):");
+    for &depth in depths {
+        let m = fastest(repeats, || churn(depth, pops, 0xec0 + depth));
+        println!(
+            "  {depth:>5} pending, churn {:>6.1} Mops/s",
+            m.ops_per_sec() / 1e6,
+        );
+        micro_json.push(format!(
+            "    {{\"pending_events\": {depth}, \"pattern\": \"churn\", \"ops_per_sec\": {:.0}}}",
+            m.ops_per_sec(),
+        ));
     }
 
     let mut cluster_json = Vec::new();
@@ -244,7 +201,7 @@ fn main() {
             concat!(
                 "    {{\"nodes\": {}, \"ms_per_20ms_sim\": {:.3}, ",
                 "\"events_dispatched\": {}, \"events_per_sec\": {:.0}, ",
-                "\"events_scheduled\": {}, \"events_cancelled\": {}, ",
+                "\"events_scheduled\": {}, ",
                 "\"level0_batches\": {}, \"max_batch\": {}, \"overflow_hits\": {}}}"
             ),
             nodes,
@@ -252,7 +209,6 @@ fn main() {
             events,
             events_per_sec,
             engine.scheduled,
-            engine.cancelled,
             engine.level0_batches,
             engine.max_batch,
             engine.overflow_hits,
@@ -270,18 +226,19 @@ fn main() {
             "  \"bench\": \"event_core\",\n",
             "  \"host_cores\": {},\n",
             "  \"methodology\": \"min over repeats on a shared container; ",
-            "micro: {} repeats, cluster: {} repeats; ",
+            "micro: {} repeats of {} pop/schedule pairs after an untimed fill, ",
+            "delays from the traced mix (44% now, 4% <64 ns, 28% <4.1 us, ",
+            "19% <262 us, 5% <16.8 ms); cluster: {} repeats; ",
             "xoshiro-seeded operation sequences; ",
-            "wheel-batch/overflow counters from one untimed ",
+            "batch/overflow counters from one untimed ",
             "self-profiled run per row\",\n",
-            "  \"baseline_8_nodes_ms_per_20ms_sim\": {{\"recorded_pre_wheel\": 14.9, ",
-            "\"this_container_pre_wheel\": 16.06}},\n",
             "  \"event_queue_micro\": [\n{}\n  ],\n",
             "  \"cluster_scale\": [\n{}\n  ]\n",
             "}}\n"
         ),
         std::thread::available_parallelism().map_or(1, usize::from),
         repeats,
+        pops,
         cluster_repeats,
         micro_json.join(",\n"),
         cluster_json.join(",\n"),

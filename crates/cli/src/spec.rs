@@ -1307,6 +1307,16 @@ fn parse_network(t: &Table) -> Result<NetworkConfig, SpecError> {
                     format!("`latency_us` must be >= 0, got {n}"),
                 ));
             }
+            // Like `duration_ms`, a latency whose nanoseconds do not fit a
+            // `u64` is an error, not a silent saturation. The check takes
+            // the count `from_micros_f64` rounds to; `u64::MAX as f64` is
+            // 2^64.
+            if (n * 1e-6 * 1e9).round() >= u64::MAX as f64 {
+                return Err(SpecError::at(
+                    line,
+                    format!("`latency_us` must be below 2^64 ns (about 1.8e16), got {n}"),
+                ));
+            }
             SimDuration::from_micros_f64(n)
         }
     };
@@ -1735,10 +1745,14 @@ rpc_bytes = 2_000
                 .with_bandwidth(3_125_000_000)
                 .with_rpc_bytes(2_000)
         );
-        // Zero latency is a valid (instantaneous) fabric, not an error.
-        let text = text.replace("latency_us = 5", "latency_us = 0");
-        let net = ExperimentSpec::parse(&text).unwrap().network.unwrap();
+        // Zero latency is a valid (instantaneous) fabric, not an error, and
+        // so is any latency whose nanoseconds fit a `u64`.
+        let zero = text.replace("latency_us = 5", "latency_us = 0");
+        let net = ExperimentSpec::parse(&zero).unwrap().network.unwrap();
         assert_eq!(net.link_latency, SimDuration::ZERO);
+        let huge = text.replace("latency_us = 5", "latency_us = 1.8e16");
+        let net = ExperimentSpec::parse(&huge).unwrap().network.unwrap();
+        assert_eq!(net.link_latency.as_nanos(), 18_000_000_000_000_000_000);
     }
 
     #[test]
@@ -1760,6 +1774,16 @@ rpc_bytes = 2_000
             (
                 "topology = \"flat\"\nlatency_us = -3\n",
                 "`latency_us` must be >= 0",
+                13,
+            ),
+            (
+                "topology = \"flat\"\nlatency_us = 1e17\n",
+                "`latency_us` must be below 2^64 ns (about 1.8e16), got 100000000000000000",
+                13,
+            ),
+            (
+                "topology = \"flat\"\nlatency_us = 1e300\n",
+                "`latency_us` must be below 2^64 ns",
                 13,
             ),
             (

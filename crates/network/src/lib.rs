@@ -542,8 +542,9 @@ pub struct NetworkStats {
     pub config: NetworkConfig,
     /// Messages transmitted through the fabric.
     pub messages: u64,
-    /// Sum of all wire delays.
-    pub total_wire_delay: SimDuration,
+    /// Sum of all wire delays in nanoseconds, exact: it does not saturate
+    /// where a `SimDuration` sum would.
+    pub total_wire_delay_ns: u128,
     /// Largest single wire delay observed.
     pub max_wire_delay: SimDuration,
     /// Per-link breakdown, indexed by [`LinkId`] (same order as
@@ -552,13 +553,15 @@ pub struct NetworkStats {
 }
 
 impl NetworkStats {
-    /// Mean wire delay per message (zero when no messages were sent).
+    /// Mean wire delay per message (zero when no messages were sent). The
+    /// mean of `u64` delays always fits one.
     #[must_use]
     pub fn mean_wire_delay(&self) -> SimDuration {
         if self.messages == 0 {
             SimDuration::ZERO
         } else {
-            self.total_wire_delay / self.messages
+            let mean = self.total_wire_delay_ns / u128::from(self.messages);
+            SimDuration::from_nanos(u64::try_from(mean).expect("a mean of u64 delays fits a u64"))
         }
     }
 
@@ -602,7 +605,7 @@ impl NetworkState {
             stats: NetworkStats {
                 config,
                 messages: 0,
-                total_wire_delay: SimDuration::ZERO,
+                total_wire_delay_ns: 0,
                 max_wire_delay: SimDuration::ZERO,
                 per_link,
             },
@@ -668,7 +671,7 @@ impl NetworkState {
         }
         let delay = at.saturating_since(now);
         self.stats.messages += 1;
-        self.stats.total_wire_delay += delay;
+        self.stats.total_wire_delay_ns += u128::from(delay.as_nanos());
         self.stats.max_wire_delay = self.stats.max_wire_delay.max(delay);
         delay
     }
@@ -693,7 +696,7 @@ mod tests {
             );
         }
         assert_eq!(net.stats().messages, 16);
-        assert_eq!(net.stats().total_wire_delay, SimDuration::ZERO);
+        assert_eq!(net.stats().total_wire_delay_ns, 0);
     }
 
     #[test]
@@ -814,6 +817,23 @@ mod tests {
             net.stats().mean_wire_delay(),
             SimDuration::from_nanos(2_500)
         );
+    }
+
+    #[test]
+    fn the_mean_wire_delay_is_exact_past_the_u64_range() {
+        // 10^18 ns per link, two links per client-server path: thirty
+        // messages of 2·10^18 ns sum to 6·10^19 ns, past `u64::MAX`.
+        let latency = SimDuration::from_nanos(1_000_000_000_000_000_000);
+        let mut net = NetworkState::new(NetworkConfig::flat(latency), 4);
+        let client = net.client();
+        for i in 0..30 {
+            let delay = net.transmit(client, i % 4, SimTime::from_millis(i as u64));
+            assert_eq!(delay, latency + latency);
+        }
+        let stats = net.stats();
+        assert_eq!(stats.total_wire_delay_ns, 60_000_000_000_000_000_000);
+        assert_eq!(stats.mean_wire_delay(), latency + latency);
+        assert_eq!(stats.max_wire_delay, latency + latency);
     }
 
     #[test]

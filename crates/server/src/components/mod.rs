@@ -203,7 +203,6 @@ pub fn profile_report(
                     kind: name,
                     scheduled: k.scheduled,
                     dispatched: k.dispatched,
-                    cancelled: k.cancelled,
                 })
                 .collect()
         })

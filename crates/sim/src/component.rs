@@ -22,11 +22,18 @@
 //! randomness any individual component consumes.
 //!
 //! The driver has no generic dispatch hooks: [`Simulation::step`] pops the
-//! next event and hands it to its destination's handler, nothing else. Work
-//! that must bracket a group of components' events (the server crate's
+//! next event and hands it to its destination's handler, nothing else, and
+//! [`Simulation::run_until`] does the same through
+//! [`EventQueue::pop_before`], so the horizon check costs no separate peek.
+//! Work that must bracket a group of components' events (the server crate's
 //! energy and residency accounting, say) belongs in a handler that wraps
 //! those components, so it costs only their events and is dispatched
 //! statically.
+//!
+//! Unlike DSLab's context, [`SimulationContext`] cannot cancel an emitted
+//! event. A component that may supersede its own pending event carries an
+//! epoch in the payload and ignores stale deliveries (see the
+//! [`engine`](crate::engine) module docs).
 //!
 //! # Example
 //!
@@ -76,7 +83,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::engine::{EventId, EventQueue};
+use crate::engine::EventQueue;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -137,39 +144,29 @@ impl<E> SimulationContext<'_, E> {
     }
 
     /// Emits an event to `dst` at absolute time `at`.
-    pub fn emit_at(&mut self, dst: ComponentId, at: SimTime, payload: E) -> EventId {
-        self.queue.schedule(at, Envelope { dst, payload })
+    pub fn emit_at(&mut self, dst: ComponentId, at: SimTime, payload: E) {
+        self.queue.schedule(at, Envelope { dst, payload });
     }
 
     /// Emits an event to `dst` after `delay`.
-    pub fn emit(
-        &mut self,
-        dst: ComponentId,
-        delay: crate::time::SimDuration,
-        payload: E,
-    ) -> EventId {
-        self.emit_at(dst, self.now + delay, payload)
+    pub fn emit(&mut self, dst: ComponentId, delay: crate::time::SimDuration, payload: E) {
+        self.emit_at(dst, self.now + delay, payload);
     }
 
     /// Emits a zero-delay event to `dst`, delivered at the current timestamp
     /// after all events already queued for this instant (FIFO).
-    pub fn emit_now(&mut self, dst: ComponentId, payload: E) -> EventId {
-        self.emit_at(dst, self.now, payload)
+    pub fn emit_now(&mut self, dst: ComponentId, payload: E) {
+        self.emit_at(dst, self.now, payload);
     }
 
     /// Emits an event to the component itself after `delay`.
-    pub fn emit_self(&mut self, delay: crate::time::SimDuration, payload: E) -> EventId {
-        self.emit(self.self_id, delay, payload)
+    pub fn emit_self(&mut self, delay: crate::time::SimDuration, payload: E) {
+        self.emit(self.self_id, delay, payload);
     }
 
     /// Emits an event to the component itself at absolute time `at`.
-    pub fn emit_self_at(&mut self, at: SimTime, payload: E) -> EventId {
-        self.emit_at(self.self_id, at, payload)
-    }
-
-    /// Cancels a previously emitted event (see [`EventQueue::cancel`]).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+    pub fn emit_self_at(&mut self, at: SimTime, payload: E) {
+        self.emit_at(self.self_id, at, payload);
     }
 }
 
@@ -203,7 +200,6 @@ impl<E, S, T: EventHandler<E, S>> EventHandler<E, S> for Rc<RefCell<T>> {
 /// quadratic in n.
 pub struct Simulation<E, S> {
     queue: EventQueue<Envelope<E>>,
-    clock: SimTime,
     root_rng: SimRng,
     names: Vec<String>,
     ids: BTreeMap<String, ComponentId>,
@@ -218,7 +214,6 @@ impl<E, S> Simulation<E, S> {
     pub fn new(seed: u64, shared: S) -> Self {
         Simulation {
             queue: EventQueue::new(),
-            clock: SimTime::ZERO,
             root_rng: SimRng::from_seed(seed),
             names: Vec::new(),
             ids: BTreeMap::new(),
@@ -308,7 +303,7 @@ impl<E, S> Simulation<E, S> {
     /// The current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.queue.now()
     }
 
     /// Number of events dispatched so far.
@@ -359,17 +354,13 @@ impl<E, S> Simulation<E, S> {
     }
 
     /// Schedules an event from outside any component (bootstrap).
-    pub fn schedule(&mut self, dst: ComponentId, at: SimTime, payload: E) -> EventId {
-        self.queue.schedule(at, Envelope { dst, payload })
-    }
-
-    /// Cancels a previously scheduled event (see [`EventQueue::cancel`]).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+    pub fn schedule(&mut self, dst: ComponentId, at: SimTime, payload: E) {
+        self.queue.schedule(at, Envelope { dst, payload });
     }
 
     /// The timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -382,7 +373,30 @@ impl<E, S> Simulation<E, S> {
     /// Panics if an event addresses an unregistered component.
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, envelope) = self.queue.pop()?;
-        self.clock = time;
+        self.dispatch(time, envelope);
+        Some(time)
+    }
+
+    /// Runs the simulation until the queue drains or the next event's
+    /// timestamp reaches `horizon` (events at or after the horizon stay
+    /// queued; the clock stays at the last dispatched event). Returns the
+    /// number of events dispatched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event addresses an unregistered component.
+    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
+        let mut dispatched = 0;
+        while let Some((time, envelope)) = self.queue.pop_before(horizon) {
+            self.dispatch(time, envelope);
+            dispatched += 1;
+        }
+        dispatched
+    }
+
+    /// Delivers a popped event to its destination's handler.
+    #[inline]
+    fn dispatch(&mut self, time: SimTime, envelope: Envelope<E>) {
         let dst = envelope.dst.0;
         assert!(
             dst < self.handlers.len(),
@@ -395,23 +409,6 @@ impl<E, S> Simulation<E, S> {
             rng: &mut self.rngs[dst],
         };
         self.handlers[dst].on_event(envelope.payload, &mut self.shared, &mut ctx);
-        Some(time)
-    }
-
-    /// Runs the simulation until the queue drains or the next event's
-    /// timestamp reaches `horizon` (events at or after the horizon stay
-    /// queued; the clock stays at the last dispatched event). Returns the
-    /// number of events dispatched.
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let mut dispatched = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            self.step();
-            dispatched += 1;
-        }
-        dispatched
     }
 }
 
@@ -534,6 +531,25 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(sim.shared().ticks, 1);
         assert!(sim.peek_time() == Some(SimTime::from_micros(11)));
+    }
+
+    #[test]
+    fn run_until_resumes_after_an_event_at_the_horizon() {
+        // The second tick sits exactly at the first horizon: it stays
+        // queued, a bootstrap event scheduled between the runs for an
+        // earlier instant goes first, and the later horizon resumes.
+        let (mut sim, ticker, sink) = build();
+        sim.schedule(ticker, SimTime::from_micros(1), Ev::Tick);
+        assert_eq!(sim.run_until(SimTime::from_micros(11)), 2);
+        assert_eq!(sim.run_until(SimTime::from_micros(11)), 0);
+        assert_eq!(sim.now(), SimTime::from_micros(1));
+        sim.schedule(sink, SimTime::from_micros(5), Ev::Forward);
+        assert_eq!(sim.run_until(SimTime::from_micros(12)), 3);
+        assert_eq!(sim.now(), SimTime::from_micros(11));
+        assert_eq!((sim.shared().ticks, sim.shared().forwards), (2, 3));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!((sim.shared().ticks, sim.shared().forwards), (5, 6));
+        assert_eq!(sim.peek_time(), None);
     }
 
     #[test]

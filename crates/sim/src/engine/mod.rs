@@ -12,10 +12,9 @@
 //! # Delivery contract
 //!
 //! Timestamps are non-decreasing, ties are broken FIFO by scheduling order,
-//! cancellation is exact, and a past timestamp is clamped to the last
-//! delivered instant. An event scheduled at the last delivered instant,
-//! directly or by clamping, is therefore delivered after every event already
-//! queued for that instant.
+//! and a past timestamp is clamped to the last delivered instant. An event
+//! scheduled at the last delivered instant, directly or by clamping, is
+//! therefore delivered after every event already queued for that instant.
 //!
 //! ```
 //! use apc_sim::engine::EventQueue;
@@ -28,27 +27,34 @@
 //! assert_eq!(queue.pop(), Some((t, "first")));
 //! // The clock stands at `t`: a past timestamp is clamped to it and queues
 //! // behind the tie still pending there.
-//! let late = queue.schedule(SimTime::ZERO, "late");
+//! queue.schedule(SimTime::ZERO, "late");
 //! assert_eq!(queue.pop(), Some((t, "second")));
 //! assert_eq!(queue.pop(), Some((t, "late")));
-//! // A delivered event can no longer be cancelled.
-//! assert!(!queue.cancel(late));
 //! assert_eq!(queue.pop(), None);
 //! ```
 //!
-//! [`EventQueue`] is the one implementation: a hierarchical timer wheel with
-//! slab-backed event entries, per-level occupancy bitmaps, an overflow heap
-//! for far-future events, batched same-timestamp dispatch and a FIFO lane
-//! for events scheduled at the current instant. Schedule and pop are O(1)
-//! amortized, cancel is O(1) (O(log n) in the lane), and all three are
-//! allocation-free in steady state.
+//! # Superseded events
+//!
+//! A scheduled event cannot be cancelled. A component that may supersede an
+//! event it has scheduled (a wake-up overtaken by new work, say) keeps an
+//! epoch counter, bumps it when the pending event goes stale, carries the
+//! epoch in the event's payload and ignores a delivery whose epoch is no
+//! longer current. The server's core model does this for its wake and idle
+//! entry completions.
+//!
+//! [`EventQueue`] is the one implementation: a one-level calendar of
+//! 1,024 ns slots over a 4.19 ms span, with a far heap beyond it, a staged
+//! run for the slot being delivered, batched same-timestamp dispatch and a
+//! FIFO lane for events scheduled at the current instant. Schedule and pop
+//! are O(1) amortized for near-term events and allocation-free in steady
+//! state. `pop_before` fuses the run loop's horizon check into the pop.
 //!
 //! The contract is pinned by `tests/event_core_differential.rs`, which runs
-//! the wheel in lockstep with a model of the contract (an ordered map keyed
-//! by `(time, scheduling sequence)`) under randomized schedule / cancel /
-//! causality-clamp interleavings and compares every observable after every
-//! operation.
+//! the queue in lockstep with a model of the contract (an ordered map keyed
+//! by `(time, scheduling sequence)`) under randomized schedule, pop,
+//! horizon-bounded pop and causality-clamp interleavings and compares every
+//! observable after every operation.
 
-mod wheel;
+mod calendar;
 
-pub use wheel::{EventId, EventQueue, KindCounters, QueueCounters, QueueFootprint};
+pub use calendar::{EventQueue, KindCounters, QueueCounters};

@@ -46,6 +46,6 @@ pub mod stats;
 pub mod time;
 
 pub use component::{ComponentId, EventHandler, Simulation, SimulationContext};
-pub use engine::{EventId, EventQueue};
+pub use engine::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,31 +1,34 @@
-//! Differential test suite for the event core: the timer-wheel
-//! [`EventQueue`] against [`Model`], a model of its delivery contract,
-//! driven in lockstep through randomized interleavings of every queue
-//! operation.
+//! Differential test suite for the event core: the calendar [`EventQueue`]
+//! against [`Model`], a model of its delivery contract, driven in lockstep
+//! through randomized interleavings of every queue operation.
 //!
 //! The contract (see `src/engine/mod.rs`) is: non-decreasing timestamps,
-//! FIFO tie-break by scheduling order, exact cancellation with `bool`
-//! results, and causality clamping of past timestamps to the last delivered
-//! instant. The model states it directly as an ordered map keyed by
+//! FIFO tie-break by scheduling order, causality clamping of past timestamps
+//! to the last delivered instant, and `pop_before(h)` delivering exactly
+//! what `pop` would when that event is due before `h`, and nothing
+//! otherwise. The model states it directly as an ordered map keyed by
 //! `(clamped time, scheduling sequence)`. Each scenario here applies an
-//! identical operation sequence to the wheel and the model and asserts every
-//! observable — popped `(time, payload)` pairs, `peek_time`, `len`,
-//! `is_empty`, `now`, `delivered`, `cancel` return values — stays identical
-//! throughout, so any behavioural drift in the wheel (cursor advance,
-//! overflow-heap demotion, slab reuse, batch staging, the same-instant lane)
-//! is caught at the exact operation that introduced it. (One scenario,
-//! `unpeeked_interleavings_stay_bit_identical`, compares `peek_time` only at
-//! intervals, because reading it changes which paths `pop` takes.)
+//! identical operation sequence to the queue and the model and asserts
+//! every observable — popped `(time, payload)` pairs, `peek_time`, `len`,
+//! `is_empty`, `now`, `delivered` — stays identical throughout, so any
+//! behavioural drift in the queue (slot staging, run insertion, far-heap
+//! migration, node reuse, the same-instant lane) is caught at the exact
+//! operation that introduced it.
 //!
 //! Randomness comes from the crate's own deterministic xoshiro streams
 //! ([`SimRng`]), so every failure reproduces from the seed printed in the
 //! assertion message.
 
-use apc_sim::engine::{EventId, EventQueue, KindCounters};
+use apc_sim::engine::{EventQueue, KindCounters};
 use apc_sim::rng::SimRng;
 use apc_sim::SimTime;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+/// Width of a calendar slot and the calendar's span, in nanoseconds: the
+/// edges the queue's placement decisions turn on.
+const SLOT_NS: u64 = 1 << 10;
+const SPAN_NS: u64 = 4_096 * SLOT_NS;
 
 /// A model event's identity: its clamped delivery time and scheduling
 /// sequence number, which is also its place in the delivery order.
@@ -33,7 +36,7 @@ type Key = (SimTime, u64);
 
 /// The delivery contract as an ordered map from [`Key`] to payload: the
 /// first key is the next event to deliver, and a key leaves the map exactly
-/// once, when its event is delivered or cancelled.
+/// once, when its event is delivered.
 #[derive(Default)]
 struct Model {
     pending: BTreeMap<Key, u64>,
@@ -44,11 +47,10 @@ struct Model {
 }
 
 impl Model {
-    fn schedule(&mut self, at: SimTime, payload: u64) -> Key {
+    fn schedule(&mut self, at: SimTime, payload: u64) {
         let key = (at.max(self.now), self.next_seq);
         self.next_seq += 1;
         self.pending.insert(key, payload);
-        key
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64)> {
@@ -58,8 +60,11 @@ impl Model {
         Some((time, payload))
     }
 
-    fn cancel(&mut self, key: Key) -> bool {
-        self.pending.remove(&key).is_some()
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
+        if self.peek_time()? >= horizon {
+            return None;
+        }
+        self.pop()
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -67,188 +72,122 @@ impl Model {
     }
 }
 
-/// Drives the wheel and the model through one identical operation and
+/// Drives the queue and the model through one identical operation and
 /// checks every observable the operation exposes.
 struct Lockstep {
-    wheel: EventQueue<u64>,
+    queue: EventQueue<u64>,
     model: Model,
-    /// Live (not yet popped or cancelled) events by payload.
-    live: HashMap<u64, (EventId, Key)>,
-    /// A bounded pool of dead ids for stale-cancel probes.
-    dead: Vec<(EventId, Key)>,
     next_payload: u64,
     seed: u64,
-    /// Whether every check compares `peek_time` too; reading it warms the
-    /// wheel's next-event hint and skips cancelled entries ahead of `pop`.
-    peek: bool,
 }
 
 impl Lockstep {
     fn new(seed: u64) -> Self {
         Lockstep {
-            wheel: EventQueue::new(),
+            queue: EventQueue::new(),
             model: Model::default(),
-            live: HashMap::new(),
-            dead: Vec::new(),
             next_payload: 0,
             seed,
-            peek: true,
         }
+    }
+
+    fn now(&self) -> SimTime {
+        self.queue.now()
     }
 
     fn schedule(&mut self, at: SimTime) -> u64 {
         let payload = self.next_payload;
         self.next_payload += 1;
-        let w = self.wheel.schedule(at, payload);
-        let m = self.model.schedule(at, payload);
-        self.live.insert(payload, (w, m));
+        self.queue.schedule(at, payload);
+        self.model.schedule(at, payload);
         self.check_observables("schedule");
         payload
     }
 
-    fn pop(&mut self) {
-        let w = self.wheel.pop();
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let q = self.queue.pop();
         let m = self.model.pop();
+        self.compare("pop", q, m)
+    }
+
+    /// Pops through `pop_before(horizon)`.
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
+        let q = self.queue.pop_before(horizon);
+        let m = self.model.pop_before(horizon);
+        self.compare("pop_before", q, m)
+    }
+
+    /// Pops everything due before `horizon`, as `Simulation::run_until`
+    /// does, and returns how many events that was.
+    fn run_until(&mut self, horizon: SimTime) -> usize {
+        let mut n = 0;
+        while self.pop_before(horizon).is_some() {
+            n += 1;
+        }
+        if let Some(next) = self.queue.peek_time() {
+            assert!(
+                next >= horizon,
+                "run_until stopped early (seed {})",
+                self.seed
+            );
+        }
+        n
+    }
+
+    fn compare(
+        &mut self,
+        op: &str,
+        q: Option<(SimTime, u64)>,
+        m: Option<(SimTime, u64)>,
+    ) -> Option<(SimTime, u64)> {
         assert_eq!(
-            w, m,
-            "pop diverged (seed {}): wheel {w:?} vs model {m:?}",
+            q, m,
+            "{op} diverged (seed {}): queue {q:?} vs model {m:?}",
             self.seed
         );
-        if let Some((_, payload)) = w {
-            let ids = self
-                .live
-                .remove(&payload)
-                .expect("popped a payload that was never scheduled or already left");
-            self.push_dead(ids);
-        }
-        self.check_observables("pop");
+        self.check_observables(op);
+        q
     }
 
-    /// Cancels a drawn live event and returns its payload.
-    fn cancel_live(&mut self, rng: &mut SimRng) -> Option<u64> {
-        // Deterministic pick: order the live payloads, then index.
-        let mut payloads: Vec<u64> = self.live.keys().copied().collect();
-        payloads.sort_unstable();
-        self.cancel_drawn(&payloads, rng)
-    }
-
-    /// Cancels a drawn live event among those due next, at the model's
-    /// first timestamp (the rest of a staged batch or lane round), and
-    /// returns its payload.
-    fn cancel_due(&mut self, rng: &mut SimRng) -> Option<u64> {
-        let t = self.model.peek_time()?;
-        let due = self.model.pending.range((t, 0)..=(t, u64::MAX));
-        let payloads: Vec<u64> = due.map(|(_, &payload)| payload).collect();
-        self.cancel_drawn(&payloads, rng)
-    }
-
-    fn cancel_drawn(&mut self, payloads: &[u64], rng: &mut SimRng) -> Option<u64> {
-        if payloads.is_empty() {
-            return None;
-        }
-        let payload = payloads[rng.index(payloads.len())];
-        self.cancel_payload(payload);
-        Some(payload)
-    }
-
-    /// Cancels the live event carrying `payload`.
-    fn cancel_payload(&mut self, payload: u64) {
-        let (w, m) = self
-            .live
-            .remove(&payload)
-            .expect("cancelling a live payload");
-        let cw = self.wheel.cancel(w);
-        let cm = self.model.cancel(m);
-        assert_eq!(
-            cw, cm,
-            "live-cancel result diverged (seed {}): wheel {cw} vs model {cm}",
-            self.seed
-        );
-        assert!(
-            cw,
-            "cancelling a live event must succeed (seed {})",
-            self.seed
-        );
-        self.push_dead((w, m));
-        self.check_observables("cancel_live");
-    }
-
-    fn cancel_stale(&mut self, rng: &mut SimRng) {
-        if self.dead.is_empty() {
-            return;
-        }
-        let (w, m) = self.dead[rng.index(self.dead.len())];
-        let cw = self.wheel.cancel(w);
-        let cm = self.model.cancel(m);
-        assert_eq!(
-            cw, cm,
-            "stale-cancel result diverged (seed {}): wheel {cw} vs model {cm}",
-            self.seed
-        );
-        assert!(
-            !cw,
-            "cancelling a dead event must report false (seed {})",
-            self.seed
-        );
-        self.check_observables("cancel_stale");
-    }
-
-    fn push_dead(&mut self, ids: (EventId, Key)) {
-        // Bound the pool so slab slots get recycled underneath the stale ids,
-        // exercising the generation tags.
-        if self.dead.len() >= 64 {
-            self.dead.remove(0);
-        }
-        self.dead.push(ids);
-    }
-
-    fn check_observables(&mut self, op: &str) {
+    fn check_observables(&self, op: &str) {
         let seed = self.seed;
         assert_eq!(
-            self.wheel.len(),
+            self.queue.len(),
             self.model.pending.len(),
             "len diverged after {op} (seed {seed})"
         );
         assert_eq!(
-            self.wheel.is_empty(),
+            self.queue.is_empty(),
             self.model.pending.is_empty(),
             "is_empty diverged after {op} (seed {seed})"
         );
         assert_eq!(
-            self.wheel.now(),
+            self.queue.now(),
             self.model.now,
             "now diverged after {op} (seed {seed})"
         );
         assert_eq!(
-            self.wheel.delivered(),
+            self.queue.delivered(),
             self.model.delivered,
             "delivered diverged after {op} (seed {seed})"
         );
-        if self.peek {
-            self.check_peek(op);
-        }
-    }
-
-    fn check_peek(&mut self, op: &str) {
         assert_eq!(
-            self.wheel.peek_time(),
+            self.queue.peek_time(),
             self.model.peek_time(),
-            "peek_time diverged after {op} (seed {})",
-            self.seed
+            "peek_time diverged after {op} (seed {seed})"
         );
     }
 
     fn drain(&mut self) {
-        while !self.wheel.is_empty() || !self.model.pending.is_empty() {
+        while !self.queue.is_empty() || !self.model.pending.is_empty() {
             self.pop();
         }
-        assert!(self.live.is_empty(), "drain left live entries behind");
     }
 }
 
-/// Picks a schedule timestamp that exercises every placement class the wheel
-/// has: the current slot, near slots, higher levels, the overflow heap, and
-/// the causality clamp (a past timestamp).
+/// Picks a schedule timestamp that exercises every placement class the
+/// queue has: the current instant (the lane), the staged slot, the
+/// calendar, the far heap, and the causality clamp (a past timestamp).
 fn pick_time(rng: &mut SimRng, now: SimTime) -> SimTime {
     let base = now.as_nanos();
     match rng.index(8) {
@@ -256,21 +195,21 @@ fn pick_time(rng: &mut SimRng, now: SimTime) -> SimTime {
         0 => SimTime::from_nanos(base),
         // Causality clamp: strictly in the past (when possible).
         1 => SimTime::from_nanos(base.saturating_sub(1 + rng.next_u64() % 1_000_000)),
-        // First-level slots (< 64 ns).
+        // Within a slot or two of `now`.
         2 => SimTime::from_nanos(base + rng.next_u64() % 64),
-        // Mid-level slots (up to ~4 µs .. ~17 min across levels).
         3 => SimTime::from_nanos(base + rng.next_u64() % 4_096),
+        // Across the calendar's span, and well past it.
         4 => SimTime::from_nanos(base + rng.next_u64() % 1_000_000_000),
         5 => SimTime::from_nanos(base + rng.next_u64() % (1 << 40)),
-        // Beyond the wheel span (2^42 ns): lands in the overflow heap.
+        // Past the 2^42 ns overflow-counter horizon.
         6 => SimTime::from_nanos(base + (1 << 42) + rng.next_u64() % (1 << 44)),
-        // Far future: deep overflow, later demoted back into the wheel.
+        // Far future: deep in the far heap, later migrated into the calendar.
         _ => SimTime::from_nanos(base.saturating_add(rng.next_u64() % (1 << 50))),
     }
 }
 
 /// The main property: under a long randomized interleaving of schedule /
-/// cancel / stale-cancel / pop, every observable of the wheel equals the
+/// pop / horizon-bounded pop, every observable of the queue equals the
 /// model's, and the final drain yields the same delivery sequence.
 #[test]
 fn randomized_interleavings_stay_bit_identical() {
@@ -278,81 +217,73 @@ fn randomized_interleavings_stay_bit_identical() {
         let mut rng = SimRng::from_seed(seed);
         let mut lock = Lockstep::new(seed);
         for _ in 0..20_000 {
-            let now = lock.wheel.now();
+            let now = lock.now();
             match rng.index(10) {
-                // Scheduling dominates so the queues grow deep enough to
-                // keep several wheel levels and the overflow heap populated.
+                // Scheduling dominates so the queue grows deep enough to
+                // keep the calendar and the far heap populated.
                 0..=4 => {
                     let at = pick_time(&mut rng, now);
                     lock.schedule(at);
                 }
-                5..=7 => lock.pop(),
-                8 => {
-                    lock.cancel_live(&mut rng);
+                5..=7 => {
+                    lock.pop();
                 }
-                _ => lock.cancel_stale(&mut rng),
+                _ => {
+                    let horizon = pick_time(&mut rng, now);
+                    lock.pop_before(horizon);
+                }
             }
         }
         lock.drain();
     }
 }
 
-/// Interleavings that read `peek_time` only every 97th operation. A peek
-/// skips cancelled entries at the head of the dispatch batch, so when one
-/// runs after every operation `pop` never meets such an entry. Here bursts
-/// at one instant stage multi-event batches, events due next are cancelled
-/// out of them, and `pop` must skip the holes itself.
+/// Bursts at one instant a few hundred nanoseconds ahead, at a bounded
+/// depth: multi-event groups staged together, with schedules landing in
+/// the staged slot between their deliveries.
 #[test]
-fn unpeeked_interleavings_stay_bit_identical() {
+fn burst_interleavings_stay_bit_identical() {
     for seed in [0x0c01d_u64, 0xfeed_f00d] {
         let mut rng = SimRng::from_seed(seed);
         let mut lock = Lockstep::new(seed);
-        lock.peek = false;
-        for op in 0..20_000 {
-            let now = lock.wheel.now();
+        for _ in 0..20_000 {
+            let now = lock.now();
             match rng.index(8) {
-                0 | 1 if lock.live.len() < 64 => {
+                0 | 1 if lock.queue.len() < 64 => {
                     let at = SimTime::from_nanos(now.as_nanos() + rng.next_u64() % 200);
                     for _ in 0..1 + rng.index(5) {
                         lock.schedule(at);
                     }
                 }
-                2 if lock.live.len() < 64 => {
+                2 if lock.queue.len() < 64 => {
                     let at = pick_time(&mut rng, now);
                     lock.schedule(at);
                 }
-                3 | 4 => {
-                    lock.cancel_due(&mut rng);
+                3 => {
+                    let horizon = SimTime::from_nanos(now.as_nanos() + rng.next_u64() % 300);
+                    lock.pop_before(horizon);
                 }
-                5 => lock.cancel_stale(&mut rng),
-                _ => lock.pop(),
-            }
-            if op % 97 == 0 {
-                lock.check_peek("a run of unpeeked operations");
+                _ => {
+                    lock.pop();
+                }
             }
         }
-        lock.peek = true;
         lock.drain();
     }
 }
 
 /// Same-timestamp bursts: many events at one instant must come back in FIFO
-/// scheduling order (the wheel's batched dispatch must not reorder ties),
-/// including when cancellations punch holes in the batch.
+/// scheduling order (group delivery must not reorder ties).
 #[test]
 fn same_timestamp_bursts_preserve_fifo_order() {
     let seed = 0xba7c4_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
     for round in 0..200u64 {
-        let at = SimTime::from_nanos(lock.wheel.now().as_nanos() + rng.next_u64() % 10_000);
+        let at = SimTime::from_nanos(lock.now().as_nanos() + rng.next_u64() % 10_000);
         let burst = 2 + rng.index(30);
         for _ in 0..burst {
             lock.schedule(at);
-        }
-        // Punch a few holes, then deliver the whole batch.
-        for _ in 0..rng.index(3) {
-            lock.cancel_live(&mut rng);
         }
         for _ in 0..burst {
             lock.pop();
@@ -376,7 +307,7 @@ fn past_timestamps_clamp_identically() {
     lock.schedule(SimTime::from_micros(5));
     lock.pop();
     for _ in 0..2_000 {
-        let now = lock.wheel.now().as_nanos();
+        let now = lock.now().as_nanos();
         let at = SimTime::from_nanos(now.saturating_sub(rng.next_u64() % 10_000_000));
         lock.schedule(at);
         if rng.chance(0.5) {
@@ -386,104 +317,72 @@ fn past_timestamps_clamp_identically() {
     lock.drain();
 }
 
-/// Cancel/rearm churn at a bounded queue depth: slab slots are recycled many
-/// times over, so stale ids from long ago must keep reporting `false` (the
-/// generation tag does its job) while the wheel keeps matching the model.
+/// Churn at a bounded depth: calendar nodes are freed and reused many times
+/// over while the queue keeps matching the model.
 #[test]
-fn cancel_rearm_churn_recycles_slots_identically() {
+fn bounded_depth_churn_reuses_nodes_identically() {
     let seed = 0x5ab_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
     for _ in 0..5_000 {
-        let now = lock.wheel.now();
-        if lock.live.len() < 16 {
+        let now = lock.now();
+        if lock.queue.len() < 16 {
             let at = pick_time(&mut rng, now);
             lock.schedule(at);
         } else {
-            lock.cancel_live(&mut rng);
+            lock.pop();
         }
-        match rng.index(4) {
-            0 => lock.pop(),
-            1 => lock.cancel_stale(&mut rng),
-            _ => {}
+        if rng.index(4) == 0 {
+            lock.pop();
         }
     }
     lock.drain();
 }
 
-/// Same-instant work, the wheel's lane: handlers scheduling at exactly
-/// `now` from inside a multi-event batch, past timestamps clamped to `now`,
-/// chains of same-instant rounds, and cancels of live and stale lane ids
-/// (events scheduled at `now` since the clock last moved), interleaved with
-/// future bursts so wheel batches and lane rounds alternate.
+/// Same-instant work, the lane: handlers scheduling at exactly `now` from
+/// inside a multi-event group, past timestamps clamped to `now`, and chains
+/// of same-instant rounds, interleaved with future bursts so groups and lane
+/// rounds alternate, and with horizon-bounded pops that stop at `now`.
 #[test]
 fn same_instant_work_stays_bit_identical() {
     for seed in [0x1a4e_u64, 0x5a3e_1a4e, 7] {
         let mut rng = SimRng::from_seed(seed);
         let mut lock = Lockstep::new(seed);
-        // Payloads scheduled at the current instant (lane events), and the
-        // ids of the most recent lane events for stale-cancel probes.
-        let mut lane: Vec<u64> = Vec::new();
-        let mut lane_ids: Vec<(u64, (EventId, Key))> = Vec::new();
         for _ in 0..30_000 {
-            let now = lock.wheel.now();
-            let at = match rng.index(14) {
+            let now = lock.now();
+            match rng.index(14) {
                 // Zero-delay signals, and past timestamps clamped to `now`.
-                0..=2 => Some(now),
-                3 => Some(SimTime::from_nanos(
-                    now.as_nanos().saturating_sub(1 + rng.next_u64() % 5_000),
-                )),
-                // A future burst at one timestamp: a multi-event wheel batch
-                // that later same-instant schedules land inside.
+                0..=2 => {
+                    lock.schedule(now);
+                }
+                3 => {
+                    lock.schedule(SimTime::from_nanos(
+                        now.as_nanos().saturating_sub(1 + rng.next_u64() % 5_000),
+                    ));
+                }
+                // A future burst at one timestamp: a multi-event group that
+                // later same-instant schedules land behind.
                 4 => {
                     let at = SimTime::from_nanos(now.as_nanos() + 1 + rng.next_u64() % 3_000);
                     for _ in 0..1 + rng.index(4) {
                         lock.schedule(at);
                     }
-                    None
                 }
                 5..=9 => {
                     lock.pop();
-                    if lock.wheel.now() != now {
-                        lane.clear();
-                    }
-                    None
                 }
-                10 | 11 => {
-                    lane.retain(|p| lock.live.contains_key(p));
-                    if !lane.is_empty() {
-                        let payload = lane.swap_remove(rng.index(lane.len()));
-                        lock.cancel_payload(payload);
-                    }
-                    None
+                // A horizon at `now` delivers nothing; one just past it
+                // delivers the instant's remaining events one at a time.
+                10 => {
+                    lock.pop_before(now);
                 }
-                12 => {
-                    lock.cancel_live(&mut rng);
-                    None
+                11 | 12 => {
+                    lock.pop_before(SimTime::from_nanos(now.as_nanos() + 1));
                 }
                 _ => {
-                    // A lane id that was delivered or cancelled stays dead.
-                    let stale: Vec<_> = lane_ids
-                        .iter()
-                        .filter(|(p, _)| !lock.live.contains_key(p))
-                        .map(|&(_, ids)| ids)
-                        .collect();
-                    if !stale.is_empty() {
-                        let (w, m) = stale[rng.index(stale.len())];
-                        let (cw, cm) = (lock.wheel.cancel(w), lock.model.cancel(m));
-                        assert_eq!((cw, cm), (false, false), "stale lane id (seed {seed})");
-                        lock.check_observables("cancel_stale_lane");
-                    }
-                    None
+                    let at = pick_time(&mut rng, now);
+                    lock.schedule(at);
                 }
-            };
-            if let Some(at) = at {
-                let payload = lock.schedule(at);
-                lane.push(payload);
-                if lane_ids.len() >= 64 {
-                    lane_ids.remove(0);
-                }
-                lane_ids.push((payload, lock.live[&payload]));
             }
         }
         lock.drain();
@@ -491,118 +390,143 @@ fn same_instant_work_stays_bit_identical() {
 }
 
 /// Long same-instant chains: many rounds at one instant, each delivery
-/// scheduling zero to two successors there, with live lane cancels mixed
-/// in, so the lane drops spent rounds mid-instant while the wheel keeps
-/// matching the model.
+/// scheduling zero to two successors there, so the lane runs many rounds
+/// while the queue keeps matching the model.
 #[test]
 fn long_same_instant_chains_stay_bit_identical() {
     let seed = 0xc4a1_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
     for _ in 0..20 {
-        let now = lock.wheel.now();
-        let mut lane: Vec<u64> = (0..1 + rng.index(8)).map(|_| lock.schedule(now)).collect();
+        let now = lock.now();
+        for _ in 0..1 + rng.index(8) {
+            lock.schedule(now);
+        }
         lock.schedule(SimTime::from_nanos(
             now.as_nanos() + 1 + rng.next_u64() % 100,
         ));
         for _ in 0..2_000 {
-            if lock.wheel.now() != now {
+            if lock.now() != now {
                 break;
             }
             lock.pop();
             for _ in 0..rng.index(3) {
-                lane.push(lock.schedule(now));
-            }
-            if rng.chance(0.1) {
-                lane.retain(|p| lock.live.contains_key(p));
-                if !lane.is_empty() {
-                    let payload = lane.swap_remove(rng.index(lane.len()));
-                    lock.cancel_payload(payload);
-                }
+                lock.schedule(now);
             }
         }
     }
     lock.drain();
 }
 
-/// Times on the edges of the cursor's aligned spans. An entry's wheel level
-/// is the highest bit in which its time differs from the cursor's, so an
-/// event one nanosecond past the end of the current aligned 64^k ns span
-/// goes a level up (past the 2^42 ns span, to the overflow heap) although
-/// it is close, and one nanosecond earlier stays a level down.
+/// Times on the edges of aligned spans: a slot (2^10 ns), the calendar's
+/// span (2^22 ns), the overflow counter's 2^42 ns, and the 64^k ns spans of
+/// the retired timer wheel. One nanosecond either side of an edge takes a
+/// different placement decision.
 #[test]
 fn aligned_span_edges_stay_bit_identical() {
     let seed = 0xed6e_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
     for _ in 0..4_000 {
-        let span_end = lock.wheel.now().as_nanos() | ((1 << (6 * (1 + rng.index(7)))) - 1);
+        let bits = [6, 10, 12, 18, 22, 24, 30, 36, 42][rng.index(9)];
+        let span_end = lock.now().as_nanos() | ((1 << bits) - 1);
         let at = (span_end + rng.index(3) as u64).saturating_sub(1);
         lock.schedule(SimTime::from_nanos(at));
         if rng.chance(0.45) {
             lock.pop();
         }
-        if rng.chance(0.1) {
-            lock.cancel_live(&mut rng);
+    }
+    lock.drain();
+}
+
+/// The far heap under churn: most events lie past the calendar's span, and
+/// pops carry the clock into later spans, migrating the heap's due entries
+/// into the calendar (or straight into the staged run).
+#[test]
+fn far_heap_churn_stays_bit_identical() {
+    let seed = 0x0f10_u64;
+    let mut rng = SimRng::from_seed(seed);
+    let mut lock = Lockstep::new(seed);
+    for _ in 0..8_000 {
+        let now = lock.now().as_nanos();
+        match rng.index(8) {
+            0..=3 => {
+                let spans = 1 + rng.next_u64() % 4;
+                let unit = [SPAN_NS, 1 << 42][rng.index(2)];
+                let at = now + spans * unit + rng.next_u64() % unit;
+                lock.schedule(SimTime::from_nanos(at));
+            }
+            4 => {
+                let at = now + rng.next_u64() % (2 * SPAN_NS);
+                lock.schedule(SimTime::from_nanos(at));
+            }
+            5 | 6 => {
+                lock.pop();
+            }
+            _ => {
+                let horizon = now + rng.next_u64() % (4 * SPAN_NS);
+                lock.pop_before(SimTime::from_nanos(horizon));
+            }
         }
     }
     lock.drain();
 }
 
-/// The overflow heap under churn: most events lie past the wheel's span,
-/// the next one due is often cancelled (a dead reference on top of the
-/// heap, and a rebuild once dead references outnumber live ones), and pops
-/// carry the cursor into later top-level spans, migrating the heap's due
-/// entries into the wheel.
+/// Far events migrating across an empty calendar: the clock jumps whole
+/// spans to the far heap's earliest event, which is staged with every far
+/// event of its slot, while the rest of the new span moves into the
+/// calendar; schedules between the jumps land in every structure.
 #[test]
-fn overflow_heap_churn_stays_bit_identical() {
-    let seed = 0x0f10_u64;
+fn far_heap_migrates_across_an_empty_span() {
+    let seed = 0x0e3d_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
-    for _ in 0..8_000 {
-        let now = lock.wheel.now().as_nanos();
-        let spans = 1 + rng.next_u64() % 4;
-        match rng.index(8) {
-            0..=3 => {
-                let at = now + spans * (1 << 42) + rng.next_u64() % (1 << 42);
-                lock.schedule(SimTime::from_nanos(at));
-            }
-            4 => {
-                lock.cancel_due(&mut rng);
-            }
-            5 => {
-                lock.cancel_live(&mut rng);
-            }
-            6 => lock.pop(),
-            _ => lock.cancel_stale(&mut rng),
+    for _ in 0..300 {
+        let now = lock.now().as_nanos();
+        let jump = now + SPAN_NS * (1 + rng.next_u64() % 1_000);
+        for _ in 0..1 + rng.index(12) {
+            // The target slot, the rest of the new span, and beyond it.
+            let offset = match rng.index(3) {
+                0 => rng.next_u64() % SLOT_NS,
+                1 => rng.next_u64() % SPAN_NS,
+                _ => rng.next_u64() % (3 * SPAN_NS),
+            };
+            lock.schedule(SimTime::from_nanos(jump + offset));
+        }
+        lock.pop();
+        for _ in 0..rng.index(4) {
+            let at = pick_time(&mut rng, lock.now());
+            lock.schedule(at);
+        }
+        for _ in 0..rng.index(6) {
+            lock.pop();
         }
     }
     lock.drain();
 }
 
 /// The end of simulated time: events at and just below `SimTime::MAX`,
-/// reached through the overflow heap and from within the last wheel span,
-/// ties at `MAX`, and, once the clock stands at `MAX`, schedules clamped to
-/// it.
+/// reached through the far heap and from within the last span, ties at
+/// `MAX`, and, once the clock stands at `MAX`, schedules clamped to it.
 #[test]
 fn timestamps_at_the_end_of_time_stay_bit_identical() {
     let seed = 0xe0d_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
     for _ in 0..4_000 {
-        let before_end = [0, 64, 1 << 42, 1 << 50][rng.index(4)];
+        let before_end = [0, 64, SLOT_NS, SPAN_NS, 1 << 42, 1 << 50][rng.index(6)];
         let at = u64::MAX - rng.next_u64() % (before_end + 1);
         lock.schedule(SimTime::from_nanos(at));
         if rng.chance(0.4) {
             lock.pop();
         }
         if rng.chance(0.1) {
-            lock.cancel_live(&mut rng);
+            lock.pop_before(SimTime::MAX);
         }
     }
     lock.schedule(SimTime::MAX);
     lock.drain();
-    assert_eq!(lock.wheel.now(), SimTime::MAX);
+    assert_eq!(lock.now(), SimTime::MAX);
     for _ in 0..200 {
         lock.schedule(SimTime::from_nanos(rng.next_u64()));
         if rng.chance(0.5) {
@@ -613,9 +537,9 @@ fn timestamps_at_the_end_of_time_stay_bit_identical() {
 }
 
 /// Emptying and restarting: `pop` on an empty queue returns `None` and
-/// leaves the clock alone, ids from before a drain stay dead, and the first
-/// events after a drain (at the last instant, near it, or past the wheel's
-/// span) restart the wheel from wherever its cursor was left.
+/// leaves the clock alone, and the first events after a drain (at the last
+/// instant, inside the slot of `now`, near it, or past the calendar's span)
+/// restart the queue from wherever its window was left.
 #[test]
 fn drained_queues_restart_bit_identically() {
     let seed = 0xd2a1_u64;
@@ -623,38 +547,37 @@ fn drained_queues_restart_bit_identically() {
     let mut lock = Lockstep::new(seed);
     for _ in 0..500 {
         for _ in 0..rng.index(12) {
-            let now = lock.wheel.now();
-            lock.schedule(pick_time(&mut rng, now));
-        }
-        if rng.chance(0.3) {
-            lock.cancel_live(&mut rng);
+            let now = lock.now();
+            let at = if rng.chance(0.3) {
+                // Inside the slot the clock stands in.
+                SimTime::from_nanos(now.as_nanos() | (rng.next_u64() % SLOT_NS))
+            } else {
+                pick_time(&mut rng, now)
+            };
+            lock.schedule(at);
         }
         lock.drain();
         lock.pop();
-        lock.cancel_stale(&mut rng);
     }
 }
 
-/// Ties that reach one dispatch batch by different routes. Events for one
-/// instant `t` are scheduled while the clock steps towards it, so the early
-/// ones wait in the overflow heap or an upper level and cascade down while
-/// the late ones go straight to a low level: the batch mixes insertion
-/// passes and must be put back into scheduling order.
+/// Ties that reach one group by different routes. Events for one instant
+/// `t` are scheduled while the clock steps towards it, so the early ones
+/// wait in the far heap or the calendar and migrate or are staged, while
+/// the late ones are inserted into the staged run: the group must still
+/// come out in scheduling order.
 #[test]
 fn ties_arriving_by_every_route_stay_bit_identical() {
     let seed = 0x7e5_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
     for _ in 0..300 {
-        let now = lock.wheel.now().as_nanos();
+        let now = lock.now().as_nanos();
         let t = now + 2 + rng.next_u64() % (1 << 44);
         let mut gap = t - now;
         while gap > 1 {
             for _ in 0..1 + rng.index(3) {
                 lock.schedule(SimTime::from_nanos(t));
-            }
-            if rng.chance(0.2) {
-                lock.cancel_live(&mut rng);
             }
             // A stepping stone between the clock and `t`, delivered next.
             gap = 1 + rng.next_u64() % (gap - 1);
@@ -665,24 +588,86 @@ fn ties_arriving_by_every_route_stay_bit_identical() {
     }
 }
 
+/// A boot window as at a 256-node cluster: 2,560 events (ten cores per
+/// node) inside the first slots, most of them ties, delivered while each
+/// delivery schedules follow-ups into the same window, the lane and later
+/// slots.
+#[test]
+fn a_boot_window_of_2560_events_stays_bit_identical() {
+    let seed = 0xb007_u64;
+    let mut rng = SimRng::from_seed(seed);
+    let mut lock = Lockstep::new(seed);
+    for _ in 0..2_560 {
+        let at = [0, 1, 500, 1_000][rng.index(4)];
+        lock.schedule(SimTime::from_nanos(at));
+    }
+    for _ in 0..6_000 {
+        let now = lock.now().as_nanos();
+        let Some(_) = lock.pop() else { break };
+        let at = match rng.index(4) {
+            0 => now,
+            1 => now + rng.next_u64() % 64,
+            2 => now + rng.next_u64() % (4 * SLOT_NS),
+            _ => now + rng.next_u64() % SPAN_NS,
+        };
+        if rng.chance(0.6) {
+            lock.schedule(SimTime::from_nanos(at));
+        }
+    }
+    let c = lock.queue.counters();
+    assert!(c.max_batch >= 500, "boot ties form large groups: {c:?}");
+    lock.drain();
+}
+
+/// `run_until` through `pop_before`: an event exactly at the horizon stays
+/// queued, schedules made between two runs (into the past, at the horizon,
+/// inside the slot staged while looking ahead) are delivered in order by
+/// the next run, and a later horizon resumes where the first stopped.
+#[test]
+fn pop_before_at_the_horizon_then_a_later_run_until() {
+    let seed = 0x4021_u64;
+    let mut rng = SimRng::from_seed(seed);
+    let mut lock = Lockstep::new(seed);
+    let mut horizon = 0;
+    for _ in 0..2_000 {
+        horizon += 1 + rng.next_u64() % (3 * SLOT_NS);
+        let h = SimTime::from_nanos(horizon);
+        for _ in 0..rng.index(6) {
+            let at = match rng.index(4) {
+                0 => h,
+                1 => SimTime::from_nanos(horizon.saturating_sub(rng.next_u64() % (2 * SLOT_NS))),
+                2 => SimTime::from_nanos(horizon + rng.next_u64() % (2 * SLOT_NS)),
+                _ => pick_time(&mut rng, lock.now()),
+            };
+            lock.schedule(at);
+        }
+        lock.run_until(h);
+        if rng.chance(0.5) {
+            // The horizon again: nothing is due before it.
+            assert_eq!(lock.run_until(h), 0, "seed {seed}");
+        }
+    }
+    lock.drain();
+}
+
 /// The opt-in per-kind profiler agrees with counts kept beside the model:
-/// every schedule, delivery and successful cancel is counted once under its
-/// payload's kind, whether the event sat in the wheel, the overflow heap, a
-/// staged batch or the same-instant lane, and failed cancels count nothing.
+/// every schedule and delivery is counted once under its payload's kind,
+/// whether the event sat in the calendar, the far heap, the staged run or
+/// the same-instant lane.
 #[test]
 fn kind_profile_counts_match_the_model() {
     let kind = |payload: u64| (payload % 3) as usize;
     let seed = 0x9f0_u64;
     let mut rng = SimRng::from_seed(seed);
     let mut lock = Lockstep::new(seed);
-    lock.wheel.enable_profile(3, move |&payload| kind(payload));
+    lock.queue.enable_profile(3, move |&payload| kind(payload));
     let mut rows = [KindCounters::default(); 3];
     for op in 0..20_000 {
-        let now = lock.wheel.now();
+        let now = lock.now();
         let at = match rng.index(12) {
             0..=2 => vec![pick_time(&mut rng, now)],
             3 => vec![now],
-            // A burst at one future instant: a multi-event staged batch.
+            // A burst at one future instant: a multi-event group.
             4 => vec![
                 SimTime::from_nanos(now.as_nanos() + 1 + rng.next_u64() % 3_000);
                 1 + rng.index(4)
@@ -692,32 +677,23 @@ fn kind_profile_counts_match_the_model() {
         for at in at {
             rows[kind(lock.schedule(at))].scheduled += 1;
         }
-        let cancelled = match rng.index(12) {
-            0 | 1 => lock.cancel_live(&mut rng),
-            2 => lock.cancel_due(&mut rng),
-            _ => None,
-        };
-        if let Some(payload) = cancelled {
-            rows[kind(payload)].cancelled += 1;
-        }
-        if op % 2 == 0 {
-            if let Some((_, &payload)) = lock.model.pending.first_key_value() {
-                rows[kind(payload)].dispatched += 1;
-            }
-            lock.pop();
+        let popped = if op % 2 == 0 {
+            lock.pop()
         } else if op % 5 == 0 {
-            lock.cancel_stale(&mut rng);
+            let horizon = pick_time(&mut rng, now);
+            lock.pop_before(horizon)
+        } else {
+            None
+        };
+        if let Some((_, payload)) = popped {
+            rows[kind(payload)].dispatched += 1;
         }
-        assert_eq!(lock.wheel.kind_counters(), Some(&rows[..]), "seed {seed}");
+        assert_eq!(lock.queue.kind_counters(), Some(&rows[..]), "seed {seed}");
     }
-    let c = lock.wheel.counters();
+    let c = lock.queue.counters();
     let sum = |field: fn(&KindCounters) -> u64| rows.iter().map(field).sum::<u64>();
     assert_eq!(
-        (c.scheduled, c.dispatched, c.cancelled),
-        (
-            sum(|r| r.scheduled),
-            sum(|r| r.dispatched),
-            sum(|r| r.cancelled)
-        )
+        (c.scheduled, c.dispatched),
+        (sum(|r| r.scheduled), sum(|r| r.dispatched))
     );
 }

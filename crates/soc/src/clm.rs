@@ -14,6 +14,7 @@ use std::fmt;
 
 use apc_sim::{SimDuration, SimTime};
 
+use crate::changes::PowerChanges;
 use crate::clock::{ClockTree, PMU_CLOCK};
 use crate::vr::Fivr;
 
@@ -58,6 +59,8 @@ pub struct ClmDomain {
     clock: ClockTree,
     mesh_columns: usize,
     mesh_rows: usize,
+    /// Counts every change of [`ClmDomain::state`].
+    changes: PowerChanges,
 }
 
 impl ClmDomain {
@@ -79,7 +82,24 @@ impl ClmDomain {
             clock: ClockTree::new("clm", PMU_CLOCK),
             mesh_columns,
             mesh_rows,
+            changes: PowerChanges::default(),
         }
+    }
+
+    /// Makes the domain count its state changes in `changes`.
+    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
+        self.changes = changes.share();
+    }
+
+    /// Runs `change` and counts a change of [`ClmDomain::state`] if it
+    /// made one.
+    fn counted<T>(&mut self, change: impl FnOnce(&mut Self) -> T) -> T {
+        let before = self.state();
+        let out = change(self);
+        if self.state() != before {
+            self.changes.bump();
+        }
+        out
     }
 
     /// Number of LLC slices (== number of core tiles).
@@ -111,8 +131,10 @@ impl ClmDomain {
         &self.fivrs
     }
 
-    /// Mutable access to the two CLM FIVRs.
+    /// Mutable access to the two CLM FIVRs. Handing them out counts as a
+    /// change of [`ClmDomain::state`], since it cannot be seen.
     pub fn fivrs_mut(&mut self) -> &mut [Fivr; 2] {
+        self.changes.bump();
         &mut self.fivrs
     }
 
@@ -144,39 +166,45 @@ impl ClmDomain {
 
     /// Gates the CLM clock tree (`ClkGate` signal); returns the gate latency.
     pub fn clock_gate(&mut self, now: SimTime) -> SimDuration {
-        self.clock.gate(now)
+        self.counted(|clm| clm.clock.gate(now))
     }
 
     /// Un-gates the CLM clock tree; returns the ungate latency.
     pub fn clock_ungate(&mut self, now: SimTime) -> SimDuration {
-        self.clock.ungate(now)
+        self.counted(|clm| clm.clock.ungate(now))
     }
 
     /// Asserts `Ret` on both CLM FIVRs (non-blocking voltage ramp to
     /// retention). Returns the worst-case time until both outputs are stable
     /// at retention.
     pub fn assert_retention(&mut self, now: SimTime) -> SimDuration {
-        self.fivrs
-            .iter_mut()
-            .map(|f| f.assert_ret(now))
-            .fold(SimDuration::ZERO, SimDuration::max)
+        self.counted(|clm| {
+            clm.fivrs
+                .iter_mut()
+                .map(|f| f.assert_ret(now))
+                .fold(SimDuration::ZERO, SimDuration::max)
+        })
     }
 
     /// De-asserts `Ret`: ramps both FIVRs back to nominal. Returns the
     /// worst-case time until `PwrOk`.
     pub fn deassert_retention(&mut self, now: SimTime) -> SimDuration {
-        self.fivrs
-            .iter_mut()
-            .map(|f| f.deassert_ret(now))
-            .fold(SimDuration::ZERO, SimDuration::max)
+        self.counted(|clm| {
+            clm.fivrs
+                .iter_mut()
+                .map(|f| f.deassert_ret(now))
+                .fold(SimDuration::ZERO, SimDuration::max)
+        })
     }
 
     /// Marks the in-flight FIVR transitions complete (caller waited the
     /// duration returned by the assert/deassert call).
     pub fn complete_voltage_transition(&mut self, now: SimTime) {
-        for f in &mut self.fivrs {
-            f.complete_transition(now);
-        }
+        self.counted(|clm| {
+            for f in &mut clm.fivrs {
+                f.complete_transition(now);
+            }
+        });
     }
 }
 

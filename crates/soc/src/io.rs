@@ -13,6 +13,8 @@ use std::fmt;
 
 use apc_sim::{SimDuration, SimTime};
 
+use crate::changes::PowerChanges;
+
 /// Kinds of high-speed IO interface present in the SKX north cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoKind {
@@ -149,6 +151,8 @@ pub struct IoController {
     since: SimTime,
     shallow_entries: u64,
     wakeups: u64,
+    /// Counts every change of `state`.
+    changes: PowerChanges,
 }
 
 impl IoController {
@@ -172,6 +176,7 @@ impl IoController {
             since: SimTime::ZERO,
             shallow_entries: 0,
             wakeups: 0,
+            changes: PowerChanges::default(),
         }
     }
 
@@ -273,6 +278,7 @@ impl IoController {
     pub fn try_enter_shallow(&mut self, now: SimTime) -> bool {
         match self.shallow_entry_deadline() {
             Some(deadline) if now >= deadline => {
+                self.changes.bump();
                 self.state = self.kind.shallow_state();
                 self.since = now;
                 self.shallow_entries += 1;
@@ -286,6 +292,9 @@ impl IoController {
     /// idle; silently keeps the current state otherwise.
     pub fn enter_l1(&mut self, now: SimTime) {
         if !self.busy && self.allow_l1 {
+            if self.state != LinkPowerState::L1 {
+                self.changes.bump();
+            }
             self.state = LinkPowerState::L1;
             self.since = now;
         }
@@ -295,6 +304,7 @@ impl IoController {
     pub fn wake(&mut self, now: SimTime) -> SimDuration {
         let latency = self.state.exit_latency();
         if self.state != LinkPowerState::L0 {
+            self.changes.bump();
             self.wakeups += 1;
             self.state = LinkPowerState::L0;
             self.since = now;
@@ -383,6 +393,13 @@ impl IoSet {
     /// Mutable iterator over all controllers.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut IoController> {
         self.controllers.iter_mut()
+    }
+
+    /// Makes every controller count its link-state changes in `changes`.
+    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
+        for c in &mut self.controllers {
+            c.changes = changes.share();
+        }
     }
 
     /// The aggregated `&InL0s` signal (AND across controllers, Fig. 3/4):

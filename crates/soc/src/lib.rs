@@ -38,6 +38,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod area;
+mod changes;
 pub mod clm;
 pub mod clock;
 pub mod core;

@@ -12,6 +12,8 @@ use std::fmt;
 
 use apc_sim::{SimDuration, SimTime};
 
+use crate::changes::PowerChanges;
+
 /// Identifier of a memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct McId(pub usize);
@@ -103,6 +105,8 @@ pub struct MemoryController {
     cke_off_entries: u64,
     self_refresh_entries: u64,
     wakeups: u64,
+    /// Counts every change of `mode`.
+    changes: PowerChanges,
 }
 
 impl MemoryController {
@@ -127,6 +131,7 @@ impl MemoryController {
             cke_off_entries: 0,
             self_refresh_entries: 0,
             wakeups: 0,
+            changes: PowerChanges::default(),
         }
     }
 
@@ -181,6 +186,7 @@ impl MemoryController {
         self.allow_cke_off = allow;
         if allow {
             if self.outstanding == 0 && self.mode == DramPowerMode::Active {
+                self.changes.bump();
                 self.mode = DramPowerMode::PrechargePowerDown;
                 self.since = now;
                 self.cke_off_entries += 1;
@@ -208,6 +214,9 @@ impl MemoryController {
     /// permitted and idle; returns `true` on success.
     pub fn enter_self_refresh(&mut self, now: SimTime) -> bool {
         if self.allow_self_refresh && self.outstanding == 0 {
+            if self.mode != DramPowerMode::SelfRefresh {
+                self.changes.bump();
+            }
             self.mode = DramPowerMode::SelfRefresh;
             self.since = now;
             self.self_refresh_entries += 1;
@@ -231,6 +240,7 @@ impl MemoryController {
     pub fn end_access(&mut self, now: SimTime) {
         self.outstanding = self.outstanding.saturating_sub(1);
         if self.outstanding == 0 && self.allow_cke_off && self.mode == DramPowerMode::Active {
+            self.changes.bump();
             self.mode = DramPowerMode::PrechargePowerDown;
             self.since = now;
             self.cke_off_entries += 1;
@@ -241,6 +251,7 @@ impl MemoryController {
     pub fn wake(&mut self, now: SimTime) -> SimDuration {
         let latency = self.mode.exit_latency();
         if self.mode != DramPowerMode::Active {
+            self.changes.bump();
             self.mode = DramPowerMode::Active;
             self.since = now;
             self.wakeups += 1;
@@ -268,6 +279,13 @@ impl MemorySet {
     pub fn new(n: usize) -> Self {
         MemorySet {
             controllers: (0..n).map(|i| MemoryController::new(McId(i))).collect(),
+        }
+    }
+
+    /// Makes every controller count its mode changes in `changes`.
+    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
+        for mc in &mut self.controllers {
+            mc.changes = changes.share();
         }
     }
 

@@ -9,6 +9,8 @@ use std::fmt;
 
 use apc_sim::{SimDuration, SimTime};
 
+use crate::changes::PowerChanges;
+
 /// What a PLL is clocking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PllDomain {
@@ -72,6 +74,8 @@ pub struct Pll {
     relock_latency: SimDuration,
     since: SimTime,
     relocks: u64,
+    /// Counts every change of `state`.
+    changes: PowerChanges,
 }
 
 impl Pll {
@@ -93,6 +97,7 @@ impl Pll {
             relock_latency: Self::RELOCK_LATENCY,
             since: SimTime::ZERO,
             relocks: 0,
+            changes: PowerChanges::default(),
         }
     }
 
@@ -139,6 +144,9 @@ impl Pll {
 
     /// Powers the PLL off (PC6 entry flow, Fig. 2).
     pub fn power_off(&mut self, now: SimTime) {
+        if self.state != PllState::Off {
+            self.changes.bump();
+        }
         self.state = PllState::Off;
         self.since = now;
     }
@@ -152,6 +160,7 @@ impl Pll {
             PllState::Locked => SimDuration::ZERO,
             PllState::Relocking => self.relock_latency,
             PllState::Off => {
+                self.changes.bump();
                 self.state = PllState::Relocking;
                 self.since = now;
                 self.relock_latency
@@ -171,6 +180,7 @@ impl Pll {
             "{}: complete_relock without begin_relock",
             self.domain
         );
+        self.changes.bump();
         self.state = PllState::Locked;
         self.since = now;
         self.relocks += 1;
@@ -272,6 +282,13 @@ impl PllSet {
             }
         }
         worst
+    }
+
+    /// Makes every PLL count its state changes in `changes`.
+    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
+        for pll in &mut self.plls {
+            pll.changes = changes.share();
+        }
     }
 
     /// Completes re-lock on every re-locking PLL.

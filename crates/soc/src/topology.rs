@@ -9,6 +9,7 @@ use std::fmt;
 
 use apc_sim::SimTime;
 
+use crate::changes::PowerChanges;
 use crate::clm::ClmDomain;
 use crate::core::{CoreId, CoreSet};
 use crate::cstate::CoreCState;
@@ -112,7 +113,7 @@ impl SocConfig {
             self.memory_controllers > 0,
             "a socket needs at least one memory controller"
         );
-        SkxSoc {
+        let mut soc = SkxSoc {
             cores: CoreSet::new(self.cores),
             clm: ClmDomain::new(self.cores, self.mesh.0, self.mesh.1),
             ios: IoSet::new(&self.io_kinds),
@@ -123,8 +124,10 @@ impl SocConfig {
                 Fivr::new_mbvr("vccio", Millivolts(950)),
             ],
             config: self.clone(),
-            uncore_epoch: 0,
-        }
+            uncore_changes: PowerChanges::default(),
+        };
+        soc.share_uncore_changes();
+        soc
     }
 }
 
@@ -150,7 +153,7 @@ impl fmt::Display for SocConfig {
 
 /// The aggregate socket: every component model the package C-state flows and
 /// the power model need to observe or drive.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SkxSoc {
     cores: CoreSet,
     clm: ClmDomain,
@@ -159,9 +162,28 @@ pub struct SkxSoc {
     plls: PllSet,
     motherboard_rails: Vec<Fivr>,
     config: SocConfig,
-    /// Bumped by every uncore mutable-access path (see
+    /// Power-state changes of the CLM, IO links, memory controllers and
+    /// PLLs, counted by the components themselves (see
     /// [`SkxSoc::uncore_change_epoch`]).
-    uncore_epoch: u64,
+    uncore_changes: PowerChanges,
+}
+
+/// A clone counts its uncore changes apart from the original's.
+impl Clone for SkxSoc {
+    fn clone(&self) -> Self {
+        let mut soc = SkxSoc {
+            cores: self.cores.clone(),
+            clm: self.clm.clone(),
+            ios: self.ios.clone(),
+            memory: self.memory.clone(),
+            plls: self.plls.clone(),
+            motherboard_rails: self.motherboard_rails.clone(),
+            config: self.config.clone(),
+            uncore_changes: self.uncore_changes.clone(),
+        };
+        soc.share_uncore_changes();
+        soc
+    }
 }
 
 impl SkxSoc {
@@ -197,7 +219,6 @@ impl SkxSoc {
 
     /// Mutable access to the CLM domain.
     pub fn clm_mut(&mut self) -> &mut ClmDomain {
-        self.uncore_epoch += 1;
         &mut self.clm
     }
 
@@ -209,7 +230,6 @@ impl SkxSoc {
 
     /// Mutable access to the IO controllers.
     pub fn ios_mut(&mut self) -> &mut IoSet {
-        self.uncore_epoch += 1;
         &mut self.ios
     }
 
@@ -221,7 +241,6 @@ impl SkxSoc {
 
     /// Mutable access to the memory subsystem.
     pub fn memory_mut(&mut self) -> &mut MemorySet {
-        self.uncore_epoch += 1;
         &mut self.memory
     }
 
@@ -233,7 +252,6 @@ impl SkxSoc {
 
     /// Mutable access to the PLL inventory.
     pub fn plls_mut(&mut self) -> &mut PllSet {
-        self.uncore_epoch += 1;
         &mut self.plls
     }
 
@@ -252,17 +270,27 @@ impl SkxSoc {
         }
     }
 
-    /// A counter bumped by every mutable-access path into the uncore
-    /// component models (`clm_mut`, `ios_mut`, `memory_mut`, `plls_mut`).
-    /// Two equal epochs guarantee the uncore state — and therefore any pure
-    /// function of it, such as the uncore's power — is unchanged; a bump
-    /// does *not* guarantee a change (handing out a `&mut` that is never
-    /// written still bumps). Core state is tracked by the core set itself
-    /// (see [`CoreSet::cstate_census`]), so the frequent core transitions
-    /// leave this epoch alone.
+    /// The number of power-state changes of the uncore component models:
+    /// the CLM state, every IO link state, every memory controller's DRAM
+    /// mode and every PLL state. The components count their own changes, so
+    /// a mutable access that changes no power state (traffic on a link
+    /// already in L0, say) leaves the epoch alone. Two equal epochs
+    /// guarantee those power states — and therefore any pure function of
+    /// them, such as the uncore's power — are unchanged. Core state is
+    /// tracked by the core set itself (see [`CoreSet::cstate_census`]), so
+    /// the frequent core transitions leave this epoch alone.
     #[must_use]
     pub fn uncore_change_epoch(&self) -> u64 {
-        self.uncore_epoch
+        self.uncore_changes.get()
+    }
+
+    /// Makes every uncore component count its changes in `uncore_changes`.
+    fn share_uncore_changes(&mut self) {
+        let changes = &self.uncore_changes;
+        self.clm.share_power_changes(changes);
+        self.ios.share_power_changes(changes);
+        self.memory.share_power_changes(changes);
+        self.plls.share_power_changes(changes);
     }
 }
 
@@ -270,6 +298,7 @@ impl SkxSoc {
 mod tests {
     use super::*;
     use crate::cstate::CoreCState;
+    use apc_sim::SimDuration;
 
     #[test]
     fn reference_config_matches_xeon_4114() {
@@ -311,6 +340,38 @@ mod tests {
         let mut cfg = SocConfig::small_test(1);
         cfg.cores = 0;
         let _ = cfg.build();
+    }
+
+    #[test]
+    fn traffic_on_a_link_in_l0_leaves_the_uncore_epoch_alone() {
+        let mut soc = SkxSoc::xeon_silver_4114();
+        let nic = crate::io::IoId(0);
+        let t = SimTime::from_micros(1);
+        let epoch = soc.uncore_change_epoch();
+        soc.ios_mut().controller_mut(nic).begin_traffic(t);
+        soc.ios_mut().controller_mut(nic).end_traffic(t);
+        let _ = soc.clm_mut();
+        let _ = soc.memory_mut();
+        let _ = soc.plls_mut();
+        assert_eq!(soc.uncore_change_epoch(), epoch);
+        // A link leaving L0s, and every later change, moves it.
+        soc.ios_mut().set_allow_shallow_all(t, true);
+        let idle = t + SimDuration::from_micros(1);
+        assert!(soc.ios_mut().controller_mut(nic).try_enter_shallow(idle));
+        assert_eq!(soc.uncore_change_epoch(), epoch + 1);
+        soc.ios_mut().controller_mut(nic).begin_traffic(idle);
+        soc.clm_mut().clock_gate(idle);
+        soc.memory_mut().set_allow_cke_off_all(idle, true);
+        soc.plls_mut().power_off_uncore(idle);
+        let plls = soc.plls().uncore_plls().count() as u64;
+        let mcs = soc.memory().len() as u64;
+        assert_eq!(soc.uncore_change_epoch(), epoch + 3 + mcs + plls);
+        // A clone counts apart from its original.
+        let mut clone = soc.clone();
+        let before = soc.uncore_change_epoch();
+        clone.clm_mut().clock_ungate(idle);
+        assert_eq!(clone.uncore_change_epoch(), before + 1);
+        assert_eq!(soc.uncore_change_epoch(), before);
     }
 
     #[test]

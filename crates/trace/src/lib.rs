@@ -289,7 +289,7 @@ impl TraceState {
     }
 }
 
-/// Scheduled/dispatched/cancelled counts for one event kind.
+/// Scheduled/dispatched counts for one event kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventKindCount {
     /// Stable event-kind name (e.g. `"ServiceDone"`).
@@ -298,8 +298,6 @@ pub struct EventKindCount {
     pub scheduled: u64,
     /// Events of this kind dispatched.
     pub dispatched: u64,
-    /// Events of this kind cancelled.
-    pub cancelled: u64,
 }
 
 /// Engine self-profile surfaced by `RunResult` / `ClusterResult` /
@@ -316,19 +314,20 @@ impl ProfileReport {
     /// Drops every event kind that never appeared, keeping reports short.
     pub fn retain_active_kinds(&mut self) {
         self.events
-            .retain(|k| k.scheduled != 0 || k.dispatched != 0 || k.cancelled != 0);
+            .retain(|k| k.scheduled != 0 || k.dispatched != 0);
     }
 }
 
+/// The table keeps a `cancelled` column for its readers; events are never
+/// cancelled, so it always reads 0.
 impl fmt::Display for ProfileReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "engine: scheduled {} dispatched {} cancelled {} | level0 batches {} \
+            "engine: scheduled {} dispatched {} cancelled 0 | level0 batches {} \
              (events {}, max {}) overflow hits {}",
             self.engine.scheduled,
             self.engine.dispatched,
-            self.engine.cancelled,
             self.engine.level0_batches,
             self.engine.batched_events,
             self.engine.max_batch,
@@ -338,7 +337,7 @@ impl fmt::Display for ProfileReport {
             writeln!(
                 f,
                 "  {:<18} scheduled {:>10} dispatched {:>10} cancelled {:>10}",
-                kind.kind, kind.scheduled, kind.dispatched, kind.cancelled
+                kind.kind, kind.scheduled, kind.dispatched, 0
             )?;
         }
         Ok(())
@@ -417,13 +416,11 @@ mod tests {
                     kind: "ServiceDone",
                     scheduled: 2,
                     dispatched: 2,
-                    cancelled: 0,
                 },
                 EventKindCount {
                     kind: "Unused",
                     scheduled: 0,
                     dispatched: 0,
-                    cancelled: 0,
                 },
             ],
         };
