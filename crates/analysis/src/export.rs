@@ -61,10 +61,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer number (exported counters and nanosecond durations).
-    Int(i64),
-    /// An unsigned integer that may exceed `i64` (seeds).
-    UInt(u64),
+    /// An integer number (exported counters, nanosecond durations, seeds
+    /// and exact sums past `u64`).
+    Int(i128),
     /// A floating-point number.
     Float(f64),
     /// A string.
@@ -119,7 +118,6 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Int(i) => Some(*i as f64),
-            JsonValue::UInt(u) => Some(*u as f64),
             JsonValue::Float(f) => Some(*f),
             _ => None,
         }
@@ -130,7 +128,6 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Int(i) => u64::try_from(*i).ok(),
-            JsonValue::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -144,20 +141,12 @@ impl JsonValue {
         }
     }
 
-    /// Serialises compactly (no whitespace).
-    #[must_use]
-    pub fn to_compact_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Serialises with 2-space indentation and one key per line — the form
     /// the golden tests pin and `apc-cli --format json` emits.
     #[must_use]
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, 0);
         out.push('\n');
         out
     }
@@ -171,36 +160,30 @@ impl JsonValue {
     #[must_use]
     pub fn to_pretty_fragment(&self, depth: usize) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), depth);
+        self.write(&mut out, depth);
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut String, depth: usize) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            JsonValue::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
             JsonValue::Float(f) => write_f64(out, *f),
             JsonValue::Str(s) => write_json_string(out, s),
             JsonValue::Array(items) => {
-                write_sequence(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1);
+                write_sequence(out, depth, '[', ']', items.len(), |out, i| {
+                    items[i].write(out, depth + 1);
                 });
             }
             JsonValue::Object(entries) => {
-                write_sequence(out, indent, depth, '{', '}', entries.len(), |out, i| {
+                write_sequence(out, depth, '{', '}', entries.len(), |out, i| {
                     let (key, value) = &entries[i];
                     write_json_string(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
+                    out.push_str(": ");
+                    value.write(out, depth + 1);
                 });
             }
         }
@@ -209,7 +192,6 @@ impl JsonValue {
 
 fn write_sequence(
     out: &mut String,
-    indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
@@ -225,16 +207,12 @@ fn write_sequence(
         if i > 0 {
             out.push(',');
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth + 1));
         item(out, i);
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
     out.push(close);
 }
 
@@ -292,7 +270,7 @@ impl std::error::Error for JsonError {}
 impl JsonValue {
     /// Parses a JSON document (strict: exactly one value, nothing but
     /// whitespace after it). Numbers parse to [`JsonValue::Int`] when they
-    /// are integral and fit, else [`JsonValue::Float`].
+    /// are integral and fit an `i128`, else [`JsonValue::Float`].
     ///
     /// # Errors
     ///
@@ -533,11 +511,8 @@ impl Parser<'_> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
+            if let Ok(i) = text.parse::<i128>() {
                 return Ok(JsonValue::Int(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(JsonValue::UInt(u));
             }
         }
         text.parse::<f64>()
@@ -553,15 +528,21 @@ impl Parser<'_> {
 
 /// A latency summary as an object of nanosecond integers.
 #[must_use]
-pub fn latency_json(latency: &LatencySummary) -> JsonValue {
+fn latency_json(latency: &LatencySummary) -> JsonValue {
     let mut o = JsonValue::object();
-    o.push("count", JsonValue::UInt(latency.count as u64))
-        .push("mean_ns", JsonValue::UInt(latency.mean.as_nanos()))
-        .push("p50_ns", JsonValue::UInt(latency.p50.as_nanos()))
-        .push("p95_ns", JsonValue::UInt(latency.p95.as_nanos()))
-        .push("p99_ns", JsonValue::UInt(latency.p99.as_nanos()))
-        .push("p999_ns", JsonValue::UInt(latency.p999.as_nanos()))
-        .push("max_ns", JsonValue::UInt(latency.max.as_nanos()));
+    o.push("count", JsonValue::Int(latency.count as i128))
+        .push(
+            "mean_ns",
+            JsonValue::Int(i128::from(latency.mean.as_nanos())),
+        )
+        .push("p50_ns", JsonValue::Int(i128::from(latency.p50.as_nanos())))
+        .push("p95_ns", JsonValue::Int(i128::from(latency.p95.as_nanos())))
+        .push("p99_ns", JsonValue::Int(i128::from(latency.p99.as_nanos())))
+        .push(
+            "p999_ns",
+            JsonValue::Int(i128::from(latency.p999.as_nanos())),
+        )
+        .push("max_ns", JsonValue::Int(i128::from(latency.max.as_nanos())));
     o
 }
 
@@ -574,8 +555,14 @@ pub fn run_result_json(r: &RunResult) -> JsonValue {
     o.push("config", JsonValue::Str(r.config_name.to_owned()))
         .push("workload", JsonValue::Str(r.workload.to_owned()))
         .push("offered_rate_rps", JsonValue::Float(r.offered_rate))
-        .push("duration_ns", JsonValue::UInt(r.duration.as_nanos()))
-        .push("completed_requests", JsonValue::UInt(r.completed_requests))
+        .push(
+            "duration_ns",
+            JsonValue::Int(i128::from(r.duration.as_nanos())),
+        )
+        .push(
+            "completed_requests",
+            JsonValue::Int(i128::from(r.completed_requests)),
+        )
         .push("throughput_rps", JsonValue::Float(r.throughput()))
         .push("latency", latency_json(&r.latency))
         .push(
@@ -593,15 +580,24 @@ pub fn run_result_json(r: &RunResult) -> JsonValue {
         .push("all_idle_fraction", JsonValue::Float(r.all_idle_fraction))
         .push("pc1a_residency", JsonValue::Float(r.pc1a_residency))
         .push("pc6_residency", JsonValue::Float(r.pc6_residency))
-        .push("pc1a_transitions", JsonValue::UInt(r.pc1a_transitions))
-        .push("pc1a_aborted", JsonValue::UInt(r.pc1a_aborted))
-        .push("pc6_transitions", JsonValue::UInt(r.pc6_transitions))
-        .push("idle_periods", JsonValue::UInt(r.idle_periods))
+        .push(
+            "pc1a_transitions",
+            JsonValue::Int(i128::from(r.pc1a_transitions)),
+        )
+        .push("pc1a_aborted", JsonValue::Int(i128::from(r.pc1a_aborted)))
+        .push(
+            "pc6_transitions",
+            JsonValue::Int(i128::from(r.pc6_transitions)),
+        )
+        .push("idle_periods", JsonValue::Int(i128::from(r.idle_periods)))
         .push(
             "idle_periods_20_200us",
             JsonValue::Float(r.idle_periods_20_200us),
         )
-        .push("events_dispatched", JsonValue::UInt(r.events_dispatched));
+        .push(
+            "events_dispatched",
+            JsonValue::Int(i128::from(r.events_dispatched)),
+        );
     if let Some(ts) = &r.timeseries {
         o.push("timeseries", timeseries_json(ts));
     }
@@ -658,13 +654,7 @@ pub fn run_result_from_json(
         return Err("run: carries a `profile`, which does not round-trip".to_owned());
     }
     let latency = LatencyRecorder::from_sketch(sketch.clone()).summary();
-    // Compare rendered text, not `JsonValue` structure: the parser reads
-    // integers that fit as `Int` while the exporter builds `UInt`.
-    let printed = v.get("latency").map_or_else(
-        || JsonValue::Null.to_compact_string(),
-        JsonValue::to_compact_string,
-    );
-    if latency_json(&latency).to_compact_string() != printed {
+    if v.get("latency") != Some(&latency_json(&latency)) {
         return Err("run: `latency` summary does not match its sketch".to_owned());
     }
     let timeseries = v
@@ -732,10 +722,10 @@ pub fn fleet_result_json(f: &FleetResult) -> JsonValue {
 #[must_use]
 pub fn fleet_aggregates_json(f: &FleetResult) -> JsonValue {
     let mut o = JsonValue::object();
-    o.push("servers", JsonValue::UInt(f.servers() as u64))
+    o.push("servers", JsonValue::Int(f.servers() as i128))
         .push(
             "total_completed_requests",
-            JsonValue::UInt(f.total_completed_requests()),
+            JsonValue::Int(i128::from(f.total_completed_requests())),
         )
         .push(
             "aggregate_throughput_rps",
@@ -749,12 +739,21 @@ pub fn fleet_aggregates_json(f: &FleetResult) -> JsonValue {
         )
         .push(
             "mean_latency_ns",
-            JsonValue::UInt(f.mean_latency().as_nanos()),
+            JsonValue::Int(i128::from(f.mean_latency().as_nanos())),
         )
         .push("combined_latency", latency_json(&f.combined_latency()))
-        .push("worst_p99_ns", JsonValue::UInt(f.worst_p99().as_nanos()))
-        .push("worst_p999_ns", JsonValue::UInt(f.worst_p999().as_nanos()))
-        .push("events_dispatched", JsonValue::UInt(f.events_dispatched()));
+        .push(
+            "worst_p99_ns",
+            JsonValue::Int(i128::from(f.worst_p99().as_nanos())),
+        )
+        .push(
+            "worst_p999_ns",
+            JsonValue::Int(i128::from(f.worst_p999().as_nanos())),
+        )
+        .push(
+            "events_dispatched",
+            JsonValue::Int(i128::from(f.events_dispatched())),
+        );
     o
 }
 
@@ -769,17 +768,17 @@ pub fn sketch_json(s: &QuantileSketch) -> JsonValue {
     let parts = s.parts();
     let mut o = JsonValue::object();
     o.push("relative_error", JsonValue::Float(parts.relative_error))
-        .push("max_buckets", JsonValue::UInt(parts.max_buckets as u64))
+        .push("max_buckets", JsonValue::Int(parts.max_buckets as i128))
         .push(
             "floor_index",
             parts
                 .floor_index
-                .map_or(JsonValue::Null, |i| JsonValue::Int(i64::from(i))),
+                .map_or(JsonValue::Null, |i| JsonValue::Int(i128::from(i))),
         )
-        .push("zero_count", JsonValue::UInt(parts.zero_count))
+        .push("zero_count", JsonValue::Int(i128::from(parts.zero_count)))
         .push("sum", JsonValue::Str(parts.sum.to_string()))
-        .push("min_ns", JsonValue::UInt(parts.min))
-        .push("max_ns", JsonValue::UInt(parts.max))
+        .push("min_ns", JsonValue::Int(i128::from(parts.min)))
+        .push("max_ns", JsonValue::Int(i128::from(parts.max)))
         .push(
             "buckets",
             JsonValue::Array(
@@ -788,8 +787,8 @@ pub fn sketch_json(s: &QuantileSketch) -> JsonValue {
                     .iter()
                     .map(|&(index, count)| {
                         JsonValue::Array(vec![
-                            JsonValue::Int(i64::from(index)),
-                            JsonValue::UInt(count),
+                            JsonValue::Int(i128::from(index)),
+                            JsonValue::Int(i128::from(count)),
                         ])
                     })
                     .collect(),
@@ -871,12 +870,12 @@ pub fn sketch_from_json(v: &JsonValue) -> Result<QuantileSketch, String> {
 /// Network fabric stats as an object: the topology and link parameters the
 /// fabric ran with, then the traffic census (message count, total / mean /
 /// maximum wire delay) and the per-link breakdown (messages, serialization
-/// occupancy and store-and-forward queueing per link, indexed by link id —
-/// see `apc_network::Topology::link_label` for the id → name mapping).
+/// occupancy and store-and-forward queueing per link, indexed by link id in
+/// `apc_network::Topology::links` order).
 /// `bandwidth_bytes_per_sec` is `null` for infinite-bandwidth links; links
 /// that never carried a message are omitted from `per_link`.
 #[must_use]
-pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
+fn network_stats_json(n: &NetworkStats) -> JsonValue {
     let config = &n.config;
     let mut o = JsonValue::object();
     o.push(
@@ -885,27 +884,30 @@ pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
     )
     .push(
         "link_latency_ns",
-        JsonValue::UInt(config.link_latency.as_nanos()),
+        JsonValue::Int(i128::from(config.link_latency.as_nanos())),
     )
     .push(
         "bandwidth_bytes_per_sec",
         config
             .bandwidth_bytes_per_sec
-            .map_or(JsonValue::Null, JsonValue::UInt),
+            .map_or(JsonValue::Null, |b| JsonValue::Int(b.into())),
     )
-    .push("rpc_bytes", JsonValue::UInt(config.rpc_bytes))
-    .push("messages", JsonValue::UInt(n.messages))
+    .push("rpc_bytes", JsonValue::Int(i128::from(config.rpc_bytes)))
+    .push("messages", JsonValue::Int(i128::from(n.messages)))
     .push(
         "total_wire_delay_ns",
-        JsonValue::UInt(u64::try_from(n.total_wire_delay_ns).unwrap_or(u64::MAX)),
+        JsonValue::Int(
+            i128::try_from(n.total_wire_delay_ns)
+                .expect("fewer than 2^63 messages of u64 delays sum below 2^127"),
+        ),
     )
     .push(
         "mean_wire_delay_ns",
-        JsonValue::UInt(n.mean_wire_delay().as_nanos()),
+        JsonValue::Int(i128::from(n.mean_wire_delay().as_nanos())),
     )
     .push(
         "max_wire_delay_ns",
-        JsonValue::UInt(n.max_wire_delay.as_nanos()),
+        JsonValue::Int(i128::from(n.max_wire_delay.as_nanos())),
     );
     let per_link: Vec<JsonValue> = n
         .per_link
@@ -914,16 +916,19 @@ pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
         .filter(|(_, link)| link.messages != 0)
         .map(|(id, link)| {
             let mut l = JsonValue::object();
-            l.push("link", JsonValue::UInt(id as u64))
-                .push("messages", JsonValue::UInt(link.messages))
-                .push("busy_ns", JsonValue::UInt(link.busy_time.as_nanos()))
+            l.push("link", JsonValue::Int(id as i128))
+                .push("messages", JsonValue::Int(i128::from(link.messages)))
+                .push(
+                    "busy_ns",
+                    JsonValue::Int(i128::from(link.busy_time.as_nanos())),
+                )
                 .push(
                     "total_queue_delay_ns",
-                    JsonValue::UInt(link.total_queue_delay.as_nanos()),
+                    JsonValue::Int(i128::from(link.total_queue_delay.as_nanos())),
                 )
                 .push(
                     "max_queue_delay_ns",
-                    JsonValue::UInt(link.max_queue_delay.as_nanos()),
+                    JsonValue::Int(i128::from(link.max_queue_delay.as_nanos())),
                 );
             l
         })
@@ -938,18 +943,29 @@ pub fn network_stats_json(n: &NetworkStats) -> JsonValue {
 pub fn cluster_result_json(c: &ClusterResult) -> JsonValue {
     let mut o = JsonValue::object();
     o.push("policy", JsonValue::Str(c.policy.to_owned()))
-        .push("duration_ns", JsonValue::UInt(c.duration.as_nanos()))
+        .push(
+            "duration_ns",
+            JsonValue::Int(i128::from(c.duration.as_nanos())),
+        )
         .push(
             "routed",
-            JsonValue::Array(c.routed.iter().map(|&n| JsonValue::UInt(n)).collect()),
+            JsonValue::Array(
+                c.routed
+                    .iter()
+                    .map(|&n| JsonValue::Int(i128::from(n)))
+                    .collect(),
+            ),
         )
-        .push("total_routed", JsonValue::UInt(c.total_routed()))
+        .push("total_routed", JsonValue::Int(i128::from(c.total_routed())))
         .push("routing_imbalance", JsonValue::Float(c.routing_imbalance()))
         .push(
             "idle_periods_20_200us",
             JsonValue::Float(c.idle_periods_20_200us()),
         )
-        .push("events_dispatched", JsonValue::UInt(c.events_dispatched));
+        .push(
+            "events_dispatched",
+            JsonValue::Int(i128::from(c.events_dispatched)),
+        );
     if let Some(net) = &c.network {
         o.push("network", network_stats_json(net));
     }
@@ -969,19 +985,36 @@ pub fn chain_result_json(c: &ChainResult) -> JsonValue {
     let mut o = JsonValue::object();
     o.push("policy", JsonValue::Str(c.policy.to_owned()))
         .push("graph", JsonValue::Str(c.graph.clone()))
-        .push("duration_ns", JsonValue::UInt(c.duration.as_nanos()))
-        .push("chains_started", JsonValue::UInt(c.chains_started))
-        .push("chains_completed", JsonValue::UInt(c.chains_completed))
+        .push(
+            "duration_ns",
+            JsonValue::Int(i128::from(c.duration.as_nanos())),
+        )
+        .push(
+            "chains_started",
+            JsonValue::Int(i128::from(c.chains_started)),
+        )
+        .push(
+            "chains_completed",
+            JsonValue::Int(i128::from(c.chains_completed)),
+        )
         .push("chains_per_sec", JsonValue::Float(c.chains_per_sec()))
         .push("chain_latency", latency_json(&c.chain_latency))
         .push("straggler", latency_json(&c.straggler))
         .push(
             "routed",
-            JsonValue::Array(c.routed.iter().map(|&n| JsonValue::UInt(n)).collect()),
+            JsonValue::Array(
+                c.routed
+                    .iter()
+                    .map(|&n| JsonValue::Int(i128::from(n)))
+                    .collect(),
+            ),
         )
-        .push("total_routed", JsonValue::UInt(c.total_routed()))
+        .push("total_routed", JsonValue::Int(i128::from(c.total_routed())))
         .push("routing_imbalance", JsonValue::Float(c.routing_imbalance()))
-        .push("events_dispatched", JsonValue::UInt(c.events_dispatched));
+        .push(
+            "events_dispatched",
+            JsonValue::Int(i128::from(c.events_dispatched)),
+        );
     if let Some(net) = &c.network {
         o.push("network", network_stats_json(net));
     }
@@ -995,33 +1028,45 @@ pub fn chain_result_json(c: &ChainResult) -> JsonValue {
 /// A time series as `{interval_ns, samples: [...]}`; samples carry the
 /// timestamp, power, queue depth and residency deltas.
 #[must_use]
-pub fn timeseries_json(ts: &TimeSeries) -> JsonValue {
+fn timeseries_json(ts: &TimeSeries) -> JsonValue {
     let samples = ts
         .samples()
         .iter()
         .map(|s| {
             let mut o = JsonValue::object();
-            o.push("at_ns", JsonValue::UInt(s.at.as_nanos()))
+            o.push("at_ns", JsonValue::Int(i128::from(s.at.as_nanos())))
                 .push("soc_power_w", JsonValue::Float(s.soc_power_w))
-                .push("queue_depth", JsonValue::UInt(s.queue_depth as u64))
-                .push("busy_cores", JsonValue::UInt(s.busy_cores as u64))
+                .push("queue_depth", JsonValue::Int(s.queue_depth as i128))
+                .push("busy_cores", JsonValue::Int(s.busy_cores as i128))
                 .push(
                     "package_state",
                     JsonValue::Str(format!("{:?}", s.package_state)),
                 )
-                .push("pc0_delta_ns", JsonValue::UInt(s.pc0_delta.as_nanos()))
+                .push(
+                    "pc0_delta_ns",
+                    JsonValue::Int(i128::from(s.pc0_delta.as_nanos())),
+                )
                 .push(
                     "pc0_idle_delta_ns",
-                    JsonValue::UInt(s.pc0_idle_delta.as_nanos()),
+                    JsonValue::Int(i128::from(s.pc0_idle_delta.as_nanos())),
                 )
-                .push("pc1a_delta_ns", JsonValue::UInt(s.pc1a_delta.as_nanos()))
-                .push("pc6_delta_ns", JsonValue::UInt(s.pc6_delta.as_nanos()));
+                .push(
+                    "pc1a_delta_ns",
+                    JsonValue::Int(i128::from(s.pc1a_delta.as_nanos())),
+                )
+                .push(
+                    "pc6_delta_ns",
+                    JsonValue::Int(i128::from(s.pc6_delta.as_nanos())),
+                );
             o
         })
         .collect();
     let mut o = JsonValue::object();
-    o.push("interval_ns", JsonValue::UInt(ts.interval().as_nanos()))
-        .push("samples", JsonValue::Array(samples));
+    o.push(
+        "interval_ns",
+        JsonValue::Int(i128::from(ts.interval().as_nanos())),
+    )
+    .push("samples", JsonValue::Array(samples));
     o
 }
 
@@ -1033,7 +1078,7 @@ pub fn timeseries_json(ts: &TimeSeries) -> JsonValue {
 /// # Errors
 ///
 /// Returns a description of the first malformed field.
-pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
+fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
     fn duration_field(v: &JsonValue, key: &str) -> Result<SimDuration, String> {
         v.get(key)
             .and_then(JsonValue::as_u64)
@@ -1102,25 +1147,37 @@ pub fn timeseries_from_json(v: &JsonValue) -> Result<TimeSeries, String> {
 /// and the per-event-kind breakdown. Both keep a `cancelled` key for their
 /// readers; events are never cancelled, so it always reads 0.
 #[must_use]
-pub fn profile_report_json(p: &ProfileReport) -> JsonValue {
+fn profile_report_json(p: &ProfileReport) -> JsonValue {
     let mut engine = JsonValue::object();
     engine
-        .push("scheduled", JsonValue::UInt(p.engine.scheduled))
-        .push("dispatched", JsonValue::UInt(p.engine.dispatched))
-        .push("cancelled", JsonValue::UInt(0))
-        .push("level0_batches", JsonValue::UInt(p.engine.level0_batches))
-        .push("batched_events", JsonValue::UInt(p.engine.batched_events))
-        .push("max_batch", JsonValue::UInt(p.engine.max_batch))
-        .push("overflow_hits", JsonValue::UInt(p.engine.overflow_hits));
+        .push("scheduled", JsonValue::Int(i128::from(p.engine.scheduled)))
+        .push(
+            "dispatched",
+            JsonValue::Int(i128::from(p.engine.dispatched)),
+        )
+        .push("cancelled", JsonValue::Int(i128::from(0)))
+        .push(
+            "level0_batches",
+            JsonValue::Int(i128::from(p.engine.level0_batches)),
+        )
+        .push(
+            "batched_events",
+            JsonValue::Int(i128::from(p.engine.batched_events)),
+        )
+        .push("max_batch", JsonValue::Int(i128::from(p.engine.max_batch)))
+        .push(
+            "overflow_hits",
+            JsonValue::Int(i128::from(p.engine.overflow_hits)),
+        );
     let events = p
         .events
         .iter()
         .map(|k| {
             let mut o = JsonValue::object();
             o.push("kind", JsonValue::Str(k.kind.to_owned()))
-                .push("scheduled", JsonValue::UInt(k.scheduled))
-                .push("dispatched", JsonValue::UInt(k.dispatched))
-                .push("cancelled", JsonValue::UInt(0));
+                .push("scheduled", JsonValue::Int(i128::from(k.scheduled)))
+                .push("dispatched", JsonValue::Int(i128::from(k.dispatched)))
+                .push("cancelled", JsonValue::Int(i128::from(0)));
             o
         })
         .collect();
@@ -1153,7 +1210,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> JsonValue {
                 s.label
             };
             let mut args = JsonValue::object();
-            args.push("trace", JsonValue::UInt(s.trace));
+            args.push("trace", JsonValue::Int(i128::from(s.trace)));
             let mut e = JsonValue::object();
             e.push("name", JsonValue::Str(name.to_owned()))
                 .push("cat", JsonValue::Str(s.kind.name().to_owned()))
@@ -1163,8 +1220,8 @@ pub fn chrome_trace_json(log: &TraceLog) -> JsonValue {
                     "dur",
                     JsonValue::Float(s.duration().as_nanos() as f64 / 1000.0),
                 )
-                .push("pid", JsonValue::UInt(u64::from(s.node)))
-                .push("tid", JsonValue::UInt(u64::from(s.lane)))
+                .push("pid", JsonValue::Int(i128::from(u64::from(s.node))))
+                .push("tid", JsonValue::Int(i128::from(u64::from(s.lane))))
                 .push("args", args);
             e
         })
@@ -1172,7 +1229,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> JsonValue {
     let mut o = JsonValue::object();
     o.push("traceEvents", JsonValue::Array(events))
         .push("displayTimeUnit", JsonValue::Str("ns".to_owned()))
-        .push("dropped_spans", JsonValue::UInt(log.dropped()));
+        .push("dropped_spans", JsonValue::Int(i128::from(log.dropped())));
     o
 }
 
@@ -1264,10 +1321,10 @@ pub fn run_csv_line(label: &str, r: &RunResult) -> String {
 /// The CSV columns carrying the network-fabric census. Emitted only when
 /// the exported runs crossed a fabric, so fabric-less exports keep their
 /// historical shape byte for byte.
-pub const NETWORK_CSV_COLUMNS: &str =
+const NETWORK_CSV_COLUMNS: &str =
     "net_topology,net_link_latency_ns,net_messages,net_mean_wire_delay_ns,net_max_wire_delay_ns";
 
-/// Writes the [`NETWORK_CSV_COLUMNS`] cells (no trailing separator); a run
+/// Writes the `NETWORK_CSV_COLUMNS` cells (no trailing separator); a run
 /// without a fabric exports empty cells.
 fn push_network_cells(out: &mut String, n: Option<&NetworkStats>) {
     match n {
@@ -1288,7 +1345,7 @@ fn push_network_cells(out: &mut String, n: Option<&NetworkStats>) {
 
 /// The header line of a cluster CSV export, newline-terminated:
 /// `repeat,node,policy,routed,` then the run columns. `with_network`
-/// inserts the [`NETWORK_CSV_COLUMNS`] between `routed` and the run
+/// inserts the `NETWORK_CSV_COLUMNS` between `routed` and the run
 /// columns.
 #[must_use]
 pub fn cluster_csv_header(with_network: bool) -> String {
@@ -1333,7 +1390,7 @@ straggler_p999_ns,total_routed,routing_imbalance,fleet_power_w,\
 mean_pc1a_residency,worst_rpc_p99_ns";
 
 /// The header line of a chain CSV export, newline-terminated.
-/// `with_network` appends the [`NETWORK_CSV_COLUMNS`] after the chain
+/// `with_network` appends the `NETWORK_CSV_COLUMNS` after the chain
 /// columns.
 #[must_use]
 pub fn chain_csv_header(with_network: bool) -> String {
@@ -1430,10 +1487,20 @@ mod tests {
                 JsonValue::Array(vec![JsonValue::Null, JsonValue::Bool(true)]),
             );
         assert_eq!(
-            o.to_compact_string(),
-            r#"{"b":1,"a":2.5,"s":"x\"y","l":[null,true]}"#
+            o.to_pretty_string(),
+            concat!(
+                "{\n",
+                "  \"b\": 1,\n",
+                "  \"a\": 2.5,\n",
+                "  \"s\": \"x\\\"y\",\n",
+                "  \"l\": [\n",
+                "    null,\n",
+                "    true\n",
+                "  ]\n",
+                "}\n",
+            )
         );
-        assert_eq!(o.to_compact_string(), o.clone().to_compact_string());
+        assert_eq!(o.to_pretty_string(), o.clone().to_pretty_string());
     }
 
     #[test]
@@ -1453,7 +1520,7 @@ mod tests {
     fn parser_round_trips_writer_output() {
         let mut o = JsonValue::object();
         o.push("n", JsonValue::Int(-3))
-            .push("u", JsonValue::UInt(u64::MAX))
+            .push("u", JsonValue::Int(i128::from(u64::MAX)))
             .push("f", JsonValue::Float(0.125))
             .push("s", JsonValue::Str("tab\t\"quote\"".to_owned()))
             .push(
@@ -1461,32 +1528,29 @@ mod tests {
                 JsonValue::Array(vec![JsonValue::Int(1), JsonValue::Null]),
             )
             .push("empty", JsonValue::object());
-        for text in [o.to_compact_string(), o.to_pretty_string()] {
-            let parsed = JsonValue::parse(&text).expect("round-trip parse");
-            assert_eq!(parsed.get("n"), Some(&JsonValue::Int(-3)));
-            assert_eq!(parsed.get("u"), Some(&JsonValue::UInt(u64::MAX)));
-            assert_eq!(parsed.get("f"), Some(&JsonValue::Float(0.125)));
-            assert_eq!(
-                parsed.get("s").and_then(JsonValue::as_str),
-                Some("tab\t\"quote\"")
-            );
-            assert_eq!(
-                parsed
-                    .get("arr")
-                    .and_then(JsonValue::as_array)
-                    .map(<[_]>::len),
-                Some(2)
-            );
-        }
+        let parsed = JsonValue::parse(&o.to_pretty_string()).expect("round-trip parse");
+        assert_eq!(parsed.get("n"), Some(&JsonValue::Int(-3)));
+        assert_eq!(parsed.get("u"), Some(&JsonValue::Int(i128::from(u64::MAX))));
+        assert_eq!(parsed.get("f"), Some(&JsonValue::Float(0.125)));
+        assert_eq!(
+            parsed.get("s").and_then(JsonValue::as_str),
+            Some("tab\t\"quote\"")
+        );
+        assert_eq!(
+            parsed
+                .get("arr")
+                .and_then(JsonValue::as_array)
+                .map(<[_]>::len),
+            Some(2)
+        );
     }
 
     #[test]
     fn parser_round_trips_multibyte_utf8() {
         for text in ["µs", "10 °C — ✓", "🚀 \"ünï\" \\ cödé", "é\n", "\u{7f}ñ"] {
             let value = JsonValue::Array(vec![JsonValue::Str(text.to_owned())]);
-            for doc in [value.to_compact_string(), value.to_pretty_string()] {
-                assert_eq!(JsonValue::parse(&doc), Ok(value.clone()), "{doc:?}");
-            }
+            let doc = value.to_pretty_string();
+            assert_eq!(JsonValue::parse(&doc), Ok(value.clone()), "{doc:?}");
         }
         // Escapes between multi-byte characters, parsed from raw text.
         let parsed = JsonValue::parse("\"ä\\u00e9ö\\\"ü\"").unwrap();
@@ -1569,12 +1633,27 @@ mod tests {
             }],
         };
         assert_eq!(
-            profile_report_json(&report).to_compact_string(),
+            profile_report_json(&report).to_pretty_string(),
             concat!(
-                r#"{"engine":{"scheduled":9,"dispatched":7,"cancelled":0,"#,
-                r#""level0_batches":5,"batched_events":6,"max_batch":3,"#,
-                r#""overflow_hits":1},"#,
-                r#""events":[{"kind":"Arrival","scheduled":4,"dispatched":4,"cancelled":0}]}"#,
+                "{\n",
+                "  \"engine\": {\n",
+                "    \"scheduled\": 9,\n",
+                "    \"dispatched\": 7,\n",
+                "    \"cancelled\": 0,\n",
+                "    \"level0_batches\": 5,\n",
+                "    \"batched_events\": 6,\n",
+                "    \"max_batch\": 3,\n",
+                "    \"overflow_hits\": 1\n",
+                "  },\n",
+                "  \"events\": [\n",
+                "    {\n",
+                "      \"kind\": \"Arrival\",\n",
+                "      \"scheduled\": 4,\n",
+                "      \"dispatched\": 4,\n",
+                "      \"cancelled\": 0\n",
+                "    }\n",
+                "  ]\n",
+                "}\n",
             )
         );
     }

@@ -1,7 +1,7 @@
 //! # `apc-analysis` — the paper's analytical models and report formatting
 //!
-//! * [`savings`] — the Sec. 2 / Eq. 1 power-savings model, the 41 % idle
-//!   saving, and an energy-proportionality score;
+//! * [`savings`] — the Sec. 2 / Eq. 1 power-savings model and the 41 % idle
+//!   saving;
 //! * [`impact`] — the Sec. 6/7.3 performance-impact model
 //!   (#transitions × transition cost vs. baseline latency);
 //! * [`report`] — fixed-width table rendering shared by the experiment
@@ -15,15 +15,12 @@
 //! # Example
 //!
 //! ```
-//! use apc_analysis::savings::idle_savings;
+//! use apc_analysis::savings::SavingsInputs;
 //! use apc_power::budget::PackageStatePower;
-//! use apc_soc::cstate::PackageCState;
 //!
+//! // Eq. 1 for an idle server: every moment is PC1A-eligible.
 //! let b = PackageStatePower::skx_reference();
-//! let saving = idle_savings(
-//!     b.state_power(PackageCState::PC0Idle),
-//!     b.state_power(PackageCState::PC1A),
-//! );
+//! let saving = SavingsInputs::from_budget(&b, 1.0).savings_fraction();
 //! assert!((saving - 0.41).abs() < 0.02);
 //! ```
 

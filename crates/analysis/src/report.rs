@@ -35,17 +35,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Convenience for rows built from string slices.
-    pub fn add_row_strs(&mut self, cells: &[&str]) {
-        self.add_row(&cells.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>());
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -74,36 +63,15 @@ impl TextTable {
     }
 }
 
-/// Formats a fraction as a percentage with one decimal.
-#[must_use]
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Formats watts with two decimals.
-#[must_use]
-pub fn watts(w: apc_power::units::Watts) -> String {
-    format!("{:.2} W", w.as_f64())
-}
-
-/// Formats a duration in microseconds with one decimal.
-#[must_use]
-pub fn micros(d: apc_sim::SimDuration) -> String {
-    format!("{:.1} us", d.as_micros_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apc_power::units::Watts;
-    use apc_sim::SimDuration;
 
     #[test]
     fn renders_aligned_table() {
         let mut t = TextTable::new("Table 1", &["state", "power"]);
-        t.add_row_strs(&["PC0idle", "49.50 W"]);
+        t.add_row(&["PC0idle".to_owned(), "49.50 W".to_owned()]);
         t.add_row(&["PC1A".to_owned(), "29.10 W".to_owned()]);
-        assert_eq!(t.row_count(), 2);
         let s = t.render();
         assert!(s.contains("== Table 1 =="));
         assert!(s.contains("| PC0idle | 49.50 W |"));
@@ -113,15 +81,28 @@ mod tests {
     #[test]
     fn short_rows_are_padded() {
         let mut t = TextTable::new("x", &["a", "b", "c"]);
-        t.add_row_strs(&["1"]);
+        t.add_row(&["1".to_owned()]);
         let s = t.render();
         assert!(s.contains("| 1 |"));
     }
 
     #[test]
-    fn formatting_helpers() {
-        assert_eq!(pct(0.412), "41.2%");
-        assert_eq!(watts(Watts(29.1)), "29.10 W");
-        assert_eq!(micros(SimDuration::from_nanos(117_500)), "117.5 us");
+    fn long_rows_are_truncated() {
+        let mut t = TextTable::new("x", &["a", "b"]);
+        t.add_row(&["1".to_owned(), "2".to_owned(), "dropped".to_owned()]);
+        let s = t.render();
+        assert!(s.contains("| 1 | 2 |"));
+        assert!(!s.contains("dropped"));
+    }
+
+    #[test]
+    fn wide_cells_widen_their_column() {
+        let mut t = TextTable::new("x", &["a", "b"]);
+        t.add_row(&["wide cell".to_owned(), "2".to_owned()]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[1], "| a         | b |");
+        assert_eq!(lines[2], "-".repeat(lines[1].len()));
+        assert_eq!(lines[3], "| wide cell | 2 |");
     }
 }

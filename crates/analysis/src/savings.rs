@@ -9,7 +9,7 @@
 //! equal to the fraction of time the baseline spends with all cores idle in
 //! CC1 (`R_PC0idle`).
 
-use apc_power::budget::{PackageStatePower, StatePower};
+use apc_power::budget::PackageStatePower;
 use apc_power::units::Watts;
 use apc_soc::cstate::PackageCState;
 
@@ -71,42 +71,6 @@ impl SavingsInputs {
     }
 }
 
-/// Eq. 1 evaluated for an idle server (`R_PC0 = 0`, `R_PC0idle = 1`):
-/// `1 − P_PC1A / P_PC0idle` (the paper's ~41 % headline).
-#[must_use]
-pub fn idle_savings(pc0idle: StatePower, pc1a: StatePower) -> f64 {
-    let idle = pc0idle.total().as_f64();
-    if idle <= 0.0 {
-        return 0.0;
-    }
-    1.0 - pc1a.total().as_f64() / idle
-}
-
-/// A simple energy-proportionality score: the ratio of the power *actually*
-/// saved at a given utilisation to the power an ideally proportional server
-/// would save (linear between idle-power = 0 at 0 % and peak power at 100 %).
-/// 1.0 means perfectly proportional; 0.0 means no proportionality at all.
-#[must_use]
-pub fn proportionality_score(power_at_util: Watts, peak_power: Watts, utilization: f64) -> f64 {
-    let peak = peak_power.as_f64();
-    if peak <= 0.0 {
-        return 0.0;
-    }
-    let u = utilization.clamp(0.0, 1.0);
-    let ideal = peak * u;
-    let actual = power_at_util.as_f64();
-    if actual <= ideal {
-        return 1.0;
-    }
-    // Excess over ideal, normalised by how much excess a completely
-    // non-proportional server (always at peak) would have.
-    let worst_excess = peak - ideal;
-    if worst_excess <= 0.0 {
-        return 1.0;
-    }
-    1.0 - (actual - ideal) / worst_excess
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +81,8 @@ mod tests {
 
     #[test]
     fn idle_server_saves_about_41_percent() {
-        let b = budget();
-        let s = idle_savings(
-            b.state_power(PackageCState::PC0Idle),
-            b.state_power(PackageCState::PC1A),
-        );
+        // Eq. 1 for an idle server (`R_PC0idle = 1`): 1 − P_PC1A / P_PC0idle.
+        let s = SavingsInputs::from_budget(&budget(), 1.0).savings_fraction();
         assert!((s - 0.41).abs() < 0.02, "idle saving {s}");
     }
 
@@ -158,14 +119,25 @@ mod tests {
     }
 
     #[test]
-    fn proportionality_score_bounds() {
-        // Perfectly proportional.
-        assert!((proportionality_score(Watts(9.2), Watts(92.0), 0.1) - 1.0).abs() < 1e-12);
-        // Completely non-proportional: always at peak.
-        assert!(proportionality_score(Watts(92.0), Watts(92.0), 0.1) < 0.01);
-        // Somewhere in between.
-        let s = proportionality_score(Watts(49.5), Watts(92.0), 0.1);
-        assert!(s > 0.4 && s < 0.7, "score {s}");
-        assert_eq!(proportionality_score(Watts(10.0), Watts(0.0), 0.5), 0.0);
+    fn idle_residency_is_clamped_to_a_fraction() {
+        let b = budget();
+        assert_eq!(
+            SavingsInputs::from_budget(&b, 1.5),
+            SavingsInputs::from_budget(&b, 1.0)
+        );
+        let below = SavingsInputs::from_budget(&b, -0.2);
+        assert_eq!(below, SavingsInputs::from_budget(&b, 0.0));
+        assert_eq!((below.r_pc0, below.r_pc0idle), (1.0, 0.0));
+    }
+
+    #[test]
+    fn a_server_that_is_never_idle_saves_nothing() {
+        // R_PC0idle = 0: PC1A is never eligible, whatever it draws.
+        let busy = SavingsInputs::from_budget(&budget(), 0.0);
+        assert_eq!(busy.baseline_power(), busy.p_pc0);
+        assert_eq!(busy.savings_fraction(), 0.0);
+        // A zero baseline cannot be divided by and saves nothing either.
+        let unpowered = busy.with_active_power(Watts::ZERO);
+        assert_eq!(unpowered.savings_fraction(), 0.0);
     }
 }

@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use apc_analysis::impact::ImpactInputs;
     pub use apc_analysis::report::TextTable;
-    pub use apc_analysis::savings::{idle_savings, SavingsInputs};
+    pub use apc_analysis::savings::SavingsInputs;
     pub use apc_core::apmu::{Apmu, ApmuState, WakeCause};
     pub use apc_core::area::ApcAreaModel;
     pub use apc_core::latency::Pc1aLatencyModel;

@@ -29,7 +29,7 @@ use apc_sim::{SimDuration, SimTime};
 use apc_telemetry::sketch::QuantileSketch;
 
 /// The checkpoint format version this build writes and accepts.
-pub const CHECKPOINT_VERSION: u64 = 1;
+const CHECKPOINT_VERSION: u64 = 1;
 
 /// One completed grid point of a sharded sweep.
 pub struct CheckpointPoint {
@@ -70,11 +70,11 @@ impl Checkpoint {
             .iter()
             .map(|p| {
                 let mut o = JsonValue::object();
-                o.push("index", JsonValue::UInt(p.index as u64))
+                o.push("index", JsonValue::Int(p.index as i128))
                     .push("label", JsonValue::Str(p.label.clone()))
                     .push(
                         "finished_at_ns",
-                        JsonValue::UInt((p.run.finished_at - SimTime::ZERO).as_nanos()),
+                        JsonValue::Int(i128::from((p.run.finished_at - SimTime::ZERO).as_nanos())),
                     )
                     .push("sketch", sketch_json(&p.run.latency_sketch))
                     .push("run", run_result_json(&p.run));
@@ -82,14 +82,20 @@ impl Checkpoint {
             })
             .collect();
         let mut o = JsonValue::object();
-        o.push("apc_sweep_checkpoint", JsonValue::UInt(CHECKPOINT_VERSION))
-            .push("spec_name", JsonValue::Str(self.spec_name.clone()))
-            .push("shard", JsonValue::UInt(self.shard as u64))
-            .push("of", JsonValue::UInt(self.of as u64))
-            .push("total_points", JsonValue::UInt(self.total_points as u64))
-            .push("seed", JsonValue::UInt(self.seed))
-            .push("duration_ns", JsonValue::UInt(self.duration.as_nanos()))
-            .push("points", JsonValue::Array(points));
+        o.push(
+            "apc_sweep_checkpoint",
+            JsonValue::Int(i128::from(CHECKPOINT_VERSION)),
+        )
+        .push("spec_name", JsonValue::Str(self.spec_name.clone()))
+        .push("shard", JsonValue::Int(self.shard as i128))
+        .push("of", JsonValue::Int(self.of as i128))
+        .push("total_points", JsonValue::Int(self.total_points as i128))
+        .push("seed", JsonValue::Int(i128::from(self.seed)))
+        .push(
+            "duration_ns",
+            JsonValue::Int(i128::from(self.duration.as_nanos())),
+        )
+        .push("points", JsonValue::Array(points));
         o
     }
 

@@ -519,7 +519,7 @@ fn cmd_list(inv: &Invocation) -> Result<String, CliError> {
                     let mut o = JsonValue::object();
                     o.push("name", JsonValue::Str(name))
                         .push("kind", JsonValue::Str(kind.to_owned()))
-                        .push("servers", JsonValue::UInt(servers as u64))
+                        .push("servers", JsonValue::Int(servers as i128))
                         .push("workloads", JsonValue::Str(workloads))
                         .push("description", JsonValue::Str(description));
                     o

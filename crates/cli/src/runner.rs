@@ -79,7 +79,7 @@ pub enum Outcome {
 /// experiments: the same calibration as the workload's dominant request
 /// class in the single-server mixes.
 #[must_use]
-pub fn leaf_service_for(workload: WorkloadKind) -> TierService {
+fn leaf_service_for(workload: WorkloadKind) -> TierService {
     match workload {
         WorkloadKind::MemcachedEtc => TierService::memcached_leaf(),
         WorkloadKind::Kafka => TierService::kafka_leaf(),

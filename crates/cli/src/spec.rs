@@ -770,7 +770,7 @@ pub fn parse_policy(name: &str) -> Option<RoutingPolicyKind> {
 
 /// Parses a workload spelling shared by spec files and results.
 #[must_use]
-pub fn parse_workload(name: &str) -> Option<WorkloadKind> {
+fn parse_workload(name: &str) -> Option<WorkloadKind> {
     match name.to_ascii_lowercase().as_str() {
         "memcached" => Some(WorkloadKind::MemcachedEtc),
         "kafka" => Some(WorkloadKind::Kafka),

@@ -393,6 +393,59 @@ fn network_spec_runs_and_exports_fabric_stats() {
     assert!(csv.contains("two-tier"), "{csv}");
 }
 
+/// A wire delay near `u64::MAX` per message: 25 messages of 2·10^18 ns sum
+/// to 5·10^19 ns, past `u64::MAX`. The export writes the exact sum, which
+/// the bundled parser reads back as that integer.
+#[test]
+fn network_total_wire_delay_is_exported_exactly_past_u64() {
+    let spec = Scratch::new("net-wide.toml");
+    spec.write(
+        r#"
+[experiment]
+kind = "cluster"
+name = "net-wide"
+seed = 7
+duration_ms = 40
+
+[workload]
+kind = "memcached"
+rate_per_sec = 1_000
+
+[cluster]
+nodes = 4
+policy = "jsq"
+
+[network]
+topology = "flat"
+latency_us = 1e15
+"#,
+    );
+    let out = Scratch::new("net-wide.json");
+    execute(&args(&[
+        "run",
+        spec.path(),
+        "--format",
+        "json",
+        "--out",
+        out.path(),
+    ]))
+    .unwrap();
+    execute(&args(&["validate", out.path()])).unwrap();
+    let parsed = JsonValue::parse(&out.read()).expect("output is valid JSON");
+    let c = &parsed.as_array().expect("cluster JSON is an array")[0];
+    let net = c.get("network").expect("network object exported");
+    let messages = net.get("messages").and_then(JsonValue::as_u64).unwrap();
+    let mean = net
+        .get("mean_wire_delay_ns")
+        .and_then(JsonValue::as_u64)
+        .unwrap();
+    assert_eq!((messages, mean), (25, 2_000_000_000_000_000_000));
+    assert_eq!(
+        net.get("total_wire_delay_ns"),
+        Some(&JsonValue::Int(i128::from(messages) * i128::from(mean)))
+    );
+}
+
 #[test]
 fn network_spec_errors_are_line_numbered_usage_errors() {
     // Each bad table: the error names the offending line and exits 2.

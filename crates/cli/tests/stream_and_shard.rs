@@ -517,7 +517,9 @@ fn buckets(pairs: &[(i64, u64)]) -> JsonValue {
     JsonValue::Array(
         pairs
             .iter()
-            .map(|&(i, c)| JsonValue::Array(vec![JsonValue::Int(i), JsonValue::UInt(c)]))
+            .map(|&(i, c)| {
+                JsonValue::Array(vec![JsonValue::Int(i.into()), JsonValue::Int(c.into())])
+            })
             .collect(),
     )
 }
@@ -545,7 +547,7 @@ fn merge_rejects_hostile_checkpoints_as_input_errors() {
     let cases = [
         // A grid no checkpoint can fill: allocating it would overflow.
         tampered("hostile-total.json", &checkpoint, |ck| {
-            *field(ck, "total_points") = JsonValue::UInt(1 << 62);
+            *field(ck, "total_points") = JsonValue::Int(1 << 62);
         }),
         // The widest i32 bucket span, whose width overflows i32.
         tampered("hostile-span.json", &checkpoint, |ck| {
@@ -557,7 +559,7 @@ fn merge_rejects_hostile_checkpoints_as_input_errors() {
         }),
         // A sketch the fleet's combined latency cannot merge.
         tampered("hostile-params.json", &checkpoint, |ck| {
-            *field(sketch(ck), "max_buckets") = JsonValue::UInt(4096);
+            *field(sketch(ck), "max_buckets") = JsonValue::Int(4096);
         }),
         // Two buckets 20M indices apart: a dense rebuild takes 160 MB.
         tampered("hostile-wide.json", &checkpoint, |ck| {
@@ -600,7 +602,7 @@ fn merge_rejects_hostile_checkpoints_as_input_errors() {
             panic!("points is an array");
         };
         for p in points {
-            *field(field(p, "run"), "completed_requests") = JsonValue::UInt(u64::MAX);
+            *field(field(p, "run"), "completed_requests") = JsonValue::Int(u64::MAX.into());
         }
     });
     for format in ["json", "csv", "table"] {

@@ -36,21 +36,12 @@ pub enum ApmuState {
     Pc0,
     /// All cores idle in CC1; `AllowL0s` asserted, waiting for `&InL0s`.
     Acc1,
-    /// PC1A entry steps in flight; resident at `done_at`.
-    Entering {
-        /// When the entry flow completes.
-        done_at: SimTime,
-    },
+    /// PC1A entry steps in flight.
+    Entering,
     /// Resident in PC1A; `InPC1A` asserted towards the GPMU.
-    InPc1a {
-        /// When residency began.
-        since: SimTime,
-    },
-    /// PC1A exit steps in flight; back in ACC1 at `done_at`.
-    Exiting {
-        /// When the exit flow completes.
-        done_at: SimTime,
-    },
+    InPc1a,
+    /// PC1A exit steps in flight; back in ACC1 when they complete.
+    Exiting,
 }
 
 impl fmt::Display for ApmuState {
@@ -58,9 +49,9 @@ impl fmt::Display for ApmuState {
         match self {
             ApmuState::Pc0 => f.write_str("PC0"),
             ApmuState::Acc1 => f.write_str("ACC1"),
-            ApmuState::Entering { .. } => f.write_str("entering-PC1A"),
-            ApmuState::InPc1a { .. } => f.write_str("PC1A"),
-            ApmuState::Exiting { .. } => f.write_str("exiting-PC1A"),
+            ApmuState::Entering => f.write_str("entering-PC1A"),
+            ApmuState::InPc1a => f.write_str("PC1A"),
+            ApmuState::Exiting => f.write_str("exiting-PC1A"),
         }
     }
 }
@@ -107,21 +98,14 @@ impl WakeOutcome {
     }
 }
 
-/// Statistics the APMU keeps (exposed to the telemetry layer).
+/// Statistics the APMU keeps (exposed to the telemetry layer; PC1A
+/// residency is measured by the telemetry layer's residency tracker).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApmuStats {
     /// Completed PC1A entries.
     pub pc1a_entries: u64,
     /// Entries aborted by a wakeup arriving during the entry flow.
     pub aborted_entries: u64,
-    /// Cumulative residency in PC1A.
-    pub pc1a_residency: SimDuration,
-    /// Wakeups delivered while resident, by cause.
-    pub io_wakeups: u64,
-    /// Wakeups from core interrupts / GPMU events while resident.
-    pub event_wakeups: u64,
-    /// Transitions into ACC1 (all-cores-idle episodes observed).
-    pub acc1_entries: u64,
 }
 
 /// The Agile Power Management Unit.
@@ -150,8 +134,8 @@ impl Apmu {
     pub fn new() -> Self {
         Apmu {
             state: ApmuState::Pc0,
-            iosm: IoStandbyMode::new(),
-            clmr: ClmRetention::new(),
+            iosm: IoStandbyMode,
+            clmr: ClmRetention,
             latency: Pc1aLatencyModel::from_components(),
             enabled: true,
             stats: ApmuStats::default(),
@@ -167,12 +151,6 @@ impl Apmu {
         apmu
     }
 
-    /// Whether the APMU hardware is present/enabled.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Current FSM state.
     #[must_use]
     pub fn state(&self) -> ApmuState {
@@ -182,7 +160,7 @@ impl Apmu {
     /// The `InPC1A` status signal towards the GPMU.
     #[must_use]
     pub fn in_pc1a(&self) -> bool {
-        matches!(self.state, ApmuState::InPc1a { .. })
+        self.state == ApmuState::InPc1a
     }
 
     /// Statistics accumulated so far.
@@ -191,25 +169,13 @@ impl Apmu {
         self.stats
     }
 
-    /// Access to the IOSM sub-controller (for tracing).
-    #[must_use]
-    pub fn iosm(&self) -> &IoStandbyMode {
-        &self.iosm
-    }
-
-    /// Access to the CLMR sub-controller (for tracing).
-    #[must_use]
-    pub fn clmr(&self) -> &ClmRetention {
-        &self.clmr
-    }
-
     /// The package C-state the APMU currently holds the system in, for power
     /// accounting. Transitional phases are charged at PC0idle power
     /// (conservative: no PC1A savings are claimed during entry/exit).
     #[must_use]
     pub fn package_state(&self, any_core_active: bool) -> PackageCState {
         match self.state {
-            ApmuState::InPc1a { .. } => PackageCState::PC1A,
+            ApmuState::InPc1a => PackageCState::PC1A,
             ApmuState::Pc0 => {
                 if any_core_active {
                     PackageCState::PC0
@@ -217,9 +183,7 @@ impl Apmu {
                     PackageCState::PC0Idle
                 }
             }
-            ApmuState::Acc1 | ApmuState::Entering { .. } | ApmuState::Exiting { .. } => {
-                PackageCState::PC0Idle
-            }
+            ApmuState::Acc1 | ApmuState::Entering | ApmuState::Exiting => PackageCState::PC0Idle,
         }
     }
 
@@ -231,13 +195,12 @@ impl Apmu {
     /// that time — or `None` when the APMU is disabled, already past PC0, or
     /// some link is busy (in which case the attempt resolves when either the
     /// traffic drains and the caller retries, or a core wakes up).
-    pub fn on_all_cores_idle(&mut self, soc: &mut SkxSoc, now: SimTime) -> Option<SimTime> {
+    pub fn on_all_cores_idle(&mut self, soc: &mut SkxSoc) -> Option<SimTime> {
         if !self.enabled || self.state != ApmuState::Pc0 {
             return None;
         }
         self.state = ApmuState::Acc1;
-        self.stats.acc1_entries += 1;
-        self.iosm.assert_allow_l0s(soc, now);
+        self.iosm.assert_allow_l0s(soc);
         self.iosm.standby_deadline(soc)
     }
 
@@ -265,10 +228,9 @@ impl Apmu {
         // Branch (i): clock-gate the CLM and start the retention ramp.
         let (_gate, _ramp) = self.clmr.enter_retention(soc, now);
         // Branch (ii): allow the MCs to drop CKE.
-        self.iosm.assert_allow_cke_off(soc, now);
-        let done_at = now + self.latency.entry();
-        self.state = ApmuState::Entering { done_at };
-        Some(done_at)
+        self.iosm.assert_allow_cke_off(soc);
+        self.state = ApmuState::Entering;
+        Some(now + self.latency.entry())
     }
 
     /// Notification that the entry flow completed: the package is resident in
@@ -277,10 +239,10 @@ impl Apmu {
     /// # Panics
     ///
     /// Panics if no entry flow is in flight.
-    pub fn on_entry_complete(&mut self, now: SimTime) {
+    pub fn on_entry_complete(&mut self) {
         match self.state {
-            ApmuState::Entering { .. } => {
-                self.state = ApmuState::InPc1a { since: now };
+            ApmuState::Entering => {
+                self.state = ApmuState::InPc1a;
                 self.stats.pc1a_entries += 1;
             }
             _ => panic!("on_entry_complete without an entry flow in flight"),
@@ -297,24 +259,19 @@ impl Apmu {
     /// * In PC0 or already exiting: a no-op.
     pub fn wakeup(&mut self, soc: &mut SkxSoc, now: SimTime, cause: WakeCause) -> WakeOutcome {
         match self.state {
-            ApmuState::InPc1a { since } => {
-                self.stats.pc1a_residency += now - since;
-                self.record_wake_cause(cause);
-                self.begin_exit(soc, now)
-            }
-            ApmuState::Entering { .. } => {
+            ApmuState::InPc1a => self.begin_exit(soc, now),
+            ApmuState::Entering => {
                 // Entry raced a wakeup: unwind immediately. The voltage ramp
                 // is interrupted pre-emptively, so the exit is never longer
                 // than a full exit.
                 self.stats.aborted_entries += 1;
-                self.record_wake_cause(cause);
                 self.begin_exit(soc, now)
             }
             ApmuState::Acc1 => {
                 let latency = if cause == WakeCause::CoreInterrupt {
                     // Fig. 4: a core interrupt in ACC1 returns to PC0 and
                     // clears AllowL0s.
-                    let lat = self.iosm.deassert_allow_l0s(soc, now);
+                    let lat = self.iosm.deassert_allow_l0s(soc);
                     self.state = ApmuState::Pc0;
                     lat
                 } else {
@@ -325,7 +282,7 @@ impl Apmu {
                 };
                 WakeOutcome::NotResident { latency }
             }
-            ApmuState::Pc0 | ApmuState::Exiting { .. } => WakeOutcome::NotResident {
+            ApmuState::Pc0 | ApmuState::Exiting => WakeOutcome::NotResident {
                 latency: SimDuration::ZERO,
             },
         }
@@ -339,7 +296,7 @@ impl Apmu {
     /// Panics if no exit flow is in flight.
     pub fn on_exit_complete(&mut self, soc: &mut SkxSoc, now: SimTime) {
         match self.state {
-            ApmuState::Exiting { .. } => {
+            ApmuState::Exiting => {
                 self.clmr.exit_complete(soc, now);
                 self.state = ApmuState::Acc1;
             }
@@ -349,10 +306,10 @@ impl Apmu {
 
     /// Notification that a core returned to CC0 (the ACC1 → PC0 edge of
     /// Fig. 4). Clears `AllowL0s`; returns the worst link wake latency paid.
-    pub fn on_core_active(&mut self, soc: &mut SkxSoc, now: SimTime) -> SimDuration {
+    pub fn on_core_active(&mut self, soc: &mut SkxSoc) -> SimDuration {
         match self.state {
             ApmuState::Acc1 => {
-                let lat = self.iosm.deassert_allow_l0s(soc, now);
+                let lat = self.iosm.deassert_allow_l0s(soc);
                 self.state = ApmuState::Pc0;
                 lat
             }
@@ -371,25 +328,20 @@ impl Apmu {
         // Step 4/5: de-assert Ret, ungate after PwrOk.
         let (ramp, ungate) = self.clmr.exit_retention(soc, now);
         // Step 6: clear Allow_CKE_OFF (concurrent branch).
-        let cke = self.iosm.deassert_allow_cke_off(soc, now);
+        let cke = self.iosm.deassert_allow_cke_off(soc);
         // IO links wake on their own when traffic arrives; their worst exit
         // latency overlaps the CLM ramp.
         let io = soc.ios().worst_exit_latency();
         // Wake the links now (the exit flow reactivates the uncore; links
         // re-enter standby only on the next ACC1 episode).
         for link in soc.ios_mut().iter_mut() {
-            link.wake(now);
+            link.wake();
         }
         let latency = ramp.max(cke).max(io) + ungate;
-        let done_at = now + latency;
-        self.state = ApmuState::Exiting { done_at };
-        WakeOutcome::Exiting { done_at, latency }
-    }
-
-    fn record_wake_cause(&mut self, cause: WakeCause) {
-        match cause {
-            WakeCause::IoTraffic => self.stats.io_wakeups += 1,
-            WakeCause::CoreInterrupt | WakeCause::GpmuEvent => self.stats.event_wakeups += 1,
+        self.state = ApmuState::Exiting;
+        WakeOutcome::Exiting {
+            done_at: now + latency,
+            latency,
         }
     }
 }
@@ -411,7 +363,7 @@ mod tests {
     /// Prepares a socket with all cores idle in CC1 and all links idle.
     fn idle_soc(now: SimTime) -> SkxSoc {
         let mut soc = SkxSoc::xeon_silver_4114();
-        soc.force_all_cores(now, CoreCState::CC1);
+        soc.force_all_cores(CoreCState::CC1);
         for io in soc.ios_mut().iter_mut() {
             io.end_traffic(now);
         }
@@ -420,12 +372,12 @@ mod tests {
 
     /// Drives the APMU through a complete entry, returning the residency
     /// start time.
-    fn enter_pc1a(apmu: &mut Apmu, soc: &mut SkxSoc, t0: SimTime) -> SimTime {
-        let deadline = apmu.on_all_cores_idle(soc, t0).expect("ACC1 entry");
+    fn enter_pc1a(apmu: &mut Apmu, soc: &mut SkxSoc) -> SimTime {
+        let deadline = apmu.on_all_cores_idle(soc).expect("ACC1 entry");
         let resident_at = apmu
             .on_standby_deadline(soc, deadline)
             .expect("PC1A entry should start");
-        apmu.on_entry_complete(resident_at);
+        apmu.on_entry_complete();
         resident_at
     }
 
@@ -436,15 +388,15 @@ mod tests {
         let mut apmu = Apmu::new();
         assert_eq!(apmu.state(), ApmuState::Pc0);
 
-        let deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
         assert_eq!(apmu.state(), ApmuState::Acc1);
         assert_eq!(deadline, t0 + SimDuration::from_nanos(16));
 
         let resident_at = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
         assert_eq!(resident_at, deadline + SimDuration::from_nanos(18));
-        assert!(matches!(apmu.state(), ApmuState::Entering { .. }));
+        assert_eq!(apmu.state(), ApmuState::Entering);
 
-        apmu.on_entry_complete(resident_at);
+        apmu.on_entry_complete();
         assert!(apmu.in_pc1a());
         assert_eq!(apmu.stats().pc1a_entries, 1);
         assert_eq!(apmu.package_state(false), PackageCState::PC1A);
@@ -464,7 +416,7 @@ mod tests {
         let t0 = SimTime::from_micros(100);
         let mut soc = idle_soc(t0);
         let mut apmu = Apmu::new();
-        let resident_at = enter_pc1a(&mut apmu, &mut soc, t0);
+        let resident_at = enter_pc1a(&mut apmu, &mut soc);
 
         let wake_at = resident_at + SimDuration::from_micros(50);
         let outcome = apmu.wakeup(&mut soc, wake_at, WakeCause::IoTraffic);
@@ -475,11 +427,10 @@ mod tests {
         assert!(latency >= SimDuration::from_nanos(100));
         apmu.on_exit_complete(&mut soc, done_at);
         assert_eq!(apmu.state(), ApmuState::Acc1);
-        assert!(apmu.stats().pc1a_residency >= SimDuration::from_micros(50));
-        assert_eq!(apmu.stats().io_wakeups, 1);
+        assert_eq!(apmu.stats().pc1a_entries, 1);
 
         // Core interrupt then returns the FSM to PC0 and reactivates links.
-        apmu.on_core_active(&mut soc, done_at + SimDuration::from_nanos(10));
+        apmu.on_core_active(&mut soc);
         assert_eq!(apmu.state(), ApmuState::Pc0);
         assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L0));
         assert!(soc
@@ -493,9 +444,9 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut soc = idle_soc(t0);
         let mut apmu = Apmu::new();
-        let deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
         let resident_at = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
-        apmu.on_entry_complete(resident_at);
+        apmu.on_entry_complete();
         // Immediate wakeup.
         let outcome = apmu.wakeup(&mut soc, resident_at, WakeCause::CoreInterrupt);
         let total = (outcome.latency() + (resident_at - deadline)).as_nanos();
@@ -506,8 +457,7 @@ mod tests {
     fn disabled_apmu_never_leaves_pc0() {
         let mut soc = idle_soc(SimTime::ZERO);
         let mut apmu = Apmu::disabled();
-        assert!(!apmu.is_enabled());
-        assert_eq!(apmu.on_all_cores_idle(&mut soc, SimTime::ZERO), None);
+        assert_eq!(apmu.on_all_cores_idle(&mut soc), None);
         assert_eq!(apmu.state(), ApmuState::Pc0);
         assert_eq!(apmu.package_state(false), PackageCState::PC0Idle);
         assert_eq!(apmu.package_state(true), PackageCState::PC0);
@@ -520,9 +470,9 @@ mod tests {
         // One PCIe port still has traffic outstanding.
         soc.ios_mut()
             .controller_mut(apc_soc::io::IoId(0))
-            .begin_traffic(t0);
+            .begin_traffic();
         let mut apmu = Apmu::new();
-        let deadline = apmu.on_all_cores_idle(&mut soc, t0);
+        let deadline = apmu.on_all_cores_idle(&mut soc);
         assert_eq!(deadline, None, "busy link means no standby deadline");
         assert_eq!(apmu.state(), ApmuState::Acc1);
         // Even if the caller polls later, entry does not start while busy.
@@ -537,7 +487,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut soc = idle_soc(t0);
         let mut apmu = Apmu::new();
-        let deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
         let _resident_at = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
         // Wakeup arrives before entry completes.
         let wake_at = deadline + SimDuration::from_nanos(5);
@@ -552,7 +502,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut soc = idle_soc(t0);
         let mut apmu = Apmu::new();
-        apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+        apmu.on_all_cores_idle(&mut soc).unwrap();
         let outcome = apmu.wakeup(
             &mut soc,
             t0 + SimDuration::from_nanos(8),
@@ -567,7 +517,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut soc = idle_soc(t0);
         let mut apmu = Apmu::new();
-        apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+        apmu.on_all_cores_idle(&mut soc).unwrap();
         let outcome = apmu.wakeup(
             &mut soc,
             t0 + SimDuration::from_nanos(8),
@@ -583,8 +533,8 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut soc = idle_soc(t0);
         let mut apmu = Apmu::new();
-        enter_pc1a(&mut apmu, &mut soc, t0);
-        let _ = apmu.on_core_active(&mut soc, t0 + SimDuration::from_micros(1));
+        enter_pc1a(&mut apmu, &mut soc);
+        let _ = apmu.on_core_active(&mut soc);
     }
 
     #[test]
@@ -593,23 +543,21 @@ mod tests {
         let mut apmu = Apmu::new();
         let mut t = SimTime::from_micros(10);
         for _ in 0..5 {
-            soc.force_all_cores(t, CoreCState::CC1);
+            soc.force_all_cores(CoreCState::CC1);
             for io in soc.ios_mut().iter_mut() {
                 io.end_traffic(t);
             }
-            let resident = enter_pc1a(&mut apmu, &mut soc, t);
+            let resident = enter_pc1a(&mut apmu, &mut soc);
             let wake_at = resident + SimDuration::from_micros(30);
             let outcome = apmu.wakeup(&mut soc, wake_at, WakeCause::IoTraffic);
             if let WakeOutcome::Exiting { done_at, .. } = outcome {
                 apmu.on_exit_complete(&mut soc, done_at);
-                apmu.on_core_active(&mut soc, done_at);
+                apmu.on_core_active(&mut soc);
                 t = done_at + SimDuration::from_micros(100);
             }
         }
         let stats = apmu.stats();
         assert_eq!(stats.pc1a_entries, 5);
-        assert_eq!(stats.acc1_entries, 5);
-        assert!(stats.pc1a_residency >= SimDuration::from_micros(150));
-        assert_eq!(stats.io_wakeups, 5);
+        assert_eq!(stats.aborted_entries, 0);
     }
 }

@@ -132,12 +132,6 @@ impl ApcAreaModel {
         }
     }
 
-    /// The floorplan in use.
-    #[must_use]
-    pub fn floorplan(&self) -> &DieFloorplan {
-        &self.floorplan
-    }
-
     /// Computes the full overhead report.
     #[must_use]
     pub fn report(&self) -> ApcAreaReport {

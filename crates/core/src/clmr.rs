@@ -11,53 +11,29 @@
 //! 3. a `PwrOk` status from the FIVRs that gates clock-ungating on exit.
 
 use apc_sim::{SimDuration, SimTime};
-use apc_soc::clm::ClmState;
 use apc_soc::topology::SkxSoc;
 
-/// The CLMR signal driver.
-#[derive(Debug, Clone, Default)]
-pub struct ClmRetention {
-    retention_entries: u64,
-}
+/// The CLMR signal driver. The struct is stateless: the CLM state lives in
+/// the socket's CLM domain model.
+#[derive(Debug)]
+pub struct ClmRetention;
 
 impl ClmRetention {
-    /// Creates the CLMR driver.
-    #[must_use]
-    pub fn new() -> Self {
-        ClmRetention::default()
-    }
-
-    /// Number of retention entries performed.
-    #[must_use]
-    pub fn retention_entries(&self) -> u64 {
-        self.retention_entries
-    }
-
     /// PC1A entry steps 1–2 (Fig. 4): gate the CLM clock tree and assert
     /// `Ret` on both FIVRs. Returns `(gate_latency, ramp_latency)`; the ramp
     /// is non-blocking so only the gate latency sits on the entry critical
     /// path.
-    pub fn enter_retention(
-        &mut self,
-        soc: &mut SkxSoc,
-        now: SimTime,
-    ) -> (SimDuration, SimDuration) {
-        self.retention_entries += 1;
-        let gate = soc.clm_mut().clock_gate(now);
+    pub fn enter_retention(&self, soc: &mut SkxSoc, now: SimTime) -> (SimDuration, SimDuration) {
+        let gate = soc.clm_mut().clock_gate();
         let ramp = soc.clm_mut().assert_retention(now);
         (gate, ramp)
-    }
-
-    /// Marks the (non-blocking) downward voltage ramp complete.
-    pub fn ramp_complete(&self, soc: &mut SkxSoc, now: SimTime) {
-        soc.clm_mut().complete_voltage_transition(now);
     }
 
     /// PC1A exit steps 4–5 (Fig. 4): de-assert `Ret` (ramp back to nominal)
     /// and, once `PwrOk`, ungate the clock tree. Returns
     /// `(ramp_latency, ungate_latency)`; the exit critical path is their sum,
     /// dominated by the 150 ns ramp.
-    pub fn exit_retention(&mut self, soc: &mut SkxSoc, now: SimTime) -> (SimDuration, SimDuration) {
+    pub fn exit_retention(&self, soc: &mut SkxSoc, now: SimTime) -> (SimDuration, SimDuration) {
         let ramp = soc.clm_mut().deassert_retention(now);
         // The clock may only be ungated once PwrOk asserts; the caller waits
         // `ramp`, calls `exit_complete`, and the ungate latency is the tail.
@@ -69,45 +45,33 @@ impl ClmRetention {
     /// the clock tree.
     pub fn exit_complete(&self, soc: &mut SkxSoc, now: SimTime) {
         soc.clm_mut().complete_voltage_transition(now);
-        soc.clm_mut().clock_ungate(now);
-    }
-
-    /// The aggregated `PwrOk` status from the two CLM FIVRs.
-    #[must_use]
-    pub fn pwr_ok(&self, soc: &SkxSoc) -> bool {
-        soc.clm().pwr_ok()
-    }
-
-    /// The CLM domain's current aggregate state.
-    #[must_use]
-    pub fn state(&self, soc: &SkxSoc) -> ClmState {
-        soc.clm().state()
+        soc.clm_mut().clock_ungate();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_soc::clm::ClmState;
     use apc_soc::pll::PllState;
 
     #[test]
     fn retention_entry_is_fast_and_nonblocking() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        let mut clmr = ClmRetention::new();
-        let (gate, ramp) = clmr.enter_retention(&mut soc, SimTime::ZERO);
+        let (gate, ramp) = ClmRetention.enter_retention(&mut soc, SimTime::ZERO);
         assert_eq!(gate, SimDuration::from_nanos(4), "2 cycles at 500 MHz");
         assert_eq!(ramp, SimDuration::from_nanos(150), "300 mV at 2 mV/ns");
-        assert_eq!(clmr.state(&soc), ClmState::Retention);
-        assert!(!clmr.pwr_ok(&soc), "ramp still in flight");
-        clmr.ramp_complete(&mut soc, SimTime::from_nanos(150));
-        assert!(clmr.pwr_ok(&soc));
-        assert_eq!(clmr.retention_entries(), 1);
+        assert_eq!(soc.clm().state(), ClmState::Retention);
+        assert!(!soc.clm().pwr_ok(), "ramp still in flight");
+        soc.clm_mut()
+            .complete_voltage_transition(SimTime::from_nanos(150));
+        assert!(soc.clm().pwr_ok());
     }
 
     #[test]
     fn plls_stay_locked_throughout() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        let mut clmr = ClmRetention::new();
+        let clmr = ClmRetention;
         clmr.enter_retention(&mut soc, SimTime::ZERO);
         assert!(
             soc.plls().iter().all(|p| p.state() == PllState::Locked),
@@ -117,16 +81,17 @@ mod tests {
         assert_eq!(ramp, SimDuration::from_nanos(150));
         assert_eq!(ungate, SimDuration::from_nanos(4));
         clmr.exit_complete(&mut soc, SimTime::from_micros(1) + ramp + ungate);
-        assert_eq!(clmr.state(&soc), ClmState::Operational);
+        assert_eq!(soc.clm().state(), ClmState::Operational);
         assert!(soc.plls().iter().all(|p| p.state() == PllState::Locked));
     }
 
     #[test]
     fn exit_critical_path_is_dominated_by_the_ramp() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        let mut clmr = ClmRetention::new();
+        let clmr = ClmRetention;
         clmr.enter_retention(&mut soc, SimTime::ZERO);
-        clmr.ramp_complete(&mut soc, SimTime::from_nanos(150));
+        soc.clm_mut()
+            .complete_voltage_transition(SimTime::from_nanos(150));
         let (ramp, ungate) = clmr.exit_retention(&mut soc, SimTime::from_micros(1));
         assert!(ramp + ungate <= SimDuration::from_nanos(160));
     }
@@ -136,7 +101,7 @@ mod tests {
         // Preemptive voltage command: a wakeup 40 ns into the downward ramp
         // only has to recover the voltage already lost.
         let mut soc = SkxSoc::xeon_silver_4114();
-        let mut clmr = ClmRetention::new();
+        let clmr = ClmRetention;
         clmr.enter_retention(&mut soc, SimTime::ZERO);
         let (ramp_back, _) = clmr.exit_retention(&mut soc, SimTime::from_nanos(40));
         assert!(ramp_back <= SimDuration::from_nanos(81), "got {ramp_back}");

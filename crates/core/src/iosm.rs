@@ -5,69 +5,45 @@
 //! cores are idle it asserts `AllowL0s` towards every high-speed IO
 //! controller (which then autonomously enter L0s/L0p once idle for 16 ns) and
 //! `Allow_CKE_OFF` towards every memory controller (which then put DRAM into
-//! precharge power-down as soon as outstanding transactions drain).
+//! precharge power-down).
 //!
 //! This module wraps those two signal groups and the aggregated `&InL0s`
 //! status the APMU FSM consumes.
 
 use apc_sim::{SimDuration, SimTime};
-use apc_soc::io::IoController;
 use apc_soc::topology::SkxSoc;
 
 /// The IOSM signal driver.
 ///
-/// The struct itself is stateless apart from statistics: the authoritative
-/// signal state lives in the IO and memory controller models, exactly as the
-/// real signals live in the controllers' configuration registers.
-#[derive(Debug, Clone, Default)]
-pub struct IoStandbyMode {
-    allow_l0s_assertions: u64,
-    allow_cke_off_assertions: u64,
-}
+/// The struct is stateless: the authoritative signal state lives in the IO
+/// and memory controller models, exactly as the real signals live in the
+/// controllers' configuration registers.
+#[derive(Debug)]
+pub struct IoStandbyMode;
 
 impl IoStandbyMode {
-    /// Creates the IOSM driver.
-    #[must_use]
-    pub fn new() -> Self {
-        IoStandbyMode::default()
-    }
-
-    /// Number of times `AllowL0s` has been asserted.
-    #[must_use]
-    pub fn allow_l0s_assertions(&self) -> u64 {
-        self.allow_l0s_assertions
-    }
-
-    /// Number of times `Allow_CKE_OFF` has been asserted.
-    #[must_use]
-    pub fn allow_cke_off_assertions(&self) -> u64 {
-        self.allow_cke_off_assertions
-    }
-
     /// Asserts `AllowL0s` on every high-speed IO controller (ACC1 entry,
     /// Fig. 4 step "Set AllowL0s"). Also programs the fast L0s entry latency
     /// (`L0S_ENTRY_LAT = 1`, i.e. 16 ns of link idleness).
-    pub fn assert_allow_l0s(&mut self, soc: &mut SkxSoc, now: SimTime) {
-        self.allow_l0s_assertions += 1;
-        soc.ios_mut().set_allow_shallow_all(now, true);
+    pub fn assert_allow_l0s(&self, soc: &mut SkxSoc) {
+        soc.ios_mut().set_allow_shallow_all(true);
     }
 
     /// De-asserts `AllowL0s` everywhere (return to PC0). Returns the worst
     /// link exit latency triggered by the de-assertion.
-    pub fn deassert_allow_l0s(&mut self, soc: &mut SkxSoc, now: SimTime) -> SimDuration {
-        soc.ios_mut().set_allow_shallow_all(now, false)
+    pub fn deassert_allow_l0s(&self, soc: &mut SkxSoc) -> SimDuration {
+        soc.ios_mut().set_allow_shallow_all(false)
     }
 
     /// Asserts `Allow_CKE_OFF` on every memory controller (Fig. 4 step 3).
-    pub fn assert_allow_cke_off(&mut self, soc: &mut SkxSoc, now: SimTime) {
-        self.allow_cke_off_assertions += 1;
-        soc.memory_mut().set_allow_cke_off_all(now, true);
+    pub fn assert_allow_cke_off(&self, soc: &mut SkxSoc) {
+        soc.memory_mut().set_allow_cke_off_all(true);
     }
 
     /// De-asserts `Allow_CKE_OFF` everywhere (Fig. 4 step 6). Returns the
     /// CKE-off exit latency the memory controllers pay.
-    pub fn deassert_allow_cke_off(&mut self, soc: &mut SkxSoc, now: SimTime) -> SimDuration {
-        soc.memory_mut().set_allow_cke_off_all(now, false)
+    pub fn deassert_allow_cke_off(&self, soc: &mut SkxSoc) -> SimDuration {
+        soc.memory_mut().set_allow_cke_off_all(false)
     }
 
     /// The earliest time by which every currently-idle link can have entered
@@ -91,39 +67,13 @@ impl IoStandbyMode {
 
     /// Attempts the autonomous L0s/L0p entry on every link whose idle timer
     /// has expired; returns the aggregated `&InL0s` signal.
-    pub fn try_enter_standby(&mut self, soc: &mut SkxSoc, now: SimTime) -> bool {
+    pub fn try_enter_standby(&self, soc: &mut SkxSoc, now: SimTime) -> bool {
         for io in soc.ios_mut().iter_mut() {
             if !io.in_l0s() {
                 let _ = io.try_enter_shallow(now);
             }
         }
         soc.ios().all_in_l0s()
-    }
-
-    /// The aggregated `&InL0s` status signal.
-    #[must_use]
-    pub fn all_in_l0s(&self, soc: &SkxSoc) -> bool {
-        soc.ios().all_in_l0s()
-    }
-
-    /// The worst wake-up latency the IO domain currently exposes: the longest
-    /// link exit latency plus the memory-controller CKE-off exit. This is the
-    /// quantity that must stay nanosecond-scale for PC1A to be viable.
-    #[must_use]
-    pub fn worst_wake_latency(&self, soc: &SkxSoc) -> SimDuration {
-        let links = soc.ios().worst_exit_latency();
-        let dram = soc
-            .memory()
-            .iter()
-            .map(|m| m.mode().exit_latency())
-            .fold(SimDuration::ZERO, SimDuration::max);
-        links.max(dram)
-    }
-
-    /// The per-controller `InL0s` status (useful for tracing).
-    #[must_use]
-    pub fn in_l0s_vector(&self, soc: &SkxSoc) -> Vec<bool> {
-        soc.ios().iter().map(IoController::in_l0s).collect()
     }
 }
 
@@ -144,31 +94,29 @@ mod tests {
     #[test]
     fn allow_l0s_gates_standby_entry() {
         let mut soc = idle_soc(SimTime::ZERO);
-        let mut iosm = IoStandbyMode::new();
+        let iosm = IoStandbyMode;
         // Without AllowL0s nothing happens.
         assert!(!iosm.try_enter_standby(&mut soc, SimTime::from_micros(1)));
         assert_eq!(iosm.standby_deadline(&soc), None);
 
-        iosm.assert_allow_l0s(&mut soc, SimTime::from_micros(1));
+        iosm.assert_allow_l0s(&mut soc);
         // The links have been idle since t=0, so the 16 ns idleness
         // requirement is measured from then.
         let deadline = iosm.standby_deadline(&soc).unwrap();
-        assert_eq!(deadline, SimTime::ZERO + IoController::L0S_ENTRY_IDLE);
+        assert_eq!(deadline, SimTime::from_nanos(16));
         assert!(!iosm.try_enter_standby(&mut soc, SimTime::from_nanos(10)));
         assert!(iosm.try_enter_standby(&mut soc, deadline));
-        assert!(iosm.all_in_l0s(&soc));
-        assert_eq!(iosm.allow_l0s_assertions(), 1);
-        assert!(iosm.in_l0s_vector(&soc).iter().all(|&b| b));
+        assert!(soc.ios().all_in_l0s());
     }
 
     #[test]
     fn busy_link_blocks_the_deadline() {
         let mut soc = idle_soc(SimTime::ZERO);
-        let mut iosm = IoStandbyMode::new();
-        iosm.assert_allow_l0s(&mut soc, SimTime::ZERO);
+        let iosm = IoStandbyMode;
+        iosm.assert_allow_l0s(&mut soc);
         soc.ios_mut()
             .controller_mut(apc_soc::io::IoId(0))
-            .begin_traffic(SimTime::from_nanos(5));
+            .begin_traffic();
         assert_eq!(iosm.standby_deadline(&soc), None);
         assert!(!iosm.try_enter_standby(&mut soc, SimTime::from_micros(1)));
     }
@@ -176,14 +124,13 @@ mod tests {
     #[test]
     fn cke_off_assert_and_release() {
         let mut soc = idle_soc(SimTime::ZERO);
-        let mut iosm = IoStandbyMode::new();
-        iosm.assert_allow_cke_off(&mut soc, SimTime::ZERO);
+        let iosm = IoStandbyMode;
+        iosm.assert_allow_cke_off(&mut soc);
         assert!(soc
             .memory()
             .iter()
             .all(|m| m.mode() == DramPowerMode::PrechargePowerDown));
-        assert_eq!(iosm.allow_cke_off_assertions(), 1);
-        let exit = iosm.deassert_allow_cke_off(&mut soc, SimTime::from_micros(1));
+        let exit = iosm.deassert_allow_cke_off(&mut soc);
         assert_eq!(exit, SimDuration::from_nanos(24));
         assert!(soc
             .memory()
@@ -192,16 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn worst_wake_latency_is_nanosecond_scale_in_standby() {
+    fn deasserting_allow_l0s_wakes_every_link() {
         let mut soc = idle_soc(SimTime::ZERO);
-        let mut iosm = IoStandbyMode::new();
-        iosm.assert_allow_l0s(&mut soc, SimTime::ZERO);
-        iosm.assert_allow_cke_off(&mut soc, SimTime::ZERO);
-        iosm.try_enter_standby(&mut soc, SimTime::from_nanos(16));
-        let wake = iosm.worst_wake_latency(&soc);
-        assert!(wake <= SimDuration::from_nanos(64), "wake {wake}");
-        // De-asserting AllowL0s wakes every link.
-        let lat = iosm.deassert_allow_l0s(&mut soc, SimTime::from_micros(1));
+        let iosm = IoStandbyMode;
+        iosm.assert_allow_l0s(&mut soc);
+        assert!(iosm.try_enter_standby(&mut soc, SimTime::from_nanos(16)));
+        let lat = iosm.deassert_allow_l0s(&mut soc);
         assert_eq!(lat, SimDuration::from_nanos(64));
         assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L0));
     }

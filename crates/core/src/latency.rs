@@ -18,46 +18,33 @@ use std::fmt;
 
 use apc_sim::SimDuration;
 use apc_soc::clock::PMU_CLOCK;
-use apc_soc::io::IoController;
 use apc_soc::memory::MemoryController;
 use apc_soc::vr::Fivr;
 
 /// The component latencies composing a PC1A transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pc1aLatencyModel {
-    /// Asserting `AllowL0s` and moving the FSM into ACC1 (1 controller cycle).
-    pub acc1_entry: SimDuration,
-    /// Link idle time required before the LTSSM enters L0s
-    /// (`L0S_ENTRY_LAT = 1` ⇒ 16 ns).
-    pub io_standby_entry: SimDuration,
     /// Clock-gating the CLM clock tree (2 controller cycles).
-    pub clm_clock_gate: SimDuration,
+    clm_clock_gate: SimDuration,
     /// Asserting `Allow_CKE_OFF` (2 controller cycles).
-    pub cke_off_assert: SimDuration,
+    cke_off_assert: SimDuration,
     /// DRAM CKE-off entry once allowed (≤ 10 ns).
-    pub cke_off_entry: SimDuration,
+    cke_off_entry: SimDuration,
     /// CLM FIVR ramp to retention (non-blocking on entry).
-    pub clm_voltage_ramp: SimDuration,
+    clm_voltage_ramp: SimDuration,
     /// IO link exit from L0s (worst of L0s 64 ns / L0p 10 ns), concurrent
     /// with the CLM ramp on exit.
-    pub io_standby_exit: SimDuration,
+    io_standby_exit: SimDuration,
     /// DRAM CKE-off exit (≤ 24 ns), concurrent with the CLM ramp on exit.
-    pub cke_off_exit: SimDuration,
-    /// Un-gating the CLM clock tree after `PwrOk` (2 controller cycles).
-    pub clm_clock_ungate: SimDuration,
+    cke_off_exit: SimDuration,
 }
 
 impl Pc1aLatencyModel {
-    /// The paper's conservative overall bound for entry + exit.
-    pub const CONSERVATIVE_BOUND: SimDuration = SimDuration::from_nanos(200);
-
     /// Builds the latency model from the component models' constants, so the
     /// budget stays consistent with the substrate crates.
     #[must_use]
     pub fn from_components() -> Self {
         Pc1aLatencyModel {
-            acc1_entry: PMU_CLOCK.cycles(1),
-            io_standby_entry: IoController::L0S_ENTRY_IDLE,
             clm_clock_gate: PMU_CLOCK.cycles(2),
             cke_off_assert: PMU_CLOCK.cycles(2),
             cke_off_entry: MemoryController::CKE_OFF_ENTRY,
@@ -67,7 +54,6 @@ impl Pc1aLatencyModel {
             ),
             io_standby_exit: SimDuration::from_nanos(64),
             cke_off_exit: MemoryController::CKE_OFF_EXIT,
-            clm_clock_ungate: PMU_CLOCK.cycles(2),
         }
     }
 
@@ -150,7 +136,6 @@ mod tests {
     fn round_trip_is_under_200ns() {
         let m = Pc1aLatencyModel::from_components();
         assert!(m.round_trip() <= SimDuration::from_nanos(168));
-        assert!(m.round_trip() <= Pc1aLatencyModel::CONSERVATIVE_BOUND);
     }
 
     #[test]
@@ -164,7 +149,6 @@ mod tests {
     fn voltage_ramp_matches_fivr_slew() {
         let m = Pc1aLatencyModel::from_components();
         assert_eq!(m.clm_voltage_ramp, SimDuration::from_nanos(150));
-        assert_eq!(m.io_standby_entry, SimDuration::from_nanos(16));
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //!
 //! // All cores idle in CC1, all links idle: the APMU walks the PC1A flow.
 //! let t0 = SimTime::from_micros(100);
-//! soc.force_all_cores(t0, CoreCState::CC1);
+//! soc.force_all_cores(CoreCState::CC1);
 //! for link in soc.ios_mut().iter_mut() {
 //!     link.end_traffic(t0);
 //! }
-//! let standby_deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+//! let standby_deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
 //! let resident_at = apmu.on_standby_deadline(&mut soc, standby_deadline).unwrap();
-//! apmu.on_entry_complete(resident_at);
+//! apmu.on_entry_complete();
 //! assert!(apmu.in_pc1a());
 //!
 //! // A request arrives 40 µs later: the exit is nanosecond-scale.

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! This module reproduces that derivation on top of the calibrated power
-//! model and checks it against the direct composition of the PC1A recipe.
+//! model; its tests check it against the direct composition of the PC1A
+//! recipe.
 
 use std::fmt;
 
@@ -79,14 +80,6 @@ impl Pc1aPowerEstimator {
         let pc1a = deltas.apply_to(pc6);
         Pc1aPowerEstimate { pc6, deltas, pc1a }
     }
-
-    /// The direct composition of the PC1A recipe (what the simulator's power
-    /// model produces); used to validate that the Eq. 2/3 path and the direct
-    /// path agree.
-    #[must_use]
-    pub fn direct(&self) -> StatePower {
-        self.budget.state_power(PackageCState::PC1A)
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +107,7 @@ mod tests {
     fn derivation_agrees_with_direct_composition() {
         let estimator = Pc1aPowerEstimator::skx_reference();
         let derived = estimator.estimate().pc1a;
-        let direct = estimator.direct();
+        let direct = estimator.budget.state_power(PackageCState::PC1A);
         assert!((derived.soc.as_f64() - direct.soc.as_f64()).abs() < 1e-9);
         assert!((derived.dram.as_f64() - direct.dram.as_f64()).abs() < 1e-9);
     }

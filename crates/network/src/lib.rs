@@ -223,7 +223,7 @@ impl Link {
     /// (zero for infinite bandwidth or an empty payload), rounded up to
     /// the next nanosecond.
     #[must_use]
-    pub fn serialization_delay(&self, bytes: u64) -> SimDuration {
+    fn serialization_delay(&self, bytes: u64) -> SimDuration {
         match self.bytes_per_sec {
             None => SimDuration::ZERO,
             Some(_) if bytes == 0 => SimDuration::ZERO,
@@ -278,8 +278,6 @@ pub struct Topology {
     servers: usize,
     rack_size: usize,
     racks_per_pod: usize,
-    racks: usize,
-    pods: usize,
     links: Vec<Link>,
     /// First rack-uplink id (two-tier, fat-tree); endpoint links precede it.
     rack_base: LinkId,
@@ -337,8 +335,6 @@ impl Topology {
             servers,
             rack_size,
             racks_per_pod,
-            racks,
-            pods,
             links,
             rack_base,
             pod_base,
@@ -477,31 +473,6 @@ impl Topology {
         path
     }
 
-    /// Human-readable role of link `id` in the resolved table — e.g.
-    /// `"server3-up"`, `"client-down"`, `"rack1-up"`, `"pod0-down"` — used
-    /// to attribute per-link statistics in exports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is not a valid link index.
-    #[must_use]
-    pub fn link_label(&self, id: LinkId) -> String {
-        assert!(id < self.links.len(), "link {id} out of range");
-        let dir = if id % 2 == 0 { "up" } else { "down" };
-        if id < self.rack_base {
-            let endpoint = id / 2;
-            if endpoint == self.client() {
-                format!("client-{dir}")
-            } else {
-                format!("server{endpoint}-{dir}")
-            }
-        } else if id < self.pod_base {
-            format!("rack{}-{dir}", (id - self.rack_base) / 2)
-        } else {
-            format!("pod{}-{dir}", (id - self.pod_base) / 2)
-        }
-    }
-
     /// The uncontended flight time of one RPC from `src` to `dst`: the sum
     /// over the path's links of propagation latency plus serialization of
     /// the configured payload. Ignores link queueing (see
@@ -563,22 +534,6 @@ impl NetworkStats {
             let mean = self.total_wire_delay_ns / u128::from(self.messages);
             SimDuration::from_nanos(u64::try_from(mean).expect("a mean of u64 delays fits a u64"))
         }
-    }
-
-    /// The link that accumulated the most queueing delay, with its stats
-    /// (ties resolve to the lowest link id; `None` when nothing queued).
-    #[must_use]
-    pub fn most_queued_link(&self) -> Option<(LinkId, LinkStats)> {
-        self.per_link
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.total_queue_delay.is_zero())
-            .max_by(|(ia, a), (ib, b)| {
-                a.total_queue_delay
-                    .cmp(&b.total_queue_delay)
-                    .then(ib.cmp(ia))
-            })
-            .map(|(id, s)| (id, *s))
     }
 }
 
@@ -761,6 +716,68 @@ mod tests {
     }
 
     #[test]
+    fn fat_tree_paths_climb_only_as_high_as_the_endpoints_differ() {
+        // 8 servers, racks of 2, 2 racks/pod: pods = {r0,r1}, {r2,r3}.
+        let topo = Topology::new(
+            NetworkConfig::fat_tree(SimDuration::from_micros(1), 2, 2, 4.0),
+            8,
+        );
+        assert_eq!(topo.path(0, 1).as_slice(), [topo.up(0), topo.down(1)]);
+        assert_eq!(
+            topo.path(0, 2).as_slice(),
+            [topo.up(0), topo.rack_up(0), topo.rack_down(1), topo.down(2)]
+        );
+        assert_eq!(
+            topo.path(0, 6).as_slice(),
+            [
+                topo.up(0),
+                topo.rack_up(0),
+                topo.pod_up(0),
+                topo.pod_down(1),
+                topo.rack_down(3),
+                topo.down(6)
+            ]
+        );
+        // The client sits at the core tier: it only ever descends.
+        let client = topo.client();
+        assert_eq!(
+            topo.path(client, 7).as_slice(),
+            [
+                topo.up(client),
+                topo.pod_down(1),
+                topo.rack_down(3),
+                topo.down(7)
+            ]
+        );
+        assert!(topo.path(5, 5).is_empty());
+    }
+
+    #[test]
+    fn reverse_paths_mirror_forward_paths() {
+        for config in [
+            NetworkConfig::flat(SimDuration::from_micros(1)),
+            NetworkConfig::two_tier(SimDuration::from_micros(1), 4),
+            NetworkConfig::fat_tree(SimDuration::from_micros(1), 2, 2, 4.0),
+        ] {
+            let topo = Topology::new(config, 8);
+            for src in 0..topo.endpoints() {
+                for dst in 0..topo.endpoints() {
+                    // Every tier lays out its links as (up, down) pairs from
+                    // an even base, so `^ 1` maps a link to its partner.
+                    let mirrored: Vec<LinkId> = topo
+                        .path(src, dst)
+                        .as_slice()
+                        .iter()
+                        .rev()
+                        .map(|&l| l ^ 1)
+                        .collect();
+                    assert_eq!(topo.path(dst, src).as_slice(), mirrored, "({src},{dst})");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn oversubscription_thins_core_links_only() {
         let topo = Topology::new(
             NetworkConfig::fat_tree(SimDuration::ZERO, 2, 2, 4.0).with_bandwidth(40_000),
@@ -869,25 +886,6 @@ mod tests {
             assert_eq!(stats.per_link[down].total_queue_delay, SimDuration::ZERO);
             assert_eq!(stats.per_link[down].busy_time, SimDuration::from_micros(1));
         }
-        let (congested, link_stats) = stats.most_queued_link().expect("queueing occurred");
-        assert_eq!(congested, up);
-        assert_eq!(link_stats.total_queue_delay, SimDuration::from_micros(1));
-        assert_eq!(net.topology().link_label(congested), "client-up");
-    }
-
-    #[test]
-    fn link_labels_name_every_tier() {
-        let topo = Topology::new(
-            NetworkConfig::fat_tree(SimDuration::from_micros(1), 2, 2, 4.0),
-            8,
-        );
-        assert_eq!(topo.link_label(0), "server0-up");
-        assert_eq!(topo.link_label(7), "server3-down");
-        assert_eq!(topo.link_label(2 * topo.client()), "client-up");
-        assert_eq!(topo.link_label(topo.rack_up(1)), "rack1-up");
-        assert_eq!(topo.link_label(topo.pod_down(1)), "pod1-down");
-        let flat = Topology::new(NetworkConfig::ideal(), 2);
-        assert_eq!(flat.link_label(flat.links().len() - 1), "client-down");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The paper evaluates two baseline configurations (Sec. 6):
 //!
 //! * **`Cshallow`** — the realistic datacenter configuration: CC6 and CC1E
-//!   disabled, all package C-states disabled, frequency governor set to
-//!   `performance`. Cores only ever use CC1; the package never leaves PC0.
-//! * **`Cdeep`** — all core and package C-states enabled, governor set to
-//!   `powersave`, system tuned (powertop auto-tune) so PC6 is reachable.
+//!   disabled, all package C-states disabled. Cores only ever use CC1; the
+//!   package never leaves PC0.
+//! * **`Cdeep`** — all core and package C-states enabled, system tuned
+//!   (powertop auto-tune) so PC6 is reachable.
 //!
 //! The reproduction adds **`CPc1a`** — `Cshallow` plus the APC hardware, so
 //! the package can enter PC1A whenever all cores are in CC1.
@@ -14,26 +14,6 @@
 use std::fmt;
 
 use apc_soc::cstate::{CoreCState, PackageCState};
-
-/// CPU frequency scaling governor (P-states are disabled in both of the
-/// paper's configurations; the governor only selects the pinned operating
-/// point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrequencyGovernor {
-    /// Pin the nominal frequency (used by `Cshallow`).
-    Performance,
-    /// Prefer the minimum frequency when idle (used by `Cdeep`).
-    Powersave,
-}
-
-impl fmt::Display for FrequencyGovernor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrequencyGovernor::Performance => f.write_str("performance"),
-            FrequencyGovernor::Powersave => f.write_str("powersave"),
-        }
-    }
-}
 
 /// Which package-level power mechanism is available to the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,13 +48,6 @@ pub struct PlatformConfig {
     pub enabled_core_cstates: Vec<CoreCState>,
     /// The package-level mechanism available.
     pub package_policy: PackagePolicy,
-    /// Frequency governor.
-    pub governor: FrequencyGovernor,
-    /// Whether IO links may enter L0s/L0p while cores are active
-    /// (always `false`: both the baseline BIOS guidance and APC keep shallow
-    /// link states disabled during PC0; APC only enables them inside the
-    /// PC1A flow).
-    pub io_shallow_in_pc0: bool,
 }
 
 impl PlatformConfig {
@@ -85,8 +58,6 @@ impl PlatformConfig {
             name: "Cshallow",
             enabled_core_cstates: vec![CoreCState::CC1],
             package_policy: PackagePolicy::None,
-            governor: FrequencyGovernor::Performance,
-            io_shallow_in_pc0: false,
         }
     }
 
@@ -97,8 +68,6 @@ impl PlatformConfig {
             name: "Cdeep",
             enabled_core_cstates: vec![CoreCState::CC1, CoreCState::CC1E, CoreCState::CC6],
             package_policy: PackagePolicy::Pc6,
-            governor: FrequencyGovernor::Powersave,
-            io_shallow_in_pc0: false,
         }
     }
 
@@ -109,25 +78,7 @@ impl PlatformConfig {
             name: "CPC1A",
             enabled_core_cstates: vec![CoreCState::CC1],
             package_policy: PackagePolicy::Pc1a,
-            governor: FrequencyGovernor::Performance,
-            io_shallow_in_pc0: false,
         }
-    }
-
-    /// The deepest core C-state the idle governor may select.
-    #[must_use]
-    pub fn deepest_core_cstate(&self) -> CoreCState {
-        self.enabled_core_cstates
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(CoreCState::CC1)
-    }
-
-    /// `true` when the given core C-state is enabled.
-    #[must_use]
-    pub fn core_cstate_enabled(&self, state: CoreCState) -> bool {
-        self.enabled_core_cstates.contains(&state)
     }
 
     /// The deepest package C-state reachable under this configuration.
@@ -145,14 +96,13 @@ impl fmt::Display for PlatformConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: core C-states {:?}, package {}, governor {}",
+            "{}: core C-states {:?}, package {}",
             self.name,
             self.enabled_core_cstates
                 .iter()
                 .map(ToString::to_string)
                 .collect::<Vec<_>>(),
-            self.package_policy,
-            self.governor
+            self.package_policy
         )
     }
 }
@@ -165,23 +115,16 @@ mod tests {
     fn cshallow_matches_paper_description() {
         let c = PlatformConfig::c_shallow();
         assert_eq!(c.name, "Cshallow");
-        assert!(c.core_cstate_enabled(CoreCState::CC1));
-        assert!(!c.core_cstate_enabled(CoreCState::CC6));
-        assert!(!c.core_cstate_enabled(CoreCState::CC1E));
+        assert_eq!(c.enabled_core_cstates, vec![CoreCState::CC1]);
         assert_eq!(c.package_policy, PackagePolicy::None);
-        assert_eq!(c.governor, FrequencyGovernor::Performance);
-        assert_eq!(c.deepest_core_cstate(), CoreCState::CC1);
         assert_eq!(c.package_cstate_limit(), PackageCState::PC0);
-        assert!(!c.io_shallow_in_pc0);
     }
 
     #[test]
     fn cdeep_matches_paper_description() {
         let c = PlatformConfig::c_deep();
-        assert!(c.core_cstate_enabled(CoreCState::CC6));
+        assert!(c.enabled_core_cstates.contains(&CoreCState::CC6));
         assert_eq!(c.package_policy, PackagePolicy::Pc6);
-        assert_eq!(c.governor, FrequencyGovernor::Powersave);
-        assert_eq!(c.deepest_core_cstate(), CoreCState::CC6);
         assert_eq!(c.package_cstate_limit(), PackageCState::PC6);
     }
 
@@ -190,7 +133,6 @@ mod tests {
         let apc = PlatformConfig::c_pc1a();
         let shallow = PlatformConfig::c_shallow();
         assert_eq!(apc.enabled_core_cstates, shallow.enabled_core_cstates);
-        assert_eq!(apc.governor, shallow.governor);
         assert_eq!(apc.package_policy, PackagePolicy::Pc1a);
         assert_eq!(apc.package_cstate_limit(), PackageCState::PC1A);
     }
@@ -199,8 +141,7 @@ mod tests {
     fn display_is_informative() {
         let s = PlatformConfig::c_deep().to_string();
         assert!(s.contains("Cdeep"));
-        assert!(s.contains("powersave"));
+        assert!(s.contains("CC6"));
         assert_eq!(PackagePolicy::Pc1a.to_string(), "PC1A");
-        assert_eq!(FrequencyGovernor::Performance.to_string(), "performance");
     }
 }

@@ -30,12 +30,6 @@ impl IdleGovernor {
         IdleGovernor { enabled }
     }
 
-    /// The enabled core C-states, shallow to deep.
-    #[must_use]
-    pub fn enabled_states(&self) -> &[CoreCState] {
-        &self.enabled
-    }
-
     /// Selects the C-state for a core that just became idle, given the
     /// expected idle duration. Falls back to CC1 when nothing deeper
     /// qualifies (a halted core always at least clock-gates).
@@ -72,7 +66,6 @@ mod tests {
     #[test]
     fn cshallow_governor_only_uses_cc1() {
         let g = IdleGovernor::new(&PlatformConfig::c_shallow());
-        assert_eq!(g.enabled_states(), &[CoreCState::CC1]);
         assert_eq!(g.select(SimDuration::from_micros(1)), CoreCState::CC1);
         assert_eq!(g.select(SimDuration::from_millis(100)), CoreCState::CC1);
         assert_eq!(g.select_unbounded(), CoreCState::CC1);
@@ -102,6 +95,6 @@ mod tests {
         let mut cfg = PlatformConfig::c_shallow();
         cfg.enabled_core_cstates = vec![CoreCState::CC1, CoreCState::CC1, CoreCState::CC6];
         let g = IdleGovernor::new(&cfg);
-        assert_eq!(g.enabled_states(), &[CoreCState::CC1, CoreCState::CC6]);
+        assert_eq!(g.enabled, [CoreCState::CC1, CoreCState::CC6]);
     }
 }

@@ -44,19 +44,19 @@ impl fmt::Display for GpmuPhase {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pc6LatencyModel {
     /// Firmware decision + PC2 transit on entry.
-    pub firmware_entry_overhead: SimDuration,
+    firmware_entry_overhead: SimDuration,
     /// Placing IOs in L1 and DRAM in self-refresh.
-    pub io_dram_entry: SimDuration,
+    io_dram_entry: SimDuration,
     /// Clock-gating the uncore, stopping PLLs and dropping CLM voltage.
-    pub uncore_entry: SimDuration,
+    uncore_entry: SimDuration,
     /// Firmware decision + PC2 transit on exit.
-    pub firmware_exit_overhead: SimDuration,
+    firmware_exit_overhead: SimDuration,
     /// PLL re-lock on exit.
-    pub pll_relock: SimDuration,
+    pll_relock: SimDuration,
     /// CLM voltage ramp + uncore clock ungate on exit.
-    pub uncore_exit: SimDuration,
+    uncore_exit: SimDuration,
     /// IO L1 exit (link retraining) and DRAM self-refresh exit.
-    pub io_dram_exit: SimDuration,
+    io_dram_exit: SimDuration,
 }
 
 impl Pc6LatencyModel {
@@ -78,13 +78,13 @@ impl Pc6LatencyModel {
 
     /// Total entry latency.
     #[must_use]
-    pub fn entry(&self) -> SimDuration {
+    fn entry(&self) -> SimDuration {
         self.firmware_entry_overhead + self.io_dram_entry + self.uncore_entry
     }
 
     /// Total exit latency.
     #[must_use]
-    pub fn exit(&self) -> SimDuration {
+    fn exit(&self) -> SimDuration {
         self.firmware_exit_overhead + self.pll_relock + self.uncore_exit + self.io_dram_exit
     }
 
@@ -109,9 +109,7 @@ pub struct Gpmu {
     latency: Pc6LatencyModel,
     /// Deepest package C-state the platform allows (PC0 disables the flow).
     package_limit: PackageCState,
-    since: SimTime,
     pc6_entries: u64,
-    pc6_residency: SimDuration,
 }
 
 impl Gpmu {
@@ -122,9 +120,7 @@ impl Gpmu {
             phase: GpmuPhase::Active,
             latency: Pc6LatencyModel::skx(),
             package_limit,
-            since: SimTime::ZERO,
             pc6_entries: 0,
-            pc6_residency: SimDuration::ZERO,
         }
     }
 
@@ -138,12 +134,6 @@ impl Gpmu {
     #[must_use]
     pub fn pc6_entries(&self) -> u64 {
         self.pc6_entries
-    }
-
-    /// Total time spent resident in PC6.
-    #[must_use]
-    pub fn pc6_residency(&self) -> SimDuration {
-        self.pc6_residency
     }
 
     /// Whether the GPMU would start a PC6 entry right now: the platform must
@@ -166,20 +156,19 @@ impl Gpmu {
     pub fn begin_entry(&mut self, soc: &mut SkxSoc, now: SimTime) -> SimDuration {
         assert!(self.can_enter_pc6(soc), "PC6 entry preconditions not met");
         self.phase = GpmuPhase::Entering;
-        self.since = now;
 
         // IOs to L1, DRAM to self-refresh.
         for io in soc.ios_mut().iter_mut() {
             io.set_allow_l1(true);
-            io.enter_l1(now);
+            io.enter_l1();
         }
         for mc in soc.memory_mut().iter_mut() {
             mc.set_allow_self_refresh(true);
-            mc.enter_self_refresh(now);
+            mc.enter_self_refresh();
         }
         // Uncore: gate CLM clock, stop PLLs, drop CLM voltage to retention.
-        soc.clm_mut().clock_gate(now);
-        soc.plls_mut().power_off_uncore(now);
+        soc.clm_mut().clock_gate();
+        soc.plls_mut().power_off_uncore();
         let ramp = soc.clm_mut().assert_retention(now);
         let _ = ramp; // subsumed by the firmware latency budget below
         self.latency.entry()
@@ -190,7 +179,6 @@ impl Gpmu {
         assert_eq!(self.phase, GpmuPhase::Entering, "no PC6 entry in flight");
         soc.clm_mut().complete_voltage_transition(now);
         self.phase = GpmuPhase::InPc6;
-        self.since = now;
         self.pc6_entries += 1;
     }
 
@@ -204,13 +192,11 @@ impl Gpmu {
     /// what the firmware flow does).
     pub fn begin_exit(&mut self, soc: &mut SkxSoc, now: SimTime) -> SimDuration {
         assert_eq!(self.phase, GpmuPhase::InPc6, "not resident in PC6");
-        self.pc6_residency += now - self.since;
         self.phase = GpmuPhase::Exiting;
-        self.since = now;
 
         // Reverse order: ramp CLM voltage, re-lock PLLs, ungate, wake IOs/DRAM.
         soc.clm_mut().deassert_retention(now);
-        soc.plls_mut().begin_relock_uncore(now);
+        soc.plls_mut().begin_relock_uncore();
         self.latency.exit()
     }
 
@@ -218,18 +204,17 @@ impl Gpmu {
     pub fn complete_exit(&mut self, soc: &mut SkxSoc, now: SimTime) {
         assert_eq!(self.phase, GpmuPhase::Exiting, "no PC6 exit in flight");
         soc.clm_mut().complete_voltage_transition(now);
-        soc.clm_mut().clock_ungate(now);
-        soc.plls_mut().complete_relock_uncore(now);
+        soc.clm_mut().clock_ungate();
+        soc.plls_mut().complete_relock_uncore();
         for io in soc.ios_mut().iter_mut() {
             io.set_allow_l1(false);
-            io.wake(now);
+            io.wake();
         }
         for mc in soc.memory_mut().iter_mut() {
             mc.set_allow_self_refresh(false);
-            mc.wake(now);
+            mc.wake();
         }
         self.phase = GpmuPhase::Active;
-        self.since = now;
     }
 
     /// The package C-state corresponding to the current phase (used by the
@@ -273,16 +258,16 @@ mod tests {
         let mut soc = SkxSoc::xeon_silver_4114();
         let gpmu = Gpmu::new(PackageCState::PC6);
         assert!(!gpmu.can_enter_pc6(&soc), "cores are active");
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
+        soc.force_all_cores(CoreCState::CC1);
         assert!(!gpmu.can_enter_pc6(&soc), "CC1 is not deep enough for PC6");
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC6);
+        soc.force_all_cores(CoreCState::CC6);
         assert!(gpmu.can_enter_pc6(&soc));
     }
 
     #[test]
     fn gpmu_disabled_when_package_limit_is_pc0() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC6);
+        soc.force_all_cores(CoreCState::CC6);
         let gpmu = Gpmu::new(PackageCState::PC0);
         assert!(!gpmu.can_enter_pc6(&soc));
     }
@@ -290,7 +275,7 @@ mod tests {
     #[test]
     fn full_pc6_entry_exit_cycle() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC6);
+        soc.force_all_cores(CoreCState::CC6);
         let mut gpmu = Gpmu::new(PackageCState::PC6);
 
         let t0 = SimTime::from_micros(100);
@@ -317,7 +302,7 @@ mod tests {
         assert_eq!(gpmu.phase(), GpmuPhase::Exiting);
         gpmu.complete_exit(&mut soc, t1 + exit);
         assert_eq!(gpmu.phase(), GpmuPhase::Active);
-        assert!(gpmu.pc6_residency() >= SimDuration::from_millis(1));
+        assert_eq!(gpmu.pc6_entries(), 1);
 
         // Everything operational again.
         assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L0));

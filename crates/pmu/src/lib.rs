@@ -32,6 +32,6 @@ pub mod config;
 pub mod governor;
 pub mod gpmu;
 
-pub use config::{FrequencyGovernor, PackagePolicy, PlatformConfig};
+pub use config::{PackagePolicy, PlatformConfig};
 pub use governor::IdleGovernor;
 pub use gpmu::{Gpmu, GpmuPhase, Pc6LatencyModel};

@@ -126,12 +126,6 @@ impl PackageStatePower {
         PackageStatePower::new(PowerModel::skx_calibrated(), SocConfig::xeon_silver_4114())
     }
 
-    /// The underlying power model.
-    #[must_use]
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
     /// Power of the operating point where all cores execute (`PC0` row of
     /// Table 1: "`PC0 / ≥1 CC0`", reported at full utilisation).
     #[must_use]
@@ -154,7 +148,7 @@ impl PackageStatePower {
     /// Power for an explicit recipe (used by the Sec. 5.4 breakdown
     /// experiments which mix and match component states).
     #[must_use]
-    pub fn power_for(&self, recipe: &PackageStateRecipe, dram_utilization: f64) -> StatePower {
+    fn power_for(&self, recipe: &PackageStateRecipe, dram_utilization: f64) -> StatePower {
         let m = &self.model;
         let n_cores = self.config.cores as f64;
         let cores = m.core_power(recipe.cores) * n_cores;
@@ -296,6 +290,22 @@ mod tests {
         let pc1a = b.state_power(PackageCState::PC1A).total().as_f64();
         assert!(pc1a < idle);
         assert!(pc1a > pc6);
+    }
+
+    #[test]
+    fn only_pc6_and_pc1a_close_the_uncore_and_save_power() {
+        let b = budget();
+        let idle = b.state_power(PackageCState::PC0Idle).total();
+        for state in PackageCState::ALL {
+            let deep = matches!(state, PackageCState::PC6 | PackageCState::PC1A);
+            let r = PackageStateRecipe::for_state(state);
+            let uncore_open = r.clm == ClmState::Operational
+                && r.pcie == LinkPowerState::L0
+                && r.upi == LinkPowerState::L0
+                && r.dram == DramPowerMode::Active;
+            assert_eq!(uncore_open, !deep, "{state}: uncore");
+            assert_eq!(b.state_power(state).total() < idle, deep, "{state}: saving");
+        }
     }
 
     #[test]

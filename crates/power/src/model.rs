@@ -94,9 +94,9 @@ pub fn memory_utilization(busy: usize, cores: usize) -> f64 {
 }
 
 /// The uncore part of a [`PowerBreakdown`]: every domain that depends only
-/// on the uncore component states (see [`PowerModel::uncore_domain`]).
+/// on the uncore component states (see `PowerModel::uncore_domain`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct UncorePower {
+struct UncorePower {
     /// The CLM domain (CHA + LLC + mesh).
     pub clm: Watts,
     /// High-speed IO controllers, their PHYs and the memory controllers.
@@ -156,11 +156,6 @@ pub struct PowerModel {
     pub dram_cke_off: f64,
     /// DRAM device power in self-refresh.
     pub dram_self_refresh: f64,
-    /// Extra per-core power when running at the turbo operating point
-    /// (not exercised by the paper's experiments, which pin nominal
-    /// frequency, but needed to model the `Cdeep` powersave governor's
-    /// frequency excursions conservatively).
-    pub core_turbo_extra: f64,
 }
 
 impl PowerModel {
@@ -189,7 +184,6 @@ impl PowerModel {
             dram_active_extra: 1.5,
             dram_cke_off: 1.6,
             dram_self_refresh: 0.51,
-            core_turbo_extra: 1.8,
         }
     }
 
@@ -263,14 +257,14 @@ impl PowerModel {
 
     /// Power of the cores domain: every core at its established C-state.
     #[must_use]
-    pub fn cores_domain(&self, cores: &CoreSet) -> Watts {
+    fn cores_domain(&self, cores: &CoreSet) -> Watts {
         cores.iter().map(|c| self.core_power(c.cstate())).sum()
     }
 
     /// Power of the uncore domains (CLM, IO + memory controllers, uncore
     /// PLLs, north cap), which depend only on the uncore component states.
     #[must_use]
-    pub fn uncore_domain(&self, soc: &SkxSoc) -> UncorePower {
+    fn uncore_domain(&self, soc: &SkxSoc) -> UncorePower {
         let links: Watts = soc
             .ios()
             .iter()
@@ -321,7 +315,7 @@ impl PowerModel {
     }
 
     /// Computes the instantaneous power breakdown of a socket from its three
-    /// domains: [`PowerModel::cores_domain`], [`PowerModel::uncore_domain`]
+    /// domains: `PowerModel::cores_domain`, `PowerModel::uncore_domain`
     /// and [`PowerModel::dram_domain`]. `memory_utilization` (0–1) scales
     /// the DRAM activity component (only meaningful when at least one core
     /// is active).
@@ -348,7 +342,6 @@ impl Default for PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apc_sim::SimTime;
     use apc_soc::core::CoreId;
 
     const EPS: f64 = 0.35; // calibration tolerance in watts
@@ -361,7 +354,7 @@ mod tests {
     fn pc0idle_soc_power_is_44w() {
         let m = model();
         let mut soc = SkxSoc::xeon_silver_4114();
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
+        soc.force_all_cores(CoreCState::CC1);
         let b = m.snapshot(&soc, 0.0);
         assert!(
             (b.soc_total().as_f64() - 44.0).abs() < EPS,
@@ -492,10 +485,9 @@ mod tests {
         let m = model();
         let mut soc = SkxSoc::xeon_silver_4114();
         // 3 active cores, 7 in CC1.
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
+        soc.force_all_cores(CoreCState::CC1);
         for i in 0..3 {
-            soc.cores_mut()
-                .force_state(CoreId(i), SimTime::ZERO, CoreCState::CC0);
+            soc.cores_mut().force_state(CoreId(i), CoreCState::CC0);
         }
         let b = m.snapshot(&soc, 0.3);
         let expected_cores = 3.0 * m.core_cc0 + 7.0 * m.core_cc1;

@@ -272,7 +272,6 @@ mod tests {
             m.dram_active_extra,
             m.dram_cke_off,
             m.dram_self_refresh,
-            m.core_turbo_extra,
         ];
         for w in constants {
             let nw = nanowatts(Watts(w));

@@ -21,18 +21,6 @@ impl Watts {
     pub const fn as_f64(self) -> f64 {
         self.0
     }
-
-    /// The value in milliwatts.
-    #[must_use]
-    pub fn as_milliwatts(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// `true` when the value is finite and non-negative.
-    #[must_use]
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
-    }
 }
 
 impl Add for Watts {
@@ -93,15 +81,11 @@ mod tests {
         assert_eq!(a / 5.0, Watts(1.0));
         let sum: Watts = [Watts(1.0), Watts(2.5)].into_iter().sum();
         assert_eq!(sum, Watts(3.5));
-        assert!(Watts(1.0).is_valid());
-        assert!(!Watts(f64::NAN).is_valid());
-        assert!(!Watts(-1.0).is_valid());
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(Watts(0.056).to_string(), "56.0mW");
         assert_eq!(Watts(27.5).to_string(), "27.50W");
-        assert!((Watts(0.5).as_milliwatts() - 500.0).abs() < 1e-12);
     }
 }

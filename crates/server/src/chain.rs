@@ -149,27 +149,14 @@ impl RequestGraph {
 
     /// The tiers, root first.
     #[must_use]
-    pub fn tiers(&self) -> &[Tier] {
+    fn tiers(&self) -> &[Tier] {
         &self.tiers
     }
 
     /// Total RPCs issued per chain (the sum of tier widths).
     #[must_use]
-    pub fn rpcs_per_chain(&self) -> u64 {
+    fn rpcs_per_chain(&self) -> u64 {
         self.tiers.iter().map(|t| t.width as u64).sum()
-    }
-
-    /// The widest tier's fan-out.
-    #[must_use]
-    pub fn max_fanout(&self) -> usize {
-        self.tiers.iter().map(|t| t.width).max().unwrap_or(0)
-    }
-
-    /// `true` when some tier fans out (width > 1), i.e. the chain has a
-    /// wait-for-all join whose straggler gap is meaningful.
-    #[must_use]
-    pub fn has_fanout(&self) -> bool {
-        self.max_fanout() > 1
     }
 
     /// A compact human-readable shape, e.g. `1x frontend -> 4x kv-get`.
@@ -701,13 +688,9 @@ mod tests {
         let linear =
             RequestGraph::linear(vec![TierService::frontend(), TierService::memcached_leaf()]);
         assert_eq!(linear.rpcs_per_chain(), 2);
-        assert_eq!(linear.max_fanout(), 1);
-        assert!(!linear.has_fanout());
 
         let fan = RequestGraph::memcached_fanout(4);
         assert_eq!(fan.rpcs_per_chain(), 5);
-        assert_eq!(fan.max_fanout(), 4);
-        assert!(fan.has_fanout());
         assert_eq!(fan.describe(), "1x frontend -> 4x kv-get");
         assert_eq!(fan.to_string(), fan.describe());
     }

@@ -104,7 +104,7 @@ impl CoreExec {
         // a traced request's wake span names the state whose exit latency it
         // actually paid.
         let leaving = shared.soc.cores().core(self.core_id()).cstate();
-        let exit = shared.soc.cores_mut().begin_wakeup(self.core_id(), now);
+        let exit = shared.soc.cores_mut().begin_wakeup(self.core_id());
         if let Some(WorkItem::Client(request)) = shared.sched.pending_start[self.index].as_mut() {
             if let Some(trace) = request.trace.as_mut() {
                 trace.wake_start = Some(now);
@@ -126,10 +126,7 @@ impl CoreExec {
             return;
         }
         let now = ctx.now();
-        shared
-            .soc
-            .cores_mut()
-            .complete_transition(self.core_id(), now);
+        shared.soc.cores_mut().complete_transition(self.core_id());
         shared
             .telemetry
             .core_residency
@@ -310,10 +307,7 @@ impl CoreExec {
         // against a known-imminent interrupt.
         let predicted = shared.predicted_idle_bound(self.index, now);
         let target = self.governor.select(predicted);
-        let entry = shared
-            .soc
-            .cores_mut()
-            .begin_idle(self.core_id(), now, target);
+        let entry = shared.soc.cores_mut().begin_idle(self.core_id(), target);
         shared.telemetry.idle_tracker.core_idle(now);
         // The core can accept new work from this point on (an assignment
         // would abort the idle entry): tell the scheduler's free-core index.
@@ -332,10 +326,7 @@ impl CoreExec {
             return;
         }
         let now = ctx.now();
-        shared
-            .soc
-            .cores_mut()
-            .complete_transition(self.core_id(), now);
+        shared.soc.cores_mut().complete_transition(self.core_id());
         let state = shared.soc.cores().core(self.core_id()).cstate();
         shared
             .telemetry

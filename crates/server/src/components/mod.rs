@@ -128,11 +128,11 @@ pub enum ServerEvent {
 impl ServerEvent {
     /// Number of distinct event kinds (the bound for
     /// [`ServerEvent::kind`] indices and the length of
-    /// [`ServerEvent::KIND_NAMES`]).
+    /// `ServerEvent::KIND_NAMES`).
     pub const KIND_COUNT: usize = 21;
 
     /// Stable names of every event kind, indexed by [`ServerEvent::kind`].
-    pub const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
+    const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
         "ClusterArrival",
         "NicDeliver",
         "WireDeliver",

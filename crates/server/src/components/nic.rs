@@ -76,7 +76,7 @@ impl NicArrival {
         // be dispatched.
         let nic = IoId(0);
         let now = ctx.now();
-        shared.soc.ios_mut().controller_mut(nic).begin_traffic(now);
+        shared.soc.ios_mut().controller_mut(nic).begin_traffic();
         shared.soc.ios_mut().controller_mut(nic).end_traffic(now);
         // Wake the package only when there is something to wake: unless the
         // package is in (or entering) a package C-state the controller would

@@ -73,7 +73,7 @@ impl PackageController {
     /// `true` when the shared uncore (LLC, memory path) is available for
     /// request execution.
     #[must_use]
-    pub fn uncore_available(&self) -> bool {
+    fn uncore_available(&self) -> bool {
         match self.policy {
             PackagePolicy::Pc1a => matches!(self.apmu.state(), ApmuState::Pc0 | ApmuState::Acc1),
             PackagePolicy::Pc6 => self.gpmu.phase() == GpmuPhase::Active,
@@ -101,7 +101,7 @@ impl PackageController {
         shared.pkg.wakeable = match self.policy {
             PackagePolicy::Pc1a => matches!(
                 self.apmu.state(),
-                ApmuState::Acc1 | ApmuState::Entering { .. } | ApmuState::InPc1a { .. }
+                ApmuState::Acc1 | ApmuState::Entering | ApmuState::InPc1a
             ),
             PackagePolicy::Pc6 => {
                 matches!(self.gpmu.phase(), GpmuPhase::Entering | GpmuPhase::InPc6)
@@ -119,7 +119,7 @@ impl PackageController {
         let now = ctx.now();
         match self.policy {
             PackagePolicy::Pc1a => match self.apmu.state() {
-                ApmuState::InPc1a { .. } | ApmuState::Entering { .. } => {
+                ApmuState::InPc1a | ApmuState::Entering => {
                     if let WakeOutcome::Exiting { done_at, .. } =
                         self.apmu.wakeup(&mut shared.soc, now, cause)
                     {
@@ -129,7 +129,7 @@ impl PackageController {
                 ApmuState::Acc1 => {
                     let _ = self.apmu.wakeup(&mut shared.soc, now, cause);
                 }
-                ApmuState::Pc0 | ApmuState::Exiting { .. } => {}
+                ApmuState::Pc0 | ApmuState::Exiting => {}
             },
             PackagePolicy::Pc6 => match self.gpmu.phase() {
                 GpmuPhase::InPc6 => {
@@ -147,15 +147,11 @@ impl PackageController {
         }
     }
 
-    fn on_core_active(
-        &mut self,
-        shared: &mut ServerState,
-        ctx: &mut SimulationContext<'_, ServerEvent>,
-    ) {
+    fn on_core_active(&mut self, shared: &mut ServerState) {
         // The ACC1 → PC0 edge: the first core to run again clears AllowL0s.
         // Any other state means the edge was already taken (or never armed).
         if self.apmu.state() == ApmuState::Acc1 {
-            self.apmu.on_core_active(&mut shared.soc, ctx.now());
+            self.apmu.on_core_active(&mut shared.soc);
         }
     }
 
@@ -168,7 +164,7 @@ impl PackageController {
         match self.policy {
             PackagePolicy::Pc1a => {
                 if shared.soc.cores().all_in_cc1_or_deeper() {
-                    if let Some(deadline) = self.apmu.on_all_cores_idle(&mut shared.soc, now) {
+                    if let Some(deadline) = self.apmu.on_all_cores_idle(&mut shared.soc) {
                         ctx.emit_self_at(deadline, ServerEvent::StandbyDeadline);
                     }
                 }
@@ -194,11 +190,11 @@ impl PackageController {
         }
     }
 
-    fn on_apmu_entry_done(&mut self, ctx: &mut SimulationContext<'_, ServerEvent>) {
+    fn on_apmu_entry_done(&mut self) {
         // A wakeup may have aborted the entry in the meantime; only a flow
         // still in flight completes.
-        if matches!(self.apmu.state(), ApmuState::Entering { .. }) {
-            self.apmu.on_entry_complete(ctx.now());
+        if self.apmu.state() == ApmuState::Entering {
+            self.apmu.on_entry_complete();
         }
     }
 
@@ -207,7 +203,7 @@ impl PackageController {
         shared: &mut ServerState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        if matches!(self.apmu.state(), ApmuState::Exiting { .. }) {
+        if self.apmu.state() == ApmuState::Exiting {
             self.apmu.on_exit_complete(&mut shared.soc, ctx.now());
         }
         ctx.emit_now(shared.addrs.scheduler, ServerEvent::Dispatch);
@@ -251,10 +247,10 @@ impl EventHandler<ServerEvent, ClusterState> for PackageController {
         let shared = &mut shared.nodes[self.node];
         match event {
             ServerEvent::PackageWake { cause } => self.on_package_wake(cause, shared, ctx),
-            ServerEvent::CoreActive => self.on_core_active(shared, ctx),
+            ServerEvent::CoreActive => self.on_core_active(shared),
             ServerEvent::AllIdleCheck => self.on_all_idle_check(shared, ctx),
             ServerEvent::StandbyDeadline => self.on_standby_deadline(shared, ctx),
-            ServerEvent::ApmuEntryDone => self.on_apmu_entry_done(ctx),
+            ServerEvent::ApmuEntryDone => self.on_apmu_entry_done(),
             ServerEvent::ApmuExitDone => self.on_apmu_exit_done(shared, ctx),
             ServerEvent::GpmuEntryDone => self.on_gpmu_entry_done(shared, ctx),
             ServerEvent::GpmuExitDone => self.on_gpmu_exit_done(shared, ctx),

@@ -52,7 +52,7 @@ impl FreeCoreSet {
     /// A set of `cores` cores, all occupied (cores boot busy until their
     /// initial idle entry).
     #[must_use]
-    pub fn new_all_occupied(cores: usize) -> Self {
+    fn new_all_occupied(cores: usize) -> Self {
         FreeCoreSet {
             words: vec![0; cores.div_ceil(64)],
             len: cores,
@@ -61,7 +61,7 @@ impl FreeCoreSet {
     }
 
     /// A set of `cores` cores with no bits set. Alias of
-    /// [`FreeCoreSet::new_all_occupied`] for uses where the set tracks
+    /// `FreeCoreSet::new_all_occupied` for uses where the set tracks
     /// something other than freeness (e.g. pending background work).
     #[must_use]
     pub fn empty(cores: usize) -> Self {
@@ -102,7 +102,7 @@ impl FreeCoreSet {
     /// The lowest free core index `>= from`, if any. Used to iterate free
     /// cores in index order while marking them occupied along the way.
     #[must_use]
-    pub fn lowest_at_or_after(&self, from: usize) -> Option<usize> {
+    fn lowest_at_or_after(&self, from: usize) -> Option<usize> {
         if from >= self.len {
             return None;
         }
@@ -122,7 +122,7 @@ impl FreeCoreSet {
     }
 
     /// The lowest index `>= from` present in both `self` and `other`, if
-    /// any. Same traversal as [`FreeCoreSet::lowest_at_or_after`] over the
+    /// any. Same traversal as `FreeCoreSet::lowest_at_or_after` over the
     /// intersection of the two sets (both must cover the same core count).
     #[must_use]
     pub fn lowest_common_at_or_after(&self, other: &FreeCoreSet, from: usize) -> Option<usize> {
@@ -279,7 +279,7 @@ impl SchedState {
 
     /// `true` when any core is running or about to run work.
     #[must_use]
-    pub fn any_work_in_flight(&self) -> bool {
+    fn any_work_in_flight(&self) -> bool {
         self.running.iter().any(Option::is_some) || self.pending_start.iter().any(Option::is_some)
     }
 }
@@ -736,17 +736,17 @@ mod tests {
     const IDLE: [CoreCState; 3] = [CoreCState::CC1, CoreCState::CC1E, CoreCState::CC6];
 
     /// One legal transition of a drawn core.
-    fn step_core(node: &mut ServerState, rng: &mut SimRng, now: SimTime) {
+    fn step_core(node: &mut ServerState, rng: &mut SimRng) {
         let cores = node.soc.cores_mut();
         let id = CoreId(rng.index(cores.len()));
         match cores.core(id).activity() {
             CoreActivity::Busy => {
-                cores.begin_idle(id, now, IDLE[rng.index(3)]);
+                cores.begin_idle(id, IDLE[rng.index(3)]);
             }
             CoreActivity::Idle => {
-                cores.begin_wakeup(id, now);
+                cores.begin_wakeup(id);
             }
-            CoreActivity::Transitioning => cores.complete_transition(id, now),
+            CoreActivity::Transitioning => cores.complete_transition(id),
         }
     }
 
@@ -769,10 +769,10 @@ mod tests {
         let soc = &mut node.soc;
         match rng.index(11) {
             0 => {
-                soc.clm_mut().clock_gate(now);
+                soc.clm_mut().clock_gate();
             }
             1 => {
-                soc.clm_mut().clock_ungate(now);
+                soc.clm_mut().clock_ungate();
             }
             2 => {
                 let clm = soc.clm_mut();
@@ -784,35 +784,35 @@ mod tests {
                 clm.complete_voltage_transition(now);
             }
             3 => {
-                soc.ios_mut().set_allow_shallow_all(now, rng.chance(0.5));
+                soc.ios_mut().set_allow_shallow_all(rng.chance(0.5));
             }
             4 => {
                 let io = soc.ios_mut().controller_mut(IoId(rng.index(2)));
-                io.begin_traffic(now);
+                io.begin_traffic();
                 io.end_traffic(now);
                 io.try_enter_shallow(now + SimDuration::from_millis(1));
             }
             5 => {
-                soc.memory_mut().set_allow_cke_off_all(now, rng.chance(0.5));
+                soc.memory_mut().set_allow_cke_off_all(rng.chance(0.5));
             }
             6 => {
                 for mc in soc.memory_mut().iter_mut() {
                     mc.set_allow_self_refresh(true);
-                    mc.enter_self_refresh(now);
+                    mc.enter_self_refresh();
                 }
             }
             7 => {
                 for mc in soc.memory_mut().iter_mut() {
-                    mc.wake(now);
+                    mc.wake();
                 }
             }
             8 => {
                 let plls = soc.plls_mut();
                 if rng.chance(0.5) {
-                    plls.power_off_uncore(now);
+                    plls.power_off_uncore();
                 } else {
-                    plls.begin_relock_uncore(now);
-                    plls.complete_relock_uncore(now);
+                    plls.begin_relock_uncore();
+                    plls.complete_relock_uncore();
                 }
             }
             9 => {
@@ -820,10 +820,10 @@ mod tests {
                 let wake = rng.chance(0.5);
                 if let Some(mc) = soc.memory_mut().iter_mut().next() {
                     if wake {
-                        mc.wake(now);
+                        mc.wake();
                     } else {
                         mc.set_allow_self_refresh(true);
-                        mc.enter_self_refresh(now);
+                        mc.enter_self_refresh();
                     }
                 }
             }
@@ -879,7 +879,7 @@ mod tests {
                     "step {step} (seed {seed})"
                 );
                 match rng.index(3) {
-                    0 => step_core(&mut node, &mut rng, now),
+                    0 => step_core(&mut node, &mut rng),
                     1 => step_busy(&mut node, &mut running, &mut rng),
                     _ => step_uncore(&mut node, &mut rng, now),
                 }
@@ -957,13 +957,11 @@ mod tests {
             assert!(!state.sched.free_cores.contains(c));
         }
         // Idle the even cores the way the core component does.
-        let now = apc_sim::SimTime::from_micros(1);
         for c in (0..cores).step_by(2) {
-            state.soc.cores_mut().begin_idle(
-                apc_soc::core::CoreId(c),
-                now,
-                apc_soc::cstate::CoreCState::CC1,
-            );
+            state
+                .soc
+                .cores_mut()
+                .begin_idle(apc_soc::core::CoreId(c), apc_soc::cstate::CoreCState::CC1);
             state.sched.mark_free(c);
         }
         for c in 0..cores {

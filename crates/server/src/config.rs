@@ -65,7 +65,7 @@ impl ServerConfig {
 
     /// Builds a configuration around an arbitrary platform configuration.
     #[must_use]
-    pub fn with_platform(platform: PlatformConfig) -> Self {
+    fn with_platform(platform: PlatformConfig) -> Self {
         ServerConfig {
             soc: SocConfig::xeon_silver_4114(),
             platform,
@@ -92,13 +92,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Disables OS background noise (for controlled experiments).
-    #[must_use]
-    pub fn without_noise(mut self) -> Self {
-        self.noise = None;
         self
     }
 
@@ -156,11 +149,9 @@ mod tests {
     fn builder_helpers_apply() {
         let cfg = ServerConfig::c_pc1a()
             .with_duration(SimDuration::from_millis(10))
-            .with_seed(7)
-            .without_noise();
+            .with_seed(7);
         assert_eq!(cfg.duration, SimDuration::from_millis(10));
         assert_eq!(cfg.seed, 7);
-        assert!(cfg.noise.is_none());
         assert_eq!(cfg.soc.cores, 10);
     }
 }

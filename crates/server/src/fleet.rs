@@ -515,7 +515,7 @@ impl FleetResult {
     /// (exact counts/sums/extremes — see [`QuantileSketch::merge`]), in
     /// member order for determinism.
     #[must_use]
-    pub fn combined_sketch(&self) -> QuantileSketch {
+    fn combined_sketch(&self) -> QuantileSketch {
         let mut merged = QuantileSketch::latency_default();
         for r in &self.runs {
             merged.merge(&r.latency_sketch);

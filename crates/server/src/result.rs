@@ -2,7 +2,6 @@
 
 use apc_power::units::Watts;
 use apc_sim::{SimDuration, SimTime};
-use apc_soc::cstate::{CoreCState, PackageCState};
 use apc_telemetry::latency::LatencySummary;
 use apc_telemetry::sketch::QuantileSketch;
 use apc_telemetry::timeseries::TimeSeries;
@@ -125,26 +124,6 @@ impl RunResult {
         }
         self.latency.mean.as_nanos() as f64 / base as f64 - 1.0
     }
-
-    /// Residency fraction for a package C-state this run tracked.
-    #[must_use]
-    pub fn package_residency(&self, state: PackageCState) -> f64 {
-        match state {
-            PackageCState::PC1A => self.pc1a_residency,
-            PackageCState::PC6 => self.pc6_residency,
-            _ => 0.0,
-        }
-    }
-
-    /// Average per-core residency fraction for a core C-state.
-    #[must_use]
-    pub fn core_residency(&self, state: CoreCState) -> f64 {
-        match state {
-            CoreCState::CC0 => self.cc0_fraction,
-            CoreCState::CC1 | CoreCState::CC1E => self.cc1_fraction,
-            CoreCState::CC6 => self.cc6_fraction,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +179,5 @@ mod tests {
         assert!((saving - (1.0 - 35.0 / 49.0)).abs() < 1e-12);
         let overhead = apc.latency_overhead_vs(&baseline);
         assert!(overhead > 0.0 && overhead < 0.01);
-        assert_eq!(baseline.package_residency(PackageCState::PC1A), 0.0);
-        assert!((baseline.core_residency(CoreCState::CC1) - 0.9).abs() < 1e-12);
     }
 }

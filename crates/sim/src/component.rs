@@ -144,7 +144,7 @@ impl<E> SimulationContext<'_, E> {
     }
 
     /// Emits an event to `dst` at absolute time `at`.
-    pub fn emit_at(&mut self, dst: ComponentId, at: SimTime, payload: E) {
+    fn emit_at(&mut self, dst: ComponentId, at: SimTime, payload: E) {
         self.queue.schedule(at, Envelope { dst, payload });
     }
 
@@ -191,8 +191,8 @@ impl<E, S, T: EventHandler<E, S>> EventHandler<E, S> for Rc<RefCell<T>> {
 /// The simulation driver: owns the clock, the event queue, the root RNG, the
 /// shared state and the registered components, and runs the main loop.
 ///
-/// Component storage is a struct-of-arrays (`names` / `rngs` / `handlers`
-/// indexed by [`ComponentId`]) so the dispatch loop can borrow a handler,
+/// Component storage is a struct-of-arrays (`rngs` / `handlers` indexed
+/// by [`ComponentId`]) so the dispatch loop can borrow a handler,
 /// the destination's RNG and the shared state simultaneously as disjoint
 /// fields — no `Option` dance or per-event moves. A name → id map beside
 /// them answers [`Simulation::lookup`] and the uniqueness check of every
@@ -201,7 +201,6 @@ impl<E, S, T: EventHandler<E, S>> EventHandler<E, S> for Rc<RefCell<T>> {
 pub struct Simulation<E, S> {
     queue: EventQueue<Envelope<E>>,
     root_rng: SimRng,
-    names: Vec<String>,
     ids: BTreeMap<String, ComponentId>,
     rngs: Vec<SimRng>,
     handlers: Vec<Box<dyn EventHandler<E, S>>>,
@@ -215,7 +214,6 @@ impl<E, S> Simulation<E, S> {
         Simulation {
             queue: EventQueue::new(),
             root_rng: SimRng::from_seed(seed),
-            names: Vec::new(),
             ids: BTreeMap::new(),
             rngs: Vec::new(),
             handlers: Vec::new(),
@@ -266,7 +264,6 @@ impl<E, S> Simulation<E, S> {
         let id = ComponentId(self.handlers.len());
         match self.ids.entry(name.into()) {
             Entry::Vacant(slot) => {
-                self.names.push(slot.key().clone());
                 slot.insert(id);
             }
             Entry::Occupied(slot) => {
@@ -282,16 +279,6 @@ impl<E, S> Simulation<E, S> {
     #[must_use]
     pub fn lookup(&self, name: &str) -> Option<ComponentId> {
         self.ids.get(name).copied()
-    }
-
-    /// The registration name of a component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this simulation.
-    #[must_use]
-    pub fn name(&self, id: ComponentId) -> &str {
-        &self.names[id.0]
     }
 
     /// The number of registered components.
@@ -345,12 +332,6 @@ impl<E, S> Simulation<E, S> {
     /// Shared state, mutable (for bootstrap and result extraction).
     pub fn shared_mut(&mut self) -> &mut S {
         &mut self.shared
-    }
-
-    /// Consumes the simulation and returns the shared state.
-    #[must_use]
-    pub fn into_shared(self) -> S {
-        self.shared
     }
 
     /// Schedules an event from outside any component (bootstrap).
@@ -560,7 +541,7 @@ mod tests {
             sim.schedule(ticker, SimTime::from_micros(1), Ev::Noise);
             sim.schedule(ticker, SimTime::from_micros(2), Ev::Noise);
             sim.run_until(SimTime::from_secs(1));
-            sim.into_shared().draws
+            sim.shared().draws.clone()
         };
         assert_eq!(run(42), run(42), "identical seeds, identical streams");
         assert_ne!(run(42), run(43), "different seeds diverge");
@@ -572,7 +553,6 @@ mod tests {
         assert_eq!(sim.lookup("ticker"), Some(ticker));
         assert_eq!(sim.lookup("sink"), Some(sink));
         assert_eq!(sim.lookup("nope"), None);
-        assert_eq!(sim.name(ticker), "ticker");
         assert_eq!(sim.component_count(), 2);
     }
 
@@ -592,7 +572,7 @@ mod tests {
             sim.schedule(ticker, SimTime::from_micros(1), Ev::Noise);
             sim.schedule(ticker, SimTime::from_micros(2), Ev::Noise);
             sim.run_until(SimTime::from_secs(1));
-            sim.into_shared().draws
+            sim.shared().draws.clone()
         };
         assert_eq!(run(true), run(false));
     }
@@ -618,7 +598,6 @@ mod tests {
         let next = sim.add_component("next", Sink);
         assert_ne!(next, first);
         assert_eq!(sim.lookup("next"), Some(next));
-        assert_eq!(sim.name(next), "next");
     }
 
     #[test]
@@ -636,7 +615,6 @@ mod tests {
         assert_eq!(sim.component_count(), 900);
         for (id, name) in &registered {
             assert_eq!(sim.lookup(name), Some(*id));
-            assert_eq!(sim.name(*id), name);
         }
         assert_eq!(sim.lookup("node 300"), None);
         assert_eq!(sim.lookup("node 1 ni"), None);

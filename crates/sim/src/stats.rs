@@ -22,7 +22,7 @@ use crate::time::SimDuration;
 /// }
 /// let (lo, hi) = (SimDuration::from_micros(20), SimDuration::from_micros(200));
 /// assert_eq!(idle.fraction_between(lo, hi), 0.4);
-/// assert_eq!(idle.overflow(), 1); // 40 ms is past the 10 ms bound
+/// assert_eq!(idle.count(), 5); // 40 ms, past the 10 ms bound, counts too
 /// ```
 #[derive(Debug, Clone)]
 pub struct DurationHistogram {
@@ -31,7 +31,6 @@ pub struct DurationHistogram {
     bounds: Vec<SimDuration>,
     counts: Vec<u64>,
     overflow: u64,
-    total_duration: SimDuration,
 }
 
 impl DurationHistogram {
@@ -51,7 +50,6 @@ impl DurationHistogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len()],
             overflow: 0,
-            total_duration: SimDuration::ZERO,
         }
     }
 
@@ -70,7 +68,6 @@ impl DurationHistogram {
 
     /// Records one duration.
     pub fn record(&mut self, d: SimDuration) {
-        self.total_duration += d;
         for (i, b) in self.bounds.iter().enumerate() {
             if d <= *b {
                 self.counts[i] += 1;
@@ -86,22 +83,10 @@ impl DurationHistogram {
         self.counts.iter().sum::<u64>() + self.overflow
     }
 
-    /// Sum of all recorded durations.
-    #[must_use]
-    pub fn total_duration(&self) -> SimDuration {
-        self.total_duration
-    }
-
     /// Iterator over `(upper_bound, count)` pairs, excluding the overflow
     /// bucket.
-    pub fn buckets(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
+    fn buckets(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
         self.bounds.iter().copied().zip(self.counts.iter().copied())
-    }
-
-    /// Count of durations exceeding the largest bound.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Fraction of recorded durations that fall inside `[lo, hi]`, judged by
@@ -161,16 +146,14 @@ mod tests {
         }
         let counts: Vec<(SimDuration, u64)> = h.buckets().collect();
         assert_eq!(counts, [(ten, 1), (twenty, 2)]);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.overflow, 1);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.total_duration(), SimDuration::from_nanos(60_002));
     }
 
     #[test]
     fn empty_duration_histogram_has_no_fractions() {
         let h = DurationHistogram::idle_period_default();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.total_duration(), SimDuration::ZERO);
         let all = h.fraction_between(SimDuration::ZERO, SimDuration::from_millis(10));
         assert_eq!(all, 0.0);
         assert_eq!(h.to_string().lines().count(), h.buckets().count() + 1);
@@ -187,10 +170,9 @@ mod tests {
             h.record(SimDuration::from_micros(us));
         }
         assert_eq!(h.count(), 10);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.overflow, 1);
         let frac = h.fraction_between(SimDuration::from_micros(20), SimDuration::from_micros(200));
         assert!((frac - 0.6).abs() < 1e-9, "fraction {frac}");
-        assert!(h.total_duration() > SimDuration::from_millis(20));
         let rendered = h.to_string();
         assert!(rendered.contains('%'));
     }

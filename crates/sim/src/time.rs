@@ -97,12 +97,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration, `None` on overflow.
-    #[must_use]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -159,12 +153,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in (truncated) whole microseconds.
-    #[must_use]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration in fractional microseconds.
     #[must_use]
     pub fn as_micros_f64(self) -> f64 {
@@ -200,26 +188,6 @@ impl SimDuration {
     #[must_use]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
-    /// The larger of two durations.
-    #[must_use]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    #[must_use]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 

@@ -22,20 +22,18 @@
 pub struct DieFloorplan {
     /// Fraction of the die occupied by the IO interconnect (mesh/ring wiring
     /// in the north cap).
-    pub io_interconnect: f64,
+    io_interconnect: f64,
     /// Fraction of the die occupied by the high-speed IO controllers.
     pub io_controllers: f64,
     /// Fraction of the die occupied by the firmware GPMU.
     pub gpmu: f64,
     /// Fraction of the die occupied by one core tile (core + private caches
     /// + its LLC/CHA slice).
-    pub core_tile: f64,
+    core_tile: f64,
     /// Fraction of a core tile occupied by its FIVR.
-    pub fivr_of_core: f64,
-    /// Number of core tiles on the die.
-    pub core_tiles: usize,
+    fivr_of_core: f64,
     /// Width of the IO interconnect data path in bits (128–512).
-    pub io_interconnect_width_bits: u32,
+    io_interconnect_width_bits: u32,
 }
 
 impl DieFloorplan {
@@ -49,7 +47,6 @@ impl DieFloorplan {
             gpmu: 0.02,
             core_tile: 0.10,
             fivr_of_core: 0.10,
-            core_tiles: 10,
             io_interconnect_width_bits: 128,
         }
     }
@@ -98,7 +95,6 @@ mod tests {
         assert!(f.io_interconnect <= 0.06);
         assert!(f.io_controllers <= 0.15);
         assert!(f.gpmu <= 0.02);
-        assert_eq!(f.core_tiles, 10);
         assert_eq!(DieFloorplan::default(), f);
     }
 

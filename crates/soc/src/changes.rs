@@ -26,11 +26,3 @@ impl PowerChanges {
         PowerChanges(Rc::clone(&self.0))
     }
 }
-
-/// A clone counts on its own, from the same total: a cloned component never
-/// moves the count of the socket its original belongs to.
-impl Clone for PowerChanges {
-    fn clone(&self) -> Self {
-        PowerChanges(Rc::new(Cell::new(self.get())))
-    }
-}

@@ -15,7 +15,7 @@ use std::fmt;
 use apc_sim::{SimDuration, SimTime};
 
 use crate::changes::PowerChanges;
-use crate::clock::{ClockTree, PMU_CLOCK};
+use crate::clock::ClockTree;
 use crate::vr::Fivr;
 
 /// Operational state of the CLM domain as a whole.
@@ -41,47 +41,23 @@ impl fmt::Display for ClmState {
     }
 }
 
-/// One LLC slice with its CHA and snoop filter (per core tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LlcSlice {
-    /// Tile index this slice belongs to.
-    pub tile: usize,
-    /// Slice capacity in KiB (1.375 MiB per tile on SKX).
-    pub capacity_kib: u32,
-}
-
-/// The CLM domain: all LLC slices, CHAs, the snoop filters and the mesh,
-/// powered by two FIVRs and clocked by one gateable clock tree.
-#[derive(Debug, Clone)]
+/// The CLM domain: the LLC slices, CHAs, snoop filters and the mesh,
+/// modelled as one unit powered by two FIVRs and clocked by one gateable
+/// clock tree.
+#[derive(Debug)]
 pub struct ClmDomain {
-    slices: Vec<LlcSlice>,
     fivrs: [Fivr; 2],
     clock: ClockTree,
-    mesh_columns: usize,
-    mesh_rows: usize,
     /// Counts every change of [`ClmDomain::state`].
     changes: PowerChanges,
 }
 
 impl ClmDomain {
-    /// LLC slice capacity per tile on SKX (1.375 MiB).
-    pub const SLICE_CAPACITY_KIB: u32 = 1408;
-
-    /// Creates the CLM domain for a socket with `tiles` core tiles arranged
-    /// in a mesh of the given dimensions.
-    #[must_use]
-    pub fn new(tiles: usize, mesh_columns: usize, mesh_rows: usize) -> Self {
+    /// Creates an operational CLM domain.
+    pub(crate) fn new() -> Self {
         ClmDomain {
-            slices: (0..tiles)
-                .map(|tile| LlcSlice {
-                    tile,
-                    capacity_kib: Self::SLICE_CAPACITY_KIB,
-                })
-                .collect(),
-            fivrs: [Fivr::new_clm("vccclm0"), Fivr::new_clm("vccclm1")],
-            clock: ClockTree::new("clm", PMU_CLOCK),
-            mesh_columns,
-            mesh_rows,
+            fivrs: [Fivr::new_clm(), Fivr::new_clm()],
+            clock: ClockTree::default(),
             changes: PowerChanges::default(),
         }
     }
@@ -100,42 +76,6 @@ impl ClmDomain {
             self.changes.bump();
         }
         out
-    }
-
-    /// Number of LLC slices (== number of core tiles).
-    #[must_use]
-    pub fn slice_count(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Total LLC capacity in KiB.
-    #[must_use]
-    pub fn total_llc_kib(&self) -> u64 {
-        self.slices.iter().map(|s| u64::from(s.capacity_kib)).sum()
-    }
-
-    /// Iterator over the LLC slices.
-    pub fn slices(&self) -> impl Iterator<Item = &LlcSlice> {
-        self.slices.iter()
-    }
-
-    /// Mesh dimensions as `(columns, rows)`.
-    #[must_use]
-    pub fn mesh_dimensions(&self) -> (usize, usize) {
-        (self.mesh_columns, self.mesh_rows)
-    }
-
-    /// Access to the two CLM FIVRs.
-    #[must_use]
-    pub fn fivrs(&self) -> &[Fivr; 2] {
-        &self.fivrs
-    }
-
-    /// Mutable access to the two CLM FIVRs. Handing them out counts as a
-    /// change of [`ClmDomain::state`], since it cannot be seen.
-    pub fn fivrs_mut(&mut self) -> &mut [Fivr; 2] {
-        self.changes.bump();
-        &mut self.fivrs
     }
 
     /// Access to the CLM clock tree.
@@ -165,13 +105,13 @@ impl ClmDomain {
     }
 
     /// Gates the CLM clock tree (`ClkGate` signal); returns the gate latency.
-    pub fn clock_gate(&mut self, now: SimTime) -> SimDuration {
-        self.counted(|clm| clm.clock.gate(now))
+    pub fn clock_gate(&mut self) -> SimDuration {
+        self.counted(|clm| clm.clock.gate())
     }
 
     /// Un-gates the CLM clock tree; returns the ungate latency.
-    pub fn clock_ungate(&mut self, now: SimTime) -> SimDuration {
-        self.counted(|clm| clm.clock.ungate(now))
+    pub fn clock_ungate(&mut self) -> SimDuration {
+        self.counted(|clm| clm.clock.ungate())
     }
 
     /// Asserts `Ret` on both CLM FIVRs (non-blocking voltage ramp to
@@ -211,21 +151,10 @@ impl ClmDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vr::Millivolts;
-
-    #[test]
-    fn skx_clm_capacity() {
-        let clm = ClmDomain::new(10, 5, 4);
-        assert_eq!(clm.slice_count(), 10);
-        // 10 x 1.375 MiB = 13.75 MiB.
-        assert_eq!(clm.total_llc_kib(), 14_080);
-        assert_eq!(clm.mesh_dimensions(), (5, 4));
-        assert_eq!(clm.slices().count(), 10);
-    }
 
     #[test]
     fn initial_state_is_operational() {
-        let clm = ClmDomain::new(10, 5, 4);
+        let clm = ClmDomain::new();
         assert_eq!(clm.state(), ClmState::Operational);
         assert!(clm.pwr_ok());
         assert_eq!(clm.state().to_string(), "operational");
@@ -233,10 +162,10 @@ mod tests {
 
     #[test]
     fn retention_entry_and_exit() {
-        let mut clm = ClmDomain::new(10, 5, 4);
+        let mut clm = ClmDomain::new();
         let t0 = SimTime::ZERO;
 
-        let gate = clm.clock_gate(t0);
+        let gate = clm.clock_gate();
         assert_eq!(gate, SimDuration::from_nanos(4));
         assert_eq!(clm.state(), ClmState::ClockGated);
 
@@ -253,24 +182,47 @@ mod tests {
         clm.complete_voltage_transition(SimTime::from_micros(1) + up);
         assert!(clm.pwr_ok());
         assert_eq!(clm.state(), ClmState::ClockGated);
-        clm.clock_ungate(SimTime::from_micros(2));
+        clm.clock_ungate();
         assert_eq!(clm.state(), ClmState::Operational);
     }
 
     #[test]
-    fn custom_retention_vid_shortens_ramp() {
-        let mut clm = ClmDomain::new(10, 5, 4);
-        for f in clm.fivrs_mut() {
-            f.program_retention_vid(Millivolts(700));
-        }
-        let ramp = clm.assert_retention(SimTime::ZERO);
-        assert_eq!(ramp, SimDuration::from_nanos(50));
+    fn aborted_retention_entry_ramps_back_from_partway() {
+        // A wakeup 50 ns into the 150 ns downward ramp: the FIVRs have
+        // dropped 100 mV, and only those have to be recovered.
+        let mut clm = ClmDomain::new();
+        clm.clock_gate();
+        clm.assert_retention(SimTime::ZERO);
+        let t = SimTime::from_nanos(50);
+        let up = clm.deassert_retention(t);
+        assert_eq!(up, SimDuration::from_nanos(50));
+        assert_eq!(clm.state(), ClmState::ClockGated);
+        assert!(!clm.pwr_ok(), "still slewing back");
+        clm.complete_voltage_transition(t + up);
+        assert!(clm.pwr_ok());
+        clm.clock_ungate();
+        assert_eq!(clm.state(), ClmState::Operational);
     }
 
     #[test]
-    fn fivr_names_match_skx() {
-        let clm = ClmDomain::new(10, 5, 4);
-        let names: Vec<_> = clm.fivrs().iter().map(|f| f.name()).collect();
-        assert_eq!(names, vec!["vccclm0", "vccclm1"]);
+    fn each_state_change_is_counted_once() {
+        let mut clm = ClmDomain::new();
+        clm.clock_ungate();
+        assert_eq!(clm.changes.get(), 0, "ungating an ungated tree");
+        clm.clock_gate();
+        clm.clock_gate();
+        assert_eq!(clm.changes.get(), 1, "operational -> clock-gated");
+        let ramp = clm.assert_retention(SimTime::ZERO);
+        assert_eq!(clm.changes.get(), 2, "-> retention");
+        // Settling the ramp raises PwrOk but keeps the state.
+        clm.complete_voltage_transition(SimTime::ZERO + ramp);
+        assert_eq!(clm.changes.get(), 2);
+        let t = SimTime::from_micros(1);
+        let up = clm.deassert_retention(t);
+        clm.complete_voltage_transition(t + up);
+        assert_eq!(clm.changes.get(), 3, "-> clock-gated");
+        clm.clock_ungate();
+        assert_eq!(clm.changes.get(), 4, "-> operational");
+        assert_eq!(clm.state(), ClmState::Operational);
     }
 }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use apc_sim::{SimDuration, SimTime};
+use apc_sim::SimDuration;
 
 /// A clock frequency in megahertz.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,7 +22,7 @@ impl MegaHertz {
     ///
     /// Panics if the frequency is zero.
     #[must_use]
-    pub fn cycle_period(self) -> SimDuration {
+    fn cycle_period(self) -> SimDuration {
         assert!(self.0 > 0, "cannot compute the period of a 0 MHz clock");
         SimDuration::from_nanos((1_000 / u64::from(self.0)).max(1))
     }
@@ -45,70 +45,37 @@ impl fmt::Display for MegaHertz {
 pub const PMU_CLOCK: MegaHertz = MegaHertz(500);
 
 /// Gating state of a clock tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockGateState {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum ClockGateState {
     /// Clock toggling, downstream logic operational.
+    #[default]
     Running,
     /// Clock gated at the root; downstream logic frozen but state retained.
     Gated,
 }
 
-/// A gateable clock tree (e.g. the CLM clock distribution).
+/// A gateable clock tree (e.g. the CLM clock distribution), created
+/// running.
 ///
 /// # Examples
 ///
 /// ```
-/// use apc_soc::clock::{ClockTree, ClockGateState, PMU_CLOCK};
-/// use apc_sim::SimTime;
+/// use apc_soc::clock::ClockTree;
 ///
-/// let mut tree = ClockTree::new("clm", PMU_CLOCK);
-/// let latency = tree.gate(SimTime::ZERO);
+/// let mut tree = ClockTree::default();
+/// let latency = tree.gate();
 /// assert_eq!(latency.as_nanos(), 4); // 2 cycles at 500 MHz
-/// assert_eq!(tree.state(), ClockGateState::Gated);
+/// assert!(tree.is_gated());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct ClockTree {
-    name: &'static str,
-    frequency: MegaHertz,
     state: ClockGateState,
-    since: SimTime,
-    gate_events: u64,
-    /// Number of controller cycles a gate/ungate operation takes
-    /// (1–2 cycles per the paper; we use the conservative 2).
-    gate_cycles: u64,
 }
 
 impl ClockTree {
-    /// Creates a running clock tree.
-    #[must_use]
-    pub fn new(name: &'static str, frequency: MegaHertz) -> Self {
-        ClockTree {
-            name,
-            frequency,
-            state: ClockGateState::Running,
-            since: SimTime::ZERO,
-            gate_events: 0,
-            gate_cycles: 2,
-        }
-    }
-
-    /// The tree's name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The distributed clock frequency.
-    #[must_use]
-    pub fn frequency(&self) -> MegaHertz {
-        self.frequency
-    }
-
-    /// Current gate state.
-    #[must_use]
-    pub fn state(&self) -> ClockGateState {
-        self.state
-    }
+    /// Number of controller cycles a gate/ungate operation takes
+    /// (1–2 cycles per the paper; we use the conservative 2).
+    const GATE_CYCLES: u64 = 2;
 
     /// `true` when the tree is gated.
     #[must_use]
@@ -116,35 +83,25 @@ impl ClockTree {
         self.state == ClockGateState::Gated
     }
 
-    /// Number of gate/ungate operations performed.
-    #[must_use]
-    pub fn gate_events(&self) -> u64 {
-        self.gate_events
-    }
-
     /// Gates the clock tree, returning the latency of the operation
     /// (2 controller cycles). Gating an already-gated tree is a no-op that
     /// costs nothing.
-    pub fn gate(&mut self, now: SimTime) -> SimDuration {
+    pub fn gate(&mut self) -> SimDuration {
         if self.state == ClockGateState::Gated {
             return SimDuration::ZERO;
         }
         self.state = ClockGateState::Gated;
-        self.since = now;
-        self.gate_events += 1;
-        PMU_CLOCK.cycles(self.gate_cycles)
+        PMU_CLOCK.cycles(Self::GATE_CYCLES)
     }
 
     /// Un-gates the clock tree, returning the latency of the operation.
     /// Un-gating a running tree costs nothing.
-    pub fn ungate(&mut self, now: SimTime) -> SimDuration {
+    pub fn ungate(&mut self) -> SimDuration {
         if self.state == ClockGateState::Running {
             return SimDuration::ZERO;
         }
         self.state = ClockGateState::Running;
-        self.since = now;
-        self.gate_events += 1;
-        PMU_CLOCK.cycles(self.gate_cycles)
+        PMU_CLOCK.cycles(Self::GATE_CYCLES)
     }
 }
 
@@ -168,23 +125,19 @@ mod tests {
 
     #[test]
     fn gate_ungate_cycle() {
-        let mut tree = ClockTree::new("clm", PMU_CLOCK);
-        assert_eq!(tree.state(), ClockGateState::Running);
+        let mut tree = ClockTree::default();
         assert!(!tree.is_gated());
 
-        let g = tree.gate(SimTime::ZERO);
+        let g = tree.gate();
         assert_eq!(g, SimDuration::from_nanos(4));
         assert!(tree.is_gated());
 
         // Idempotent.
-        assert_eq!(tree.gate(SimTime::from_nanos(10)), SimDuration::ZERO);
+        assert_eq!(tree.gate(), SimDuration::ZERO);
 
-        let u = tree.ungate(SimTime::from_nanos(20));
+        let u = tree.ungate();
         assert_eq!(u, SimDuration::from_nanos(4));
         assert!(!tree.is_gated());
-        assert_eq!(tree.ungate(SimTime::from_nanos(30)), SimDuration::ZERO);
-        assert_eq!(tree.gate_events(), 2);
-        assert_eq!(tree.name(), "clm");
-        assert_eq!(tree.frequency(), PMU_CLOCK);
+        assert_eq!(tree.ungate(), SimDuration::ZERO);
     }
 }

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use apc_sim::{SimDuration, SimTime};
+use apc_sim::SimDuration;
 
 use crate::cstate::CoreCState;
 
@@ -46,17 +46,16 @@ pub enum CoreActivity {
 /// ```
 /// use apc_soc::core::{CoreId, CoreSet};
 /// use apc_soc::cstate::CoreCState;
-/// use apc_sim::SimTime;
 ///
 /// let mut cores = CoreSet::new(1);
 /// let id = CoreId(0);
 /// assert!(cores.core(id).cstate().is_active());
 ///
 /// // The OS idles the core into CC1.
-/// let t = SimTime::from_micros(10);
-/// let entry = cores.begin_idle(id, t, CoreCState::CC1);
-/// cores.complete_transition(id, t + entry);
-/// assert!(cores.core(id).in_cc1_or_deeper());
+/// let entry = cores.begin_idle(id, CoreCState::CC1);
+/// assert_eq!(entry, CoreCState::CC1.entry_latency());
+/// cores.complete_transition(id);
+/// assert!(cores.all_in_cc1_or_deeper());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Core {
@@ -65,12 +64,6 @@ pub struct Core {
     activity: CoreActivity,
     /// Target of an in-flight transition, if any.
     pending: Option<CoreCState>,
-    /// When the current state/activity was established.
-    since: SimTime,
-    /// Cumulative number of C-state transitions (entries into idle states).
-    idle_entries: u64,
-    /// Cumulative number of wakeups (returns to CC0).
-    wakeups: u64,
 }
 
 impl Core {
@@ -81,16 +74,7 @@ impl Core {
             cstate: CoreCState::CC0,
             activity: CoreActivity::Busy,
             pending: None,
-            since: SimTime::ZERO,
-            idle_entries: 0,
-            wakeups: 0,
         }
-    }
-
-    /// The core's identifier.
-    #[must_use]
-    pub fn id(&self) -> CoreId {
-        self.id
     }
 
     /// Current (established) core C-state.
@@ -105,24 +89,6 @@ impl Core {
         self.activity
     }
 
-    /// Timestamp at which the current state was established.
-    #[must_use]
-    pub fn since(&self) -> SimTime {
-        self.since
-    }
-
-    /// Number of idle-state entries so far.
-    #[must_use]
-    pub fn idle_entries(&self) -> u64 {
-        self.idle_entries
-    }
-
-    /// Number of wakeups (CC0 resumptions) so far.
-    #[must_use]
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups
-    }
-
     /// The `InCC1` status signal exposed by the core's PMA: `true` when the
     /// core currently resides in CC1 or any deeper C-state (paper Sec. 5.3).
     ///
@@ -130,14 +96,14 @@ impl Core {
     /// hardware where the status flops update only once the state is
     /// established.
     #[must_use]
-    pub fn in_cc1_or_deeper(&self) -> bool {
+    fn in_cc1_or_deeper(&self) -> bool {
         self.pending.is_none()
             && self.activity != CoreActivity::Busy
             && self.cstate.at_least_as_deep_as(CoreCState::CC1)
     }
 
     /// See [`CoreSet::begin_idle`].
-    fn begin_idle(&mut self, now: SimTime, target: CoreCState) -> SimDuration {
+    fn begin_idle(&mut self, target: CoreCState) -> SimDuration {
         assert!(target.is_idle(), "begin_idle requires an idle target state");
         assert_eq!(
             self.activity,
@@ -148,13 +114,11 @@ impl Core {
         );
         self.pending = Some(target);
         self.activity = CoreActivity::Transitioning;
-        self.since = now;
-        self.idle_entries += 1;
         target.entry_latency()
     }
 
     /// See [`CoreSet::begin_wakeup`].
-    fn begin_wakeup(&mut self, now: SimTime) -> SimDuration {
+    fn begin_wakeup(&mut self) -> SimDuration {
         assert_ne!(
             self.activity,
             CoreActivity::Busy,
@@ -164,13 +128,11 @@ impl Core {
         let leaving = self.pending.take().unwrap_or(self.cstate);
         self.pending = Some(CoreCState::CC0);
         self.activity = CoreActivity::Transitioning;
-        self.since = now;
-        self.wakeups += 1;
         leaving.exit_latency()
     }
 
     /// See [`CoreSet::complete_transition`].
-    fn complete_transition(&mut self, now: SimTime) {
+    fn complete_transition(&mut self) {
         let target = self
             .pending
             .take()
@@ -181,11 +143,10 @@ impl Core {
         } else {
             CoreActivity::Idle
         };
-        self.since = now;
     }
 
     /// See [`CoreSet::force_state`].
-    fn force_state(&mut self, now: SimTime, state: CoreCState) {
+    fn force_state(&mut self, state: CoreCState) {
         self.pending = None;
         self.cstate = state;
         self.activity = if state.is_active() {
@@ -193,7 +154,6 @@ impl Core {
         } else {
             CoreActivity::Idle
         };
-        self.since = now;
     }
 }
 
@@ -202,7 +162,7 @@ impl Core {
 ///
 /// The set is the only way to mutate its cores, so it maintains three facts
 /// the per-event hot paths read in O(1): the number of busy cores (what
-/// [`CoreSet::active_count`] and [`CoreSet::any_active`] report), the
+/// [`CoreSet::any_active`] reads), the
 /// number of cores established in each C-state (see
 /// [`CoreSet::cstate_census`]) and the number of cores asserting `InCC1`
 /// (see [`CoreSet::all_in_cc1_or_deeper`]).
@@ -287,7 +247,7 @@ impl CoreSet {
         out
     }
 
-    /// Starts an idle transition of core `id` into `target` at time `now`.
+    /// Starts an idle transition of core `id` into `target`.
     ///
     /// Returns the entry latency the caller should wait before calling
     /// [`CoreSet::complete_transition`].
@@ -297,11 +257,11 @@ impl CoreSet {
     /// Panics if the id is out of range, if `target` is `CC0` (use
     /// [`CoreSet::begin_wakeup`]) or if the core is already idle or
     /// transitioning.
-    pub fn begin_idle(&mut self, id: CoreId, now: SimTime, target: CoreCState) -> SimDuration {
-        self.update(id, |c| c.begin_idle(now, target))
+    pub fn begin_idle(&mut self, id: CoreId, target: CoreCState) -> SimDuration {
+        self.update(id, |c| c.begin_idle(target))
     }
 
-    /// Starts a wakeup of core `id` (a transition back to CC0) at time `now`.
+    /// Starts a wakeup of core `id` (a transition back to CC0).
     ///
     /// Returns the exit latency of the state the core is leaving. Waking a
     /// core that is still completing its idle entry is allowed (hardware
@@ -311,18 +271,18 @@ impl CoreSet {
     /// # Panics
     ///
     /// Panics if the id is out of range or the core is already busy.
-    pub fn begin_wakeup(&mut self, id: CoreId, now: SimTime) -> SimDuration {
-        self.update(id, |c| c.begin_wakeup(now))
+    pub fn begin_wakeup(&mut self, id: CoreId) -> SimDuration {
+        self.update(id, Core::begin_wakeup)
     }
 
-    /// Completes core `id`'s in-flight transition at time `now`,
-    /// establishing the pending state.
+    /// Completes core `id`'s in-flight transition, establishing the pending
+    /// state.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range or no transition is pending.
-    pub fn complete_transition(&mut self, id: CoreId, now: SimTime) {
-        self.update(id, |c| c.complete_transition(now));
+    pub fn complete_transition(&mut self, id: CoreId) {
+        self.update(id, Core::complete_transition);
     }
 
     /// Forces core `id` into an established state without modelling the
@@ -332,8 +292,8 @@ impl CoreSet {
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn force_state(&mut self, id: CoreId, now: SimTime, state: CoreCState) {
-        self.update(id, |c| c.force_state(now, state));
+    pub fn force_state(&mut self, id: CoreId, state: CoreCState) {
+        self.update(id, |c| c.force_state(state));
     }
 
     /// The number of cores established in each C-state, indexed like
@@ -380,7 +340,7 @@ impl CoreSet {
     /// Number of cores currently active (CC0 established or transitioning to
     /// it). O(1): the set maintains the count.
     #[must_use]
-    pub fn active_count(&self) -> usize {
+    fn active_count(&self) -> usize {
         debug_assert_eq!(
             self.busy,
             self.cores
@@ -392,20 +352,11 @@ impl CoreSet {
         self.busy
     }
 
-    /// `true` when at least one core is active: a nonzero
-    /// [`CoreSet::active_count`].
+    /// `true` when at least one core is active (CC0 established or
+    /// transitioning to it). O(1): the set maintains the count.
     #[must_use]
     pub fn any_active(&self) -> bool {
         self.active_count() > 0
-    }
-
-    /// Number of cores established in exactly the given C-state.
-    #[must_use]
-    pub fn count_in(&self, state: CoreCState) -> usize {
-        self.cores
-            .iter()
-            .filter(|c| c.activity() == CoreActivity::Idle && c.cstate() == state)
-            .count()
     }
 }
 
@@ -416,43 +367,41 @@ mod tests {
     #[test]
     fn new_core_is_active() {
         let c = Core::new(CoreId(3));
-        assert_eq!(c.id(), CoreId(3));
         assert_eq!(c.cstate(), CoreCState::CC0);
         assert_eq!(c.activity(), CoreActivity::Busy);
         assert!(!c.in_cc1_or_deeper());
-        assert_eq!(c.id().to_string(), "core3");
+        assert_eq!(c.id.to_string(), "core3");
     }
 
     #[test]
     fn idle_entry_and_wakeup_cycle() {
         let mut c = Core::new(CoreId(0));
-        let t0 = SimTime::from_micros(10);
-        let entry = c.begin_idle(t0, CoreCState::CC1);
+        let entry = c.begin_idle(CoreCState::CC1);
         assert_eq!(entry, CoreCState::CC1.entry_latency());
         assert_eq!(c.activity(), CoreActivity::Transitioning);
         assert!(!c.in_cc1_or_deeper(), "signal not asserted mid-transition");
 
-        let t1 = t0 + entry;
-        c.complete_transition(t1);
+        c.complete_transition();
         assert!(c.in_cc1_or_deeper());
         assert_eq!(c.activity(), CoreActivity::Idle);
-        assert_eq!(c.idle_entries(), 1);
+        assert_eq!(c.cstate(), CoreCState::CC1);
 
-        let exit = c.begin_wakeup(t1 + SimDuration::from_micros(50));
+        let exit = c.begin_wakeup();
         assert_eq!(exit, CoreCState::CC1.exit_latency());
-        c.complete_transition(t1 + SimDuration::from_micros(51));
+        assert_eq!(c.activity(), CoreActivity::Transitioning);
+        c.complete_transition();
         assert_eq!(c.cstate(), CoreCState::CC0);
-        assert_eq!(c.wakeups(), 1);
+        assert_eq!(c.activity(), CoreActivity::Busy);
     }
 
     #[test]
     fn wakeup_during_entry_uses_target_exit_latency() {
         let mut c = Core::new(CoreId(0));
-        c.begin_idle(SimTime::ZERO, CoreCState::CC6);
+        c.begin_idle(CoreCState::CC6);
         // Interrupt arrives before the entry completed.
-        let exit = c.begin_wakeup(SimTime::from_micros(1));
+        let exit = c.begin_wakeup();
         assert_eq!(exit, CoreCState::CC6.exit_latency());
-        c.complete_transition(SimTime::from_micros(150));
+        c.complete_transition();
         assert!(c.cstate().is_active());
     }
 
@@ -460,26 +409,26 @@ mod tests {
     #[should_panic(expected = "cannot enter")]
     fn cannot_idle_twice() {
         let mut c = Core::new(CoreId(0));
-        c.begin_idle(SimTime::ZERO, CoreCState::CC1);
-        c.complete_transition(SimTime::from_nanos(500));
+        c.begin_idle(CoreCState::CC1);
+        c.complete_transition();
         // Already idle: a second begin_idle is a protocol violation.
-        let _ = c.begin_idle(SimTime::from_micros(1), CoreCState::CC6);
+        let _ = c.begin_idle(CoreCState::CC6);
     }
 
     #[test]
     #[should_panic(expected = "busy cores cannot be woken")]
     fn cannot_wake_busy_core() {
         let mut c = Core::new(CoreId(0));
-        let _ = c.begin_wakeup(SimTime::ZERO);
+        let _ = c.begin_wakeup();
     }
 
     #[test]
     fn force_state_bypasses_latency() {
         let mut c = Core::new(CoreId(0));
-        c.force_state(SimTime::ZERO, CoreCState::CC6);
+        c.force_state(CoreCState::CC6);
         assert_eq!(c.cstate(), CoreCState::CC6);
         assert!(c.in_cc1_or_deeper());
-        c.force_state(SimTime::ZERO, CoreCState::CC0);
+        c.force_state(CoreCState::CC0);
         assert!(c.cstate().is_active());
     }
 
@@ -491,15 +440,14 @@ mod tests {
         assert_eq!(set.active_count(), 4);
 
         for i in 0..4 {
-            set.force_state(CoreId(i), SimTime::ZERO, CoreCState::CC1);
+            set.force_state(CoreId(i), CoreCState::CC1);
         }
         assert!(set.all_in_cc1_or_deeper());
         assert!(set.all_at_least(CoreCState::CC1));
         assert!(!set.all_at_least(CoreCState::CC6));
-        assert_eq!(set.count_in(CoreCState::CC1), 4);
         assert_eq!(set.active_count(), 0);
 
-        set.force_state(CoreId(2), SimTime::ZERO, CoreCState::CC0);
+        set.force_state(CoreId(2), CoreCState::CC0);
         assert!(!set.all_in_cc1_or_deeper());
         assert_eq!(set.active_count(), 1);
     }
@@ -517,26 +465,24 @@ mod tests {
         const IDLE: [CoreCState; 3] = [CoreCState::CC1, CoreCState::CC1E, CoreCState::CC6];
         let mut rng = SimRng::from_seed(seed);
         let mut set = CoreSet::new(cores);
-        let mut now = SimTime::ZERO;
         for step in 0..steps {
-            now += SimDuration::from_nanos(rng.index(2_000) as u64);
             let id = CoreId(rng.index(cores));
             if rng.chance(0.05) {
-                set.force_state(id, now, STATES[rng.index(4)]);
+                set.force_state(id, STATES[rng.index(4)]);
             } else {
                 match set.core(id).activity() {
                     CoreActivity::Busy => {
-                        set.begin_idle(id, now, IDLE[rng.index(3)]);
+                        set.begin_idle(id, IDLE[rng.index(3)]);
                     }
                     CoreActivity::Idle => {
-                        set.begin_wakeup(id, now);
+                        set.begin_wakeup(id);
                     }
                     // A transition either completes or (an interrupt during
                     // idle entry) turns into a wakeup.
                     CoreActivity::Transitioning if rng.chance(0.3) => {
-                        set.begin_wakeup(id, now);
+                        set.begin_wakeup(id);
                     }
-                    CoreActivity::Transitioning => set.complete_transition(id, now),
+                    CoreActivity::Transitioning => set.complete_transition(id),
                 }
             }
             let busy = set

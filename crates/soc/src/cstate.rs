@@ -107,8 +107,7 @@ impl fmt::Display for CoreCState {
 ///
 /// The derived ordering follows declaration order and is provided only so
 /// the type can key ordered collections; it is *not* a statement about
-/// power-saving depth (use [`PackageCState::is_power_saving`] and the
-/// latency/power models for that).
+/// power-saving depth (use the latency/power models for that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PackageCState {
     /// Active package state: at least one core in CC0, all shared resources
@@ -139,22 +138,6 @@ impl PackageCState {
         PackageCState::PC1A,
     ];
 
-    /// `true` for the states in which the uncore is fully available
-    /// (memory path open, no wake needed).
-    #[must_use]
-    pub fn uncore_available(self) -> bool {
-        matches!(
-            self,
-            PackageCState::PC0 | PackageCState::PC0Idle | PackageCState::PC2
-        )
-    }
-
-    /// `true` for states that deliver package-level power savings.
-    #[must_use]
-    pub fn is_power_saving(self) -> bool {
-        matches!(self, PackageCState::PC6 | PackageCState::PC1A)
-    }
-
     /// Worst-case entry+exit transition latency to reopen the path to memory
     /// (Table 1).
     #[must_use]
@@ -164,17 +147,6 @@ impl PackageCState {
             PackageCState::PC2 => SimDuration::from_micros(1),
             PackageCState::PC6 => SimDuration::from_micros(50),
             PackageCState::PC1A => SimDuration::from_nanos(200),
-        }
-    }
-
-    /// The core C-state every core must reach before the package controller
-    /// may initiate entry into this package state (Table 2).
-    #[must_use]
-    pub fn required_core_cstate(self) -> CoreCState {
-        match self {
-            PackageCState::PC0 => CoreCState::CC0,
-            PackageCState::PC0Idle | PackageCState::PC2 | PackageCState::PC1A => CoreCState::CC1,
-            PackageCState::PC6 => CoreCState::CC6,
         }
     }
 }
@@ -235,24 +207,6 @@ mod tests {
         let pc6 = PackageCState::PC6.transition_latency().as_nanos() as f64;
         let pc1a = PackageCState::PC1A.transition_latency().as_nanos() as f64;
         assert!(pc6 / pc1a >= 250.0, "ratio {}", pc6 / pc1a);
-    }
-
-    #[test]
-    fn package_required_core_states_match_table2() {
-        assert_eq!(PackageCState::PC6.required_core_cstate(), CoreCState::CC6);
-        assert_eq!(PackageCState::PC1A.required_core_cstate(), CoreCState::CC1);
-        assert_eq!(PackageCState::PC0.required_core_cstate(), CoreCState::CC0);
-    }
-
-    #[test]
-    fn package_classification() {
-        assert!(PackageCState::PC0.uncore_available());
-        assert!(PackageCState::PC0Idle.uncore_available());
-        assert!(!PackageCState::PC6.uncore_available());
-        assert!(!PackageCState::PC1A.uncore_available());
-        assert!(PackageCState::PC1A.is_power_saving());
-        assert!(PackageCState::PC6.is_power_saving());
-        assert!(!PackageCState::PC0.is_power_saving());
     }
 
     #[test]

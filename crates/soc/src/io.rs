@@ -31,7 +31,7 @@ impl IoKind {
     /// L0s; UPI does not implement L0s and uses L0p instead
     /// (paper footnote 3).
     #[must_use]
-    pub fn shallow_state(self) -> LinkPowerState {
+    fn shallow_state(self) -> LinkPowerState {
         match self {
             IoKind::Pcie | IoKind::Dmi => LinkPowerState::L0s,
             IoKind::Upi => LinkPowerState::L0p,
@@ -81,7 +81,7 @@ pub enum LinkPowerState {
 impl LinkPowerState {
     /// Worst-case exit latency back to L0 from this state.
     #[must_use]
-    pub fn exit_latency(self) -> SimDuration {
+    fn exit_latency(self) -> SimDuration {
         match self {
             LinkPowerState::L0 => SimDuration::ZERO,
             LinkPowerState::L0p => SimDuration::from_nanos(10),
@@ -93,14 +93,14 @@ impl LinkPowerState {
 
     /// `true` for the shallow standby states usable by PC1A.
     #[must_use]
-    pub fn is_shallow_standby(self) -> bool {
+    fn is_shallow_standby(self) -> bool {
         matches!(self, LinkPowerState::L0s | LinkPowerState::L0p)
     }
 
     /// `true` when the link is at least as deep as `other` in power-saving
     /// terms (L0 < L0p < L0s < L1 < NDA).
     #[must_use]
-    pub fn at_least_as_deep_as(self, other: LinkPowerState) -> bool {
+    fn at_least_as_deep_as(self, other: LinkPowerState) -> bool {
         self.depth_rank() >= other.depth_rank()
     }
 
@@ -135,9 +135,8 @@ impl fmt::Display for LinkPowerState {
 /// when traffic starts/stops and when the `AllowL0s` policy bit changes; the
 /// controller answers what state the link is in, whether `InL0s` is asserted,
 /// and how long transitions take.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IoController {
-    id: IoId,
     kind: IoKind,
     state: LinkPowerState,
     /// The `AllowL0s` control input driven by the APMU (or BIOS policy).
@@ -148,9 +147,6 @@ pub struct IoController {
     busy: bool,
     /// When the link last became idle (no outstanding transactions).
     idle_since: Option<SimTime>,
-    since: SimTime,
-    shallow_entries: u64,
-    wakeups: u64,
     /// Counts every change of `state`.
     changes: PowerChanges,
 }
@@ -159,31 +155,21 @@ impl IoController {
     /// L0s entry latency: the controller enters L0s after the link has been
     /// idle for 1/4 of the exit latency (paper Sec. 4.2.1: `L0S_ENTRY_LAT=1`
     /// ⇒ 16 ns for a 64 ns exit).
-    pub const L0S_ENTRY_IDLE: SimDuration = SimDuration::from_nanos(16);
+    const L0S_ENTRY_IDLE: SimDuration = SimDuration::from_nanos(16);
 
     /// Creates a controller with the link active and all standby states
     /// disabled (the datacenter `Cshallow` BIOS default).
     #[must_use]
-    pub fn new(id: IoId, kind: IoKind) -> Self {
+    fn new(kind: IoKind) -> Self {
         IoController {
-            id,
             kind,
             state: LinkPowerState::L0,
             allow_shallow: false,
             allow_l1: false,
             busy: false,
             idle_since: Some(SimTime::ZERO),
-            since: SimTime::ZERO,
-            shallow_entries: 0,
-            wakeups: 0,
             changes: PowerChanges::default(),
         }
-    }
-
-    /// The controller's identifier.
-    #[must_use]
-    pub fn id(&self) -> IoId {
-        self.id
     }
 
     /// The interface kind.
@@ -205,40 +191,16 @@ impl IoController {
         self.state.at_least_as_deep_as(self.kind.shallow_state())
     }
 
-    /// `true` while transactions are outstanding on the link.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
-    /// Number of shallow-standby entries so far.
-    #[must_use]
-    pub fn shallow_entries(&self) -> u64 {
-        self.shallow_entries
-    }
-
-    /// Number of wakeups back to L0 so far.
-    #[must_use]
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups
-    }
-
     /// Drives the `AllowL0s` control signal. Clearing it while the link is in
     /// a shallow state forces an exit (the caller should account for the exit
     /// latency returned).
-    pub fn set_allow_shallow(&mut self, now: SimTime, allow: bool) -> SimDuration {
+    fn set_allow_shallow(&mut self, allow: bool) -> SimDuration {
         self.allow_shallow = allow;
         if !allow && self.state.is_shallow_standby() {
-            self.wake(now)
+            self.wake()
         } else {
             SimDuration::ZERO
         }
-    }
-
-    /// Whether the shallow standby states are currently permitted.
-    #[must_use]
-    pub fn allow_shallow(&self) -> bool {
-        self.allow_shallow
     }
 
     /// Enables or disables deep L1 entry (used by the PC6 flow).
@@ -246,12 +208,12 @@ impl IoController {
         self.allow_l1 = allow;
     }
 
-    /// Marks the beginning of link traffic at `now`. Returns the exit latency
-    /// the first transaction observes (zero when the link was already in L0).
-    pub fn begin_traffic(&mut self, now: SimTime) -> SimDuration {
+    /// Marks the beginning of link traffic. Returns the exit latency the
+    /// first transaction observes (zero when the link was already in L0).
+    pub fn begin_traffic(&mut self) -> SimDuration {
         self.busy = true;
         self.idle_since = None;
-        self.wake(now)
+        self.wake()
     }
 
     /// Marks the end of link traffic at `now` (no outstanding transactions).
@@ -280,8 +242,6 @@ impl IoController {
             Some(deadline) if now >= deadline => {
                 self.changes.bump();
                 self.state = self.kind.shallow_state();
-                self.since = now;
-                self.shallow_entries += 1;
                 true
             }
             _ => false,
@@ -290,24 +250,19 @@ impl IoController {
 
     /// Enters the deep L1 state (PC6 entry flow). Requires the link to be
     /// idle; silently keeps the current state otherwise.
-    pub fn enter_l1(&mut self, now: SimTime) {
-        if !self.busy && self.allow_l1 {
-            if self.state != LinkPowerState::L1 {
-                self.changes.bump();
-            }
+    pub fn enter_l1(&mut self) {
+        if !self.busy && self.allow_l1 && self.state != LinkPowerState::L1 {
+            self.changes.bump();
             self.state = LinkPowerState::L1;
-            self.since = now;
         }
     }
 
     /// Wakes the link back to L0 and returns the exit latency paid.
-    pub fn wake(&mut self, now: SimTime) -> SimDuration {
+    pub fn wake(&mut self) -> SimDuration {
         let latency = self.state.exit_latency();
         if self.state != LinkPowerState::L0 {
             self.changes.bump();
-            self.wakeups += 1;
             self.state = LinkPowerState::L0;
-            self.since = now;
         }
         latency
     }
@@ -316,41 +271,17 @@ impl IoController {
 /// The full set of high-speed IO controllers of the SKX north cap
 /// (3 × PCIe, 1 × DMI, 2 × UPI on the reference Xeon Silver 4114 system,
 /// paper Sec. 5.4).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IoSet {
     controllers: Vec<IoController>,
 }
 
 impl IoSet {
-    /// Builds the reference system's IO inventory.
-    #[must_use]
-    pub fn skx_reference() -> Self {
-        let kinds = [
-            IoKind::Pcie,
-            IoKind::Pcie,
-            IoKind::Pcie,
-            IoKind::Dmi,
-            IoKind::Upi,
-            IoKind::Upi,
-        ];
-        IoSet {
-            controllers: kinds
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| IoController::new(IoId(i), k))
-                .collect(),
-        }
-    }
-
     /// Builds a custom inventory.
     #[must_use]
     pub fn new(kinds: &[IoKind]) -> Self {
         IoSet {
-            controllers: kinds
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| IoController::new(IoId(i), k))
-                .collect(),
+            controllers: kinds.iter().map(|&k| IoController::new(k)).collect(),
         }
     }
 
@@ -411,10 +342,10 @@ impl IoSet {
 
     /// Drives `AllowL0s` on every controller; returns the worst exit latency
     /// triggered by clearing the signal (zero when setting it).
-    pub fn set_allow_shallow_all(&mut self, now: SimTime, allow: bool) -> SimDuration {
+    pub fn set_allow_shallow_all(&mut self, allow: bool) -> SimDuration {
         self.controllers
             .iter_mut()
-            .map(|c| c.set_allow_shallow(now, allow))
+            .map(|c| c.set_allow_shallow(allow))
             .fold(SimDuration::ZERO, SimDuration::max)
     }
 
@@ -432,10 +363,11 @@ impl IoSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::SocConfig;
 
     #[test]
     fn skx_reference_inventory() {
-        let set = IoSet::skx_reference();
+        let set = IoSet::new(&SocConfig::xeon_silver_4114().io_kinds);
         assert_eq!(set.len(), 6);
         let pcie = set.iter().filter(|c| c.kind() == IoKind::Pcie).count();
         let dmi = set.iter().filter(|c| c.kind() == IoKind::Dmi).count();
@@ -470,7 +402,7 @@ mod tests {
 
     #[test]
     fn controller_does_not_enter_standby_without_allow() {
-        let mut c = IoController::new(IoId(0), IoKind::Pcie);
+        let mut c = IoController::new(IoKind::Pcie);
         c.end_traffic(SimTime::ZERO);
         assert_eq!(c.shallow_entry_deadline(), None);
         assert!(!c.try_enter_shallow(SimTime::from_micros(1)));
@@ -479,64 +411,64 @@ mod tests {
 
     #[test]
     fn controller_enters_l0s_after_16ns_idle() {
-        let mut c = IoController::new(IoId(0), IoKind::Pcie);
+        let mut c = IoController::new(IoKind::Pcie);
         c.end_traffic(SimTime::ZERO);
-        c.set_allow_shallow(SimTime::ZERO, true);
+        c.set_allow_shallow(true);
         let deadline = c.shallow_entry_deadline().unwrap();
         assert_eq!(deadline, SimTime::from_nanos(16));
         assert!(!c.try_enter_shallow(SimTime::from_nanos(10)));
         assert!(c.try_enter_shallow(SimTime::from_nanos(16)));
         assert!(c.in_l0s());
-        assert_eq!(c.shallow_entries(), 1);
+        assert_eq!(c.state(), LinkPowerState::L0s);
     }
 
     #[test]
     fn traffic_wakes_link_and_pays_exit_latency() {
-        let mut c = IoController::new(IoId(1), IoKind::Upi);
+        let mut c = IoController::new(IoKind::Upi);
         c.end_traffic(SimTime::ZERO);
-        c.set_allow_shallow(SimTime::ZERO, true);
+        c.set_allow_shallow(true);
         assert!(c.try_enter_shallow(SimTime::from_nanos(16)));
         assert_eq!(c.state(), LinkPowerState::L0p);
-        let lat = c.begin_traffic(SimTime::from_micros(1));
+        let lat = c.begin_traffic();
         assert_eq!(lat, SimDuration::from_nanos(10));
         assert_eq!(c.state(), LinkPowerState::L0);
-        assert!(c.is_busy());
-        assert_eq!(c.wakeups(), 1);
+        assert!(!c.in_l0s());
+        assert!(c.busy);
         // While busy there is no standby deadline.
         assert_eq!(c.shallow_entry_deadline(), None);
     }
 
     #[test]
     fn clearing_allow_forces_exit() {
-        let mut c = IoController::new(IoId(0), IoKind::Pcie);
+        let mut c = IoController::new(IoKind::Pcie);
         c.end_traffic(SimTime::ZERO);
-        c.set_allow_shallow(SimTime::ZERO, true);
+        c.set_allow_shallow(true);
         assert!(c.try_enter_shallow(SimTime::from_nanos(20)));
-        let lat = c.set_allow_shallow(SimTime::from_nanos(100), false);
+        let lat = c.set_allow_shallow(false);
         assert_eq!(lat, SimDuration::from_nanos(64));
         assert_eq!(c.state(), LinkPowerState::L0);
-        assert!(!c.allow_shallow());
+        assert_eq!(c.shallow_entry_deadline(), None);
     }
 
     #[test]
     fn l1_requires_permission_and_idle() {
-        let mut c = IoController::new(IoId(0), IoKind::Pcie);
+        let mut c = IoController::new(IoKind::Pcie);
         c.end_traffic(SimTime::ZERO);
-        c.enter_l1(SimTime::from_micros(1));
+        c.enter_l1();
         assert_eq!(c.state(), LinkPowerState::L0, "L1 not allowed yet");
         c.set_allow_l1(true);
-        c.enter_l1(SimTime::from_micros(2));
+        c.enter_l1();
         assert_eq!(c.state(), LinkPowerState::L1);
         assert!(c.in_l0s(), "L1 is deeper than L0s, so InL0s holds");
-        let lat = c.wake(SimTime::from_micros(10));
+        let lat = c.wake();
         assert_eq!(lat, SimDuration::from_micros(5));
     }
 
     #[test]
     fn ioset_aggregate_inl0s() {
-        let mut set = IoSet::skx_reference();
+        let mut set = IoSet::new(&SocConfig::xeon_silver_4114().io_kinds);
         assert!(!set.all_in_l0s());
-        set.set_allow_shallow_all(SimTime::ZERO, true);
+        set.set_allow_shallow_all(true);
         for c in set.iter_mut() {
             c.end_traffic(SimTime::ZERO);
         }
@@ -546,8 +478,34 @@ mod tests {
         assert!(set.all_in_l0s());
         assert_eq!(set.worst_exit_latency(), SimDuration::from_nanos(64));
         // Clearing AllowL0s everywhere wakes every link.
-        let lat = set.set_allow_shallow_all(SimTime::from_micros(1), false);
+        let lat = set.set_allow_shallow_all(false);
         assert_eq!(lat, SimDuration::from_nanos(64));
         assert!(!set.all_in_l0s());
+    }
+
+    #[test]
+    fn each_link_state_change_is_counted_once() {
+        let mut c = IoController::new(IoKind::Pcie);
+        // Traffic on a link already in L0 changes no state.
+        assert_eq!(c.begin_traffic(), SimDuration::ZERO);
+        c.end_traffic(SimTime::ZERO);
+        assert_eq!(c.wake(), SimDuration::ZERO);
+        assert_eq!(c.set_allow_shallow(true), SimDuration::ZERO);
+        assert_eq!(c.changes.get(), 0);
+        assert!(c.try_enter_shallow(SimTime::from_nanos(16)));
+        assert!(
+            !c.try_enter_shallow(SimTime::from_nanos(32)),
+            "already in L0s"
+        );
+        assert_eq!(c.changes.get(), 1, "L0 -> L0s");
+        c.set_allow_l1(true);
+        c.enter_l1();
+        c.enter_l1();
+        assert_eq!(c.changes.get(), 2, "L0s -> L1");
+        assert_eq!(c.wake(), SimDuration::from_micros(5));
+        assert_eq!(c.wake(), SimDuration::ZERO);
+        assert_eq!(c.changes.get(), 3, "L1 -> L0");
+        assert_eq!(c.set_allow_shallow(false), SimDuration::ZERO);
+        assert_eq!(c.changes.get(), 3, "clearing AllowL0s on a link in L0");
     }
 }

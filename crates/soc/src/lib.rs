@@ -7,15 +7,15 @@
 //! * [`cstate`] — core (`CCx`) and package (`PCx`) C-state definitions;
 //! * [`core`] — CPU cores, their power-management agents and the aggregated
 //!   `InCC1` status signal;
-//! * [`clm`] — the CHA/LLC/mesh ("CLM") domain with its two FIVRs and
-//!   gateable clock tree;
+//! * [`clm`] — the CHA/LLC/mesh ("CLM") domain as one unit with its two
+//!   FIVRs and gateable clock tree;
 //! * [`io`] — PCIe/DMI/UPI controllers with LTSSM link power states
 //!   (L0/L0p/L0s/L1) and the `AllowL0s`/`InL0s` signals;
 //! * [`memory`] — memory controllers and DDR4 power modes (CKE-off,
 //!   self-refresh) with the `Allow_CKE_OFF` signal;
 //! * [`pll`] — all-digital PLLs and their re-lock latency;
-//! * [`vr`] — FIVR/MBVR voltage regulators with retention VID and `PwrOk`;
-//! * [`clock`] — clock distribution trees and the PMU clock;
+//! * [`vr`] — the CLM FIVRs with their retention voltage and `PwrOk`;
+//! * [`clock`] — the gateable CLM clock tree and the PMU clock;
 //! * [`topology`] — [`topology::SocConfig`] / [`topology::SkxSoc`] aggregate;
 //! * [`area`] — die floorplan fractions used by the Sec. 5 area analysis.
 //!
@@ -24,13 +24,12 @@
 //! ```
 //! use apc_soc::topology::SkxSoc;
 //! use apc_soc::cstate::CoreCState;
-//! use apc_sim::SimTime;
 //!
 //! let mut soc = SkxSoc::xeon_silver_4114();
 //! assert_eq!(soc.cores().len(), 10);
 //!
 //! // Idle the whole socket: the aggregated InCC1 signal asserts.
-//! soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
+//! soc.force_all_cores(CoreCState::CC1);
 //! assert!(soc.cores().all_in_cc1_or_deeper());
 //! ```
 

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use apc_sim::{SimDuration, SimTime};
+use apc_sim::SimDuration;
 
 use crate::changes::PowerChanges;
 
@@ -43,7 +43,7 @@ pub enum DramPowerMode {
 impl DramPowerMode {
     /// Worst-case exit latency back to `Active`.
     #[must_use]
-    pub fn exit_latency(self) -> SimDuration {
+    fn exit_latency(self) -> SimDuration {
         match self {
             DramPowerMode::Active => SimDuration::ZERO,
             DramPowerMode::ActivePowerDown => SimDuration::from_nanos(10),
@@ -52,20 +52,9 @@ impl DramPowerMode {
         }
     }
 
-    /// Entry latency from `Active`.
-    #[must_use]
-    pub fn entry_latency(self) -> SimDuration {
-        match self {
-            DramPowerMode::Active => SimDuration::ZERO,
-            DramPowerMode::ActivePowerDown => SimDuration::from_nanos(10),
-            DramPowerMode::PrechargePowerDown => SimDuration::from_nanos(10),
-            DramPowerMode::SelfRefresh => SimDuration::from_micros(1),
-        }
-    }
-
     /// `true` for the CKE-off modes (nanosecond-scale, usable by PC1A).
     #[must_use]
-    pub fn is_cke_off(self) -> bool {
+    fn is_cke_off(self) -> bool {
         matches!(
             self,
             DramPowerMode::ActivePowerDown | DramPowerMode::PrechargePowerDown
@@ -89,22 +78,12 @@ impl fmt::Display for DramPowerMode {
 ///
 /// The controller exposes the two control inputs the package flows drive:
 /// `Allow_CKE_OFF` (new in APC) and "opportunistic self-refresh allowed"
-/// (the PC6-era mechanism), plus the request-activity notifications that the
-/// full-system simulation generates.
-#[derive(Debug, Clone)]
+/// (the PC6-era mechanism).
+#[derive(Debug)]
 pub struct MemoryController {
-    id: McId,
     mode: DramPowerMode,
-    /// The `Allow_CKE_OFF` control input (paper Sec. 4.2.2).
-    allow_cke_off: bool,
     /// Whether opportunistic self-refresh is permitted (PC6 flows).
     allow_self_refresh: bool,
-    /// Outstanding memory transactions.
-    outstanding: u32,
-    since: SimTime,
-    cke_off_entries: u64,
-    self_refresh_entries: u64,
-    wakeups: u64,
     /// Counts every change of `mode`.
     changes: PowerChanges,
 }
@@ -120,25 +99,12 @@ impl MemoryController {
     /// Creates a controller in the active mode with all power-down modes
     /// disabled (datacenter default).
     #[must_use]
-    pub fn new(id: McId) -> Self {
+    fn new() -> Self {
         MemoryController {
-            id,
             mode: DramPowerMode::Active,
-            allow_cke_off: false,
             allow_self_refresh: false,
-            outstanding: 0,
-            since: SimTime::ZERO,
-            cke_off_entries: 0,
-            self_refresh_entries: 0,
-            wakeups: 0,
             changes: PowerChanges::default(),
         }
-    }
-
-    /// The controller's identifier.
-    #[must_use]
-    pub fn id(&self) -> McId {
-        self.id
     }
 
     /// Current DRAM power mode.
@@ -147,62 +113,23 @@ impl MemoryController {
         self.mode
     }
 
-    /// `true` when DRAM is in a CKE-off mode.
-    #[must_use]
-    pub fn in_cke_off(&self) -> bool {
-        self.mode.is_cke_off()
-    }
-
-    /// Number of outstanding transactions.
-    #[must_use]
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-
-    /// Number of CKE-off entries so far.
-    #[must_use]
-    pub fn cke_off_entries(&self) -> u64 {
-        self.cke_off_entries
-    }
-
-    /// Number of self-refresh entries so far.
-    #[must_use]
-    pub fn self_refresh_entries(&self) -> u64 {
-        self.self_refresh_entries
-    }
-
-    /// Number of wakeups back to the active mode.
-    #[must_use]
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups
-    }
-
-    /// Drives the `Allow_CKE_OFF` control signal. When set and the controller
-    /// is idle, DRAM enters precharge power-down after
+    /// Drives the `Allow_CKE_OFF` control signal (paper Sec. 4.2.2). When
+    /// set, DRAM enters precharge power-down after
     /// [`MemoryController::CKE_OFF_ENTRY`]; when cleared, the controller
     /// returns to active and the caller should account for the returned exit
     /// latency.
-    pub fn set_allow_cke_off(&mut self, now: SimTime, allow: bool) -> SimDuration {
-        self.allow_cke_off = allow;
+    fn set_allow_cke_off(&mut self, allow: bool) -> SimDuration {
         if allow {
-            if self.outstanding == 0 && self.mode == DramPowerMode::Active {
+            if self.mode == DramPowerMode::Active {
                 self.changes.bump();
                 self.mode = DramPowerMode::PrechargePowerDown;
-                self.since = now;
-                self.cke_off_entries += 1;
             }
             SimDuration::ZERO
         } else if self.mode.is_cke_off() {
-            self.wake(now)
+            self.wake()
         } else {
             SimDuration::ZERO
         }
-    }
-
-    /// Whether `Allow_CKE_OFF` is currently asserted.
-    #[must_use]
-    pub fn allow_cke_off(&self) -> bool {
-        self.allow_cke_off
     }
 
     /// Enables or disables opportunistic self-refresh (PC6 flow).
@@ -211,50 +138,25 @@ impl MemoryController {
     }
 
     /// Enters self-refresh (the PC6 entry flow step). Only takes effect when
-    /// permitted and idle; returns `true` on success.
-    pub fn enter_self_refresh(&mut self, now: SimTime) -> bool {
-        if self.allow_self_refresh && self.outstanding == 0 {
+    /// permitted; returns `true` on success.
+    pub fn enter_self_refresh(&mut self) -> bool {
+        if self.allow_self_refresh {
             if self.mode != DramPowerMode::SelfRefresh {
                 self.changes.bump();
             }
             self.mode = DramPowerMode::SelfRefresh;
-            self.since = now;
-            self.self_refresh_entries += 1;
             true
         } else {
             false
         }
     }
 
-    /// Notifies the controller that a memory transaction has started.
-    /// Returns the wake latency the transaction observes (zero when DRAM was
-    /// already active).
-    pub fn begin_access(&mut self, now: SimTime) -> SimDuration {
-        self.outstanding += 1;
-        self.wake(now)
-    }
-
-    /// Notifies the controller that a memory transaction has completed. If
-    /// the controller becomes idle and `Allow_CKE_OFF` is set, DRAM drops
-    /// back into CKE-off.
-    pub fn end_access(&mut self, now: SimTime) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if self.outstanding == 0 && self.allow_cke_off && self.mode == DramPowerMode::Active {
-            self.changes.bump();
-            self.mode = DramPowerMode::PrechargePowerDown;
-            self.since = now;
-            self.cke_off_entries += 1;
-        }
-    }
-
     /// Wakes DRAM to the active mode and returns the exit latency paid.
-    pub fn wake(&mut self, now: SimTime) -> SimDuration {
+    pub fn wake(&mut self) -> SimDuration {
         let latency = self.mode.exit_latency();
         if self.mode != DramPowerMode::Active {
             self.changes.bump();
             self.mode = DramPowerMode::Active;
-            self.since = now;
-            self.wakeups += 1;
         }
         latency
     }
@@ -262,23 +164,17 @@ impl MemoryController {
 
 /// The memory subsystem: the set of memory controllers of one socket
 /// (the reference SKX system has two, each driving three DDR4-2666 channels).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemorySet {
     controllers: Vec<MemoryController>,
 }
 
 impl MemorySet {
-    /// Builds the reference two-controller inventory.
-    #[must_use]
-    pub fn skx_reference() -> Self {
-        MemorySet::new(2)
-    }
-
     /// Builds an inventory with `n` controllers.
     #[must_use]
     pub fn new(n: usize) -> Self {
         MemorySet {
-            controllers: (0..n).map(|i| MemoryController::new(McId(i))).collect(),
+            controllers: (0..n).map(|_| MemoryController::new()).collect(),
         }
     }
 
@@ -330,22 +226,12 @@ impl MemorySet {
         self.controllers.iter_mut()
     }
 
-    /// `true` when every controller has DRAM in a CKE-off mode or deeper.
-    #[must_use]
-    pub fn all_in_cke_off_or_deeper(&self) -> bool {
-        !self.controllers.is_empty()
-            && self
-                .controllers
-                .iter()
-                .all(|m| m.mode().is_cke_off() || m.mode() == DramPowerMode::SelfRefresh)
-    }
-
     /// Drives `Allow_CKE_OFF` on every controller; returns the worst exit
     /// latency triggered (only non-zero when clearing the signal).
-    pub fn set_allow_cke_off_all(&mut self, now: SimTime, allow: bool) -> SimDuration {
+    pub fn set_allow_cke_off_all(&mut self, allow: bool) -> SimDuration {
         self.controllers
             .iter_mut()
-            .map(|m| m.set_allow_cke_off(now, allow))
+            .map(|m| m.set_allow_cke_off(allow))
             .fold(SimDuration::ZERO, SimDuration::max)
     }
 }
@@ -368,67 +254,59 @@ mod tests {
     }
 
     #[test]
-    fn cke_off_requires_allow_and_idle() {
-        let mut mc = MemoryController::new(McId(0));
+    fn cke_off_follows_allow() {
+        let mut mc = MemoryController::new();
         assert_eq!(mc.mode(), DramPowerMode::Active);
-        // Allowing while idle drops straight into CKE off.
-        mc.set_allow_cke_off(SimTime::ZERO, true);
-        assert!(mc.in_cke_off());
-        assert_eq!(mc.cke_off_entries(), 1);
+        // Allowing drops straight into CKE off.
+        mc.set_allow_cke_off(true);
+        assert_eq!(mc.mode(), DramPowerMode::PrechargePowerDown);
         // Clearing wakes it and reports the 24 ns exit.
-        let lat = mc.set_allow_cke_off(SimTime::from_micros(1), false);
+        let lat = mc.set_allow_cke_off(false);
         assert_eq!(lat, MemoryController::CKE_OFF_EXIT);
         assert_eq!(mc.mode(), DramPowerMode::Active);
-    }
-
-    #[test]
-    fn accesses_wake_dram_and_reenter_cke_off() {
-        let mut mc = MemoryController::new(McId(0));
-        mc.set_allow_cke_off(SimTime::ZERO, true);
-        assert!(mc.in_cke_off());
-        let lat = mc.begin_access(SimTime::from_micros(1));
-        assert_eq!(lat, MemoryController::CKE_OFF_EXIT);
-        assert_eq!(mc.outstanding(), 1);
-        assert_eq!(mc.mode(), DramPowerMode::Active);
-        // Another access while active costs nothing extra.
-        assert_eq!(mc.begin_access(SimTime::from_micros(1)), SimDuration::ZERO);
-        mc.end_access(SimTime::from_micros(2));
-        assert_eq!(mc.mode(), DramPowerMode::Active, "still one outstanding");
-        mc.end_access(SimTime::from_micros(3));
-        assert!(mc.in_cke_off(), "idle + allowed => back to CKE off");
-        assert_eq!(mc.wakeups(), 1);
     }
 
     #[test]
     fn self_refresh_requires_permission() {
-        let mut mc = MemoryController::new(McId(0));
-        assert!(!mc.enter_self_refresh(SimTime::ZERO));
+        let mut mc = MemoryController::new();
+        assert!(!mc.enter_self_refresh());
         mc.set_allow_self_refresh(true);
-        assert!(mc.enter_self_refresh(SimTime::ZERO));
+        assert!(mc.enter_self_refresh());
         assert_eq!(mc.mode(), DramPowerMode::SelfRefresh);
-        assert_eq!(mc.self_refresh_entries(), 1);
-        let lat = mc.wake(SimTime::from_micros(10));
+        let lat = mc.wake();
         assert_eq!(lat, SimDuration::from_micros(5));
+        assert_eq!(mc.mode(), DramPowerMode::Active);
     }
 
     #[test]
-    fn busy_controller_does_not_self_refresh() {
-        let mut mc = MemoryController::new(McId(0));
+    fn each_mode_change_is_counted_once() {
+        let mut mc = MemoryController::new();
+        assert_eq!(mc.set_allow_cke_off(false), SimDuration::ZERO);
+        assert_eq!(mc.changes.get(), 0, "clearing the signal on active DRAM");
+        mc.set_allow_cke_off(true);
+        mc.set_allow_cke_off(true);
+        assert_eq!(mc.changes.get(), 1, "active -> CKE off");
         mc.set_allow_self_refresh(true);
-        mc.begin_access(SimTime::ZERO);
-        assert!(!mc.enter_self_refresh(SimTime::from_nanos(5)));
+        assert!(mc.enter_self_refresh());
+        assert!(mc.enter_self_refresh());
+        assert_eq!(mc.changes.get(), 2, "CKE off -> self-refresh");
+        assert_eq!(mc.wake(), SimDuration::from_micros(5));
+        assert_eq!(mc.wake(), SimDuration::ZERO);
+        assert_eq!(mc.changes.get(), 3, "self-refresh -> active");
+        assert_eq!(mc.mode(), DramPowerMode::Active);
     }
 
     #[test]
     fn memory_set_aggregation() {
-        let mut set = MemorySet::skx_reference();
+        let mut set = MemorySet::new(2);
         assert_eq!(set.len(), 2);
-        assert!(!set.all_in_cke_off_or_deeper());
-        set.set_allow_cke_off_all(SimTime::ZERO, true);
-        assert!(set.all_in_cke_off_or_deeper());
-        let lat = set.set_allow_cke_off_all(SimTime::from_micros(1), false);
+        set.set_allow_cke_off_all(true);
+        assert!(set
+            .iter()
+            .all(|m| m.mode() == DramPowerMode::PrechargePowerDown));
+        let lat = set.set_allow_cke_off_all(false);
         assert_eq!(lat, MemoryController::CKE_OFF_EXIT);
-        assert!(!set.all_in_cke_off_or_deeper());
-        assert_eq!(set.controller(McId(1)).id().to_string(), "mc1");
+        assert!(set.iter().all(|m| m.mode() == DramPowerMode::Active));
+        assert_eq!(McId(1).to_string(), "mc1");
     }
 }

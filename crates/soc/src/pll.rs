@@ -7,13 +7,13 @@
 
 use std::fmt;
 
-use apc_sim::{SimDuration, SimTime};
+use apc_sim::SimDuration;
 
 use crate::changes::PowerChanges;
 
 /// What a PLL is clocking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PllDomain {
+enum PllDomain {
     /// One per CPU core.
     Core(usize),
     /// The CLM (CHA/LLC/mesh) and memory-controller clock.
@@ -47,64 +47,27 @@ pub enum PllState {
 }
 
 /// An all-digital PLL (ADPLL) as used across the SKX uncore and cores.
-///
-/// # Examples
-///
-/// ```
-/// use apc_soc::pll::{Pll, PllDomain, PllState};
-/// use apc_sim::SimTime;
-///
-/// let mut pll = Pll::new_adpll(PllDomain::Clm);
-/// assert_eq!(pll.state(), PllState::Locked);
-///
-/// let t = SimTime::from_micros(1);
-/// pll.power_off(t);
-/// let relock = pll.begin_relock(t);
-/// assert!(relock.as_micros() >= 1, "re-locking costs microseconds");
-/// pll.complete_relock(t + relock);
-/// assert_eq!(pll.state(), PllState::Locked);
-/// ```
-#[derive(Debug, Clone)]
+/// PLLs live in a [`PllSet`], the only way to mutate them.
+#[derive(Debug)]
 pub struct Pll {
     domain: PllDomain,
     state: PllState,
-    /// Power drawn while locked.
-    active_power_w: f64,
-    /// Time to re-acquire lock from the off state.
-    relock_latency: SimDuration,
-    since: SimTime,
-    relocks: u64,
     /// Counts every change of `state`.
     changes: PowerChanges,
 }
 
 impl Pll {
-    /// Power of one all-digital PLL while locked (paper Sec. 5.4: 7 mW,
-    /// roughly constant across voltage/frequency).
-    pub const ADPLL_ACTIVE_POWER_W: f64 = 0.007;
-
     /// Typical re-lock latency of a powered-off PLL ("a few microseconds",
     /// paper Sec. 1 and Sec. 4.3). We use 3 µs.
-    pub const RELOCK_LATENCY: SimDuration = SimDuration::from_micros(3);
+    const RELOCK_LATENCY: SimDuration = SimDuration::from_micros(3);
 
     /// Creates an all-digital PLL for the given domain, initially locked.
-    #[must_use]
-    pub fn new_adpll(domain: PllDomain) -> Self {
+    fn new_adpll(domain: PllDomain) -> Self {
         Pll {
             domain,
             state: PllState::Locked,
-            active_power_w: Self::ADPLL_ACTIVE_POWER_W,
-            relock_latency: Self::RELOCK_LATENCY,
-            since: SimTime::ZERO,
-            relocks: 0,
             changes: PowerChanges::default(),
         }
-    }
-
-    /// The domain this PLL clocks.
-    #[must_use]
-    pub fn domain(&self) -> PllDomain {
-        self.domain
     }
 
     /// Current lock state.
@@ -113,57 +76,26 @@ impl Pll {
         self.state
     }
 
-    /// Timestamp of the last state change.
-    #[must_use]
-    pub fn since(&self) -> SimTime {
-        self.since
-    }
-
-    /// Number of completed re-lock operations.
-    #[must_use]
-    pub fn relocks(&self) -> u64 {
-        self.relocks
-    }
-
-    /// Instantaneous power draw in watts for the current state.
-    /// A re-locking PLL is modelled at full power (it is charging loops and
-    /// running calibration).
-    #[must_use]
-    pub fn power_w(&self) -> f64 {
-        match self.state {
-            PllState::Locked | PllState::Relocking => self.active_power_w,
-            PllState::Off => 0.0,
-        }
-    }
-
-    /// The re-lock latency this PLL pays when powered back on.
-    #[must_use]
-    pub fn relock_latency(&self) -> SimDuration {
-        self.relock_latency
-    }
-
     /// Powers the PLL off (PC6 entry flow, Fig. 2).
-    pub fn power_off(&mut self, now: SimTime) {
+    fn power_off(&mut self) {
         if self.state != PllState::Off {
             self.changes.bump();
         }
         self.state = PllState::Off;
-        self.since = now;
     }
 
     /// Begins re-locking a powered-off PLL and returns the latency until
     /// [`Pll::complete_relock`] may be called. Calling this on a locked PLL
     /// returns zero (nothing to do), which is exactly the PC1A fast-exit
     /// property.
-    pub fn begin_relock(&mut self, now: SimTime) -> SimDuration {
+    fn begin_relock(&mut self) -> SimDuration {
         match self.state {
             PllState::Locked => SimDuration::ZERO,
-            PllState::Relocking => self.relock_latency,
+            PllState::Relocking => Self::RELOCK_LATENCY,
             PllState::Off => {
                 self.changes.bump();
                 self.state = PllState::Relocking;
-                self.since = now;
-                self.relock_latency
+                Self::RELOCK_LATENCY
             }
         }
     }
@@ -173,7 +105,7 @@ impl Pll {
     /// # Panics
     ///
     /// Panics if the PLL is not re-locking.
-    pub fn complete_relock(&mut self, now: SimTime) {
+    fn complete_relock(&mut self) {
         assert_eq!(
             self.state,
             PllState::Relocking,
@@ -182,8 +114,6 @@ impl Pll {
         );
         self.changes.bump();
         self.state = PllState::Locked;
-        self.since = now;
-        self.relocks += 1;
     }
 }
 
@@ -192,7 +122,20 @@ impl Pll {
 /// The SKX reference system has ~18 PLLs: one per core (10), one per
 /// high-speed IO controller (3 PCIe + 1 DMI + 2 UPI = 6), one for the CLM and
 /// memory controllers, one for the GPMU (paper Sec. 5.4).
-#[derive(Debug, Clone)]
+///
+/// # Examples
+///
+/// ```
+/// use apc_soc::pll::{PllSet, PllState};
+///
+/// let mut plls = PllSet::new(10, 6);
+/// plls.power_off_uncore();
+/// let relock = plls.begin_relock_uncore();
+/// assert!(relock.as_nanos() >= 1_000, "re-locking costs microseconds");
+/// plls.complete_relock_uncore();
+/// assert!(plls.iter().all(|p| p.state() == PllState::Locked));
+/// ```
+#[derive(Debug)]
 pub struct PllSet {
     plls: Vec<Pll>,
     core_count: usize,
@@ -232,11 +175,6 @@ impl PllSet {
         self.plls.iter()
     }
 
-    /// Mutable iterator over all PLLs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Pll> {
-        self.plls.iter_mut()
-    }
-
     /// The PLLs that are *not* per-core (uncore PLLs): every PLL after the
     /// per-core ones, which [`PllSet::new`] lays out first. Their power is
     /// the `PPLLs_diff` term of Eq. 2: it is what PC1A keeps on and PC6
@@ -245,40 +183,20 @@ impl PllSet {
         self.plls[self.core_count..].iter()
     }
 
-    /// Aggregate power of the uncore PLLs when locked, in watts.
-    #[must_use]
-    pub fn uncore_locked_power_w(&self) -> f64 {
-        self.uncore_plls().count() as f64 * Pll::ADPLL_ACTIVE_POWER_W
-    }
-
-    /// Number of per-core PLLs.
-    #[must_use]
-    pub fn core_pll_count(&self) -> usize {
-        self.core_count
-    }
-
     /// Turns every uncore PLL off (the PC6 entry flow).
-    pub fn power_off_uncore(&mut self, now: SimTime) {
-        for pll in self
-            .plls
-            .iter_mut()
-            .filter(|p| !matches!(p.domain(), PllDomain::Core(_)))
-        {
-            pll.power_off(now);
+    pub fn power_off_uncore(&mut self) {
+        for pll in &mut self.plls[self.core_count..] {
+            pll.power_off();
         }
     }
 
     /// Begins re-locking every powered-off uncore PLL and returns the worst
     /// re-lock latency across them (the PC6 exit critical path contribution).
-    pub fn begin_relock_uncore(&mut self, now: SimTime) -> SimDuration {
+    pub fn begin_relock_uncore(&mut self) -> SimDuration {
         let mut worst = SimDuration::ZERO;
-        for pll in self
-            .plls
-            .iter_mut()
-            .filter(|p| !matches!(p.domain(), PllDomain::Core(_)))
-        {
+        for pll in &mut self.plls[self.core_count..] {
             if pll.state() == PllState::Off {
-                worst = worst.max(pll.begin_relock(now));
+                worst = worst.max(pll.begin_relock());
             }
         }
         worst
@@ -292,10 +210,10 @@ impl PllSet {
     }
 
     /// Completes re-lock on every re-locking PLL.
-    pub fn complete_relock_uncore(&mut self, now: SimTime) {
+    pub fn complete_relock_uncore(&mut self) {
         for pll in self.plls.iter_mut() {
             if pll.state() == PllState::Relocking {
-                pll.complete_relock(now);
+                pll.complete_relock();
             }
         }
     }
@@ -310,55 +228,68 @@ mod tests {
         // 10 cores, 6 IO controllers (3 PCIe + 1 DMI + 2 UPI).
         let set = PllSet::new(10, 6);
         assert_eq!(set.len(), 18, "paper counts ~18 PLLs");
-        assert_eq!(set.core_pll_count(), 10);
         assert_eq!(set.uncore_plls().count(), 8, "8 non-core PLLs remain");
-        // PPLLs_diff = 8 * 7mW = 56 mW.
-        assert!((set.uncore_locked_power_w() - 0.056).abs() < 1e-12);
+        assert!(set
+            .uncore_plls()
+            .all(|p| !matches!(p.domain, PllDomain::Core(_))));
     }
 
     #[test]
     fn locked_pll_exits_with_zero_latency() {
         let mut pll = Pll::new_adpll(PllDomain::Io(0));
-        assert_eq!(pll.begin_relock(SimTime::ZERO), SimDuration::ZERO);
+        assert_eq!(pll.begin_relock(), SimDuration::ZERO);
         assert_eq!(pll.state(), PllState::Locked);
     }
 
     #[test]
     fn off_pll_pays_relock_latency() {
         let mut pll = Pll::new_adpll(PllDomain::Clm);
-        pll.power_off(SimTime::ZERO);
-        assert_eq!(pll.power_w(), 0.0);
-        let lat = pll.begin_relock(SimTime::from_micros(5));
+        pll.power_off();
+        assert_eq!(pll.state(), PllState::Off);
+        let lat = pll.begin_relock();
         assert_eq!(lat, Pll::RELOCK_LATENCY);
         assert_eq!(pll.state(), PllState::Relocking);
-        assert!(pll.power_w() > 0.0);
-        pll.complete_relock(SimTime::from_micros(8));
+        pll.complete_relock();
         assert_eq!(pll.state(), PllState::Locked);
-        assert_eq!(pll.relocks(), 1);
+    }
+
+    #[test]
+    fn each_lock_state_change_is_counted_once() {
+        let mut pll = Pll::new_adpll(PllDomain::Clm);
+        assert_eq!(pll.begin_relock(), SimDuration::ZERO);
+        assert_eq!(pll.changes.get(), 0, "a locked PLL has nothing to re-lock");
+        pll.power_off();
+        pll.power_off();
+        assert_eq!(pll.changes.get(), 1, "locked -> off");
+        assert_eq!(pll.begin_relock(), Pll::RELOCK_LATENCY);
+        // Asking again mid re-lock reports the latency and changes nothing.
+        assert_eq!(pll.begin_relock(), Pll::RELOCK_LATENCY);
+        assert_eq!(pll.changes.get(), 2, "off -> relocking");
+        pll.complete_relock();
+        assert_eq!(pll.changes.get(), 3, "relocking -> locked");
     }
 
     #[test]
     #[should_panic(expected = "complete_relock without begin_relock")]
     fn complete_relock_requires_begin() {
         let mut pll = Pll::new_adpll(PllDomain::Gpmu);
-        pll.complete_relock(SimTime::ZERO);
+        pll.complete_relock();
     }
 
     #[test]
     fn uncore_power_cycle() {
         let mut set = PllSet::new(10, 6);
-        let now = SimTime::from_micros(1);
-        set.power_off_uncore(now);
+        set.power_off_uncore();
         assert!(set.uncore_plls().all(|p| p.state() == PllState::Off));
         // Core PLLs untouched.
         assert!(set
             .iter()
-            .filter(|p| matches!(p.domain(), PllDomain::Core(_)))
+            .filter(|p| matches!(p.domain, PllDomain::Core(_)))
             .all(|p| p.state() == PllState::Locked));
 
-        let worst = set.begin_relock_uncore(SimTime::from_micros(2));
+        let worst = set.begin_relock_uncore();
         assert_eq!(worst, Pll::RELOCK_LATENCY);
-        set.complete_relock_uncore(SimTime::from_micros(6));
+        set.complete_relock_uncore();
         assert!(set.iter().all(|p| p.state() == PllState::Locked));
     }
 

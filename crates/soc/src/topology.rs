@@ -5,10 +5,6 @@
 //! [`SkxSoc`] aggregates all component models into one socket that the
 //! package C-state flows and the full-system simulation operate on.
 
-use std::fmt;
-
-use apc_sim::SimTime;
-
 use crate::changes::PowerChanges;
 use crate::clm::ClmDomain;
 use crate::core::{CoreId, CoreSet};
@@ -16,7 +12,6 @@ use crate::cstate::CoreCState;
 use crate::io::{IoKind, IoSet};
 use crate::memory::MemorySet;
 use crate::pll::PllSet;
-use crate::vr::{Fivr, Millivolts};
 
 /// Structural configuration of a socket.
 ///
@@ -35,37 +30,19 @@ use crate::vr::{Fivr, Millivolts};
 pub struct SocConfig {
     /// Number of physical cores.
     pub cores: usize,
-    /// Number of hardware threads per core (informational; the scheduler in
-    /// `apc-server` pins one request per core, matching the paper's setup).
-    pub threads_per_core: usize,
-    /// Nominal core frequency in MHz.
-    pub nominal_freq_mhz: u32,
-    /// Minimum core frequency in MHz.
-    pub min_freq_mhz: u32,
-    /// Maximum (turbo) frequency in MHz.
-    pub turbo_freq_mhz: u32,
     /// High-speed IO controllers present in the north cap.
     pub io_kinds: Vec<IoKind>,
     /// Number of memory controllers.
     pub memory_controllers: usize,
-    /// Installed DRAM capacity in GiB (informational).
-    pub dram_gib: u32,
-    /// Mesh dimensions (columns, rows) of the NoC.
-    pub mesh: (usize, usize),
 }
 
 impl SocConfig {
     /// The paper's reference system: Intel Xeon Silver 4114
-    /// (10 cores / 20 threads, 2.2 GHz nominal, 0.8 GHz min, 3.0 GHz turbo,
-    /// 3×PCIe + 1×DMI + 2×UPI, 2 memory controllers, 192 GiB DDR4-2666).
+    /// (10 cores, 3×PCIe + 1×DMI + 2×UPI, 2 memory controllers).
     #[must_use]
     pub fn xeon_silver_4114() -> Self {
         SocConfig {
             cores: 10,
-            threads_per_core: 2,
-            nominal_freq_mhz: 2_200,
-            min_freq_mhz: 800,
-            turbo_freq_mhz: 3_000,
             io_kinds: vec![
                 IoKind::Pcie,
                 IoKind::Pcie,
@@ -75,8 +52,6 @@ impl SocConfig {
                 IoKind::Upi,
             ],
             memory_controllers: 2,
-            dram_gib: 192,
-            mesh: (5, 4),
         }
     }
 
@@ -85,14 +60,8 @@ impl SocConfig {
     pub fn small_test(cores: usize) -> Self {
         SocConfig {
             cores,
-            threads_per_core: 1,
-            nominal_freq_mhz: 2_000,
-            min_freq_mhz: 800,
-            turbo_freq_mhz: 2_500,
             io_kinds: vec![IoKind::Pcie, IoKind::Dmi],
             memory_controllers: 1,
-            dram_gib: 16,
-            mesh: (2, 2),
         }
     }
 
@@ -115,15 +84,10 @@ impl SocConfig {
         );
         let mut soc = SkxSoc {
             cores: CoreSet::new(self.cores),
-            clm: ClmDomain::new(self.cores, self.mesh.0, self.mesh.1),
+            clm: ClmDomain::new(),
             ios: IoSet::new(&self.io_kinds),
             memory: MemorySet::new(self.memory_controllers),
             plls: PllSet::new(self.cores, self.io_kinds.len()),
-            motherboard_rails: vec![
-                Fivr::new_mbvr("vccsa", Millivolts(850)),
-                Fivr::new_mbvr("vccio", Millivolts(950)),
-            ],
-            config: self.clone(),
             uncore_changes: PowerChanges::default(),
         };
         soc.share_uncore_changes();
@@ -137,20 +101,6 @@ impl Default for SocConfig {
     }
 }
 
-impl fmt::Display for SocConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cores @ {} MHz, {} IO controllers, {} MCs, {} GiB DRAM",
-            self.cores,
-            self.nominal_freq_mhz,
-            self.io_kinds.len(),
-            self.memory_controllers,
-            self.dram_gib
-        )
-    }
-}
-
 /// The aggregate socket: every component model the package C-state flows and
 /// the power model need to observe or drive.
 #[derive(Debug)]
@@ -160,30 +110,10 @@ pub struct SkxSoc {
     ios: IoSet,
     memory: MemorySet,
     plls: PllSet,
-    motherboard_rails: Vec<Fivr>,
-    config: SocConfig,
     /// Power-state changes of the CLM, IO links, memory controllers and
     /// PLLs, counted by the components themselves (see
     /// [`SkxSoc::uncore_change_epoch`]).
     uncore_changes: PowerChanges,
-}
-
-/// A clone counts its uncore changes apart from the original's.
-impl Clone for SkxSoc {
-    fn clone(&self) -> Self {
-        let mut soc = SkxSoc {
-            cores: self.cores.clone(),
-            clm: self.clm.clone(),
-            ios: self.ios.clone(),
-            memory: self.memory.clone(),
-            plls: self.plls.clone(),
-            motherboard_rails: self.motherboard_rails.clone(),
-            config: self.config.clone(),
-            uncore_changes: self.uncore_changes.clone(),
-        };
-        soc.share_uncore_changes();
-        soc
-    }
 }
 
 impl SkxSoc {
@@ -191,12 +121,6 @@ impl SkxSoc {
     #[must_use]
     pub fn xeon_silver_4114() -> Self {
         SocConfig::xeon_silver_4114().build()
-    }
-
-    /// The structural configuration this socket was built from.
-    #[must_use]
-    pub fn config(&self) -> &SocConfig {
-        &self.config
     }
 
     /// The core set.
@@ -255,18 +179,12 @@ impl SkxSoc {
         &mut self.plls
     }
 
-    /// The fixed motherboard voltage rails (Vccsa, Vccio).
-    #[must_use]
-    pub fn motherboard_rails(&self) -> &[Fivr] {
-        &self.motherboard_rails
-    }
-
-    /// Forces every core into `state` at time `now`, bypassing transition
-    /// latencies. Convenience for setting up analytical experiments
-    /// ("all cores in CC1", "all cores in CC6").
-    pub fn force_all_cores(&mut self, now: SimTime, state: CoreCState) {
+    /// Forces every core into `state`, bypassing transition latencies.
+    /// Convenience for setting up analytical experiments ("all cores in
+    /// CC1", "all cores in CC6").
+    pub fn force_all_cores(&mut self, state: CoreCState) {
         for i in 0..self.cores.len() {
-            self.cores.force_state(CoreId(i), now, state);
+            self.cores.force_state(CoreId(i), state);
         }
     }
 
@@ -297,41 +215,38 @@ impl SkxSoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::CoreActivity;
     use crate::cstate::CoreCState;
-    use apc_sim::SimDuration;
+    use apc_sim::{SimDuration, SimTime};
 
     #[test]
     fn reference_config_matches_xeon_4114() {
         let cfg = SocConfig::xeon_silver_4114();
         assert_eq!(cfg.cores, 10);
-        assert_eq!(cfg.threads_per_core, 2);
-        assert_eq!(cfg.nominal_freq_mhz, 2_200);
         assert_eq!(cfg.io_kinds.len(), 6);
         assert_eq!(cfg.memory_controllers, 2);
-        assert_eq!(cfg.dram_gib, 192);
         assert_eq!(SocConfig::default(), cfg);
-        assert!(cfg.to_string().contains("10 cores"));
     }
 
     #[test]
     fn build_wires_all_components() {
         let soc = SkxSoc::xeon_silver_4114();
         assert_eq!(soc.cores().len(), 10);
-        assert_eq!(soc.clm().slice_count(), 10);
         assert_eq!(soc.ios().len(), 6);
         assert_eq!(soc.memory().len(), 2);
         assert_eq!(soc.plls().len(), 18);
-        assert_eq!(soc.motherboard_rails().len(), 2);
-        assert_eq!(soc.config().cores, 10);
     }
 
     #[test]
     fn force_all_cores_sets_every_core() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
+        soc.force_all_cores(CoreCState::CC1);
         assert!(soc.cores().all_in_cc1_or_deeper());
-        soc.force_all_cores(SimTime::ZERO, CoreCState::CC0);
-        assert_eq!(soc.cores().active_count(), 10);
+        soc.force_all_cores(CoreCState::CC0);
+        assert!(soc
+            .cores()
+            .iter()
+            .all(|c| c.activity() == CoreActivity::Busy));
     }
 
     #[test]
@@ -348,30 +263,24 @@ mod tests {
         let nic = crate::io::IoId(0);
         let t = SimTime::from_micros(1);
         let epoch = soc.uncore_change_epoch();
-        soc.ios_mut().controller_mut(nic).begin_traffic(t);
+        soc.ios_mut().controller_mut(nic).begin_traffic();
         soc.ios_mut().controller_mut(nic).end_traffic(t);
         let _ = soc.clm_mut();
         let _ = soc.memory_mut();
         let _ = soc.plls_mut();
         assert_eq!(soc.uncore_change_epoch(), epoch);
         // A link leaving L0s, and every later change, moves it.
-        soc.ios_mut().set_allow_shallow_all(t, true);
+        soc.ios_mut().set_allow_shallow_all(true);
         let idle = t + SimDuration::from_micros(1);
         assert!(soc.ios_mut().controller_mut(nic).try_enter_shallow(idle));
         assert_eq!(soc.uncore_change_epoch(), epoch + 1);
-        soc.ios_mut().controller_mut(nic).begin_traffic(idle);
-        soc.clm_mut().clock_gate(idle);
-        soc.memory_mut().set_allow_cke_off_all(idle, true);
-        soc.plls_mut().power_off_uncore(idle);
+        soc.ios_mut().controller_mut(nic).begin_traffic();
+        soc.clm_mut().clock_gate();
+        soc.memory_mut().set_allow_cke_off_all(true);
+        soc.plls_mut().power_off_uncore();
         let plls = soc.plls().uncore_plls().count() as u64;
         let mcs = soc.memory().len() as u64;
         assert_eq!(soc.uncore_change_epoch(), epoch + 3 + mcs + plls);
-        // A clone counts apart from its original.
-        let mut clone = soc.clone();
-        let before = soc.uncore_change_epoch();
-        clone.clm_mut().clock_ungate(idle);
-        assert_eq!(clone.uncore_change_epoch(), before + 1);
-        assert_eq!(soc.uncore_change_epoch(), before);
     }
 
     #[test]

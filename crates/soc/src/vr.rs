@@ -1,4 +1,4 @@
-//! Voltage regulator models: FIVR and motherboard VR (MBVR).
+//! The fully-integrated voltage regulators (FIVRs) of the CLM domain.
 //!
 //! The CLM Retention technique (CLMR, paper Sec. 4.3 / 5.2) relies on the
 //! fast, fully-integrated voltage regulators (FIVRs) that power the CLM
@@ -13,35 +13,12 @@ use std::fmt;
 
 use apc_sim::{SimDuration, SimTime};
 
-/// Kind of voltage regulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VrKind {
-    /// Fully-integrated voltage regulator (on-die, fast slew, per-domain).
-    Fivr,
-    /// Motherboard voltage regulator (fixed or slow-changing rail).
-    Mbvr,
-}
-
 /// A voltage expressed in millivolts.
 ///
 /// The VID register granularity of FIVR control is ~5–10 mV; millivolt
 /// integers keep the arithmetic exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Millivolts(pub u32);
-
-impl Millivolts {
-    /// Absolute difference between two voltages.
-    #[must_use]
-    pub fn abs_diff(self, other: Millivolts) -> u32 {
-        self.0.abs_diff(other.0)
-    }
-
-    /// The voltage in volts.
-    #[must_use]
-    pub fn as_volts(self) -> f64 {
-        f64::from(self.0) / 1000.0
-    }
-}
 
 impl fmt::Display for Millivolts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -51,14 +28,15 @@ impl fmt::Display for Millivolts {
 
 /// Observable output state of a regulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VrState {
+enum VrState {
     /// Output stable at the programmed voltage; `PwrOk` asserted.
     Stable,
     /// Slewing towards a new target; `PwrOk` deasserted.
     Slewing,
 }
 
-/// A voltage regulator with linear slewing and preemptive voltage commands.
+/// A CLM FIVR (Vccclm0/Vccclm1) with linear slewing and preemptive voltage
+/// commands.
 ///
 /// "Preemptive voltage commands" (paper Sec. 5.5.2 footnote) means a new
 /// target may be issued while a previous transition is still in flight; the
@@ -69,88 +47,45 @@ pub enum VrState {
 /// # Examples
 ///
 /// ```
-/// use apc_soc::vr::{Fivr, Millivolts};
+/// use apc_soc::vr::Fivr;
 /// use apc_sim::SimTime;
 ///
-/// let mut fivr = Fivr::new_clm("vccclm0");
-/// let t = SimTime::ZERO;
-/// let transition = fivr.set_target(t, Millivolts(500));
+/// let mut fivr = Fivr::new_clm();
+/// let transition = fivr.assert_ret(SimTime::ZERO);
 /// assert_eq!(transition.as_nanos(), 150); // 300 mV at 2 mV/ns
+/// assert!(!fivr.pwr_ok());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Fivr {
-    name: &'static str,
-    kind: VrKind,
     /// Current output voltage (interpolated during slews at observation
     /// points; we track the value at `since`).
     output_mv: f64,
     target: Millivolts,
     state: VrState,
-    /// Nominal operational voltage (what `release_retention` returns to).
-    nominal: Millivolts,
-    /// Pre-programmed retention voltage (the new RVID register, Sec. 5.2).
-    retention_vid: Millivolts,
-    /// Slew rate in millivolts per nanosecond.
-    slew_mv_per_ns: f64,
     since: SimTime,
-    transitions: u64,
 }
 
 impl Fivr {
     /// FIVR slew rate from the paper: ≥ 2 mV/ns.
     pub const SLEW_MV_PER_NS: f64 = 2.0;
 
-    /// Nominal CLM operating voltage (~0.8 V, paper Sec. 5.5.1).
+    /// Nominal CLM operating voltage (~0.8 V, paper Sec. 5.5.1), what
+    /// [`Fivr::deassert_ret`] returns to.
     pub const CLM_NOMINAL: Millivolts = Millivolts(800);
 
-    /// CLM retention voltage (~0.5 V, paper Sec. 5.5.1).
+    /// CLM retention voltage (~0.5 V, paper Sec. 5.5.1), the value of the
+    /// RVID register APC adds to the FIVR control module (Sec. 5.2).
     pub const CLM_RETENTION: Millivolts = Millivolts(500);
 
-    /// Creates a CLM FIVR (Vccclm0/Vccclm1) at nominal voltage.
+    /// Creates a CLM FIVR at nominal voltage.
     #[must_use]
-    pub fn new_clm(name: &'static str) -> Self {
+    pub fn new_clm() -> Self {
         Fivr {
-            name,
-            kind: VrKind::Fivr,
             output_mv: f64::from(Self::CLM_NOMINAL.0),
             target: Self::CLM_NOMINAL,
             state: VrState::Stable,
-            nominal: Self::CLM_NOMINAL,
-            retention_vid: Self::CLM_RETENTION,
-            slew_mv_per_ns: Self::SLEW_MV_PER_NS,
             since: SimTime::ZERO,
-            transitions: 0,
         }
-    }
-
-    /// Creates a fixed motherboard rail (e.g. Vccio / Vccsa) that never
-    /// changes voltage at runtime.
-    #[must_use]
-    pub fn new_mbvr(name: &'static str, voltage: Millivolts) -> Self {
-        Fivr {
-            name,
-            kind: VrKind::Mbvr,
-            output_mv: f64::from(voltage.0),
-            target: voltage,
-            state: VrState::Stable,
-            nominal: voltage,
-            retention_vid: voltage,
-            slew_mv_per_ns: 0.05, // motherboard VRs are ~40x slower
-            since: SimTime::ZERO,
-            transitions: 0,
-        }
-    }
-
-    /// The rail's name (e.g. `"vccclm0"`).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The regulator kind.
-    #[must_use]
-    pub fn kind(&self) -> VrKind {
-        self.kind
     }
 
     /// The `PwrOk` status output: asserted only when the output voltage is
@@ -160,53 +95,22 @@ impl Fivr {
         self.state == VrState::Stable
     }
 
-    /// Current target voltage.
-    #[must_use]
-    pub fn target(&self) -> Millivolts {
-        self.target
-    }
-
-    /// Nominal operational voltage.
-    #[must_use]
-    pub fn nominal(&self) -> Millivolts {
-        self.nominal
-    }
-
-    /// The retention voltage programmed in the RVID register.
-    #[must_use]
-    pub fn retention_vid(&self) -> Millivolts {
-        self.retention_vid
-    }
-
-    /// Reprograms the RVID register (an 8-bit register added to the FIVR
-    /// control module by APC, Sec. 5.2).
-    pub fn program_retention_vid(&mut self, vid: Millivolts) {
-        self.retention_vid = vid;
-    }
-
-    /// Number of voltage transitions issued.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
     /// `true` when the output (or target, while slewing) is at or below the
     /// retention voltage — i.e. the domain must be treated as non-operational.
     #[must_use]
     pub fn at_or_below_retention(&self) -> bool {
-        self.target <= self.retention_vid
+        self.target <= Self::CLM_RETENTION
     }
 
     /// The output voltage at time `now`, linearly interpolated during slews.
-    #[must_use]
-    pub fn output_at(&self, now: SimTime) -> f64 {
+    fn output_at(&self, now: SimTime) -> f64 {
         match self.state {
             VrState::Stable => f64::from(self.target.0),
             VrState::Slewing => {
                 let elapsed_ns = now.saturating_since(self.since).as_nanos() as f64;
                 let target = f64::from(self.target.0);
                 let delta = target - self.output_mv;
-                let travelled = self.slew_mv_per_ns * elapsed_ns;
+                let travelled = Self::SLEW_MV_PER_NS * elapsed_ns;
                 if travelled >= delta.abs() {
                     target
                 } else {
@@ -220,37 +124,35 @@ impl Fivr {
     /// the output is stable (`PwrOk`). Supports preemptive commands: if a
     /// transition is in flight the regulator re-targets from the interpolated
     /// current output.
-    pub fn set_target(&mut self, now: SimTime, target: Millivolts) -> SimDuration {
+    fn set_target(&mut self, now: SimTime, target: Millivolts) -> SimDuration {
         let current = self.output_at(now);
         self.output_mv = current;
         self.target = target;
         self.since = now;
-        self.transitions += 1;
         let delta_mv = (f64::from(target.0) - current).abs();
         if delta_mv < f64::EPSILON {
             self.state = VrState::Stable;
             return SimDuration::ZERO;
         }
         self.state = VrState::Slewing;
-        SimDuration::from_nanos((delta_mv / self.slew_mv_per_ns).ceil() as u64)
+        SimDuration::from_nanos((delta_mv / Self::SLEW_MV_PER_NS).ceil() as u64)
     }
 
-    /// Asserting the `Ret` signal: slews to the pre-programmed retention
-    /// voltage. Returns the transition time.
+    /// Asserting the `Ret` signal: slews to the retention voltage. Returns
+    /// the transition time.
     pub fn assert_ret(&mut self, now: SimTime) -> SimDuration {
-        let vid = self.retention_vid;
-        self.set_target(now, vid)
+        self.set_target(now, Self::CLM_RETENTION)
     }
 
     /// De-asserting `Ret`: slews back to the nominal operational voltage.
     /// Returns the transition time until `PwrOk`.
     pub fn deassert_ret(&mut self, now: SimTime) -> SimDuration {
-        let vid = self.nominal;
-        self.set_target(now, vid)
+        self.set_target(now, Self::CLM_NOMINAL)
     }
 
     /// Marks an in-flight transition as complete (the caller is responsible
-    /// for waiting the duration returned by [`Fivr::set_target`]).
+    /// for waiting the duration returned by [`Fivr::assert_ret`] or
+    /// [`Fivr::deassert_ret`]).
     pub fn complete_transition(&mut self, now: SimTime) {
         self.output_mv = f64::from(self.target.0);
         self.state = VrState::Stable;
@@ -264,7 +166,7 @@ mod tests {
 
     #[test]
     fn retention_transition_takes_150ns() {
-        let mut fivr = Fivr::new_clm("vccclm0");
+        let mut fivr = Fivr::new_clm();
         let d = fivr.assert_ret(SimTime::ZERO);
         assert_eq!(d, SimDuration::from_nanos(150));
         assert!(!fivr.pwr_ok());
@@ -277,12 +179,11 @@ mod tests {
         fivr.complete_transition(SimTime::from_nanos(350));
         assert!(fivr.pwr_ok());
         assert!(!fivr.at_or_below_retention());
-        assert_eq!(fivr.transitions(), 2);
     }
 
     #[test]
     fn preemptive_command_retargets_mid_slew() {
-        let mut fivr = Fivr::new_clm("vccclm1");
+        let mut fivr = Fivr::new_clm();
         // Start ramping down at t=0; 150 ns to finish.
         fivr.assert_ret(SimTime::ZERO);
         // 50 ns in, the flow is interrupted: ramp back up.
@@ -296,40 +197,20 @@ mod tests {
 
     #[test]
     fn same_target_is_instant() {
-        let mut fivr = Fivr::new_clm("vccclm0");
+        let mut fivr = Fivr::new_clm();
         let d = fivr.set_target(SimTime::ZERO, Fivr::CLM_NOMINAL);
         assert_eq!(d, SimDuration::ZERO);
         assert!(fivr.pwr_ok());
     }
 
     #[test]
-    fn rvid_is_programmable() {
-        let mut fivr = Fivr::new_clm("vccclm0");
-        fivr.program_retention_vid(Millivolts(550));
-        assert_eq!(fivr.retention_vid(), Millivolts(550));
-        let d = fivr.assert_ret(SimTime::ZERO);
-        assert_eq!(d, SimDuration::from_nanos(125));
-    }
-
-    #[test]
-    fn mbvr_is_slow_and_fixed() {
-        let mbvr = Fivr::new_mbvr("vccio", Millivolts(950));
-        assert_eq!(mbvr.kind(), VrKind::Mbvr);
-        assert!(mbvr.pwr_ok());
-        assert_eq!(mbvr.nominal(), Millivolts(950));
-        assert_eq!(mbvr.name(), "vccio");
-    }
-
-    #[test]
     fn millivolt_helpers() {
-        assert_eq!(Millivolts(800).abs_diff(Millivolts(500)), 300);
-        assert!((Millivolts(500).as_volts() - 0.5).abs() < 1e-12);
         assert_eq!(Millivolts(800).to_string(), "800mV");
     }
 
     #[test]
     fn output_interpolation_clamps_at_target() {
-        let mut fivr = Fivr::new_clm("vccclm0");
+        let mut fivr = Fivr::new_clm();
         fivr.assert_ret(SimTime::ZERO);
         // Long after the transition would be done, interpolation returns the
         // target even if complete_transition has not been called yet.

@@ -23,20 +23,18 @@ pub struct IdlePeriodTracker {
     histogram: DurationHistogram,
     total_idle: SimDuration,
     periods: u64,
-    /// Periods discarded because they were shorter than the floor.
-    below_floor: u64,
     window_start: SimTime,
     window_end: SimTime,
 }
 
 impl IdlePeriodTracker {
     /// The SoCWatch sampling floor from the paper (10 µs).
-    pub const SOCWATCH_FLOOR: SimDuration = SimDuration::from_micros(10);
+    const SOCWATCH_FLOOR: SimDuration = SimDuration::from_micros(10);
 
     /// Creates a tracker for `total_cores` cores, all initially active, with
     /// no minimum-period floor.
     #[must_use]
-    pub fn new(total_cores: usize, start: SimTime) -> Self {
+    fn new(total_cores: usize, start: SimTime) -> Self {
         IdlePeriodTracker {
             active_cores: total_cores,
             total_cores,
@@ -45,7 +43,6 @@ impl IdlePeriodTracker {
             histogram: DurationHistogram::idle_period_default(),
             total_idle: SimDuration::ZERO,
             periods: 0,
-            below_floor: 0,
             window_start: start,
             window_end: start,
         }
@@ -58,18 +55,6 @@ impl IdlePeriodTracker {
         let mut t = IdlePeriodTracker::new(total_cores, start);
         t.min_period = Self::SOCWATCH_FLOOR;
         t
-    }
-
-    /// Number of cores currently counted as active.
-    #[must_use]
-    pub fn active_cores(&self) -> usize {
-        self.active_cores
-    }
-
-    /// `true` while a fully-idle period is open.
-    #[must_use]
-    pub fn all_idle(&self) -> bool {
-        self.idle_since.is_some()
     }
 
     /// Notification that a core became idle at `now`.
@@ -117,7 +102,6 @@ impl IdlePeriodTracker {
     fn close_period(&mut self, start: SimTime, end: SimTime) {
         let len = end.saturating_since(start);
         if len < self.min_period {
-            self.below_floor += 1;
             return;
         }
         self.histogram.record(len);
@@ -131,18 +115,6 @@ impl IdlePeriodTracker {
         self.periods
     }
 
-    /// Number of periods discarded by the floor.
-    #[must_use]
-    pub fn below_floor_count(&self) -> u64 {
-        self.below_floor
-    }
-
-    /// Total fully-idle time (at or above the floor).
-    #[must_use]
-    pub fn total_idle(&self) -> SimDuration {
-        self.total_idle
-    }
-
     /// Fully-idle time as a fraction of the observation window — the paper's
     /// "PC1A residency opportunity" metric (Fig. 6(b)).
     #[must_use]
@@ -152,12 +124,6 @@ impl IdlePeriodTracker {
             return 0.0;
         }
         self.total_idle.as_nanos() as f64 / window.as_nanos() as f64
-    }
-
-    /// The idle-period length histogram (Fig. 6(c)).
-    #[must_use]
-    pub fn histogram(&self) -> &DurationHistogram {
-        &self.histogram
     }
 
     /// Fraction of fully-idle periods whose length falls in `[lo, hi]`
@@ -175,18 +141,18 @@ mod tests {
     #[test]
     fn tracks_a_simple_idle_period() {
         let mut t = IdlePeriodTracker::new(2, SimTime::ZERO);
-        assert!(!t.all_idle());
+        assert_eq!(t.idle_since, None);
         t.core_idle(SimTime::from_micros(10));
-        assert!(!t.all_idle(), "one core still active");
+        assert_eq!(t.idle_since, None, "one core still active");
         t.core_idle(SimTime::from_micros(20));
-        assert!(t.all_idle());
+        assert_eq!(t.idle_since, Some(SimTime::from_micros(20)));
         t.core_active(SimTime::from_micros(120));
-        assert!(!t.all_idle());
+        assert_eq!(t.idle_since, None);
         t.finish(SimTime::from_micros(200));
         assert_eq!(t.period_count(), 1);
-        assert_eq!(t.total_idle(), SimDuration::from_micros(100));
+        assert_eq!(t.total_idle, SimDuration::from_micros(100));
         assert!((t.idle_fraction() - 0.5).abs() < 1e-9);
-        assert_eq!(t.active_cores(), 1);
+        assert_eq!(t.active_cores, 1);
     }
 
     #[test]
@@ -200,8 +166,7 @@ mod tests {
         t.core_active(SimTime::from_micros(250));
         t.finish(SimTime::from_micros(300));
         assert_eq!(t.period_count(), 1);
-        assert_eq!(t.below_floor_count(), 1);
-        assert_eq!(t.total_idle(), SimDuration::from_micros(50));
+        assert_eq!(t.total_idle, SimDuration::from_micros(50));
     }
 
     #[test]
@@ -218,7 +183,7 @@ mod tests {
         t.finish(now);
         let frac = t.fraction_between(SimDuration::from_micros(20), SimDuration::from_micros(200));
         assert!((frac - 0.75).abs() < 1e-9, "fraction {frac}");
-        assert_eq!(t.histogram().count(), 4);
+        assert_eq!(t.histogram.count(), 4);
     }
 
     #[test]
@@ -227,10 +192,10 @@ mod tests {
         t.core_idle(SimTime::ZERO);
         t.finish(SimTime::from_millis(1));
         assert_eq!(t.period_count(), 1);
-        assert_eq!(t.total_idle(), SimDuration::from_millis(1));
+        assert_eq!(t.total_idle, SimDuration::from_millis(1));
         // A second finish at the same instant adds nothing.
         t.finish(SimTime::from_millis(1));
-        assert_eq!(t.total_idle(), SimDuration::from_millis(1));
+        assert_eq!(t.total_idle, SimDuration::from_millis(1));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// An all-zero summary (no samples).
     #[must_use]
-    pub fn empty() -> Self {
+    fn empty() -> Self {
         LatencySummary {
             count: 0,
             mean: SimDuration::ZERO,

@@ -43,7 +43,6 @@ pub struct StateResidency<S: ResidencyState> {
     current: S,
     since: SimTime,
     accumulated: [SimDuration; MAX_STATES],
-    transitions: u64,
 }
 
 impl<S: ResidencyState> StateResidency<S> {
@@ -54,7 +53,6 @@ impl<S: ResidencyState> StateResidency<S> {
             current: initial,
             since: start,
             accumulated: [SimDuration::ZERO; MAX_STATES],
-            transitions: 0,
         }
     }
 
@@ -64,14 +62,8 @@ impl<S: ResidencyState> StateResidency<S> {
         self.current
     }
 
-    /// Number of state transitions recorded.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
     /// Records a transition to `next` at time `now`. Transitions to the same
-    /// state are ignored (no counter bump).
+    /// state are ignored.
     pub fn transition(&mut self, now: SimTime, next: S) {
         if next == self.current {
             return;
@@ -79,7 +71,6 @@ impl<S: ResidencyState> StateResidency<S> {
         self.accumulated[self.current.slot()] += now.saturating_since(self.since);
         self.current = next;
         self.since = now;
-        self.transitions += 1;
     }
 
     /// Closes the accounting window at `now` without changing state (call at
@@ -91,7 +82,7 @@ impl<S: ResidencyState> StateResidency<S> {
 
     /// Total time attributed to `state`.
     #[must_use]
-    pub fn time_in(&self, state: S) -> SimDuration {
+    fn time_in(&self, state: S) -> SimDuration {
         self.accumulated[state.slot()]
     }
 
@@ -190,12 +181,6 @@ impl CoreResidencySet {
         }
         self.cores.iter().map(|c| c.fraction_in(state)).sum::<f64>() / self.cores.len() as f64
     }
-
-    /// Total number of core C-state transitions across the socket.
-    #[must_use]
-    pub fn total_transitions(&self) -> u64 {
-        self.cores.iter().map(StateResidency::transitions).sum()
-    }
 }
 
 /// Package C-state residency (Fig. 6(b)'s PC1A residency is
@@ -215,7 +200,6 @@ mod tests {
         current: S,
         since: SimTime,
         accumulated: BTreeMap<S, SimDuration>,
-        transitions: u64,
     }
 
     impl<S: Ord + Copy> Model<S> {
@@ -249,7 +233,6 @@ mod tests {
             current: initial,
             since: start,
             accumulated: BTreeMap::new(),
-            transitions: 0,
         };
         let mut now = start;
         for step in 0..steps {
@@ -263,7 +246,6 @@ mod tests {
                 if next != model.current {
                     model.close_dwell(now);
                     model.current = next;
-                    model.transitions += 1;
                 }
             }
             let at = now + SimDuration::from_nanos(rng.index(5_000) as u64);
@@ -274,7 +256,6 @@ mod tests {
                 "step {step} (seed {seed})"
             );
             assert_eq!(tracker.total(), total, "step {step} (seed {seed})");
-            assert_eq!(tracker.transitions(), model.transitions, "step {step}");
             for &state in states {
                 let time = model.time_in(state);
                 let open = if state == model.current {
@@ -323,7 +304,6 @@ mod tests {
         assert_eq!(r.time_in(CoreCState::CC1), SimDuration::from_micros(20));
         assert_eq!(r.total(), SimDuration::from_micros(40));
         assert!((r.fraction_in(CoreCState::CC1) - 0.5).abs() < 1e-12);
-        assert_eq!(r.transitions(), 2);
         assert_eq!(r.current(), CoreCState::CC0);
     }
 
@@ -349,7 +329,6 @@ mod tests {
     fn same_state_transitions_are_ignored() {
         let mut r = StateResidency::new(CoreCState::CC1, SimTime::ZERO);
         r.transition(SimTime::from_micros(5), CoreCState::CC1);
-        assert_eq!(r.transitions(), 0);
         assert_eq!(r.fraction_in(CoreCState::CC1), 0.0, "nothing accounted yet");
     }
 
@@ -362,7 +341,6 @@ mod tests {
         assert!((set.average_fraction_in(CoreCState::CC1) - 0.5).abs() < 1e-9);
         assert!((set.average_fraction_in(CoreCState::CC0) - 0.5).abs() < 1e-9);
         assert_eq!(set.len(), 2);
-        assert_eq!(set.total_transitions(), 1);
         assert!(set.core(CoreId(0)).fraction_in(CoreCState::CC1) > 0.99);
     }
 

@@ -397,7 +397,7 @@ impl QuantileSketch {
     }
 
     /// `(bucket index, count)` for every non-empty bucket, ascending.
-    pub fn entries(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+    fn entries(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()

@@ -56,11 +56,11 @@ pub struct TraceConfig {
 }
 
 /// Default bound on retained spans when a spec does not override it.
-pub const DEFAULT_MAX_SPANS: usize = 65_536;
+const DEFAULT_MAX_SPANS: usize = 65_536;
 
 impl TraceConfig {
     /// Creates a config sampling one in `sample_every` requests with the
-    /// [`DEFAULT_MAX_SPANS`] bound.
+    /// `DEFAULT_MAX_SPANS` bound.
     pub fn new(sample_every: u64) -> Self {
         Self {
             sample_every,

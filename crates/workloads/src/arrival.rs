@@ -285,7 +285,7 @@ impl PiecewiseRateArrivals {
     /// The instantaneous rate the schedule prescribes `elapsed` after the
     /// start of the process.
     #[must_use]
-    pub fn rate_at(&self, elapsed: SimDuration) -> f64 {
+    fn rate_at(&self, elapsed: SimDuration) -> f64 {
         let mut t = if self.repeat {
             SimDuration::from_nanos(elapsed.as_nanos() % self.cycle.as_nanos().max(1))
         } else {
@@ -377,7 +377,7 @@ impl SinusoidArrivals {
 
     /// The instantaneous rate `elapsed` after the start of the process.
     #[must_use]
-    pub fn rate_at(&self, elapsed: SimDuration) -> f64 {
+    fn rate_at(&self, elapsed: SimDuration) -> f64 {
         let t = elapsed.as_secs_f64() / self.period.as_secs_f64();
         self.mean_rate * (1.0 + self.amplitude * (std::f64::consts::TAU * t + self.phase).sin())
     }

@@ -90,12 +90,6 @@ impl TierService {
         )
     }
 
-    /// The mean CPU service time of the tier.
-    #[must_use]
-    pub fn mean_service(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean_service_ns.round() as u64)
-    }
-
     /// Overrides the mean service time, keeping class and CV.
     #[must_use]
     pub fn with_mean_service(mut self, mean: SimDuration) -> Self {
@@ -121,17 +115,12 @@ mod tests {
 
     #[test]
     fn calibration_of_the_builtin_tiers() {
-        assert_eq!(
-            TierService::frontend().mean_service(),
-            SimDuration::from_micros(10)
-        );
-        assert_eq!(
-            TierService::memcached_leaf().mean_service(),
-            SimDuration::from_nanos(19_000)
-        );
+        assert_eq!(TierService::frontend().mean_service_ns, 10_000.0);
+        assert_eq!(TierService::memcached_leaf().mean_service_ns, 19_000.0);
         assert_eq!(TierService::frontend().class, RequestClass::Frontend);
         assert!(
-            TierService::kafka_leaf().mean_service() > TierService::memcached_leaf().mean_service()
+            TierService::kafka_leaf().mean_service_ns
+                > TierService::memcached_leaf().mean_service_ns
         );
     }
 

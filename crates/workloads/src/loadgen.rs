@@ -101,21 +101,6 @@ impl LoadGenerator {
         self.next_arrival = arrival + gap;
         request
     }
-
-    /// Produces every request arriving up to (and including) `until`.
-    pub fn requests_until(&mut self, until: SimTime) -> Vec<Request> {
-        let mut out = Vec::new();
-        while self.next_arrival <= until {
-            out.push(self.next_request());
-        }
-        out
-    }
-
-    /// Number of requests generated so far.
-    #[must_use]
-    pub fn generated(&self) -> u64 {
-        self.next_id
-    }
 }
 
 #[cfg(test)]
@@ -128,12 +113,14 @@ mod tests {
     fn generates_monotonic_arrivals_at_the_configured_rate() {
         let mut gen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 50_000.0, 42);
         let horizon = SimTime::from_secs(1);
-        let requests = gen.requests_until(horizon);
+        let mut requests = Vec::new();
+        while gen.peek_next_arrival() <= horizon {
+            requests.push(gen.next_request());
+        }
         let n = requests.len() as f64;
         assert!((n - 50_000.0).abs() / 50_000.0 < 0.05, "generated {n}");
         assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        assert_eq!(gen.generated(), requests.len() as u64);
-        assert!(gen.peek_next_arrival() > horizon);
+        assert!(requests.iter().enumerate().all(|(i, r)| r.id.0 == i as u64));
         assert_eq!(gen.rate_per_sec(), 50_000.0);
         assert_eq!(gen.spec().name, "memcached");
     }

@@ -92,10 +92,6 @@ pub struct Request {
     pub arrival: SimTime,
     /// CPU service time required on one core.
     pub service: SimDuration,
-    /// Whether serving this request touches DRAM enough to count towards
-    /// memory-bandwidth utilisation (all client requests do; some background
-    /// work does not).
-    pub memory_intensive: bool,
     /// `Some` when this request is one RPC of a multi-tier request chain
     /// (see [`ChainTag`]); `None` for plain open-loop traffic.
     pub chain: Option<ChainTag>,
@@ -114,7 +110,6 @@ impl Request {
             class,
             arrival,
             service,
-            memory_intensive: class.is_client_visible(),
             chain: None,
             trace: None,
         }
@@ -156,14 +151,9 @@ mod tests {
             SimDuration::from_micros(20),
         );
         assert_eq!(r.id.to_string(), "req7");
-        assert!(r.memory_intensive);
-        let bg = Request::new(
-            RequestId(8),
-            RequestClass::Background,
-            SimTime::ZERO,
-            SimDuration::from_micros(5),
-        );
-        assert!(!bg.memory_intensive);
+        assert_eq!(r.class, RequestClass::KvSet);
+        assert_eq!(r.service, SimDuration::from_micros(20));
+        assert_eq!((r.chain, r.trace), (None, None));
     }
 
     #[test]

@@ -38,18 +38,6 @@ pub struct Burstiness {
     pub mean_burst: SimDuration,
 }
 
-impl Burstiness {
-    /// Plain Poisson arrivals.
-    #[must_use]
-    pub fn none() -> Self {
-        Burstiness {
-            multiplier: 1.0,
-            fraction: 0.5,
-            mean_burst: SimDuration::from_millis(1),
-        }
-    }
-}
-
 /// A named operating point (label + request rate) used in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
@@ -213,7 +201,7 @@ impl WorkloadSpec {
 
     /// Mean CPU service time across the class mix.
     #[must_use]
-    pub fn mean_service(&self) -> SimDuration {
+    fn mean_service(&self) -> SimDuration {
         let total_weight: f64 = self.mix.iter().map(|c| c.weight).sum();
         if total_weight <= 0.0 {
             return SimDuration::ZERO;
@@ -231,16 +219,6 @@ impl WorkloadSpec {
     #[must_use]
     pub fn utilization(&self, rate_per_sec: f64, cores: usize) -> f64 {
         rate_per_sec * self.mean_service().as_secs_f64() / cores.max(1) as f64
-    }
-
-    /// The request rate that produces a target processor utilisation.
-    #[must_use]
-    pub fn rate_for_utilization(&self, utilization: f64, cores: usize) -> f64 {
-        let s = self.mean_service().as_secs_f64();
-        if s <= 0.0 {
-            return 0.0;
-        }
-        utilization.max(0.0) * cores.max(1) as f64 / s
     }
 
     /// Draws a request of this workload.
@@ -308,17 +286,6 @@ impl BackgroundNoise {
         }
     }
 
-    /// A quieter profile (tickless kernel, few daemons) for sensitivity
-    /// studies.
-    #[must_use]
-    pub fn quiet() -> Self {
-        BackgroundNoise {
-            tick_period: SimDuration::from_millis(4),
-            mean_tick_work: SimDuration::from_micros(10),
-            work_cv: 0.5,
-        }
-    }
-
     /// Draws the CPU time of one background wakeup.
     pub fn sample_work(&self, rng: &mut SimRng) -> SimDuration {
         let d = LogNormal::from_mean_cv(self.mean_tick_work.as_nanos() as f64, self.work_cv);
@@ -331,12 +298,6 @@ impl BackgroundNoise {
         // lockstep.
         let base = self.tick_period.as_nanos() as f64;
         SimDuration::from_nanos(rng.uniform_range(base * 0.75, base * 1.25).round() as u64)
-    }
-
-    /// The expected per-core utilisation contributed by background noise.
-    #[must_use]
-    pub fn expected_utilization(&self) -> f64 {
-        self.mean_tick_work.as_secs_f64() / self.tick_period.as_secs_f64()
     }
 }
 
@@ -356,9 +317,6 @@ mod tests {
         // low-load region).
         let util = w.utilization(100_000.0, 10);
         assert!(util > 0.15 && util < 0.25, "util {util}");
-        // Rate for 5 % utilisation is in the tens of thousands of QPS.
-        let rate = w.rate_for_utilization(0.05, 10);
-        assert!(rate > 20_000.0 && rate < 30_000.0, "rate {rate}");
         assert_eq!(w.network_rtt, SimDuration::from_micros(117));
         assert!(w.operating_points.len() >= 6);
     }
@@ -401,7 +359,7 @@ mod tests {
         let a = w.arrival_process(10_000.0);
         assert_eq!(a.rate_per_sec(), 10_000.0);
         let mut plain = WorkloadSpec::mysql_oltp();
-        plain.burstiness = Burstiness::none();
+        plain.burstiness.multiplier = 1.0;
         let p = plain.arrival_process(500.0);
         assert_eq!(p.rate_per_sec(), 500.0);
     }
@@ -409,9 +367,6 @@ mod tests {
     #[test]
     fn background_noise_calibration() {
         let n = BackgroundNoise::default_server();
-        // ~1.8 % per-core utilisation from background work.
-        let u = n.expected_utilization();
-        assert!(u > 0.01 && u < 0.03, "background util {u}");
         let mut rng = SimRng::from_seed(5);
         for _ in 0..100 {
             let w = n.sample_work(&mut rng);
@@ -420,6 +375,5 @@ mod tests {
             assert!(i >= SimDuration::from_micros(750));
             assert!(i <= SimDuration::from_micros(1_250));
         }
-        assert!(BackgroundNoise::quiet().expected_utilization() < u);
     }
 }

@@ -13,7 +13,7 @@ fn main() {
 
     println!("== PC1A flow walk (Fig. 4) ==");
     let t0 = SimTime::from_micros(100);
-    soc.force_all_cores(t0, CoreCState::CC1);
+    soc.force_all_cores(CoreCState::CC1);
     for link in soc.ios_mut().iter_mut() {
         link.end_traffic(t0);
     }
@@ -23,7 +23,7 @@ fn main() {
     );
 
     let deadline = apmu
-        .on_all_cores_idle(&mut soc, t0)
+        .on_all_cores_idle(&mut soc)
         .expect("all links are idle");
     println!("[{deadline}] all links in L0s/L0p expected (16 ns idle window)");
 
@@ -33,7 +33,7 @@ fn main() {
     println!(
         "[{resident_at}] CLM clock-gated, Ret asserted, Allow_CKE_OFF set -> resident in PC1A"
     );
-    apmu.on_entry_complete(resident_at);
+    apmu.on_entry_complete();
     println!(
         "           IOs: {}   DRAM: {}   CLM: {}",
         soc.ios().controller(apc::soc::io::IoId(0)).state(),
@@ -48,7 +48,7 @@ fn main() {
             "[{wake_at}] IO traffic wakeup -> exit flow ({latency}), uncore ready at {done_at}"
         );
         apmu.on_exit_complete(&mut soc, done_at);
-        apmu.on_core_active(&mut soc, done_at);
+        apmu.on_core_active(&mut soc);
         println!(
             "[{done_at}] back in PC0, links in {}",
             soc.ios().controller(apc::soc::io::IoId(0)).state()

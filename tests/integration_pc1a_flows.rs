@@ -10,7 +10,7 @@ use apc::soc::pll::PllState;
 
 fn idle_socket(at: SimTime) -> SkxSoc {
     let mut soc = SkxSoc::xeon_silver_4114();
-    soc.force_all_cores(at, CoreCState::CC1);
+    soc.force_all_cores(CoreCState::CC1);
     for link in soc.ios_mut().iter_mut() {
         link.end_traffic(at);
     }
@@ -23,9 +23,9 @@ fn pc1a_resident_state_matches_table2() {
     let mut soc = idle_socket(t0);
     let mut apmu = Apmu::new();
 
-    let deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
-    let resident = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
-    apmu.on_entry_complete(resident);
+    let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+    assert!(apmu.on_standby_deadline(&mut soc, deadline).is_some());
+    apmu.on_entry_complete();
 
     // Table 2, PC1A row: cores CC1, L3 retained, PLLs on, PCIe/DMI in L0s,
     // UPI in L0p, DRAM CKE-off.
@@ -49,10 +49,10 @@ fn entry_plus_exit_fits_the_200ns_budget() {
     let t0 = SimTime::ZERO;
     let mut soc = idle_socket(t0);
     let mut apmu = Apmu::new();
-    let deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+    let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
     let resident = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
     let entry_latency = resident - deadline;
-    apmu.on_entry_complete(resident);
+    apmu.on_entry_complete();
     let outcome = apmu.wakeup(&mut soc, resident, WakeCause::IoTraffic);
     let total = entry_latency + outcome.latency();
     assert!(
@@ -70,9 +70,9 @@ fn exit_restores_full_operation() {
     let t0 = SimTime::ZERO;
     let mut soc = idle_socket(t0);
     let mut apmu = Apmu::new();
-    let deadline = apmu.on_all_cores_idle(&mut soc, t0).unwrap();
+    let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
     let resident = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
-    apmu.on_entry_complete(resident);
+    apmu.on_entry_complete();
 
     let wake = resident + SimDuration::from_micros(100);
     let WakeOutcome::Exiting { done_at, .. } = apmu.wakeup(&mut soc, wake, WakeCause::GpmuEvent)
@@ -80,7 +80,7 @@ fn exit_restores_full_operation() {
         panic!("expected exit flow");
     };
     apmu.on_exit_complete(&mut soc, done_at);
-    apmu.on_core_active(&mut soc, done_at);
+    apmu.on_core_active(&mut soc);
 
     assert!(soc.ios().iter().all(|l| l.state() == LinkPowerState::L0));
     assert!(soc
@@ -88,14 +88,14 @@ fn exit_restores_full_operation() {
         .iter()
         .all(|m| m.mode() == DramPowerMode::Active));
     assert_eq!(soc.clm().state(), apc::soc::clm::ClmState::Operational);
-    assert!(apmu.stats().pc1a_residency >= SimDuration::from_micros(100));
+    assert_eq!(apmu.stats().pc1a_entries, 1);
 }
 
 #[test]
 fn pc6_flow_is_two_orders_of_magnitude_slower() {
     use apc::pmu::gpmu::Gpmu;
     let mut soc = SkxSoc::xeon_silver_4114();
-    soc.force_all_cores(SimTime::ZERO, CoreCState::CC6);
+    soc.force_all_cores(CoreCState::CC6);
     let mut gpmu = Gpmu::new(PackageCState::PC6);
     let entry = gpmu.begin_entry(&mut soc, SimTime::from_micros(10));
     gpmu.complete_entry(&mut soc, SimTime::from_micros(10) + entry);
@@ -111,7 +111,7 @@ fn disabled_apmu_mirrors_the_baseline() {
     let t0 = SimTime::ZERO;
     let mut soc = idle_socket(t0);
     let mut apmu = Apmu::disabled();
-    assert!(apmu.on_all_cores_idle(&mut soc, t0).is_none());
+    assert!(apmu.on_all_cores_idle(&mut soc).is_none());
     assert!(!apmu.in_pc1a());
     assert_eq!(apmu.stats().pc1a_entries, 0);
 }

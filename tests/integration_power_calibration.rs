@@ -43,9 +43,8 @@ fn transition_latencies_match_table1_scales() {
 
 #[test]
 fn eq2_eq3_derivation_matches_direct_model() {
-    let estimator = Pc1aPowerEstimator::skx_reference();
-    let estimate = estimator.estimate();
-    let direct = estimator.direct();
+    let estimate = Pc1aPowerEstimator::skx_reference().estimate();
+    let direct = PackageStatePower::skx_reference().state_power(PackageCState::PC1A);
     assert!((estimate.pc1a.soc.as_f64() - direct.soc.as_f64()).abs() < 1e-9);
     assert!((estimate.pc1a.dram.as_f64() - direct.dram.as_f64()).abs() < 1e-9);
     // Paper's component deltas.
@@ -83,7 +82,7 @@ fn uncore_and_dram_dominate_idle_power() {
     // cores idle in CC1.
     let model = PowerModel::skx_calibrated();
     let mut soc = SkxSoc::xeon_silver_4114();
-    soc.force_all_cores(SimTime::ZERO, CoreCState::CC1);
+    soc.force_all_cores(CoreCState::CC1);
     let snapshot = model.snapshot(&soc, 0.0);
     assert!(snapshot.uncore_and_dram_fraction() > 0.65);
 }
