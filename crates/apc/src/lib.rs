@@ -86,7 +86,6 @@ pub mod prelude {
     };
     pub use apc_server::config::ServerConfig;
     pub use apc_server::fleet::{Fleet, FleetMember, FleetResult};
-    pub use apc_server::node::ServerNode;
     pub use apc_server::result::RunResult;
     pub use apc_server::sim::run_experiment;
     pub use apc_sim::component::{EventHandler, Simulation, SimulationContext};

@@ -38,6 +38,7 @@ pub mod spec;
 mod stream_out;
 
 use std::fmt;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use apc_analysis::export::{chrome_trace_json, csv_escape, JsonValue};
@@ -616,6 +617,10 @@ fn cmd_sweep_shard(
         ));
     };
     let spec = override_spec(spec, inv)?;
+    // Created before the shard runs, as `run` and `sweep` create `--out`:
+    // an unwritable path fails at once instead of after every point.
+    let cannot_write = |e: std::io::Error| CliError::Io(format!("cannot write `{out_path}`: {e}"));
+    let mut out = std::fs::File::create(out_path).map_err(cannot_write)?;
     let grid = sweep_grid(&spec).expect("checked above: sweep kind");
     let total_points = grid.len();
     let mut points_meta = Vec::new();
@@ -646,8 +651,7 @@ fn cmd_sweep_shard(
         points,
     };
     let text = ck.to_json().to_pretty_string();
-    std::fs::write(out_path, &text)
-        .map_err(|e| CliError::Io(format!("cannot write `{out_path}`: {e}")))?;
+    out.write_all(text.as_bytes()).map_err(cannot_write)?;
     Ok(format!("wrote {out_path} ({} bytes)\n", text.len()))
 }
 

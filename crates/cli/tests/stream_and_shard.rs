@@ -191,6 +191,31 @@ fn unwritable_out_fails_before_the_run_and_leaves_no_series_file() {
         assert_eq!(err.exit_code(), 1);
         assert!(!ts.0.exists(), "{format}: the series file was created");
     }
+    // A shard's checkpoint is created before the shard runs too: at 10,000
+    // s per point the run would take minutes, the failure takes none.
+    let sweep = Scratch::new("unwritable-sweep.toml");
+    sweep.write(SWEEP_SPEC);
+    let started = std::time::Instant::now();
+    let err = execute(&args(&[
+        "sweep",
+        sweep.path(),
+        "--shard",
+        "0/2",
+        "--duration-ms",
+        "10000000",
+        "--out",
+        out,
+    ]))
+    .unwrap_err();
+    assert!(
+        matches!(&err, CliError::Io(m) if m.contains(&format!("cannot write `{out}`"))),
+        "shard: {err:?}"
+    );
+    assert_eq!(err.exit_code(), 1);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(20),
+        "the shard ran before its checkpoint was created"
+    );
     // Both files fill in as results finish, so they cannot share a path.
     let shared = Scratch::new("shared-path.csv");
     let err = execute(&args(&[

@@ -114,7 +114,6 @@ pub struct Apmu {
     iosm: IoStandbyMode,
     clmr: ClmRetention,
     latency: Pc1aLatencyModel,
-    enabled: bool,
     stats: ApmuStats,
 }
 
@@ -122,14 +121,13 @@ impl fmt::Debug for Apmu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Apmu")
             .field("state", &self.state)
-            .field("enabled", &self.enabled)
             .field("stats", &self.stats)
             .finish()
     }
 }
 
 impl Apmu {
-    /// Creates an enabled APMU with the default latency model.
+    /// Creates an APMU in PC0 with the default latency model.
     #[must_use]
     pub fn new() -> Self {
         Apmu {
@@ -137,18 +135,8 @@ impl Apmu {
             iosm: IoStandbyMode,
             clmr: ClmRetention,
             latency: Pc1aLatencyModel::from_components(),
-            enabled: true,
             stats: ApmuStats::default(),
         }
-    }
-
-    /// Creates a disabled APMU (the `Cshallow`/`Cdeep` baselines: the
-    /// hardware is absent, so the FSM never leaves PC0).
-    #[must_use]
-    pub fn disabled() -> Self {
-        let mut apmu = Apmu::new();
-        apmu.enabled = false;
-        apmu
     }
 
     /// Current FSM state.
@@ -192,11 +180,11 @@ impl Apmu {
     ///
     /// Returns the earliest time at which the links can all have reached
     /// L0s/L0p — the caller should invoke [`Apmu::on_standby_deadline`] at
-    /// that time — or `None` when the APMU is disabled, already past PC0, or
-    /// some link is busy (in which case the attempt resolves when either the
+    /// that time — or `None` when the APMU is already past PC0, or some
+    /// link is busy (in which case the attempt resolves when either the
     /// traffic drains and the caller retries, or a core wakes up).
     pub fn on_all_cores_idle(&mut self, soc: &mut SkxSoc) -> Option<SimTime> {
-        if !self.enabled || self.state != ApmuState::Pc0 {
+        if self.state != ApmuState::Pc0 {
             return None;
         }
         self.state = ApmuState::Acc1;
@@ -451,16 +439,6 @@ mod tests {
         let outcome = apmu.wakeup(&mut soc, resident_at, WakeCause::CoreInterrupt);
         let total = (outcome.latency() + (resident_at - deadline)).as_nanos();
         assert!(total <= 200, "entry+exit {total} ns");
-    }
-
-    #[test]
-    fn disabled_apmu_never_leaves_pc0() {
-        let mut soc = idle_soc(SimTime::ZERO);
-        let mut apmu = Apmu::disabled();
-        assert_eq!(apmu.on_all_cores_idle(&mut soc), None);
-        assert_eq!(apmu.state(), ApmuState::Pc0);
-        assert_eq!(apmu.package_state(false), PackageCState::PC0Idle);
-        assert_eq!(apmu.package_state(true), PackageCState::PC0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use apc_soc::cstate::{CoreCState, PackageCState};
+use apc_soc::cstate::CoreCState;
 
 /// Which package-level power mechanism is available to the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,16 +80,6 @@ impl PlatformConfig {
             package_policy: PackagePolicy::Pc1a,
         }
     }
-
-    /// The deepest package C-state reachable under this configuration.
-    #[must_use]
-    pub fn package_cstate_limit(&self) -> PackageCState {
-        match self.package_policy {
-            PackagePolicy::None => PackageCState::PC0,
-            PackagePolicy::Pc6 => PackageCState::PC6,
-            PackagePolicy::Pc1a => PackageCState::PC1A,
-        }
-    }
 }
 
 impl fmt::Display for PlatformConfig {
@@ -117,7 +107,6 @@ mod tests {
         assert_eq!(c.name, "Cshallow");
         assert_eq!(c.enabled_core_cstates, vec![CoreCState::CC1]);
         assert_eq!(c.package_policy, PackagePolicy::None);
-        assert_eq!(c.package_cstate_limit(), PackageCState::PC0);
     }
 
     #[test]
@@ -125,7 +114,6 @@ mod tests {
         let c = PlatformConfig::c_deep();
         assert!(c.enabled_core_cstates.contains(&CoreCState::CC6));
         assert_eq!(c.package_policy, PackagePolicy::Pc6);
-        assert_eq!(c.package_cstate_limit(), PackageCState::PC6);
     }
 
     #[test]
@@ -134,7 +122,6 @@ mod tests {
         let shallow = PlatformConfig::c_shallow();
         assert_eq!(apc.enabled_core_cstates, shallow.enabled_core_cstates);
         assert_eq!(apc.package_policy, PackagePolicy::Pc1a);
-        assert_eq!(apc.package_cstate_limit(), PackageCState::PC1A);
     }
 
     #[test]

@@ -107,19 +107,16 @@ impl Default for Pc6LatencyModel {
 pub struct Gpmu {
     phase: GpmuPhase,
     latency: Pc6LatencyModel,
-    /// Deepest package C-state the platform allows (PC0 disables the flow).
-    package_limit: PackageCState,
     pc6_entries: u64,
 }
 
 impl Gpmu {
-    /// Creates a GPMU with the given package C-state limit.
+    /// Creates a GPMU in the active phase with the default latency model.
     #[must_use]
-    pub fn new(package_limit: PackageCState) -> Self {
+    pub fn new() -> Self {
         Gpmu {
             phase: GpmuPhase::Active,
             latency: Pc6LatencyModel::skx(),
-            package_limit,
             pc6_entries: 0,
         }
     }
@@ -136,12 +133,11 @@ impl Gpmu {
         self.pc6_entries
     }
 
-    /// Whether the GPMU would start a PC6 entry right now: the platform must
-    /// allow PC6 and every core must be established in CC6.
+    /// Whether the GPMU would start a PC6 entry right now: the package must
+    /// be active and every core established in CC6.
     #[must_use]
     pub fn can_enter_pc6(&self, soc: &SkxSoc) -> bool {
-        self.package_limit == PackageCState::PC6
-            && self.phase == GpmuPhase::Active
+        self.phase == GpmuPhase::Active
             && soc.cores().all_at_least(apc_soc::cstate::CoreCState::CC6)
     }
 
@@ -236,6 +232,12 @@ impl Gpmu {
     }
 }
 
+impl Default for Gpmu {
+    fn default() -> Self {
+        Gpmu::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +258,7 @@ mod tests {
     #[test]
     fn gpmu_requires_all_cores_in_cc6() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        let gpmu = Gpmu::new(PackageCState::PC6);
+        let gpmu = Gpmu::new();
         assert!(!gpmu.can_enter_pc6(&soc), "cores are active");
         soc.force_all_cores(CoreCState::CC1);
         assert!(!gpmu.can_enter_pc6(&soc), "CC1 is not deep enough for PC6");
@@ -265,18 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn gpmu_disabled_when_package_limit_is_pc0() {
-        let mut soc = SkxSoc::xeon_silver_4114();
-        soc.force_all_cores(CoreCState::CC6);
-        let gpmu = Gpmu::new(PackageCState::PC0);
-        assert!(!gpmu.can_enter_pc6(&soc));
-    }
-
-    #[test]
     fn full_pc6_entry_exit_cycle() {
         let mut soc = SkxSoc::xeon_silver_4114();
         soc.force_all_cores(CoreCState::CC6);
-        let mut gpmu = Gpmu::new(PackageCState::PC6);
+        let mut gpmu = Gpmu::new();
 
         let t0 = SimTime::from_micros(100);
         let entry = gpmu.begin_entry(&mut soc, t0);
@@ -323,7 +317,7 @@ mod tests {
     #[should_panic(expected = "preconditions not met")]
     fn entry_without_preconditions_panics() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        let mut gpmu = Gpmu::new(PackageCState::PC6);
+        let mut gpmu = Gpmu::new();
         let _ = gpmu.begin_entry(&mut soc, SimTime::ZERO);
     }
 
@@ -331,7 +325,7 @@ mod tests {
     #[should_panic(expected = "not resident in PC6")]
     fn exit_without_entry_panics() {
         let mut soc = SkxSoc::xeon_silver_4114();
-        let mut gpmu = Gpmu::new(PackageCState::PC6);
+        let mut gpmu = Gpmu::new();
         let _ = gpmu.begin_exit(&mut soc, SimTime::ZERO);
     }
 

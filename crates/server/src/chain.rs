@@ -26,8 +26,8 @@
 //!
 //! # Determinism
 //!
-//! A chain run is exactly reproducible: node components draw from streams
-//! forked off each node's own seed (see [`crate::node::ServerNode`]), the
+//! A chain run is exactly reproducible: nodes draw from streams forked off
+//! each node's own seed (see [`crate::node::Node`]), the
 //! coordinator's routing policy from the cluster seed's
 //! `"chain-coordinator"` stream, and root arrivals plus per-tier service
 //! times from the cluster seed's `"chain-loadgen"` stream. [`ChainResult`]'s
@@ -209,11 +209,11 @@ struct TierTrace {
 /// completions and records chain-level latency telemetry.
 ///
 /// RPC deposits reuse the balancer's exact hand-off into a node's NIC
-/// coalescing buffer (the shared `buffer_request` deposit helper in the NIC
-/// component), so a node serves chain RPCs
-/// indistinguishably from balanced open-loop requests; the serving core
-/// reports each completion back via [`ServerEvent::ChainLeafDone`] (routed
-/// by the [`ChainTag`] the request carries).
+/// coalescing buffer (the shared `buffer_request` deposit helper of the
+/// NIC), so a node serves chain RPCs indistinguishably from balanced
+/// open-loop requests; the serving core reports each completion back via
+/// [`ServerEvent::ChainLeafDone`] (routed by the [`ChainTag`] the request
+/// carries).
 pub struct ChainCoordinator {
     graph: RequestGraph,
     arrivals: Box<dyn ArrivalProcess>,

@@ -26,8 +26,8 @@
 //!
 //! # Determinism
 //!
-//! A cluster run is exactly reproducible: node components draw from streams
-//! forked off each node's own seed (see [`crate::node::ServerNode`]), the
+//! A cluster run is exactly reproducible: nodes draw from streams forked
+//! off each node's own seed (see [`crate::node::Node`]), the
 //! front from the cluster seed's stream named after it (`"balancer"` or
 //! `"chain-coordinator"`), and the arrival stream from the front's own seed
 //! (the cluster loadgen's, or the cluster seed's `"chain-loadgen"` stream).
@@ -75,7 +75,7 @@ use crate::components::state::{ClusterState, ServerState};
 use crate::components::ServerEvent;
 use crate::config::ServerConfig;
 use crate::fleet::{Fleet, FleetResult, Pool, PoolMember};
-use crate::node::{NodeHandles, ServerNode};
+use crate::node::Node;
 
 /// The component at a cluster's front: it owns the cluster's arrival
 /// process and routes work into node NIC buffers. [`ClusterSimulation`]
@@ -123,7 +123,6 @@ pub struct ClusterRun {
 /// N complete servers and a front component sharing one event loop.
 pub struct ClusterSimulation<F> {
     sim: Simulation<ServerEvent, ClusterState>,
-    nodes: Vec<NodeHandles>,
     front: Rc<RefCell<F>>,
     end_at: SimTime,
     profile: bool,
@@ -134,8 +133,7 @@ impl<F: ClusterFront> ClusterSimulation<F> {
     ///
     /// `seed` is the cluster-level seed: the front's component stream forks
     /// from it by [`ClusterFront::NAME`], and the request-trace sampler by
-    /// `"trace-sampler"`. Node components draw from their own config's
-    /// seed.
+    /// `"trace-sampler"`. Nodes draw from their own config's seed.
     ///
     /// `network` routes every front deposit — and every chain leaf's
     /// completion report — through a network fabric (see
@@ -174,14 +172,15 @@ impl<F: ClusterFront> ClusterSimulation<F> {
         let (first_at, first_arrival) = front.first_arrival();
 
         let mut sim = Simulation::new(seed, state);
-        let builders: Vec<ServerNode> = (0..node_count).map(ServerNode::new).collect();
-        let nodes: Vec<NodeHandles> = builders.iter().map(|b| b.register(&mut sim)).collect();
-        // A node accounts energy and residency around its own components'
-        // events only (see `ServerNode::register`). Front and fabric events
-        // deposit into NIC buffers, which no accounting input reads: a node
-        // charges its energy at its own events and at the horizon, which the
-        // integer energy meter makes exactly what charging at every deposit
-        // as well would meter.
+        for i in 0..node_count {
+            Node::register(&mut sim, i);
+        }
+        // A node accounts energy and residency around its own events only
+        // (see `crate::node`). Front and fabric events deposit into NIC
+        // buffers, which no accounting input reads: a node charges its
+        // energy at its own events and at the horizon, which the integer
+        // energy meter makes exactly what charging at every deposit as well
+        // would meter.
         let front = Rc::new(RefCell::new(front));
         let front_id = sim.add_component(F::NAME, Rc::clone(&front));
         // The fabric component registers even without a `[network]`
@@ -199,13 +198,12 @@ impl<F: ClusterFront> ClusterSimulation<F> {
         // Bootstrap order: the first arrival, then every node's background
         // timers / initial idle entries / time series.
         sim.schedule(front_id, first_at, first_arrival);
-        for (builder, handles) in builders.iter().zip(&nodes) {
-            builder.bootstrap(&mut sim, handles);
+        for i in 0..node_count {
+            Node::bootstrap(&mut sim, i);
         }
 
         ClusterSimulation {
             sim,
-            nodes,
             front,
             end_at,
             profile,
@@ -234,9 +232,11 @@ impl<F: ClusterFront> ClusterSimulation<F> {
             crate::components::profile_report(self.sim.queue_counters(), self.sim.event_profile())
         });
         let runs = self
+            .sim
+            .shared_mut()
             .nodes
-            .iter()
-            .map(|handles| handles.collect_result(self.sim.shared_mut(), end))
+            .iter_mut()
+            .map(|state| Node::collect_result(state, end))
             .collect();
         let trace = self.sim.shared_mut().trace.take().map(TraceState::into_log);
         self.front.borrow_mut().finish(ClusterRun {

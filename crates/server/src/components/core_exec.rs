@@ -1,11 +1,11 @@
-//! Per-core execution component: wake transitions, request service, idle
-//! entry and OS background noise.
+//! Per-core execution: wake transitions, request service, idle entry and
+//! OS background noise.
 
 use apc_core::apmu::WakeCause;
-use apc_pmu::config::PackagePolicy;
 use apc_pmu::governor::IdleGovernor;
-use apc_sim::component::{EventHandler, SimulationContext};
-use apc_sim::SimTime;
+use apc_sim::component::SimulationContext;
+use apc_sim::rng::SimRng;
+use apc_sim::{SimDuration, SimTime};
 use apc_soc::core::CoreId;
 use apc_soc::cstate::CoreCState;
 use apc_trace::{Span, SpanKind, TraceCtx, TraceState};
@@ -14,6 +14,10 @@ use apc_workloads::spec::BackgroundNoise;
 use super::fabric;
 use super::state::{ClusterState, ServerState};
 use super::{ServerEvent, WorkItem};
+
+/// Per-interrupt kernel processing overhead charged to the receiving core
+/// before a client request's service starts.
+pub const SOFTIRQ_OVERHEAD: SimDuration = SimDuration::from_micros(3);
 
 /// Static name of a core C-state, for [`Span`] labels (spans hold
 /// `&'static str`, so the `Display` impl cannot be used).
@@ -29,33 +33,37 @@ fn cstate_name(state: CoreCState) -> &'static str {
 /// One simulated core: executes assigned work, runs the OS idle governor
 /// when the run queue drains, and fires the periodic background (OS) timer.
 ///
-/// Each instance is registered as its own component (`core 0` … `core N-1`,
-/// name-prefixed per node in a cluster) with a private RNG stream for noise
-/// sampling and a private transition epoch: the epoch is bumped whenever a
-/// new C-state transition starts, so completion events from superseded
+/// The node owns one executor per core and hands it the events that carry
+/// its index. Each executor has a private RNG stream for noise sampling
+/// and a private transition epoch: the epoch is bumped whenever a new
+/// C-state transition starts, so completion events from superseded
 /// transitions are recognised as stale and dropped.
-pub struct CoreExec {
+pub(crate) struct CoreExec {
     node: usize,
     index: usize,
     governor: IdleGovernor,
     noise: Option<BackgroundNoise>,
+    rng: SimRng,
     epoch: u64,
 }
 
 impl CoreExec {
-    /// Creates the execution component for core `index` of node `node`.
+    /// Creates the executor of core `index` of node `node`, drawing its
+    /// noise from `rng`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         node: usize,
         index: usize,
         governor: IdleGovernor,
         noise: Option<BackgroundNoise>,
+        rng: SimRng,
     ) -> Self {
         CoreExec {
             node,
             index,
             governor,
             noise,
+            rng,
             epoch: 0,
         }
     }
@@ -64,37 +72,37 @@ impl CoreExec {
         CoreId(self.index)
     }
 
-    fn on_background_tick(
+    pub(crate) fn on_background_tick(
         &mut self,
         shared: &mut ServerState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        let Some(noise) = self.noise.clone() else {
+        let Some(noise) = &self.noise else {
             return;
         };
-        let work = noise.sample_work(ctx.rng());
+        let work = noise.sample_work(&mut self.rng);
         shared.sched.background[self.index].push_back(work);
         shared.sched.background_pending.insert(self.index);
         // Background work is initiated by a timer interrupt: it wakes the
         // package if necessary, then the scheduler places it. Unless the
         // package is in (or entering) a package C-state the wake would be a
-        // no-op — skip the event (see `PackageMirror::wakeable`).
-        if shared.pkg.wakeable {
+        // no-op — skip the event (see `PackageController::wakeable`).
+        if shared.package.wakeable() {
             ctx.emit_now(
-                shared.addrs.package,
+                ctx.id(),
                 ServerEvent::PackageWake {
                     cause: WakeCause::CoreInterrupt,
                 },
             );
         }
-        ctx.emit_now(shared.addrs.scheduler, ServerEvent::Dispatch);
+        ctx.emit_now(ctx.id(), ServerEvent::Dispatch);
         // Arm the next tick.
-        let next = ctx.now() + noise.sample_interval(ctx.rng());
+        let next = ctx.now() + noise.sample_interval(&mut self.rng);
         shared.sched.next_background_at[self.index] = next;
-        ctx.emit_self_at(next, ServerEvent::BackgroundTick);
+        ctx.emit_self_at(next, ServerEvent::BackgroundTick { core: self.index });
     }
 
-    fn on_begin_wake(
+    pub(crate) fn on_begin_wake(
         &mut self,
         shared: &mut ServerState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
@@ -113,10 +121,14 @@ impl CoreExec {
         }
         shared.telemetry.idle_tracker.core_active(now);
         self.epoch += 1;
-        ctx.emit_self(exit, ServerEvent::WakeDone { epoch: self.epoch });
+        let done = ServerEvent::WakeDone {
+            core: self.index,
+            epoch: self.epoch,
+        };
+        ctx.emit_self(exit, done);
     }
 
-    fn on_wake_done(
+    pub(crate) fn on_wake_done(
         &mut self,
         epoch: u64,
         shared: &mut ServerState,
@@ -135,8 +147,8 @@ impl CoreExec {
         // package controller owns that edge; the edge only exists under the
         // PC1A policy, and only while the APMU actually sits in ACC1 — any
         // other state handles `CoreActive` as a no-op, so skip the event).
-        if shared.pkg.acc1_armed {
-            ctx.emit_now(shared.addrs.package, ServerEvent::CoreActive);
+        if shared.package.acc1_armed() {
+            ctx.emit_now(ctx.id(), ServerEvent::CoreActive);
         }
         let item = shared.sched.pending_start[self.index]
             .take()
@@ -156,14 +168,17 @@ impl CoreExec {
             }
         }
         let service = match &item {
-            WorkItem::Client(r) => r.service + shared.config.softirq_overhead,
+            WorkItem::Client(r) => r.service + SOFTIRQ_OVERHEAD,
             WorkItem::Background { work } => *work,
         };
         shared.sched.start_running(self.index, item);
-        ctx.emit_self(service, ServerEvent::ServiceDone);
+        ctx.emit_self(service, ServerEvent::ServiceDone { core: self.index });
     }
 
-    fn on_service_done(
+    /// Takes the whole shared state: a finished chain RPC's completion
+    /// report crosses the cluster's network fabric, which lives outside any
+    /// single node.
+    pub(crate) fn on_service_done(
         &mut self,
         shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
@@ -185,7 +200,7 @@ impl CoreExec {
                     node.telemetry.latency.record(total);
                     node.telemetry.completed_requests += 1;
                 }
-                node.telemetry.busy_core_time += request.service + node.config.softirq_overhead;
+                node.telemetry.busy_core_time += request.service + SOFTIRQ_OVERHEAD;
                 // A chain-tagged RPC reports its completion to the chain
                 // coordinator, which joins it into the fan-out and issues
                 // the next tier (or records the chain's end-to-end latency).
@@ -293,7 +308,9 @@ impl CoreExec {
         });
     }
 
-    fn begin_idle(
+    /// Starts the idle entry; `InitIdle` puts a freshly booted core to
+    /// sleep this way.
+    pub(crate) fn begin_idle(
         &mut self,
         now: SimTime,
         shared: &mut ServerState,
@@ -313,10 +330,14 @@ impl CoreExec {
         // would abort the idle entry): tell the scheduler's free-core index.
         shared.sched.mark_free(self.index);
         self.epoch += 1;
-        ctx.emit_self(entry, ServerEvent::IdleEntered { epoch: self.epoch });
+        let entered = ServerEvent::IdleEntered {
+            core: self.index,
+            epoch: self.epoch,
+        };
+        ctx.emit_self(entry, entered);
     }
 
-    fn on_idle_entered(
+    pub(crate) fn on_idle_entered(
         &mut self,
         epoch: u64,
         shared: &mut ServerState,
@@ -333,41 +354,9 @@ impl CoreExec {
             .core_residency
             .transition(self.core_id(), now, state);
         // Package-level opportunity check (PC1A / PC6) is the package
-        // controller's call to make. Skip the event when it cannot matter:
-        // no package policy, or (PC1A) some core is still awake — the
-        // controller would re-check and bail anyway.
-        let emit_check = match shared.config.platform.package_policy {
-            PackagePolicy::None => false,
-            PackagePolicy::Pc1a => shared.soc.cores().all_in_cc1_or_deeper(),
-            PackagePolicy::Pc6 => true,
-        };
-        if emit_check {
-            ctx.emit_now(shared.addrs.package, ServerEvent::AllIdleCheck);
-        }
-    }
-}
-
-impl EventHandler<ServerEvent, ClusterState> for CoreExec {
-    fn on_event(
-        &mut self,
-        event: ServerEvent,
-        shared: &mut ClusterState,
-        ctx: &mut SimulationContext<'_, ServerEvent>,
-    ) {
-        // ServiceDone keeps the whole shared state in reach: a finished
-        // chain RPC's completion report crosses the cluster's network
-        // fabric, which lives outside any single node.
-        if matches!(event, ServerEvent::ServiceDone) {
-            return self.on_service_done(shared, ctx);
-        }
-        let node = &mut shared.nodes[self.node];
-        match event {
-            ServerEvent::BackgroundTick => self.on_background_tick(node, ctx),
-            ServerEvent::InitIdle => self.begin_idle(ctx.now(), node, ctx),
-            ServerEvent::BeginWake => self.on_begin_wake(node, ctx),
-            ServerEvent::WakeDone { epoch } => self.on_wake_done(epoch, node, ctx),
-            ServerEvent::IdleEntered { epoch } => self.on_idle_entered(epoch, node, ctx),
-            other => unreachable!("core {} received unexpected event {other:?}", self.index),
+        // controller's call to make; skip the event when it cannot matter.
+        if shared.package.wants_all_idle_check(&shared.soc) {
+            ctx.emit_now(ctx.id(), ServerEvent::AllIdleCheck);
         }
     }
 }

@@ -1,37 +1,36 @@
-//! The full-system server simulation, decomposed into registered components.
+//! The parts of one simulated server, and the events that drive them.
 //!
-//! Each module implements one focused piece of the modelled server as an
-//! [`apc_sim::component::EventHandler`]:
+//! A server node is one registered component, [`crate::node::Node`]. Each
+//! module here holds one part of its behaviour, as functions or a type the
+//! node or its state holds:
 //!
 //! * [`nic`] — NIC interrupt coalescing of the requests deposited by the
 //!   cluster's front;
-//! * [`core_exec`] — one component per core: wake transitions, request
+//! * [`core_exec`] — one executor per core: wake transitions, request
 //!   execution, idle entry and OS background noise;
 //! * [`scheduler`] — work dispatch onto free cores (gated on uncore
 //!   availability);
-//! * [`package`] — the package controllers: firmware GPMU (PC6) and, under
-//!   `CPC1A`, the APC APMU (PC1A entry/abort/exit flows);
+//! * [`package`] — the package controller: the firmware GPMU (PC6) under
+//!   `Cdeep` or the APC APMU (PC1A entry/abort/exit flows) under `CPC1A`;
 //! * [`timeseries`] — the optional periodic time-series sampler (power,
 //!   residency deltas, queue depth over simulated time);
-//! * [`fabric`] — the network fabric routed requests cross.
+//! * [`fabric`] — the network fabric routed requests cross, a component of
+//!   its own.
 //!
-//! Cross-component state (the SoC structural model, work queues, uncore
-//! availability, telemetry) lives in [`state::ServerState`]; everything else
-//! is private to its component. Energy and package-residency accounting
-//! belong to no component: [`crate::node::ServerNode::register`] wraps each
-//! of the node's components so that [`state::ServerState::charge`] and
-//! [`state::ServerState::settle`] bracket every event they handle.
-//! Components communicate only by events: zero-delay events model
-//! same-instant hardware signals (e.g. the NIC raising `PackageWake` before
-//! the scheduler's `Dispatch` runs) and the FIFO tie-break of the event
-//! queue keeps those exchanges deterministic.
+//! Each [`ServerEvent`] kind has exactly one handler, named in the kind's
+//! doc, so the node routes its events by kind; core-directed kinds carry
+//! the core's index. The parts still talk by events: a zero-delay event
+//! the node emits to itself models a same-instant hardware signal (e.g.
+//! the NIC raising `PackageWake` before the scheduler's `Dispatch` runs),
+//! and the FIFO tie-break of the event queue keeps those exchanges
+//! deterministic.
 //!
-//! Every component is *node-scoped*: it carries the index of the server node
-//! it belongs to and reaches that node's [`state::ServerState`] as
-//! `nodes[index]` of the one shared [`state::ClusterState`], which hosts N
-//! complete servers plus a front component (load balancer or chain
-//! coordinator) in one event loop ([`crate::cluster::ClusterSimulation`]).
-//! A single server is the 1-node case.
+//! The node's state (the SoC structural model, work queues, the package
+//! controller, telemetry) is its [`state::ServerState`], entry `nodes[index]` of the one shared
+//! [`state::ClusterState`], which hosts N complete servers plus a front
+//! component (load balancer or chain coordinator) in one event loop
+//! ([`crate::cluster::ClusterSimulation`]). A single server is the 1-node
+//! case.
 
 pub mod core_exec;
 pub mod fabric;
@@ -42,12 +41,12 @@ pub mod state;
 pub mod timeseries;
 
 use apc_core::apmu::WakeCause;
-use apc_sim::component::ComponentId;
 use apc_sim::SimDuration;
 use apc_workloads::request::Request;
 
-/// Events driving the simulation. Routing is by destination [`ComponentId`];
-/// the comments note the component each variant is addressed to.
+/// Events driving the simulation. Each kind is addressed to one component,
+/// a node or the cluster's front or fabric, and the comments note the one
+/// handler that takes it: a node routes its events by kind.
 #[derive(Debug, Clone)]
 pub enum ServerEvent {
     /// The next client request arrives at the cluster's load balancer, which
@@ -68,21 +67,37 @@ pub enum ServerEvent {
         request: Box<Request>,
     },
     /// A core's periodic background (OS) wakeup fires. (→ `core <i>`)
-    BackgroundTick,
+    BackgroundTick {
+        /// The core.
+        core: usize,
+    },
     /// Bootstrap: put the freshly booted core to sleep. (→ `core <i>`)
-    InitIdle,
+    InitIdle {
+        /// The core.
+        core: usize,
+    },
     /// The scheduler assigned work; begin the wake transition. (→ `core <i>`)
-    BeginWake,
+    BeginWake {
+        /// The core.
+        core: usize,
+    },
     /// The core finished its wake transition and starts executing.
     /// (→ `core <i>`)
     WakeDone {
+        /// The core.
+        core: usize,
         /// Transition epoch the event belongs to (stale events are ignored).
         epoch: u64,
     },
     /// The core finished executing its current work item. (→ `core <i>`)
-    ServiceDone,
+    ServiceDone {
+        /// The core.
+        core: usize,
+    },
     /// The core finished entering its idle C-state. (→ `core <i>`)
     IdleEntered {
+        /// The core.
+        core: usize,
         /// Transition epoch the event belongs to (stale events are ignored).
         epoch: u64,
     },
@@ -163,11 +178,11 @@ impl ServerEvent {
             ServerEvent::ClusterArrival => 0,
             ServerEvent::NicDeliver => 1,
             ServerEvent::WireDeliver { .. } => 2,
-            ServerEvent::BackgroundTick => 3,
-            ServerEvent::InitIdle => 4,
-            ServerEvent::BeginWake => 5,
+            ServerEvent::BackgroundTick { .. } => 3,
+            ServerEvent::InitIdle { .. } => 4,
+            ServerEvent::BeginWake { .. } => 5,
             ServerEvent::WakeDone { .. } => 6,
-            ServerEvent::ServiceDone => 7,
+            ServerEvent::ServiceDone { .. } => 7,
             ServerEvent::IdleEntered { .. } => 8,
             ServerEvent::Dispatch => 9,
             ServerEvent::PackageWake { .. } => 10,
@@ -225,36 +240,6 @@ pub enum WorkItem {
         /// CPU time the background task consumes.
         work: SimDuration,
     },
-}
-
-/// Component ids every component needs to address its peers. Lives in the
-/// shared [`state::ServerState`] and is filled by the driver with the real
-/// ids returned from registration, before any event is scheduled.
-#[derive(Debug, Clone)]
-pub struct Addresses {
-    /// The NIC component.
-    pub nic: ComponentId,
-    /// The dispatch scheduler.
-    pub scheduler: ComponentId,
-    /// The package controller.
-    pub package: ComponentId,
-    /// Per-core execution components, indexed by core number.
-    pub cores: Vec<ComponentId>,
-}
-
-impl Default for Addresses {
-    /// Placeholder ids that no simulation ever issues: an event emitted
-    /// through an unfilled `Addresses` panics loudly at dispatch instead of
-    /// silently reaching component 0.
-    fn default() -> Self {
-        let unset = ComponentId::from_raw(usize::MAX);
-        Addresses {
-            nic: unset,
-            scheduler: unset,
-            package: unset,
-            cores: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,261 +1,386 @@
-//! Package controller component: the firmware GPMU (PC6) and, under
-//! `CPC1A`, the APC APMU (PC1A flows).
+//! Package controller: the firmware GPMU (PC6) under `Cdeep`, the APC APMU
+//! (PC1A flows) under `CPC1A`, and nothing under `Cshallow`.
 //!
-//! The controller records no residency itself. After each of its events it
-//! mirrors the package state its FSMs imply into
-//! [`PackageMirror`](super::state::PackageMirror), and the node's
-//! accounting wrapper records the residency from that mirror after every
-//! node event (see [`ServerState::settle`]).
+//! Each node's controller is its [`ServerState::package`]. It records no
+//! residency itself: after every node event the node records the package
+//! state the controller's FSM implies (see [`ServerState::settle`]), and
+//! the NIC, the cores and the scheduler ask the controller whether a
+//! package event would do anything and whether the uncore is available.
+//! Only the controller's own event handlers move its FSM, so every such
+//! answer is current.
+//!
+//! [`ServerState::package`]: super::state::ServerState::package
+//! [`ServerState::settle`]: super::state::ServerState::settle
 
-use apc_core::apmu::{Apmu, ApmuState, WakeCause, WakeOutcome};
+use apc_core::apmu::{Apmu, ApmuState, ApmuStats, WakeCause, WakeOutcome};
 use apc_pmu::config::PackagePolicy;
 use apc_pmu::gpmu::{Gpmu, GpmuPhase};
-use apc_sim::component::{EventHandler, SimulationContext};
+use apc_sim::component::SimulationContext;
 use apc_soc::cstate::PackageCState;
+use apc_soc::topology::SkxSoc;
 
-use super::state::{ClusterState, ServerState};
 use super::ServerEvent;
 
-/// Drives the package C-state machinery for the configured policy:
+/// One node's package C-state machinery: the FSM its platform's
+/// [`PackagePolicy`] uses, and no other.
 ///
-/// * `PackagePolicy::Pc1a` — the APMU FSM: ACC1 on all-cores-idle, IO
-///   standby deadline, nanosecond-scale PC1A entry/abort/exit;
-/// * `PackagePolicy::Pc6` — the firmware GPMU's millisecond-scale PC6
-///   entry/exit flows;
-/// * `PackagePolicy::None` — no package states (the `Cshallow` baseline).
-///
-/// The controller owns both FSMs and mirrors uncore availability into
-/// [`ServerState::uncore`], and the package state the FSMs imply into
-/// [`ServerState::pkg`], after every event it handles. So the scheduler can
-/// gate dispatch, and [`ServerState::settle`] can track package residency
-/// after every node event, without reaching into controller internals.
-pub struct PackageController {
-    node: usize,
-    policy: PackagePolicy,
-    apmu: Apmu,
-    gpmu: Gpmu,
-    /// A wake arrived while the GPMU entry flow was still running; exit as
-    /// soon as the entry completes.
-    gpmu_pending_wake: bool,
+/// The gating queries (`wakeable`, `acc1_armed`, `wants_all_idle_check`)
+/// let the parts that *emit* package events skip emissions the controller
+/// would handle as pure no-ops. Skipping is bit-identical: every gated
+/// event is emitted with `emit_now` (zero-length interval, so charging the
+/// energy meter is a no-op) and its handler would leave every
+/// package-state input untouched (so the residency update after it repeats
+/// the previous state and is dropped by the same-state early return).
+#[derive(Debug)]
+pub enum PackageController {
+    /// `PackagePolicy::None`: no package C-states (the `Cshallow`
+    /// baseline).
+    None,
+    /// `PackagePolicy::Pc6`: the firmware GPMU's PC6 entry/exit flows, tens
+    /// of microseconds each (`Cdeep`).
+    Pc6 {
+        /// The firmware FSM.
+        gpmu: Gpmu,
+        /// A wake arrived while the entry flow was still running; exit as
+        /// soon as the entry completes.
+        pending_wake: bool,
+    },
+    /// `PackagePolicy::Pc1a`: the APMU FSM (ACC1 on all-cores-idle, IO
+    /// standby deadline, nanosecond-scale PC1A entry/abort/exit) of
+    /// `CPC1A`.
+    Pc1a(Apmu),
 }
 
 impl PackageController {
-    /// Creates the controller for node `node` under the platform policy in
-    /// its config.
+    /// The controller for `policy`, its FSM at its starting point.
     #[must_use]
-    pub fn new(node: usize, policy: PackagePolicy, package_limit: PackageCState) -> Self {
-        let apmu = if policy == PackagePolicy::Pc1a {
-            Apmu::new()
-        } else {
-            Apmu::disabled()
-        };
-        PackageController {
-            node,
-            policy,
-            apmu,
-            gpmu: Gpmu::new(package_limit),
-            gpmu_pending_wake: false,
+    pub(crate) fn new(policy: PackagePolicy) -> Self {
+        match policy {
+            PackagePolicy::None => PackageController::None,
+            PackagePolicy::Pc6 => PackageController::Pc6 {
+                gpmu: Gpmu::new(),
+                pending_wake: false,
+            },
+            PackagePolicy::Pc1a => PackageController::Pc1a(Apmu::new()),
         }
     }
 
-    /// The APMU (for stats extraction and tests).
+    /// The APMU's statistics; all zero without an APMU.
     #[must_use]
-    pub fn apmu(&self) -> &Apmu {
-        &self.apmu
+    pub(crate) fn apmu_stats(&self) -> ApmuStats {
+        match self {
+            PackageController::Pc1a(apmu) => apmu.stats(),
+            _ => ApmuStats::default(),
+        }
     }
 
-    /// The GPMU (for stats extraction and tests).
+    /// Completed PC6 entries; zero without a GPMU.
     #[must_use]
-    pub fn gpmu(&self) -> &Gpmu {
-        &self.gpmu
+    pub(crate) fn pc6_entries(&self) -> u64 {
+        match self {
+            PackageController::Pc6 { gpmu, .. } => gpmu.pc6_entries(),
+            _ => 0,
+        }
     }
 
     /// `true` when the shared uncore (LLC, memory path) is available for
-    /// request execution.
+    /// request execution. While it is not, queued work stays put; the
+    /// controller emits a `Dispatch` the moment its exit flow completes.
     #[must_use]
-    fn uncore_available(&self) -> bool {
-        match self.policy {
-            PackagePolicy::Pc1a => matches!(self.apmu.state(), ApmuState::Pc0 | ApmuState::Acc1),
-            PackagePolicy::Pc6 => self.gpmu.phase() == GpmuPhase::Active,
-            PackagePolicy::None => true,
+    pub(crate) fn uncore_available(&self) -> bool {
+        match self {
+            PackageController::Pc1a(apmu) => {
+                matches!(apmu.state(), ApmuState::Pc0 | ApmuState::Acc1)
+            }
+            PackageController::Pc6 { gpmu, .. } => gpmu.phase() == GpmuPhase::Active,
+            PackageController::None => true,
         }
     }
 
-    /// Mirrors uncore availability, the package-event gating facts and the
-    /// package state the FSMs imply into the shared state (see
-    /// [`super::state::PackageMirror`]).
-    fn sync_uncore(&self, shared: &mut ServerState) {
-        shared.uncore.available = self.uncore_available();
-        (shared.pkg.active_state, shared.pkg.idle_state) = match self.policy {
-            PackagePolicy::Pc1a => (
-                self.apmu.package_state(true),
-                self.apmu.package_state(false),
-            ),
-            PackagePolicy::Pc6 => (
-                self.gpmu.package_state(false),
-                self.gpmu.package_state(true),
-            ),
-            PackagePolicy::None => (PackageCState::PC0, PackageCState::PC0Idle),
-        };
-        shared.pkg.acc1_armed = self.apmu.state() == ApmuState::Acc1;
-        shared.pkg.wakeable = match self.policy {
-            PackagePolicy::Pc1a => matches!(
-                self.apmu.state(),
-                ApmuState::Acc1 | ApmuState::Entering | ApmuState::InPc1a
-            ),
-            PackagePolicy::Pc6 => {
-                matches!(self.gpmu.phase(), GpmuPhase::Entering | GpmuPhase::InPc6)
-            }
-            PackagePolicy::None => false,
-        };
+    /// The package C-state the FSM implies while some core is active
+    /// (`awake`), or while every core is idle.
+    #[must_use]
+    pub(crate) fn package_state(&self, awake: bool) -> PackageCState {
+        match self {
+            PackageController::Pc1a(apmu) => apmu.package_state(awake),
+            PackageController::Pc6 { gpmu, .. } => gpmu.package_state(!awake),
+            PackageController::None if awake => PackageCState::PC0,
+            PackageController::None => PackageCState::PC0Idle,
+        }
     }
 
-    fn on_package_wake(
+    /// `true` when a `PackageWake` would do work: the package is in, or
+    /// entering, a package C-state (PC1A: `Acc1`/`Entering`/`InPc1a`; PC6:
+    /// `Entering`/`InPc6`).
+    #[must_use]
+    pub(crate) fn wakeable(&self) -> bool {
+        match self {
+            PackageController::Pc1a(apmu) => matches!(
+                apmu.state(),
+                ApmuState::Acc1 | ApmuState::Entering | ApmuState::InPc1a
+            ),
+            PackageController::Pc6 { gpmu, .. } => {
+                matches!(gpmu.phase(), GpmuPhase::Entering | GpmuPhase::InPc6)
+            }
+            PackageController::None => false,
+        }
+    }
+
+    /// `true` while the APMU sits in ACC1: the first core to run again must
+    /// send `CoreActive` so the controller clears AllowL0s.
+    #[must_use]
+    pub(crate) fn acc1_armed(&self) -> bool {
+        matches!(self, PackageController::Pc1a(apmu) if apmu.state() == ApmuState::Acc1)
+    }
+
+    /// Whether a core that finished entering idle sends `AllIdleCheck`:
+    /// never without a package C-state, under PC1A only once every core is
+    /// in CC1 or deeper (the controller would re-check and bail
+    /// otherwise), and always under PC6.
+    #[must_use]
+    pub(crate) fn wants_all_idle_check(&self, soc: &SkxSoc) -> bool {
+        match self {
+            PackageController::None => false,
+            PackageController::Pc1a(_) => soc.cores().all_in_cc1_or_deeper(),
+            PackageController::Pc6 { .. } => true,
+        }
+    }
+
+    /// The APMU; only a `CPC1A` controller emits the events that ask for
+    /// it.
+    fn apmu(&mut self) -> &mut Apmu {
+        match self {
+            PackageController::Pc1a(apmu) => apmu,
+            other => unreachable!("APMU event reached {other:?}"),
+        }
+    }
+
+    /// The GPMU and its pending-wake flag; only a `Cdeep` controller emits
+    /// the events that ask for them.
+    fn gpmu(&mut self) -> (&mut Gpmu, &mut bool) {
+        match self {
+            PackageController::Pc6 { gpmu, pending_wake } => (gpmu, pending_wake),
+            other => unreachable!("GPMU event reached {other:?}"),
+        }
+    }
+
+    pub(crate) fn on_package_wake(
         &mut self,
         cause: WakeCause,
-        shared: &mut ServerState,
+        soc: &mut SkxSoc,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         let now = ctx.now();
-        match self.policy {
-            PackagePolicy::Pc1a => match self.apmu.state() {
+        match self {
+            PackageController::Pc1a(apmu) => match apmu.state() {
                 ApmuState::InPc1a | ApmuState::Entering => {
-                    if let WakeOutcome::Exiting { done_at, .. } =
-                        self.apmu.wakeup(&mut shared.soc, now, cause)
-                    {
+                    if let WakeOutcome::Exiting { done_at, .. } = apmu.wakeup(soc, now, cause) {
                         ctx.emit_self_at(done_at, ServerEvent::ApmuExitDone);
                     }
                 }
                 ApmuState::Acc1 => {
-                    let _ = self.apmu.wakeup(&mut shared.soc, now, cause);
+                    let _ = apmu.wakeup(soc, now, cause);
                 }
                 ApmuState::Pc0 | ApmuState::Exiting => {}
             },
-            PackagePolicy::Pc6 => match self.gpmu.phase() {
+            PackageController::Pc6 { gpmu, pending_wake } => match gpmu.phase() {
                 GpmuPhase::InPc6 => {
-                    let exit = self.gpmu.begin_exit(&mut shared.soc, now);
+                    let exit = gpmu.begin_exit(soc, now);
                     ctx.emit_self(exit, ServerEvent::GpmuExitDone);
                 }
                 GpmuPhase::Entering => {
                     // Ready time unknown until the entry completes; the exit
                     // is started from on_gpmu_entry_done.
-                    self.gpmu_pending_wake = true;
+                    *pending_wake = true;
                 }
                 GpmuPhase::Active | GpmuPhase::Exiting => {}
             },
-            PackagePolicy::None => {}
+            PackageController::None => {}
         }
     }
 
-    fn on_core_active(&mut self, shared: &mut ServerState) {
+    pub(crate) fn on_core_active(&mut self, soc: &mut SkxSoc) {
         // The ACC1 → PC0 edge: the first core to run again clears AllowL0s.
-        // Any other state means the edge was already taken (or never armed).
-        if self.apmu.state() == ApmuState::Acc1 {
-            self.apmu.on_core_active(&mut shared.soc);
+        // Any other state means the edge was already taken.
+        let apmu = self.apmu();
+        if apmu.state() == ApmuState::Acc1 {
+            apmu.on_core_active(soc);
         }
     }
 
-    fn on_all_idle_check(
+    pub(crate) fn on_all_idle_check(
         &mut self,
-        shared: &mut ServerState,
+        soc: &mut SkxSoc,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         let now = ctx.now();
-        match self.policy {
-            PackagePolicy::Pc1a => {
-                if shared.soc.cores().all_in_cc1_or_deeper() {
-                    if let Some(deadline) = self.apmu.on_all_cores_idle(&mut shared.soc) {
+        match self {
+            PackageController::Pc1a(apmu) => {
+                if soc.cores().all_in_cc1_or_deeper() {
+                    if let Some(deadline) = apmu.on_all_cores_idle(soc) {
                         ctx.emit_self_at(deadline, ServerEvent::StandbyDeadline);
                     }
                 }
             }
-            PackagePolicy::Pc6 => {
-                if self.gpmu.can_enter_pc6(&shared.soc) {
-                    let entry = self.gpmu.begin_entry(&mut shared.soc, now);
+            PackageController::Pc6 { gpmu, .. } => {
+                if gpmu.can_enter_pc6(soc) {
+                    let entry = gpmu.begin_entry(soc, now);
                     ctx.emit_self(entry, ServerEvent::GpmuEntryDone);
                 }
             }
-            PackagePolicy::None => {}
+            PackageController::None => {}
         }
     }
 
-    fn on_standby_deadline(
+    pub(crate) fn on_standby_deadline(
         &mut self,
-        shared: &mut ServerState,
+        soc: &mut SkxSoc,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         let now = ctx.now();
-        if let Some(done_at) = self.apmu.on_standby_deadline(&mut shared.soc, now) {
+        if let Some(done_at) = self.apmu().on_standby_deadline(soc, now) {
             ctx.emit_self_at(done_at, ServerEvent::ApmuEntryDone);
         }
     }
 
-    fn on_apmu_entry_done(&mut self) {
+    pub(crate) fn on_apmu_entry_done(&mut self) {
         // A wakeup may have aborted the entry in the meantime; only a flow
         // still in flight completes.
-        if self.apmu.state() == ApmuState::Entering {
-            self.apmu.on_entry_complete();
+        let apmu = self.apmu();
+        if apmu.state() == ApmuState::Entering {
+            apmu.on_entry_complete();
         }
     }
 
-    fn on_apmu_exit_done(
+    pub(crate) fn on_apmu_exit_done(
         &mut self,
-        shared: &mut ServerState,
+        soc: &mut SkxSoc,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        if self.apmu.state() == ApmuState::Exiting {
-            self.apmu.on_exit_complete(&mut shared.soc, ctx.now());
+        let apmu = self.apmu();
+        if apmu.state() == ApmuState::Exiting {
+            apmu.on_exit_complete(soc, ctx.now());
         }
-        ctx.emit_now(shared.addrs.scheduler, ServerEvent::Dispatch);
+        ctx.emit_now(ctx.id(), ServerEvent::Dispatch);
     }
 
-    fn on_gpmu_entry_done(
+    pub(crate) fn on_gpmu_entry_done(
         &mut self,
-        shared: &mut ServerState,
+        soc: &mut SkxSoc,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
         let now = ctx.now();
-        if self.gpmu.phase() == GpmuPhase::Entering {
-            self.gpmu.complete_entry(&mut shared.soc, now);
+        let (gpmu, pending_wake) = self.gpmu();
+        if gpmu.phase() == GpmuPhase::Entering {
+            gpmu.complete_entry(soc, now);
         }
-        if self.gpmu_pending_wake {
-            self.gpmu_pending_wake = false;
-            let exit = self.gpmu.begin_exit(&mut shared.soc, now);
+        if *pending_wake {
+            *pending_wake = false;
+            let exit = gpmu.begin_exit(soc, now);
             ctx.emit_self(exit, ServerEvent::GpmuExitDone);
         }
     }
 
-    fn on_gpmu_exit_done(
+    pub(crate) fn on_gpmu_exit_done(
         &mut self,
-        shared: &mut ServerState,
+        soc: &mut SkxSoc,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        if self.gpmu.phase() == GpmuPhase::Exiting {
-            self.gpmu.complete_exit(&mut shared.soc, ctx.now());
+        let (gpmu, _) = self.gpmu();
+        if gpmu.phase() == GpmuPhase::Exiting {
+            gpmu.complete_exit(soc, ctx.now());
         }
-        ctx.emit_now(shared.addrs.scheduler, ServerEvent::Dispatch);
+        ctx.emit_now(ctx.id(), ServerEvent::Dispatch);
     }
 }
 
-impl EventHandler<ServerEvent, ClusterState> for PackageController {
-    fn on_event(
-        &mut self,
-        event: ServerEvent,
-        shared: &mut ClusterState,
-        ctx: &mut SimulationContext<'_, ServerEvent>,
-    ) {
-        let shared = &mut shared.nodes[self.node];
-        match event {
-            ServerEvent::PackageWake { cause } => self.on_package_wake(cause, shared, ctx),
-            ServerEvent::CoreActive => self.on_core_active(shared),
-            ServerEvent::AllIdleCheck => self.on_all_idle_check(shared, ctx),
-            ServerEvent::StandbyDeadline => self.on_standby_deadline(shared, ctx),
-            ServerEvent::ApmuEntryDone => self.on_apmu_entry_done(),
-            ServerEvent::ApmuExitDone => self.on_apmu_exit_done(shared, ctx),
-            ServerEvent::GpmuEntryDone => self.on_gpmu_entry_done(shared, ctx),
-            ServerEvent::GpmuExitDone => self.on_gpmu_exit_done(shared, ctx),
-            other => unreachable!("package controller received unexpected event {other:?}"),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apc_sim::SimTime;
+    use apc_soc::cstate::CoreCState;
+
+    /// A socket with every core in `state` and every link idle.
+    fn idle_soc(state: CoreCState) -> SkxSoc {
+        let mut soc = SkxSoc::xeon_silver_4114();
+        soc.force_all_cores(state);
+        for io in soc.ios_mut().iter_mut() {
+            io.end_traffic(SimTime::ZERO);
         }
-        self.sync_uncore(shared);
+        soc
+    }
+
+    /// Without a package C-state the package reads PC0 or PC0idle, never
+    /// blocks the uncore, and never asks for an all-idle check, however
+    /// deep its cores sleep.
+    #[test]
+    fn without_package_cstates_the_package_stays_in_pc0() {
+        let controller = PackageController::new(PackagePolicy::None);
+        assert_eq!(controller.package_state(true), PackageCState::PC0);
+        assert_eq!(controller.package_state(false), PackageCState::PC0Idle);
+        assert!(controller.uncore_available());
+        assert!(!controller.wakeable());
+        assert!(!controller.acc1_armed());
+        for state in [CoreCState::CC1, CoreCState::CC6] {
+            assert!(!controller.wants_all_idle_check(&idle_soc(state)));
+        }
+        assert_eq!(controller.apmu_stats(), ApmuStats::default());
+        assert_eq!(controller.pc6_entries(), 0);
+    }
+
+    /// A `CPC1A` controller's answers follow its APMU through ACC1, the
+    /// entry flow and PC1A residency, and it counts no PC6 entry.
+    #[test]
+    fn pc1a_queries_follow_the_apmu() {
+        let mut soc = idle_soc(CoreCState::CC1);
+        let mut controller = PackageController::new(PackagePolicy::Pc1a);
+        assert!(controller.uncore_available() && !controller.wakeable());
+        assert!(!controller.wants_all_idle_check(&SkxSoc::xeon_silver_4114()));
+        assert!(controller.wants_all_idle_check(&soc));
+
+        let PackageController::Pc1a(apmu) = &mut controller else {
+            panic!("CPC1A builds an APMU");
+        };
+        let deadline = apmu.on_all_cores_idle(&mut soc).expect("ACC1 entry");
+        assert!(controller.acc1_armed() && controller.wakeable());
+        assert!(controller.uncore_available(), "ACC1 keeps the uncore");
+
+        let PackageController::Pc1a(apmu) = &mut controller else {
+            unreachable!()
+        };
+        apmu.on_standby_deadline(&mut soc, deadline)
+            .expect("PC1A entry");
+        assert!(!controller.acc1_armed() && controller.wakeable());
+        assert!(!controller.uncore_available(), "entry gates the uncore");
+
+        controller.on_apmu_entry_done();
+        assert_eq!(controller.package_state(false), PackageCState::PC1A);
+        assert_eq!(controller.apmu_stats().pc1a_entries, 1);
+        assert_eq!(controller.pc6_entries(), 0);
+    }
+
+    /// A `Cdeep` controller asks for the all-idle check whenever a core
+    /// settles, its answers follow its GPMU into PC6, and it records no
+    /// PC1A statistics.
+    #[test]
+    fn pc6_queries_follow_the_gpmu() {
+        let mut soc = idle_soc(CoreCState::CC6);
+        let mut controller = PackageController::new(PackagePolicy::Pc6);
+        assert!(controller.wants_all_idle_check(&SkxSoc::xeon_silver_4114()));
+        assert!(controller.uncore_available() && !controller.wakeable());
+        assert_eq!(controller.package_state(false), PackageCState::PC0Idle);
+
+        let (gpmu, pending_wake) = controller.gpmu();
+        assert!(!*pending_wake);
+        let entry = gpmu.begin_entry(&mut soc, SimTime::ZERO);
+        assert!(controller.wakeable() && !controller.uncore_available());
+        assert!(!controller.acc1_armed());
+
+        let (gpmu, _) = controller.gpmu();
+        gpmu.complete_entry(&mut soc, SimTime::ZERO + entry);
+        assert_eq!(controller.package_state(false), PackageCState::PC6);
+        assert!(controller.wakeable() && !controller.uncore_available());
+        assert_eq!(controller.pc6_entries(), 1);
+        assert_eq!(controller.apmu_stats(), ApmuStats::default());
     }
 }

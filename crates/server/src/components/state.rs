@@ -1,19 +1,23 @@
-//! State shared by every simulation component.
+//! The simulation's shared state: one [`ServerState`] per node in one
+//! [`ClusterState`].
 //!
-//! The rule of thumb: state mutated by one component but *observed* by
-//! another (the SoC models, work queues, uncore availability, telemetry)
-//! lives here; state with a single owner (the APMU FSM, a core's transition
-//! epoch, the NIC's coalescing buffer) lives inside its component.
+//! The rule of thumb: state another component reads or writes (the NIC
+//! buffer the front deposits into, the routing index) or the run's result
+//! is reduced from (the SoC models, the package controller, telemetry)
+//! lives here, with the work queues the node's parts share; state private
+//! to one part of the node (a core's transition epoch and noise stream,
+//! the sampler's previous sample) lives in the [`crate::node::Node`].
 //!
 //! A node's energy and package-residency accounting lives here too, as
-//! [`ServerState::charge`] and [`ServerState::settle`]: the node's
-//! accounting wrapper calls them around every event of the node's
-//! components (see [`crate::node`]). Charging reads the node's power level
-//! from its [`PowerTable`] in O(1) integer work.
+//! [`ServerState::charge`] and [`ServerState::settle`]: the node's handler
+//! calls them around every one of its events (see [`crate::node`]).
+//! Charging reads the node's power level from its [`PowerTable`] in O(1)
+//! integer work.
 
 use std::collections::VecDeque;
 
 use apc_power::energy::{EnergyMeter, PowerLevel};
+use apc_power::model::PowerModel;
 use apc_power::table::{PowerTable, UncoreLevel};
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::core::{CoreActivity, CoreId};
@@ -26,7 +30,8 @@ use apc_telemetry::timeseries::TimeSeries;
 use apc_trace::TraceState;
 use apc_workloads::request::Request;
 
-use super::{Addresses, WorkItem};
+use super::package::PackageController;
+use super::WorkItem;
 use crate::config::ServerConfig;
 
 /// A bitset over core indices tracking which cores can currently accept
@@ -284,67 +289,6 @@ impl SchedState {
     }
 }
 
-/// Availability of the shared uncore (LLC, memory path), maintained by the
-/// package controller and read by the scheduler.
-#[derive(Debug, Clone, Copy)]
-pub struct UncoreStatus {
-    /// `true` when requests can execute (no package C-state in the way).
-    /// While `false`, queued work stays put; the package controller emits a
-    /// `Dispatch` the moment its exit flow completes.
-    pub available: bool,
-}
-
-impl Default for UncoreStatus {
-    fn default() -> Self {
-        UncoreStatus { available: true }
-    }
-}
-
-/// Package-FSM facts mirrored into the shared state by the package
-/// controller (alongside [`UncoreStatus`]) after every event it handles.
-///
-/// The gating flags let the components that *emit* package events — cores
-/// finishing a wake, the NIC delivering a batch — skip emissions the
-/// controller would handle as pure no-ops. Skipping is bit-identical: every
-/// gated event is emitted with `emit_now` (zero-length interval, so charging
-/// the energy meter is a no-op) and its handler would leave all
-/// package-state inputs untouched (so the residency update after it repeats
-/// the previous state and is dropped by the same-state early return).
-///
-/// The two states are the package C-state the FSMs imply while some core
-/// is active and while every core is idle: [`ServerState::settle`] picks
-/// one by [`ServerState::any_core_active`] after every node event.
-///
-/// The mirror starts at the FSM starting points (APMU in PC0, GPMU
-/// `Active`: no gating, PC0 or PC0idle), and only package-controller
-/// handlers ever change the facts it mirrors — so a mirror read between
-/// package events is always current.
-#[derive(Debug, Clone, Copy)]
-pub struct PackageMirror {
-    /// The APMU sits in ACC1: the first core to run again must send
-    /// `CoreActive` so the controller clears AllowL0s (PC1A policy only).
-    pub acc1_armed: bool,
-    /// A `PackageWake` would do work: the package is in, or entering, a
-    /// package C-state (PC1A: `Acc1`/`Entering`/`InPc1a`; PC6:
-    /// `Entering`/`InPc6`). `false` under `PackagePolicy::None`.
-    pub wakeable: bool,
-    /// The package state while some core is active.
-    pub active_state: PackageCState,
-    /// The package state while every core is idle.
-    pub idle_state: PackageCState,
-}
-
-impl Default for PackageMirror {
-    fn default() -> Self {
-        PackageMirror {
-            acc1_armed: false,
-            wakeable: false,
-            active_state: PackageCState::PC0,
-            idle_state: PackageCState::PC0Idle,
-        }
-    }
-}
-
 /// All measurement state: energy, latency, residencies, idle periods and
 /// run counters.
 #[derive(Debug)]
@@ -386,27 +330,23 @@ impl TelemetryState {
     }
 }
 
-/// The state of one complete simulated server: every component of the node
-/// reads and writes this as its entry in [`ClusterState::nodes`], indexed
-/// by the node number the component carries.
+/// The state of one complete simulated server: its node reads and writes
+/// this as its entry in [`ClusterState::nodes`], indexed by the node's
+/// number.
 #[derive(Debug)]
 pub struct ServerState {
-    /// The run configuration (platform, power model, NIC, noise).
+    /// The run configuration (platform, noise, horizon, seed).
     pub config: ServerConfig,
-    /// Peer component ids, filled by the driver after registration.
-    pub addrs: Addresses,
     /// The SoC structural model.
     pub soc: SkxSoc,
     /// NIC arrival buffering (coalescing window).
     pub nic: NicState,
     /// Work queues and per-core occupancy.
     pub sched: SchedState,
-    /// Uncore availability, maintained by the package controller.
-    pub uncore: UncoreStatus,
-    /// Package-FSM facts mirrored by the package controller so event
-    /// *emitters* can skip package events the controller would handle as
-    /// no-ops (see [`PackageMirror`]).
-    pub pkg: PackageMirror,
+    /// The package controller: the one package FSM the platform uses. The
+    /// NIC, the cores, the scheduler and [`ServerState::settle`] ask it;
+    /// only its own event handlers move it.
+    pub package: PackageController,
     /// Measurements.
     pub telemetry: TelemetryState,
     /// Workload name (for the run result).
@@ -415,7 +355,7 @@ pub struct ServerState {
     pub offered_rate: f64,
     /// Client network round-trip added to server-side latency.
     pub network_rtt: SimDuration,
-    /// `config.power` quantised for this node's SoC.
+    /// The calibrated power model quantised for this node's SoC.
     power_table: PowerTable,
     /// The uncore part of the power level, and the
     /// [`SkxSoc::uncore_change_epoch`] it was computed at.
@@ -434,15 +374,13 @@ impl ServerState {
             .timeseries_interval
             .filter(|d| !d.is_zero())
             .map(TimeSeries::new);
-        let power_table = PowerTable::new(&config.power, &soc);
+        let power_table = PowerTable::new(&PowerModel::skx_calibrated(), &soc);
         let uncore_level = (soc.uncore_change_epoch(), power_table.uncore(&soc));
         ServerState {
             soc,
-            addrs: Addresses::default(),
             nic: NicState::default(),
             sched: SchedState::new(cores),
-            uncore: UncoreStatus::default(),
-            pkg: PackageMirror::default(),
+            package: PackageController::new(config.platform.package_policy),
             telemetry,
             workload_name: "",
             offered_rate: 0.0,
@@ -485,10 +423,10 @@ impl ServerState {
     }
 
     /// Charges the energy meter up to `now` at the level held since the
-    /// last charge. Runs before every event of the node's components (see
-    /// [`crate::node::ServerNode::register`]), so each interval between two
-    /// node events is charged at the level that held across it. Events of
-    /// other components (a cluster's front, the fabric, other nodes) at most
+    /// last charge. Runs before every event of the node (see
+    /// [`crate::node::Node`]), so each interval between two node events is
+    /// charged at the level that held across it. Events of other
+    /// components (a cluster's front, the fabric, other nodes) at most
     /// deposit into this node's NIC buffer, which no power input reads, and
     /// the meter's integer accounting is split-invariant (see
     /// [`apc_power::energy`]): charging at fewer instants meters the same
@@ -515,20 +453,14 @@ impl ServerState {
 
     /// Records the package C-state at `now` and returns
     /// [`ServerState::any_core_active`], which picks it. Runs after every
-    /// event of the node's components: the state is a pure function of that
-    /// flag and the package FSMs, which only those events move, and the
-    /// package controller mirrors what the FSMs imply into
-    /// [`ServerState::pkg`]. A repeated state is a no-op. The node's
-    /// accounting wrapper publishes the flag as the node's awake bit in
+    /// event of the node: the state is a pure function of that flag and
+    /// the package FSM, which only those events move. A repeated state is a
+    /// no-op. The node publishes the flag as its awake bit in
     /// [`ClusterState::routing`].
     #[inline]
     pub fn settle(&mut self, now: SimTime) -> bool {
         let awake = self.any_core_active();
-        let state = if awake {
-            self.pkg.active_state
-        } else {
-            self.pkg.idle_state
-        };
+        let state = self.package.package_state(awake);
         self.telemetry.package_residency.transition(now, state);
         awake
     }
@@ -611,9 +543,9 @@ impl ServerState {
 ///   `buffer_request` helper) and client service completion (−1). Moves
 ///   between buffer, queue, reservation and service are neutral.
 /// * **Awake:** one bit per node, set while
-///   [`ServerState::any_core_active`] holds. The node's accounting wrapper
-///   writes it after every node event from the flag
-///   [`ServerState::settle`] computes anyway. Only node events move the
+///   [`ServerState::any_core_active`] holds. The node writes it after
+///   every one of its events from the flag [`ServerState::settle`]
+///   computes anyway. Only node events move the
 ///   flag, so the bit is exact whenever a front routes. Every bit starts
 ///   set, because cores boot busy.
 #[derive(Debug, Clone)]
@@ -690,8 +622,7 @@ impl RoutingIndex {
 
 /// The state shared by every component of a simulation: one complete
 /// [`ServerState`] per node, hosted in a single event loop (a single server
-/// is the 1-node case). Node components reach their node as
-/// `nodes[index]`.
+/// is the 1-node case). A node reaches its own as `nodes[index]`.
 #[derive(Debug)]
 pub struct ClusterState {
     /// Per-node server state, indexed by node number.
@@ -840,7 +771,7 @@ mod tests {
     fn float_level(node: &ServerState) -> PowerLevel {
         let busy = node.sched.busy_cores();
         let utilization = memory_utilization(busy, node.soc.cores().len());
-        PowerLevel::quantise(&node.config.power.snapshot(&node.soc, utilization))
+        PowerLevel::quantise(&PowerModel::skx_calibrated().snapshot(&node.soc, utilization))
     }
 
     /// Drives drawn core, busy and uncore changes through a node at
@@ -849,7 +780,7 @@ mod tests {
     /// quantised float snapshot. And a meter charged through
     /// [`ServerState::charge`] only at a random subset of the instants —
     /// the node's own events, each charged before it changes the node, as
-    /// the node's accounting wrapper does — must equal, bit for bit, a
+    /// the node's handler does — must equal, bit for bit, a
     /// reference meter advanced at every instant with a freshly computed
     /// level.
     fn check_power_accounting(soc: SocConfig, steps: usize, seed: u64) {

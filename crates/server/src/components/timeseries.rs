@@ -1,8 +1,8 @@
-//! Periodic time-series sampler component.
+//! Periodic time-series sampler.
 //!
-//! When [`crate::config::ServerConfig::timeseries_interval`] is set, the
-//! node builder registers one `TimeSeriesSampler` per node. The sampler
-//! re-arms itself every interval and appends one
+//! When [`crate::config::ServerConfig::timeseries_interval`] is set, each
+//! node owns one `TimeSeriesSampler`. The sampler re-arms itself every
+//! interval and appends one
 //! [`apc_telemetry::timeseries::TimeSeriesSample`] to the node's
 //! [`TelemetryState::timeseries`](super::state::TelemetryState::timeseries):
 //! instantaneous SoC power, queue depth, busy cores, the current package
@@ -16,12 +16,12 @@
 //! changes request-level outcomes (completions, latencies, transitions) of
 //! an otherwise identical run.
 
-use apc_sim::component::{EventHandler, SimulationContext};
+use apc_sim::component::SimulationContext;
 use apc_sim::SimDuration;
 use apc_soc::cstate::PackageCState;
 use apc_telemetry::timeseries::TimeSeriesSample;
 
-use super::state::ClusterState;
+use super::state::ServerState;
 use super::ServerEvent;
 
 /// The four package states the time series tracks, in export order.
@@ -33,8 +33,7 @@ const TRACKED_STATES: [PackageCState; 4] = [
 ];
 
 /// Samples one node's observable state at a fixed interval.
-pub struct TimeSeriesSampler {
-    node: usize,
+pub(crate) struct TimeSeriesSampler {
     every: SimDuration,
     /// Cumulative per-state residency at the previous sample, in
     /// [`TRACKED_STATES`] order (deltas are differences of cumulatives).
@@ -42,34 +41,30 @@ pub struct TimeSeriesSampler {
 }
 
 impl TimeSeriesSampler {
-    /// Creates the sampler for node `node`, sampling every `every`.
+    /// Creates a sampler sampling every `every`.
     ///
     /// # Panics
     ///
     /// Panics if `every` is zero — a zero-interval sampler would re-arm at
     /// the current instant forever (the config builder filters this out).
     #[must_use]
-    pub fn new(node: usize, every: SimDuration) -> Self {
+    pub(crate) fn new(every: SimDuration) -> Self {
         assert!(!every.is_zero(), "time-series interval must be positive");
         TimeSeriesSampler {
-            node,
             every,
             prev_residency: [SimDuration::ZERO; 4],
         }
     }
-}
 
-impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
-    fn on_event(
+    /// The `TimeSeriesSample` event: appends one sample of `node`, whose
+    /// outstanding client requests are `queue_depth`, and re-arms.
+    pub(crate) fn on_sample(
         &mut self,
-        event: ServerEvent,
-        shared: &mut ClusterState,
+        node: &mut ServerState,
+        queue_depth: usize,
         ctx: &mut SimulationContext<'_, ServerEvent>,
     ) {
-        debug_assert!(matches!(event, ServerEvent::TimeSeriesSample));
-        let _ = event;
         let now = ctx.now();
-        let node = &mut shared.nodes[self.node];
 
         let busy_cores = node.sched.busy_cores();
         let soc_nanowatts = node.power_level().soc_total();
@@ -84,7 +79,7 @@ impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
         let sample = TimeSeriesSample {
             at: now,
             soc_power_w: soc_nanowatts as f64 / 1e9,
-            queue_depth: shared.routing.load(self.node),
+            queue_depth,
             busy_cores,
             package_state: residency.current(),
             pc0_delta: deltas[0],
@@ -96,7 +91,7 @@ impl EventHandler<ServerEvent, ClusterState> for TimeSeriesSampler {
         node.telemetry
             .timeseries
             .as_mut()
-            .expect("sampler registered without a time series in telemetry")
+            .expect("a node built with a sampler has a time series in telemetry")
             .push(sample);
         ctx.emit_self(self.every, ServerEvent::TimeSeriesSample);
     }

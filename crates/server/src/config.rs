@@ -1,29 +1,28 @@
 //! Full-system experiment configuration.
 
 use apc_pmu::config::PlatformConfig;
-use apc_power::model::PowerModel;
 use apc_sim::SimDuration;
 use apc_soc::topology::SocConfig;
 use apc_trace::TraceConfig;
 use apc_workloads::spec::BackgroundNoise;
 
 /// Configuration of one simulated server run.
+///
+/// The calibrated power model, the NIC's coalescing window and the
+/// per-interrupt softirq overhead are the same for every run:
+/// `PowerModel::skx_calibrated()`, [`NIC_COALESCING`] and
+/// [`SOFTIRQ_OVERHEAD`].
+///
+/// [`NIC_COALESCING`]: crate::components::nic::NIC_COALESCING
+/// [`SOFTIRQ_OVERHEAD`]: crate::components::core_exec::SOFTIRQ_OVERHEAD
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Socket topology (defaults to the Xeon Silver 4114 reference).
     pub soc: SocConfig,
     /// Platform power-management configuration (`Cshallow`, `Cdeep`, `CPC1A`).
     pub platform: PlatformConfig,
-    /// Calibrated power model.
-    pub power: PowerModel,
     /// OS background noise model (`None` disables background wakeups).
     pub noise: Option<BackgroundNoise>,
-    /// NIC interrupt-coalescing window: requests arriving within this window
-    /// of the first buffered request are delivered together by one interrupt.
-    pub nic_coalescing: SimDuration,
-    /// Per-interrupt kernel processing overhead charged to the receiving
-    /// core before request service starts.
-    pub softirq_overhead: SimDuration,
     /// Simulated measurement duration.
     pub duration: SimDuration,
     /// RNG seed.
@@ -69,10 +68,7 @@ impl ServerConfig {
         ServerConfig {
             soc: SocConfig::xeon_silver_4114(),
             platform,
-            power: PowerModel::skx_calibrated(),
             noise: Some(BackgroundNoise::default_server()),
-            nic_coalescing: SimDuration::from_micros(30),
-            softirq_overhead: SimDuration::from_micros(3),
             duration: SimDuration::from_millis(500),
             seed: 0x5eed,
             timeseries_interval: None,

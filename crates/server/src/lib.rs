@@ -5,16 +5,15 @@
 //! paper's platform configurations, producing the power, residency and
 //! latency measurements every figure of the evaluation is built from.
 //!
-//! * [`config`] — [`config::ServerConfig`] (topology, platform, power model,
-//!   NIC coalescing, background noise);
-//! * [`components`] — the simulation decomposed into registered
-//!   [`apc_sim::component::EventHandler`] components (NIC, dispatch
-//!   scheduler, per-core execution, package controller, power/telemetry),
-//!   each node-scoped: it reaches its node's
-//!   [`components::state::ServerState`] as `nodes[index]` of the shared
+//! * [`config`] — [`config::ServerConfig`] (topology, platform, background
+//!   noise, horizon, seed);
+//! * [`components`] — the parts of a server (NIC, dispatch scheduler,
+//!   per-core execution, package controller, time-series sampler), the
+//!   [`components::ServerEvent`]s between them, and the shared state: one
+//!   [`components::state::ServerState`] per node in the
 //!   [`components::state::ClusterState`];
-//! * [`node`] — the [`node::ServerNode`] builder registering one complete
-//!   server into a cluster's simulation;
+//! * [`node`] — [`node::Node`], one complete server registered as one
+//!   component, which routes each of its events to its handler by kind;
 //! * [`cluster`] — [`cluster::ClusterSimulation`], the one simulation
 //!   driver: N nodes plus a [`cluster::ClusterFront`] component in one
 //!   event loop, with per-node and cluster-aggregate results. A single
@@ -66,6 +65,5 @@ pub use cluster::{
 };
 pub use config::ServerConfig;
 pub use fleet::{Fleet, FleetMember, FleetResult, Pool, PoolMember};
-pub use node::ServerNode;
 pub use result::RunResult;
 pub use sim::run_experiment;

@@ -1,42 +1,47 @@
-//! Embeddable server node: registers one complete server's components into
-//! a cluster's [`Simulation`].
+//! One server node, registered as one simulation component.
 //!
-//! [`crate::cluster::ClusterSimulation`] registers one [`ServerNode`] per
-//! node (plus its front component, the load balancer or the chain
-//! coordinator) over a [`ClusterState`]; a single server is the 1-node
-//! case. Registration, bootstrap scheduling and result extraction are the
-//! same for every node.
+//! [`crate::cluster::ClusterSimulation`] registers one [`Node`] per node
+//! (plus its front component, the load balancer or the chain coordinator,
+//! and the fabric) over a [`ClusterState`]; a single server is the 1-node
+//! case. A node owns one executor per core and the optional time-series
+//! sampler. Its state, the package controller and the telemetry its
+//! result is reduced from included, is entry `index` of
+//! [`ClusterState::nodes`], so the cluster needs no handle on the node.
+//!
+//! # Routing by kind
+//!
+//! Every [`ServerEvent`] kind has exactly one handler (see the enum's
+//! notes), so the node hands each of its events to that handler by kind;
+//! the core-directed kinds carry the core's index. A signal between the
+//! node's parts is an event the node emits to itself. The event queue
+//! orders events by (time, scheduling sequence) and never reads their
+//! destination, so how a node's events are addressed changes no delivery
+//! order.
 //!
 //! # Determinism across embeddings
 //!
-//! Component registration names must be unique within a simulation, so
-//! nodes register under prefixed names (`"node 1 nic"`, …). RNG streams,
-//! however, are derived from the **node's own seed** by the *unprefixed*
-//! label (`"nic"`, `"core 3"`, `"bootstrap"`) via
-//! [`Simulation::add_component_with_stream`] — a pure function of
-//! `(seed, label)` — so a node draws the same streams whatever its index
-//! and whatever else shares its cluster.
+//! Each core draws its background noise from its own stream, forked off
+//! the **node's own seed** by `"core {i}"`, and the bootstrap offsets come
+//! from the node seed's `"bootstrap"` stream. [`SimRng::fork`] is a pure
+//! function of `(seed, label)`, so a node draws the same streams whatever
+//! its index and whatever else shares its cluster.
 //!
 //! # Accounting around node events
 //!
-//! Every node component is registered inside one generic wrapper whose
-//! handler charges the node's energy meter up to the event's instant
-//! ([`ServerState::charge`]) before the component runs, and records the
-//! node's package C-state ([`ServerState::settle`]) after it. `settle`
-//! returns whether some core is active, and the wrapper publishes that as
-//! the node's awake bit in the cluster's [`RoutingIndex`]. Only the node's
-//! own events can move its power, package state or awake flag, so
+//! The node's handler charges the node's energy meter up to the event's
+//! instant ([`ServerState::charge`]) before the event's handler runs, and
+//! records the node's package C-state ([`ServerState::settle`]) after it.
+//! `settle` returns whether some core is active, and the node publishes
+//! that as its awake bit in the cluster's [`RoutingIndex`]. Only the
+//! node's own events can move its power, package state or awake flag, so
 //! bracketing exactly those events accounts energy and residency at the
 //! instants they change, at the cost of the node's events alone. A
-//! cluster's front and fabric stay unwrapped: they at most deposit into NIC
-//! buffers.
+//! cluster's front and fabric run no node accounting: they at most deposit
+//! into NIC buffers.
 //!
 //! [`ServerState::charge`]: crate::components::state::ServerState::charge
 //! [`ServerState::settle`]: crate::components::state::ServerState::settle
 //! [`RoutingIndex`]: crate::components::state::RoutingIndex
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use apc_pmu::governor::IdleGovernor;
 use apc_sim::component::{ComponentId, EventHandler, Simulation, SimulationContext};
@@ -45,196 +50,101 @@ use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::{CoreCState, PackageCState};
 
 use crate::components::core_exec::CoreExec;
-use crate::components::nic::NicArrival;
-use crate::components::package::PackageController;
-use crate::components::scheduler::Scheduler;
-use crate::components::state::ClusterState;
+use crate::components::state::{ClusterState, ServerState};
 use crate::components::timeseries::TimeSeriesSampler;
-use crate::components::{Addresses, ServerEvent};
+use crate::components::{nic, scheduler, ServerEvent};
 use crate::result::RunResult;
 
-/// Builder that registers one server node's components into a cluster's
-/// simulation. See the [module docs](self) for the naming/seeding scheme.
-pub struct ServerNode {
+/// The component id of node `index`. The cluster registers its nodes
+/// first, in index order, so node `index` is component `index`
+/// ([`Node::register`] asserts it).
+pub(crate) fn component_id(index: usize) -> ComponentId {
+    ComponentId::from_raw(index)
+}
+
+/// One complete server: the component that handles every event of one
+/// node (see the [module docs](self)).
+pub struct Node {
     index: usize,
-    prefix: String,
+    cores: Vec<CoreExec>,
+    timeseries: Option<TimeSeriesSampler>,
 }
 
-/// Handles to one registered node: its peer addresses and the package
-/// controller (whose FSM statistics the run result needs).
-pub struct NodeHandles {
-    /// The node's index in [`ClusterState::nodes`].
-    pub index: usize,
-    /// Component ids of the node's components.
-    pub addrs: Addresses,
-    /// The time-series sampler's id, when the node's configuration enables
-    /// time-series telemetry.
-    pub timeseries: Option<ComponentId>,
-    /// The node's package controller (APMU/GPMU stats live here).
-    pub package: Rc<RefCell<PackageController>>,
-}
-
-impl ServerNode {
-    /// A builder for node `index`; components are registered under
-    /// `"node {index} "`-prefixed names.
-    #[must_use]
-    pub fn new(index: usize) -> Self {
-        ServerNode {
-            index,
-            prefix: format!("node {index} "),
-        }
-    }
-
-    /// Registers `handler` as one of this node's components, inside the
-    /// accounting wrapper (see the [module docs](self)).
-    fn add(
-        &self,
-        sim: &mut Simulation<ServerEvent, ClusterState>,
-        base: &str,
-        handler: impl EventHandler<ServerEvent, ClusterState> + 'static,
-        streams: &SimRng,
-    ) -> ComponentId {
-        let accounted = Accounted {
-            node: self.index,
-            inner: handler,
-        };
-        let name = self.prefix.clone() + base;
-        sim.add_component_with_stream(name, accounted, streams.fork(base))
-    }
-
-    /// Registers the node's component kinds (package, scheduler, NIC, one
-    /// executor per core, and the time-series sampler when enabled) with
-    /// `sim` and fills the node's [`Addresses`] in the shared state. The
-    /// NIC's requests are deposited by the cluster's front component (or
-    /// the fabric, for requests with wire delay).
+impl Node {
+    /// Builds node `index` from its configuration and registers it with
+    /// `sim` as `"node {index}"`. Requests reach it through its NIC buffer,
+    /// deposited by the cluster's front (or the fabric, for requests with
+    /// wire delay).
     ///
     /// The node's configuration is read from its [`ServerState`] in
     /// `sim.shared()`, which must already hold a state for this index.
     ///
-    /// [`ServerState`]: crate::components::state::ServerState
-    pub fn register(&self, sim: &mut Simulation<ServerEvent, ClusterState>) -> NodeHandles {
-        let (seed, platform, noise, timeseries_every, cores) = {
-            let node = &sim.shared().nodes[self.index];
-            (
-                node.config.seed,
-                node.config.platform.clone(),
-                node.config.noise.clone(),
-                node.config.timeseries_interval.filter(|d| !d.is_zero()),
-                node.soc.cores().len(),
-            )
-        };
-        let streams = SimRng::from_seed(seed);
-
-        let package = Rc::new(RefCell::new(PackageController::new(
-            self.index,
-            platform.package_policy,
-            platform.package_cstate_limit(),
-        )));
-        let package_id = self.add(sim, "package", Rc::clone(&package), &streams);
-        let scheduler = self.add(sim, "scheduler", Scheduler::new(self.index), &streams);
-        let nic = self.add(sim, "nic", NicArrival::new(self.index), &streams);
-        let core_ids = (0..cores)
+    /// # Panics
+    ///
+    /// Panics unless nodes `0..index` are the only components registered
+    /// before it: a deposit addresses node `index` as component `index`.
+    pub(crate) fn register(sim: &mut Simulation<ServerEvent, ClusterState>, index: usize) {
+        let state = &sim.shared().nodes[index];
+        let config = &state.config;
+        let streams = SimRng::from_seed(config.seed);
+        let cores = (0..state.soc.cores().len())
             .map(|i| {
-                let governor = IdleGovernor::new(&platform);
-                let core = CoreExec::new(self.index, i, governor, noise.clone());
-                self.add(sim, &format!("core {i}"), core, &streams)
+                let governor = IdleGovernor::new(&config.platform);
+                let rng = streams.fork(&format!("core {i}"));
+                CoreExec::new(index, i, governor, config.noise.clone(), rng)
             })
             .collect();
-        let timeseries = timeseries_every.map(|every| {
-            let sampler = TimeSeriesSampler::new(self.index, every);
-            self.add(sim, "timeseries", sampler, &streams)
-        });
-        let addrs = Addresses {
-            nic,
-            scheduler,
-            package: package_id,
-            cores: core_ids,
+        let node = Node {
+            index,
+            cores,
+            timeseries: config
+                .timeseries_interval
+                .filter(|d| !d.is_zero())
+                .map(TimeSeriesSampler::new),
         };
-
-        sim.shared_mut().nodes[self.index].addrs = addrs.clone();
-        NodeHandles {
-            index: self.index,
-            addrs,
-            timeseries,
-            package,
-        }
+        let id = sim.add_component(format!("node {index}"), node);
+        assert_eq!(id, component_id(index), "nodes register first, in order");
     }
 
-    /// Schedules the node's bootstrap events: one background timer per core
-    /// (offsets drawn from the node-seed `"bootstrap"` stream so component
-    /// streams stay stable), an immediate idle entry for every booted core,
-    /// and the first time-series sample when the series is enabled.
+    /// Schedules node `index`'s bootstrap events: one background timer per
+    /// core (offsets drawn from the node-seed `"bootstrap"` stream so the
+    /// cores' streams stay stable), an immediate idle entry for every
+    /// booted core, and the first time-series sample when the series is
+    /// enabled.
     ///
     /// The *arrival* bootstrap is the driver's job (the front component's
     /// first `ClusterArrival` / `ChainArrival`) and must be scheduled
     /// **before** this call to keep the historical same-timestamp event
     /// order.
-    pub fn bootstrap(
-        &self,
-        sim: &mut Simulation<ServerEvent, ClusterState>,
-        handles: &NodeHandles,
-    ) {
-        let (seed, noise, cores) = {
-            let node = &sim.shared().nodes[self.index];
-            (
-                node.config.seed,
-                node.config.noise.clone(),
-                node.soc.cores().len(),
-            )
-        };
-        if let Some(noise) = noise {
-            let mut boot_rng = SimRng::from_seed(seed).fork("bootstrap");
-            for i in 0..cores {
+    pub(crate) fn bootstrap(sim: &mut Simulation<ServerEvent, ClusterState>, index: usize) {
+        let id = component_id(index);
+        let state = &sim.shared().nodes[index];
+        let (cores, sampled) = (
+            state.soc.cores().len(),
+            state.telemetry.timeseries.is_some(),
+        );
+        if let Some(noise) = state.config.noise.clone() {
+            let mut boot_rng = SimRng::from_seed(state.config.seed).fork("bootstrap");
+            for core in 0..cores {
                 let at = SimTime::ZERO + noise.sample_interval(&mut boot_rng);
-                sim.shared_mut().nodes[self.index].sched.next_background_at[i] = at;
-                sim.schedule(handles.addrs.cores[i], at, ServerEvent::BackgroundTick);
+                sim.shared_mut().nodes[index].sched.next_background_at[core] = at;
+                sim.schedule(id, at, ServerEvent::BackgroundTick { core });
             }
         }
-        for i in 0..cores {
-            sim.schedule(handles.addrs.cores[i], SimTime::ZERO, ServerEvent::InitIdle);
+        for core in 0..cores {
+            sim.schedule(id, SimTime::ZERO, ServerEvent::InitIdle { core });
         }
-        if let Some(timeseries) = handles.timeseries {
-            sim.schedule(timeseries, SimTime::ZERO, ServerEvent::TimeSeriesSample);
+        if sampled {
+            sim.schedule(id, SimTime::ZERO, ServerEvent::TimeSeriesSample);
         }
     }
-}
 
-/// A node component inside the node's accounting: charges the node's energy
-/// meter before each of the component's events, and after it settles its
-/// package state and publishes its awake bit (see the [module docs](self)).
-struct Accounted<H> {
-    node: usize,
-    inner: H,
-}
-
-impl<H: EventHandler<ServerEvent, ClusterState>> EventHandler<ServerEvent, ClusterState>
-    for Accounted<H>
-{
-    fn on_event(
-        &mut self,
-        event: ServerEvent,
-        shared: &mut ClusterState,
-        ctx: &mut SimulationContext<'_, ServerEvent>,
-    ) {
-        let now = ctx.now();
-        shared.nodes[self.node].charge(now);
-        self.inner.on_event(event, shared, ctx);
-        let awake = shared.nodes[self.node].settle(now);
-        shared.routing.set_awake(self.node, awake);
-    }
-}
-
-impl NodeHandles {
-    /// Closes the node's telemetry at `end` and reduces it into a
+    /// Closes a node's telemetry at `end` and reduces its `state` into a
     /// [`RunResult`].
     #[must_use]
-    pub fn collect_result(&self, shared: &mut ClusterState, end: SimTime) -> RunResult {
-        let package = self.package.borrow();
-        let apmu_stats = package.apmu().stats();
-        let pc6_entries = package.gpmu().pc6_entries();
-        drop(package);
-
-        let state = &mut shared.nodes[self.index];
+    pub(crate) fn collect_result(state: &mut ServerState, end: SimTime) -> RunResult {
+        let apmu_stats = state.package.apmu_stats();
+        let pc6_entries = state.package.pc6_entries();
         state.finish_telemetry(end);
         let cores = state.soc.cores().len() as f64;
         let util = state.telemetry.busy_core_time.as_secs_f64()
@@ -293,5 +203,55 @@ impl NodeHandles {
             events_dispatched: 0,
             finished_at: end,
         }
+    }
+}
+
+/// Charges the node, hands the event to its one handler, then settles the
+/// node and publishes its awake bit (see the [module docs](self)).
+impl EventHandler<ServerEvent, ClusterState> for Node {
+    fn on_event(
+        &mut self,
+        event: ServerEvent,
+        shared: &mut ClusterState,
+        ctx: &mut SimulationContext<'_, ServerEvent>,
+    ) {
+        let now = ctx.now();
+        let node = &mut shared.nodes[self.index];
+        node.charge(now);
+        let (package, soc) = (&mut node.package, &mut node.soc);
+        match event {
+            ServerEvent::NicDeliver => nic::on_nic_deliver(node, ctx),
+            ServerEvent::Dispatch => scheduler::on_dispatch(node, ctx),
+            ServerEvent::BackgroundTick { core } => self.cores[core].on_background_tick(node, ctx),
+            ServerEvent::InitIdle { core } => self.cores[core].begin_idle(now, node, ctx),
+            ServerEvent::BeginWake { core } => self.cores[core].on_begin_wake(node, ctx),
+            ServerEvent::WakeDone { core, epoch } => {
+                self.cores[core].on_wake_done(epoch, node, ctx);
+            }
+            ServerEvent::ServiceDone { core } => self.cores[core].on_service_done(shared, ctx),
+            ServerEvent::IdleEntered { core, epoch } => {
+                self.cores[core].on_idle_entered(epoch, node, ctx);
+            }
+            ServerEvent::PackageWake { cause } => package.on_package_wake(cause, soc, ctx),
+            ServerEvent::CoreActive => package.on_core_active(soc),
+            ServerEvent::AllIdleCheck => package.on_all_idle_check(soc, ctx),
+            ServerEvent::StandbyDeadline => package.on_standby_deadline(soc, ctx),
+            ServerEvent::ApmuEntryDone => package.on_apmu_entry_done(),
+            ServerEvent::ApmuExitDone => package.on_apmu_exit_done(soc, ctx),
+            ServerEvent::GpmuEntryDone => package.on_gpmu_entry_done(soc, ctx),
+            ServerEvent::GpmuExitDone => package.on_gpmu_exit_done(soc, ctx),
+            ServerEvent::TimeSeriesSample => {
+                let sampler = self.timeseries.as_mut().expect("armed only with a sampler");
+                sampler.on_sample(node, shared.routing.load(self.index), ctx);
+            }
+            front @ (ServerEvent::ClusterArrival
+            | ServerEvent::WireDeliver { .. }
+            | ServerEvent::ChainArrival
+            | ServerEvent::ChainLeafDone { .. }) => {
+                unreachable!("node {} received front event {front:?}", self.index)
+            }
+        }
+        let awake = shared.nodes[self.index].settle(now);
+        shared.routing.set_awake(self.index, awake);
     }
 }

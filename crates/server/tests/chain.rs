@@ -7,6 +7,7 @@ use apc_network::NetworkConfig;
 use apc_pmu::governor::IdleGovernor;
 use apc_server::balancer::RoutingPolicyKind;
 use apc_server::chain::{run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph};
+use apc_server::components::nic::NIC_COALESCING;
 use apc_server::components::state::ServerState;
 use apc_server::config::ServerConfig;
 use apc_sim::{SimDuration, SimTime};
@@ -190,7 +191,7 @@ fn armed_nic_delivery_bounds_the_predicted_idle() {
     assert_eq!(governor.select_unbounded(), CoreCState::CC6);
     // A sibling's request was just deposited: delivery fires one coalescing
     // window (30 us) out, far below CC6's target residency.
-    state.nic.next_deliver_at = now + state.config.nic_coalescing;
+    state.nic.next_deliver_at = now + NIC_COALESCING;
     let bounded = governor.select(state.predicted_idle_bound(0, now));
     assert_ne!(
         bounded,

@@ -10,6 +10,7 @@ use apc_server::components::state::ClusterState;
 use apc_server::config::ServerConfig;
 use apc_server::fleet::Fleet;
 use apc_server::sim::run_experiment;
+use apc_sim::component::ComponentId;
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_trace::TraceConfig;
@@ -242,9 +243,9 @@ fn balancer(nodes: usize) -> Balancer {
 }
 
 /// The cluster registry hosts N complete servers plus the front component
-/// (balancer or chain coordinator) and the fabric, with per-node prefixed
-/// names: one NIC, one scheduler, one package controller and one component
-/// per core each. `n = 1` is the layout every single-server run has.
+/// (balancer or chain coordinator) and the fabric: one component per node,
+/// named `node {i}`, so N + 2 in all. `n = 1` is the layout every
+/// single-server run has.
 #[test]
 fn cluster_registry_has_expected_layout() {
     for n in [1, 3] {
@@ -261,27 +262,42 @@ fn cluster_registry_has_expected_layout() {
             (balanced.simulation(), "balancer", "chain-coordinator"),
             (chained.simulation(), "chain-coordinator", "balancer"),
         ] {
-            let cores = inner.shared().nodes[0].soc.cores().len();
             assert_eq!(inner.shared().nodes.len(), n);
-            // N complete nodes + the front + the (always-registered) fabric.
-            assert_eq!(inner.component_count(), n * (3 + cores) + 2);
-            assert!(inner.lookup(front).is_some());
-            assert!(inner.lookup(absent).is_none());
-            assert!(inner.lookup("fabric").is_some());
+            // N nodes + the front + the (always-registered) fabric.
+            assert_eq!(inner.component_count(), n + 2);
             for node in 0..n {
-                assert!(inner.lookup(&format!("node {node} nic")).is_some());
-                assert!(inner.lookup(&format!("node {node} scheduler")).is_some());
-                assert!(inner.lookup(&format!("node {node} package")).is_some());
-                for c in 0..cores {
-                    assert!(
-                        inner.lookup(&format!("node {node} core {c}")).is_some(),
-                        "node {node} core {c} missing"
-                    );
-                }
+                let id = inner.lookup(&format!("node {node}"));
+                assert_eq!(id, Some(ComponentId::from_raw(node)), "node {node}");
             }
+            assert_eq!(inner.lookup(front), Some(ComponentId::from_raw(n)));
+            assert_eq!(inner.lookup("fabric"), Some(ComponentId::from_raw(n + 1)));
+            assert!(inner.lookup(absent).is_none());
+            assert!(inner.lookup("node 0 nic").is_none());
             assert_eq!(inner.now(), SimTime::ZERO);
         }
     }
+}
+
+/// A node draws from streams forked off its own seed, never off its index
+/// or registration name: two nodes with one config, in a cluster where no
+/// request arrives before the horizon, see only their own background
+/// noise and so return equal results.
+#[test]
+fn a_node_draws_from_its_seed_not_its_index() {
+    let config = ServerConfig::c_deep().with_duration(SimDuration::from_millis(20));
+    let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 1e-3, 1);
+    let balancer = Balancer::new(loadgen, RoutingPolicyKind::RoundRobin.build(), 2);
+    let result = ClusterSimulation::new(1, vec![config.clone(), config], balancer, None).run();
+    assert_eq!(
+        result.total_routed(),
+        0,
+        "a request arrived before the horizon"
+    );
+    let [first, second] = &result.nodes.runs[..] else {
+        panic!("two nodes");
+    };
+    assert!(first.idle_periods > 0, "no background noise drawn");
+    assert_eq!(first, second);
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Unit tests of the component dispatch machinery: stale-epoch handling,
-//! PC1A entry/abort event ordering, uncore gating and seed determinism.
+//! Tests of a node's event handling: stale-epoch handling, PC1A
+//! entry/abort event ordering, uncore gating, one package FSM per platform
+//! and seed determinism.
 
 use apc_server::config::ServerConfig;
 use apc_server::fleet::Fleet;
@@ -19,8 +20,8 @@ fn run_seeded(seed: u64, rate: f64) -> RunResult {
 }
 
 /// Two runs with the same seed must agree bit-for-bit on every metric the
-/// simulation produces — the root RNG is split per component by name, so no
-/// component's draws can bleed into another's stream.
+/// simulation produces — every stream is forked from a seed by label, so
+/// no consumer's draws can bleed into another's stream.
 #[test]
 fn identical_seeds_are_bit_identical() {
     let a = run_seeded(9, 10_000.0);
@@ -152,4 +153,32 @@ fn fleet_of_four_is_deterministic_and_aggregates() {
     assert!(a.total_power_w() > a.mean_soc_power_w());
     assert!(a.mean_pc1a_residency() > 0.0);
     assert!(a.worst_p99() >= a.mean_latency());
+}
+
+/// Each platform runs only its own package FSM: `Cshallow` records no
+/// PC1A or PC6 transition or residency, `CPC1A` no PC6 and `Cdeep` no
+/// PC1A, while the two with a package C-state do reach it at low load.
+#[test]
+fn each_platform_runs_only_its_package_fsm() {
+    let run = |config: ServerConfig| {
+        run_experiment(
+            config
+                .with_duration(SimDuration::from_millis(50))
+                .with_seed(4),
+            WorkloadSpec::memcached_etc(),
+            2_000.0,
+        )
+    };
+    let no_pc1a =
+        |r: &RunResult| r.pc1a_transitions == 0 && r.pc1a_aborted == 0 && r.pc1a_residency == 0.0;
+    let no_pc6 = |r: &RunResult| r.pc6_transitions == 0 && r.pc6_residency == 0.0;
+
+    let shallow = run(ServerConfig::c_shallow());
+    assert!(no_pc1a(&shallow) && no_pc6(&shallow), "Cshallow");
+    let pc1a = run(ServerConfig::c_pc1a());
+    assert!(no_pc6(&pc1a), "CPC1A");
+    assert!(pc1a.pc1a_transitions > 0 && pc1a.pc1a_residency > 0.0);
+    let deep = run(ServerConfig::c_deep());
+    assert!(no_pc1a(&deep), "Cdeep");
+    assert!(deep.pc6_transitions > 0 && deep.pc6_residency > 0.0);
 }

@@ -25,10 +25,10 @@
 //! next event and hands it to its destination's handler, nothing else, and
 //! [`Simulation::run_until`] does the same through
 //! [`EventQueue::pop_before`], so the horizon check costs no separate peek.
-//! Work that must bracket a group of components' events (the server crate's
-//! energy and residency accounting, say) belongs in a handler that wraps
-//! those components, so it costs only their events and is dispatched
-//! statically.
+//! Work that must bracket a group of events (the server crate's energy and
+//! residency accounting, say) belongs in the handler of the one component
+//! those events are addressed to, so it costs only their events: the
+//! server crate registers each server node as one component.
 //!
 //! Unlike DSLab's context, [`SimulationContext`] cannot cancel an emitted
 //! event. A component that may supersede its own pending event carries an
@@ -234,42 +234,17 @@ impl<E, S> Simulation<E, S> {
         name: impl Into<String>,
         handler: impl EventHandler<E, S> + 'static,
     ) -> ComponentId {
-        let name = name.into();
-        let rng = self.root_rng.fork(&name);
-        self.add_component_with_stream(name, handler, rng)
-    }
-
-    /// Registers a component under a unique name with an explicitly supplied
-    /// RNG stream instead of the default root-seed-by-name fork.
-    ///
-    /// This decouples a component's *registration name* (which must be
-    /// unique within the simulation) from its *randomness stream* (which the
-    /// caller may want to derive from some other root). The cluster layer
-    /// relies on this: node components are registered under prefixed names
-    /// (`"node 1 nic"`, …) while their streams are forked from the node's
-    /// own seed by the unprefixed label, so a node draws exactly the same
-    /// streams whatever its index and whatever else shares its simulation
-    /// (see [`SimRng::fork`], which is a pure function of
-    /// `(parent seed, label)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is already registered.
-    pub fn add_component_with_stream(
-        &mut self,
-        name: impl Into<String>,
-        handler: impl EventHandler<E, S> + 'static,
-        rng: SimRng,
-    ) -> ComponentId {
         let id = ComponentId(self.handlers.len());
-        match self.ids.entry(name.into()) {
+        let rng = match self.ids.entry(name.into()) {
             Entry::Vacant(slot) => {
+                let rng = self.root_rng.fork(slot.key());
                 slot.insert(id);
+                rng
             }
             Entry::Occupied(slot) => {
                 panic!("component name {:?} registered twice", slot.key())
             }
-        }
+        };
         self.rngs.push(rng);
         self.handlers.push(Box::new(handler));
         id
@@ -554,27 +529,6 @@ mod tests {
         assert_eq!(sim.lookup("sink"), Some(sink));
         assert_eq!(sim.lookup("nope"), None);
         assert_eq!(sim.component_count(), 2);
-    }
-
-    #[test]
-    fn explicit_streams_decouple_name_from_randomness() {
-        // A component registered under any name but with a stream forked
-        // from (seed, "ticker") must draw exactly what `add_component`'s
-        // default name-fork would give a component named "ticker".
-        let run = |explicit: bool| {
-            let mut sim = Simulation::new(42, Shared::default());
-            let ticker = if explicit {
-                let rng = SimRng::from_seed(42).fork("ticker");
-                sim.add_component_with_stream("prefixed ticker", Ticker { peer: None }, rng)
-            } else {
-                sim.add_component("ticker", Ticker { peer: None })
-            };
-            sim.schedule(ticker, SimTime::from_micros(1), Ev::Noise);
-            sim.schedule(ticker, SimTime::from_micros(2), Ev::Noise);
-            sim.run_until(SimTime::from_secs(1));
-            sim.shared().draws.clone()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

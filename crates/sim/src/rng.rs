@@ -82,19 +82,18 @@ impl SimRng {
     ///
     /// | consumer | label | forked from |
     /// |---|---|---|
-    /// | server-node component | its unprefixed label (`"nic"`, `"core 3"`) | the node's seed (for a single server, also its cluster seed) |
+    /// | a server node's core `i` | `"core i"` | the node's seed (for a single server, also its cluster seed) |
     /// | node bootstrap draws | `"bootstrap"` | the node's seed |
     /// | load generator | `"loadgen"` | the server's (or cluster's) seed |
     /// | fleet / scenario member `i` | `"server i"` | the fleet or scenario seed |
     /// | cluster node `i` | `"server i"` | the cluster seed |
     /// | cluster balancer | `"balancer"` | the cluster seed (its simulation root) |
     ///
-    /// Node components are registered under name prefixes when several nodes
-    /// share one simulation, but their streams are forked by the
-    /// *unprefixed* label from the *node seed* (see
-    /// `Simulation::add_component_with_stream`), so a node embedded in a
-    /// cluster draws exactly what a single server (a 1-node cluster) with
-    /// the same seed would.
+    /// A node registers as one component named after its index
+    /// (`"node 3"`), but its cores' streams are forked from the *node
+    /// seed*, not from that name, so a node embedded in a cluster draws
+    /// exactly what a single server (a 1-node cluster) with the same seed
+    /// would.
     ///
     /// Because each member/component seed is a pure function of
     /// `(parent seed, label)`, fleets are exactly reproducible run-to-run,

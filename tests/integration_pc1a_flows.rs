@@ -96,7 +96,7 @@ fn pc6_flow_is_two_orders_of_magnitude_slower() {
     use apc::pmu::gpmu::Gpmu;
     let mut soc = SkxSoc::xeon_silver_4114();
     soc.force_all_cores(CoreCState::CC6);
-    let mut gpmu = Gpmu::new(PackageCState::PC6);
+    let mut gpmu = Gpmu::new();
     let entry = gpmu.begin_entry(&mut soc, SimTime::from_micros(10));
     gpmu.complete_entry(&mut soc, SimTime::from_micros(10) + entry);
     let exit = gpmu.begin_exit(&mut soc, SimTime::from_micros(500));
@@ -104,14 +104,4 @@ fn pc6_flow_is_two_orders_of_magnitude_slower() {
     let pc1a_round_trip = Pc1aLatencyModel::from_components().round_trip();
     let ratio = pc6_round_trip.as_nanos() as f64 / pc1a_round_trip.as_nanos() as f64;
     assert!(ratio > 250.0, "ratio {ratio}");
-}
-
-#[test]
-fn disabled_apmu_mirrors_the_baseline() {
-    let t0 = SimTime::ZERO;
-    let mut soc = idle_socket(t0);
-    let mut apmu = Apmu::disabled();
-    assert!(apmu.on_all_cores_idle(&mut soc).is_none());
-    assert!(!apmu.in_pc1a());
-    assert_eq!(apmu.stats().pc1a_entries, 0);
 }
