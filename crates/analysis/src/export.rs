@@ -44,7 +44,7 @@ use apc_server::fleet::FleetResult;
 use apc_server::result::RunResult;
 use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::PackageCState;
-use apc_telemetry::latency::{LatencyRecorder, LatencySummary};
+use apc_telemetry::latency::LatencySummary;
 use apc_telemetry::sketch::{QuantileSketch, SketchParts};
 use apc_telemetry::timeseries::{TimeSeries, TimeSeriesSample};
 use apc_trace::{ProfileReport, TraceLog};
@@ -653,7 +653,7 @@ pub fn run_result_from_json(
     if v.get("profile").is_some() {
         return Err("run: carries a `profile`, which does not round-trip".to_owned());
     }
-    let latency = LatencyRecorder::from_sketch(sketch.clone()).summary();
+    let latency = LatencySummary::of(&sketch);
     if v.get("latency") != Some(&latency_json(&latency)) {
         return Err("run: `latency` summary does not match its sketch".to_owned());
     }

@@ -6,17 +6,5 @@
 //! Run with: `cargo bench -p apc-bench --bench paper_tables`
 
 fn main() {
-    print!("{}", apc_bench::table1_package_cstate_power());
-    println!();
-    print!("{}", apc_bench::table2_cstate_characteristics());
-    println!();
-    print!("{}", apc_bench::sec2_savings_model());
-    println!();
-    print!("{}", apc_bench::sec54_pc1a_power_breakdown());
-    println!();
-    print!("{}", apc_bench::sec55_pc1a_latency());
-    println!();
-    print!("{}", apc_bench::sec5_area_overhead());
-    println!();
-    print!("{}", apc_bench::fig7a_idle_power());
+    print!("{}", apc_bench::paper_tables());
 }

@@ -27,6 +27,23 @@ fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
+/// Every closed-form table, in the order the `paper_tables` bench prints
+/// them, separated by blank lines. `tests/golden/paper_tables.txt` pins
+/// the result byte for byte.
+#[must_use]
+pub fn paper_tables() -> String {
+    [
+        table1_package_cstate_power(),
+        table2_cstate_characteristics(),
+        sec2_savings_model(),
+        sec54_pc1a_power_breakdown(),
+        sec55_pc1a_latency(),
+        sec5_area_overhead(),
+        fig7a_idle_power(),
+    ]
+    .join("\n")
+}
+
 /// **Table 1** — power and transition latency across package C-states.
 #[must_use]
 pub fn table1_package_cstate_power() -> String {

@@ -391,12 +391,9 @@ mod tests {
 
         // Component states match Table 2's PC1A row.
         assert!(soc.ios().all_in_l0s());
-        assert!(soc
-            .memory()
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::PrechargePowerDown));
+        assert_eq!(soc.memory().mode(), DramPowerMode::PrechargePowerDown);
         assert!(soc.clm().clock().is_gated());
-        assert!(soc.plls().iter().all(|p| p.state() == PllState::Locked));
+        assert_eq!(soc.plls().uncore_state(), PllState::Locked);
     }
 
     #[test]
@@ -421,10 +418,7 @@ mod tests {
         apmu.on_core_active(&mut soc);
         assert_eq!(apmu.state(), ApmuState::Pc0);
         assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L0));
-        assert!(soc
-            .memory()
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::Active));
+        assert_eq!(soc.memory().mode(), DramPowerMode::Active);
     }
 
     #[test]

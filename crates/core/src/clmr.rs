@@ -73,8 +73,9 @@ mod tests {
         let mut soc = SkxSoc::xeon_silver_4114();
         let clmr = ClmRetention;
         clmr.enter_retention(&mut soc, SimTime::ZERO);
-        assert!(
-            soc.plls().iter().all(|p| p.state() == PllState::Locked),
+        assert_eq!(
+            soc.plls().uncore_state(),
+            PllState::Locked,
             "APC never unlocks a PLL"
         );
         let (ramp, ungate) = clmr.exit_retention(&mut soc, SimTime::from_micros(1));
@@ -82,7 +83,7 @@ mod tests {
         assert_eq!(ungate, SimDuration::from_nanos(4));
         clmr.exit_complete(&mut soc, SimTime::from_micros(1) + ramp + ungate);
         assert_eq!(soc.clm().state(), ClmState::Operational);
-        assert!(soc.plls().iter().all(|p| p.state() == PllState::Locked));
+        assert_eq!(soc.plls().uncore_state(), PllState::Locked);
     }
 
     #[test]

@@ -37,13 +37,13 @@ impl IoStandbyMode {
 
     /// Asserts `Allow_CKE_OFF` on every memory controller (Fig. 4 step 3).
     pub fn assert_allow_cke_off(&self, soc: &mut SkxSoc) {
-        soc.memory_mut().set_allow_cke_off_all(true);
+        soc.memory_mut().set_allow_cke_off(true);
     }
 
     /// De-asserts `Allow_CKE_OFF` everywhere (Fig. 4 step 6). Returns the
     /// CKE-off exit latency the memory controllers pay.
     pub fn deassert_allow_cke_off(&self, soc: &mut SkxSoc) -> SimDuration {
-        soc.memory_mut().set_allow_cke_off_all(false)
+        soc.memory_mut().set_allow_cke_off(false)
     }
 
     /// The earliest time by which every currently-idle link can have entered
@@ -126,16 +126,10 @@ mod tests {
         let mut soc = idle_soc(SimTime::ZERO);
         let iosm = IoStandbyMode;
         iosm.assert_allow_cke_off(&mut soc);
-        assert!(soc
-            .memory()
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::PrechargePowerDown));
+        assert_eq!(soc.memory().mode(), DramPowerMode::PrechargePowerDown);
         let exit = iosm.deassert_allow_cke_off(&mut soc);
         assert_eq!(exit, SimDuration::from_nanos(24));
-        assert!(soc
-            .memory()
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::Active));
+        assert_eq!(soc.memory().mode(), DramPowerMode::Active);
     }
 
     #[test]

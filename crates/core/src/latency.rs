@@ -18,7 +18,7 @@ use std::fmt;
 
 use apc_sim::SimDuration;
 use apc_soc::clock::PMU_CLOCK;
-use apc_soc::memory::MemoryController;
+use apc_soc::memory::MemorySet;
 use apc_soc::vr::Fivr;
 
 /// The component latencies composing a PC1A transition.
@@ -47,13 +47,13 @@ impl Pc1aLatencyModel {
         Pc1aLatencyModel {
             clm_clock_gate: PMU_CLOCK.cycles(2),
             cke_off_assert: PMU_CLOCK.cycles(2),
-            cke_off_entry: MemoryController::CKE_OFF_ENTRY,
+            cke_off_entry: MemorySet::CKE_OFF_ENTRY,
             clm_voltage_ramp: SimDuration::from_nanos(
                 (f64::from(Fivr::CLM_NOMINAL.0 - Fivr::CLM_RETENTION.0) / Fivr::SLEW_MV_PER_NS)
                     .ceil() as u64,
             ),
             io_standby_exit: SimDuration::from_nanos(64),
-            cke_off_exit: MemoryController::CKE_OFF_EXIT,
+            cke_off_exit: MemorySet::CKE_OFF_EXIT,
         }
     }
 

@@ -158,10 +158,9 @@ impl Gpmu {
             io.set_allow_l1(true);
             io.enter_l1();
         }
-        for mc in soc.memory_mut().iter_mut() {
-            mc.set_allow_self_refresh(true);
-            mc.enter_self_refresh();
-        }
+        let memory = soc.memory_mut();
+        memory.set_allow_self_refresh(true);
+        memory.enter_self_refresh();
         // Uncore: gate CLM clock, stop PLLs, drop CLM voltage to retention.
         soc.clm_mut().clock_gate();
         soc.plls_mut().power_off_uncore();
@@ -206,10 +205,9 @@ impl Gpmu {
             io.set_allow_l1(false);
             io.wake();
         }
-        for mc in soc.memory_mut().iter_mut() {
-            mc.set_allow_self_refresh(false);
-            mc.wake();
-        }
+        let memory = soc.memory_mut();
+        memory.set_allow_self_refresh(false);
+        memory.wake();
         self.phase = GpmuPhase::Active;
     }
 
@@ -283,11 +281,8 @@ mod tests {
 
         // Component states while resident in PC6.
         assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L1));
-        assert!(soc
-            .memory()
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::SelfRefresh));
-        assert!(soc.plls().uncore_plls().all(|p| p.state() == PllState::Off));
+        assert_eq!(soc.memory().mode(), DramPowerMode::SelfRefresh);
+        assert_eq!(soc.plls().uncore_state(), PllState::Off);
         assert!(soc.clm().clock().is_gated());
 
         // Reside for 1 ms, then a wakeup arrives.
@@ -300,14 +295,8 @@ mod tests {
 
         // Everything operational again.
         assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L0));
-        assert!(soc
-            .memory()
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::Active));
-        assert!(soc
-            .plls()
-            .uncore_plls()
-            .all(|p| p.state() == PllState::Locked));
+        assert_eq!(soc.memory().mode(), DramPowerMode::Active);
+        assert_eq!(soc.plls().uncore_state(), PllState::Locked);
         assert!(!soc.clm().clock().is_gated());
         assert_eq!(gpmu.package_state(false), PackageCState::PC0);
         assert_eq!(gpmu.package_state(true), PackageCState::PC0Idle);

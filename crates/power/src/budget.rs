@@ -342,6 +342,18 @@ mod tests {
     }
 
     #[test]
+    fn pll_delta_counts_the_socs_uncore_plls() {
+        // Eq. 2's `PPLLs_diff` is every uncore PLL of the socket the budget
+        // describes: as many as the SoC model builds from the same config.
+        let m = PowerModel::skx_calibrated();
+        for config in [SocConfig::xeon_silver_4114(), SocConfig::small_test(4)] {
+            let uncore_plls = config.build().plls().uncore_count();
+            let deltas = PackageStatePower::new(m.clone(), config).pc1a_component_deltas();
+            assert_eq!(deltas.plls, Watts(m.pll_locked * uncore_plls as f64));
+        }
+    }
+
+    #[test]
     fn recipes_follow_table2() {
         let pc1a = PackageStateRecipe::for_state(PackageCState::PC1A);
         assert_eq!(pc1a.cores, CoreCState::CC1);

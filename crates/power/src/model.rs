@@ -21,7 +21,7 @@ use apc_soc::clm::ClmState;
 use apc_soc::core::CoreSet;
 use apc_soc::cstate::CoreCState;
 use apc_soc::io::{IoKind, LinkPowerState};
-use apc_soc::memory::{DramPowerMode, MemoryController, MemorySet};
+use apc_soc::memory::DramPowerMode;
 use apc_soc::pll::PllState;
 use apc_soc::topology::SkxSoc;
 
@@ -270,55 +270,22 @@ impl PowerModel {
             .iter()
             .map(|c| self.io_power(c.kind(), c.state()))
             .sum();
-        let mcs: Watts = soc.memory().iter().map(|m| self.mc_power(m.mode())).sum();
-        let plls: Watts = soc
-            .plls()
-            .uncore_plls()
-            .map(|p| self.pll_power(p.state()))
-            .sum();
+        let memory = soc.memory();
+        let mcs = self.mc_power(memory.mode()) * memory.len() as f64;
+        let plls = soc.plls();
         UncorePower {
             clm: self.clm_power(soc.clm().state()),
             io: links + mcs,
-            plls,
+            plls: self.pll_power(plls.uncore_state()) * plls.uncore_count() as f64,
             uncore_misc: Watts(self.north_cap_base),
         }
     }
 
-    /// Power of the DRAM devices. `memory_utilization` (0–1) scales the
-    /// activity component of active-mode controllers.
-    ///
-    /// DRAM device power follows the deepest common mode of the controllers
-    /// (they transition together in the package flows); mixed states are
-    /// averaged.
-    #[must_use]
-    pub fn dram_domain(&self, memory: &MemorySet, memory_utilization: f64) -> Watts {
-        self.dram_of_modes(
-            memory.iter().map(MemoryController::mode),
-            memory.len(),
-            memory_utilization,
-        )
-    }
-
-    /// [`PowerModel::dram_domain`] of `n` controllers in `modes`: the one
-    /// float expression behind the DRAM domain, shared with
-    /// [`crate::table::PowerTable`].
-    pub(crate) fn dram_of_modes(
-        &self,
-        modes: impl Iterator<Item = DramPowerMode>,
-        n: usize,
-        memory_utilization: f64,
-    ) -> Watts {
-        modes
-            .map(|mode| self.dram_power(mode, memory_utilization))
-            .sum::<Watts>()
-            / n.max(1) as f64
-    }
-
     /// Computes the instantaneous power breakdown of a socket from its three
     /// domains: `PowerModel::cores_domain`, `PowerModel::uncore_domain`
-    /// and [`PowerModel::dram_domain`]. `memory_utilization` (0–1) scales
-    /// the DRAM activity component (only meaningful when at least one core
-    /// is active).
+    /// and the DRAM devices in their one mode ([`PowerModel::dram_power`]).
+    /// `memory_utilization` (0–1) scales the DRAM activity component (only
+    /// meaningful when at least one core is active).
     #[must_use]
     pub fn snapshot(&self, soc: &SkxSoc, memory_utilization: f64) -> PowerBreakdown {
         let uncore = self.uncore_domain(soc);
@@ -328,7 +295,7 @@ impl PowerModel {
             io: uncore.io,
             plls: uncore.plls,
             uncore_misc: uncore.uncore_misc,
-            dram: self.dram_domain(soc.memory(), memory_utilization),
+            dram: self.dram_power(soc.memory().mode(), memory_utilization),
         }
     }
 }
@@ -392,12 +359,8 @@ mod tests {
     #[test]
     fn pll_diff_is_56mw() {
         let m = model();
-        let soc = SkxSoc::xeon_silver_4114();
-        let on: Watts = soc
-            .plls()
-            .uncore_plls()
-            .map(|p| m.pll_power(p.state()))
-            .sum();
+        let plls = SkxSoc::xeon_silver_4114().plls().uncore_count();
+        let on = m.pll_power(PllState::Locked) * plls as f64;
         assert!((on.as_f64() - 0.056).abs() < 1e-9);
         assert_eq!(m.pll_power(PllState::Off), Watts::ZERO);
     }

@@ -2,10 +2,10 @@
 //!
 //! Energy accounting runs around every simulated event, so it reads the
 //! model through a [`PowerTable`]: every per-state constant of a
-//! [`PowerModel`] quantised once with [`nanowatts`], plus the DRAM domain
-//! for every busy-core count. A level is then a sum of table entries, with
-//! no float arithmetic and no division per event; only memory controllers
-//! left in different modes send the DRAM domain back to the float model.
+//! [`PowerModel`] quantised once with [`nanowatts`], plus active DRAM for
+//! every busy-core count. A level is then a sum of table entries, a group
+//! of like components (the memory controllers, the uncore PLLs) counting
+//! as count × entry, with no float arithmetic and no division per event.
 //!
 //! The table's levels equal [`PowerLevel::quantise`] of the float
 //! [`PowerModel::snapshot`] bit for bit when every constant of the model is
@@ -13,13 +13,13 @@
 //! such constants then lies far closer than half a nanowatt to its whole
 //! number of microwatts, so quantising the sum and summing the quantised
 //! constants agree. The DRAM entries are quantised results of the very
-//! float expression [`PowerModel::dram_domain`] evaluates, so they agree
+//! float expression [`PowerModel::dram_power`] evaluates, so they agree
 //! for any model.
 
 use apc_soc::clm::ClmState;
 use apc_soc::cstate::CoreCState;
 use apc_soc::io::{IoKind, LinkPowerState};
-use apc_soc::memory::{DramPowerMode, MemorySet};
+use apc_soc::memory::DramPowerMode;
 use apc_soc::pll::PllState;
 use apc_soc::topology::SkxSoc;
 
@@ -50,7 +50,7 @@ const DRAM_MODES: [DramPowerMode; 4] = [
 const PLL_STATES: [PllState; 3] = [PllState::Locked, PllState::Off, PllState::Relocking];
 
 /// A [`PowerModel`] quantised for one SoC: per-state constants in whole
-/// nanowatts and the DRAM domain per busy-core count. See the
+/// nanowatts and active DRAM per busy-core count. See the
 /// [module docs](self).
 ///
 /// # Examples
@@ -71,10 +71,6 @@ const PLL_STATES: [PllState; 3] = [PllState::Locked, PllState::Off, PllState::Re
 /// ```
 #[derive(Debug, Clone)]
 pub struct PowerTable {
-    /// The model, for the DRAM domain of controllers in mixed modes.
-    model: PowerModel,
-    /// The SoC's core count: the DRAM utilisation's denominator.
-    cores: usize,
     /// Per-core power by [`CoreCState`].
     core: [u64; 4],
     /// CLM power by [`ClmState`].
@@ -87,12 +83,10 @@ pub struct PowerTable {
     pll: [u64; 3],
     /// Always-on north-cap power.
     uncore_misc: u64,
-    /// DRAM power with every controller active, by busy-core count.
+    /// DRAM power by [`DramPowerMode`] at zero utilisation.
+    dram: [u64; 4],
+    /// Active DRAM power by busy-core count.
     dram_active: Vec<u64>,
-    /// DRAM power with every controller in a CKE-off mode.
-    dram_cke_off: u64,
-    /// DRAM power with every controller in self-refresh.
-    dram_self_refresh: u64,
 }
 
 /// The part of a [`PowerLevel`] that depends only on the uncore component
@@ -108,31 +102,21 @@ pub struct UncoreLevel {
     dram: DramLevel,
 }
 
-/// How the DRAM domain follows the memory controllers' modes.
+/// How the DRAM domain follows the DRAM mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DramLevel {
-    /// Every controller is active: the level follows the busy-core count.
+    /// DRAM is active: the level follows the busy-core count.
     Active,
-    /// Every controller is in one fixed-power mode: this level, in nW.
+    /// DRAM is in a fixed-power mode: this level, in nW.
     Fixed(u64),
-    /// The controllers' modes differ: the model computes the level.
-    Mixed,
 }
 
 impl PowerTable {
-    /// Quantises `model` for `soc`'s core and memory-controller counts.
+    /// Quantises `model` for `soc`'s core count.
     #[must_use]
     pub fn new(model: &PowerModel, soc: &SkxSoc) -> Self {
         let cores = soc.cores().len();
-        let controllers = soc.memory().len();
-        let dram = |mode, busy| {
-            let modes = std::iter::repeat(mode).take(controllers);
-            let utilization = memory_utilization(busy, cores);
-            nanowatts(model.dram_of_modes(modes, controllers, utilization))
-        };
         PowerTable {
-            model: model.clone(),
-            cores,
             core: CoreCState::ALL.map(|state| nanowatts(model.core_power(state))),
             clm: CLM_STATES.map(|state| nanowatts(model.clm_power(state))),
             link: IO_KINDS
@@ -140,16 +124,19 @@ impl PowerTable {
             mc: DRAM_MODES.map(|mode| nanowatts(model.mc_power(mode))),
             pll: PLL_STATES.map(|state| nanowatts(model.pll_power(state))),
             uncore_misc: nanowatts(crate::units::Watts(model.north_cap_base)),
+            dram: DRAM_MODES.map(|mode| nanowatts(model.dram_power(mode, 0.0))),
             dram_active: (0..=cores)
-                .map(|busy| dram(DramPowerMode::Active, busy))
+                .map(|busy| {
+                    let utilization = memory_utilization(busy, cores);
+                    nanowatts(model.dram_power(DramPowerMode::Active, utilization))
+                })
                 .collect(),
-            dram_cke_off: dram(DramPowerMode::PrechargePowerDown, 0),
-            dram_self_refresh: dram(DramPowerMode::SelfRefresh, 0),
         }
     }
 
-    /// The uncore part of `soc`'s power level: table sums over the CLM, IO
-    /// link, memory-controller and uncore-PLL states, and the DRAM mode.
+    /// The uncore part of `soc`'s power level: table sums over the CLM and
+    /// IO link states, the memory controllers' and uncore PLLs' group
+    /// states times their counts, and the DRAM mode.
     #[must_use]
     pub fn uncore(&self, soc: &SkxSoc) -> UncoreLevel {
         let links: u64 = soc
@@ -157,21 +144,18 @@ impl PowerTable {
             .iter()
             .map(|c| self.link[c.kind() as usize][c.state() as usize])
             .sum();
-        let mcs: u64 = soc
-            .memory()
-            .iter()
-            .map(|m| self.mc[m.mode() as usize])
-            .sum();
+        let memory = soc.memory();
+        let mode = memory.mode();
+        let plls = soc.plls();
         UncoreLevel {
             clm: self.clm[soc.clm().state() as usize],
-            io: links + mcs,
-            plls: soc
-                .plls()
-                .uncore_plls()
-                .map(|p| self.pll[p.state() as usize])
-                .sum(),
+            io: links + memory.len() as u64 * self.mc[mode as usize],
+            plls: plls.uncore_count() as u64 * self.pll[plls.uncore_state() as usize],
             uncore_misc: self.uncore_misc,
-            dram: self.dram_level(soc.memory()),
+            dram: match mode {
+                DramPowerMode::Active => DramLevel::Active,
+                _ => DramLevel::Fixed(self.dram[mode as usize]),
+            },
         }
     }
 
@@ -191,10 +175,6 @@ impl PowerTable {
         let dram = match uncore.dram {
             DramLevel::Active => self.dram_active[busy],
             DramLevel::Fixed(nw) => nw,
-            DramLevel::Mixed => nanowatts(
-                self.model
-                    .dram_domain(soc.memory(), memory_utilization(busy, self.cores)),
-            ),
         };
         PowerLevel {
             cores,
@@ -205,30 +185,13 @@ impl PowerTable {
             dram,
         }
     }
-
-    fn dram_level(&self, memory: &MemorySet) -> DramLevel {
-        // The DRAM power class of a mode: the two CKE-off modes draw alike.
-        let class = |mode| match mode {
-            DramPowerMode::Active => DramLevel::Active,
-            DramPowerMode::ActivePowerDown | DramPowerMode::PrechargePowerDown => {
-                DramLevel::Fixed(self.dram_cke_off)
-            }
-            DramPowerMode::SelfRefresh => DramLevel::Fixed(self.dram_self_refresh),
-        };
-        let mut classes = memory.iter().map(|m| class(m.mode()));
-        let first = classes.next().unwrap_or(DramLevel::Active);
-        if classes.all(|c| c == first) {
-            first
-        } else {
-            DramLevel::Mixed
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::units::Watts;
+    use apc_soc::topology::SocConfig;
 
     #[test]
     fn state_lists_follow_declaration_order() {
@@ -244,6 +207,59 @@ mod tests {
             .all(|(i, &s)| s as usize == i));
         assert!(DRAM_MODES.iter().enumerate().all(|(i, &s)| s as usize == i));
         assert!(PLL_STATES.iter().enumerate().all(|(i, &s)| s as usize == i));
+    }
+
+    /// A group counts as count × entry in every state its flows reach: DRAM
+    /// active, CKE off and in self-refresh, the uncore PLLs locked, off and
+    /// re-locking, on the Xeon's 2 controllers and `small_test`'s one.
+    #[test]
+    fn every_group_state_matches_the_float_model() {
+        let model = PowerModel::skx_calibrated();
+        for config in [SocConfig::xeon_silver_4114(), SocConfig::small_test(7)] {
+            let mut soc = config.build();
+            let table = PowerTable::new(&model, &soc);
+            let cores = soc.cores().len();
+            soc.memory_mut().set_allow_self_refresh(true);
+            for mode in [
+                DramPowerMode::Active,
+                DramPowerMode::PrechargePowerDown,
+                DramPowerMode::SelfRefresh,
+            ] {
+                let memory = soc.memory_mut();
+                match mode {
+                    DramPowerMode::Active => {
+                        memory.wake();
+                    }
+                    DramPowerMode::SelfRefresh => {
+                        memory.enter_self_refresh();
+                    }
+                    _ => {
+                        memory.set_allow_cke_off(true);
+                    }
+                }
+                assert_eq!(soc.memory().mode(), mode);
+                for state in [PllState::Locked, PllState::Off, PllState::Relocking] {
+                    let plls = soc.plls_mut();
+                    match state {
+                        PllState::Locked => plls.complete_relock_uncore(),
+                        PllState::Off => plls.power_off_uncore(),
+                        PllState::Relocking => {
+                            plls.begin_relock_uncore();
+                        }
+                    }
+                    assert_eq!(soc.plls().uncore_state(), state);
+                    let uncore = table.uncore(&soc);
+                    for busy in 0..=cores {
+                        let float = model.snapshot(&soc, memory_utilization(busy, cores));
+                        assert_eq!(
+                            table.level(&soc, &uncore, busy),
+                            PowerLevel::quantise(&float),
+                            "{mode}, PLLs {state:?}, {busy} of {cores} cores busy"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The premise of the table's exactness (see the module docs).

@@ -6,7 +6,7 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// Electrical power in watts.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -46,12 +46,6 @@ impl Mul<f64> for Watts {
         Watts(self.0 * rhs)
     }
 }
-impl Div<f64> for Watts {
-    type Output = Watts;
-    fn div(self, rhs: f64) -> Watts {
-        Watts(self.0 / rhs)
-    }
-}
 impl Sum for Watts {
     fn sum<I: Iterator<Item = Watts>>(iter: I) -> Watts {
         iter.fold(Watts::ZERO, |a, b| a + b)
@@ -78,7 +72,6 @@ mod tests {
         assert_eq!(a, Watts(5.0));
         assert_eq!(a - Watts(1.0), Watts(4.0));
         assert_eq!(a * 2.0, Watts(10.0));
-        assert_eq!(a / 5.0, Watts(1.0));
         let sum: Watts = [Watts(1.0), Watts(2.5)].into_iter().sum();
         assert_eq!(sum, Watts(3.5));
     }

@@ -63,7 +63,8 @@ use std::fmt;
 use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
-use apc_telemetry::latency::{LatencyRecorder, LatencySummary};
+use apc_telemetry::latency::LatencySummary;
+use apc_telemetry::sketch::QuantileSketch;
 use apc_trace::{ProfileReport, Span, SpanKind, TraceCtx, TraceLog};
 use apc_workloads::arrival::{ArrivalProcess, PoissonArrivals};
 use apc_workloads::chain::TierService;
@@ -229,9 +230,10 @@ pub struct ChainCoordinator {
     next_chain_id: u64,
     next_request_id: u64,
     chains_started: u64,
-    chains_completed: u64,
-    e2e: LatencyRecorder,
-    straggler: LatencyRecorder,
+    /// End-to-end chain latency in nanoseconds: one sample per completed
+    /// chain.
+    e2e: QuantileSketch,
+    straggler: QuantileSketch,
 }
 
 impl ChainCoordinator {
@@ -262,9 +264,8 @@ impl ChainCoordinator {
             next_chain_id: 0,
             next_request_id: 0,
             chains_started: 0,
-            chains_completed: 0,
-            e2e: LatencyRecorder::new(),
-            straggler: LatencyRecorder::new(),
+            e2e: QuantileSketch::latency_default(),
+            straggler: QuantileSketch::latency_default(),
         }
     }
 
@@ -374,7 +375,8 @@ impl ChainCoordinator {
         let tier = self.graph.tiers()[progress.tier];
         if tier.width > 1 {
             let first = progress.first_done.expect("joined tier saw a completion");
-            self.straggler.record(now.saturating_since(first));
+            self.straggler
+                .record(now.saturating_since(first).as_nanos());
         }
         // A traced chain emits its join/tier spans on the coordinator's
         // pseudo-node (index = node count): one join span per sibling report
@@ -411,8 +413,8 @@ impl ChainCoordinator {
         // Last tier joined: the chain is complete end-to-end.
         let root_arrival = progress.root_arrival;
         let traced = self.inflight.remove(&chain_id).expect("present").trace;
-        self.chains_completed += 1;
-        self.e2e.record(now.saturating_since(root_arrival));
+        self.e2e
+            .record(now.saturating_since(root_arrival).as_nanos());
         if traced.is_some() {
             if let Some(trace) = shared.trace.as_mut() {
                 trace.log.push(Span {
@@ -473,9 +475,9 @@ impl ClusterFront for ChainCoordinator {
             graph: self.graph.describe(),
             duration: run.duration,
             chains_started: self.chains_started,
-            chains_completed: self.chains_completed,
-            chain_latency: self.e2e.summary(),
-            straggler: self.straggler.summary(),
+            chains_completed: self.e2e.count(),
+            chain_latency: LatencySummary::of(&self.e2e),
+            straggler: LatencySummary::of(&self.straggler),
             routed,
             network: run.network,
             events_dispatched: run.events_dispatched,

@@ -197,8 +197,7 @@ impl CoreExec {
                 let server_side = now.saturating_since(request.arrival);
                 let total = server_side + node.network_rtt;
                 if request.class.is_client_visible() {
-                    node.telemetry.latency.record(total);
-                    node.telemetry.completed_requests += 1;
+                    node.telemetry.latency.record(total.as_nanos());
                 }
                 node.telemetry.busy_core_time += request.service + SOFTIRQ_OVERHEAD;
                 // A chain-tagged RPC reports its completion to the chain

@@ -24,7 +24,7 @@
 //! bit-identical to no fabric at all (same event sequence, same FIFO order,
 //! same RNG draws, same `predicted_idle_bound`). Only a transmission with
 //! nonzero wire delay schedules a [`ServerEvent::WireDeliver`] through the
-//! timer wheel. `crates/server/tests/network_differential.rs` enforces this
+//! event queue. `crates/server/tests/network_differential.rs` enforces this
 //! op-for-op.
 
 use apc_sim::component::{ComponentId, EventHandler, SimulationContext};

@@ -24,8 +24,8 @@ use apc_soc::core::{CoreActivity, CoreId};
 use apc_soc::cstate::PackageCState;
 use apc_soc::topology::SkxSoc;
 use apc_telemetry::idle::IdlePeriodTracker;
-use apc_telemetry::latency::LatencyRecorder;
 use apc_telemetry::residency::{CoreResidencySet, PackageResidency};
+use apc_telemetry::sketch::QuantileSketch;
 use apc_telemetry::timeseries::TimeSeries;
 use apc_trace::TraceState;
 use apc_workloads::request::Request;
@@ -295,16 +295,15 @@ impl SchedState {
 pub struct TelemetryState {
     /// Energy accumulation (power attribution over elapsed intervals).
     pub energy: EnergyMeter,
-    /// Client-visible request latency.
-    pub latency: LatencyRecorder,
+    /// Client-visible request latency in nanoseconds: one sample per
+    /// completed request.
+    pub latency: QuantileSketch,
     /// Per-core C-state residency.
     pub core_residency: CoreResidencySet,
     /// Package C-state residency.
     pub package_residency: PackageResidency,
     /// Fully-idle period statistics (SoCWatch floor applied).
     pub idle_tracker: IdlePeriodTracker,
-    /// Client-visible requests completed.
-    pub completed_requests: u64,
     /// Total busy core-time accumulated.
     pub busy_core_time: SimDuration,
     /// Optional time-series telemetry, filled by the time-series sampler
@@ -319,11 +318,10 @@ impl TelemetryState {
     pub fn new(cores: usize) -> Self {
         TelemetryState {
             energy: EnergyMeter::new(SimTime::ZERO),
-            latency: LatencyRecorder::new(),
+            latency: QuantileSketch::latency_default(),
             core_residency: CoreResidencySet::new(cores, SimTime::ZERO),
             package_residency: PackageResidency::new(PackageCState::PC0, SimTime::ZERO),
             idle_tracker: IdlePeriodTracker::with_socwatch_floor(cores, SimTime::ZERO),
-            completed_requests: 0,
             busy_core_time: SimDuration::ZERO,
             timeseries: None,
         }
@@ -695,10 +693,10 @@ mod tests {
     }
 
     /// One drawn uncore change, including mutable accesses that change
-    /// nothing and memory controllers left in mixed modes.
+    /// nothing.
     fn step_uncore(node: &mut ServerState, rng: &mut SimRng, now: SimTime) {
         let soc = &mut node.soc;
-        match rng.index(11) {
+        match rng.index(10) {
             0 => {
                 soc.clm_mut().clock_gate();
             }
@@ -724,18 +722,15 @@ mod tests {
                 io.try_enter_shallow(now + SimDuration::from_millis(1));
             }
             5 => {
-                soc.memory_mut().set_allow_cke_off_all(rng.chance(0.5));
+                soc.memory_mut().set_allow_cke_off(rng.chance(0.5));
             }
             6 => {
-                for mc in soc.memory_mut().iter_mut() {
-                    mc.set_allow_self_refresh(true);
-                    mc.enter_self_refresh();
-                }
+                let memory = soc.memory_mut();
+                memory.set_allow_self_refresh(true);
+                memory.enter_self_refresh();
             }
             7 => {
-                for mc in soc.memory_mut().iter_mut() {
-                    mc.wake();
-                }
+                soc.memory_mut().wake();
             }
             8 => {
                 let plls = soc.plls_mut();
@@ -744,18 +739,6 @@ mod tests {
                 } else {
                     plls.begin_relock_uncore();
                     plls.complete_relock_uncore();
-                }
-            }
-            9 => {
-                // One controller only: the others keep their modes.
-                let wake = rng.chance(0.5);
-                if let Some(mc) = soc.memory_mut().iter_mut().next() {
-                    if wake {
-                        mc.wake();
-                    } else {
-                        mc.set_allow_self_refresh(true);
-                        mc.enter_self_refresh();
-                    }
                 }
             }
             _ => {

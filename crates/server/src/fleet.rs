@@ -38,7 +38,7 @@ use std::sync::{mpsc, Mutex};
 
 use apc_sim::rng::SimRng;
 use apc_sim::SimDuration;
-use apc_telemetry::latency::{LatencyRecorder, LatencySummary};
+use apc_telemetry::latency::LatencySummary;
 use apc_telemetry::sketch::QuantileSketch;
 use apc_workloads::arrival::ArrivalProcess;
 use apc_workloads::loadgen::LoadGenerator;
@@ -529,7 +529,7 @@ impl FleetResult {
     /// not [`FleetResult::worst_p99`].
     #[must_use]
     pub fn combined_latency(&self) -> LatencySummary {
-        LatencyRecorder::from_sketch(self.combined_sketch()).summary()
+        LatencySummary::of(&self.combined_sketch())
     }
 
     /// Fleet-level power saving relative to a baseline fleet (positive when

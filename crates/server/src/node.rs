@@ -46,8 +46,9 @@
 use apc_pmu::governor::IdleGovernor;
 use apc_sim::component::{ComponentId, EventHandler, Simulation, SimulationContext};
 use apc_sim::rng::SimRng;
-use apc_sim::{SimDuration, SimTime};
+use apc_sim::SimTime;
 use apc_soc::cstate::{CoreCState, PackageCState};
+use apc_telemetry::latency::LatencySummary;
 
 use crate::components::core_exec::CoreExec;
 use crate::components::state::{ClusterState, ServerState};
@@ -162,9 +163,9 @@ impl Node {
             workload: state.workload_name,
             offered_rate: state.offered_rate,
             duration: state.config.duration,
-            completed_requests: state.telemetry.completed_requests,
-            latency: state.telemetry.latency.summary(),
-            latency_sketch: state.telemetry.latency.sketch().clone(),
+            completed_requests: state.telemetry.latency.count(),
+            latency: LatencySummary::of(&state.telemetry.latency),
+            latency_sketch: state.telemetry.latency.clone(),
             avg_soc_power: state.telemetry.energy.average_soc_power(),
             avg_dram_power: state.telemetry.energy.average_dram_power(),
             cpu_utilization: util,
@@ -190,10 +191,7 @@ impl Node {
             pc1a_aborted: apmu_stats.aborted_entries,
             pc6_transitions: pc6_entries,
             idle_periods: state.telemetry.idle_tracker.period_count(),
-            idle_periods_20_200us: state
-                .telemetry
-                .idle_tracker
-                .fraction_between(SimDuration::from_micros(20), SimDuration::from_micros(200)),
+            idle_periods_20_200us: state.telemetry.idle_tracker.fraction_20_200us(),
             timeseries: state.telemetry.timeseries.take(),
             // The span log, the profile and the dispatch count belong to the
             // cluster's one event loop and live on the cluster-level result;

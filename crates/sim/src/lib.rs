@@ -10,8 +10,7 @@
 //!   [`component::SimulationContext`] through which registered components
 //!   schedule events and draw per-component deterministic randomness;
 //! * [`rng`] — seeded, forkable random number generation;
-//! * [`dist`] — the log-normal service-time distribution;
-//! * [`stats`] — the duration histograms behind the idle-period telemetry.
+//! * [`dist`] — the log-normal service-time distribution.
 //!
 //! # Example
 //!
@@ -42,7 +41,6 @@ pub mod component;
 pub mod dist;
 pub mod engine;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use component::{ComponentId, EventHandler, Simulation, SimulationContext};

@@ -8,7 +8,8 @@
 //! For package C-state purposes the CLM behaves as a single domain with two
 //! operational knobs: its clock tree can be gated, and its voltage can be
 //! dropped to a retention level at which state is preserved but no accesses
-//! are possible.
+//! are possible. One `Ret` signal ramps both FIVRs from the same voltage at
+//! the same instant, so the domain models them as one [`Fivr`].
 
 use std::fmt;
 
@@ -42,11 +43,30 @@ impl fmt::Display for ClmState {
 }
 
 /// The CLM domain: the LLC slices, CHAs, snoop filters and the mesh,
-/// modelled as one unit powered by two FIVRs and clocked by one gateable
-/// clock tree.
+/// modelled as one unit clocked by one gateable clock tree and powered by
+/// two FIVRs that the one `fivr` stands for.
+///
+/// # Examples
+///
+/// ```
+/// use apc_sim::SimTime;
+/// use apc_soc::clm::ClmState;
+/// use apc_soc::SkxSoc;
+///
+/// let mut soc = SkxSoc::xeon_silver_4114();
+/// let clm = soc.clm_mut();
+/// clm.clock_gate();
+/// // `Ret` ramps Vccclm0/Vccclm1 together: 300 mV at 2 mV/ns.
+/// let ramp = clm.assert_retention(SimTime::ZERO);
+/// assert_eq!(ramp.as_nanos(), 150);
+/// assert_eq!(clm.state(), ClmState::Retention);
+/// assert!(!clm.pwr_ok(), "the FIVRs are still slewing");
+/// clm.complete_voltage_transition(SimTime::ZERO + ramp);
+/// assert!(clm.pwr_ok());
+/// ```
 #[derive(Debug)]
 pub struct ClmDomain {
-    fivrs: [Fivr; 2],
+    fivr: Fivr,
     clock: ClockTree,
     /// Counts every change of [`ClmDomain::state`].
     changes: PowerChanges,
@@ -56,7 +76,7 @@ impl ClmDomain {
     /// Creates an operational CLM domain.
     pub(crate) fn new() -> Self {
         ClmDomain {
-            fivrs: [Fivr::new_clm(), Fivr::new_clm()],
+            fivr: Fivr::new_clm(),
             clock: ClockTree::default(),
             changes: PowerChanges::default(),
         }
@@ -85,11 +105,10 @@ impl ClmDomain {
     }
 
     /// The domain's aggregate operational state, derived from the clock tree
-    /// and the FIVR targets.
+    /// and the FIVR target.
     #[must_use]
     pub fn state(&self) -> ClmState {
-        let at_retention = self.fivrs.iter().all(Fivr::at_or_below_retention);
-        if at_retention {
+        if self.fivr.at_or_below_retention() {
             ClmState::Retention
         } else if self.clock.is_gated() {
             ClmState::ClockGated
@@ -98,10 +117,10 @@ impl ClmDomain {
         }
     }
 
-    /// `true` when both FIVRs report stable output (`PwrOk` AND-tree).
+    /// `true` when the FIVRs report stable output (`PwrOk`).
     #[must_use]
     pub fn pwr_ok(&self) -> bool {
-        self.fivrs.iter().all(Fivr::pwr_ok)
+        self.fivr.pwr_ok()
     }
 
     /// Gates the CLM clock tree (`ClkGate` signal); returns the gate latency.
@@ -114,37 +133,23 @@ impl ClmDomain {
         self.counted(|clm| clm.clock.ungate())
     }
 
-    /// Asserts `Ret` on both CLM FIVRs (non-blocking voltage ramp to
-    /// retention). Returns the worst-case time until both outputs are stable
-    /// at retention.
+    /// Asserts `Ret` on the CLM FIVRs (non-blocking voltage ramp to
+    /// retention). Returns the time until the output is stable at
+    /// retention.
     pub fn assert_retention(&mut self, now: SimTime) -> SimDuration {
-        self.counted(|clm| {
-            clm.fivrs
-                .iter_mut()
-                .map(|f| f.assert_ret(now))
-                .fold(SimDuration::ZERO, SimDuration::max)
-        })
+        self.counted(|clm| clm.fivr.assert_ret(now))
     }
 
-    /// De-asserts `Ret`: ramps both FIVRs back to nominal. Returns the
-    /// worst-case time until `PwrOk`.
+    /// De-asserts `Ret`: ramps the FIVRs back to nominal. Returns the time
+    /// until `PwrOk`.
     pub fn deassert_retention(&mut self, now: SimTime) -> SimDuration {
-        self.counted(|clm| {
-            clm.fivrs
-                .iter_mut()
-                .map(|f| f.deassert_ret(now))
-                .fold(SimDuration::ZERO, SimDuration::max)
-        })
+        self.counted(|clm| clm.fivr.deassert_ret(now))
     }
 
-    /// Marks the in-flight FIVR transitions complete (caller waited the
+    /// Marks the in-flight FIVR transition complete (caller waited the
     /// duration returned by the assert/deassert call).
     pub fn complete_voltage_transition(&mut self, now: SimTime) {
-        self.counted(|clm| {
-            for f in &mut clm.fivrs {
-                f.complete_transition(now);
-            }
-        });
+        self.counted(|clm| clm.fivr.complete_transition(now));
     }
 }
 

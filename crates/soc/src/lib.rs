@@ -7,13 +7,15 @@
 //! * [`cstate`] — core (`CCx`) and package (`PCx`) C-state definitions;
 //! * [`core`] — CPU cores, their power-management agents and the aggregated
 //!   `InCC1` status signal;
-//! * [`clm`] — the CHA/LLC/mesh ("CLM") domain as one unit with its two
-//!   FIVRs and gateable clock tree;
+//! * [`clm`] — the CHA/LLC/mesh ("CLM") domain as one unit with its
+//!   gateable clock tree and its two FIVRs, which one `Ret` signal drives
+//!   as one;
 //! * [`io`] — PCIe/DMI/UPI controllers with LTSSM link power states
 //!   (L0/L0p/L0s/L1) and the `AllowL0s`/`InL0s` signals;
-//! * [`memory`] — memory controllers and DDR4 power modes (CKE-off,
-//!   self-refresh) with the `Allow_CKE_OFF` signal;
-//! * [`pll`] — all-digital PLLs and their re-lock latency;
+//! * [`memory`] — the memory controllers, their one DDR4 power mode
+//!   (CKE-off, self-refresh) and the `Allow_CKE_OFF` signal;
+//! * [`pll`] — the core and uncore PLL counts, the uncore PLLs' one lock
+//!   state and its re-lock latency;
 //! * [`vr`] — the CLM FIVRs with their retention voltage and `PwrOk`;
 //! * [`clock`] — the gateable CLM clock tree and the PMU clock;
 //! * [`topology`] — [`topology::SocConfig`] / [`topology::SkxSoc`] aggregate;

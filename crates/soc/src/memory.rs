@@ -1,4 +1,4 @@
-//! Memory controller and DDR4 DRAM power-mode model.
+//! The memory controllers and their DDR4 DRAM power modes.
 //!
 //! The paper contrasts two DRAM power-saving mechanisms (Sec. 3.1):
 //!
@@ -7,6 +7,9 @@
 //! * **Self-refresh**: the DRAM refreshes itself and most of the SoC↔DRAM
 //!   interface can power down — several µs exit, used only by deep package
 //!   C-states (PC6).
+//!
+//! The package flows apply either mechanism to every controller at once,
+//! so [`MemorySet`] holds one mode for all of them.
 
 use std::fmt;
 
@@ -14,19 +17,8 @@ use apc_sim::SimDuration;
 
 use crate::changes::PowerChanges;
 
-/// Identifier of a memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct McId(pub usize);
-
-impl fmt::Display for McId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "mc{}", self.0)
-    }
-}
-
-/// DRAM power modes (per memory controller; the model treats all ranks
-/// behind one controller as transitioning together, which matches the
-/// package-level flows the paper describes).
+/// DRAM power modes. All ranks behind all controllers transition together,
+/// which matches the package-level flows the paper describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramPowerMode {
     /// Active / active-standby: CKE asserted, pages may be open.
@@ -74,13 +66,32 @@ impl fmt::Display for DramPowerMode {
     }
 }
 
-/// A memory controller together with the DDR4 channel(s) it drives.
+/// The memory subsystem of one socket: its memory controllers, each with
+/// the DDR4 channel(s) it drives (the reference SKX system has two, each
+/// driving three DDR4-2666 channels).
 ///
-/// The controller exposes the two control inputs the package flows drive:
-/// `Allow_CKE_OFF` (new in APC) and "opportunistic self-refresh allowed"
-/// (the PC6-era mechanism).
+/// The package flows drive the controllers' two control inputs as one
+/// group: `Allow_CKE_OFF` (new in APC) goes to every controller, and so do
+/// the PC6 flow's self-refresh permission, entry and wake. So the set holds
+/// one DRAM power mode and one self-refresh permission for all `len`
+/// controllers.
+///
+/// # Examples
+///
+/// ```
+/// use apc_soc::memory::{DramPowerMode, MemorySet};
+///
+/// // PC1A entry asserts Allow_CKE_OFF; its exit clears it and pays the
+/// // CKE-off exit of every controller at once.
+/// let mut memory = MemorySet::new(2);
+/// memory.set_allow_cke_off(true);
+/// assert_eq!(memory.mode(), DramPowerMode::PrechargePowerDown);
+/// assert_eq!(memory.set_allow_cke_off(false), MemorySet::CKE_OFF_EXIT);
+/// assert_eq!(memory.mode(), DramPowerMode::Active);
+/// ```
 #[derive(Debug)]
-pub struct MemoryController {
+pub struct MemorySet {
+    len: usize,
     mode: DramPowerMode,
     /// Whether opportunistic self-refresh is permitted (PC6 flows).
     allow_self_refresh: bool,
@@ -88,37 +99,55 @@ pub struct MemoryController {
     changes: PowerChanges,
 }
 
-impl MemoryController {
-    /// CKE-off entry happens as soon as the controller is idle once allowed
-    /// (within ~10 ns, paper Sec. 5.5.1).
+impl MemorySet {
+    /// CKE-off entry happens as soon as the controllers are idle once
+    /// allowed (within ~10 ns, paper Sec. 5.5.1).
     pub const CKE_OFF_ENTRY: SimDuration = SimDuration::from_nanos(10);
 
     /// CKE-off exit latency (paper Sec. 5.5.2: within 24 ns).
     pub const CKE_OFF_EXIT: SimDuration = SimDuration::from_nanos(24);
 
-    /// Creates a controller in the active mode with all power-down modes
-    /// disabled (datacenter default).
+    /// Builds a set of `n` controllers in the active mode with all
+    /// power-down modes disabled (datacenter default).
     #[must_use]
-    fn new() -> Self {
-        MemoryController {
+    pub fn new(n: usize) -> Self {
+        MemorySet {
+            len: n,
             mode: DramPowerMode::Active,
             allow_self_refresh: false,
             changes: PowerChanges::default(),
         }
     }
 
-    /// Current DRAM power mode.
+    /// Makes the set count its mode changes in `changes`.
+    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
+        self.changes = changes.share();
+    }
+
+    /// Number of controllers.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when there are no controllers.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The DRAM power mode of every controller.
     #[must_use]
     pub fn mode(&self) -> DramPowerMode {
         self.mode
     }
 
-    /// Drives the `Allow_CKE_OFF` control signal (paper Sec. 4.2.2). When
-    /// set, DRAM enters precharge power-down after
-    /// [`MemoryController::CKE_OFF_ENTRY`]; when cleared, the controller
-    /// returns to active and the caller should account for the returned exit
+    /// Drives the `Allow_CKE_OFF` control signal on every controller (paper
+    /// Sec. 4.2.2). When set, DRAM enters precharge power-down after
+    /// [`MemorySet::CKE_OFF_ENTRY`]; when cleared, the controllers return
+    /// to active and the caller should account for the returned exit
     /// latency.
-    fn set_allow_cke_off(&mut self, allow: bool) -> SimDuration {
+    pub fn set_allow_cke_off(&mut self, allow: bool) -> SimDuration {
         if allow {
             if self.mode == DramPowerMode::Active {
                 self.changes.bump();
@@ -162,80 +191,6 @@ impl MemoryController {
     }
 }
 
-/// The memory subsystem: the set of memory controllers of one socket
-/// (the reference SKX system has two, each driving three DDR4-2666 channels).
-#[derive(Debug)]
-pub struct MemorySet {
-    controllers: Vec<MemoryController>,
-}
-
-impl MemorySet {
-    /// Builds an inventory with `n` controllers.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        MemorySet {
-            controllers: (0..n).map(|_| MemoryController::new()).collect(),
-        }
-    }
-
-    /// Makes every controller count its mode changes in `changes`.
-    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
-        for mc in &mut self.controllers {
-            mc.changes = changes.share();
-        }
-    }
-
-    /// Number of controllers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.controllers.len()
-    }
-
-    /// `true` when there are no controllers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.controllers.is_empty()
-    }
-
-    /// Immutable access to a controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    #[must_use]
-    pub fn controller(&self, id: McId) -> &MemoryController {
-        &self.controllers[id.0]
-    }
-
-    /// Mutable access to a controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn controller_mut(&mut self, id: McId) -> &mut MemoryController {
-        &mut self.controllers[id.0]
-    }
-
-    /// Iterator over all controllers.
-    pub fn iter(&self) -> impl Iterator<Item = &MemoryController> {
-        self.controllers.iter()
-    }
-
-    /// Mutable iterator over all controllers.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MemoryController> {
-        self.controllers.iter_mut()
-    }
-
-    /// Drives `Allow_CKE_OFF` on every controller; returns the worst exit
-    /// latency triggered (only non-zero when clearing the signal).
-    pub fn set_allow_cke_off_all(&mut self, allow: bool) -> SimDuration {
-        self.controllers
-            .iter_mut()
-            .map(|m| m.set_allow_cke_off(allow))
-            .fold(SimDuration::ZERO, SimDuration::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,58 +210,64 @@ mod tests {
 
     #[test]
     fn cke_off_follows_allow() {
-        let mut mc = MemoryController::new();
-        assert_eq!(mc.mode(), DramPowerMode::Active);
+        let mut set = MemorySet::new(2);
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.mode(), DramPowerMode::Active);
         // Allowing drops straight into CKE off.
-        mc.set_allow_cke_off(true);
-        assert_eq!(mc.mode(), DramPowerMode::PrechargePowerDown);
+        set.set_allow_cke_off(true);
+        assert_eq!(set.mode(), DramPowerMode::PrechargePowerDown);
         // Clearing wakes it and reports the 24 ns exit.
-        let lat = mc.set_allow_cke_off(false);
-        assert_eq!(lat, MemoryController::CKE_OFF_EXIT);
-        assert_eq!(mc.mode(), DramPowerMode::Active);
+        let lat = set.set_allow_cke_off(false);
+        assert_eq!(lat, MemorySet::CKE_OFF_EXIT);
+        assert_eq!(set.mode(), DramPowerMode::Active);
     }
 
     #[test]
     fn self_refresh_requires_permission() {
-        let mut mc = MemoryController::new();
-        assert!(!mc.enter_self_refresh());
-        mc.set_allow_self_refresh(true);
-        assert!(mc.enter_self_refresh());
-        assert_eq!(mc.mode(), DramPowerMode::SelfRefresh);
-        let lat = mc.wake();
+        let mut set = MemorySet::new(2);
+        assert!(!set.enter_self_refresh());
+        set.set_allow_self_refresh(true);
+        assert!(set.enter_self_refresh());
+        assert_eq!(set.mode(), DramPowerMode::SelfRefresh);
+        let lat = set.wake();
         assert_eq!(lat, SimDuration::from_micros(5));
-        assert_eq!(mc.mode(), DramPowerMode::Active);
+        assert_eq!(set.mode(), DramPowerMode::Active);
     }
 
     #[test]
     fn each_mode_change_is_counted_once() {
-        let mut mc = MemoryController::new();
-        assert_eq!(mc.set_allow_cke_off(false), SimDuration::ZERO);
-        assert_eq!(mc.changes.get(), 0, "clearing the signal on active DRAM");
-        mc.set_allow_cke_off(true);
-        mc.set_allow_cke_off(true);
-        assert_eq!(mc.changes.get(), 1, "active -> CKE off");
-        mc.set_allow_self_refresh(true);
-        assert!(mc.enter_self_refresh());
-        assert!(mc.enter_self_refresh());
-        assert_eq!(mc.changes.get(), 2, "CKE off -> self-refresh");
-        assert_eq!(mc.wake(), SimDuration::from_micros(5));
-        assert_eq!(mc.wake(), SimDuration::ZERO);
-        assert_eq!(mc.changes.get(), 3, "self-refresh -> active");
-        assert_eq!(mc.mode(), DramPowerMode::Active);
+        let mut set = MemorySet::new(2);
+        assert_eq!(set.set_allow_cke_off(false), SimDuration::ZERO);
+        assert_eq!(set.changes.get(), 0, "clearing the signal on active DRAM");
+        set.set_allow_cke_off(true);
+        set.set_allow_cke_off(true);
+        assert_eq!(set.changes.get(), 1, "active -> CKE off");
+        set.set_allow_self_refresh(true);
+        assert!(set.enter_self_refresh());
+        assert!(set.enter_self_refresh());
+        assert_eq!(set.changes.get(), 2, "CKE off -> self-refresh");
+        assert_eq!(set.wake(), SimDuration::from_micros(5));
+        assert_eq!(set.wake(), SimDuration::ZERO);
+        assert_eq!(set.changes.get(), 3, "self-refresh -> active");
+        assert_eq!(set.mode(), DramPowerMode::Active);
     }
 
     #[test]
     fn memory_set_aggregation() {
         let mut set = MemorySet::new(2);
         assert_eq!(set.len(), 2);
-        set.set_allow_cke_off_all(true);
-        assert!(set
-            .iter()
-            .all(|m| m.mode() == DramPowerMode::PrechargePowerDown));
-        let lat = set.set_allow_cke_off_all(false);
-        assert_eq!(lat, MemoryController::CKE_OFF_EXIT);
-        assert!(set.iter().all(|m| m.mode() == DramPowerMode::Active));
-        assert_eq!(McId(1).to_string(), "mc1");
+        assert!(!set.is_empty());
+        assert!(MemorySet::new(0).is_empty());
+        // Allow_CKE_OFF moves only active DRAM: the group stays in
+        // self-refresh whichever way the signal goes, and only a wake
+        // brings it back.
+        set.set_allow_self_refresh(true);
+        assert!(set.enter_self_refresh());
+        assert_eq!(set.set_allow_cke_off(true), SimDuration::ZERO);
+        assert_eq!(set.mode(), DramPowerMode::SelfRefresh);
+        assert_eq!(set.set_allow_cke_off(false), SimDuration::ZERO);
+        assert_eq!(set.mode(), DramPowerMode::SelfRefresh);
+        assert_eq!(set.wake(), SimDuration::from_micros(5));
+        assert_eq!(set.mode(), DramPowerMode::Active);
     }
 }

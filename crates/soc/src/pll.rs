@@ -4,36 +4,14 @@
 //! PC1A, trading a tiny amount of power (modern all-digital PLLs consume
 //! ≈7 mW each) for the elimination of the microsecond-scale re-locking
 //! latency that PC6 pays on exit (Sec. 3, Sec. 5.4).
-
-use std::fmt;
+//!
+//! No flow touches a core PLL, and the PC6 flow stops and re-locks every
+//! uncore PLL together, so [`PllSet`] counts both kinds and holds one lock
+//! state for the uncore PLLs.
 
 use apc_sim::SimDuration;
 
 use crate::changes::PowerChanges;
-
-/// What a PLL is clocking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PllDomain {
-    /// One per CPU core.
-    Core(usize),
-    /// The CLM (CHA/LLC/mesh) and memory-controller clock.
-    Clm,
-    /// One per high-speed IO controller (PCIe/DMI/UPI).
-    Io(usize),
-    /// The global power-management unit's own clock.
-    Gpmu,
-}
-
-impl fmt::Display for PllDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PllDomain::Core(i) => write!(f, "pll-core{i}"),
-            PllDomain::Clm => write!(f, "pll-clm"),
-            PllDomain::Io(i) => write!(f, "pll-io{i}"),
-            PllDomain::Gpmu => write!(f, "pll-gpmu"),
-        }
-    }
-}
 
 /// Lock state of a PLL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,82 +24,14 @@ pub enum PllState {
     Relocking,
 }
 
-/// An all-digital PLL (ADPLL) as used across the SKX uncore and cores.
-/// PLLs live in a [`PllSet`], the only way to mutate them.
-#[derive(Debug)]
-pub struct Pll {
-    domain: PllDomain,
-    state: PllState,
-    /// Counts every change of `state`.
-    changes: PowerChanges,
-}
-
-impl Pll {
-    /// Typical re-lock latency of a powered-off PLL ("a few microseconds",
-    /// paper Sec. 1 and Sec. 4.3). We use 3 µs.
-    const RELOCK_LATENCY: SimDuration = SimDuration::from_micros(3);
-
-    /// Creates an all-digital PLL for the given domain, initially locked.
-    fn new_adpll(domain: PllDomain) -> Self {
-        Pll {
-            domain,
-            state: PllState::Locked,
-            changes: PowerChanges::default(),
-        }
-    }
-
-    /// Current lock state.
-    #[must_use]
-    pub fn state(&self) -> PllState {
-        self.state
-    }
-
-    /// Powers the PLL off (PC6 entry flow, Fig. 2).
-    fn power_off(&mut self) {
-        if self.state != PllState::Off {
-            self.changes.bump();
-        }
-        self.state = PllState::Off;
-    }
-
-    /// Begins re-locking a powered-off PLL and returns the latency until
-    /// [`Pll::complete_relock`] may be called. Calling this on a locked PLL
-    /// returns zero (nothing to do), which is exactly the PC1A fast-exit
-    /// property.
-    fn begin_relock(&mut self) -> SimDuration {
-        match self.state {
-            PllState::Locked => SimDuration::ZERO,
-            PllState::Relocking => Self::RELOCK_LATENCY,
-            PllState::Off => {
-                self.changes.bump();
-                self.state = PllState::Relocking;
-                Self::RELOCK_LATENCY
-            }
-        }
-    }
-
-    /// Completes an in-flight re-lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PLL is not re-locking.
-    fn complete_relock(&mut self) {
-        assert_eq!(
-            self.state,
-            PllState::Relocking,
-            "{}: complete_relock without begin_relock",
-            self.domain
-        );
-        self.changes.bump();
-        self.state = PllState::Locked;
-    }
-}
-
-/// The collection of PLLs of one socket.
+/// The all-digital PLLs (ADPLLs) of one socket.
 ///
 /// The SKX reference system has ~18 PLLs: one per core (10), one per
 /// high-speed IO controller (3 PCIe + 1 DMI + 2 UPI = 6), one for the CLM and
-/// memory controllers, one for the GPMU (paper Sec. 5.4).
+/// memory controllers, one for the GPMU (paper Sec. 5.4). The core PLLs
+/// stay locked; the other 8, the uncore PLLs, share one lock state. Their
+/// power is the `PPLLs_diff` term of Eq. 2: it is what PC1A keeps on and
+/// PC6 turns off.
 ///
 /// # Examples
 ///
@@ -133,89 +43,92 @@ impl Pll {
 /// let relock = plls.begin_relock_uncore();
 /// assert!(relock.as_nanos() >= 1_000, "re-locking costs microseconds");
 /// plls.complete_relock_uncore();
-/// assert!(plls.iter().all(|p| p.state() == PllState::Locked));
+/// assert_eq!(plls.uncore_state(), PllState::Locked);
 /// ```
 #[derive(Debug)]
 pub struct PllSet {
-    plls: Vec<Pll>,
     core_count: usize,
+    uncore_count: usize,
+    uncore: PllState,
+    /// Counts every change of `uncore`.
+    changes: PowerChanges,
 }
 
 impl PllSet {
+    /// Typical re-lock latency of a powered-off PLL ("a few microseconds",
+    /// paper Sec. 1 and Sec. 4.3). We use 3 µs.
+    const RELOCK_LATENCY: SimDuration = SimDuration::from_micros(3);
+
     /// Builds the PLL inventory for a socket with the given core and IO
-    /// controller counts.
+    /// controller counts: one PLL per core and per IO controller, plus the
+    /// CLM's and the GPMU's. Every PLL starts locked.
     #[must_use]
     pub fn new(core_count: usize, io_count: usize) -> Self {
-        let mut plls = Vec::with_capacity(core_count + io_count + 2);
-        for i in 0..core_count {
-            plls.push(Pll::new_adpll(PllDomain::Core(i)));
+        PllSet {
+            core_count,
+            uncore_count: io_count + 2,
+            uncore: PllState::Locked,
+            changes: PowerChanges::default(),
         }
-        for i in 0..io_count {
-            plls.push(Pll::new_adpll(PllDomain::Io(i)));
-        }
-        plls.push(Pll::new_adpll(PllDomain::Clm));
-        plls.push(Pll::new_adpll(PllDomain::Gpmu));
-        PllSet { plls, core_count }
     }
 
     /// Total number of PLLs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.plls.len()
+        self.core_count + self.uncore_count
     }
 
     /// `true` when the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.plls.is_empty()
+        self.len() == 0
     }
 
-    /// Iterator over all PLLs.
-    pub fn iter(&self) -> impl Iterator<Item = &Pll> {
-        self.plls.iter()
+    /// Number of uncore (non-core) PLLs.
+    #[must_use]
+    pub fn uncore_count(&self) -> usize {
+        self.uncore_count
     }
 
-    /// The PLLs that are *not* per-core (uncore PLLs): every PLL after the
-    /// per-core ones, which [`PllSet::new`] lays out first. Their power is
-    /// the `PPLLs_diff` term of Eq. 2: it is what PC1A keeps on and PC6
-    /// turns off.
-    pub fn uncore_plls(&self) -> impl Iterator<Item = &Pll> {
-        self.plls[self.core_count..].iter()
+    /// The lock state of every uncore PLL.
+    #[must_use]
+    pub fn uncore_state(&self) -> PllState {
+        self.uncore
     }
 
-    /// Turns every uncore PLL off (the PC6 entry flow).
+    /// Turns every uncore PLL off (the PC6 entry flow, Fig. 2).
     pub fn power_off_uncore(&mut self) {
-        for pll in &mut self.plls[self.core_count..] {
-            pll.power_off();
+        if self.uncore != PllState::Off {
+            self.changes.bump();
         }
+        self.uncore = PllState::Off;
     }
 
-    /// Begins re-locking every powered-off uncore PLL and returns the worst
-    /// re-lock latency across them (the PC6 exit critical path contribution).
+    /// Begins re-locking powered-off uncore PLLs and returns the latency
+    /// until [`PllSet::complete_relock_uncore`] may be called (the PC6 exit
+    /// critical path contribution). Locked or already re-locking PLLs have
+    /// nothing to start, which is exactly the PC1A fast-exit property.
     pub fn begin_relock_uncore(&mut self) -> SimDuration {
-        let mut worst = SimDuration::ZERO;
-        for pll in &mut self.plls[self.core_count..] {
-            if pll.state() == PllState::Off {
-                worst = worst.max(pll.begin_relock());
-            }
+        if self.uncore != PllState::Off {
+            return SimDuration::ZERO;
         }
-        worst
+        self.changes.bump();
+        self.uncore = PllState::Relocking;
+        Self::RELOCK_LATENCY
     }
 
-    /// Makes every PLL count its state changes in `changes`.
-    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
-        for pll in &mut self.plls {
-            pll.changes = changes.share();
-        }
-    }
-
-    /// Completes re-lock on every re-locking PLL.
+    /// Completes an in-flight re-lock of the uncore PLLs; does nothing
+    /// unless they are re-locking.
     pub fn complete_relock_uncore(&mut self) {
-        for pll in self.plls.iter_mut() {
-            if pll.state() == PllState::Relocking {
-                pll.complete_relock();
-            }
+        if self.uncore == PllState::Relocking {
+            self.changes.bump();
+            self.uncore = PllState::Locked;
         }
+    }
+
+    /// Makes the set count its state changes in `changes`.
+    pub(crate) fn share_power_changes(&mut self, changes: &PowerChanges) {
+        self.changes = changes.share();
     }
 }
 
@@ -228,76 +141,70 @@ mod tests {
         // 10 cores, 6 IO controllers (3 PCIe + 1 DMI + 2 UPI).
         let set = PllSet::new(10, 6);
         assert_eq!(set.len(), 18, "paper counts ~18 PLLs");
-        assert_eq!(set.uncore_plls().count(), 8, "8 non-core PLLs remain");
-        assert!(set
-            .uncore_plls()
-            .all(|p| !matches!(p.domain, PllDomain::Core(_))));
+        assert_eq!(set.uncore_count(), 8, "8 non-core PLLs remain");
+        assert_eq!(set.uncore_state(), PllState::Locked);
     }
 
     #[test]
     fn locked_pll_exits_with_zero_latency() {
-        let mut pll = Pll::new_adpll(PllDomain::Io(0));
-        assert_eq!(pll.begin_relock(), SimDuration::ZERO);
-        assert_eq!(pll.state(), PllState::Locked);
+        let mut set = PllSet::new(10, 6);
+        assert_eq!(set.begin_relock_uncore(), SimDuration::ZERO);
+        assert_eq!(set.uncore_state(), PllState::Locked);
     }
 
     #[test]
     fn off_pll_pays_relock_latency() {
-        let mut pll = Pll::new_adpll(PllDomain::Clm);
-        pll.power_off();
-        assert_eq!(pll.state(), PllState::Off);
-        let lat = pll.begin_relock();
-        assert_eq!(lat, Pll::RELOCK_LATENCY);
-        assert_eq!(pll.state(), PllState::Relocking);
-        pll.complete_relock();
-        assert_eq!(pll.state(), PllState::Locked);
+        let mut set = PllSet::new(10, 6);
+        set.power_off_uncore();
+        assert_eq!(set.uncore_state(), PllState::Off);
+        let lat = set.begin_relock_uncore();
+        assert_eq!(lat, PllSet::RELOCK_LATENCY);
+        assert_eq!(set.uncore_state(), PllState::Relocking);
+        set.complete_relock_uncore();
+        assert_eq!(set.uncore_state(), PllState::Locked);
     }
 
     #[test]
     fn each_lock_state_change_is_counted_once() {
-        let mut pll = Pll::new_adpll(PllDomain::Clm);
-        assert_eq!(pll.begin_relock(), SimDuration::ZERO);
-        assert_eq!(pll.changes.get(), 0, "a locked PLL has nothing to re-lock");
-        pll.power_off();
-        pll.power_off();
-        assert_eq!(pll.changes.get(), 1, "locked -> off");
-        assert_eq!(pll.begin_relock(), Pll::RELOCK_LATENCY);
-        // Asking again mid re-lock reports the latency and changes nothing.
-        assert_eq!(pll.begin_relock(), Pll::RELOCK_LATENCY);
-        assert_eq!(pll.changes.get(), 2, "off -> relocking");
-        pll.complete_relock();
-        assert_eq!(pll.changes.get(), 3, "relocking -> locked");
+        let mut set = PllSet::new(10, 6);
+        assert_eq!(set.begin_relock_uncore(), SimDuration::ZERO);
+        set.complete_relock_uncore();
+        assert_eq!(set.changes.get(), 0, "a locked PLL has nothing to re-lock");
+        set.power_off_uncore();
+        set.power_off_uncore();
+        assert_eq!(set.changes.get(), 1, "locked -> off");
+        assert_eq!(set.begin_relock_uncore(), PllSet::RELOCK_LATENCY);
+        // Asking again mid re-lock starts nothing and changes nothing.
+        assert_eq!(set.begin_relock_uncore(), SimDuration::ZERO);
+        assert_eq!(set.changes.get(), 2, "off -> relocking");
+        set.complete_relock_uncore();
+        set.complete_relock_uncore();
+        assert_eq!(set.changes.get(), 3, "relocking -> locked");
     }
 
     #[test]
-    #[should_panic(expected = "complete_relock without begin_relock")]
     fn complete_relock_requires_begin() {
-        let mut pll = Pll::new_adpll(PllDomain::Gpmu);
-        pll.complete_relock();
+        // Powered-off PLLs lock only after a re-lock has begun: completing
+        // first cannot skip the re-lock latency.
+        let mut set = PllSet::new(10, 6);
+        set.power_off_uncore();
+        set.complete_relock_uncore();
+        assert_eq!(set.uncore_state(), PllState::Off);
+        assert_eq!(set.begin_relock_uncore(), PllSet::RELOCK_LATENCY);
     }
 
     #[test]
     fn uncore_power_cycle() {
+        // Every PC6 residency pays the re-lock again, and no cycle changes
+        // the inventory: the core PLLs are never touched.
         let mut set = PllSet::new(10, 6);
-        set.power_off_uncore();
-        assert!(set.uncore_plls().all(|p| p.state() == PllState::Off));
-        // Core PLLs untouched.
-        assert!(set
-            .iter()
-            .filter(|p| matches!(p.domain, PllDomain::Core(_)))
-            .all(|p| p.state() == PllState::Locked));
-
-        let worst = set.begin_relock_uncore();
-        assert_eq!(worst, Pll::RELOCK_LATENCY);
-        set.complete_relock_uncore();
-        assert!(set.iter().all(|p| p.state() == PllState::Locked));
-    }
-
-    #[test]
-    fn domain_display() {
-        assert_eq!(PllDomain::Core(2).to_string(), "pll-core2");
-        assert_eq!(PllDomain::Clm.to_string(), "pll-clm");
-        assert_eq!(PllDomain::Io(1).to_string(), "pll-io1");
-        assert_eq!(PllDomain::Gpmu.to_string(), "pll-gpmu");
+        for _ in 0..2 {
+            set.power_off_uncore();
+            assert_eq!(set.uncore_state(), PllState::Off);
+            assert_eq!(set.begin_relock_uncore(), PllSet::RELOCK_LATENCY);
+            set.complete_relock_uncore();
+            assert_eq!(set.uncore_state(), PllState::Locked);
+            assert_eq!((set.len(), set.uncore_count()), (18, 8));
+        }
     }
 }

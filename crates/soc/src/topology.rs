@@ -110,8 +110,8 @@ pub struct SkxSoc {
     ios: IoSet,
     memory: MemorySet,
     plls: PllSet,
-    /// Power-state changes of the CLM, IO links, memory controllers and
-    /// PLLs, counted by the components themselves (see
+    /// Power-state changes of the CLM, IO links, DRAM and uncore PLLs,
+    /// counted by the components themselves (see
     /// [`SkxSoc::uncore_change_epoch`]).
     uncore_changes: PowerChanges,
 }
@@ -189,8 +189,8 @@ impl SkxSoc {
     }
 
     /// The number of power-state changes of the uncore component models:
-    /// the CLM state, every IO link state, every memory controller's DRAM
-    /// mode and every PLL state. The components count their own changes, so
+    /// the CLM state, every IO link state, the DRAM mode and the uncore PLLs'
+    /// lock state. The components count their own changes, so
     /// a mutable access that changes no power state (traffic on a link
     /// already in L0, say) leaves the epoch alone. Two equal epochs
     /// guarantee those power states — and therefore any pure function of
@@ -276,11 +276,11 @@ mod tests {
         assert_eq!(soc.uncore_change_epoch(), epoch + 1);
         soc.ios_mut().controller_mut(nic).begin_traffic();
         soc.clm_mut().clock_gate();
-        soc.memory_mut().set_allow_cke_off_all(true);
+        soc.memory_mut().set_allow_cke_off(true);
         soc.plls_mut().power_off_uncore();
-        let plls = soc.plls().uncore_plls().count() as u64;
-        let mcs = soc.memory().len() as u64;
-        assert_eq!(soc.uncore_change_epoch(), epoch + 3 + mcs + plls);
+        // One change per group: the DRAM mode of every memory controller,
+        // the lock state of every uncore PLL.
+        assert_eq!(soc.uncore_change_epoch(), epoch + 5);
     }
 
     #[test]

@@ -7,10 +7,28 @@
 //! tracker reproduces that floor as an option so experiments can report both
 //! the raw and the SoCWatch-equivalent views.
 
-use apc_sim::stats::DurationHistogram;
 use apc_sim::{SimDuration, SimTime};
 
 /// Tracks periods during which every core of the socket is idle.
+///
+/// # Examples
+///
+/// ```
+/// use apc_sim::{SimDuration, SimTime};
+/// use apc_telemetry::IdlePeriodTracker;
+///
+/// let mut idle = IdlePeriodTracker::with_socwatch_floor(1, SimTime::ZERO);
+/// let mut now = SimTime::ZERO;
+/// for us in [3, 30, 150, 900, 40_000] {
+///     idle.core_idle(now);
+///     now += SimDuration::from_micros(us);
+///     idle.core_active(now);
+/// }
+/// // The 3 µs period is below SoCWatch's floor; 30 and 150 µs are in
+/// // Fig. 6(c)'s band.
+/// assert_eq!(idle.period_count(), 4);
+/// assert_eq!(idle.fraction_20_200us(), 0.5);
+/// ```
 #[derive(Debug, Clone)]
 pub struct IdlePeriodTracker {
     /// Number of cores currently active (busy or transitioning to busy).
@@ -20,9 +38,10 @@ pub struct IdlePeriodTracker {
     idle_since: Option<SimTime>,
     /// Minimum period length recorded (the SoCWatch sampling floor).
     min_period: SimDuration,
-    histogram: DurationHistogram,
     total_idle: SimDuration,
     periods: u64,
+    /// Recorded periods longer than 20 µs and at most 200 µs.
+    periods_20_200us: u64,
     window_start: SimTime,
     window_end: SimTime,
 }
@@ -30,6 +49,11 @@ pub struct IdlePeriodTracker {
 impl IdlePeriodTracker {
     /// The SoCWatch sampling floor from the paper (10 µs).
     const SOCWATCH_FLOOR: SimDuration = SimDuration::from_micros(10);
+
+    /// Fig. 6(c)'s band of idle-period lengths: longer than `BAND_LOW` and
+    /// at most `BAND_HIGH`.
+    const BAND_LOW: SimDuration = SimDuration::from_micros(20);
+    const BAND_HIGH: SimDuration = SimDuration::from_micros(200);
 
     /// Creates a tracker for `total_cores` cores, all initially active, with
     /// no minimum-period floor.
@@ -40,9 +64,9 @@ impl IdlePeriodTracker {
             total_cores,
             idle_since: None,
             min_period: SimDuration::ZERO,
-            histogram: DurationHistogram::idle_period_default(),
             total_idle: SimDuration::ZERO,
             periods: 0,
+            periods_20_200us: 0,
             window_start: start,
             window_end: start,
         }
@@ -104,7 +128,9 @@ impl IdlePeriodTracker {
         if len < self.min_period {
             return;
         }
-        self.histogram.record(len);
+        if Self::BAND_LOW < len && len <= Self::BAND_HIGH {
+            self.periods_20_200us += 1;
+        }
         self.total_idle += len;
         self.periods += 1;
     }
@@ -126,11 +152,15 @@ impl IdlePeriodTracker {
         self.total_idle.as_nanos() as f64 / window.as_nanos() as f64
     }
 
-    /// Fraction of fully-idle periods whose length falls in `[lo, hi]`
-    /// (Fig. 6(c)'s "60 % of idle periods are between 20 µs and 200 µs").
+    /// Fraction of the recorded fully-idle periods longer than 20 µs and at
+    /// most 200 µs (Fig. 6(c)'s "60 % of idle periods are between 20 µs and
+    /// 200 µs"), or 0 when there is none.
     #[must_use]
-    pub fn fraction_between(&self, lo: SimDuration, hi: SimDuration) -> f64 {
-        self.histogram.fraction_between(lo, hi)
+    pub fn fraction_20_200us(&self) -> f64 {
+        if self.periods == 0 {
+            return 0.0;
+        }
+        self.periods_20_200us as f64 / self.periods as f64
     }
 }
 
@@ -170,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fraction_between_matches_recorded_periods() {
+    fn band_fraction_counts_recorded_periods() {
         let mut t = IdlePeriodTracker::new(1, SimTime::ZERO);
         let mut now = SimTime::ZERO;
         // Three periods of 50 µs (in range) and one of 500 µs (out of range).
@@ -181,9 +211,28 @@ mod tests {
             now += SimDuration::from_micros(10);
         }
         t.finish(now);
-        let frac = t.fraction_between(SimDuration::from_micros(20), SimDuration::from_micros(200));
+        let frac = t.fraction_20_200us();
         assert!((frac - 0.75).abs() < 1e-9, "fraction {frac}");
-        assert_eq!(t.histogram.count(), 4);
+        assert_eq!(t.period_count(), 4);
+    }
+
+    #[test]
+    fn band_edges_are_exclusive_below_and_inclusive_above() {
+        let mut t = IdlePeriodTracker::with_socwatch_floor(1, SimTime::ZERO);
+        assert_eq!(t.fraction_20_200us(), 0.0, "no period yet");
+        let us = SimDuration::from_micros;
+        let ns = SimDuration::from_nanos(1);
+        let mut now = SimTime::ZERO;
+        // Out, in, in, out, and one below the SoCWatch floor.
+        for len in [us(20), us(20) + ns, us(200), us(200) + ns, us(9)] {
+            t.core_idle(now);
+            now += len;
+            t.core_active(now);
+            now += us(1);
+        }
+        assert_eq!(t.period_count(), 4, "the 9 µs period is not recorded");
+        assert_eq!(t.periods_20_200us, 2);
+        assert_eq!(t.fraction_20_200us(), 0.5);
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The paper reports average and tail (99th percentile) end-to-end latency,
 //! where end-to-end = client-observed latency = network round trip (≈ 117 µs
 //! for their testbed) + server-side queueing + service + any C-state wakeup
-//! penalties. This module accumulates those samples and produces the summary
-//! statistics the figures plot.
+//! penalties. This module produces the summary statistics the figures plot.
 //!
-//! Samples are *not* retained: the recorder feeds a bounded-memory
-//! [`QuantileSketch`] (see [`crate::sketch`] for the 1 % relative-error
-//! contract), so a recorder costs O(buckets) regardless of run length.
-//! `count`, `mean` and `max` stay exact; the reported percentiles are sketch
+//! Samples are *not* retained: every latency, in nanoseconds, goes into a
+//! bounded-memory [`QuantileSketch`] (see [`crate::sketch`] for the 1 %
+//! relative-error contract), which costs O(buckets) regardless of run
+//! length, and [`LatencySummary::of`] reads the summary off it. `count`,
+//! `mean` and `max` stay exact; the reported percentiles are sketch
 //! estimates within the contract of the lower nearest-rank exact quantile.
 
 use apc_sim::SimDuration;
@@ -49,78 +49,40 @@ impl LatencySummary {
             max: SimDuration::ZERO,
         }
     }
-}
 
-/// Records per-request latencies into a bounded-memory sketch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyRecorder {
-    sketch: QuantileSketch,
-}
-
-impl Default for LatencyRecorder {
-    fn default() -> Self {
-        LatencyRecorder::new()
-    }
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder (1 % relative-error latency sketch).
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyRecorder {
-            sketch: QuantileSketch::latency_default(),
-        }
-    }
-
-    /// A recorder wrapping an existing sketch (e.g. one deserialized from a
-    /// sweep-shard checkpoint), so its summary can be re-derived.
-    #[must_use]
-    pub fn from_sketch(sketch: QuantileSketch) -> Self {
-        LatencyRecorder { sketch }
-    }
-
-    /// Records one request's end-to-end latency.
-    pub fn record(&mut self, latency: SimDuration) {
-        self.sketch.record(latency.as_nanos());
-    }
-
-    /// Number of recorded requests.
-    #[must_use]
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn count(&self) -> usize {
-        self.sketch.count() as usize
-    }
-
-    /// Merges another recorder's samples into this one (exact counts, sums
-    /// and extremes; see [`QuantileSketch::merge`]).
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.sketch.merge(&other.sketch);
-    }
-
-    /// The underlying sketch (for aggregation and serialization).
-    #[must_use]
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
-    }
-
-    /// Produces the summary statistics. Derivable from `&self`: the sketch
-    /// needs no in-place sort, unlike the retained-samples recorder this
-    /// replaced.
+    /// The summary of the latencies `sketch` holds, recorded in
+    /// nanoseconds.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use apc_sim::SimDuration;
+    /// use apc_telemetry::{LatencySummary, QuantileSketch};
+    ///
+    /// let mut sketch = QuantileSketch::latency_default();
+    /// for us in [100, 100, 100, 400] {
+    ///     sketch.record(SimDuration::from_micros(us).as_nanos());
+    /// }
+    /// let summary = LatencySummary::of(&sketch);
+    /// assert_eq!(summary.count, 4);
+    /// assert_eq!(summary.mean, SimDuration::from_micros(175));
+    /// assert_eq!(summary.max, SimDuration::from_micros(400));
+    /// ```
     #[must_use]
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn summary(&self) -> LatencySummary {
-        if self.sketch.is_empty() {
+    pub fn of(sketch: &QuantileSketch) -> Self {
+        if sketch.is_empty() {
             return LatencySummary::empty();
         }
-        let q = |q: f64| SimDuration::from_nanos(self.sketch.quantile(q).unwrap_or(0));
+        let q = |q: f64| SimDuration::from_nanos(sketch.quantile(q).unwrap_or(0));
         LatencySummary {
-            count: self.count(),
-            mean: SimDuration::from_nanos(self.sketch.mean().unwrap_or(0.0).round() as u64),
+            count: sketch.count() as usize,
+            mean: SimDuration::from_nanos(sketch.mean().unwrap_or(0.0).round() as u64),
             p50: q(0.50),
             p95: q(0.95),
             p99: q(0.99),
             p999: q(0.999),
-            max: SimDuration::from_nanos(self.sketch.max().unwrap_or(0)),
+            max: SimDuration::from_nanos(sketch.max().unwrap_or(0)),
         }
     }
 }
@@ -131,12 +93,11 @@ mod tests {
 
     #[test]
     fn summary_of_uniform_latencies() {
-        let mut r = LatencyRecorder::new();
+        let mut sketch = QuantileSketch::latency_default();
         for us in 1..=100u64 {
-            r.record(SimDuration::from_micros(us));
+            sketch.record(SimDuration::from_micros(us).as_nanos());
         }
-        assert_eq!(r.count(), 100);
-        let s = r.summary();
+        let s = LatencySummary::of(&sketch);
         assert_eq!(s.count, 100);
         assert_eq!(s.mean, SimDuration::from_nanos(50_500));
         assert_eq!(s.max, SimDuration::from_micros(100));
@@ -150,22 +111,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_recorder_yields_empty_summary() {
-        let r = LatencyRecorder::new();
-        assert_eq!(r.summary(), LatencySummary::empty());
-        assert_eq!(r.count(), 0);
+    fn empty_sketch_yields_empty_summary() {
+        let sketch = QuantileSketch::latency_default();
+        assert_eq!(LatencySummary::of(&sketch), LatencySummary::empty());
     }
 
     #[test]
     fn tail_reflects_outliers() {
-        let mut r = LatencyRecorder::new();
+        let mut sketch = QuantileSketch::latency_default();
         for _ in 0..990 {
-            r.record(SimDuration::from_micros(100));
+            sketch.record(SimDuration::from_micros(100).as_nanos());
         }
         for _ in 0..10 {
-            r.record(SimDuration::from_micros(1_000));
+            sketch.record(SimDuration::from_micros(1_000).as_nanos());
         }
-        let s = r.summary();
+        let s = LatencySummary::of(&sketch);
         assert!(s.p99 >= SimDuration::from_micros(100));
         // The 1 % outliers dominate the 99.9th percentile: within the
         // sketch's 1 % relative-error contract of the exact 1 ms, and never
@@ -180,31 +140,33 @@ mod tests {
 
     #[test]
     fn summary_needs_only_a_shared_reference() {
-        let mut r = LatencyRecorder::new();
-        r.record(SimDuration::from_micros(10));
-        let shared: &LatencyRecorder = &r;
-        let a = shared.summary();
-        let b = shared.summary();
+        let mut sketch = QuantileSketch::latency_default();
+        sketch.record(SimDuration::from_micros(10).as_nanos());
+        let before = sketch.clone();
+        let shared: &QuantileSketch = &sketch;
+        let a = LatencySummary::of(shared);
+        let b = LatencySummary::of(shared);
         assert_eq!(a, b);
+        assert_eq!(sketch, before, "summarising leaves the sketch as it was");
     }
 
     #[test]
-    fn merged_recorders_equal_one_combined_recorder() {
-        let mut all = LatencyRecorder::new();
-        let mut left = LatencyRecorder::new();
-        let mut right = LatencyRecorder::new();
+    fn merged_sketches_summarise_as_one_combined_sketch() {
+        let mut all = QuantileSketch::latency_default();
+        let mut left = QuantileSketch::latency_default();
+        let mut right = QuantileSketch::latency_default();
         for i in 0..1_000u64 {
-            let d = SimDuration::from_nanos(50_000 + (i * 997) % 400_000);
-            all.record(d);
+            let ns = 50_000 + (i * 997) % 400_000;
+            all.record(ns);
             if i % 3 == 0 {
-                left.record(d);
+                left.record(ns);
             } else {
-                right.record(d);
+                right.record(ns);
             }
         }
         let mut merged = left.clone();
         merged.merge(&right);
         assert_eq!(merged, all);
-        assert_eq!(merged.summary(), all.summary());
+        assert_eq!(LatencySummary::of(&merged), LatencySummary::of(&all));
     }
 }

@@ -6,10 +6,10 @@
 //! * [`residency`] — per-core and package C-state residency counters
 //!   (Fig. 6(a)/(b), 8(a), 9(a));
 //! * [`idle`] — fully-idle period tracking with the SoCWatch 10 µs floor
-//!   (Fig. 6(b)/(c));
-//! * [`latency`] — end-to-end latency recording (Fig. 5, 7(c));
+//!   and the 20–200 µs band (Fig. 6(b)/(c));
+//! * [`latency`] — end-to-end latency summaries (Fig. 5, 7(c));
 //! * [`sketch`] — the bounded-memory relative-error quantile sketch behind
-//!   the latency recorder (1 % error contract, exact merge);
+//!   every latency summary (1 % error contract, exact merge);
 //! * [`timeseries`] — periodic samples of power, residency deltas and queue
 //!   depth over simulated time (the time-domain figures).
 
@@ -23,7 +23,7 @@ pub mod sketch;
 pub mod timeseries;
 
 pub use idle::IdlePeriodTracker;
-pub use latency::{LatencyRecorder, LatencySummary};
+pub use latency::LatencySummary;
 pub use residency::{CoreResidencySet, PackageResidency, StateResidency};
 pub use sketch::{QuantileSketch, SketchParts};
 pub use timeseries::{TimeSeries, TimeSeriesSample};

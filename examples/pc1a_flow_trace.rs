@@ -37,7 +37,7 @@ fn main() {
     println!(
         "           IOs: {}   DRAM: {}   CLM: {}",
         soc.ios().controller(apc::soc::io::IoId(0)).state(),
-        soc.memory().controller(apc::soc::memory::McId(0)).mode(),
+        soc.memory().mode(),
         soc.clm().state()
     );
 

@@ -30,17 +30,14 @@ fn pc1a_resident_state_matches_table2() {
     // Table 2, PC1A row: cores CC1, L3 retained, PLLs on, PCIe/DMI in L0s,
     // UPI in L0p, DRAM CKE-off.
     assert!(soc.cores().all_in_cc1_or_deeper());
-    assert!(soc.plls().iter().all(|p| p.state() == PllState::Locked));
+    assert_eq!(soc.plls().uncore_state(), PllState::Locked);
     for link in soc.ios().iter() {
         match link.kind() {
             apc::soc::io::IoKind::Upi => assert_eq!(link.state(), LinkPowerState::L0p),
             _ => assert_eq!(link.state(), LinkPowerState::L0s),
         }
     }
-    assert!(soc
-        .memory()
-        .iter()
-        .all(|m| m.mode() == DramPowerMode::PrechargePowerDown));
+    assert_eq!(soc.memory().mode(), DramPowerMode::PrechargePowerDown);
     assert_eq!(soc.clm().state(), apc::soc::clm::ClmState::Retention);
 }
 
@@ -83,10 +80,7 @@ fn exit_restores_full_operation() {
     apmu.on_core_active(&mut soc);
 
     assert!(soc.ios().iter().all(|l| l.state() == LinkPowerState::L0));
-    assert!(soc
-        .memory()
-        .iter()
-        .all(|m| m.mode() == DramPowerMode::Active));
+    assert_eq!(soc.memory().mode(), DramPowerMode::Active);
     assert_eq!(soc.clm().state(), apc::soc::clm::ClmState::Operational);
     assert_eq!(apmu.stats().pc1a_entries, 1);
 }
