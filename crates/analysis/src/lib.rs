@@ -16,12 +16,12 @@
 //!
 //! ```
 //! use apc_analysis::savings::SavingsInputs;
-//! use apc_power::budget::PackageStatePower;
+//! use apc_power::units::Watts;
 //!
-//! // Eq. 1 for an idle server: every moment is PC1A-eligible.
-//! let b = PackageStatePower::skx_reference();
-//! let saving = SavingsInputs::from_budget(&b, 1.0).savings_fraction();
-//! assert!((saving - 0.41).abs() < 0.02);
+//! // Eq. 1 for an idle server, every moment PC1A-eligible, with Table 1's
+//! // PC0, PC0idle and PC1A SoC + DRAM power.
+//! let idle = SavingsInputs::new(1.0, Watts(92.0), Watts(49.5), Watts(29.1));
+//! assert!((idle.savings_fraction() - 0.41).abs() < 0.02);
 //! ```
 
 #![warn(missing_docs)]

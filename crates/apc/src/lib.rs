@@ -71,10 +71,9 @@ pub mod prelude {
     pub use apc_core::apmu::{Apmu, ApmuState, WakeCause};
     pub use apc_core::area::ApcAreaModel;
     pub use apc_core::latency::Pc1aLatencyModel;
-    pub use apc_core::power::Pc1aPowerEstimator;
+    pub use apc_core::power::{resident_soc, Pc1aPowerEstimate};
     pub use apc_network::{NetworkConfig, NetworkStats, Topology, TopologyKind};
     pub use apc_pmu::config::PlatformConfig;
-    pub use apc_power::budget::PackageStatePower;
     pub use apc_power::model::PowerModel;
     pub use apc_power::units::Watts;
     pub use apc_server::balancer::{RoutingPolicy, RoutingPolicyKind};

@@ -3,8 +3,10 @@
 //! Each public function renders one closed-form table of the paper as
 //! text: Table 1, Table 2, the Fig. 7(a) idle power, the Sec. 2 savings
 //! model, the Sec. 5.4 power derivation, the Sec. 5.5 latency budget and
-//! the Sec. 5.1–5.3 area overhead. None of them simulates; the
-//! `paper_tables` bench target prints them all.
+//! the Sec. 5.1–5.3 area overhead. None of them simulates: the power
+//! tables are `PowerModel::snapshot`s, and Table 2 the component states, of
+//! the socket that the PC1A and PC6 flows bring to rest
+//! ([`resident_soc`]). The `paper_tables` bench target prints them all.
 //!
 //! The simulated figures (Figs. 5–9) are sweep specs under
 //! `examples/specs/`, run by `apc-cli sweep`; `docs/REPRODUCING.md` maps
@@ -18,13 +20,29 @@ use apc_analysis::report::TextTable;
 use apc_analysis::savings::SavingsInputs;
 use apc_core::area::ApcAreaModel;
 use apc_core::latency::Pc1aLatencyModel;
-use apc_core::power::Pc1aPowerEstimator;
+use apc_core::power::{resident_soc, Pc1aPowerEstimate};
 use apc_pmu::gpmu::Pc6LatencyModel;
-use apc_power::budget::{PackageStatePower, PackageStateRecipe};
+use apc_power::model::{PowerBreakdown, PowerModel};
+use apc_power::units::Watts;
+use apc_soc::clm::ClmState;
+use apc_soc::core::CoreId;
 use apc_soc::cstate::PackageCState;
+use apc_soc::io::IoKind;
+use apc_soc::pll::PllState;
 
 fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
+}
+
+/// `PowerModel::snapshot` of the socket resting in `state`: DRAM at full
+/// bandwidth in PC0 (Table 1's full-load row), idle otherwise.
+fn resident_power(state: PackageCState) -> PowerBreakdown {
+    let utilization = if state == PackageCState::PC0 {
+        1.0
+    } else {
+        0.0
+    };
+    PowerModel::skx_calibrated().snapshot(&resident_soc(state), utilization)
 }
 
 /// Every closed-form table, in the order the `paper_tables` bench prints
@@ -47,7 +65,6 @@ pub fn paper_tables() -> String {
 /// **Table 1** — power and transition latency across package C-states.
 #[must_use]
 pub fn table1_package_cstate_power() -> String {
-    let budget = PackageStatePower::skx_reference();
     let mut t = TextTable::new(
         "Table 1: package C-state power and transition latency",
         &["package / cores", "latency", "SoC", "DRAM", "SoC+DRAM"],
@@ -59,15 +76,11 @@ pub fn table1_package_cstate_power() -> String {
         ("PC1A / 10 CC1", PackageCState::PC1A),
     ];
     for (label, state) in rows {
-        let p = if state == PackageCState::PC0 {
-            budget.pc0_power()
-        } else {
-            budget.state_power(state)
-        };
+        let p = resident_power(state);
         t.add_row(&[
             label.to_owned(),
             format!("{}", state.transition_latency()),
-            format!("{:.1} W", p.soc.as_f64()),
+            format!("{:.1} W", p.soc_total().as_f64()),
             format!("{:.2} W", p.dram.as_f64()),
             format!("{:.1} W", p.total().as_f64()),
         ]);
@@ -85,20 +98,28 @@ pub fn table2_cstate_characteristics() -> String {
         ],
     );
     for state in [PackageCState::PC0, PackageCState::PC6, PackageCState::PC1A] {
-        let r = PackageStateRecipe::for_state(state);
-        let l3 = match r.clm {
-            apc_soc::clm::ClmState::Operational => "accessible",
-            apc_soc::clm::ClmState::ClockGated => "clock-gated",
-            apc_soc::clm::ClmState::Retention => "retention",
+        let soc = resident_soc(state);
+        let link = |kind| {
+            let first = soc.ios().iter().find(|l| l.kind() == kind);
+            first.expect("the socket has every link kind").state()
+        };
+        let l3 = match soc.clm().state() {
+            ClmState::Operational => "accessible",
+            ClmState::ClockGated => "clock-gated",
+            ClmState::Retention => "retention",
+        };
+        let plls = match soc.plls().uncore_state() {
+            PllState::Off => "off",
+            PllState::Locked | PllState::Relocking => "on",
         };
         t.add_row(&[
             state.to_string(),
-            r.cores.to_string(),
+            soc.cores().core(CoreId(0)).cstate().to_string(),
             l3.to_owned(),
-            if r.plls_on { "on" } else { "off" }.to_owned(),
-            r.pcie.to_string(),
-            r.upi.to_string(),
-            r.dram.to_string(),
+            plls.to_owned(),
+            link(IoKind::Pcie).to_string(),
+            link(IoKind::Upi).to_string(),
+            soc.memory().mode().to_string(),
         ]);
     }
     t.render()
@@ -107,10 +128,9 @@ pub fn table2_cstate_characteristics() -> String {
 /// **Fig. 7(a)** — idle SoC+DRAM power under the three configurations.
 #[must_use]
 pub fn fig7a_idle_power() -> String {
-    let budget = PackageStatePower::skx_reference();
-    let shallow = budget.state_power(PackageCState::PC0Idle);
-    let deep = budget.state_power(PackageCState::PC6);
-    let apc = budget.state_power(PackageCState::PC1A);
+    let shallow = resident_power(PackageCState::PC0Idle);
+    let deep = resident_power(PackageCState::PC6);
+    let apc = resident_power(PackageCState::PC1A);
     let mut t = TextTable::new(
         "Fig. 7a: idle SoC+DRAM power",
         &["configuration", "SoC", "DRAM", "total", "vs Cshallow"],
@@ -118,7 +138,7 @@ pub fn fig7a_idle_power() -> String {
     for (name, p) in [("Cshallow", shallow), ("Cdeep", deep), ("CPC1A", apc)] {
         t.add_row(&[
             name.to_owned(),
-            format!("{:.1} W", p.soc.as_f64()),
+            format!("{:.1} W", p.soc_total().as_f64()),
             format!("{:.2} W", p.dram.as_f64()),
             format!("{:.1} W", p.total().as_f64()),
             pct(1.0 - p.total().as_f64() / shallow.total().as_f64()),
@@ -131,7 +151,8 @@ pub fn fig7a_idle_power() -> String {
 /// operating points.
 #[must_use]
 pub fn sec2_savings_model() -> String {
-    let budget = PackageStatePower::skx_reference();
+    let p_pc0idle = resident_power(PackageCState::PC0Idle).total();
+    let p_pc1a = resident_power(PackageCState::PC1A).total();
     let mut t = TextTable::new(
         "Sec. 2: Eq. 1 savings model",
         &["all-idle residency", "baseline W", "savings"],
@@ -141,8 +162,7 @@ pub fn sec2_savings_model() -> String {
         ("39% (10% load)", 0.39),
         ("100% (idle)", 1.0),
     ] {
-        let inputs = SavingsInputs::from_budget(&budget, r_idle)
-            .with_active_power(apc_power::units::Watts(60.0));
+        let inputs = SavingsInputs::new(r_idle, Watts(60.0), p_pc0idle, p_pc1a);
         t.add_row(&[
             label.to_owned(),
             format!("{:.1}", inputs.baseline_power().as_f64()),
@@ -157,7 +177,7 @@ pub fn sec2_savings_model() -> String {
 pub fn sec54_pc1a_power_breakdown() -> String {
     format!(
         "== Sec. 5.4: PC1A power derivation ==\n{}\n",
-        Pc1aPowerEstimator::skx_reference().estimate()
+        Pc1aPowerEstimate::of(&PowerModel::skx_calibrated())
     )
 }
 

@@ -15,11 +15,12 @@
 //!   since the GPMU is < 2 %) plus three long-distance `InCC1` aggregation
 //!   signals (< 0.14 %).
 //!
-//! Total: **< 0.75 %** of the SKX die.
+//! Total: **< 0.75 %** of the SKX die. The floorplan fractions behind these
+//! bounds (the IO interconnect < 6 % of the die and 128–512 bit wide, the
+//! IO controllers < 15 %, the GPMU < 2 %, a core tile < 10 % with its FIVR
+//! < 10 % of the tile) are fields of [`ApcAreaModel`].
 
 use std::fmt;
-
-use apc_soc::area::DieFloorplan;
 
 /// Area overhead of one APC component, as a fraction of the SKX die area.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,10 +92,25 @@ impl fmt::Display for ApcAreaReport {
     }
 }
 
-/// Computes the APC area overhead for a given floorplan.
+/// Computes the APC area overhead on the SKX floorplan. Every area is a
+/// fraction of the die; the floorplan fractions follow the paper's
+/// Sec. 5.1–5.3 discussion and the SKX die photographs it references.
 #[derive(Debug, Clone)]
 pub struct ApcAreaModel {
-    floorplan: DieFloorplan,
+    /// Fraction of the die occupied by the IO interconnect (mesh/ring wiring
+    /// in the north cap).
+    io_interconnect: f64,
+    /// Width of the IO interconnect data path in bits (128–512).
+    io_interconnect_width_bits: u32,
+    /// Fraction of the die occupied by the high-speed IO controllers.
+    io_controllers: f64,
+    /// Fraction of the die occupied by the firmware GPMU.
+    gpmu: f64,
+    /// Fraction of the die occupied by one core tile (core + private caches
+    /// + its LLC/CHA slice).
+    core_tile: f64,
+    /// Fraction of a core tile occupied by its FIVR.
+    fivr_of_core: f64,
     /// Long-distance signals added by IOSM (AllowL0s, aggregated InL0s,
     /// Allow_CKE_OFF groups): 5 per the paper.
     iosm_signals: u32,
@@ -116,11 +132,17 @@ pub struct ApcAreaModel {
 }
 
 impl ApcAreaModel {
-    /// The paper's assumptions on the SKX floorplan.
+    /// The paper's assumptions on the SKX floorplan, with the conservative
+    /// (pessimistic) choices the paper makes.
     #[must_use]
     pub fn skx() -> Self {
         ApcAreaModel {
-            floorplan: DieFloorplan::skx(),
+            io_interconnect: 0.06,
+            io_interconnect_width_bits: 128,
+            io_controllers: 0.15,
+            gpmu: 0.02,
+            core_tile: 0.10,
+            fivr_of_core: 0.10,
             iosm_signals: 5,
             clmr_signals: 3,
             apmu_signals: 3,
@@ -132,24 +154,34 @@ impl ApcAreaModel {
         }
     }
 
-    /// Computes the full overhead report.
+    /// The area of routing `signals` extra long-distance wires through the
+    /// IO interconnect (paper Sec. 5.1: extra wires / interconnect width ×
+    /// interconnect area).
+    fn long_distance_signal_area(&self, signals: u32) -> f64 {
+        f64::from(signals) / f64::from(self.io_interconnect_width_bits) * self.io_interconnect
+    }
+
+    /// Computes the full overhead report. Logic inside an existing block
+    /// costs the block's fraction of the die × the logic's fraction of the
+    /// block; a FIVR control module is a core tile × its FIVR × the FCM's
+    /// share of the FIVR.
     #[must_use]
     pub fn report(&self) -> ApcAreaReport {
-        let fp = &self.floorplan;
         let iosm = ComponentArea {
-            routing: fp.long_distance_signal_area(self.iosm_signals),
-            logic: fp.region_logic_area(fp.io_controllers, self.io_controller_logic),
+            routing: self.long_distance_signal_area(self.iosm_signals),
+            logic: self.io_controllers * self.io_controller_logic,
         };
         let clmr = ComponentArea {
-            routing: fp.long_distance_signal_area(self.clmr_signals),
-            logic: fp.fivr_fcm_area()
+            routing: self.long_distance_signal_area(self.clmr_signals),
+            logic: self.core_tile
+                * self.fivr_of_core
                 * self.fcm_of_fivr
                 * self.fcm_logic
                 * f64::from(self.fcm_count),
         };
         let apmu = ComponentArea {
-            routing: fp.long_distance_signal_area(self.apmu_signals),
-            logic: fp.region_logic_area(fp.gpmu, self.apmu_of_gpmu),
+            routing: self.long_distance_signal_area(self.apmu_signals),
+            logic: self.gpmu * self.apmu_of_gpmu,
         };
         ApcAreaReport { iosm, clmr, apmu }
     }
@@ -164,6 +196,48 @@ impl Default for ApcAreaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn skx_fractions_are_sane() {
+        let m = ApcAreaModel::skx();
+        assert!(m.io_interconnect <= 0.06);
+        assert!(m.io_controllers <= 0.15);
+        assert!(m.gpmu <= 0.02);
+        assert_eq!(ApcAreaModel::default().report(), m.report());
+    }
+
+    #[test]
+    fn five_signals_cost_less_than_quarter_percent() {
+        // Paper Sec. 5.1: five new long-distance signals over a 128-bit
+        // interconnect cost < 0.24 % of the die.
+        let m = ApcAreaModel::skx();
+        let area = m.long_distance_signal_area(5);
+        assert!(area < 0.0024, "area {area}");
+        // And < 0.06 % with a 512-bit interconnect.
+        let wide = ApcAreaModel {
+            io_interconnect_width_bits: 512,
+            ..m
+        };
+        assert!(wide.long_distance_signal_area(5) < 0.0006);
+    }
+
+    #[test]
+    fn region_logic_area_composes_fractions() {
+        let m = ApcAreaModel::skx();
+        let r = m.report();
+        // IO controller logic: 0.5 % of 15 % of the die < 0.08 %.
+        assert_eq!(r.iosm.logic, m.io_controllers * 0.005);
+        assert!(r.iosm.logic < 0.0008);
+        // APMU: 5 % of the 2 % GPMU < 0.1 %.
+        assert_eq!(r.apmu.logic, m.gpmu * 0.05);
+        assert!(r.apmu.logic <= 0.001);
+    }
+
+    #[test]
+    fn fcm_area_is_one_percent_of_die() {
+        let m = ApcAreaModel::skx();
+        assert!((m.core_tile * m.fivr_of_core - 0.01).abs() < 1e-12);
+    }
 
     #[test]
     fn iosm_routing_is_under_a_quarter_percent() {

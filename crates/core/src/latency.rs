@@ -65,11 +65,11 @@ impl Pc1aLatencyModel {
         self.clm_clock_gate + self.cke_off_assert + self.cke_off_entry
     }
 
-    /// PC1A exit latency (paper: ≤ 150 ns). The CLM voltage ramp dominates;
-    /// the IO link exit, CKE-off exit and clock ungate overlap with it, so
-    /// the exit is the maximum of the three concurrent branches plus the
-    /// final ungate only if it extends past the ramp (it does not, but the
-    /// `max` keeps the model honest if constants change).
+    /// PC1A exit latency (paper: ≤ 150 ns): the maximum of the three
+    /// concurrent branches, of which the CLM voltage ramp dominates the IO
+    /// link exit and the CKE-off exit. The APMU's exit flow also waits the
+    /// 2-cycle CLM clock ungate after `PwrOk`, which this budget leaves
+    /// out, so a simulated exit from a settled PC1A takes 4 ns longer.
     #[must_use]
     pub fn exit(&self) -> SimDuration {
         let clm_branch = self.clm_voltage_ramp;

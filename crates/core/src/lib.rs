@@ -12,7 +12,9 @@
 //!   CLM clock tree and FIVRs, with PLLs kept locked;
 //! * [`latency`] — the Sec. 5.5 PC1A transition-latency budget
 //!   (≈ 18 ns entry, ≤ 150 ns exit, < 200 ns round trip);
-//! * [`power`] — the Sec. 5.4 (Eq. 2–3) PC1A power derivation;
+//! * [`power`] — the socket at rest in each Table 1 operating point, driven
+//!   there by the PC1A and PC6 flows, and the Sec. 5.4 (Eq. 2–3) PC1A power
+//!   derivation on it;
 //! * [`area`] — the Sec. 5.1–5.3 area-overhead model (< 0.75 % of the die).
 //!
 //! # Example
@@ -58,4 +60,4 @@ pub use area::{ApcAreaModel, ApcAreaReport};
 pub use clmr::ClmRetention;
 pub use iosm::IoStandbyMode;
 pub use latency::Pc1aLatencyModel;
-pub use power::{Pc1aPowerEstimate, Pc1aPowerEstimator};
+pub use power::{resident_soc, Pc1aPowerEstimate};

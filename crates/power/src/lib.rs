@@ -5,38 +5,42 @@
 //! * [`units`] — the [`units::Watts`] newtype;
 //! * [`model`] — the calibrated per-domain [`model::PowerModel`] and the
 //!   [`model::PowerBreakdown`] snapshot;
-//! * [`budget`] — closed-form package-state power budgets reproducing
-//!   Table 1 and the Sec. 5.4 component deltas;
 //! * [`energy`] — exact integer (nW × ns) integration of piecewise-constant
 //!   power over a simulated timeline;
 //! * [`table`] — the model quantised to whole-nanowatt per-state constants,
 //!   the form per-event accounting reads.
 //!
+//! [`PowerModel::snapshot`] is the one float composition of component power
+//! into package power, and [`PowerTable`] its whole-nanowatt twin. The
+//! closed-form Table 1 and Sec. 5.4 figures are snapshots of sockets that
+//! `apc-core` drives to rest through the package flows
+//! (`apc_core::power::resident_soc`).
+//!
 //! # Example
 //!
 //! ```
-//! use apc_power::budget::PackageStatePower;
-//! use apc_soc::cstate::PackageCState;
+//! use apc_power::PowerModel;
+//! use apc_soc::cstate::CoreCState;
+//! use apc_soc::topology::SkxSoc;
 //!
-//! let budget = PackageStatePower::skx_reference();
-//! let pc1a = budget.state_power(PackageCState::PC1A);
-//! let idle = budget.state_power(PackageCState::PC0Idle);
+//! let mut soc = SkxSoc::xeon_silver_4114();
+//! soc.force_all_cores(CoreCState::CC1);
+//! let idle = PowerModel::skx_calibrated().snapshot(&soc, 0.0);
 //!
-//! // The paper's headline idle-power claim: PC1A saves ~41 % vs. PC0idle.
-//! let saving = 1.0 - pc1a.total().as_f64() / idle.total().as_f64();
-//! assert!((saving - 0.41).abs() < 0.02);
+//! // Table 1's PC0idle row, and the Sec. 2 motivation: with every core in
+//! // CC1 the uncore and DRAM draw over 65 % of SoC + DRAM power.
+//! assert!((idle.total().as_f64() - 49.5).abs() < 0.4);
+//! assert!(idle.uncore_and_dram_fraction() > 0.65);
 //! ```
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod budget;
 pub mod energy;
 pub mod model;
 pub mod table;
 pub mod units;
 
-pub use budget::{PackageStatePower, StatePower};
 pub use energy::{EnergyBreakdown, EnergyMeter, PowerLevel};
 pub use model::{PowerBreakdown, PowerModel};
 pub use table::PowerTable;

@@ -18,7 +18,6 @@
 use std::fmt;
 
 use apc_soc::clm::ClmState;
-use apc_soc::core::CoreSet;
 use apc_soc::cstate::CoreCState;
 use apc_soc::io::{IoKind, LinkPowerState};
 use apc_soc::memory::DramPowerMode;
@@ -91,20 +90,6 @@ impl fmt::Display for PowerBreakdown {
 #[must_use]
 pub fn memory_utilization(busy: usize, cores: usize) -> f64 {
     busy as f64 / cores.max(1) as f64
-}
-
-/// The uncore part of a [`PowerBreakdown`]: every domain that depends only
-/// on the uncore component states (see `PowerModel::uncore_domain`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct UncorePower {
-    /// The CLM domain (CHA + LLC + mesh).
-    pub clm: Watts,
-    /// High-speed IO controllers, their PHYs and the memory controllers.
-    pub io: Watts,
-    /// Uncore (non-core) PLLs.
-    pub plls: Watts,
-    /// Always-on north-cap infrastructure.
-    pub uncore_misc: Watts,
 }
 
 /// The calibrated per-domain power model.
@@ -255,47 +240,32 @@ impl PowerModel {
         })
     }
 
-    /// Power of the cores domain: every core at its established C-state.
+    /// Computes the instantaneous power breakdown of a socket: every core at
+    /// its established C-state, the CLM, the IO links plus count × the
+    /// memory-controller entry, count × the uncore-PLL entry, the north cap,
+    /// and the DRAM devices in their one mode ([`PowerModel::dram_power`]).
+    /// `memory_utilization` (0–1) scales the DRAM activity component (only
+    /// meaningful when at least one core is active).
     #[must_use]
-    fn cores_domain(&self, cores: &CoreSet) -> Watts {
-        cores.iter().map(|c| self.core_power(c.cstate())).sum()
-    }
-
-    /// Power of the uncore domains (CLM, IO + memory controllers, uncore
-    /// PLLs, north cap), which depend only on the uncore component states.
-    #[must_use]
-    fn uncore_domain(&self, soc: &SkxSoc) -> UncorePower {
+    pub fn snapshot(&self, soc: &SkxSoc, memory_utilization: f64) -> PowerBreakdown {
         let links: Watts = soc
             .ios()
             .iter()
             .map(|c| self.io_power(c.kind(), c.state()))
             .sum();
         let memory = soc.memory();
-        let mcs = self.mc_power(memory.mode()) * memory.len() as f64;
         let plls = soc.plls();
-        UncorePower {
+        PowerBreakdown {
+            cores: soc
+                .cores()
+                .iter()
+                .map(|c| self.core_power(c.cstate()))
+                .sum(),
             clm: self.clm_power(soc.clm().state()),
-            io: links + mcs,
+            io: links + self.mc_power(memory.mode()) * memory.len() as f64,
             plls: self.pll_power(plls.uncore_state()) * plls.uncore_count() as f64,
             uncore_misc: Watts(self.north_cap_base),
-        }
-    }
-
-    /// Computes the instantaneous power breakdown of a socket from its three
-    /// domains: `PowerModel::cores_domain`, `PowerModel::uncore_domain`
-    /// and the DRAM devices in their one mode ([`PowerModel::dram_power`]).
-    /// `memory_utilization` (0–1) scales the DRAM activity component (only
-    /// meaningful when at least one core is active).
-    #[must_use]
-    pub fn snapshot(&self, soc: &SkxSoc, memory_utilization: f64) -> PowerBreakdown {
-        let uncore = self.uncore_domain(soc);
-        PowerBreakdown {
-            cores: self.cores_domain(soc.cores()),
-            clm: uncore.clm,
-            io: uncore.io,
-            plls: uncore.plls,
-            uncore_misc: uncore.uncore_misc,
-            dram: self.dram_power(soc.memory().mode(), memory_utilization),
+            dram: self.dram_power(memory.mode(), memory_utilization),
         }
     }
 }

@@ -321,7 +321,7 @@ impl TelemetryState {
             latency: QuantileSketch::latency_default(),
             core_residency: CoreResidencySet::new(cores, SimTime::ZERO),
             package_residency: PackageResidency::new(PackageCState::PC0, SimTime::ZERO),
-            idle_tracker: IdlePeriodTracker::with_socwatch_floor(cores, SimTime::ZERO),
+            idle_tracker: IdlePeriodTracker::new(cores, SimTime::ZERO),
             busy_core_time: SimDuration::ZERO,
             timeseries: None,
         }

@@ -18,8 +18,7 @@
 //!   state and its re-lock latency;
 //! * [`vr`] — the CLM FIVRs with their retention voltage and `PwrOk`;
 //! * [`clock`] — the gateable CLM clock tree and the PMU clock;
-//! * [`topology`] — [`topology::SocConfig`] / [`topology::SkxSoc`] aggregate;
-//! * [`area`] — die floorplan fractions used by the Sec. 5 area analysis.
+//! * [`topology`] — [`topology::SocConfig`] / [`topology::SkxSoc`] aggregate.
 //!
 //! # Example
 //!
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod area;
 mod changes;
 pub mod clm;
 pub mod clock;

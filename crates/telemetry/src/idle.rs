@@ -4,8 +4,8 @@
 //! core C-state transition events into periods during which *all* cores are
 //! simultaneously idle (Sec. 6). SoCWatch cannot observe idle periods shorter
 //! than 10 µs, so the paper's opportunity numbers are an under-estimate; the
-//! tracker reproduces that floor as an option so experiments can report both
-//! the raw and the SoCWatch-equivalent views.
+//! tracker applies the same floor, so the simulated numbers are the
+//! SoCWatch-equivalent view.
 
 use apc_sim::{SimDuration, SimTime};
 
@@ -17,7 +17,7 @@ use apc_sim::{SimDuration, SimTime};
 /// use apc_sim::{SimDuration, SimTime};
 /// use apc_telemetry::IdlePeriodTracker;
 ///
-/// let mut idle = IdlePeriodTracker::with_socwatch_floor(1, SimTime::ZERO);
+/// let mut idle = IdlePeriodTracker::new(1, SimTime::ZERO);
 /// let mut now = SimTime::ZERO;
 /// for us in [3, 30, 150, 900, 40_000] {
 ///     idle.core_idle(now);
@@ -36,8 +36,6 @@ pub struct IdlePeriodTracker {
     total_cores: usize,
     /// Start of the current fully-idle period, if one is open.
     idle_since: Option<SimTime>,
-    /// Minimum period length recorded (the SoCWatch sampling floor).
-    min_period: SimDuration,
     total_idle: SimDuration,
     periods: u64,
     /// Recorded periods longer than 20 µs and at most 200 µs.
@@ -55,30 +53,20 @@ impl IdlePeriodTracker {
     const BAND_LOW: SimDuration = SimDuration::from_micros(20);
     const BAND_HIGH: SimDuration = SimDuration::from_micros(200);
 
-    /// Creates a tracker for `total_cores` cores, all initially active, with
-    /// no minimum-period floor.
+    /// Creates a tracker for `total_cores` cores, all initially active,
+    /// that, like SoCWatch, ignores idle periods shorter than 10 µs.
     #[must_use]
-    fn new(total_cores: usize, start: SimTime) -> Self {
+    pub fn new(total_cores: usize, start: SimTime) -> Self {
         IdlePeriodTracker {
             active_cores: total_cores,
             total_cores,
             idle_since: None,
-            min_period: SimDuration::ZERO,
             total_idle: SimDuration::ZERO,
             periods: 0,
             periods_20_200us: 0,
             window_start: start,
             window_end: start,
         }
-    }
-
-    /// Creates a tracker that, like SoCWatch, ignores idle periods shorter
-    /// than 10 µs.
-    #[must_use]
-    pub fn with_socwatch_floor(total_cores: usize, start: SimTime) -> Self {
-        let mut t = IdlePeriodTracker::new(total_cores, start);
-        t.min_period = Self::SOCWATCH_FLOOR;
-        t
     }
 
     /// Notification that a core became idle at `now`.
@@ -125,7 +113,7 @@ impl IdlePeriodTracker {
 
     fn close_period(&mut self, start: SimTime, end: SimTime) {
         let len = end.saturating_since(start);
-        if len < self.min_period {
+        if len < Self::SOCWATCH_FLOOR {
             return;
         }
         if Self::BAND_LOW < len && len <= Self::BAND_HIGH {
@@ -187,7 +175,7 @@ mod tests {
 
     #[test]
     fn socwatch_floor_discards_short_periods() {
-        let mut t = IdlePeriodTracker::with_socwatch_floor(1, SimTime::ZERO);
+        let mut t = IdlePeriodTracker::new(1, SimTime::ZERO);
         // 5 µs idle period: below the 10 µs floor.
         t.core_idle(SimTime::from_micros(100));
         t.core_active(SimTime::from_micros(105));
@@ -218,7 +206,7 @@ mod tests {
 
     #[test]
     fn band_edges_are_exclusive_below_and_inclusive_above() {
-        let mut t = IdlePeriodTracker::with_socwatch_floor(1, SimTime::ZERO);
+        let mut t = IdlePeriodTracker::new(1, SimTime::ZERO);
         assert_eq!(t.fraction_20_200us(), 0.0, "no period yet");
         let us = SimDuration::from_micros;
         let ns = SimDuration::from_nanos(1);

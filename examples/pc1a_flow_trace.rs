@@ -59,7 +59,7 @@ fn main() {
     println!("{}", Pc1aLatencyModel::from_components());
 
     println!("\n== Sec. 5.4 power derivation (Eq. 2/3) ==");
-    println!("{}", Pc1aPowerEstimator::skx_reference().estimate());
+    println!("{}", Pc1aPowerEstimate::of(&PowerModel::skx_calibrated()));
 
     println!("\n== Sec. 5.1-5.3 area overhead ==");
     println!("{}", ApcAreaModel::skx().report());

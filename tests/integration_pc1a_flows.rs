@@ -4,6 +4,7 @@
 
 use apc::core::apmu::{Apmu, WakeCause, WakeOutcome};
 use apc::prelude::*;
+use apc::soc::clock::PMU_CLOCK;
 use apc::soc::io::LinkPowerState;
 use apc::soc::memory::DramPowerMode;
 use apc::soc::pll::PllState;
@@ -60,6 +61,22 @@ fn entry_plus_exit_fits_the_200ns_budget() {
     let model = Pc1aLatencyModel::from_components();
     assert!(model.round_trip() <= SimDuration::from_nanos(200));
     assert_eq!(model.entry(), SimDuration::from_nanos(18));
+    // The flow's entry is the budget's. The wake above cut the CLM ramp
+    // short; one after the ramp has settled pays the full exit, which adds
+    // the 2-cycle CLM clock ungate after `PwrOk` to the budget's 150 ns:
+    // 154 ns simulated.
+    assert_eq!(entry_latency, model.entry());
+    let mut soc = idle_socket(t0);
+    let mut apmu = Apmu::new();
+    let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+    let resident = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
+    apmu.on_entry_complete();
+    let settled = resident + SimDuration::from_micros(40);
+    let full_exit = apmu
+        .wakeup(&mut soc, settled, WakeCause::IoTraffic)
+        .latency();
+    assert_eq!(full_exit, model.exit() + PMU_CLOCK.cycles(2));
+    assert!(entry_latency + full_exit <= SimDuration::from_nanos(200));
 }
 
 #[test]

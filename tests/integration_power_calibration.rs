@@ -1,35 +1,34 @@
-//! Integration tests of the power calibration: the composed package-state
-//! budgets must reproduce Table 1 and Sec. 5.4 of the paper, and the
-//! simulator's time-integrated power must agree with the closed-form budgets.
+//! Integration tests of the power calibration: the power model of the
+//! socket the package flows bring to rest must reproduce Table 1 and
+//! Sec. 5.4 of the paper, and the simulator's time-integrated power must
+//! agree with it.
 
-use apc::power::budget::PackageStatePower;
 use apc::prelude::*;
-use apc::soc::cstate::PackageCState;
+
+/// SoC + DRAM power of the socket resting in `state`: DRAM at full
+/// bandwidth in PC0 (Table 1's full-load row), idle otherwise.
+fn resident_power(state: PackageCState) -> Watts {
+    let utilization = if state == PackageCState::PC0 {
+        1.0
+    } else {
+        0.0
+    };
+    PowerModel::skx_calibrated()
+        .snapshot(&resident_soc(state), utilization)
+        .total()
+}
 
 #[test]
 fn table1_levels_are_reproduced() {
-    let b = PackageStatePower::skx_reference();
-    let idle = b.state_power(PackageCState::PC0Idle);
-    let pc6 = b.state_power(PackageCState::PC6);
-    let pc1a = b.state_power(PackageCState::PC1A);
-    let pc0 = b.pc0_power();
+    let idle = resident_power(PackageCState::PC0Idle);
+    let pc6 = resident_power(PackageCState::PC6);
+    let pc1a = resident_power(PackageCState::PC1A);
+    let pc0 = resident_power(PackageCState::PC0);
 
-    assert!(
-        (idle.total().as_f64() - 49.5).abs() < 0.5,
-        "PC0idle {}",
-        idle.total()
-    );
-    assert!(
-        (pc6.total().as_f64() - 12.5).abs() < 0.5,
-        "PC6 {}",
-        pc6.total()
-    );
-    assert!(
-        (pc1a.total().as_f64() - 29.1).abs() < 0.5,
-        "PC1A {}",
-        pc1a.total()
-    );
-    assert!(pc0.total().as_f64() <= 92.5 && pc0.total().as_f64() > 85.0);
+    assert!((idle.as_f64() - 49.5).abs() < 0.5, "PC0idle {idle}");
+    assert!((pc6.as_f64() - 12.5).abs() < 0.5, "PC6 {pc6}");
+    assert!((pc1a.as_f64() - 29.1).abs() < 0.5, "PC1A {pc1a}");
+    assert!(pc0.as_f64() <= 92.5 && pc0.as_f64() > 85.0);
 }
 
 #[test]
@@ -43,10 +42,11 @@ fn transition_latencies_match_table1_scales() {
 
 #[test]
 fn eq2_eq3_derivation_matches_direct_model() {
-    let estimate = Pc1aPowerEstimator::skx_reference().estimate();
-    let direct = PackageStatePower::skx_reference().state_power(PackageCState::PC1A);
-    assert!((estimate.pc1a.soc.as_f64() - direct.soc.as_f64()).abs() < 1e-9);
-    assert!((estimate.pc1a.dram.as_f64() - direct.dram.as_f64()).abs() < 1e-9);
+    let model = PowerModel::skx_calibrated();
+    let estimate = Pc1aPowerEstimate::of(&model);
+    let direct = model.snapshot(&resident_soc(PackageCState::PC1A), 0.0);
+    assert!((estimate.pc1a_soc().as_f64() - direct.soc_total().as_f64()).abs() < 1e-9);
+    assert!((estimate.pc1a_dram().as_f64() - direct.dram.as_f64()).abs() < 1e-9);
     // Paper's component deltas.
     assert!((estimate.deltas.cores.as_f64() - 12.1).abs() < 0.2);
     assert!((estimate.deltas.ios.as_f64() - 3.5).abs() < 0.2);
@@ -57,8 +57,7 @@ fn eq2_eq3_derivation_matches_direct_model() {
 #[test]
 fn simulated_idle_power_matches_closed_form_budget() {
     // Run the simulator with no load and no background noise under each
-    // configuration and compare against the closed-form budget.
-    let budget = PackageStatePower::skx_reference();
+    // configuration and compare against the resident socket's power.
     let cases = [
         (ServerConfig::c_shallow(), PackageCState::PC0Idle),
         (ServerConfig::c_pc1a(), PackageCState::PC1A),
@@ -67,7 +66,7 @@ fn simulated_idle_power_matches_closed_form_budget() {
         let mut config = config.with_duration(SimDuration::from_millis(100));
         config.noise = None;
         let result = run_experiment(config, WorkloadSpec::memcached_etc(), 1.0);
-        let expected = budget.state_power(state).total().as_f64();
+        let expected = resident_power(state).as_f64();
         let measured = result.avg_total_power().as_f64();
         assert!(
             (measured - expected).abs() / expected < 0.05,

@@ -113,14 +113,14 @@ fn quantiles_are_monotonic() {
 fn package_power_ordering_holds() {
     for_each_case("package_power_ordering_holds", 32, |rng| {
         let util = rng.uniform();
-        let budget = PackageStatePower::skx_reference();
-        let pc0idle = budget.state_power(PackageCState::PC0Idle).total().as_f64();
-        let pc1a = budget.state_power(PackageCState::PC1A).total().as_f64();
-        let pc6 = budget.state_power(PackageCState::PC6).total().as_f64();
+        let model = PowerModel::skx_calibrated();
+        let power = |state| model.snapshot(&resident_soc(state), 0.0).total().as_f64();
+        let pc0idle = power(PackageCState::PC0Idle);
+        let pc1a = power(PackageCState::PC1A);
+        let pc6 = power(PackageCState::PC6);
         assert!(pc6 > 0.0 && pc1a > 0.0 && pc0idle > 0.0);
         assert!(pc6 < pc1a && pc1a < pc0idle);
         // DRAM utilisation never makes idle states more expensive.
-        let model = PowerModel::skx_calibrated();
         let soc = SkxSoc::xeon_silver_4114();
         let snap = model.snapshot(&soc, util);
         assert!(snap.soc_total().as_f64() > 0.0);
