@@ -18,7 +18,11 @@
 //!   simulator's own queue traffic: 44 % at the current instant, 4 % under
 //!   64 ns, 28 % under 4.1 µs, 19 % under 262 µs and 5 % under 16.8 ms,
 //!   drawn from the crate's deterministic xoshiro streams, so every run
-//!   sees the identical operation sequence.
+//!   sees the identical operation sequence. Beside it, a `burst`: 100,000
+//!   ties scheduled into one future calendar slot, then popped out. The
+//!   calendar keeps each slot's list in delivery order and appends ties
+//!   through the slot's tail; an insert that walked the list instead would
+//!   make this row quadratic, and the smoke run with it.
 //! * `cluster_scale` — wall-clock per 20 ms of simulated time for
 //!   1/4/8/16/32/64 server nodes in one event loop (JSQ, 20k req/s per
 //!   node), with the dispatched-event count from
@@ -105,6 +109,28 @@ fn churn(depth: u64, pops: u64, seed: u64) -> Measure {
     }
 }
 
+/// `ties` events scheduled at one instant in a future calendar slot, then
+/// popped out: one operation per schedule and per pop.
+fn burst(ties: u64) -> Measure {
+    let mut q = EventQueue::new();
+    let at = SimTime::from_nanos(5_000);
+    let start = Instant::now();
+    for i in 0..ties {
+        q.schedule(at, i);
+    }
+    let mut popped = 0;
+    while let Some((_, i)) = q.pop() {
+        assert_eq!(i, popped, "ties come back in scheduling order");
+        popped += 1;
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(popped, ties);
+    Measure {
+        ops: 2 * ties,
+        secs,
+    }
+}
+
 /// One timed cluster run; the result carries the dispatched-event census.
 fn cluster_run(nodes: usize) -> (f64, ClusterResult) {
     let base = ServerConfig::c_pc1a().with_duration(WINDOW);
@@ -167,6 +193,16 @@ fn main() {
             m.ops_per_sec(),
         ));
     }
+    let ties = 100_000;
+    let m = fastest(repeats, || burst(ties));
+    println!(
+        "  {ties:>5} ties in one slot, burst {:>6.1} Mops/s",
+        m.ops_per_sec() / 1e6,
+    );
+    micro_json.push(format!(
+        "    {{\"pending_events\": {ties}, \"pattern\": \"burst\", \"ops_per_sec\": {:.0}}}",
+        m.ops_per_sec(),
+    ));
 
     let mut cluster_json = Vec::new();
     println!(
@@ -228,7 +264,8 @@ fn main() {
             "  \"methodology\": \"min over repeats on a shared container; ",
             "micro: {} repeats of {} pop/schedule pairs after an untimed fill, ",
             "delays from the traced mix (44% now, 4% <64 ns, 28% <4.1 us, ",
-            "19% <262 us, 5% <16.8 ms); cluster: {} repeats; ",
+            "19% <262 us, 5% <16.8 ms), and a burst of 100000 ties scheduled ",
+            "into one future slot, then popped; cluster: {} repeats; ",
             "xoshiro-seeded operation sequences; ",
             "batch/overflow counters from one untimed ",
             "self-profiled run per row\",\n",

@@ -47,7 +47,15 @@ use apc_workloads::request::Request;
 /// Events driving the simulation. Each kind is addressed to one component,
 /// a node or the cluster's front or fabric, and the comments note the one
 /// handler that takes it: a node routes its events by kind.
+///
+/// The tag is a whole word (`repr(u64)`), so every variant's fields start at
+/// byte 8 and an event is three aligned words. With the default 1-byte tag,
+/// `PackageWake`'s one-byte `cause` sits at byte 1 and rustc copies bytes
+/// 1–15 of every event with two overlapping 8-byte loads, which the CPU
+/// cannot forward from the word stores that just wrote them: a
+/// store-forwarding stall on every move into and out of the event queue.
 #[derive(Debug, Clone)]
+#[repr(u64)]
 pub enum ServerEvent {
     /// The next client request arrives at the cluster's load balancer, which
     /// routes it to a node — the only node, for a single server.
@@ -251,5 +259,20 @@ mod tests {
         // Every scheduled event is moved into and out of the queue's slab:
         // the wire variant boxes its request so no payload inflates them.
         assert_eq!(std::mem::size_of::<ServerEvent>(), 24);
+        assert_eq!(std::mem::align_of::<ServerEvent>(), 8);
+    }
+
+    #[test]
+    fn event_fields_start_at_the_second_word() {
+        // The word-sized tag keeps even a one-byte field out of the tag's
+        // word, so an event moves as three aligned words.
+        let event = ServerEvent::PackageWake {
+            cause: WakeCause::CoreInterrupt,
+        };
+        let ServerEvent::PackageWake { cause } = &event else {
+            unreachable!("built as a PackageWake")
+        };
+        let offset = std::ptr::from_ref(cause) as usize - std::ptr::from_ref(&event) as usize;
+        assert_eq!(offset, 8);
     }
 }

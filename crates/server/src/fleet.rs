@@ -84,6 +84,14 @@ pub trait PoolMember: Send {
 
     /// Runs the member's simulation to completion.
     fn run(self) -> Self::Output;
+
+    /// A relative estimate of the member's run time. A parallel pool's
+    /// workers claim members in descending cost (ties in member order), so
+    /// the longest ones do not start last; results keep member order. The
+    /// default, 0 for every member, claims in member order.
+    fn cost(&self) -> f64 {
+        0.0
+    }
 }
 
 /// A set of independent simulations run as one experiment on a
@@ -212,12 +220,13 @@ impl<M: PoolMember> Pool<M> {
 }
 
 /// The deterministic worker pool behind [`Pool::run_streamed`]: `workers` OS
-/// threads claim jobs from an atomic cursor, the calling thread collects
-/// each result into its job-order slot and emits the in-order frontier, so
-/// the output is independent of thread scheduling — bit-identical to
-/// running `jobs.into_iter().map(PoolMember::run).collect()`. A failed
-/// `emit` ends the claiming: the cursor moves past the last job and the
-/// collector stops, so workers exit after the job in hand.
+/// threads claim jobs from an atomic cursor over the jobs in descending
+/// [`PoolMember::cost`], the calling thread collects each result into its
+/// job-order slot and emits the in-order frontier, so the output is
+/// independent of thread scheduling — bit-identical to running
+/// `jobs.into_iter().map(PoolMember::run).collect()`. A failed `emit` ends
+/// the claiming: the cursor moves past the last job and the collector
+/// stops, so workers exit after the job in hand.
 fn run_pool<M: PoolMember, E>(
     jobs: Vec<M>,
     workers: usize,
@@ -233,6 +242,10 @@ fn run_pool<M: PoolMember, E>(
         return Ok(results);
     }
 
+    // Claim order: the costliest job first, ties in job order (a stable
+    // sort).
+    let mut claims: Vec<usize> = (0..jobs.len()).collect();
+    claims.sort_by(|&a, &b| jobs[b].cost().total_cmp(&jobs[a].cost()));
     // Work queue: jobs wait in `Mutex<Option<_>>` slots so any worker can
     // claim ownership of job `i`.
     let job_slots: Vec<Mutex<Option<M>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
@@ -244,17 +257,18 @@ fn run_pool<M: PoolMember, E>(
         for _ in 0..workers {
             let tx = tx.clone();
             let job_slots = &job_slots;
+            let claims = &claims;
             let cursor = &cursor;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = job_slots.get(i) else { break };
-                let job = job
-                    .lock()
-                    .expect("pool job slot poisoned")
-                    .take()
-                    .expect("pool job claimed twice");
-                if tx.send((i, job.run())).is_err() {
-                    break;
+            scope.spawn(move || {
+                while let Some(&i) = claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let job = job_slots[i]
+                        .lock()
+                        .expect("pool job slot poisoned")
+                        .take()
+                        .expect("pool job claimed twice");
+                    if tx.send((i, job.run())).is_err() {
+                        break;
+                    }
                 }
             });
         }
@@ -364,6 +378,11 @@ impl PoolMember for FleetMember {
         run.trace = trace;
         run.profile = profile;
         run
+    }
+
+    /// The requests the member is offered: its rate times its horizon.
+    fn cost(&self) -> f64 {
+        self.rate_per_sec * self.config.duration.as_secs_f64()
     }
 }
 
@@ -704,6 +723,75 @@ mod tests {
             ran < n / 2,
             "{ran} of {n} members ran after the first emit failed"
         );
+    }
+
+    /// Reports its index on `started` when a worker runs it, then finishes
+    /// once it takes a turn from `turns`.
+    struct Costed {
+        index: usize,
+        cost: f64,
+        started: mpsc::Sender<usize>,
+        turns: Arc<Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl PoolMember for Costed {
+        type Output = usize;
+        type Results = Vec<usize>;
+
+        fn run(self) -> usize {
+            self.started.send(self.index).expect("the test listens");
+            let turns = self.turns.lock().expect("turns poisoned");
+            turns
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the test hands out a turn");
+            self.index
+        }
+
+        fn cost(&self) -> f64 {
+            self.cost
+        }
+    }
+
+    #[test]
+    fn workers_claim_the_costliest_member_first_and_results_keep_member_order() {
+        // Claim order by descending cost, the tie at 2.0 in member order:
+        // 1, 4, 3, 0, 2.
+        let costs = [2.0, 9.0, 2.0, 5.0, 7.0];
+        let (started_tx, started) = mpsc::channel();
+        let (turn, turns) = mpsc::channel();
+        let turns = Arc::new(Mutex::new(turns));
+        let mut pool = Pool::new();
+        for (index, &cost) in costs.iter().enumerate() {
+            pool.push(Costed {
+                index,
+                cost,
+                started: started_tx.clone(),
+                turns: Arc::clone(&turns),
+            });
+        }
+        let next_start = || {
+            started
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a member starts")
+        };
+        let (claimed, results) = thread::scope(|s| {
+            let run = s.spawn(|| pool.with_parallelism(2).run());
+            // The two workers claim the first two members together; after
+            // that, each turn frees one worker, which claims the next.
+            let mut first = [next_start(), next_start()];
+            first.sort_unstable();
+            let mut claimed = vec![first[0], first[1]];
+            for _ in 2..costs.len() {
+                turn.send(()).expect("a member waits for its turn");
+                claimed.push(next_start());
+            }
+            for _ in 0..2 {
+                turn.send(()).expect("a member waits for its turn");
+            }
+            (claimed, run.join().expect("the pool run finishes"))
+        });
+        assert_eq!(claimed, [1, 4, 3, 0, 2]);
+        assert_eq!(results, [0, 1, 2, 3, 4]);
     }
 
     #[test]

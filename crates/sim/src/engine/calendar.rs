@@ -8,18 +8,24 @@
 //!
 //! Structure:
 //!
-//! * **Calendar.** 4,096 slots of 1,024 ns each cover a 4.19 ms span ahead
-//!   of the slot the clock is in. An event lands in the slot of
-//!   its timestamp, pushed onto a singly linked list threaded through a
-//!   free-listed node slab, so scheduling places every event once. A
-//!   two-level occupancy bitmap (one bit per slot, one summary bit per 64
-//!   slots) finds the next occupied slot with two `trailing_zeros`.
-//! * **Far heap.** Events beyond the span go to a binary min-heap and move
-//!   into the calendar when the span reaches them.
-//! * **Staged run.** When the clock reaches a slot, its entries are sorted
-//!   by `(time, scheduling sequence)` into the run, which is handed out one
-//!   timestamp group at a time. An event scheduled into the staged slot
-//!   while it is delivered is inserted into the run in order.
+//! * **Calendar.** 4,096 slots of 1,024 ns each cover a 4.19 ms span from
+//!   the slot the clock is in. An event lands in the slot of its timestamp,
+//!   linked into a singly linked list threaded through a free-listed node
+//!   slab, so scheduling places every event once. A two-level occupancy
+//!   bitmap (one bit per slot, one summary bit per 64 slots) finds the next
+//!   occupied slot with two `trailing_zeros`.
+//! * **In-order slot lists.** Each slot's list is kept in delivery order: a
+//!   new event goes after every event of the slot due no later. Through the
+//!   list's tail, which its head node keeps, that is an O(1) append
+//!   whenever the event is due no earlier than the slot's last one (ties,
+//!   and migrated far events, always are); an earlier event walks the list
+//!   from its head. `pop` delivers straight from the head of the clock's
+//!   slot, and when the clock reaches an instant, the run of equal-time
+//!   heads there is its group.
+//! * **Far heap.** Events beyond the span go to a binary min-heap keyed by
+//!   `(time, scheduling sequence)` and move into the calendar when the span
+//!   reaches them. A slot the span newly covers is empty then, so heap order
+//!   is delivery order.
 //! * **Same-instant lane.** An event scheduled at exactly the last delivered
 //!   timestamp — a zero-delay signal, or a past timestamp clamped to it —
 //!   comes after everything already queued for that instant, so it is
@@ -47,10 +53,12 @@ const WORDS: usize = SLOTS / 64;
 /// hierarchical timer wheel this queue replaced, kept so the published
 /// counter reads as it always has.
 const OVERFLOW_BITS: u32 = 42;
-/// Sentinel "null" node index for slot lists and the free list.
-const NIL: u32 = u32::MAX;
+/// Sentinel "null" node index for slot lists and the free list. Slab node 0
+/// is never linked, so an empty calendar's heads are all zeros and come
+/// from a zeroed allocation.
+const NIL: u32 = 0;
 
-/// A scheduled event with its delivery key.
+/// A far-heap entry: an event with its delivery key.
 #[derive(Debug)]
 struct Timed<E> {
     time: u64,
@@ -88,9 +96,13 @@ impl<E> Ord for Timed<E> {
 /// A calendar slab node: a linked event, or a free node (`event: None`).
 #[derive(Debug)]
 struct Node<E> {
-    event: Option<Timed<E>>,
+    time: u64,
     /// Next node in the slot's list, or on the free list.
     next: u32,
+    /// On the head of a slot's list, the list's last node. It fills the
+    /// padding after `next`, so the tails cost no memory of their own.
+    tail: u32,
+    event: Option<E>,
 }
 
 /// Always-on self-profiling counters maintained by the queue.
@@ -154,10 +166,11 @@ impl<E> std::fmt::Debug for QueueProfile<E> {
 /// A deterministic pending-event queue for discrete-event simulation.
 ///
 /// Events are delivered in non-decreasing timestamp order; ties are broken by
-/// scheduling order (FIFO). Internally this is a one-level calendar with a
-/// far heap, a staged run and a same-instant lane (see the module docs):
-/// `schedule` and `pop` run in O(1) amortized time for the near-term
-/// traffic a simulation produces, and neither allocates in steady state.
+/// scheduling order (FIFO). Internally this is a one-level calendar of
+/// in-order slot lists with a far heap and a same-instant lane (see the
+/// module docs): `schedule` and `pop` run in O(1) amortized time for the
+/// near-term traffic a simulation produces, and neither allocates in steady
+/// state.
 ///
 /// # Examples
 ///
@@ -179,6 +192,7 @@ impl<E> std::fmt::Debug for QueueProfile<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Calendar nodes; each slot's list is threaded through `Node::next`.
+    /// Node 0 is the never-linked sentinel behind `NIL`.
     nodes: Vec<Node<E>>,
     /// Head of the free list threaded through `Node::next`.
     free: u32,
@@ -189,16 +203,12 @@ pub struct EventQueue<E> {
     words: [u64; WORDS],
     /// Bit `w` is set ⇔ `words[w] != 0`.
     summary: u64,
-    /// Events at or past slot number `run_slot + SLOTS`.
+    /// Events at or past slot number `(now >> SLOT_BITS) + SLOTS`; the
+    /// calendar holds every other pending event outside the lane.
     far: BinaryHeap<Timed<E>>,
-    /// Absolute slot number (`time >> SLOT_BITS`) of the staged window. The
-    /// run holds every pending event at or before the window's end (except
-    /// the lane's); the calendar holds the slots after it, up to `SLOTS`
-    /// ahead; the far heap holds the rest.
-    run_slot: u64,
-    /// The staged run, in delivery order.
-    run: VecDeque<Timed<E>>,
-    /// Events at the front of the run still to deliver at `now`.
+    /// Scheduling sequence of the next far-heap entry.
+    next_seq: u64,
+    /// Events at the head of the clock's slot still to deliver at `now`.
     group_left: usize,
     /// The same-instant lane: payloads scheduled at exactly `now`, in
     /// scheduling order.
@@ -207,7 +217,6 @@ pub struct EventQueue<E> {
     round_left: usize,
     /// Timestamp of the most recently delivered event, in nanoseconds.
     now: u64,
-    next_seq: u64,
     len: usize,
     /// Always-on self-profiling counters.
     counters: QueueCounters,
@@ -226,19 +235,25 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            nodes: Vec::new(),
+            nodes: vec![Node {
+                time: 0,
+                next: NIL,
+                tail: NIL,
+                event: None,
+            }],
             free: NIL,
-            heads: Box::new([NIL; SLOTS]),
+            heads: vec![NIL; SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("SLOTS entries"),
             words: [0; WORDS],
             summary: 0,
             far: BinaryHeap::new(),
-            run_slot: 0,
-            run: VecDeque::new(),
+            next_seq: 0,
             group_left: 0,
             lane: VecDeque::new(),
             round_left: 0,
             now: 0,
-            next_seq: 0,
             len: 0,
             counters: QueueCounters::default(),
             profile: None,
@@ -302,8 +317,6 @@ impl<E> EventQueue<E> {
     /// "should already have happened" condition immediately.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let time = at.as_nanos().max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.len += 1;
         self.counters.scheduled += 1;
         if let Some(p) = &mut self.profile {
@@ -316,36 +329,23 @@ impl<E> EventQueue<E> {
         if (time ^ self.now) >> OVERFLOW_BITS != 0 {
             self.counters.overflow_hits += 1;
         }
-        let event = Timed { time, seq, payload };
         let slot = time >> SLOT_BITS;
-        if slot <= self.run_slot {
-            // Into the staged window: after every staged event due no later.
-            let at = self.run.partition_point(|e| e.time <= time);
-            self.run.insert(at, event);
-        } else if slot - self.run_slot < SLOTS as u64 {
-            self.link(slot, event);
+        if slot - (self.now >> SLOT_BITS) < SLOTS as u64 {
+            self.link(slot, time, payload);
         } else {
-            self.far.push(event);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.far.push(Timed { time, seq, payload });
         }
     }
 
-    /// The timestamp of the next pending event, if any. O(1) except between
-    /// slots, where it scans the next occupied slot's list.
+    /// The timestamp of the next pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         let time = if self.group_left > 0 || !self.lane.is_empty() {
             self.now
-        } else if let Some(e) = self.run.front() {
-            e.time
-        } else if let Some(slot) = self.next_slot() {
-            let mut time = u64::MAX;
-            let mut node = self.heads[(slot & SLOT_MASK) as usize];
-            while node != NIL {
-                let n = &self.nodes[node as usize];
-                time = time.min(n.event.as_ref().expect("linked nodes hold an event").time);
-                node = n.next;
-            }
-            time
+        } else if let Some(index) = self.next_index() {
+            self.nodes[self.heads[index] as usize].time
         } else {
             self.far.peek()?.time
         };
@@ -380,18 +380,27 @@ impl<E> EventQueue<E> {
         {
             return None;
         }
+        self.len -= 1;
+        self.counters.dispatched += 1;
+        // The profiler reads the event where it waits, so the event moves
+        // once, from the queue into the result, and never through a copy
+        // whose address is taken.
+        if let Some(p) = &mut self.profile {
+            let next = if self.group_left > 0 {
+                let index = ((self.now >> SLOT_BITS) & SLOT_MASK) as usize;
+                self.nodes[self.heads[index] as usize].event.as_ref()
+            } else {
+                self.lane.front()
+            };
+            p.count(next.expect("an event is due"), |row| row.dispatched += 1);
+        }
         let payload = if self.group_left > 0 {
             self.group_left -= 1;
-            self.run.pop_front().expect("the group is staged").payload
+            self.unlink_head()
         } else {
             self.round_left -= 1;
             self.lane.pop_front().expect("the round is queued")
         };
-        self.len -= 1;
-        self.counters.dispatched += 1;
-        if let Some(p) = &mut self.profile {
-            p.count(&payload, |row| row.dispatched += 1);
-        }
         Some((SimTime::from_nanos(self.now), payload))
     }
 
@@ -408,17 +417,32 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the clock to the next timestamp if it is at or before `last`,
-    /// and opens its group: every staged event at that instant, counted as
-    /// one batch. `false` when nothing is due by `last`.
+    /// and opens its group: the run of heads of that slot's list due then,
+    /// counted as one batch. When the clock leaves its slot, the far events
+    /// the span now reaches move into the calendar. `false`, with nothing
+    /// changed, when nothing is due by `last`.
     fn open_group(&mut self, last: u64) -> bool {
-        if self.run.is_empty() && !self.advance(last) {
-            return false;
-        }
-        let time = self.run.front().expect("the run is staged").time;
+        let time = match self.next_index() {
+            Some(index) => self.nodes[self.heads[index] as usize].time,
+            // An empty calendar: the span jumps to the far heap's earliest.
+            None => match self.far.peek() {
+                Some(e) => e.time,
+                None => return false,
+            },
+        };
         if time > last {
             return false;
         }
-        let size = self.run.iter().take_while(|e| e.time == time).count();
+        let slot = time >> SLOT_BITS;
+        if slot != self.now >> SLOT_BITS {
+            self.migrate(slot);
+        }
+        let mut size = 0;
+        let mut node = self.heads[(slot & SLOT_MASK) as usize];
+        while node != NIL && self.nodes[node as usize].time == time {
+            size += 1;
+            node = self.nodes[node as usize].next;
+        }
         self.group_left = size;
         self.now = time;
         self.count_batch(size);
@@ -432,95 +456,103 @@ impl<E> EventQueue<E> {
         self.counters.max_batch = self.counters.max_batch.max(size);
     }
 
-    /// Stages the next occupied slot (or the far heap's earliest slot, when
-    /// the calendar is empty) as the run, unless it starts after `last`, and
-    /// moves every far event the new span reaches into the calendar.
-    /// `false` when nothing is staged. Called with an empty run.
-    fn advance(&mut self, last: u64) -> bool {
-        let slot = match self.next_slot() {
-            Some(slot) => slot,
-            None => match self.far.peek() {
-                Some(e) => e.time >> SLOT_BITS,
-                None => return false,
-            },
-        };
-        if slot << SLOT_BITS > last {
-            return false;
-        }
-        self.run_slot = slot;
-        let index = (slot & SLOT_MASK) as usize;
-        let mut node = std::mem::replace(&mut self.heads[index], NIL);
-        if node != NIL {
-            let word = &mut self.words[index / 64];
-            *word &= !(1 << (index % 64));
-            if *word == 0 {
-                self.summary &= !(1 << (index / 64));
-            }
-        }
-        while node != NIL {
-            let n = &mut self.nodes[node as usize];
-            let next = n.next;
-            self.run
-                .push_back(n.event.take().expect("linked nodes hold an event"));
-            n.next = self.free;
-            self.free = node;
-            node = next;
-        }
-        // Far events are at least `SLOTS` slots past the old window, so
-        // none is earlier than `slot`.
+    /// Moves every far event within the span that starts at slot number
+    /// `slot` into the calendar, earliest key first. Far events lie past the
+    /// old span, so each lands on an empty list or behind the ones moved
+    /// before it.
+    fn migrate(&mut self, slot: u64) {
         while let Some(e) = self.far.peek() {
             let far_slot = e.time >> SLOT_BITS;
             if far_slot - slot >= SLOTS as u64 {
                 break;
             }
-            let e = self.far.pop().expect("peeked event exists");
-            if far_slot == slot {
-                self.run.push_back(e);
-            } else {
-                self.link(far_slot, e);
-            }
+            let Timed { time, payload, .. } = self.far.pop().expect("peeked event exists");
+            self.link(far_slot, time, payload);
         }
-        self.run.make_contiguous().sort_unstable_by_key(Timed::key);
-        true
     }
 
-    /// Pushes `event` onto the list of calendar slot number `slot`.
-    fn link(&mut self, slot: u64, event: Timed<E>) {
+    /// Links an event due at `time` into the list of calendar slot number
+    /// `slot`, after every event of the slot due no later.
+    fn link(&mut self, slot: u64, time: u64, event: E) {
         let index = (slot & SLOT_MASK) as usize;
         let node = Node {
+            time,
+            next: NIL,
+            tail: NIL,
             event: Some(event),
-            next: self.heads[index],
         };
         let n = if self.free == NIL {
-            assert!(self.nodes.len() < NIL as usize, "event slab full");
+            let n = u32::try_from(self.nodes.len()).expect("event slab full");
             self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
+            n
         } else {
             let n = self.free;
             self.free = self.nodes[n as usize].next;
             self.nodes[n as usize] = node;
             n
         };
-        self.heads[index] = n;
-        self.words[index / 64] |= 1 << (index % 64);
-        self.summary |= 1 << (index / 64);
+        let head = self.heads[index];
+        if head == NIL {
+            self.nodes[n as usize].tail = n;
+            self.heads[index] = n;
+            self.words[index / 64] |= 1 << (index % 64);
+            self.summary |= 1 << (index / 64);
+            return;
+        }
+        let tail = self.nodes[head as usize].tail;
+        if self.nodes[tail as usize].time <= time {
+            self.nodes[tail as usize].next = n;
+            self.nodes[head as usize].tail = n;
+        } else if self.nodes[head as usize].time > time {
+            self.nodes[n as usize].next = head;
+            self.nodes[n as usize].tail = tail;
+            self.heads[index] = n;
+        } else {
+            // Due within the list: the tail is later, so the walk stops
+            // before the end.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev as usize].next;
+                if self.nodes[next as usize].time > time {
+                    break;
+                }
+                prev = next;
+            }
+            self.nodes[n as usize].next = self.nodes[prev as usize].next;
+            self.nodes[prev as usize].next = n;
+        }
     }
 
-    /// Slot number of the first occupied calendar slot after the staged
-    /// window, if any.
-    fn next_slot(&self) -> Option<u64> {
-        if self.summary == 0 {
-            return None;
+    /// Unlinks the head of the clock's slot and returns its event.
+    fn unlink_head(&mut self) -> E {
+        let index = ((self.now >> SLOT_BITS) & SLOT_MASK) as usize;
+        let head = self.heads[index];
+        let node = &mut self.nodes[head as usize];
+        let event = node.event.take().expect("linked nodes hold an event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        let tail = node.tail;
+        self.free = head;
+        self.heads[index] = next;
+        if next == NIL {
+            let word = &mut self.words[index / 64];
+            *word &= !(1 << (index % 64));
+            if *word == 0 {
+                self.summary &= !(1 << (index / 64));
+            }
+        } else {
+            self.nodes[next as usize].tail = tail;
         }
-        // Slot numbers `run_slot + 1 ..= run_slot + SLOTS - 1` map to the
-        // indices from `start` onwards, wrapping round.
-        let start = ((self.run_slot + 1) & SLOT_MASK) as usize;
-        let index = self
-            .first_occupied_from(start)
+        event
+    }
+
+    /// Index of the first occupied calendar slot from the clock's slot on,
+    /// if any.
+    fn next_index(&self) -> Option<usize> {
+        // Slot numbers from the clock's onwards map to the indices from
+        // `start` onwards, wrapping round.
+        let start = ((self.now >> SLOT_BITS) & SLOT_MASK) as usize;
+        self.first_occupied_from(start)
             .or_else(|| self.first_occupied_from(0))
-            .expect("the summary has a bit set");
-        let ahead = (index as u64).wrapping_sub(start as u64) & SLOT_MASK;
-        Some(self.run_slot + 1 + ahead)
     }
 
     /// The first occupied slot index at or after `start`.
@@ -798,13 +830,81 @@ mod tests {
             assert_eq!(q.pop(), Some((t, i)));
             q.schedule(t, i + 1);
             assert_eq!(q.lane.len(), 1);
+            // The sentinel and the node the first event was linked into.
+            assert_eq!(q.nodes.len(), 2, "the slab holds one node");
         }
         let c = q.counters();
         assert_eq!(
             (c.level0_batches, c.batched_events, c.max_batch),
             (10_000, 10_000, 1)
         );
-        assert!(q.nodes.is_empty(), "the first event was staged directly");
+    }
+
+    #[test]
+    fn a_burst_of_ties_in_one_slot_comes_back_in_scheduling_order() {
+        // 100,000 ties at `t`, with earlier events of the same slot
+        // interleaved and later ones after them and in the next slot: the
+        // ties are tail appends, so the burst costs linear time, and they
+        // come back in scheduling order as one batch.
+        let mut q = EventQueue::new();
+        let slot_start = 5u64 << SLOT_BITS;
+        let t = slot_start + 600;
+        let mut expected = Vec::new();
+        for i in 0..100_000u64 {
+            if i % 25_000 == 12_345 {
+                let early = slot_start + i / 25_000;
+                q.schedule(SimTime::from_nanos(early), (early, i));
+                expected.push((early, i));
+            }
+            q.schedule(SimTime::from_nanos(t), (t, i));
+            if i % 20_000 == 777 {
+                let next_slot = slot_start + (1 << SLOT_BITS) + i / 20_000;
+                q.schedule(SimTime::from_nanos(next_slot), (next_slot, i));
+                expected.push((next_slot, i));
+            }
+        }
+        q.schedule(SimTime::from_nanos(t + 1), (t + 1, 0));
+        expected.extend((0..100_000).map(|i| (t, i)));
+        expected.push((t + 1, 0));
+        expected.sort_by_key(|&(time, _)| time);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(got, expected);
+        assert_eq!(q.counters().max_batch, 100_000);
+    }
+
+    #[test]
+    fn out_of_order_times_in_one_slot_are_linked_in_delivery_order() {
+        // A later time scheduled before an earlier one, then ties at both
+        // and a time between them: the list is walked from its head.
+        let mut q = EventQueue::new();
+        let s = 9u64 << SLOT_BITS;
+        for (time, name) in [
+            (s + 900, "late"),
+            (s + 100, "early"),
+            (s + 900, "late tie"),
+            (s + 100, "early tie"),
+            (s + 500, "middle"),
+            (s + 100, "early tie 2"),
+            (s + 50, "earliest"),
+        ] {
+            q.schedule(SimTime::from_nanos(time), name);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let at = |ns, name| (SimTime::from_nanos(s + ns), name);
+        assert_eq!(
+            order,
+            [
+                at(50, "earliest"),
+                at(100, "early"),
+                at(100, "early tie"),
+                at(100, "early tie 2"),
+                at(500, "middle"),
+                at(900, "late"),
+                at(900, "late tie"),
+            ]
+        );
+        let c = q.counters();
+        assert_eq!((c.level0_batches, c.max_batch), (4, 3));
     }
 
     #[test]

@@ -43,11 +43,13 @@
 //! entry completions.
 //!
 //! [`EventQueue`] is the one implementation: a one-level calendar of
-//! 1,024 ns slots over a 4.19 ms span, with a far heap beyond it, a staged
-//! run for the slot being delivered, batched same-timestamp dispatch and a
-//! FIFO lane for events scheduled at the current instant. Schedule and pop
-//! are O(1) amortized for near-term events and allocation-free in steady
-//! state. `pop_before` fuses the run loop's horizon check into the pop.
+//! 1,024 ns slots over a 4.19 ms span, each slot's list kept in delivery
+//! order and delivered from its head, with a far heap beyond the span,
+//! batched same-timestamp dispatch and a FIFO lane for events scheduled at
+//! the current instant. Schedule and pop are O(1) amortized for near-term
+//! events and allocation-free in steady state, and an event is moved only
+//! into the queue and out of it. `pop_before` fuses the run loop's horizon
+//! check into the pop.
 //!
 //! The contract is pinned by `tests/event_core_differential.rs`, which runs
 //! the queue in lockstep with a model of the contract (an ordered map keyed

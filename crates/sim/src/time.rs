@@ -130,6 +130,20 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
+    /// Creates a duration from fractional nanoseconds, rounding to the
+    /// nearest nanosecond (halves away from zero): exactly
+    /// `SimDuration::from_nanos(ns.round() as u64)` for every `f64`, so
+    /// negative and NaN inputs give zero and values past `u64::MAX`
+    /// saturate. It is integer arithmetic, where `f64::round` is a library
+    /// call on baseline x86-64.
+    #[must_use]
+    pub fn from_nanos_f64(ns: f64) -> Self {
+        // Below 2^53 both the truncation and the fraction are exact; above
+        // it every `f64` is a whole number.
+        let whole = ns as u64;
+        SimDuration(whole.saturating_add(u64::from(ns - whole as f64 >= 0.5)))
+    }
+
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Negative and non-finite inputs clamp to zero.
     #[must_use]
@@ -137,7 +151,7 @@ impl SimDuration {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e9).round() as u64)
+        Self::from_nanos_f64(secs * 1e9)
     }
 
     /// Creates a duration from fractional microseconds, rounding to the
@@ -294,6 +308,54 @@ impl From<SimDuration> for std::time::Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+
+    #[test]
+    fn from_nanos_f64_rounds_as_f64_round_does() {
+        let same = |x: f64| {
+            assert_eq!(
+                SimDuration::from_nanos_f64(x).as_nanos(),
+                x.round() as u64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        let two = |e: i32| 2f64.powi(e);
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            two(52) - 0.5,
+            two(52) + 1.0,
+            two(53) - 1.0,
+            two(53),
+            two(63),
+            two(64),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.5,
+            -1.5,
+            -two(53),
+            f64::MIN,
+        ] {
+            same(x);
+            same(-x);
+        }
+        let mut rng = SimRng::from_seed(0x0f64_2a4d_u64);
+        for _ in 0..300_000 {
+            same(f64::from_bits(rng.next_u64()));
+            let x = (rng.next_u64() >> 24) as f64 + rng.uniform();
+            same(x);
+            same(-x);
+        }
+    }
 
     #[test]
     fn constructors_scale_correctly() {

@@ -619,6 +619,48 @@ fn a_boot_window_of_2560_events_stays_bit_identical() {
     lock.drain();
 }
 
+/// Many ties in one future slot: bursts of hundreds of events at one or two
+/// instants of a slot ahead of the clock, scheduled between earlier and
+/// later times of the same slot and followed by more ties after pops, so
+/// the slot's list takes tail appends, head inserts and walks from its
+/// head while it is delivered.
+#[test]
+fn many_ties_in_one_future_slot_stay_bit_identical() {
+    let seed = 0x7135_u64;
+    let mut rng = SimRng::from_seed(seed);
+    let mut lock = Lockstep::new(seed);
+    for _ in 0..40 {
+        let slot_start = (lock.now().as_nanos() / SLOT_NS + 1 + rng.next_u64() % 8) * SLOT_NS;
+        let instants = [
+            slot_start + rng.next_u64() % SLOT_NS,
+            slot_start + rng.next_u64() % SLOT_NS,
+        ];
+        for _ in 0..300 + rng.index(300) {
+            let at = match rng.index(10) {
+                0 => slot_start + rng.next_u64() % SLOT_NS,
+                1..=6 => instants[0],
+                _ => instants[1],
+            };
+            lock.schedule(SimTime::from_nanos(at));
+        }
+        while lock.queue.len() > 100 {
+            lock.pop();
+            if rng.chance(0.2) {
+                let now = lock.now().as_nanos();
+                let at = match rng.index(3) {
+                    0 => now,
+                    1 => instants[rng.index(2)].max(now),
+                    _ => now + rng.next_u64() % SLOT_NS,
+                };
+                lock.schedule(SimTime::from_nanos(at));
+            }
+        }
+    }
+    let c = lock.queue.counters();
+    assert!(c.max_batch >= 150, "the ties form large groups: {c:?}");
+    lock.drain();
+}
+
 /// `run_until` through `pop_before`: an event exactly at the horizon stays
 /// queued, schedules made between two runs (into the past, at the horizon,
 /// inside the slot staged while looking ahead) are delivered in order by

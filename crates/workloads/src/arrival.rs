@@ -53,7 +53,7 @@ impl PoissonArrivals {
 impl ArrivalProcess for PoissonArrivals {
     fn next_gap(&mut self, rng: &mut SimRng) -> SimDuration {
         let mean_ns = 1e9 / self.rate_per_sec;
-        SimDuration::from_nanos(rng.exponential(mean_ns).round() as u64)
+        SimDuration::from_nanos_f64(rng.exponential(mean_ns))
     }
 
     fn rate_per_sec(&self) -> f64 {
@@ -141,8 +141,7 @@ impl MmppArrivals {
         } else {
             self.mean_quiet()
         };
-        self.state_left =
-            SimDuration::from_nanos(rng.exponential(mean.as_nanos() as f64).round() as u64);
+        self.state_left = SimDuration::from_nanos_f64(rng.exponential(mean.as_nanos() as f64));
     }
 }
 
@@ -153,7 +152,7 @@ impl ArrivalProcess for MmppArrivals {
         } else {
             self.quiet_rate()
         };
-        let gap = SimDuration::from_nanos(rng.exponential(1e9 / rate).round() as u64);
+        let gap = SimDuration::from_nanos_f64(rng.exponential(1e9 / rate));
         self.maybe_switch_state(rng, gap);
         gap
     }
@@ -308,8 +307,9 @@ impl ArrivalProcess for PiecewiseRateArrivals {
         // accept each with probability rate(t) / peak.
         let start = self.elapsed;
         loop {
-            let step = rng.exponential(1e9 / self.peak_rate).round().max(1.0) as u64;
-            self.elapsed = self.elapsed.saturating_add(SimDuration::from_nanos(step));
+            let step = SimDuration::from_nanos_f64(rng.exponential(1e9 / self.peak_rate))
+                .max(SimDuration::from_nanos(1));
+            self.elapsed = self.elapsed.saturating_add(step);
             if rng.uniform() * self.peak_rate < self.rate_at(self.elapsed) {
                 return self.elapsed - start;
             }
@@ -390,8 +390,9 @@ impl ArrivalProcess for SinusoidArrivals {
         let peak = self.mean_rate * (1.0 + self.amplitude);
         let start = self.elapsed;
         loop {
-            let step = rng.exponential(1e9 / peak).round().max(1.0) as u64;
-            self.elapsed = self.elapsed.saturating_add(SimDuration::from_nanos(step));
+            let step = SimDuration::from_nanos_f64(rng.exponential(1e9 / peak))
+                .max(SimDuration::from_nanos(1));
+            self.elapsed = self.elapsed.saturating_add(step);
             if rng.uniform() * peak < self.rate_at(self.elapsed) {
                 return self.elapsed - start;
             }

@@ -105,7 +105,7 @@ impl TierService {
     /// (floored at 100 ns like every workload service-time draw).
     pub fn sample_service(&self, rng: &mut SimRng) -> SimDuration {
         let d = LogNormal::from_mean_cv(self.mean_service_ns, self.cv);
-        SimDuration::from_nanos(d.sample(rng).max(100.0).round() as u64)
+        SimDuration::from_nanos_f64(d.sample(rng).max(100.0))
     }
 }
 

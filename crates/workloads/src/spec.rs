@@ -211,7 +211,7 @@ impl WorkloadSpec {
             .iter()
             .map(|c| c.service_ns.mean() * c.weight / total_weight)
             .sum();
-        SimDuration::from_nanos(mean_ns.round() as u64)
+        SimDuration::from_nanos_f64(mean_ns)
     }
 
     /// Expected processor utilisation at a given request rate on `cores`
@@ -238,7 +238,7 @@ impl WorkloadSpec {
             id,
             chosen.class,
             arrival,
-            SimDuration::from_nanos(service_ns.round() as u64),
+            SimDuration::from_nanos_f64(service_ns),
         )
     }
 
@@ -268,28 +268,25 @@ impl WorkloadSpec {
 pub struct BackgroundNoise {
     /// Mean interval between background wakeups on each core.
     pub tick_period: SimDuration,
-    /// Mean CPU time consumed per background wakeup.
-    pub mean_tick_work: SimDuration,
-    /// Coefficient of variation of the background work.
-    pub work_cv: f64,
+    /// CPU time consumed per background wakeup, in nanoseconds.
+    work_ns: LogNormal,
 }
 
 impl BackgroundNoise {
-    /// The default calibration: a 1 ms tick per core with ~18 µs of work,
-    /// which bounds all-idle residency at roughly 80 % on 10 cores.
+    /// The default calibration: a 1 ms tick per core with ~18 µs of work
+    /// (coefficient of variation 0.5), which bounds all-idle residency at
+    /// roughly 80 % on 10 cores.
     #[must_use]
     pub fn default_server() -> Self {
         BackgroundNoise {
             tick_period: SimDuration::from_millis(1),
-            mean_tick_work: SimDuration::from_micros(18),
-            work_cv: 0.5,
+            work_ns: LogNormal::from_mean_cv(SimDuration::from_micros(18).as_nanos() as f64, 0.5),
         }
     }
 
     /// Draws the CPU time of one background wakeup.
     pub fn sample_work(&self, rng: &mut SimRng) -> SimDuration {
-        let d = LogNormal::from_mean_cv(self.mean_tick_work.as_nanos() as f64, self.work_cv);
-        SimDuration::from_nanos(d.sample(rng).max(500.0).round() as u64)
+        SimDuration::from_nanos_f64(self.work_ns.sample(rng).max(500.0))
     }
 
     /// Draws the interval until a core's next background wakeup.
@@ -297,7 +294,7 @@ impl BackgroundNoise {
         // Jittered around the tick period (±25 %) so cores do not tick in
         // lockstep.
         let base = self.tick_period.as_nanos() as f64;
-        SimDuration::from_nanos(rng.uniform_range(base * 0.75, base * 1.25).round() as u64)
+        SimDuration::from_nanos_f64(rng.uniform_range(base * 0.75, base * 1.25))
     }
 }
 
@@ -362,6 +359,19 @@ mod tests {
         plain.burstiness.multiplier = 1.0;
         let p = plain.arrival_process(500.0);
         assert_eq!(p.rate_per_sec(), 500.0);
+    }
+
+    #[test]
+    fn background_work_draws_match_a_per_draw_distribution_bit_for_bit() {
+        let noise = BackgroundNoise::default_server();
+        let (mut once, mut per_draw) = (SimRng::from_seed(29), SimRng::from_seed(29));
+        for _ in 0..10_000 {
+            let rebuilt = LogNormal::from_mean_cv(18_000.0, 0.5);
+            assert_eq!(
+                noise.work_ns.sample(&mut once).to_bits(),
+                rebuilt.sample(&mut per_draw).to_bits()
+            );
+        }
     }
 
     #[test]
