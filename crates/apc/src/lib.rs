@@ -8,8 +8,9 @@
 //! * [`soc`] — the Skylake-SP class SoC structural model;
 //! * [`power`] — calibrated power model and energy accounting;
 //! * [`pmu`] — baseline power management (idle governor, GPMU, PC6);
-//! * [`core`] — the APC architecture (APMU, PC1A, IOSM, CLMR, latency /
-//!   power / area models);
+//! * [`core`] — the APC architecture (the APMU and its PC1A flow over
+//!   IOSM and CLMR, the flows' measured power and latency, the area
+//!   model);
 //! * [`workloads`] — Memcached/Kafka/MySQL load generators;
 //! * [`telemetry`] — residency, idle-period and latency telemetry;
 //! * [`trace`] — request-span tracing, head sampling and the engine
@@ -70,8 +71,7 @@ pub mod prelude {
     pub use apc_analysis::savings::SavingsInputs;
     pub use apc_core::apmu::{Apmu, ApmuState, WakeCause};
     pub use apc_core::area::ApcAreaModel;
-    pub use apc_core::latency::Pc1aLatencyModel;
-    pub use apc_core::power::{resident_soc, Pc1aPowerEstimate};
+    pub use apc_core::power::{flow_latency, resident_soc, Pc1aPowerEstimate};
     pub use apc_network::{NetworkConfig, NetworkStats, Topology, TopologyKind};
     pub use apc_pmu::config::PlatformConfig;
     pub use apc_power::model::PowerModel;

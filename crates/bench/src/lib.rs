@@ -2,11 +2,13 @@
 //!
 //! Each public function renders one closed-form table of the paper as
 //! text: Table 1, Table 2, the Fig. 7(a) idle power, the Sec. 2 savings
-//! model, the Sec. 5.4 power derivation, the Sec. 5.5 latency budget and
-//! the Sec. 5.1–5.3 area overhead. None of them simulates: the power
+//! model, the Sec. 5.4 power derivation, the Sec. 5.5 transition latency
+//! and the Sec. 5.1–5.3 area overhead. None of them simulates: the power
 //! tables are `PowerModel::snapshot`s, and Table 2 the component states, of
 //! the socket that the PC1A and PC6 flows bring to rest
-//! ([`resident_soc`]). The `paper_tables` bench target prints them all.
+//! ([`resident_soc`]), and every latency is those flows' own, timed on
+//! that socket ([`flow_latency`]). The `paper_tables` bench target prints
+//! them all.
 //!
 //! The simulated figures (Figs. 5–9) are sweep specs under
 //! `examples/specs/`, run by `apc-cli sweep`; `docs/REPRODUCING.md` maps
@@ -19,9 +21,7 @@
 use apc_analysis::report::TextTable;
 use apc_analysis::savings::SavingsInputs;
 use apc_core::area::ApcAreaModel;
-use apc_core::latency::Pc1aLatencyModel;
-use apc_core::power::{resident_soc, Pc1aPowerEstimate};
-use apc_pmu::gpmu::Pc6LatencyModel;
+use apc_core::power::{flow_latency, resident_soc, Pc1aPowerEstimate};
 use apc_power::model::{PowerBreakdown, PowerModel};
 use apc_power::units::Watts;
 use apc_soc::clm::ClmState;
@@ -79,7 +79,7 @@ pub fn table1_package_cstate_power() -> String {
         let p = resident_power(state);
         t.add_row(&[
             label.to_owned(),
-            format!("{}", state.transition_latency()),
+            format!("{}", flow_latency(state).round_trip()),
             format!("{:.1} W", p.soc_total().as_f64()),
             format!("{:.2} W", p.dram.as_f64()),
             format!("{:.1} W", p.total().as_f64()),
@@ -181,16 +181,22 @@ pub fn sec54_pc1a_power_breakdown() -> String {
     )
 }
 
-/// **Sec. 5.5** — the PC1A transition-latency budget and the speedup vs PC6.
+/// **Sec. 5.5** — the PC1A transition latency and the speedup vs PC6.
 #[must_use]
 pub fn sec55_pc1a_latency() -> String {
-    let pc1a = Pc1aLatencyModel::from_components();
-    let pc6 = Pc6LatencyModel::skx();
+    let pc1a = flow_latency(PackageCState::PC1A);
+    let pc6 = flow_latency(PackageCState::PC6).round_trip();
+    let speedup = pc6.as_nanos() as f64 / pc1a.round_trip().as_nanos() as f64;
     format!(
-        "== Sec. 5.5: PC1A latency ==\n{}\nPC6 round trip: {}\nspeedup vs PC6: {:.0}x\n",
-        pc1a,
-        pc6.round_trip(),
-        pc1a.speedup_vs(pc6.round_trip())
+        "== Sec. 5.5: PC1A latency ==\n\
+         PC1A entry (from ACC1)   {}\n\
+         PC1A exit (settled)      {}\n\
+         round trip               {}\n\
+         PC6 round trip: {pc6}\n\
+         speedup vs PC6: {speedup:.0}x\n",
+        pc1a.entry,
+        pc1a.exit,
+        pc1a.round_trip(),
     )
 }
 

@@ -1,6 +1,7 @@
 //! The closed-form paper tables, pinned byte for byte: Table 1, Table 2,
 //! Sec. 2, Sec. 5.4, Sec. 5.5, the area model and Fig. 7(a) come from the
-//! SoC and power models, so a moved digit there shows here.
+//! SoC and power models and the package flows, so a moved digit there
+//! shows here.
 
 #[test]
 fn paper_tables_match_the_golden() {

@@ -14,6 +14,31 @@
 //!      ==> ACC1 --core interrupt / unset AllowL0s--> PC0
 //! ```
 //!
+//! The APMU drives the socket's components itself. IO Standby Mode (IOSM,
+//! Sec. 4.2) is its `AllowL0s` towards the IO links and its
+//! `Allow_CKE_OFF` towards the memory controllers; CLM Retention (CLMR,
+//! Sec. 4.3) is its `ClkGate` and `Ret` towards the CLM domain, whose PLL
+//! stays locked.
+//!
+//! # Latency (Sec. 5.5)
+//!
+//! The flow is the one place a PC1A transition latency is composed: each
+//! step takes the latency of the component it drives, on the 500 MHz PMU
+//! clock (2 ns a cycle).
+//!
+//! * **Entry**, from ACC1 once every link is in L0s/L0p: gating the CLM
+//!   clock tree (2 cycles), asserting `Allow_CKE_OFF` (2 cycles) and the
+//!   CKE-off entry (≤ 10 ns), 18 ns in all, the paper's ≈ 18 ns. The CLM
+//!   FIVRs' 150 ns ramp to retention runs on without blocking the entry.
+//! * **Exit**: the FIVRs ramp back to nominal (300 mV at 2 mV/ns, 150 ns),
+//!   and the CKE-off exit (24 ns) and the links' exits (≤ 64 ns, from L0s)
+//!   overlap the ramp; once `PwrOk` rises the clock tree ungates (2 cycles).
+//!   From a settled PC1A that is 154 ns, where the paper budgets ≤ 150 ns
+//!   and leaves the ungate out. A wakeup during the entry ramps back only
+//!   the voltage already lost.
+//! * The round trip, 172 ns, stays under the paper's 200 ns and is more
+//!   than 250× faster than PC6; [`crate::power::flow_latency`] measures it.
+//!
 //! The APMU is event-driven: the surrounding simulation notifies it of the
 //! relevant edges (all cores idle, standby deadline reached, wakeup, core
 //! active) and the APMU mutates the socket's component models and reports the
@@ -22,12 +47,10 @@
 use std::fmt;
 
 use apc_sim::{SimDuration, SimTime};
+use apc_soc::clock::PMU_CLOCK;
 use apc_soc::cstate::PackageCState;
+use apc_soc::memory::MemorySet;
 use apc_soc::topology::SkxSoc;
-
-use crate::clmr::ClmRetention;
-use crate::iosm::IoStandbyMode;
-use crate::latency::Pc1aLatencyModel;
 
 /// The APMU FSM state (Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,32 +132,22 @@ pub struct ApmuStats {
 }
 
 /// The Agile Power Management Unit.
+#[derive(Debug)]
 pub struct Apmu {
     state: ApmuState,
-    iosm: IoStandbyMode,
-    clmr: ClmRetention,
-    latency: Pc1aLatencyModel,
     stats: ApmuStats,
 }
 
-impl fmt::Debug for Apmu {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Apmu")
-            .field("state", &self.state)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
 impl Apmu {
-    /// Creates an APMU in PC0 with the default latency model.
+    /// PMU clock cycles the APMU takes to assert `Allow_CKE_OFF` (1–2 per
+    /// the paper; the conservative 2).
+    const ALLOW_CKE_OFF_CYCLES: u64 = 2;
+
+    /// Creates an APMU in PC0.
     #[must_use]
     pub fn new() -> Self {
         Apmu {
             state: ApmuState::Pc0,
-            iosm: IoStandbyMode,
-            clmr: ClmRetention,
-            latency: Pc1aLatencyModel::from_components(),
             stats: ApmuStats::default(),
         }
     }
@@ -157,9 +170,12 @@ impl Apmu {
         self.stats
     }
 
-    /// The package C-state the APMU currently holds the system in, for power
-    /// accounting. Transitional phases are charged at PC0idle power
-    /// (conservative: no PC1A savings are claimed during entry/exit).
+    /// The package C-state the FSM implies, for residency and the time
+    /// series' `package_state` column: PC0idle throughout ACC1 and both
+    /// flows. It drives no energy. The power charged follows the
+    /// components, and each flow moves them at its first step: a socket
+    /// mid-entry draws its PC1A power, and one mid-exit has its links,
+    /// DRAM and CLM voltage back but its CLM clock still gated.
     #[must_use]
     pub fn package_state(&self, any_core_active: bool) -> PackageCState {
         match self.state {
@@ -188,8 +204,8 @@ impl Apmu {
             return None;
         }
         self.state = ApmuState::Acc1;
-        self.iosm.assert_allow_l0s(soc);
-        self.iosm.standby_deadline(soc)
+        soc.ios_mut().set_allow_shallow_all(true);
+        soc.ios().standby_deadline()
     }
 
     /// Notification that the standby deadline reported by
@@ -210,15 +226,18 @@ impl Apmu {
         if !soc.cores().all_in_cc1_or_deeper() {
             return None;
         }
-        if !self.iosm.try_enter_standby(soc, now) {
+        if !soc.ios_mut().try_enter_standby(now) {
             return None;
         }
-        // Branch (i): clock-gate the CLM and start the retention ramp.
-        let (_gate, _ramp) = self.clmr.enter_retention(soc, now);
-        // Branch (ii): allow the MCs to drop CKE.
-        self.iosm.assert_allow_cke_off(soc);
+        // (1) Gate the CLM clock tree, its PLL kept locked.
+        let gate = soc.clm_mut().clock_gate();
+        // (2) `Ret`: the FIVRs ramp to retention without blocking the entry.
+        soc.clm_mut().assert_retention(now);
+        // (3) Allow the memory controllers to drop CKE.
+        soc.memory_mut().set_allow_cke_off(true);
+        let allow_cke_off = PMU_CLOCK.cycles(Self::ALLOW_CKE_OFF_CYCLES);
         self.state = ApmuState::Entering;
-        Some(now + self.latency.entry())
+        Some(now + gate + allow_cke_off + MemorySet::CKE_OFF_ENTRY)
     }
 
     /// Notification that the entry flow completed: the package is resident in
@@ -259,7 +278,7 @@ impl Apmu {
                 let latency = if cause == WakeCause::CoreInterrupt {
                     // Fig. 4: a core interrupt in ACC1 returns to PC0 and
                     // clears AllowL0s.
-                    let lat = self.iosm.deassert_allow_l0s(soc);
+                    let lat = soc.ios_mut().set_allow_shallow_all(false);
                     self.state = ApmuState::Pc0;
                     lat
                 } else {
@@ -285,7 +304,9 @@ impl Apmu {
     pub fn on_exit_complete(&mut self, soc: &mut SkxSoc, now: SimTime) {
         match self.state {
             ApmuState::Exiting => {
-                self.clmr.exit_complete(soc, now);
+                // (5) `PwrOk`: ungate the CLM clock tree.
+                soc.clm_mut().complete_voltage_transition(now);
+                soc.clm_mut().clock_ungate();
                 self.state = ApmuState::Acc1;
             }
             _ => panic!("on_exit_complete without an exit flow in flight"),
@@ -297,7 +318,7 @@ impl Apmu {
     pub fn on_core_active(&mut self, soc: &mut SkxSoc) -> SimDuration {
         match self.state {
             ApmuState::Acc1 => {
-                let lat = self.iosm.deassert_allow_l0s(soc);
+                let lat = soc.ios_mut().set_allow_shallow_all(false);
                 self.state = ApmuState::Pc0;
                 lat
             }
@@ -313,18 +334,19 @@ impl Apmu {
     }
 
     fn begin_exit(&mut self, soc: &mut SkxSoc, now: SimTime) -> WakeOutcome {
-        // Step 4/5: de-assert Ret, ungate after PwrOk.
-        let (ramp, ungate) = self.clmr.exit_retention(soc, now);
-        // Step 6: clear Allow_CKE_OFF (concurrent branch).
-        let cke = self.iosm.deassert_allow_cke_off(soc);
-        // IO links wake on their own when traffic arrives; their worst exit
-        // latency overlaps the CLM ramp.
+        // (4) De-assert `Ret`: the FIVRs ramp back to nominal.
+        let ramp = soc.clm_mut().deassert_retention(now);
+        // (6) Clear `Allow_CKE_OFF`; the CKE-off exit overlaps the ramp.
+        let cke = soc.memory_mut().set_allow_cke_off(false);
+        // The links' exits overlap it too. They wake now, and re-enter
+        // standby only in the next ACC1 episode.
         let io = soc.ios().worst_exit_latency();
-        // Wake the links now (the exit flow reactivates the uncore; links
-        // re-enter standby only on the next ACC1 episode).
         for link in soc.ios_mut().iter_mut() {
             link.wake();
         }
+        // (5) The clock tree ungates once `PwrOk` rises, in
+        // `on_exit_complete`.
+        let ungate = soc.clm().clock().ungate_latency();
         let latency = ramp.max(cke).max(io) + ungate;
         self.state = ApmuState::Exiting;
         WakeOutcome::Exiting {
@@ -343,10 +365,12 @@ impl Default for Apmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apc_soc::clm::ClmState;
     use apc_soc::cstate::CoreCState;
-    use apc_soc::io::LinkPowerState;
+    use apc_soc::io::{IoKind, LinkPowerState};
     use apc_soc::memory::DramPowerMode;
     use apc_soc::pll::PllState;
+    use apc_soc::topology::SocConfig;
 
     /// Prepares a socket with all cores idle in CC1 and all links idle.
     fn idle_soc(now: SimTime) -> SkxSoc {
@@ -507,6 +531,107 @@ mod tests {
         let mut apmu = Apmu::new();
         enter_pc1a(&mut apmu, &mut soc);
         let _ = apmu.on_core_active(&mut soc);
+    }
+
+    #[test]
+    fn deasserting_allow_l0s_wakes_every_link() {
+        // The links enter standby on their own in ACC1; the core that runs
+        // again clears AllowL0s and pays the slowest link's exit.
+        let t0 = SimTime::ZERO;
+        let mut soc = idle_soc(t0);
+        let mut apmu = Apmu::new();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+        assert!(soc.ios_mut().try_enter_standby(deadline));
+        assert_eq!(apmu.on_core_active(&mut soc), SimDuration::from_nanos(64));
+        assert_eq!(apmu.state(), ApmuState::Pc0);
+        assert!(soc.ios().iter().all(|c| c.state() == LinkPowerState::L0));
+    }
+
+    #[test]
+    fn cke_off_assert_and_release() {
+        // UPI links leave L0p in 10 ns, so an exit started before the CLM
+        // voltage has moved waits on the 24 ns CKE-off exit, then the
+        // ungate.
+        let config = SocConfig {
+            cores: 2,
+            io_kinds: vec![IoKind::Upi],
+            memory_controllers: 1,
+        };
+        let mut soc = config.build();
+        soc.force_all_cores(CoreCState::CC1);
+        soc.ios_mut()
+            .controller_mut(apc_soc::io::IoId(0))
+            .end_traffic(SimTime::ZERO);
+        let mut apmu = Apmu::new();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+        apmu.on_standby_deadline(&mut soc, deadline).unwrap();
+        assert_eq!(soc.memory().mode(), DramPowerMode::PrechargePowerDown);
+        let exit = apmu.wakeup(&mut soc, deadline, WakeCause::IoTraffic);
+        assert_eq!(exit.latency(), SimDuration::from_nanos(24 + 4));
+        assert_eq!(soc.memory().mode(), DramPowerMode::Active);
+    }
+
+    #[test]
+    fn retention_entry_is_fast_and_nonblocking() {
+        let mut soc = idle_soc(SimTime::ZERO);
+        let mut apmu = Apmu::new();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+        let resident_at = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
+        // Resident 18 ns in, while the 150 ns ramp to retention runs on.
+        assert_eq!(resident_at - deadline, SimDuration::from_nanos(18));
+        assert!(soc.clm().clock().is_gated());
+        assert_eq!(soc.clm().state(), ClmState::Retention);
+        assert!(!soc.clm().pwr_ok(), "ramp still in flight");
+    }
+
+    #[test]
+    fn plls_stay_locked_throughout() {
+        let mut soc = idle_soc(SimTime::ZERO);
+        let mut apmu = Apmu::new();
+        let resident_at = enter_pc1a(&mut apmu, &mut soc);
+        assert_eq!(
+            soc.plls().uncore_state(),
+            PllState::Locked,
+            "APC never unlocks a PLL"
+        );
+        let wake_at = resident_at + SimDuration::from_micros(1);
+        let WakeOutcome::Exiting { done_at, .. } =
+            apmu.wakeup(&mut soc, wake_at, WakeCause::IoTraffic)
+        else {
+            panic!("expected an exit flow");
+        };
+        assert_eq!(soc.plls().uncore_state(), PllState::Locked);
+        apmu.on_exit_complete(&mut soc, done_at);
+        assert_eq!(soc.clm().state(), ClmState::Operational);
+        assert!(soc.clm().pwr_ok());
+        assert_eq!(soc.plls().uncore_state(), PllState::Locked);
+    }
+
+    #[test]
+    fn exit_critical_path_is_dominated_by_the_ramp() {
+        // Once the entry's ramp has settled, the exit is the full ramp back
+        // (the links' 64 ns and the CKE-off 24 ns overlap it) plus the
+        // 2-cycle ungate after `PwrOk`.
+        let mut soc = idle_soc(SimTime::ZERO);
+        let mut apmu = Apmu::new();
+        let resident_at = enter_pc1a(&mut apmu, &mut soc);
+        let wake_at = resident_at + SimDuration::from_micros(1);
+        let exit = apmu.wakeup(&mut soc, wake_at, WakeCause::IoTraffic);
+        assert_eq!(exit.latency(), SimDuration::from_nanos(150 + 4));
+    }
+
+    #[test]
+    fn interrupted_entry_exits_cheaply() {
+        // Preemptive voltage command: a wakeup 100 ns into the 150 ns ramp
+        // only has to recover the 200 mV already lost.
+        let mut soc = idle_soc(SimTime::ZERO);
+        let mut apmu = Apmu::new();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+        apmu.on_standby_deadline(&mut soc, deadline).unwrap();
+        apmu.on_entry_complete();
+        let wake_at = deadline + SimDuration::from_nanos(100);
+        let exit = apmu.wakeup(&mut soc, wake_at, WakeCause::IoTraffic);
+        assert_eq!(exit.latency(), SimDuration::from_nanos(100 + 4));
     }
 
     #[test]

@@ -4,17 +4,14 @@
 //! package C-state and the three hardware components that realise it.
 //!
 //! * [`apmu`] — the Agile Power Management Unit: the hardware FSM that
-//!   detects all-cores-in-CC1, orchestrates the PC1A entry/exit flow
-//!   (paper Fig. 4) and interfaces with the firmware GPMU;
-//! * [`iosm`] — IO Standby Mode: `AllowL0s`, `InL0s` and `Allow_CKE_OFF`
-//!   control of the high-speed IO links and memory controllers;
-//! * [`clmr`] — CLM Retention: `ClkGate`, `Ret`, `PwrOk` control of the
-//!   CLM clock tree and FIVRs, with PLLs kept locked;
-//! * [`latency`] — the Sec. 5.5 PC1A transition-latency budget
-//!   (≈ 18 ns entry, ≤ 150 ns exit, < 200 ns round trip);
+//!   detects all-cores-in-CC1 and orchestrates the PC1A entry/exit flow
+//!   (paper Fig. 4), driving IO Standby Mode (`AllowL0s`, `InL0s`,
+//!   `Allow_CKE_OFF`) and CLM Retention (`ClkGate`, `Ret`, `PwrOk`, PLLs
+//!   kept locked) on the socket; it composes the Sec. 5.5 PC1A transition
+//!   latency from the steps it drives;
 //! * [`power`] — the socket at rest in each Table 1 operating point, driven
-//!   there by the PC1A and PC6 flows, and the Sec. 5.4 (Eq. 2–3) PC1A power
-//!   derivation on it;
+//!   there by the PC1A and PC6 flows, the entry and exit latency measured
+//!   on those flows, and the Sec. 5.4 (Eq. 2–3) PC1A power derivation;
 //! * [`area`] — the Sec. 5.1–5.3 area-overhead model (< 0.75 % of the die).
 //!
 //! # Example
@@ -50,14 +47,8 @@
 
 pub mod apmu;
 pub mod area;
-pub mod clmr;
-pub mod iosm;
-pub mod latency;
 pub mod power;
 
 pub use apmu::{Apmu, ApmuState, ApmuStats, WakeCause, WakeOutcome};
 pub use area::{ApcAreaModel, ApcAreaReport};
-pub use clmr::ClmRetention;
-pub use iosm::IoStandbyMode;
-pub use latency::Pc1aLatencyModel;
-pub use power::{resident_soc, Pc1aPowerEstimate};
+pub use power::{flow_latency, resident_soc, FlowLatency, Pc1aPowerEstimate};

@@ -1,5 +1,5 @@
-//! Package power from the SoC the package flows drive (paper Table 1,
-//! Table 2 and Sec. 5.4, Eq. 2–3).
+//! Package power and latency from the SoC the package flows drive (paper
+//! Table 1, Table 2, Sec. 5.4, Eq. 2–3, and Sec. 5.5).
 //!
 //! [`resident_soc`] brings the reference socket to rest in a Table 1
 //! operating point through the flows the simulator runs: the APMU's PC1A
@@ -7,6 +7,8 @@
 //! Table 2 row, and `PowerModel::snapshot` of it is the state's power, so
 //! which state each component takes is known only to the flows, and how
 //! component power sums to package power only to the power model.
+//! [`flow_latency`] times the same flows' entry and exit, so every
+//! transition latency is the one the simulator waits.
 //!
 //! The paper derives the PC1A power level it cannot measure directly (the
 //! hardware does not exist) from quantities it *can* measure on a stock
@@ -27,11 +29,11 @@ use std::fmt;
 use apc_pmu::gpmu::Gpmu;
 use apc_power::model::{PowerBreakdown, PowerModel};
 use apc_power::units::Watts;
-use apc_sim::SimTime;
+use apc_sim::{SimDuration, SimTime};
 use apc_soc::cstate::{CoreCState, PackageCState};
 use apc_soc::topology::SkxSoc;
 
-use crate::apmu::Apmu;
+use crate::apmu::{Apmu, WakeCause};
 
 /// The Xeon Silver 4114 at rest in `state`, brought there by the flows the
 /// simulator runs:
@@ -50,35 +52,119 @@ use crate::apmu::Apmu;
 /// rests in it.
 #[must_use]
 pub fn resident_soc(state: PackageCState) -> SkxSoc {
-    let mut soc = SkxSoc::xeon_silver_4114();
-    let now = SimTime::ZERO;
-    match state {
-        PackageCState::PC0 => {}
-        PackageCState::PC0Idle => soc.force_all_cores(CoreCState::CC1),
-        PackageCState::PC6 => {
-            soc.force_all_cores(CoreCState::CC6);
-            let mut gpmu = Gpmu::new();
-            let entry = gpmu.begin_entry(&mut soc, now);
-            gpmu.complete_entry(&mut soc, now + entry);
-        }
-        PackageCState::PC1A => {
-            soc.force_all_cores(CoreCState::CC1);
-            for link in soc.ios_mut().iter_mut() {
-                link.end_traffic(now);
+    Rest::in_state(state).soc
+}
+
+/// The entry and exit latency of the package flow that brings the
+/// reference socket to rest in `state`, timed as [`resident_soc`] drives
+/// it: PC1A's entry from ACC1 with every link in standby and its exit from
+/// a settled PC1A, PC6's as [`Gpmu::begin_entry`] and [`Gpmu::begin_exit`]
+/// return them, and zero for PC0 and PC0idle, which no flow enters.
+///
+/// # Panics
+///
+/// Panics on PC2, as [`resident_soc`] does.
+#[must_use]
+pub fn flow_latency(state: PackageCState) -> FlowLatency {
+    let Rest {
+        mut soc,
+        flow,
+        entry,
+        rested_at,
+    } = Rest::in_state(state);
+    let wake_at = rested_at + Rest::RESIDENCY;
+    let exit = match flow {
+        Flow::None => SimDuration::ZERO,
+        Flow::Pc6(mut gpmu) => gpmu.begin_exit(&mut soc, wake_at),
+        Flow::Pc1a(mut apmu) => apmu
+            .wakeup(&mut soc, wake_at, WakeCause::IoTraffic)
+            .latency(),
+    };
+    FlowLatency { entry, exit }
+}
+
+/// How long a package flow takes to enter its state and to leave it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowLatency {
+    /// From the flow's start to residency.
+    pub entry: SimDuration,
+    /// From a wakeup to the uncore being available again.
+    pub exit: SimDuration,
+}
+
+impl FlowLatency {
+    /// Entry then exit: Table 1's transition latency.
+    #[must_use]
+    pub fn round_trip(&self) -> SimDuration {
+        self.entry + self.exit
+    }
+}
+
+/// The package FSM that brought a socket to rest.
+enum Flow {
+    /// PC0 and PC0idle: no package flow runs.
+    None,
+    Pc6(Gpmu),
+    Pc1a(Apmu),
+}
+
+/// The reference socket at rest, the flow that brought it there, how long
+/// that flow's entry took and when it ended.
+struct Rest {
+    soc: SkxSoc,
+    flow: Flow,
+    entry: SimDuration,
+    rested_at: SimTime,
+}
+
+impl Rest {
+    /// How long [`flow_latency`] lets a socket rest before waking it: far
+    /// longer than the PC1A entry's non-blocking CLM ramp, so the exit
+    /// starts from retention voltage.
+    const RESIDENCY: SimDuration = SimDuration::from_micros(1);
+
+    fn in_state(state: PackageCState) -> Rest {
+        let mut soc = SkxSoc::xeon_silver_4114();
+        let now = SimTime::ZERO;
+        let (flow, started_at, rested_at) = match state {
+            PackageCState::PC0 => (Flow::None, now, now),
+            PackageCState::PC0Idle => {
+                soc.force_all_cores(CoreCState::CC1);
+                (Flow::None, now, now)
             }
-            let mut apmu = Apmu::new();
-            let deadline = apmu
-                .on_all_cores_idle(&mut soc)
-                .expect("every link is idle");
-            apmu.on_standby_deadline(&mut soc, deadline)
-                .expect("every core is in CC1 and every link in standby");
-            apmu.on_entry_complete();
-        }
-        PackageCState::PC2 => {
-            panic!("PC2 is a transient of the GPMU's PC6 flow: no SoC rests in it")
+            PackageCState::PC6 => {
+                soc.force_all_cores(CoreCState::CC6);
+                let mut gpmu = Gpmu::new();
+                let rested_at = now + gpmu.begin_entry(&mut soc, now);
+                gpmu.complete_entry(&mut soc, rested_at);
+                (Flow::Pc6(gpmu), now, rested_at)
+            }
+            PackageCState::PC1A => {
+                soc.force_all_cores(CoreCState::CC1);
+                for link in soc.ios_mut().iter_mut() {
+                    link.end_traffic(now);
+                }
+                let mut apmu = Apmu::new();
+                let deadline = apmu
+                    .on_all_cores_idle(&mut soc)
+                    .expect("every link is idle");
+                let rested_at = apmu
+                    .on_standby_deadline(&mut soc, deadline)
+                    .expect("every core is in CC1 and every link in standby");
+                apmu.on_entry_complete();
+                (Flow::Pc1a(apmu), deadline, rested_at)
+            }
+            PackageCState::PC2 => {
+                panic!("PC2 is a transient of the GPMU's PC6 flow: no SoC rests in it")
+            }
+        };
+        Rest {
+            soc,
+            flow,
+            entry: rested_at - started_at,
+            rested_at,
         }
     }
-    soc
 }
 
 /// The Sec. 5.4 component power deltas between PC1A and PC6.
@@ -162,9 +248,11 @@ mod tests {
     use apc_power::energy::PowerLevel;
     use apc_power::table::PowerTable;
     use apc_soc::clm::ClmState;
+    use apc_soc::clock::PMU_CLOCK;
     use apc_soc::io::{IoKind, LinkPowerState};
     use apc_soc::memory::DramPowerMode;
     use apc_soc::pll::PllState;
+    use apc_soc::vr::Fivr;
 
     /// The resident states: every package C-state but the PC2 transient.
     const RESIDENT: [PackageCState; 4] = [
@@ -357,6 +445,88 @@ mod tests {
             est.pc1a_dram()
         );
         assert!(((est.pc1a_soc() + est.pc1a_dram()).as_f64() - 29.1).abs() < 0.5);
+    }
+
+    #[test]
+    fn a_socket_mid_entry_draws_its_resident_power() {
+        // Each entry flow moves the components at its first step, so the
+        // power charged mid-entry is the resident state's, whatever the
+        // FSM reports for residency.
+        let model = PowerModel::skx_calibrated();
+        let now = SimTime::ZERO;
+
+        let mut soc = SkxSoc::xeon_silver_4114();
+        soc.force_all_cores(CoreCState::CC6);
+        let _ = Gpmu::new().begin_entry(&mut soc, now);
+        let mid_pc6 = model.snapshot(&soc, 0.0);
+        assert_eq!(mid_pc6, power(PackageCState::PC6));
+        assert_eq!(format!("{}", mid_pc6.total()), "12.41W");
+
+        let mut soc = SkxSoc::xeon_silver_4114();
+        soc.force_all_cores(CoreCState::CC1);
+        for link in soc.ios_mut().iter_mut() {
+            link.end_traffic(now);
+        }
+        let mut apmu = Apmu::new();
+        let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
+        apmu.on_standby_deadline(&mut soc, deadline).unwrap();
+        let mid_pc1a = model.snapshot(&soc, 0.0);
+        assert_eq!(mid_pc1a, power(PackageCState::PC1A));
+        assert_eq!(format!("{}", mid_pc1a.total()), "29.16W");
+    }
+
+    #[test]
+    fn entry_is_about_18ns() {
+        let pc1a = flow_latency(PackageCState::PC1A);
+        assert_eq!(pc1a.entry, SimDuration::from_nanos(18));
+    }
+
+    #[test]
+    fn settled_exit_is_154ns() {
+        // The paper's ≤ 150 ns leaves out the 2-cycle ungate after `PwrOk`.
+        let exit = flow_latency(PackageCState::PC1A).exit;
+        assert_eq!(exit, SimDuration::from_nanos(154));
+        // The ramp had settled: a 1 ms rest exits the same.
+        let mut rest = Rest::in_state(PackageCState::PC1A);
+        let Flow::Pc1a(apmu) = &mut rest.flow else {
+            panic!("PC1A rests through the APMU");
+        };
+        let much_later = rest.rested_at + SimDuration::from_millis(1);
+        let later = apmu.wakeup(&mut rest.soc, much_later, WakeCause::IoTraffic);
+        assert_eq!(later.latency(), exit);
+    }
+
+    #[test]
+    fn round_trip_is_under_200ns() {
+        let round_trip = flow_latency(PackageCState::PC1A).round_trip();
+        assert_eq!(round_trip, SimDuration::from_nanos(172));
+        assert!(round_trip <= SimDuration::from_nanos(200));
+    }
+
+    #[test]
+    fn speedup_vs_pc6_exceeds_250x() {
+        let pc6 = flow_latency(PackageCState::PC6);
+        assert_eq!(
+            (pc6.entry, pc6.exit),
+            (SimDuration::from_micros(22), SimDuration::from_micros(30))
+        );
+        let pc1a = flow_latency(PackageCState::PC1A);
+        let speedup = pc6.round_trip().as_nanos() as f64 / pc1a.round_trip().as_nanos() as f64;
+        assert!(speedup >= 250.0, "speedup {speedup}");
+        for state in [PackageCState::PC0, PackageCState::PC0Idle] {
+            assert_eq!(flow_latency(state).round_trip(), SimDuration::ZERO);
+        }
+    }
+
+    #[test]
+    fn voltage_ramp_matches_fivr_slew() {
+        // The settled exit is the FIVRs' full swing back to nominal at
+        // their slew rate, then the ungate.
+        let swing = f64::from(Fivr::CLM_NOMINAL.0 - Fivr::CLM_RETENTION.0);
+        let ramp = SimDuration::from_nanos((swing / Fivr::SLEW_MV_PER_NS).ceil() as u64);
+        assert_eq!(ramp, SimDuration::from_nanos(150));
+        let exit = flow_latency(PackageCState::PC1A).exit;
+        assert_eq!(exit, ramp + PMU_CLOCK.cycles(2));
     }
 
     #[test]

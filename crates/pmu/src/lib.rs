@@ -6,7 +6,8 @@
 //!   matching the paper's Sec. 6 baselines;
 //! * [`governor`] — the OS idle governor selecting core C-states;
 //! * [`gpmu`] — the firmware Global PMU with the microsecond-scale PC6
-//!   entry/exit flow (paper Fig. 2).
+//!   entry/exit flow (paper Fig. 2), which times its own firmware steps and
+//!   adds the uncore PLLs' re-lock that the PLL set returns.
 //!
 //! The APC additions (APMU, PC1A flow) live in `apc-core` and layer on top of
 //! the GPMU via the wakeup/`InPC1A` interface described in the paper.
@@ -34,4 +35,4 @@ pub mod gpmu;
 
 pub use config::{PackagePolicy, PlatformConfig};
 pub use governor::IdleGovernor;
-pub use gpmu::{Gpmu, GpmuPhase, Pc6LatencyModel};
+pub use gpmu::{Gpmu, GpmuPhase};

@@ -94,14 +94,22 @@ impl ClockTree {
         PMU_CLOCK.cycles(Self::GATE_CYCLES)
     }
 
+    /// The latency [`ClockTree::ungate`] would take now: 2 controller
+    /// cycles from gated, nothing from running.
+    #[must_use]
+    pub fn ungate_latency(&self) -> SimDuration {
+        match self.state {
+            ClockGateState::Running => SimDuration::ZERO,
+            ClockGateState::Gated => PMU_CLOCK.cycles(Self::GATE_CYCLES),
+        }
+    }
+
     /// Un-gates the clock tree, returning the latency of the operation.
     /// Un-gating a running tree costs nothing.
     pub fn ungate(&mut self) -> SimDuration {
-        if self.state == ClockGateState::Running {
-            return SimDuration::ZERO;
-        }
+        let latency = self.ungate_latency();
         self.state = ClockGateState::Running;
-        PMU_CLOCK.cycles(Self::GATE_CYCLES)
+        latency
     }
 }
 
@@ -135,8 +143,10 @@ mod tests {
         // Idempotent.
         assert_eq!(tree.gate(), SimDuration::ZERO);
 
+        assert_eq!(tree.ungate_latency(), SimDuration::from_nanos(4));
         let u = tree.ungate();
         assert_eq!(u, SimDuration::from_nanos(4));
+        assert_eq!(tree.ungate_latency(), SimDuration::ZERO);
         assert!(!tree.is_gated());
         assert_eq!(tree.ungate(), SimDuration::ZERO);
     }

@@ -107,7 +107,7 @@ impl fmt::Display for CoreCState {
 ///
 /// The derived ordering follows declaration order and is provided only so
 /// the type can key ordered collections; it is *not* a statement about
-/// power-saving depth (use the latency/power models for that).
+/// power-saving depth (the package flows and the power model say that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PackageCState {
     /// Active package state: at least one core in CC0, all shared resources
@@ -137,18 +137,6 @@ impl PackageCState {
         PackageCState::PC6,
         PackageCState::PC1A,
     ];
-
-    /// Worst-case entry+exit transition latency to reopen the path to memory
-    /// (Table 1).
-    #[must_use]
-    pub fn transition_latency(self) -> SimDuration {
-        match self {
-            PackageCState::PC0 | PackageCState::PC0Idle => SimDuration::ZERO,
-            PackageCState::PC2 => SimDuration::from_micros(1),
-            PackageCState::PC6 => SimDuration::from_micros(50),
-            PackageCState::PC1A => SimDuration::from_nanos(200),
-        }
-    }
 }
 
 impl fmt::Display for PackageCState {
@@ -200,13 +188,6 @@ mod tests {
         assert!(!CoreCState::CC0.is_idle());
         assert!(CoreCState::CC1.is_idle());
         assert!(CoreCState::CC6.is_idle());
-    }
-
-    #[test]
-    fn package_latency_ratio_exceeds_250x() {
-        let pc6 = PackageCState::PC6.transition_latency().as_nanos() as f64;
-        let pc1a = PackageCState::PC1A.transition_latency().as_nanos() as f64;
-        assert!(pc6 / pc1a >= 250.0, "ratio {}", pc6 / pc1a);
     }
 
     #[test]

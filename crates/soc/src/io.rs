@@ -187,7 +187,7 @@ impl IoController {
     /// The `InL0s` status output: asserted when the link is in its shallow
     /// standby state **or deeper** (paper Sec. 4.2.1).
     #[must_use]
-    pub fn in_l0s(&self) -> bool {
+    fn in_l0s(&self) -> bool {
         self.state.at_least_as_deep_as(self.kind.shallow_state())
     }
 
@@ -226,7 +226,7 @@ impl IoController {
     /// shallow standby state, given the current policy and idle time, or
     /// `None` if it will not (busy, not allowed, or already in standby).
     #[must_use]
-    pub fn shallow_entry_deadline(&self) -> Option<SimTime> {
+    fn shallow_entry_deadline(&self) -> Option<SimTime> {
         if self.busy || !self.allow_shallow || self.in_l0s() {
             return None;
         }
@@ -234,9 +234,9 @@ impl IoController {
     }
 
     /// Attempts the autonomous entry into the shallow standby state at `now`.
-    /// Returns `true` if the link entered standby (i.e. the deadline from
-    /// [`IoController::shallow_entry_deadline`] has passed and conditions
-    /// still hold).
+    /// Returns `true` if the link entered standby (i.e. it has been idle
+    /// for the 16 ns window with `AllowL0s` asserted, and is not in standby
+    /// or deeper already).
     pub fn try_enter_shallow(&mut self, now: SimTime) -> bool {
         match self.shallow_entry_deadline() {
             Some(deadline) if now >= deadline => {
@@ -347,6 +347,28 @@ impl IoSet {
             .iter_mut()
             .map(|c| c.set_allow_shallow(allow))
             .fold(SimDuration::ZERO, SimDuration::max)
+    }
+
+    /// The earliest time by which every link not yet in standby can have
+    /// entered its shallow state, or `None` while some link is busy or lacks
+    /// `AllowL0s` (the PC1A flow then stays in ACC1 until the traffic drains,
+    /// or a wakeup sends it back to PC0).
+    #[must_use]
+    pub fn standby_deadline(&self) -> Option<SimTime> {
+        let mut worst = SimTime::ZERO;
+        for c in self.controllers.iter().filter(|c| !c.in_l0s()) {
+            worst = worst.max(c.shallow_entry_deadline()?);
+        }
+        Some(worst)
+    }
+
+    /// Lets every link whose idle window has passed by `now` enter its
+    /// shallow state; returns the aggregated `&InL0s` signal.
+    pub fn try_enter_standby(&mut self, now: SimTime) -> bool {
+        for c in &mut self.controllers {
+            c.try_enter_shallow(now);
+        }
+        self.all_in_l0s()
     }
 
     /// Worst-case exit latency across all controllers from their current
@@ -481,6 +503,46 @@ mod tests {
         let lat = set.set_allow_shallow_all(false);
         assert_eq!(lat, SimDuration::from_nanos(64));
         assert!(!set.all_in_l0s());
+    }
+
+    /// The reference socket's links, idle since `now`.
+    fn idle_links(now: SimTime) -> IoSet {
+        let mut set = IoSet::new(&SocConfig::xeon_silver_4114().io_kinds);
+        for c in set.iter_mut() {
+            c.end_traffic(now);
+        }
+        set
+    }
+
+    #[test]
+    fn allow_l0s_gates_standby_entry() {
+        let mut set = idle_links(SimTime::ZERO);
+        // Without AllowL0s nothing happens.
+        assert!(!set.try_enter_standby(SimTime::from_micros(1)));
+        assert_eq!(set.standby_deadline(), None);
+
+        set.set_allow_shallow_all(true);
+        // The links have been idle since t=0, so the 16 ns idleness
+        // requirement is measured from then.
+        let deadline = set.standby_deadline().unwrap();
+        assert_eq!(deadline, SimTime::from_nanos(16));
+        assert!(!set.try_enter_standby(SimTime::from_nanos(10)));
+        assert!(set.try_enter_standby(deadline));
+        assert!(set.all_in_l0s());
+        assert_eq!(
+            set.standby_deadline(),
+            Some(SimTime::ZERO),
+            "nothing to wait for"
+        );
+    }
+
+    #[test]
+    fn busy_link_blocks_the_deadline() {
+        let mut set = idle_links(SimTime::ZERO);
+        set.set_allow_shallow_all(true);
+        set.controller_mut(IoId(0)).begin_traffic();
+        assert_eq!(set.standby_deadline(), None);
+        assert!(!set.try_enter_standby(SimTime::from_micros(1)));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! a structural model of an Intel Skylake-SP (SKX) server socket with the
 //! components the paper's package C-state flows observe and drive.
 //!
-//! * [`cstate`] — core (`CCx`) and package (`PCx`) C-state definitions;
+//! * [`cstate`] — core (`CCx`) C-states with their latencies, and the
+//!   package (`PCx`) C-states as names only: the package flows (`apc-pmu`'s
+//!   GPMU, `apc-core`'s APMU) set what each costs in power and latency;
 //! * [`core`] — CPU cores, their power-management agents and the aggregated
 //!   `InCC1` status signal;
 //! * [`clm`] — the CHA/LLC/mesh ("CLM") domain as one unit with its

@@ -39,6 +39,7 @@ impl DramPowerMode {
         match self {
             DramPowerMode::Active => SimDuration::ZERO,
             DramPowerMode::ActivePowerDown => SimDuration::from_nanos(10),
+            // Paper Sec. 5.5.2: CKE-off exits within 24 ns.
             DramPowerMode::PrechargePowerDown => SimDuration::from_nanos(24),
             DramPowerMode::SelfRefresh => SimDuration::from_micros(5),
         }
@@ -86,7 +87,7 @@ impl fmt::Display for DramPowerMode {
 /// let mut memory = MemorySet::new(2);
 /// memory.set_allow_cke_off(true);
 /// assert_eq!(memory.mode(), DramPowerMode::PrechargePowerDown);
-/// assert_eq!(memory.set_allow_cke_off(false), MemorySet::CKE_OFF_EXIT);
+/// assert_eq!(memory.set_allow_cke_off(false).as_nanos(), 24);
 /// assert_eq!(memory.mode(), DramPowerMode::Active);
 /// ```
 #[derive(Debug)]
@@ -103,9 +104,6 @@ impl MemorySet {
     /// CKE-off entry happens as soon as the controllers are idle once
     /// allowed (within ~10 ns, paper Sec. 5.5.1).
     pub const CKE_OFF_ENTRY: SimDuration = SimDuration::from_nanos(10);
-
-    /// CKE-off exit latency (paper Sec. 5.5.2: within 24 ns).
-    pub const CKE_OFF_EXIT: SimDuration = SimDuration::from_nanos(24);
 
     /// Builds a set of `n` controllers in the active mode with all
     /// power-down modes disabled (datacenter default).
@@ -218,7 +216,7 @@ mod tests {
         assert_eq!(set.mode(), DramPowerMode::PrechargePowerDown);
         // Clearing wakes it and reports the 24 ns exit.
         let lat = set.set_allow_cke_off(false);
-        assert_eq!(lat, MemorySet::CKE_OFF_EXIT);
+        assert_eq!(lat, SimDuration::from_nanos(24));
         assert_eq!(set.mode(), DramPowerMode::Active);
     }
 

@@ -28,10 +28,11 @@ use crate::request::RequestClass;
 pub struct TierService {
     /// The tier's request class (what the per-node telemetry records).
     pub class: RequestClass,
-    /// Mean CPU service time, in nanoseconds.
-    pub mean_service_ns: f64,
     /// Coefficient of variation of the service time.
-    pub cv: f64,
+    cv: f64,
+    /// The service-time distribution, in nanoseconds, built once from the
+    /// mean and `cv`.
+    service_ns: LogNormal,
 }
 
 impl TierService {
@@ -52,8 +53,8 @@ impl TierService {
         assert!(cv >= 0.0, "service-time CV must be non-negative");
         TierService {
             class,
-            mean_service_ns: mean_service.as_nanos() as f64,
             cv,
+            service_ns: LogNormal::from_mean_cv(mean_service.as_nanos() as f64, cv),
         }
     }
 
@@ -97,15 +98,14 @@ impl TierService {
             !mean.is_zero(),
             "a chain tier needs a positive mean service time"
         );
-        self.mean_service_ns = mean.as_nanos() as f64;
+        self.service_ns = LogNormal::from_mean_cv(mean.as_nanos() as f64, self.cv);
         self
     }
 
     /// Draws one RPC's CPU service time from the tier's distribution
     /// (floored at 100 ns like every workload service-time draw).
     pub fn sample_service(&self, rng: &mut SimRng) -> SimDuration {
-        let d = LogNormal::from_mean_cv(self.mean_service_ns, self.cv);
-        SimDuration::from_nanos_f64(d.sample(rng).max(100.0))
+        SimDuration::from_nanos_f64(self.service_ns.sample(rng).max(100.0))
     }
 }
 
@@ -115,13 +115,24 @@ mod tests {
 
     #[test]
     fn calibration_of_the_builtin_tiers() {
-        assert_eq!(TierService::frontend().mean_service_ns, 10_000.0);
-        assert_eq!(TierService::memcached_leaf().mean_service_ns, 19_000.0);
+        let mean_ns = |tier: TierService| tier.service_ns.mean();
+        assert!((mean_ns(TierService::frontend()) - 10_000.0).abs() < 1e-6);
+        assert!((mean_ns(TierService::memcached_leaf()) - 19_000.0).abs() < 1e-6);
         assert_eq!(TierService::frontend().class, RequestClass::Frontend);
-        assert!(
-            TierService::kafka_leaf().mean_service_ns
-                > TierService::memcached_leaf().mean_service_ns
-        );
+        assert!(mean_ns(TierService::kafka_leaf()) > mean_ns(TierService::memcached_leaf()));
+    }
+
+    #[test]
+    fn service_draws_match_a_per_draw_distribution_bit_for_bit() {
+        let tier = TierService::memcached_leaf().with_mean_service(SimDuration::from_micros(7));
+        let (mut once, mut per_draw) = (SimRng::from_seed(31), SimRng::from_seed(31));
+        for _ in 0..10_000 {
+            let rebuilt = LogNormal::from_mean_cv(7_000.0, 0.8);
+            assert_eq!(
+                tier.service_ns.sample(&mut once).to_bits(),
+                rebuilt.sample(&mut per_draw).to_bits()
+            );
+        }
     }
 
     #[test]

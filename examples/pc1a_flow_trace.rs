@@ -1,6 +1,7 @@
 //! Walks the PC1A entry/exit flow step by step on a bare socket model and
-//! prints the signal/latency timeline of Fig. 4, the Sec. 5.5 latency
-//! budget, the Sec. 5.4 power derivation and the Sec. 5.1–5.3 area report.
+//! prints the signal/latency timeline of Fig. 4, the Sec. 5.5 transition
+//! latency of that flow, the Sec. 5.4 power derivation and the Sec. 5.1–5.3
+//! area report.
 //!
 //! Run with: `cargo run --release --example pc1a_flow_trace`
 
@@ -55,8 +56,11 @@ fn main() {
         );
     }
 
+    let pc1a = flow_latency(PackageCState::PC1A);
     println!("\n== Sec. 5.5 latency budget ==");
-    println!("{}", Pc1aLatencyModel::from_components());
+    println!("PC1A entry (from ACC1)   {}", pc1a.entry);
+    println!("PC1A exit (settled)      {}", pc1a.exit);
+    println!("round trip               {}", pc1a.round_trip());
 
     println!("\n== Sec. 5.4 power derivation (Eq. 2/3) ==");
     println!("{}", Pc1aPowerEstimate::of(&PowerModel::skx_calibrated()));

@@ -60,10 +60,11 @@ fn main() {
     let impact = apc.latency_overhead_vs(&baseline);
     println!("\npower saving from PC1A : {:.1}%", saving * 100.0);
     println!("mean-latency impact    : {:+.3}%", impact * 100.0);
+    let pc1a = flow_latency(PackageCState::PC1A);
     println!(
         "PC1A transition budget : {} (entry {} / exit {})",
-        Pc1aLatencyModel::from_components().round_trip(),
-        Pc1aLatencyModel::from_components().entry(),
-        Pc1aLatencyModel::from_components().exit()
+        pc1a.round_trip(),
+        pc1a.entry,
+        pc1a.exit
     );
 }

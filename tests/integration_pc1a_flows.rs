@@ -6,7 +6,7 @@ use apc::core::apmu::{Apmu, WakeCause, WakeOutcome};
 use apc::prelude::*;
 use apc::soc::clock::PMU_CLOCK;
 use apc::soc::io::LinkPowerState;
-use apc::soc::memory::DramPowerMode;
+use apc::soc::memory::{DramPowerMode, MemorySet};
 use apc::soc::pll::PllState;
 
 fn idle_socket(at: SimTime) -> SkxSoc {
@@ -44,39 +44,27 @@ fn pc1a_resident_state_matches_table2() {
 
 #[test]
 fn entry_plus_exit_fits_the_200ns_budget() {
-    let t0 = SimTime::ZERO;
-    let mut soc = idle_socket(t0);
-    let mut apmu = Apmu::new();
-    let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
-    let resident = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
-    let entry_latency = resident - deadline;
-    apmu.on_entry_complete();
-    let outcome = apmu.wakeup(&mut soc, resident, WakeCause::IoTraffic);
-    let total = entry_latency + outcome.latency();
-    assert!(
-        total <= SimDuration::from_nanos(200),
-        "entry+exit {total} exceeds 200 ns"
+    // Each step timed by the component it drives, on a socket of its own.
+    let mut soc = SkxSoc::xeon_silver_4114();
+    let clm = soc.clm_mut();
+    let gate = clm.clock_gate();
+    let down = clm.assert_retention(SimTime::ZERO);
+    clm.complete_voltage_transition(SimTime::ZERO + down);
+    let ramp = clm.deassert_retention(SimTime::from_micros(1));
+    let ungate = clm.clock().ungate_latency();
+
+    let pc1a = flow_latency(PackageCState::PC1A);
+    assert_eq!(
+        pc1a.entry,
+        gate + PMU_CLOCK.cycles(2) + MemorySet::CKE_OFF_ENTRY,
+        "clock gate, Allow_CKE_OFF, CKE-off entry"
     );
-    // And the analytic budget agrees.
-    let model = Pc1aLatencyModel::from_components();
-    assert!(model.round_trip() <= SimDuration::from_nanos(200));
-    assert_eq!(model.entry(), SimDuration::from_nanos(18));
-    // The flow's entry is the budget's. The wake above cut the CLM ramp
-    // short; one after the ramp has settled pays the full exit, which adds
-    // the 2-cycle CLM clock ungate after `PwrOk` to the budget's 150 ns:
-    // 154 ns simulated.
-    assert_eq!(entry_latency, model.entry());
-    let mut soc = idle_socket(t0);
-    let mut apmu = Apmu::new();
-    let deadline = apmu.on_all_cores_idle(&mut soc).unwrap();
-    let resident = apmu.on_standby_deadline(&mut soc, deadline).unwrap();
-    apmu.on_entry_complete();
-    let settled = resident + SimDuration::from_micros(40);
-    let full_exit = apmu
-        .wakeup(&mut soc, settled, WakeCause::IoTraffic)
-        .latency();
-    assert_eq!(full_exit, model.exit() + PMU_CLOCK.cycles(2));
-    assert!(entry_latency + full_exit <= SimDuration::from_nanos(200));
+    assert_eq!(pc1a.entry, SimDuration::from_nanos(18));
+    // The links' and the CKE-off exits overlap the ramp; the ungate waits
+    // for `PwrOk`.
+    assert_eq!(pc1a.exit, ramp + ungate);
+    assert_eq!(pc1a.exit, SimDuration::from_nanos(154));
+    assert!(pc1a.round_trip() <= SimDuration::from_nanos(200));
 }
 
 #[test]
@@ -112,7 +100,7 @@ fn pc6_flow_is_two_orders_of_magnitude_slower() {
     gpmu.complete_entry(&mut soc, SimTime::from_micros(10) + entry);
     let exit = gpmu.begin_exit(&mut soc, SimTime::from_micros(500));
     let pc6_round_trip = entry + exit;
-    let pc1a_round_trip = Pc1aLatencyModel::from_components().round_trip();
+    let pc1a_round_trip = flow_latency(PackageCState::PC1A).round_trip();
     let ratio = pc6_round_trip.as_nanos() as f64 / pc1a_round_trip.as_nanos() as f64;
     assert!(ratio > 250.0, "ratio {ratio}");
 }

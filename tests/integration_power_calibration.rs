@@ -33,10 +33,11 @@ fn table1_levels_are_reproduced() {
 
 #[test]
 fn transition_latencies_match_table1_scales() {
-    assert!(PackageCState::PC6.transition_latency() >= SimDuration::from_micros(50));
-    assert!(PackageCState::PC1A.transition_latency() <= SimDuration::from_nanos(200));
-    let ratio = PackageCState::PC6.transition_latency().as_nanos() as f64
-        / PackageCState::PC1A.transition_latency().as_nanos() as f64;
+    let pc6 = flow_latency(PackageCState::PC6).round_trip();
+    let pc1a = flow_latency(PackageCState::PC1A).round_trip();
+    assert!(pc6 >= SimDuration::from_micros(50), "PC6 {pc6}");
+    assert!(pc1a <= SimDuration::from_nanos(200), "PC1A {pc1a}");
+    let ratio = pc6.as_nanos() as f64 / pc1a.as_nanos() as f64;
     assert!(ratio >= 250.0, "PC6/PC1A latency ratio {ratio}");
 }
 
