@@ -609,23 +609,19 @@ pub fn run_result_json(r: &RunResult) -> JsonValue {
 
 /// Rebuilds a [`RunResult`] from the [`run_result_json`] form plus the
 /// state that form does not carry: the run's latency sketch (checkpoints
-/// store it beside the run, under a `sketch` key) and its end-of-timeline
-/// stamp. The summary facade is re-derived *from the sketch* — never
-/// parsed — so a reconstructed result renders byte-identically to the
-/// original through every exporter; the JSON's own `latency` block is
-/// checked against the re-derivation and a mismatch is rejected
-/// (a corrupted or hand-edited checkpoint, not a format variant).
+/// store it beside the run, under a `sketch` key). The summary facade is
+/// re-derived *from the sketch* — never parsed — so a reconstructed result
+/// renders byte-identically to the original through every exporter; the
+/// JSON's own `latency` block is checked against the re-derivation and a
+/// mismatch is rejected (a corrupted or hand-edited checkpoint, not a
+/// format variant).
 ///
 /// # Errors
 ///
 /// Returns a description of the first missing, malformed or inconsistent
 /// field. Results carrying a `profile` are rejected — profiles are not
 /// round-trippable and sharded sweeps refuse `--profile` up front.
-pub fn run_result_from_json(
-    v: &JsonValue,
-    sketch: QuantileSketch,
-    finished_at: SimTime,
-) -> Result<RunResult, String> {
+pub fn run_result_from_json(v: &JsonValue, sketch: QuantileSketch) -> Result<RunResult, String> {
     fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
         v.get(key)
             .and_then(JsonValue::as_u64)
@@ -688,7 +684,6 @@ pub fn run_result_from_json(
         trace: None,
         profile: None,
         events_dispatched: u64_field(v, "events_dispatched")?,
-        finished_at,
     })
 }
 
@@ -757,25 +752,18 @@ pub fn fleet_aggregates_json(f: &FleetResult) -> JsonValue {
     o
 }
 
-/// A quantile sketch as JSON: its parameters, the exact scalars
-/// (count/sum/min/max) and the non-zero log-buckets as `[index, count]`
-/// pairs. The `sum` is a `u128` and exports as a decimal *string* — JSON
-/// implementations only guarantee `u64` integers. Round-trips exactly
+/// A quantile sketch as JSON: the exact scalars (zero count, sum, min,
+/// max) and the non-zero log-buckets as `[index, count]` pairs; the sketch
+/// has one configuration, so no parameter is written. The `sum` is a
+/// `u128` and exports as a decimal *string* — JSON implementations only
+/// guarantee `u64` integers. Round-trips exactly
 /// through [`sketch_from_json`]: the sweep-shard checkpoint format relies
 /// on `parse(sketch_json(s)) == s`, bit for bit.
 #[must_use]
 pub fn sketch_json(s: &QuantileSketch) -> JsonValue {
     let parts = s.parts();
     let mut o = JsonValue::object();
-    o.push("relative_error", JsonValue::Float(parts.relative_error))
-        .push("max_buckets", JsonValue::Int(parts.max_buckets as i128))
-        .push(
-            "floor_index",
-            parts
-                .floor_index
-                .map_or(JsonValue::Null, |i| JsonValue::Int(i128::from(i))),
-        )
-        .push("zero_count", JsonValue::Int(i128::from(parts.zero_count)))
+    o.push("zero_count", JsonValue::Int(i128::from(parts.zero_count)))
         .push("sum", JsonValue::Str(parts.sum.to_string()))
         .push("min_ns", JsonValue::Int(i128::from(parts.min)))
         .push("max_ns", JsonValue::Int(i128::from(parts.max)))
@@ -802,30 +790,13 @@ pub fn sketch_json(s: &QuantileSketch) -> JsonValue {
 /// # Errors
 ///
 /// Returns a description of the first malformed or inconsistent field —
-/// missing keys, out-of-range parameters, unsorted buckets.
+/// missing keys, unsorted buckets, bucket indices no `u64` maps to.
 pub fn sketch_from_json(v: &JsonValue) -> Result<QuantileSketch, String> {
     fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
         v.get(key)
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| format!("sketch: missing or non-integer `{key}`"))
     }
-    let relative_error = v
-        .get("relative_error")
-        .and_then(JsonValue::as_f64)
-        .ok_or("sketch: missing or non-number `relative_error`")?;
-    let floor_index = match v.get("floor_index") {
-        None => return Err("sketch: missing `floor_index`".to_owned()),
-        Some(JsonValue::Null) => None,
-        Some(value) => Some(
-            value
-                .as_f64()
-                .and_then(|f| {
-                    let i = f as i32;
-                    (f64::from(i) == f).then_some(i)
-                })
-                .ok_or("sketch: `floor_index` must be null or a 32-bit integer")?,
-        ),
-    };
     let sum = v
         .get("sum")
         .and_then(JsonValue::as_str)
@@ -854,10 +825,6 @@ pub fn sketch_from_json(v: &JsonValue) -> Result<QuantileSketch, String> {
             })
             .collect::<Result<Vec<(i32, u64)>, String>>()?;
     let parts = SketchParts {
-        relative_error,
-        max_buckets: usize::try_from(u64_field(v, "max_buckets")?)
-            .map_err(|_| "sketch: `max_buckets` out of range".to_owned())?,
-        floor_index,
         zero_count: u64_field(v, "zero_count")?,
         sum,
         min: u64_field(v, "min_ns")?,

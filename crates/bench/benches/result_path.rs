@@ -78,7 +78,7 @@ fn fastest(repeats: usize, mut f: impl FnMut() -> RecorderMeasure) -> RecorderMe
 }
 
 fn sketch_measure(values: &[u64]) -> RecorderMeasure {
-    let mut sketch = QuantileSketch::latency_default();
+    let mut sketch = QuantileSketch::new();
     let start = Instant::now();
     for &v in values {
         sketch.record(v);

@@ -5,8 +5,8 @@
 //! point whose *global grid index* is congruent to `i` modulo `n` and
 //! writes one checkpoint: an envelope identifying the sweep (spec name,
 //! shard arity, grid size, seed, duration) plus, per completed point, its
-//! label, end-of-timeline stamp, the full [`RunResult`] export and — the
-//! piece the plain export lacks — the run's serialized quantile sketch.
+//! label, the full [`RunResult`] export and — the piece the plain export
+//! lacks — the run's serialized quantile sketch.
 //! The sketch is what makes the cross-process round trip *exact*: `merge`
 //! re-derives every latency summary from the parsed sketch (never from the
 //! printed summary), re-aggregates combined fleet latency by sketch merge,
@@ -15,8 +15,8 @@
 //!
 //! Checkpoints are deliberately strict on the way in: wrong version, shard
 //! mismatches, points outside the shard's residue class, duplicate or
-//! missing grid indices, sketches with other than the latency-default
-//! parameters, and summaries inconsistent with their sketch are all hard
+//! missing grid indices, sketch buckets outside the index domain a `u64`
+//! maps to, and summaries inconsistent with their sketch are all hard
 //! errors — a corrupted shard must fail loudly at merge, not bend the final
 //! artefact, panic or exhaust memory.
 
@@ -25,11 +25,10 @@ use apc_analysis::export::{
 };
 use apc_server::fleet::FleetResult;
 use apc_server::result::RunResult;
-use apc_sim::{SimDuration, SimTime};
-use apc_telemetry::sketch::QuantileSketch;
+use apc_sim::SimDuration;
 
 /// The checkpoint format version this build writes and accepts.
-const CHECKPOINT_VERSION: u64 = 1;
+const CHECKPOINT_VERSION: u64 = 2;
 
 /// One completed grid point of a sharded sweep.
 pub struct CheckpointPoint {
@@ -72,10 +71,6 @@ impl Checkpoint {
                 let mut o = JsonValue::object();
                 o.push("index", JsonValue::Int(p.index as i128))
                     .push("label", JsonValue::Str(p.label.clone()))
-                    .push(
-                        "finished_at_ns",
-                        JsonValue::Int(i128::from((p.run.finished_at - SimTime::ZERO).as_nanos())),
-                    )
                     .push("sketch", sketch_json(&p.run.latency_sketch))
                     .push("run", run_result_json(&p.run));
                 o
@@ -163,38 +158,13 @@ impl Checkpoint {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("point {index}: missing or non-string `label`"))?
                 .to_owned();
-            let finished_at = SimTime::ZERO
-                + SimDuration::from_nanos(
-                    p.get("finished_at_ns")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| {
-                            format!("point {index}: missing or non-integer `finished_at_ns`")
-                        })?,
-                );
             let sketch = p
                 .get("sketch")
                 .ok_or_else(|| format!("point {index}: missing `sketch`"))?;
-            // Every run records into the latency default, and sketches of
-            // other parameters do not merge into the fleet's combined one.
-            // Checked before the sketch is rebuilt: its parameters bound
-            // what rebuilding allocates.
-            let latency = QuantileSketch::latency_default();
-            if sketch.get("relative_error").and_then(JsonValue::as_f64)
-                != Some(latency.relative_error())
-                || sketch.get("max_buckets").and_then(JsonValue::as_u64)
-                    != Some(latency.max_buckets() as u64)
-            {
-                return Err(format!(
-                    "point {index}: sketch parameters differ from the latency default \
-                     (relative error {}, {} buckets)",
-                    latency.relative_error(),
-                    latency.max_buckets()
-                ));
-            }
             let sketch = sketch_from_json(sketch).map_err(|e| format!("point {index}: {e}"))?;
             let run = p
                 .get("run")
-                .map(|run| run_result_from_json(run, sketch, finished_at))
+                .map(|run| run_result_from_json(run, sketch))
                 .transpose()
                 .map_err(|e| format!("point {index}: {e}"))?
                 .ok_or_else(|| format!("point {index}: missing `run`"))?;

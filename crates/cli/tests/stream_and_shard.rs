@@ -346,7 +346,7 @@ fn shard_checkpoints_merge_into_the_unsharded_artefact_byte_for_byte() {
     let ck = JsonValue::parse(&shard0.read()).expect("checkpoint is valid JSON");
     assert_eq!(
         ck.get("apc_sweep_checkpoint").and_then(JsonValue::as_u64),
-        Some(1)
+        Some(2)
     );
     assert_eq!(
         ck.get("spec_name").and_then(JsonValue::as_str),
@@ -355,10 +355,22 @@ fn shard_checkpoints_merge_into_the_unsharded_artefact_byte_for_byte() {
     assert_eq!(ck.get("total_points").and_then(JsonValue::as_u64), Some(4));
     let points = ck.get("points").and_then(JsonValue::as_array).unwrap();
     assert_eq!(points.len(), 2, "2 of 4 grid points belong to shard 0");
+    let keys = |v: &JsonValue| {
+        let JsonValue::Object(entries) = v else {
+            panic!("not an object");
+        };
+        entries.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
+    };
     for p in points {
         let index = p.get("index").and_then(JsonValue::as_u64).unwrap();
         assert_eq!(index % 2, 0, "shard 0 holds even grid indices");
-        assert!(p.get("sketch").is_some(), "point carries its sketch");
+        // A point carries its sketch, and the sketch its state alone: the
+        // sketch has one configuration, so no parameter is written.
+        assert_eq!(keys(p), ["index", "label", "sketch", "run"]);
+        assert_eq!(
+            keys(p.get("sketch").unwrap()),
+            ["zero_count", "sum", "min_ns", "max_ns", "buckets"]
+        );
     }
     // Merged output == unsharded output, for every format — with the
     // shards given in reverse order, so ordering comes from grid indices,
@@ -574,7 +586,7 @@ fn merge_rejects_hostile_checkpoints_as_input_errors() {
         tampered("hostile-total.json", &checkpoint, |ck| {
             *field(ck, "total_points") = JsonValue::Int(1 << 62);
         }),
-        // The widest i32 bucket span, whose width overflows i32.
+        // The widest i32 bucket span: a dense rebuild takes 32 GiB.
         tampered("hostile-span.json", &checkpoint, |ck| {
             *field(sketch(ck), "buckets") = buckets(&[(-2_147_483_648, 1), (2_147_483_647, 1)]);
         }),
@@ -582,21 +594,30 @@ fn merge_rejects_hostile_checkpoints_as_input_errors() {
         tampered("hostile-counts.json", &checkpoint, |ck| {
             *field(sketch(ck), "buckets") = buckets(&[(100, u64::MAX), (101, 1)]);
         }),
-        // A sketch the fleet's combined latency cannot merge.
-        tampered("hostile-params.json", &checkpoint, |ck| {
-            *field(sketch(ck), "max_buckets") = JsonValue::Int(4096);
-        }),
         // Two buckets 20M indices apart: a dense rebuild takes 160 MB.
         tampered("hostile-wide.json", &checkpoint, |ck| {
             *field(sketch(ck), "buckets") = buckets(&[(0, 1), (20_000_000, 1)]);
         }),
+        // One step below and one above the buckets a u64 maps to.
+        tampered("hostile-below.json", &checkpoint, |ck| {
+            *field(sketch(ck), "buckets") = buckets(&[(-1, 1)]);
+        }),
+        tampered("hostile-above.json", &checkpoint, |ck| {
+            *field(sketch(ck), "buckets") = buckets(&[(2219, 1)]);
+        }),
+        // A checkpoint of the format before this build's.
+        tampered("hostile-version.json", &checkpoint, |ck| {
+            *field(ck, "apc_sweep_checkpoint") = JsonValue::Int(1);
+        }),
     ];
     let expected = [
         "hold 1 of the sweep's 4611686018427387904 grid points",
-        "span 4294967296 indices",
+        "index -2147483648 lies outside the u64 domain 0..=2218",
         "overflow",
-        "differ from the latency default",
-        "span 20000001 indices",
+        "index 20000000 lies outside the u64 domain 0..=2218",
+        "index -1 lies outside the u64 domain 0..=2218",
+        "index 2219 lies outside the u64 domain 0..=2218",
+        "version 1 (this build reads version 2)",
     ];
     for (file, expected) in cases.iter().zip(expected) {
         for format in ["json", "csv", "table"] {

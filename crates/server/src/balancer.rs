@@ -1,22 +1,24 @@
-//! Cluster load balancer: the cluster-level arrival stream and pluggable
+//! Cluster load balancer: the cluster-level arrival stream and the
 //! request-routing policies.
 //!
 //! The [`Balancer`] is the front component of a
 //! [`crate::cluster::ClusterSimulation`] serving independent requests: it
-//! owns the cluster's [`LoadGenerator`], draws each arriving request, asks
-//! its [`RoutingPolicy`] for a destination node and deposits the request into
-//! that node's NIC coalescing buffer. A single server is a 1-node cluster
-//! behind a balancer, so routing is the *only* behavioural difference
-//! between a node in a cluster and a server on its own. The chain
-//! coordinator ([`crate::chain::ChainCoordinator`]) routes every RPC through
-//! the same hand-off.
+//! owns the cluster's [`LoadGenerator`], draws each arriving request, picks
+//! a destination node under its [`RoutingPolicyKind`] and deposits the
+//! request into that node's NIC coalescing buffer. A single server is a
+//! 1-node cluster behind a balancer, so routing is the *only* behavioural
+//! difference between a node in a cluster and a server on its own. The
+//! chain coordinator ([`crate::chain::ChainCoordinator`]) routes every RPC
+//! through the same hand-off.
 //!
 //! Routing is what shapes the per-server idle-period distribution the
 //! paper's PC1A savings depend on: spreading policies
-//! ([`Random`], [`RoundRobin`], [`JoinShortestQueue`]) keep every node
-//! lightly loaded with many short idle periods, while the packing
-//! [`PowerAware`] policy concentrates load on already-awake nodes so the
-//! rest accumulate long, deep package-idle residency.
+//! ([`RoutingPolicyKind::Random`], [`RoutingPolicyKind::RoundRobin`],
+//! [`RoutingPolicyKind::JoinShortestQueue`]) keep every node lightly loaded
+//! with many short idle periods, while the packing
+//! [`RoutingPolicyKind::PowerAware`] policy concentrates load on
+//! already-awake nodes so the rest accumulate long, deep package-idle
+//! residency.
 
 use apc_sim::component::{EventHandler, SimulationContext};
 use apc_sim::rng::SimRng;
@@ -29,140 +31,38 @@ use crate::components::fabric::deliver_routed;
 use crate::components::state::{ClusterState, ServerState};
 use crate::components::ServerEvent;
 
-/// A request-routing policy: picks the destination node for each arriving
-/// request.
-///
-/// Policies are *pluggable*: implement this trait to study custom routing.
-/// The built-ins cover the classic datacenter spectrum ([`Random`],
-/// [`RoundRobin`], [`JoinShortestQueue`]) plus the power-aware packing
-/// policy ([`PowerAware`]) the paper's idle-period analysis motivates.
-pub trait RoutingPolicy: Send {
-    /// The policy's name as it appears in results and tables.
-    fn name(&self) -> &'static str;
-
-    /// Picks the node for the next request.
-    ///
-    /// `cluster` exposes every node's queues, core activity and package
-    /// state, and each node's outstanding requests in O(1) through
-    /// [`ClusterState::routing`]; `rng` is the balancer's private
-    /// deterministic stream (so randomised policies never perturb node
-    /// streams). Must return an index `< cluster.nodes.len()`.
-    fn route(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize;
-}
-
-/// Uniform random routing: each request goes to a node drawn uniformly from
-/// the balancer's deterministic stream. The classic stateless baseline; it
-/// spreads load (and wakes) evenly, fragmenting every node's idle time.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Random;
-
-impl RoutingPolicy for Random {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn route(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize {
-        (rng.next_u64() % cluster.nodes.len() as u64) as usize
-    }
-}
-
-/// Round-robin routing: node `i`, then `i + 1`, … wrapping around.
-/// Deterministic spreading with perfectly even request counts.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoutingPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let target = self.next % cluster.nodes.len();
-        self.next = target + 1;
-        target
-    }
-}
-
-/// Join-shortest-queue: each request goes to the node with the fewest
-/// outstanding client requests (buffered, queued, reserved or in service;
-/// see [`ClusterState::routing`]), lowest index winning ties. The
-/// latency-optimal greedy policy — and the most aggressive idle-period
-/// fragmenter, since it preferentially wakes the most-idle node.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct JoinShortestQueue;
-
-impl RoutingPolicy for JoinShortestQueue {
-    fn name(&self) -> &'static str {
-        "join-shortest-queue"
-    }
-
-    fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let pick = cluster.routing.least_loaded();
-        debug_assert_eq!(Some(pick), scan_least_loaded(cluster, |_| true));
-        pick
-    }
-}
-
-/// Power-aware packing: prefer nodes that are already awake (some core
-/// active), taking the least-loaded among them; only when every node is
-/// package-idle does the request wake one (the least-loaded, lowest index —
-/// in practice node 0). Load concentrates on few warm nodes, so the
-/// remaining nodes see long unbroken idle periods and deep PC1A/PC6
-/// residency — the routing-layer complement to the paper's fast package
-/// C-state. Reads the awake bits and loads of [`ClusterState::routing`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PowerAware;
-
-impl RoutingPolicy for PowerAware {
-    fn name(&self) -> &'static str {
-        "power-aware"
-    }
-
-    fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let routing = &cluster.routing;
-        let pick = routing
-            .least_loaded_awake()
-            .unwrap_or_else(|| routing.least_loaded());
-        debug_assert_eq!(
-            Some(pick),
-            scan_least_loaded(cluster, ServerState::any_core_active)
-                .or_else(|| scan_least_loaded(cluster, |_| true))
-        );
-        pick
-    }
-}
-
-/// The lowest-index node with the fewest outstanding requests among those
-/// `eligible` admits, found by scanning every node's [`ServerState`]: the
-/// pick the routing index must reproduce (checked in debug builds).
-fn scan_least_loaded(
-    cluster: &ClusterState,
-    eligible: impl Fn(&ServerState) -> bool,
-) -> Option<usize> {
-    (0..cluster.nodes.len())
-        .filter(|&i| eligible(&cluster.nodes[i]))
-        .min_by_key(|&i| cluster.nodes[i].outstanding_requests())
-}
-
-/// The built-in routing policies as a plain enum, for declarative cluster
-/// specs that must be `Send + Clone` (scenario tables, parallel cluster
-/// fleets). [`RoutingPolicyKind::build`] materialises the boxed policy.
+/// A request-routing policy: how the front picks the destination node for
+/// each arriving request. The classic datacenter spectrum plus the
+/// power-aware packing policy the paper's idle-period analysis motivates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicyKind {
-    /// [`Random`].
+    /// Uniform random routing: each request goes to a node drawn uniformly
+    /// from the front's deterministic stream. The classic stateless
+    /// baseline; it spreads load (and wakes) evenly, fragmenting every
+    /// node's idle time.
     Random,
-    /// [`RoundRobin`].
+    /// Round-robin routing: node `i`, then `i + 1`, … wrapping around.
+    /// Deterministic spreading with perfectly even request counts.
     RoundRobin,
-    /// [`JoinShortestQueue`].
+    /// Join-shortest-queue: each request goes to the node with the fewest
+    /// outstanding client requests (buffered, queued, reserved or in
+    /// service; see [`ClusterState::routing`]), lowest index winning ties.
+    /// The latency-optimal greedy policy — and the most aggressive
+    /// idle-period fragmenter, since it preferentially wakes the most-idle
+    /// node.
     JoinShortestQueue,
-    /// [`PowerAware`].
+    /// Power-aware packing: prefer nodes that are already awake (some core
+    /// active), taking the least-loaded among them; only when every node is
+    /// package-idle does the request wake one (the least-loaded, lowest
+    /// index — in practice node 0). Load concentrates on few warm nodes, so
+    /// the remaining nodes see long unbroken idle periods and deep PC1A/PC6
+    /// residency — the routing-layer complement to the paper's fast package
+    /// C-state. Reads the awake bits and loads of [`ClusterState::routing`].
     PowerAware,
 }
 
 impl RoutingPolicyKind {
-    /// Every built-in policy, in presentation order.
+    /// Every policy, in presentation order.
     #[must_use]
     pub fn all() -> [RoutingPolicyKind; 4] {
         [
@@ -173,19 +73,7 @@ impl RoutingPolicyKind {
         ]
     }
 
-    /// Builds the policy instance.
-    #[must_use]
-    pub fn build(self) -> Box<dyn RoutingPolicy> {
-        match self {
-            RoutingPolicyKind::Random => Box::new(Random),
-            RoutingPolicyKind::RoundRobin => Box::new(RoundRobin::default()),
-            RoutingPolicyKind::JoinShortestQueue => Box::new(JoinShortestQueue),
-            RoutingPolicyKind::PowerAware => Box::new(PowerAware),
-        }
-    }
-
-    /// The policy's display name (same as the built instance's
-    /// [`RoutingPolicy::name`]).
+    /// The policy's name as it appears in results and tables.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -197,38 +85,90 @@ impl RoutingPolicyKind {
     }
 }
 
-/// A routing policy plus its per-node census: the hand-off every cluster
-/// front shares.
+/// Whether every routing-index pick is checked against a scan of the nodes
+/// ([`scan_least_loaded`]): in debug builds, and in this crate's unit tests
+/// in release builds too.
+const CHECK_PICKS: bool = cfg!(any(debug_assertions, test));
+
+/// The lowest-index node with the fewest outstanding requests among those
+/// `eligible` admits, found by scanning every node's [`ServerState`]: the
+/// pick the routing index must reproduce (see [`CHECK_PICKS`]).
+fn scan_least_loaded(
+    cluster: &ClusterState,
+    eligible: impl Fn(&ServerState) -> bool,
+) -> Option<usize> {
+    (0..cluster.nodes.len())
+        .filter(|&i| eligible(&cluster.nodes[i]))
+        .min_by_key(|&i| cluster.nodes[i].outstanding_requests())
+}
+
+/// A routing policy plus its round-robin cursor and per-node census: the
+/// hand-off every cluster front shares.
 pub(crate) struct Router {
-    policy: Box<dyn RoutingPolicy>,
+    policy: RoutingPolicyKind,
+    /// The node round-robin routing picks next (modulo the node count).
+    next: usize,
     routed: Vec<u64>,
 }
 
 impl Router {
     /// A router over `nodes` nodes.
-    pub(crate) fn new(policy: Box<dyn RoutingPolicy>, nodes: usize) -> Self {
+    pub(crate) fn new(policy: RoutingPolicyKind, nodes: usize) -> Self {
         Router {
             policy,
+            next: 0,
             routed: vec![0; nodes],
         }
     }
 
+    /// Picks the node for the next request. `cluster` exposes each node's
+    /// outstanding requests and awake bit in O(1) through
+    /// [`ClusterState::routing`]; `rng` is the front component's own
+    /// deterministic stream (so random routing never perturbs node
+    /// streams).
+    fn pick(&mut self, cluster: &ClusterState, rng: &mut SimRng) -> usize {
+        let nodes = cluster.nodes.len();
+        match self.policy {
+            RoutingPolicyKind::Random => (rng.next_u64() % nodes as u64) as usize,
+            RoutingPolicyKind::RoundRobin => {
+                let target = self.next % nodes;
+                self.next = target + 1;
+                target
+            }
+            RoutingPolicyKind::JoinShortestQueue => {
+                let pick = cluster.routing.least_loaded();
+                if CHECK_PICKS {
+                    assert_eq!(Some(pick), scan_least_loaded(cluster, |_| true));
+                }
+                pick
+            }
+            RoutingPolicyKind::PowerAware => {
+                let routing = &cluster.routing;
+                let pick = routing
+                    .least_loaded_awake()
+                    .unwrap_or_else(|| routing.least_loaded());
+                if CHECK_PICKS {
+                    assert_eq!(
+                        Some(pick),
+                        scan_least_loaded(cluster, ServerState::any_core_active)
+                            .or_else(|| scan_least_loaded(cluster, |_| true))
+                    );
+                }
+                pick
+            }
+        }
+    }
+
     /// Routes `request` to a node, counts it and deposits it into that
-    /// node's NIC through the fabric. The policy draws from `ctx`'s stream,
-    /// the front component's own.
+    /// node's NIC through the fabric. Random routing draws from `ctx`'s
+    /// stream, the front component's own.
     pub(crate) fn send(
         &mut self,
         shared: &mut ClusterState,
         ctx: &mut SimulationContext<'_, ServerEvent>,
         request: Request,
     ) {
-        let target = self.policy.route(shared, ctx.rng());
-        debug_assert!(
-            target < shared.nodes.len(),
-            "policy {} routed to node {target} of {}",
-            self.policy.name(),
-            shared.nodes.len()
-        );
+        let target = self.pick(shared, ctx.rng());
         self.routed[target] += 1;
         deliver_routed(shared, ctx, target, request);
     }
@@ -269,7 +209,7 @@ impl Balancer {
     /// Creates the balancer for a cluster of `nodes` nodes, driving
     /// `loadgen` (the cluster-level arrival stream) through `policy`.
     #[must_use]
-    pub fn new(loadgen: LoadGenerator, policy: Box<dyn RoutingPolicy>, nodes: usize) -> Self {
+    pub fn new(loadgen: LoadGenerator, policy: RoutingPolicyKind, nodes: usize) -> Self {
         Balancer {
             loadgen,
             router: Router::new(policy, nodes),
@@ -338,6 +278,65 @@ impl ClusterFront for Balancer {
             trace: run.trace,
             profile: run.profile,
             nodes: run.nodes,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chain::{ChainCoordinator, RequestGraph};
+    use crate::cluster::ClusterSimulation;
+    use crate::config::ServerConfig;
+    use crate::fleet::Fleet;
+    use apc_sim::SimDuration;
+    use apc_workloads::spec::WorkloadSpec;
+
+    /// Runs `nodes` nodes at 20k req/s each for 1 ms behind a balancer and
+    /// behind a 1 → 4 fan-out chain front (five RPCs a chain, so chains
+    /// arrive at a fifth of the rate) under `policy`, and returns each
+    /// front's per-node routing census. [`CHECK_PICKS`] holds in unit
+    /// tests, so every pick is checked against a scan of the nodes.
+    fn routed(nodes: usize, policy: RoutingPolicyKind) -> [Vec<u64>; 2] {
+        let base = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(1));
+        let configs: Vec<_> = (0..nodes)
+            .map(|i| base.clone().with_seed(Fleet::member_seed(base.seed, i)))
+            .collect();
+        let rate = 20_000.0 * nodes as f64;
+        let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), rate, base.seed);
+        let balancer = Balancer::new(loadgen, policy, nodes);
+        let cluster = ClusterSimulation::new(base.seed, configs.clone(), balancer, None).run();
+        let graph = RequestGraph::memcached_fanout(4);
+        let front = ChainCoordinator::new(graph, rate / 5.0, policy, nodes, base.seed);
+        let chain = ClusterSimulation::new(base.seed, configs, front, None).run();
+        [cluster.routed, chain.routed]
+    }
+
+    /// The routing index picks what a scan of the nodes picks, across the
+    /// awake bitset's 64-bit word boundaries: at 1, 7, 64, 65 and 130
+    /// nodes, every power-aware and JSQ pick behind either front equals the
+    /// scan's, in debug and release builds. Past 64 nodes both policies
+    /// route to nodes of the second and third word.
+    #[test]
+    fn routing_index_picks_what_a_scan_picks() {
+        for nodes in [1, 7, 64, 65, 130] {
+            for policy in [
+                RoutingPolicyKind::PowerAware,
+                RoutingPolicyKind::JoinShortestQueue,
+            ] {
+                for routed in routed(nodes, policy) {
+                    assert!(routed.iter().sum::<u64>() > 0);
+                    for word_start in [64, 128] {
+                        if nodes > word_start {
+                            assert!(
+                                routed[word_start..].iter().any(|&r| r > 0),
+                                "{} routed nothing past node {word_start} of {nodes}: {routed:?}",
+                                policy.name()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

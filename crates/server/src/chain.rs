@@ -15,7 +15,7 @@
 //!   ([`apc_workloads::chain::TierService`]);
 //! * [`ChainCoordinator`] — the front component of a
 //!   [`ClusterSimulation`]: it owns the root-arrival process, routes every
-//!   RPC through a pluggable [`RoutingPolicy`] into node NIC buffers (the
+//!   RPC under a [`RoutingPolicyKind`] into node NIC buffers (the
 //!   same hand-off the balancer uses), joins per-leaf completions reported
 //!   by the serving cores and records end-to-end latency (root arrival →
 //!   last leaf join) plus the leaf-straggler gap (first → last leaf of a
@@ -72,7 +72,7 @@ use apc_workloads::request::{ChainTag, Request, RequestId};
 
 use apc_network::{NetworkConfig, NetworkStats};
 
-use crate::balancer::{routing_imbalance, Router, RoutingPolicy, RoutingPolicyKind};
+use crate::balancer::{routing_imbalance, Router, RoutingPolicyKind};
 use crate::cluster::{ClusterFront, ClusterRun, ClusterSimulation};
 use crate::components::state::{ClusterState, ServerState};
 use crate::components::ServerEvent;
@@ -206,7 +206,7 @@ struct TierTrace {
 }
 
 /// The chain-coordinator component: generates root-chain arrivals, fans each
-/// tier out across the cluster through a [`RoutingPolicy`], joins per-leaf
+/// tier out across the cluster under a [`RoutingPolicyKind`], joins per-leaf
 /// completions and records chain-level latency telemetry.
 ///
 /// RPC deposits reuse the balancer's exact hand-off into a node's NIC
@@ -245,7 +245,7 @@ impl ChainCoordinator {
     pub fn new(
         graph: RequestGraph,
         chains_per_sec: f64,
-        policy: Box<dyn RoutingPolicy>,
+        policy: RoutingPolicyKind,
         nodes: usize,
         seed: u64,
     ) -> Self {
@@ -264,8 +264,8 @@ impl ChainCoordinator {
             next_chain_id: 0,
             next_request_id: 0,
             chains_started: 0,
-            e2e: QuantileSketch::latency_default(),
-            straggler: QuantileSketch::latency_default(),
+            e2e: QuantileSketch::new(),
+            straggler: QuantileSketch::new(),
         }
     }
 
@@ -645,7 +645,7 @@ impl ChainMember {
         let coordinator = ChainCoordinator::new(
             self.graph,
             self.chains_per_sec,
-            self.policy.build(),
+            self.policy,
             self.nodes.len(),
             self.seed,
         );

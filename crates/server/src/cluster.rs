@@ -3,7 +3,7 @@
 //!
 //! A [`ClusterSimulation`] hosts every node inside **one** [`Simulation`],
 //! fed by a [`ClusterFront`] that owns the cluster's arrival process and
-//! routes work into node NIC buffers through a pluggable [`RoutingPolicy`].
+//! routes work into node NIC buffers under a [`RoutingPolicyKind`].
 //! It is the only driver: a single server (every
 //! [`crate::fleet::FleetMember`], and so [`crate::sim::run_experiment`]) is
 //! a 1-node cluster behind a round-robin [`Balancer`], and a
@@ -20,7 +20,6 @@
 //! load produces entirely different per-node idle-period distributions (and
 //! therefore PC1A savings) under spreading vs. packing policies.
 //!
-//! [`RoutingPolicy`]: crate::balancer::RoutingPolicy
 //! [`ChainCoordinator`]: crate::chain::ChainCoordinator
 //! [`ChainResult`]: crate::chain::ChainResult
 //!
@@ -408,7 +407,7 @@ impl ClusterMember {
     #[must_use]
     pub fn run(self) -> ClusterResult {
         let loadgen = LoadGenerator::new(self.spec, self.total_rate_per_sec, self.seed);
-        let balancer = Balancer::new(loadgen, self.policy.build(), self.nodes.len());
+        let balancer = Balancer::new(loadgen, self.policy, self.nodes.len());
         ClusterSimulation::new(self.seed, self.nodes, balancer, self.network).run()
     }
 }

@@ -318,7 +318,7 @@ impl TelemetryState {
     pub fn new(cores: usize) -> Self {
         TelemetryState {
             energy: EnergyMeter::new(SimTime::ZERO),
-            latency: QuantileSketch::latency_default(),
+            latency: QuantileSketch::new(),
             core_residency: CoreResidencySet::new(cores, SimTime::ZERO),
             package_residency: PackageResidency::new(PackageCState::PC0, SimTime::ZERO),
             idle_tracker: IdlePeriodTracker::new(cores, SimTime::ZERO),

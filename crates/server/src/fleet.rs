@@ -365,7 +365,7 @@ impl PoolMember for FleetMember {
             }
             None => LoadGenerator::new(self.spec, self.rate_per_sec, seed),
         };
-        let balancer = Balancer::new(loadgen, RoutingPolicyKind::RoundRobin.build(), 1);
+        let balancer = Balancer::new(loadgen, RoutingPolicyKind::RoundRobin, 1);
         let ClusterResult {
             events_dispatched,
             trace,
@@ -535,7 +535,7 @@ impl FleetResult {
     /// member order for determinism.
     #[must_use]
     fn combined_sketch(&self) -> QuantileSketch {
-        let mut merged = QuantileSketch::latency_default();
+        let mut merged = QuantileSketch::new();
         for r in &self.runs {
             merged.merge(&r.latency_sketch);
         }

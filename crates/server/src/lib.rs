@@ -19,8 +19,9 @@
 //!   event loop, with per-node and cluster-aggregate results. A single
 //!   server is a 1-node cluster;
 //! * [`sim`] — the single-server [`sim::run_experiment`] entry point;
-//! * [`balancer`] — the pluggable [`balancer::RoutingPolicy`] (random,
-//!   round-robin, join-shortest-queue, power-aware packing) and the
+//! * [`balancer`] — the routing policies, one [`balancer::RoutingPolicyKind`]
+//!   enum (random, round-robin, join-shortest-queue, power-aware packing),
+//!   and the
 //!   [`balancer::Balancer`] front, which routes one cluster-level arrival
 //!   stream of independent requests;
 //! * [`chain`] — multi-tier RPC request chains ([`chain::RequestGraph`]:
@@ -58,7 +59,7 @@ pub mod node;
 pub mod result;
 pub mod sim;
 
-pub use balancer::{RoutingPolicy, RoutingPolicyKind};
+pub use balancer::RoutingPolicyKind;
 pub use chain::{run_chain_experiment, ChainFleet, ChainMember, ChainResult, RequestGraph, Tier};
 pub use cluster::{
     run_cluster_experiment, ClusterFleet, ClusterMember, ClusterResult, ClusterSimulation,

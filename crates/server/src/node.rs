@@ -199,7 +199,6 @@ impl Node {
             trace: None,
             profile: None,
             events_dispatched: 0,
-            finished_at: end,
         }
     }
 }

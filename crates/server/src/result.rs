@@ -1,7 +1,7 @@
 //! Results of one simulated server run.
 
 use apc_power::units::Watts;
-use apc_sim::{SimDuration, SimTime};
+use apc_sim::SimDuration;
 use apc_telemetry::latency::LatencySummary;
 use apc_telemetry::sketch::QuantileSketch;
 use apc_telemetry::timeseries::TimeSeries;
@@ -82,8 +82,6 @@ pub struct RunResult {
     /// nodes of a multi-node cluster leave it 0 and the cluster-level result
     /// carries it.
     pub events_dispatched: u64,
-    /// End of the simulated timeline.
-    pub finished_at: SimTime,
 }
 
 impl RunResult {
@@ -146,7 +144,7 @@ mod tests {
                 p999: SimDuration::from_micros(mean_latency_us * 4),
                 max: SimDuration::from_micros(mean_latency_us * 5),
             },
-            latency_sketch: QuantileSketch::latency_default(),
+            latency_sketch: QuantileSketch::new(),
             avg_soc_power: Watts(power),
             avg_dram_power: Watts(5.0),
             cpu_utilization: 0.1,
@@ -165,7 +163,6 @@ mod tests {
             trace: None,
             profile: None,
             events_dispatched: 0,
-            finished_at: SimTime::from_secs(1),
         }
     }
 

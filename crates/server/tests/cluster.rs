@@ -3,15 +3,13 @@
 //! routing-policy behaviour.
 
 use apc_network::NetworkConfig;
-use apc_server::balancer::{Balancer, RoutingPolicy, RoutingPolicyKind};
+use apc_server::balancer::{Balancer, RoutingPolicyKind};
 use apc_server::chain::{ChainCoordinator, RequestGraph};
 use apc_server::cluster::{run_cluster_experiment, ClusterFleet, ClusterMember, ClusterSimulation};
-use apc_server::components::state::ClusterState;
 use apc_server::config::ServerConfig;
 use apc_server::fleet::Fleet;
 use apc_server::sim::run_experiment;
 use apc_sim::component::ComponentId;
-use apc_sim::rng::SimRng;
 use apc_sim::{SimDuration, SimTime};
 use apc_trace::TraceConfig;
 use apc_workloads::loadgen::LoadGenerator;
@@ -41,7 +39,7 @@ fn one_node_cluster_reproduces_server_simulation_exactly() {
         assert!(single.profile.is_some());
         for policy in RoutingPolicyKind::all() {
             let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), rate, config.seed);
-            let balancer = Balancer::new(loadgen, policy.build(), 1);
+            let balancer = Balancer::new(loadgen, policy, 1);
             let cluster =
                 ClusterSimulation::new(config.seed, vec![config.clone()], balancer, None).run();
             assert_eq!(cluster.total_routed(), cluster.routed[0]);
@@ -239,7 +237,7 @@ fn node_configs(n: usize) -> Vec<ServerConfig> {
 
 fn balancer(nodes: usize) -> Balancer {
     let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 10_000.0, 1);
-    Balancer::new(loadgen, RoutingPolicyKind::RoundRobin.build(), nodes)
+    Balancer::new(loadgen, RoutingPolicyKind::RoundRobin, nodes)
 }
 
 /// The cluster registry hosts N complete servers plus the front component
@@ -252,7 +250,7 @@ fn cluster_registry_has_expected_layout() {
         let coordinator = ChainCoordinator::new(
             RequestGraph::memcached_fanout(2),
             1_000.0,
-            RoutingPolicyKind::RoundRobin.build(),
+            RoutingPolicyKind::RoundRobin,
             n,
             1,
         );
@@ -286,7 +284,7 @@ fn cluster_registry_has_expected_layout() {
 fn a_node_draws_from_its_seed_not_its_index() {
     let config = ServerConfig::c_deep().with_duration(SimDuration::from_millis(20));
     let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), 1e-3, 1);
-    let balancer = Balancer::new(loadgen, RoutingPolicyKind::RoundRobin.build(), 2);
+    let balancer = Balancer::new(loadgen, RoutingPolicyKind::RoundRobin, 2);
     let result = ClusterSimulation::new(1, vec![config.clone(), config], balancer, None).run();
     assert_eq!(
         result.total_routed(),
@@ -339,87 +337,4 @@ fn packing_deepens_idle_on_spared_nodes() {
         max_res(&packed),
         max_res(&spread)
     );
-}
-
-/// Power-aware and JSQ routing by a scan of every node's `ServerState`: the
-/// reference the routing index must reproduce.
-struct ScanPolicy(RoutingPolicyKind);
-
-impl RoutingPolicy for ScanPolicy {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn route(&mut self, cluster: &ClusterState, _rng: &mut SimRng) -> usize {
-        let nodes = &cluster.nodes;
-        let load = |i: &usize| nodes[*i].outstanding_requests();
-        let awake = (0..nodes.len())
-            .filter(|&i| self.0 == RoutingPolicyKind::PowerAware && nodes[i].any_core_active())
-            .min_by_key(load);
-        awake.unwrap_or_else(|| (0..nodes.len()).min_by_key(load).expect("a node"))
-    }
-}
-
-/// Runs `nodes` nodes at 20k req/s each for 1 ms behind a balancer and
-/// behind a 1 → 4 fan-out chain front (five RPCs a chain, so chains arrive
-/// at a fifth of the rate), under `policy`; returns each front's per-node
-/// routing census after checking that the run equals, bit for bit, the same
-/// run under the scan `ScanPolicy` makes.
-fn routed_as_by_a_scan(nodes: usize, policy: RoutingPolicyKind) -> [Vec<u64>; 2] {
-    let base = ServerConfig::c_pc1a().with_duration(SimDuration::from_millis(1));
-    let configs: Vec<_> = (0..nodes)
-        .map(|i| base.clone().with_seed(Fleet::member_seed(base.seed, i)))
-        .collect();
-    let rate = 20_000.0 * nodes as f64;
-    let balanced = |policy: Box<dyn RoutingPolicy>| {
-        let loadgen = LoadGenerator::new(WorkloadSpec::memcached_etc(), rate, base.seed);
-        let balancer = Balancer::new(loadgen, policy, nodes);
-        ClusterSimulation::new(base.seed, configs.clone(), balancer, None).run()
-    };
-    let chained = |policy: Box<dyn RoutingPolicy>| {
-        let graph = RequestGraph::memcached_fanout(4);
-        let front = ChainCoordinator::new(graph, rate / 5.0, policy, nodes, base.seed);
-        ClusterSimulation::new(base.seed, configs.clone(), front, None).run()
-    };
-    let cluster = balanced(policy.build());
-    assert_eq!(
-        cluster,
-        balanced(Box::new(ScanPolicy(policy))),
-        "{nodes} nodes"
-    );
-    let chain = chained(policy.build());
-    assert_eq!(
-        chain,
-        chained(Box::new(ScanPolicy(policy))),
-        "{nodes} nodes"
-    );
-    [cluster.routed, chain.routed]
-}
-
-/// The routing index picks what a scan of the nodes picks, across the awake
-/// bitset's 64-bit word boundaries: at 1, 7, 64, 65 and 130 nodes, power-aware
-/// and JSQ runs behind either front equal the scanning policy's runs (debug
-/// builds also check every pick inside the built-in policies). Past 64 nodes
-/// both policies route to nodes of the second and third word.
-#[test]
-fn routing_index_picks_what_a_scan_picks() {
-    for nodes in [1, 7, 64, 65, 130] {
-        for policy in [
-            RoutingPolicyKind::PowerAware,
-            RoutingPolicyKind::JoinShortestQueue,
-        ] {
-            for routed in routed_as_by_a_scan(nodes, policy) {
-                assert!(routed.iter().sum::<u64>() > 0);
-                for word_start in [64, 128] {
-                    if nodes > word_start {
-                        assert!(
-                            routed[word_start..].iter().any(|&r| r > 0),
-                            "{} routed nothing past node {word_start} of {nodes}: {routed:?}",
-                            policy.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
 }

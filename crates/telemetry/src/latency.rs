@@ -59,7 +59,7 @@ impl LatencySummary {
     /// use apc_sim::SimDuration;
     /// use apc_telemetry::{LatencySummary, QuantileSketch};
     ///
-    /// let mut sketch = QuantileSketch::latency_default();
+    /// let mut sketch = QuantileSketch::new();
     /// for us in [100, 100, 100, 400] {
     ///     sketch.record(SimDuration::from_micros(us).as_nanos());
     /// }
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn summary_of_uniform_latencies() {
-        let mut sketch = QuantileSketch::latency_default();
+        let mut sketch = QuantileSketch::new();
         for us in 1..=100u64 {
             sketch.record(SimDuration::from_micros(us).as_nanos());
         }
@@ -112,13 +112,13 @@ mod tests {
 
     #[test]
     fn empty_sketch_yields_empty_summary() {
-        let sketch = QuantileSketch::latency_default();
+        let sketch = QuantileSketch::new();
         assert_eq!(LatencySummary::of(&sketch), LatencySummary::empty());
     }
 
     #[test]
     fn tail_reflects_outliers() {
-        let mut sketch = QuantileSketch::latency_default();
+        let mut sketch = QuantileSketch::new();
         for _ in 0..990 {
             sketch.record(SimDuration::from_micros(100).as_nanos());
         }
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn summary_needs_only_a_shared_reference() {
-        let mut sketch = QuantileSketch::latency_default();
+        let mut sketch = QuantileSketch::new();
         sketch.record(SimDuration::from_micros(10).as_nanos());
         let before = sketch.clone();
         let shared: &QuantileSketch = &sketch;
@@ -152,9 +152,9 @@ mod tests {
 
     #[test]
     fn merged_sketches_summarise_as_one_combined_sketch() {
-        let mut all = QuantileSketch::latency_default();
-        let mut left = QuantileSketch::latency_default();
-        let mut right = QuantileSketch::latency_default();
+        let mut all = QuantileSketch::new();
+        let mut left = QuantileSketch::new();
+        let mut right = QuantileSketch::new();
         for i in 0..1_000u64 {
             let ns = 50_000 + (i * 997) % 400_000;
             all.record(ns);

@@ -4,15 +4,15 @@
 //! killer-microsecond traffic. Retaining every per-request sample makes an
 //! hour-long, 100-node, million-RPS experiment memory-bound before it is
 //! CPU-bound, so the result path summarises latencies with a DDSketch-style
-//! log-bucketed histogram instead: O(buckets) memory per recorder with a
+//! log-bucketed histogram instead: bounded memory per recorder with a
 //! *contractual* relative-error bound on every reported quantile.
 //!
 //! # Error contract
 //!
-//! For a sketch built with relative accuracy `alpha` (the latency default is
-//! `alpha = 0.01`, i.e. 1 %), every non-zero recorded value `x` lands in
-//! bucket `i = ceil(ln(x) / ln(gamma))` with `gamma = (1 + alpha)/(1 -
-//! alpha)`; bucket `i` covers `(gamma^(i-1), gamma^i]` and is reported as its
+//! The sketch has one configuration: relative accuracy [`ALPHA`] = 1 %.
+//! Every non-zero recorded value `x` lands in bucket
+//! `i = ceil(ln(x) / ln(gamma))` with `gamma = (1 + alpha)/(1 - alpha)`;
+//! bucket `i` covers `(gamma^(i-1), gamma^i]` and is reported as its
 //! relative midpoint `2·gamma^i / (gamma + 1)`, which is within `alpha` of
 //! every value in the bucket. [`QuantileSketch::quantile`] rounds that
 //! midpoint to an integer, which adds at most half a unit, so it returns an
@@ -22,9 +22,9 @@
 //! |e − exact_q| ≤ alpha · exact_q + 0.5
 //! ```
 //!
-//! The half unit matters only for small values near a bucket edge: at
-//! `alpha` = 1 % a sample of 22 479, just above the lower edge (22 478.94)
-//! of bucket 502, reads back as 22 704, 1.0009 % off.
+//! The half unit matters only for small values near a bucket edge: a
+//! sample of 22 479, just above the lower edge (22 478.94) of bucket 502,
+//! reads back as 22 704, 1.0009 % off.
 //!
 //! Here `exact_q` is the **lower nearest-rank** quantile of the recorded
 //! multiset: `sorted[floor(q · (n − 1))]`. (Interpolated quantiles carry no
@@ -34,18 +34,22 @@
 //! the exact observed `[min, max]`, which makes constant and single-sample
 //! distributions exact.
 //!
+//! # The domain bounds the buckets
+//!
+//! Values are recorded as `u64` (the result path records nanoseconds), so
+//! every non-zero value lands in a bucket of `0..=2218`: 1 maps to bucket
+//! 0 and `u64::MAX` to bucket 2218. A sketch therefore holds at most
+//! 2,219 bucket counts whatever it records, so it needs none of the
+//! low-end bucket collapse DDSketch uses to bound memory over an unbounded
+//! domain, and [`QuantileSketch::from_parts`] refuses any other index.
+//!
 //! # Exactness and determinism
 //!
-//! Values are recorded as `u64` (the result path records nanoseconds) and
-//! the sketch keeps `count`, `min`, `max` exactly plus the *exact* integer
+//! The sketch keeps `count`, `min`, `max` exactly plus the *exact* integer
 //! `sum` in a `u128` — so `mean()` is exact to f64 precision of the total,
 //! and [`QuantileSketch::merge`] is **exactly** associative and commutative
 //! (bucket counts and integer sums, no float accumulation order to worry
-//! about) as long as no bucket collapse triggers. Collapse folds the lowest
-//! buckets together once `max_buckets` is exceeded — it degrades only
-//! *low* quantiles of pathologically wide distributions (the latency default
-//! of 2048 buckets spans 1 ns to beyond 10^9 s at 1 % accuracy, so a
-//! simulated latency never collapses) and is itself pinned by tests.
+//! about).
 //!
 //! # Serialization
 //!
@@ -55,6 +59,19 @@
 //! sketches and a later `merge` process can re-derive byte-identical
 //! summaries.
 
+/// The relative accuracy every sketch guarantees: 1 %.
+pub const ALPHA: f64 = 0.01;
+
+/// `(1 + alpha) / (1 - alpha)` — the bucket growth factor.
+const GAMMA: f64 = (1.0 + ALPHA) / (1.0 - ALPHA);
+
+/// `1 / ln(gamma)`, as the bits `1.0 / GAMMA.ln()` gives at run time (a
+/// test pins them): `ln` is not a `const fn`.
+const INV_LN_GAMMA: f64 = 49.99833328888678;
+
+/// The bucket `u64::MAX` lands in: the highest index any sketch holds.
+const MAX_INDEX: i32 = 2218;
+
 /// The complete logical state of a sketch, for (de)serialization.
 ///
 /// `buckets` holds `(index, count)` pairs for every non-empty log bucket, in
@@ -62,12 +79,6 @@
 /// name on [`QuantileSketch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchParts {
-    /// Relative accuracy `alpha` of the source sketch.
-    pub relative_error: f64,
-    /// Bucket-count bound of the source sketch.
-    pub max_buckets: usize,
-    /// Collapse floor, when a collapse has occurred.
-    pub floor_index: Option<i32>,
     /// Number of recorded zeros.
     pub zero_count: u64,
     /// Exact sum of all recorded values.
@@ -83,15 +94,15 @@ pub struct SketchParts {
 /// DDSketch-style bounded-memory quantile sketch over `u64` values.
 ///
 /// See the [module docs](self) for the error contract. Two sketches compare
-/// equal when their logical contents (parameters, counts, extremes, sums and
-/// non-empty buckets) are equal — the internal storage layout is canonical
-/// for a given recording history, so parallel and sequential executions that
+/// equal when their logical contents (counts, extremes, sums and non-empty
+/// buckets) are equal — the internal storage layout is canonical for a
+/// given recording history, so parallel and sequential executions that
 /// record the same values in the same order produce `==` sketches.
 ///
 /// ```
 /// use apc_telemetry::QuantileSketch;
 ///
-/// let mut latency_ns = QuantileSketch::latency_default();
+/// let mut latency_ns = QuantileSketch::new();
 /// for us in 1..=1_000 {
 ///     latency_ns.record(us * 1_000);
 /// }
@@ -103,22 +114,11 @@ pub struct SketchParts {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    /// Relative accuracy `alpha`.
-    relative_error: f64,
-    /// `(1 + alpha) / (1 - alpha)` — the bucket growth factor.
-    gamma: f64,
-    /// `1 / ln(gamma)`, cached for the per-record index computation.
-    inv_ln_gamma: f64,
-    /// Bound on `counts.len()`; exceeding it collapses the lowest buckets.
-    max_buckets: usize,
     /// Log-bucket index of `counts[0]`.
     base_index: i32,
     /// Per-bucket counts for indices `base_index ..`; never has an empty
     /// first or last slot (the range is exactly the observed index span).
     counts: Vec<u64>,
-    /// Once a collapse has happened, the index every lower value folds into
-    /// (always equal to `base_index` afterwards).
-    floor_index: Option<i32>,
     /// Number of recorded zeros (a log bucket cannot hold them).
     zero_count: u64,
     /// Total recorded values, including zeros.
@@ -130,57 +130,34 @@ pub struct QuantileSketch {
     max: u64,
 }
 
+/// The log-bucket index a non-zero value maps to, in `0..=MAX_INDEX`.
+#[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+fn index_of(value: u64) -> i32 {
+    debug_assert!(value > 0);
+    // value = 1 maps to ln(1) = 0 -> bucket 0, covering (gamma^-1, 1].
+    ((value as f64).ln() * INV_LN_GAMMA).ceil() as i32
+}
+
+/// The representative value of bucket `index`: the point within
+/// `(gamma^(index-1), gamma^index]` whose relative distance to both ends is
+/// `alpha`.
+fn estimate_of(index: i32) -> f64 {
+    2.0 * GAMMA.powi(index) / (GAMMA + 1.0)
+}
+
 impl QuantileSketch {
-    /// A sketch with relative accuracy `alpha` and at most `max_buckets`
-    /// log buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 1` and `max_buckets >= 2`.
+    /// An empty sketch.
     #[must_use]
-    pub fn new(alpha: f64, max_buckets: usize) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "relative accuracy must be in (0, 1), got {alpha}"
-        );
-        assert!(
-            max_buckets >= 2,
-            "a sketch needs at least 2 buckets, got {max_buckets}"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+    pub fn new() -> Self {
         QuantileSketch {
-            relative_error: alpha,
-            gamma,
-            inv_ln_gamma: 1.0 / gamma.ln(),
-            max_buckets,
             base_index: 0,
             counts: Vec::new(),
-            floor_index: None,
             zero_count: 0,
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         }
-    }
-
-    /// The latency-path default: 1 % relative error, 2048 buckets (spans
-    /// 1 ns to beyond 10^9 s without ever collapsing).
-    #[must_use]
-    pub fn latency_default() -> Self {
-        QuantileSketch::new(0.01, 2048)
-    }
-
-    /// The relative accuracy `alpha` this sketch guarantees.
-    #[must_use]
-    pub fn relative_error(&self) -> f64 {
-        self.relative_error
-    }
-
-    /// The bucket-count bound.
-    #[must_use]
-    pub fn max_buckets(&self) -> usize {
-        self.max_buckets
     }
 
     /// Total recorded values (including zeros).
@@ -228,21 +205,6 @@ impl QuantileSketch {
         self.counts.iter().filter(|&&c| c > 0).count()
     }
 
-    /// The log-bucket index a non-zero value maps to.
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-    fn index_of(&self, value: u64) -> i32 {
-        debug_assert!(value > 0);
-        // value = 1 maps to ln(1) = 0 -> bucket 0, covering (gamma^-1, 1].
-        ((value as f64).ln() * self.inv_ln_gamma).ceil() as i32
-    }
-
-    /// The representative value of bucket `index`: the point within
-    /// `(gamma^(index-1), gamma^index]` whose relative distance to both ends
-    /// is `alpha`.
-    fn estimate_of(&self, index: i32) -> f64 {
-        2.0 * self.gamma.powi(index) / (self.gamma + 1.0)
-    }
-
     /// Records one value.
     pub fn record(&mut self, value: u64) {
         self.count += 1;
@@ -253,11 +215,7 @@ impl QuantileSketch {
             self.zero_count += 1;
             return;
         }
-        let index = self
-            .index_of(value)
-            .max(self.floor_index.unwrap_or(i32::MIN));
-        self.bump(index, 1);
-        self.enforce_bound();
+        self.bump(index_of(value), 1);
     }
 
     /// Adds `by` to the bucket at `index`, growing the contiguous range as
@@ -280,45 +238,12 @@ impl QuantileSketch {
         self.counts[slot] += by;
     }
 
-    /// Collapses the lowest buckets into one until the bound holds again.
-    ///
-    /// Collapse trades accuracy for memory at the *low* end only: every
-    /// value below the new floor is thereafter attributed to the floor
-    /// bucket, so low quantiles of a collapsed sketch may exceed the error
-    /// contract while the tail stays within it.
-    fn enforce_bound(&mut self) {
-        if self.counts.len() <= self.max_buckets {
-            return;
-        }
-        let excess = self.counts.len() - self.max_buckets;
-        let folded: u64 = self.counts.drain(..excess).sum();
-        self.base_index += i32::try_from(excess).expect("bucket span fits in i32");
-        self.counts[0] += folded;
-        self.floor_index = Some(self.base_index);
-    }
-
     /// Merges `other` into `self`.
     ///
-    /// Counts, sums and extremes combine exactly, so (absent collapse) merge
-    /// is associative and commutative and splitting one value stream across
-    /// sketches then merging yields a sketch `==` to recording the stream
-    /// into one sketch. Merge order still matters only for collapse, which
-    /// the latency default never triggers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sketches were built with different parameters —
-    /// bucket indices are only comparable at equal `alpha`.
+    /// Counts, sums and extremes combine exactly, so merge is associative
+    /// and commutative, and splitting one value stream across sketches then
+    /// merging yields a sketch `==` to recording the stream into one sketch.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            self.relative_error == other.relative_error && self.max_buckets == other.max_buckets,
-            "cannot merge sketches with different parameters \
-             ({} @ {} vs {} @ {})",
-            self.relative_error,
-            self.max_buckets,
-            other.relative_error,
-            other.max_buckets,
-        );
         self.count += other.count;
         self.sum += other.sum;
         self.zero_count += other.zero_count;
@@ -326,35 +251,9 @@ impl QuantileSketch {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        // The merged floor is the higher of the two: either side's collapse
-        // already folded its low buckets, so the result cannot resolve
-        // below it.
-        let floor = match (self.floor_index, other.floor_index) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        if let Some(floor) = floor {
-            self.raise_floor(floor);
-        }
         for (index, count) in other.entries() {
-            self.bump(index.max(floor.unwrap_or(i32::MIN)), count);
+            self.bump(index, count);
         }
-        self.floor_index = floor;
-        self.enforce_bound();
-    }
-
-    /// Folds every bucket below `floor` into the `floor` bucket.
-    fn raise_floor(&mut self, floor: i32) {
-        if self.counts.is_empty() || floor <= self.base_index {
-            return;
-        }
-        let cut = ((floor - self.base_index) as usize).min(self.counts.len() - 1);
-        if cut == 0 {
-            return;
-        }
-        let folded: u64 = self.counts.drain(..cut).sum();
-        self.base_index += i32::try_from(cut).expect("bucket span fits in i32");
-        self.counts[0] += folded;
     }
 
     /// The quantile estimate for `q ∈ [0, 1]`; `None` when empty.
@@ -382,7 +281,7 @@ impl QuantileSketch {
         for (index, count) in self.entries() {
             seen += count;
             if rank < seen {
-                let estimate = self.estimate_of(index).round();
+                let estimate = estimate_of(index).round();
                 let estimate = if estimate >= u64::MAX as f64 {
                     u64::MAX
                 } else {
@@ -414,9 +313,6 @@ impl QuantileSketch {
     #[must_use]
     pub fn parts(&self) -> SketchParts {
         SketchParts {
-            relative_error: self.relative_error,
-            max_buckets: self.max_buckets,
-            floor_index: self.floor_index,
             zero_count: self.zero_count,
             sum: self.sum,
             min: if self.count > 0 { self.min } else { 0 },
@@ -429,22 +325,12 @@ impl QuantileSketch {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency found (parameters
-    /// out of range, buckets out of order, a bucket-index span wider than
-    /// the bound, counts that overflow `u64`).
+    /// Returns a description of the first inconsistency found (buckets out
+    /// of order, a bucket index outside `0..=2218`, which no `u64` maps to,
+    /// an empty bucket, counts that overflow `u64`, `min` above `max`). The
+    /// index check also bounds what rebuilding allocates: at most 2,219
+    /// counts.
     pub fn from_parts(parts: &SketchParts) -> Result<QuantileSketch, String> {
-        if !(parts.relative_error > 0.0 && parts.relative_error < 1.0) {
-            return Err(format!(
-                "sketch relative error must be in (0, 1), got {}",
-                parts.relative_error
-            ));
-        }
-        if parts.max_buckets < 2 {
-            return Err(format!(
-                "sketch needs at least 2 buckets, got {}",
-                parts.max_buckets
-            ));
-        }
         for window in parts.buckets.windows(2) {
             if window[0].0 >= window[1].0 {
                 return Err(format!(
@@ -453,37 +339,22 @@ impl QuantileSketch {
                 ));
             }
         }
-        // Counts are stored densely from the lowest index to the highest,
-        // and no sketch ever spans more than `max_buckets` indices: a wider
-        // span is corrupt, and rebuilding it could zero-fill gigabytes.
-        if let (Some(&(low, _)), Some(&(high, _))) = (parts.buckets.first(), parts.buckets.last()) {
-            let span = i64::from(high) - i64::from(low) + 1;
-            if usize::try_from(span).map_or(true, |span| span > parts.max_buckets) {
-                return Err(format!(
-                    "sketch buckets span {span} indices, above its bound {}",
-                    parts.max_buckets
-                ));
-            }
-        }
-        let mut sketch = QuantileSketch::new(parts.relative_error, parts.max_buckets);
+        let mut sketch = QuantileSketch::new();
         let mut count = parts.zero_count;
         for &(index, by) in &parts.buckets {
+            if !(0..=MAX_INDEX).contains(&index) {
+                return Err(format!(
+                    "sketch bucket index {index} lies outside the u64 domain 0..={MAX_INDEX}"
+                ));
+            }
             if by == 0 {
                 return Err(format!("sketch bucket {index} has zero count"));
-            }
-            if let Some(floor) = parts.floor_index {
-                if index < floor {
-                    return Err(format!(
-                        "sketch bucket {index} lies below its collapse floor {floor}"
-                    ));
-                }
             }
             count = count
                 .checked_add(by)
                 .ok_or("sketch counts overflow a 64-bit total")?;
             sketch.bump(index, by);
         }
-        sketch.floor_index = parts.floor_index;
         sketch.zero_count = parts.zero_count;
         sketch.count = count;
         sketch.sum = parts.sum;
@@ -501,16 +372,18 @@ impl QuantileSketch {
     }
 }
 
+impl Default for QuantileSketch {
+    fn default() -> Self {
+        QuantileSketch::new()
+    }
+}
+
 impl PartialEq for QuantileSketch {
-    /// Logical equality: parameters, totals, extremes, collapse floor and
-    /// the non-empty bucket contents.
+    /// Logical equality: totals, extremes and the non-empty bucket contents.
     fn eq(&self, other: &QuantileSketch) -> bool {
-        self.relative_error == other.relative_error
-            && self.max_buckets == other.max_buckets
-            && self.count == other.count
+        self.count == other.count
             && self.sum == other.sum
             && self.zero_count == other.zero_count
-            && self.floor_index == other.floor_index
             && (self.count == 0 || (self.min == other.min && self.max == other.max))
             && self.entries().eq(other.entries())
     }
@@ -519,6 +392,7 @@ impl PartialEq for QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
     /// The exact lower nearest-rank quantile the contract targets.
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
@@ -541,14 +415,14 @@ mod tests {
             (got as f64 - exact as f64).abs() / exact as f64
         };
         assert!(
-            rel <= sketch.relative_error(),
+            rel <= ALPHA,
             "q={q}: sketch {got} vs exact {exact} (relative error {rel})"
         );
     }
 
     #[test]
     fn empty_sketch_reports_nothing() {
-        let s = QuantileSketch::latency_default();
+        let s = QuantileSketch::new();
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.mean(), None);
@@ -558,7 +432,7 @@ mod tests {
 
     #[test]
     fn single_sample_is_exact_at_every_quantile() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         s.record(123_456);
         for q in [0.0, 0.5, 0.95, 0.999, 1.0] {
             assert_eq!(s.quantile(q), Some(123_456));
@@ -569,7 +443,7 @@ mod tests {
     #[test]
     fn out_of_range_quantiles_clamp_to_the_extremes() {
         let sorted = [5, 700, 1_234, 90_000];
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         for v in [700, 5, 90_000, 1_234] {
             s.record(v);
         }
@@ -585,7 +459,7 @@ mod tests {
 
     #[test]
     fn constant_stream_is_exact() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         for _ in 0..10_000 {
             s.record(777);
         }
@@ -596,7 +470,7 @@ mod tests {
 
     #[test]
     fn zeros_live_in_the_zero_bucket() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         for _ in 0..90 {
             s.record(0);
         }
@@ -611,7 +485,7 @@ mod tests {
 
     #[test]
     fn geometric_ramp_stays_within_contract() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         let mut values: Vec<u64> = (0..2_000).map(|i| 100 + 17 * i * i).collect();
         for &v in &values {
             s.record(v);
@@ -624,7 +498,7 @@ mod tests {
 
     #[test]
     fn mean_and_sum_are_exact_integers() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         for v in 1..=1_000_u64 {
             s.record(v * 1_000_003);
         }
@@ -635,9 +509,9 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_the_concatenation() {
-        let mut whole = QuantileSketch::latency_default();
-        let mut left = QuantileSketch::latency_default();
-        let mut right = QuantileSketch::latency_default();
+        let mut whole = QuantileSketch::new();
+        let mut left = QuantileSketch::new();
+        let mut right = QuantileSketch::new();
         for i in 0..5_000_u64 {
             let v = (i * 2_654_435_761) % 1_000_000;
             whole.record(v);
@@ -659,61 +533,20 @@ mod tests {
 
     #[test]
     fn merging_an_empty_sketch_is_identity() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         s.record(42);
         let before = s.clone();
-        s.merge(&QuantileSketch::latency_default());
+        s.merge(&QuantileSketch::new());
         assert_eq!(s, before);
 
-        let mut empty = QuantileSketch::latency_default();
+        let mut empty = QuantileSketch::new();
         empty.merge(&before);
         assert_eq!(empty, before);
     }
 
     #[test]
-    #[should_panic(expected = "different parameters")]
-    fn merging_mismatched_parameters_panics() {
-        let mut a = QuantileSketch::new(0.01, 2048);
-        let b = QuantileSketch::new(0.02, 2048);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn collapse_bounds_memory_and_keeps_the_tail() {
-        // 8 buckets force collapse on a stream spanning many decades.
-        let mut s = QuantileSketch::new(0.01, 8);
-        let mut values: Vec<u64> = (0..14).map(|e| 1_u64 << e).collect();
-        for &v in &values {
-            s.record(v);
-        }
-        values.sort_unstable();
-        assert!(s.bucket_len() <= 8, "collapse must bound the bucket count");
-        // The tail is still within contract; low quantiles may not be.
-        assert_within_contract(&s, &values, 1.0);
-        assert_eq!(s.count(), 14);
-        assert_eq!(s.min(), Some(1));
-        assert_eq!(s.max(), Some(1 << 13));
-        assert!(s.floor_index.is_some());
-    }
-
-    #[test]
-    fn latency_default_never_collapses_over_nine_decades() {
-        let mut s = QuantileSketch::latency_default();
-        let mut v = 1_u64;
-        while v < 1_000_000_000_000 {
-            s.record(v);
-            v = (v * 3 / 2).max(v + 1);
-        }
-        assert!(
-            s.floor_index.is_none(),
-            "1 ns .. 1000 s must fit uncollapsed"
-        );
-        assert!(s.bucket_len() <= 2048);
-    }
-
-    #[test]
     fn parts_round_trip_is_identity() {
-        let mut s = QuantileSketch::latency_default();
+        let mut s = QuantileSketch::new();
         for i in 0..1_000_u64 {
             s.record(i * i % 700_000);
         }
@@ -727,7 +560,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_inconsistencies() {
         let good = {
-            let mut s = QuantileSketch::latency_default();
+            let mut s = QuantileSketch::new();
             s.record(10);
             s.record(1_000);
             s.parts()
@@ -745,18 +578,6 @@ mod tests {
             .unwrap_err()
             .contains("exceeds max"));
 
-        let mut bad_alpha = good.clone();
-        bad_alpha.relative_error = 1.5;
-        assert!(QuantileSketch::from_parts(&bad_alpha)
-            .unwrap_err()
-            .contains("relative error"));
-
-        let mut below_floor = good.clone();
-        below_floor.floor_index = Some(i32::MAX);
-        assert!(QuantileSketch::from_parts(&below_floor)
-            .unwrap_err()
-            .contains("collapse floor"));
-
         let mut overflowing = good;
         overflowing.buckets = vec![(100, u64::MAX), (101, 1)];
         assert!(QuantileSketch::from_parts(&overflowing)
@@ -771,28 +592,109 @@ mod tests {
 
     #[test]
     fn from_parts_bounds_the_bucket_span_before_allocating() {
-        let parts = |max_buckets: usize, buckets: Vec<(i32, u64)>| SketchParts {
-            relative_error: 0.01,
-            max_buckets,
-            floor_index: None,
+        let parts = |buckets: Vec<(i32, u64)>| SketchParts {
             zero_count: 0,
             sum: 2,
             min: 1,
             max: 1,
             buckets,
         };
-        // The widest i32 span: its width overflows i32 arithmetic, and a
-        // dense rebuild would zero-fill 32 GiB.
-        let err = QuantileSketch::from_parts(&parts(2048, vec![(i32::MIN, 1), (i32::MAX, 1)]))
-            .unwrap_err();
-        assert!(err.contains("span 4294967296 indices"), "{err}");
-        // Two buckets far apart are few in number, but not in span.
+        // The widest i32 span: a dense rebuild would zero-fill 32 GiB.
         let err =
-            QuantileSketch::from_parts(&parts(2048, vec![(0, 1), (20_000_000, 1)])).unwrap_err();
-        assert!(err.contains("above its bound 2048"), "{err}");
-        // A span of exactly the bound is a sketch `record` can build.
-        let edge = QuantileSketch::from_parts(&parts(2048, vec![(0, 1), (2047, 1)])).unwrap();
+            QuantileSketch::from_parts(&parts(vec![(i32::MIN, 1), (i32::MAX, 1)])).unwrap_err();
+        assert!(err.contains("index -2147483648 lies outside"), "{err}");
+        // Two buckets far apart are few in number, but not in span.
+        let err = QuantileSketch::from_parts(&parts(vec![(0, 1), (20_000_000, 1)])).unwrap_err();
+        assert!(err.contains("index 20000000 lies outside"), "{err}");
+        // The domain's two ends are buckets `record` fills (1 and u64::MAX);
+        // one step past either is not.
+        let edge = QuantileSketch::from_parts(&parts(vec![(0, 1), (MAX_INDEX, 1)])).unwrap();
         assert_eq!(edge.count(), 2);
-        assert!(QuantileSketch::from_parts(&parts(2048, vec![(0, 1), (2048, 1)])).is_err());
+        assert_eq!(edge.counts.len(), 2_219);
+        for outside in [-1, MAX_INDEX + 1] {
+            let err = QuantileSketch::from_parts(&parts(vec![(outside, 1)])).unwrap_err();
+            assert!(err.contains("outside the u64 domain 0..=2218"), "{err}");
+        }
+    }
+
+    /// 1, 2, every power of two and `u64::MAX` land in `0..=MAX_INDEX`, in
+    /// order, with `u64::MAX` on the last bucket; and the constants are the
+    /// bits the run-time expressions give. (`black_box` keeps each argument
+    /// opaque, so what is checked is what the simulator computes at run
+    /// time, not a value the compiler folded.)
+    #[test]
+    fn every_u64_lands_in_the_index_domain() {
+        assert_eq!(MAX_INDEX, 2218);
+        assert_eq!(index_of(black_box(1)), 0);
+        assert_eq!(index_of(black_box(u64::MAX)), MAX_INDEX);
+        let alpha = black_box(ALPHA);
+        assert_eq!(GAMMA.to_bits(), ((1.0 + alpha) / (1.0 - alpha)).to_bits());
+        let gamma = black_box(GAMMA);
+        assert_eq!(INV_LN_GAMMA.to_bits(), (1.0 / gamma.ln()).to_bits());
+        let mut previous = 0;
+        for value in (1..64).map(|e| 1_u64 << e).chain([u64::MAX]) {
+            let index = index_of(black_box(value));
+            assert!((0..=MAX_INDEX).contains(&index), "{value}: {index}");
+            assert!(index >= previous, "{value}: {index} < {previous}");
+            previous = index;
+        }
+        // So no recording history holds more than 2,219 counts.
+        let mut s = QuantileSketch::new();
+        for value in [1, u64::MAX, 2, u64::MAX / 3] {
+            s.record(value);
+        }
+        assert_eq!(s.counts.len(), 2_219);
+    }
+
+    /// One value per bucket, 1 ns to `u64::MAX` growing by half each step:
+    /// every bucket count stays within the domain and the tail within the
+    /// contract.
+    #[test]
+    fn the_whole_u64_range_fits_in_the_bucket_bound() {
+        let mut s = QuantileSketch::new();
+        let mut values = Vec::new();
+        let mut v = 1_u64;
+        while let Some(next) = v.checked_mul(3).map(|x| (x / 2).max(v + 1)) {
+            values.push(v);
+            v = next;
+        }
+        values.push(u64::MAX);
+        for &v in &values {
+            s.record(v);
+        }
+        assert!(s.counts.len() <= 2_219);
+        assert_eq!(s.bucket_len(), values.len());
+        assert_within_contract(&s, &values, 1.0);
+        assert_within_contract(&s, &values, 0.5);
+    }
+
+    /// Bucket indices and reported estimates, bit for bit, for values from
+    /// 1 ns to `u64::MAX`: what the goldens were written with.
+    #[test]
+    fn bucket_indices_and_estimates_are_pinned() {
+        let pinned: [(u64, i32, u64); 10] = [
+            (1, 0, 0x3fef_ae14_7ae1_47af),
+            (2, 35, 0x3fff_e609_cfee_00ce),
+            (3, 55, 0x4007_cb3a_e4a4_0526),
+            (999, 346, 0x408f_536c_8fbb_66fb),
+            (1_000, 346, 0x408f_536c_8fbb_66fb),
+            (22_479, 502, 0x40d6_2bee_7e32_2375),
+            (1_000_000, 691, 0x412e_5cc1_91a0_3315),
+            (123_456_789, 932, 0x419d_68f2_809f_c1b7),
+            (1_000_000_000_000, 1382, 0x426d_1976_6e77_be2d),
+            (u64::MAX, 2218, 0x43ef_ae8f_6481_81a7),
+        ];
+        // Opaque arguments, as in the simulator: given a constant index,
+        // release builds fold `powi` at compile time, and the folded γ^35
+        // is 16 ulp off the run-time one.
+        for (value, index, estimate) in pinned {
+            assert_eq!(index_of(black_box(value)), index, "{value}");
+            assert_eq!(estimate_of(black_box(index)).to_bits(), estimate, "{value}");
+        }
+        // The documented half-unit case: 22 479 reads back as 22 704.
+        let mut s = QuantileSketch::new();
+        s.record(22_479);
+        s.record(30_000);
+        assert_eq!(s.quantile(0.0), Some(22_704));
     }
 }

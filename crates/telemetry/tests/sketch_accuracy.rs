@@ -4,7 +4,7 @@
 //! within `alpha` relative error of the **lower nearest-rank** exact value
 //! `sorted[floor(q * (n - 1))]` of the recorded multiset (clamped to the
 //! observed `[min, max]`), and `count`/`sum`/`min`/`max` are exact. This
-//! suite drives the latency-default sketch (`alpha = 1 %`) with fixed-seed
+//! suite drives the sketch (`alpha = 1 %`, its one configuration) with fixed-seed
 //! streams chosen to stress different failure modes — flat mass (uniform),
 //! heavy tail (lognormal), a sparse far mode that midpoint interpolation
 //! would misplace (bimodal spike), and the degenerate constant and
@@ -17,7 +17,7 @@
 //! the property the sweep-shard checkpoint path rests on.
 
 use apc_sim::SimRng;
-use apc_telemetry::sketch::QuantileSketch;
+use apc_telemetry::sketch::{QuantileSketch, ALPHA};
 
 const QUANTILES: [f64; 4] = [0.5, 0.95, 0.99, 0.999];
 
@@ -27,9 +27,9 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[(q * (sorted.len() - 1) as f64).floor() as usize]
 }
 
-/// Records `values` into a fresh latency-default sketch.
+/// Records `values` into a fresh sketch.
 fn sketch_of(values: &[u64]) -> QuantileSketch {
-    let mut s = QuantileSketch::latency_default();
+    let mut s = QuantileSketch::new();
     for &v in values {
         s.record(v);
     }
@@ -49,14 +49,13 @@ fn assert_contract(name: &str, values: &[u64]) {
     );
     assert_eq!(sketch.min(), sorted.first().copied(), "{name}: min");
     assert_eq!(sketch.max(), sorted.last().copied(), "{name}: max");
-    let alpha = sketch.relative_error();
     for q in QUANTILES {
         let exact = exact_quantile(&sorted, q);
         let est = sketch.quantile(q).expect("non-empty sketch");
         let delta = est.abs_diff(exact) as f64;
         // `+ 1.0` absorbs the rounding of the bucket midpoint to u64.
         assert!(
-            delta <= alpha * exact as f64 + 1.0,
+            delta <= ALPHA * exact as f64 + 1.0,
             "{name}: q={q} exact={exact} est={est} (delta {delta})"
         );
     }

@@ -44,6 +44,13 @@ done
 cargo run --release -p apc-cli -- merge "$out/long_sweep_part0.ckpt" \
   "$out/long_sweep_part1.ckpt" --format csv --out "$out/long_sweep_merged.csv"
 cmp "$out/long_sweep_1.csv" "$out/long_sweep_merged.csv"
+# The JSON export also carries the fleet's `combined_latency`, which
+# `merge` rebuilds by merging the checkpoints' sketches.
+cargo run --release -p apc-cli -- sweep examples/specs/low_load_sweep.toml \
+  --duration-ms 1000 --format json --out "$out/long_sweep.json"
+cargo run --release -p apc-cli -- merge "$out/long_sweep_part0.ckpt" \
+  "$out/long_sweep_part1.ckpt" --format json --out "$out/long_sweep_merged.json"
+cmp "$out/long_sweep.json" "$out/long_sweep_merged.json"
 cargo run --release -p apc-cli -- run examples/specs/mesh_fanout_twotier.toml \
   --duration-ms 1000 --format csv --out "$out/long_mesh.csv"
 cp examples/specs/mesh_fanout.toml "$out/mesh_fanout_traced.toml"

@@ -9,7 +9,7 @@ use apc::core::apmu::{Apmu, WakeCause};
 use apc::prelude::*;
 use apc::sim::engine::EventQueue;
 use apc::sim::rng::SimRng;
-use apc::telemetry::QuantileSketch;
+use apc::telemetry::sketch::{QuantileSketch, ALPHA};
 
 /// Runs `body` against `cases` independently seeded RNG streams. The seed is
 /// derived from the property name so each property sees a distinct but fully
@@ -49,15 +49,16 @@ fn event_queue_is_time_ordered() {
 
 /// The latency sketch against a sorted copy of what it recorded: count,
 /// minimum, maximum and mean are exact, and the quantile at every sample
-/// rank is within the sketch's relative error of that rank's sample, plus
-/// the half unit lost by rounding the estimate to an integer (a sample of
-/// 22 479 just above a bucket's lower edge reads as 22 704, 1.0009 % off).
+/// rank is within the sketch's relative error `ALPHA` of that rank's
+/// sample, plus the half unit lost by rounding the estimate to an integer
+/// (a sample of 22 479 just above a bucket's lower edge reads as 22 704,
+/// 1.0009 % off).
 #[test]
 fn sketch_matches_a_sorted_copy() {
     for_each_case("sketch_matches_a_sorted_copy", 64, |rng| {
         let hi = 1u64 << (10 + rng.index(53));
         let values = vec_u64(rng, 1, hi, 1, 300);
-        let mut sketch = QuantileSketch::latency_default();
+        let mut sketch = QuantileSketch::new();
         for &v in &values {
             sketch.record(v);
         }
@@ -74,7 +75,7 @@ fn sketch_matches_a_sorted_copy() {
             let q = rank as f64 / last_rank.max(1.0);
             let exact = sorted[(q * last_rank).floor() as usize];
             let got = sketch.quantile(q).unwrap();
-            let bound = sketch.relative_error() * exact as f64 + 0.5;
+            let bound = ALPHA * exact as f64 + 0.5;
             assert!(
                 got.abs_diff(exact) as f64 <= bound,
                 "q={q} of {} samples: {got} vs {exact}",
@@ -90,7 +91,7 @@ fn sketch_matches_a_sorted_copy() {
 fn quantiles_are_monotonic() {
     for_each_case("quantiles_are_monotonic", 256, |rng| {
         let values = vec_u64(rng, 0, 1 << 62, 2, 200);
-        let mut sketch = QuantileSketch::latency_default();
+        let mut sketch = QuantileSketch::new();
         for &v in &values {
             sketch.record(v);
         }
